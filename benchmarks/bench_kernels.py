@@ -11,10 +11,11 @@ Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 
 import argparse
 import time
-from math import lcm
 
 from isoprof import ZdGroup, build_torus_action
 from isoprof._kernels import _pure
+from isoprof.action_profile import packing_items
+from isoprof.isoperimetry import neighbor_table
 
 try:
     from isoprof._kernels import _core
@@ -25,35 +26,15 @@ BUDGET = 1 << 62
 
 
 def subset_inputs(group, n_max):
-    """flat_neighbors/universe/s_count for subset_min_ratio, as the profile search builds them."""
-    order = list(group.ball(n_max - 1))
-    index = {g: i for i, g in enumerate(order)}
-    flat = []
-    for g in order:
-        for lab in group.labels:
-            flat.append(index.get(group.act(lab, g), -1))
+    """Arguments of subset_min_ratio, from the table the profile search builds."""
+    order, nbr = neighbor_table(group, n_max - 1)
+    flat = [u for row in nbr for u in row]
     return flat, len(order), len(group.labels), n_max, BUDGET
 
 
 def packing_inputs(graphing, n):
-    """masks/weights for pack_max_weight, as the exact action profile builds them."""
-    rows = list(graphing.maps.values())
-    masks = []
-    idxs = []
-    for x in range(graphing.n_vertices):
-        nb = 1 << x
-        ok = True
-        for row in rows:
-            t = row[x]
-            if t is None:
-                ok = False
-                break
-            nb |= 1 << t
-        if ok and nb.bit_count() <= n:
-            idxs.append(x)
-            masks.append(nb)
-    scale = lcm(*[w.denominator for w in graphing.weights], 1)
-    weights = [int(graphing.weights[x] * scale) for x in idxs]
+    """Arguments of pack_max_weight, from the items the exact action profile builds."""
+    masks, weights, _ = packing_items(graphing, n)
     return masks, weights, n, BUDGET
 
 

@@ -89,6 +89,7 @@ from .tilings import (
     LatticeCenters,
     MultiTile,
     TileVerification,
+    cube_tile,
     folner_multitile_sequence,
     invariance,
     multitile_from_json,

@@ -285,30 +285,32 @@ def _exhaustive_exact(graphing, n):
     return value[full], partition
 
 
+def packing_items(graphing, n):
+    """Interior-packing items as (closed-neighborhood masks, scaled integer weights, scale)."""
+    rows = list(graphing.maps.values())
+    masks = []
+    weights = []
+    for x in range(graphing.n_vertices):
+        nb = 1 << x
+        for row in rows:
+            t = row[x]
+            if t is None:
+                break
+            nb |= 1 << t
+        else:
+            if nb.bit_count() <= n:
+                masks.append(nb)
+                weights.append(graphing.weights[x])
+    scale = lcm(*[w.denominator for w in graphing.weights], 1)
+    return masks, [int(w * scale) for w in weights], scale
+
+
 def _bnb_exact(graphing, n, node_budget):
     """Kernel-backed interior packing; returns (value, partition, nodes, complete)."""
     from ._kernels import pack_max_weight
 
     V = graphing.n_vertices
-    rows = list(graphing.maps.values())
-    item_vertices = []
-    masks = []
-    for x in range(V):
-        nb = 1 << x
-        ok = True
-        for row in rows:
-            t = row[x]
-            if t is None:
-                ok = False
-                break
-            nb |= 1 << t
-        if ok and nb.bit_count() <= n:
-            item_vertices.append(x)
-            masks.append(nb)
-    scale = lcm(*[w.denominator for w in graphing.weights], 1)
-    int_weights = [
-        int(graphing.weights[x] * scale) for x in item_vertices
-    ]
+    masks, int_weights, scale = packing_items(graphing, n)
     best, chosen, nodes, complete = pack_max_weight(masks, int_weights, n, node_budget)
     merged = [masks[i] for i in chosen]
     changed = True

@@ -25,8 +25,8 @@ from .errors import (
 from .exact import SqrtSum
 from .graphings import MeasuredGraphing, RNProfile, build_torus_action, build_weighted_cycle
 from .groups import ZdGroup
-from .isoperimetry import profile_exact, zd_cube
-from .tilings import LatticeCenters, MultiTile
+from .isoperimetry import profile_exact
+from .tilings import cube_tile
 
 
 @dataclass(frozen=True)
@@ -295,17 +295,6 @@ def positivity_check(graphing, n):
     )
 
 
-def _interval_tile(group, k):
-    """Interval/cube tile of side k with the k-step lattice."""
-    d = group.d
-    gens = []
-    for i in range(d):
-        v = [0] * d
-        v[i] = k
-        gens.append(tuple(v))
-    return MultiTile([zd_cube(group, k)], [LatticeCenters(gens)])
-
-
 def suite_lower_bound():
     """Torus family m in {8,10,12}, d in {1,2}, all n inside the free window."""
     checks = []
@@ -326,7 +315,7 @@ def suite_tiling_upper(epsilon=Fraction(1, 4)):
     ]
     checks = []
     for g, k, n in cases:
-        mt = _interval_tile(g.group, k)
+        mt = cube_tile(g.group, k)
         checks.append(check_tiling_upper_bound(g, mt, n, epsilon))
     return checks
 

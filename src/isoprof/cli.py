@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from .isoperimetry import (
 )
 from .rokhlin import build_towers, tower_family_to_json, verify_tower_family
 from .tilings import (
+    cube_tile,
     folner_multitile_sequence,
     multitile_from_json,
     multitile_to_json,
@@ -75,11 +77,24 @@ def _header(command, params):
     return f"# isoprof {__version__} config={_config_digest(command, params)}"
 
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _write_out(path, text):
+    """Write text to stdout, or atomically to path through a private temp file."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(out_path, header, columns, rows):
@@ -88,11 +103,7 @@ def _emit(out_path, header, columns, rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
-    text = buf.getvalue()
-    if out_path:
-        _atomic_write(out_path, text)
-    else:
-        sys.stdout.write(text)
+    _write_out(out_path, buf.getvalue())
 
 
 def _decimal_str(value):
@@ -221,11 +232,7 @@ def _cmd_build_graphing(args):
         g = build_weighted_cycle(args.m, weights)
     else:
         raise IsoprofError(f"unknown kind {args.kind!r}")
-    text = json.dumps(g.to_json(), sort_keys=True, indent=2) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, json.dumps(g.to_json(), sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -236,11 +243,7 @@ def _cmd_build_rokhlin(args):
     family = build_towers(g, mt, epsilon)
     verification = verify_tower_family(g, mt, family)
     obj = tower_family_to_json(family)
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, json.dumps(obj, sort_keys=True, indent=2) + "\n")
     ok = family.success and verification.passed
     return EXIT_OK if ok else EXIT_CHECK
 
@@ -324,8 +327,6 @@ def _suite_rokhlin():
     columns = ["graphing", "tile_side", "epsilon", "coverage", "success", "verified"]
     rows = []
     failures = 0
-    from .bounds import _interval_tile
-
     cases = [
         ("Z/12", build_torus_action(1, 12), 3),
         ("Z/5", build_torus_action(1, 5), 2),
@@ -333,7 +334,7 @@ def _suite_rokhlin():
     ]
     eps = Fraction(1, 4)
     for name, g, k in cases:
-        mt = _interval_tile(g.group, k)
+        mt = cube_tile(g.group, k)
         family = build_towers(g, mt, eps)
         verification = verify_tower_family(g, mt, family)
         ok = family.success and verification.passed

@@ -3,17 +3,19 @@
 Every inequality the package certifies is decided exactly.  Purely rational
 comparisons use Fraction.  Bounds involving p-th roots with p of denominator
 at most 2 reduce, after cross-raising to integer powers, to sign tests of
-sums c_1*sqrt(m_1) + ... + c_k*sqrt(m_k) with rational c_i and squarefree
-m_i.  SqrtSum represents such numbers closed under +, -, * and decides their
-sign exactly: the sum is zero iff all grouped coefficients vanish (square
-roots of distinct squarefree integers are linearly independent over Q), and
-a nonzero sum is separated from zero by certified isqrt interval refinement.
+sums c_1*sqrt(m_1) + ... + c_k*sqrt(m_k) with rational c_i and positive
+integers m_i.  SqrtSum represents such numbers closed under +, -, * and
+decides their sign exactly.  It keeps one radicand per square class: m and k
+lie in the same class when m*k is a perfect square, and then
+c*sqrt(m) = (c*isqrt(m*k)/k)*sqrt(k), so no integer is ever factored.
+Square roots from distinct square classes are linearly independent over Q
+(Besicovitch 1940), so the sum is zero iff all stored coefficients vanish,
+and a nonzero sum is separated from zero by certified isqrt interval
+refinement.
 """
 
 from fractions import Fraction
-from math import isqrt
-
-import sympy
+from math import gcd, isqrt
 
 from .errors import ConfigError, ParameterError
 
@@ -34,26 +36,32 @@ def format_fraction(value):
     return f"{value.numerator}/{value.denominator}"
 
 
-def _squarefree_split(m):
-    """Write m = k*k * m0 with m0 squarefree; returns (k, m0)."""
-    if m <= 0:
-        raise ParameterError(f"positive integer required, got {m}")
-    k = 1
-    m0 = 1
-    for p, e in sympy.factorint(m).items():
-        k *= p ** (e // 2)
-        if e % 2:
-            m0 *= p
-    return k, m0
+def _merge(terms, m, c):
+    """Add c*sqrt(m) to terms, under the radicand kept for the square class of m."""
+    r = isqrt(m)
+    if r * r == m:
+        m, c = 1, c * r
+    else:
+        for k in terms:
+            s = isqrt(m * k)
+            if s * s == m * k:
+                m, c = k, c * Fraction(s, k)
+                break
+    total = terms.get(m, 0) + c
+    if total:
+        terms[m] = total
+    else:
+        terms.pop(m, None)
 
 
 class SqrtSum:
-    """An exact number of the form sum(c_i * sqrt(m_i)), m_i squarefree."""
+    """An exact number of the form sum(c_i * sqrt(m_i)), one m_i per square class."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        # radicand (squarefree positive int) -> nonzero Fraction coefficient
+        # radicand -> nonzero Fraction coefficient; radicand 1 holds the
+        # rational part and no two radicands share a square class
         self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
     @classmethod
@@ -67,10 +75,10 @@ class SqrtSum:
         q = Fraction(q)
         if q < 0:
             raise ParameterError(f"square root of negative rational {q}")
-        if q == 0:
-            return cls()
-        k, m0 = _squarefree_split(q.numerator * q.denominator)
-        return cls({m0: Fraction(k, q.denominator)})
+        terms = {}
+        if q:
+            _merge(terms, q.numerator * q.denominator, Fraction(1, q.denominator))
+        return cls(terms)
 
     @staticmethod
     def _coerce(value):
@@ -86,7 +94,7 @@ class SqrtSum:
             return NotImplemented
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            _merge(terms, m, c)
         return SqrtSum(terms)
 
     __radd__ = __add__
@@ -111,10 +119,8 @@ class SqrtSum:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 # sqrt(m1)*sqrt(m2) = g*sqrt((m1/g)*(m2/g)) with g = gcd
-                g = sympy.igcd(m1, m2)
-                m = (m1 // g) * (m2 // g)
-                c = c1 * c2 * g
-                terms[m] = terms.get(m, Fraction(0)) + c
+                g = gcd(m1, m2)
+                _merge(terms, (m1 // g) * (m2 // g), c1 * c2 * g)
         return SqrtSum(terms)
 
     __rmul__ = __mul__
@@ -197,9 +203,12 @@ class SqrtSum:
         return self._coerce(other) < self
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_fraction())
-        return hash(tuple(sorted(self._terms.items())))
+        # which radicand stands for a square class depends on the order the
+        # terms arrived in, so hash only what every representation shares:
+        # the rational part and the signs of the irrational coefficients
+        rational = self._terms.get(1, Fraction(0))
+        signs = tuple(sorted(c > 0 for m, c in self._terms.items() if m != 1))
+        return hash((rational, signs)) if signs else hash(rational)
 
     def __float__(self):
         return float(sum(float(c) * float(m) ** 0.5 for m, c in self._terms.items()))
@@ -211,26 +220,3 @@ class SqrtSum:
         for m, c in sorted(self._terms.items()):
             parts.append(str(c) if m == 1 else f"{c}*sqrt({m})")
         return f"SqrtSum({' + '.join(parts)})"
-
-
-def rational_power(base, exponent):
-    """base ** exponent for Fraction base >= 0 and exponent with denominator <= 2."""
-    base = Fraction(base)
-    exponent = Fraction(exponent)
-    if base < 0:
-        raise ParameterError("negative base")
-    a, b = exponent.numerator, exponent.denominator
-    if a < 0:
-        raise ParameterError("negative exponent")
-    if b == 1:
-        return SqrtSum.from_rational(base**a)
-    if b == 2:
-        return SqrtSum.sqrt(base**a)
-    raise ParameterError(f"exponent {exponent} needs roots beyond square roots")
-
-
-def pow_le(x, a, y, b):
-    """Exact test x**a <= y**b for nonnegative SqrtSum values, integer powers."""
-    x = SqrtSum._coerce(x)
-    y = SqrtSum._coerce(y)
-    return (y**b - x**a).sign() >= 0

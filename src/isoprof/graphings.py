@@ -57,6 +57,12 @@ def _min_violation_depth(group, maps, n_vertices, radius):
     return hit[0]
 
 
+def _clean_window(group, maps, n_vertices, cap):
+    """The largest radius <= cap up to which no nonidentity word fixes a vertex."""
+    bad = _min_violation_depth(group, maps, n_vertices, cap)
+    return cap if bad is None else bad - 1
+
+
 class MeasuredGraphing:
     """Vertices 0..V-1 with positive rational weights and partial shift bijections."""
 
@@ -181,22 +187,28 @@ class MeasuredGraphing:
         extra = set(obj) - (required | {"free_window"})
         if extra:
             raise ConfigError(f"unexpected graphing fields {sorted(extra)}")
+        V = obj["vertices"]
+        if type(V) is not int:
+            raise ConfigError(f"vertices must be an integer, got {V!r}")
+        if not isinstance(obj["weights"], list):
+            raise ConfigError("weights must be a list of rationals")
+        maps = obj["maps"]
+        if not (isinstance(maps, dict) and all(isinstance(r, list) for r in maps.values())):
+            raise ConfigError("maps must be an object of target lists keyed by generator label")
+        fw = obj.get("free_window")
+        if fw is not None and type(fw) is not int:
+            raise ConfigError(f"free_window must be an integer, got {fw!r}")
         group = group_from_json(obj["group"])
         weights = [parse_fraction(w) for w in obj["weights"]]
-        if len(weights) != obj["vertices"]:
+        if len(weights) != V:
             raise ConfigError("weights length does not match the vertex count")
-        if not isinstance(obj["maps"], dict):
-            raise ConfigError("maps must be an object keyed by generator label")
-        fw = obj.get("free_window")
         if fw is None:
             # not serialized in the minimal format: derive the largest clean
-            # radius up to the builders' walk cap
-            fw = 0
-            if set(obj["maps"]) == set(group.labels):
-                cap = min(obj["vertices"] - 1, 6)
-                bad = _min_violation_depth(group, obj["maps"], obj["vertices"], cap)
-                fw = cap if bad is None else bad - 1
-        return cls(group, weights, obj["maps"], fw)
+            # radius up to the builders' walk cap, on maps checked by a
+            # window-0 construction
+            checked = cls(group, weights, maps, 0).maps
+            fw = _clean_window(group, checked, V, min(V - 1, 6))
+        return cls(group, weights, maps, fw)
 
     def __repr__(self):
         return (
@@ -264,9 +276,7 @@ def build_torus_action(d, m, generators=None):
     if generators is None:
         free_window = (m - 1) // 2
     else:
-        cap = min(m - 1, 6)
-        bad = _min_violation_depth(group, maps, n_vertices, cap)
-        free_window = cap if bad is None else bad - 1
+        free_window = _clean_window(group, maps, n_vertices, min(m - 1, 6))
     return MeasuredGraphing(group, weights, maps, free_window)
 
 
@@ -288,9 +298,7 @@ def build_heisenberg_quotient(m):
         maps["X"].append(idx(a - 1, b, c - b))
         maps["y"].append(idx(a, b + 1, c))
         maps["Y"].append(idx(a, b - 1, c))
-    cap = min(m - 1, 6)
-    bad = _min_violation_depth(group, maps, n_vertices, cap)
-    free_window = cap if bad is None else bad - 1
+    free_window = _clean_window(group, maps, n_vertices, min(m - 1, 6))
     return MeasuredGraphing(group, weights, maps, free_window)
 
 

@@ -494,7 +494,7 @@ def group_to_json(group):
 
 def group_from_json(obj, max_radius=64):
     """Build a marked group from its JSON description."""
-    if not isinstance(obj, dict) or "kind" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
         raise ConfigError(f"group description must be an object with a 'kind', got {obj!r}")
     kind = obj["kind"]
     known = {"Zd": {"kind", "d", "generators"},
@@ -506,12 +506,15 @@ def group_from_json(obj, max_radius=64):
     if extra:
         raise ConfigError(f"unexpected group fields {sorted(extra)}")
     gens = obj.get("generators")
+    if gens is not None and not (isinstance(gens, list) and all(
+            isinstance(v, list) and all(type(c) is int for c in v) for v in gens)):
+        raise ConfigError(f"generators must be a list of integer vectors, got {gens!r}")
     if kind == "Zd":
-        if "d" not in obj:
-            raise ConfigError("Zd needs the field 'd'")
+        if type(obj.get("d")) is not int:
+            raise ConfigError("Zd needs an integer field 'd'")
         return ZdGroup(obj["d"], generators=gens, max_radius=max_radius)
     if kind == "Heisenberg":
         return HeisenbergGroup(generators=gens, max_radius=max_radius)
-    if "rank" not in obj:
-        raise ConfigError("Free needs the field 'rank'")
+    if type(obj.get("rank")) is not int:
+        raise ConfigError("Free needs an integer field 'rank'")
     return FreeGroup(obj["rank"], generators=gens, max_radius=max_radius)

@@ -106,6 +106,14 @@ def search_cap(group):
     return 8
 
 
+def neighbor_table(group, radius):
+    """ball(radius) in canonical order, with the index of s*g per generator s (-1 outside)."""
+    order = list(group.ball(radius))
+    index = {g: i for i, g in enumerate(order)}
+    acts = [group._left[lab] for lab in group.labels]
+    return order, [[index.get(act(g), -1) for act in acts] for g in order]
+
+
 def profile_exact(group, n_max, node_budget=None):
     """Exact I_G(n) for n <= n_max over connected subsets containing the identity.
 
@@ -119,13 +127,8 @@ def profile_exact(group, n_max, node_budget=None):
     cap = search_cap(group)
     limit = min(n_max, cap)
 
-    universe = group.ball(limit - 1)
-    order = list(universe)
-    index = {g: i for i, g in enumerate(order)}
+    order, nbr = neighbor_table(group, limit - 1)
     U = len(order)
-    acts = [group._left[lab] for lab in group.labels]
-    nbr = [[index.get(act(g), -1) for act in acts] for g in order]
-    deg = len(acts)
 
     # per size: [num, den, sort key, member indices]; den 0 = unseen
     best = [[0, 0, None, None] for _ in range(limit + 1)]
@@ -239,17 +242,11 @@ def profile_all_subsets(group, n_max, radius=None, node_budget=None):
         raise ParameterError(f"n_max must be positive, got {n_max}")
     if radius is None:
         radius = n_max - 1
-    universe = group.ball(radius)
-    order = list(universe)
-    index = {g: i for i, g in enumerate(order)}
-    U = len(order)
-    acts = [group._left[lab] for lab in group.labels]
-    flat = []
-    for g in order:
-        for act in acts:
-            flat.append(index.get(act(g), -1))
+    order, nbr = neighbor_table(group, radius)
+    flat = [u for row in nbr for u in row]
     budget = node_budget if node_budget is not None else 1 << 62
-    num, den, nodes, complete = subset_min_ratio(flat, U, len(acts), n_max, budget)
+    num, den, nodes, complete = subset_min_ratio(
+        flat, len(order), len(group.labels), n_max, budget)
     values = []
     running = None
     for n in range(1, n_max + 1):

@@ -149,10 +149,10 @@ def verify_tower_family(graphing, mt, tf):
                     broken.append((i, a))
                 continue
             for x in fib:
-                if x in seen and len(collisions) < 5:
-                    collisions.append((x, seen[x], (i, a)))
-                else:
+                if x not in seen:
                     seen[x] = (i, a)
+                elif len(collisions) < 5:
+                    collisions.append((x, seen[x], (i, a)))
                 covered.add(x)
     coverage = graphing.mu(sorted(covered))
     disjoint = not collisions and not broken

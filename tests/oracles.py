@@ -195,6 +195,16 @@ def action_profile_oracle(graphing, n_max=None):
     return out
 
 
+def cycle_marking(m, weights, steps, group=None):
+    """The same m points shifted by each step, marked by the step set."""
+    from isoprof import MeasuredGraphing, ZdGroup
+
+    group = group or ZdGroup(1, generators=[(s,) for s in steps])
+    maps = {group.labels[i]: [(v + steps[i]) % m for v in range(m)]
+            for i in range(len(steps))}
+    return MeasuredGraphing(group, weights, maps, 0)
+
+
 def random_graphing(rng, n_vertices, d=1, hole_prob=Fraction(1, 5), uniform=False):
     """Seeded random measured graphing: paired partial injections over Z^d labels.
 

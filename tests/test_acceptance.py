@@ -15,7 +15,6 @@ from isoprof import (
     FreeGroup,
     HeisenbergGroup,
     LatticeCenters,
-    MeasuredGraphing,
     MultiTile,
     ZdGroup,
     boundary_mass,
@@ -24,6 +23,7 @@ from isoprof import (
     build_towers,
     build_weighted_cycle,
     connected_refinement,
+    cube_tile,
     generating_set_containment,
     heisenberg_cuboid,
     holder_pushforward_bound,
@@ -39,6 +39,7 @@ from isoprof.bounds import suite_lower_bound, suite_tiling_upper
 
 from oracles import (
     action_profile_oracle,
+    cycle_marking,
     heisenberg_cuboid_boundary,
     random_graphing,
     random_partition,
@@ -51,27 +52,6 @@ def record(capsys, name, ok, detail=""):
     with capsys.disabled():
         print(f"\nACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"{name}: {detail}" if detail else name
-
-
-def cycle_marking(m, weights, steps):
-    """The m cycle points shifted by each step, marked by the step set."""
-    group = ZdGroup(1, generators=[(s,) for s in steps])
-    maps = {group.labels[i]: [(v + steps[i]) % m for v in range(m)]
-            for i in range(len(steps))}
-    return MeasuredGraphing(group, weights, maps, 0)
-
-
-def interval_multitile(group, k):
-    """The length-k interval with its step-k center lattice."""
-    from isoprof import GroupSubset
-    shape = GroupSubset(group, [(i,) for i in range(k)])
-    return MultiTile([shape], [LatticeCenters([(k,)])])
-
-
-def square_multitile(group, k):
-    """The k x k square with its (k e_1, k e_2) center lattice."""
-    return MultiTile([zd_cube(group, k)],
-                     [LatticeCenters([(k, 0), (0, k)])])
 
 
 def test_z_profile(capsys):
@@ -195,11 +175,11 @@ def test_rokhlin_coverage(capsys):
     # tower coverage 1, 4/5, 1 on the three model cases, all verified
     eps = Fraction(1, 4)
     cases = [
-        (build_torus_action(1, 12), interval_multitile(ZdGroup(1), 3),
+        (build_torus_action(1, 12), cube_tile(ZdGroup(1), 3),
          Fraction(1)),
-        (build_torus_action(1, 5), interval_multitile(ZdGroup(1), 2),
+        (build_torus_action(1, 5), cube_tile(ZdGroup(1), 2),
          Fraction(4, 5)),
-        (build_torus_action(2, 6), square_multitile(ZdGroup(2), 2),
+        (build_torus_action(2, 6), cube_tile(ZdGroup(2), 2),
          Fraction(1)),
     ]
     bad = []

@@ -8,14 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from isoprof import (
     BoundedPartition,
-    GroupSubset,
-    LatticeCenters,
-    MultiTile,
     ZdGroup,
     boundary_mass,
     build_torus_action,
     build_weighted_cycle,
     connected_refinement,
+    cube_tile,
     disintegration_identity,
     iterated_boundary,
     profile_action_exact,
@@ -302,14 +300,9 @@ class TestDisintegration:
 
 
 class TestTilingProfile:
-    def interval_tile(self, k):
-        group = ZdGroup(1)
-        shape = GroupSubset(group, [(i,) for i in range(k)])
-        return MultiTile([shape], [LatticeCenters([(k,)])])
-
     def test_exact_tiling_of_a_cycle(self):
         g = build_torus_action(1, 9)
-        res = profile_action_tiling(g, self.interval_tile(3), Fraction(1, 10))
+        res = profile_action_tiling(g, cube_tile(g.group, 3), Fraction(1, 10))
         assert res.coverage == 1
         assert res.value == Fraction(2, 3)
         assert res.shape_bound == Fraction(2, 3)
@@ -318,7 +311,7 @@ class TestTilingProfile:
 
     def test_leftover_vertices_become_singletons(self):
         g = build_torus_action(1, 8)
-        res = profile_action_tiling(g, self.interval_tile(3), Fraction(1, 4))
+        res = profile_action_tiling(g, cube_tile(g.group, 3), Fraction(1, 4))
         assert res.coverage == Fraction(3, 4)
         assert res.value == Fraction(3, 4)
         # eps' = 1/4: bound = (2/3)(3/4) + 1/4
@@ -328,10 +321,10 @@ class TestTilingProfile:
 
     def test_tiling_value_dominates_the_exact_profile(self):
         g = build_torus_action(1, 9)
-        res = profile_action_tiling(g, self.interval_tile(3), Fraction(1, 10))
+        res = profile_action_tiling(g, cube_tile(g.group, 3), Fraction(1, 10))
         assert res.value >= profile_action_exact(g, 3).value
 
     def test_insufficient_coverage_raises(self):
         g = build_torus_action(1, 8)
         with pytest.raises(CoverageError):
-            profile_action_tiling(g, self.interval_tile(3), Fraction(1, 5))
+            profile_action_tiling(g, cube_tile(g.group, 3), Fraction(1, 5))

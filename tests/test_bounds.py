@@ -6,16 +6,13 @@ import pytest
 
 from isoprof import (
     BoundedPartition,
-    GroupSubset,
-    LatticeCenters,
-    MeasuredGraphing,
-    MultiTile,
     ZdGroup,
     build_torus_action,
     build_weighted_cycle,
     check_generating_set_comparison,
     check_lower_bound,
     check_tiling_upper_bound,
+    cube_tile,
     generating_set_containment,
     positivity_check,
     profile_exact,
@@ -27,14 +24,7 @@ from isoprof.errors import (
     UnsupportedError,
     WindowExceededError,
 )
-
-
-def cycle_marking(m, weights, steps, group=None):
-    """The same m points shifted by each step, marked by the step set."""
-    group = group or ZdGroup(1, generators=[(s,) for s in steps])
-    maps = {group.labels[i]: [(v + steps[i]) % m for v in range(m)]
-            for i in range(len(steps))}
-    return MeasuredGraphing(group, weights, maps, 0)
+from oracles import cycle_marking
 
 
 class TestLowerBound:
@@ -66,13 +56,9 @@ class TestLowerBound:
 
 
 class TestTilingUpperBound:
-    def interval_tile(self, group, k):
-        shape = GroupSubset(group, [(i,) for i in range(k)])
-        return MultiTile([shape], [LatticeCenters([(k,)])])
-
     def test_exact_cover_meets_the_shape_ratio(self):
         g = build_torus_action(1, 12)
-        chk = check_tiling_upper_bound(g, self.interval_tile(g.group, 3), 3,
+        chk = check_tiling_upper_bound(g, cube_tile(g.group, 3), 3,
                                        Fraction(1, 4))
         assert chk.passed
         assert chk.lhs == chk.rhs == Fraction(2, 3)
@@ -81,7 +67,7 @@ class TestTilingUpperBound:
     def test_shape_must_fit_the_cell_bound(self):
         g = build_torus_action(1, 12)
         with pytest.raises(ParameterError):
-            check_tiling_upper_bound(g, self.interval_tile(g.group, 3), 2,
+            check_tiling_upper_bound(g, cube_tile(g.group, 3), 2,
                                      Fraction(1, 4))
 
 

@@ -1,30 +1,22 @@
 """CLI subcommands: exit codes, deterministic output, atomic files."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
-from isoprof import (
-    GroupSubset,
-    LatticeCenters,
-    MultiTile,
-    ZdGroup,
-    build_torus_action,
-    multitile_to_json,
-)
+from isoprof import ZdGroup, build_torus_action, cube_tile, multitile_to_json
 from isoprof.cli import main
 
 HEADER = re.compile(r"^# isoprof 0\.1\.0 config=[0-9a-f]{12}$")
 
 
-def interval_tile_json(k, step=None):
-    group = ZdGroup(1)
-    shape = GroupSubset(group, [(i,) for i in range(k)])
-    mt = MultiTile([shape], [LatticeCenters([(step or k,)])])
-    return json.dumps(multitile_to_json(mt))
+def interval_tile_json(k):
+    return json.dumps(multitile_to_json(cube_tile(ZdGroup(1), k)))
 
 
 def torus_json(tmp_path, d, m):
@@ -98,7 +90,17 @@ class TestProfileGroup:
                      "--n-max", "6", "--out", str(out)])
         assert code == 3
         assert "budget exhausted" in capsys.readouterr().err
-        assert not out.exists() and not (tmp_path / "z.csv.tmp").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_leaves_the_directory_unchanged(self, tmp_path, monkeypatch):
+        stale = tmp_path / "z.csv.tmp"
+        stale.write_text("someone else's file")
+        monkeypatch.setattr(os, "replace", mock.Mock(side_effect=OSError("refused")))
+        with pytest.raises(OSError, match="refused"):
+            main(["profile-group", "--group", '{"kind": "Zd", "d": 1}',
+                  "--n-max", "3", "--out", str(tmp_path / "z.csv")])
+        assert list(tmp_path.iterdir()) == [stale]
+        assert stale.read_text() == "someone else's file"
 
     def test_bad_inputs_exit_2(self, tmp_path, capsys):
         assert main(["profile-group", "--group", '{"kind": "nope"}',
@@ -107,7 +109,9 @@ class TestProfileGroup:
                      "--n-max", "3"]) == 2
         assert main(["profile-group", "--group", str(tmp_path / "missing.json"),
                      "--n-max", "3"]) == 2
-        capsys.readouterr()
+        assert main(["profile-group", "--group", '{"kind": "Zd", "d": "x"}',
+                     "--n-max", "3"]) == 2
+        assert "error: Zd needs an integer field 'd'" in capsys.readouterr().err
 
     def test_argparse_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -155,6 +159,13 @@ class TestProfileAction:
                      "--tiling", interval_tile_json(3)]) == 2
         capsys.readouterr()
 
+    def test_mistyped_graphing_fields_exit_2(self, capsys):
+        graphing = ('{"vertices": 3, "weights": 5, "maps": {}, '
+                    '"group": {"kind": "Zd", "d": 1}}')
+        assert main(["profile-action", "--n", "2", "--graphing", graphing]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: weights must be a list of rationals\n"
+
     def test_budget_truncation_still_writes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ISOPROF_NODE_BUDGET", "1")
         out = tmp_path / "act.csv"
@@ -178,9 +189,9 @@ class TestVerifyTile:
 
     def test_gappy_tile_fails(self, tmp_path):
         out = tmp_path / "gap.csv"
+        gappy = '{"shapes": [[[0], [1]]], "centers": {"kind": "lattice", "generators": [[3]]}}'
         code = main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',
-                     "--tile", interval_tile_json(2, step=3), "--window", "8",
-                     "--out", str(out)])
+                     "--tile", gappy, "--window", "8", "--out", str(out)])
         assert code == 1
         (row,) = read_rows(out)
         assert row["passed"] == "False" and row["covered"] == "False"
@@ -208,7 +219,10 @@ class TestBuildGraphing:
         assert code == 0
         obj = json.loads(out.read_text())
         assert obj["weights"] == ["2/5", "3/10", "1/5", "1/10"]
-        assert not (tmp_path / "cycle.json.tmp").exists()
+        assert list(tmp_path.iterdir()) == [out]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_deterministic_serialization(self, capsys):
         argv = ["build-graphing", "--kind", "heisenberg", "--m", "3"]

@@ -1,13 +1,16 @@
 """Exact arithmetic: fraction parsing and the sqrt-extended rationals."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import isoprof
 from isoprof import SqrtSum, format_fraction, parse_fraction
 from isoprof.errors import ConfigError, ParameterError
-from isoprof.exact import pow_le, rational_power
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=40
@@ -116,26 +119,6 @@ def test_pow_negative_exponent_rejected():
         SqrtSum.sqrt(2) ** -1
 
 
-def test_rational_power_denominators():
-    assert rational_power(Fraction(4), Fraction(3, 2)) == 8
-    assert rational_power(Fraction(2), Fraction(1, 2)) == SqrtSum.sqrt(2)
-    with pytest.raises(ParameterError):
-        rational_power(Fraction(2), Fraction(1, 3))
-    with pytest.raises(ParameterError):
-        rational_power(Fraction(-1), Fraction(1, 2))
-
-
-@given(st.fractions(min_value=0, max_value=9, max_denominator=8),
-       st.fractions(min_value=0, max_value=9, max_denominator=8),
-       st.integers(min_value=1, max_value=3),
-       st.integers(min_value=1, max_value=3))
-def test_pow_le_matches_floats(x, y, a, b):
-    exact = pow_le(x, a, y, b)
-    approx = float(x) ** a <= float(y) ** b
-    if abs(float(x) ** a - float(y) ** b) > 1e-9:
-        assert exact == approx
-
-
 def test_float_conversion_is_close():
     s = SqrtSum.sqrt(2) + SqrtSum.sqrt(3) - Fraction(1, 7)
     assert abs(float(s) - (2**0.5 + 3**0.5 - 1 / 7)) < 1e-12
@@ -144,3 +127,16 @@ def test_float_conversion_is_close():
 def test_hash_consistent_for_equal_values():
     assert hash(SqrtSum.sqrt(Fraction(9))) == hash(Fraction(3))
     assert hash(SqrtSum.sqrt(8)) == hash(2 * SqrtSum.sqrt(2))
+    # p = nextprime(10**20), q = nextprime(3*10**20): nothing gets factored
+    p, q = 100000000000000000039, 300000000000000000053
+    assert SqrtSum.sqrt(p * p * q) == p * SqrtSum.sqrt(q)
+    assert hash(SqrtSum.sqrt(p * p * q)) == hash(p * SqrtSum.sqrt(q))
+
+
+def test_import_leaves_sympy_out():
+    src = os.path.dirname(os.path.dirname(isoprof.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, isoprof; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -147,6 +147,20 @@ class TestWordsAndMeasure:
         # +-6 never fixes a vertex mod 8, so the walk reaches its cap
         assert h.free_window == 6
 
+    @pytest.mark.parametrize("field, value", [
+        ("vertices", "4"),
+        ("weights", 5),
+        ("maps", {"1": 5, "-1": [3, 0, 1, 2]}),
+        ("maps", {"1": ["a", "b", "c", "d"], "-1": [3, 0, 1, 2]}),
+        ("free_window", "1"),
+    ])
+    def test_json_rejects_mistyped_fields(self, field, value):
+        obj = build_torus_action(1, 4).to_json()
+        del obj["free_window"]
+        obj[field] = value
+        with pytest.raises(ConfigError):
+            MeasuredGraphing.from_json(obj)
+
     def test_json_rejects_unknown_fields(self):
         obj = build_torus_action(1, 4).to_json()
         obj["color"] = "blue"

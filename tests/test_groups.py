@@ -192,12 +192,13 @@ class TestSerialization:
         assert f.element_from_json("1") == ()
 
     def test_bad_group_json_rejected(self):
-        with pytest.raises(ConfigError):
-            group_from_json({"kind": "Braid"})
-        with pytest.raises(ConfigError):
-            group_from_json({"d": 2})
-        with pytest.raises(ConfigError):
-            group_from_json({"kind": "Zd"})
+        for obj in ({"kind": "Braid"}, {"d": 2}, {"kind": "Zd"},
+                    {"kind": ["Zd"], "d": 2}, {"kind": "Zd", "d": "x"},
+                    {"kind": "Zd", "d": True}, {"kind": "Free", "rank": 1.5},
+                    {"kind": "Zd", "d": 1, "generators": [["1"], [-1]]},
+                    {"kind": "Heisenberg", "generators": 5}):
+            with pytest.raises(ConfigError):
+                group_from_json(obj)
 
     def test_groups_compare_by_descriptor(self):
         assert ZdGroup(2) == ZdGroup(2)

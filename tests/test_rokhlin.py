@@ -119,6 +119,16 @@ class TestVerifyTowerFamily:
         # vertex 2 lies in the fibers over both bases
         assert rep.collisions[0][0] == 2
 
+    def test_collision_witnesses_name_the_first_owner(self):
+        # eight collisions; the first five name the base that came first
+        g = build_torus_action(1, 12)
+        claim = TowerFamily(bases=((0, 1, 2, 3, 4),), coverage=Fraction(7, 12),
+                            epsilon_target=Fraction(1, 2), success=True)
+        rep = verify_tower_family(g, interval_tile(3), claim)
+        assert rep.coverage_matches and rep.collisions == (
+            (1, (0, 0), (0, 1)), (2, (0, 0), (0, 1)), (2, (0, 0), (0, 2)),
+            (3, (0, 1), (0, 2)), (3, (0, 1), (0, 3)))
+
     def test_broken_fibers_are_reported(self):
         g = path_graphing(5)
         claim = TowerFamily(
