@@ -1,10 +1,10 @@
 """Timing comparison of the pure and compiled search kernels.
 
 Both backends run the same branch-and-bound with identical node counts, so
-the table measures interpreter overhead against the C extension on the two
-hot paths: the all-subsets profile search and the interior-packing search
-behind exact action profiles.  --heavy adds the largest workload from the
-lower-bound suite.
+the table measures interpreter overhead against kernels.c, compiled on first
+import, on the two hot paths: the all-subsets profile search and the
+interior-packing search behind exact action profiles.  --heavy adds the
+largest workload from the lower-bound suite.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
@@ -13,14 +13,9 @@ import argparse
 import time
 
 from isoprof import ZdGroup, build_torus_action
-from isoprof._kernels import _pure
+from isoprof._kernels import BACKEND_REASON, _core, _pure
 from isoprof.action_profile import packing_items
 from isoprof.isoperimetry import neighbor_table
-
-try:
-    from isoprof._kernels import _core
-except ImportError:
-    _core = None
 
 BUDGET = 1 << 62
 
@@ -85,7 +80,7 @@ def main():
                       packing_inputs(build_torus_action(2, 12), 5)))
 
     if _core is None:
-        print("compiled extension not importable; timing the pure kernels only")
+        print(f"compiled kernels unavailable ({BACKEND_REASON}); timing the pure kernels only")
     print(f"{'workload':<20} {'backend':<9} {'time [s]':>10} {'nodes':>12}")
     for name, pure_fn, core_fn, args in cases:
         t_pure, out_pure = best_of(pure_fn, args, opts.repeat)

@@ -1,26 +1,21 @@
-"""Search-kernel dispatch: compiled extension when importable, pure Python otherwise.
+"""Search-kernel dispatch: the compiled kernels when they build, pure Python otherwise.
 
-Set ISOPROF_PURE=1 to force the pure kernels.  The compiled partition kernel
-is limited to 192 vertices, 192 items and int64 weight sums; calls outside
-those limits fall back to the pure kernel transparently.  Either way the
-results (including node counts) are identical.
+`_core` compiles kernels.c on first import.  When that fails BACKEND is "pure"
+and BACKEND_REASON says why; otherwise BACKEND is "compiled" and the reason is
+None.  The compiled packing kernel sums weights in int64, so calls with larger
+weights run on the pure kernel.  Either way the results (including node
+counts) are identical.
 """
-
-import os
 
 from . import _pure
 
-if os.environ.get("ISOPROF_PURE") == "1":
+try:
+    from . import _core
+except ImportError as exc:
     _core = None
-    BACKEND = "pure"
+    BACKEND, BACKEND_REASON = "pure", str(exc)
 else:
-    try:
-        from . import _core
-
-        BACKEND = "compiled"
-    except ImportError:
-        _core = None
-        BACKEND = "pure"
+    BACKEND, BACKEND_REASON = "compiled", None
 
 _INT64_CAP = 1 << 62
 
@@ -32,21 +27,12 @@ def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
     return _pure.subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget)
 
 
-def _fits_compiled(masks, weights):
-    if len(masks) > 192:
-        return False
-    if any(mask >> 192 for mask in masks):
-        return False
-    total = 0
-    for w in weights:
-        if not 0 <= w < _INT64_CAP:
-            return False
-        total += w
-    return total < _INT64_CAP
+def _fits_int64(weights):
+    return all(0 <= w < _INT64_CAP for w in weights) and sum(weights) < _INT64_CAP
 
 
 def pack_max_weight(masks, weights, n_bound, node_budget):
     """Maximum-weight feasible interior packing; see _pure.pack_max_weight."""
-    if _core is not None and _fits_compiled(masks, weights):
+    if _core is not None and _fits_int64(weights):
         return _core.pack_max_weight(masks, weights, n_bound, node_budget)
     return _pure.pack_max_weight(masks, weights, n_bound, node_budget)

@@ -1,0 +1,111 @@
+"""Compiled search kernels: kernels.c, built on first import and loaded with ctypes.
+
+The C compiler that sysconfig reports builds kernels.c into ~/.cache/isoprof,
+under a name hashed from the source, the platform and the compile command, so
+later imports only load the library.  Any failure to build or load raises
+ImportError with the reason, and the dispatcher in __init__ then runs the pure
+kernels.  The wrappers check every input the C code would otherwise trust.
+"""
+
+import ctypes
+import hashlib
+import os
+import sysconfig
+
+from ._pure import check_pack_inputs, check_subset_inputs
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
+_INT_MAX = (1 << 31) - 1
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_LIMB = (1 << 64) - 1
+_int, _i64, _u64 = ctypes.c_int, ctypes.c_longlong, ctypes.c_uint64
+_int_p, _i64_p, _u64_p = (ctypes.POINTER(t) for t in (_int, _i64, _u64))
+
+
+def _compile(command, path):
+    """Build the library at path, which then holds it complete or not at all."""
+    import subprocess
+    import tempfile
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        proc = subprocess.run([*command, "-o", tmp, _SOURCE], capture_output=True, text=True,
+                              stdin=subprocess.DEVNULL)
+        if proc.returncode != 0:
+            raise ImportError(f"{' '.join(command)} exited {proc.returncode}: "
+                              f"{proc.stderr.strip()}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load():
+    with open(_SOURCE, "rb") as fh:
+        source = fh.read()
+    command = [*(sysconfig.get_config_var("CC") or "cc").split(),
+               *(sysconfig.get_config_var("CCSHARED") or "").split(), "-O2", "-shared"]
+    key = "\0".join([sysconfig.get_platform(), *command]).encode()
+    key = hashlib.sha256(source + key).hexdigest()[:16]
+    path = os.path.join(os.path.expanduser("~"), ".cache", "isoprof", f"kernels-{key}.so")
+    try:
+        if not os.path.exists(path):
+            _compile(command, path)
+        lib = ctypes.CDLL(path)
+    except OSError as exc:
+        raise ImportError(f"cannot build or load {_SOURCE}: {exc}") from exc
+    lib.subset_min_ratio.argtypes = [_int_p, _int, _int, _int, _i64, _i64_p, _i64_p, _i64_p]
+    lib.pack_max_weight.argtypes = [_int, _int, _u64_p, _i64_p, _int_p, _int, _i64, _i64_p,
+                                    _u64_p, _i64_p]
+    lib.subset_min_ratio.restype = lib.pack_max_weight.restype = _int
+    return lib
+
+
+_lib = _load()
+
+
+def _budget(node_budget):
+    return max(_INT64_MIN, min(node_budget, _INT64_MAX))
+
+
+def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
+    """Compiled twin of _pure.subset_min_ratio; same contract, same node counts."""
+    check_subset_inputs(flat_neighbors, universe, s_count, n_max)
+    if n_max > _INT_MAX:
+        raise ValueError("n_max must fit in int32")
+    num = (_i64 * (n_max + 1))()
+    den = (_i64 * (n_max + 1))()
+    nodes = _i64()
+    status = _lib.subset_min_ratio((_int * len(flat_neighbors))(*flat_neighbors), universe,
+                                   s_count, n_max, _budget(node_budget), num, den,
+                                   ctypes.byref(nodes))
+    if status < 0:
+        raise MemoryError("subset_min_ratio could not allocate its search state")
+    return list(num), list(den), nodes.value, status == 1
+
+
+def pack_max_weight(masks, weights, n_bound, node_budget):
+    """Compiled twin of _pure.pack_max_weight for weights whose sums fit in int64."""
+    check_pack_inputs(masks, weights, n_bound)
+    count = len(masks)
+    if count == 0:
+        return 0, (), 0, True
+    if sum(abs(w) for w in weights) > _INT64_MAX:
+        raise ValueError("weight sums must fit in int64")
+    limbs = max(1, (max(masks).bit_length() + 63) // 64)
+    vmask = (_u64 * (count * limbs))(
+        *[(mask >> s) & _LIMB for mask in masks for s in range(0, 64 * limbs, 64)])
+    order = sorted(range(count), key=lambda i: (-weights[i], i))
+    best = _i64()
+    best_set = (_u64 * ((count + 63) // 64))()
+    nodes = _i64()
+    status = _lib.pack_max_weight(count, limbs, vmask, (_i64 * count)(*weights),
+                                  (_int * count)(*order), min(n_bound, _INT_MAX),
+                                  _budget(node_budget), ctypes.byref(best), best_set,
+                                  ctypes.byref(nodes))
+    if status < 0:
+        raise MemoryError("pack_max_weight could not allocate its search state")
+    items = tuple(i for i in range(count) if best_set[i >> 6] >> (i & 63) & 1)
+    return best.value, items, nodes.value, status == 1

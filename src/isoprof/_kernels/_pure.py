@@ -1,9 +1,34 @@
 """Pure-Python twins of the compiled search kernels.
 
-Same algorithms, same node counts, same results as _core.pyx; only the data
-layout differs (Python ints as bitmasks instead of uint64 limbs).  The
-dispatcher in __init__ picks the compiled versions when they are importable.
+Same algorithms, same node counts, same results as kernels.c; only the data
+layout differs (Python ints as bitmasks instead of uint64 limbs).  Both
+searches run on an explicit stack in the same node order, so no input size
+hits the recursion limit.  The dispatcher in __init__ picks the compiled
+versions when they build.
 """
+
+
+def check_subset_inputs(flat_neighbors, universe, s_count, n_max):
+    """Raise ValueError unless the arguments fit the subset_min_ratio contract."""
+    if universe < 1 or s_count < 1 or n_max < 1:
+        raise ValueError("universe, s_count and n_max must be positive")
+    if len(flat_neighbors) != universe * s_count:
+        raise ValueError("flat_neighbors has the wrong length")
+    if min(flat_neighbors) < -1 or max(flat_neighbors) >= universe:
+        raise ValueError("neighbor ids must be -1 or vertices of the universe")
+
+
+def check_pack_inputs(masks, weights, n_bound):
+    """Raise ValueError unless the arguments fit the pack_max_weight contract."""
+    if len(masks) != len(weights):
+        raise ValueError("masks and weights must have equal length")
+    if n_bound < 1:
+        raise ValueError("n_bound must be positive")
+    for mask in masks:
+        if mask < 0:
+            raise ValueError("item masks must be nonnegative")
+        if mask.bit_count() > n_bound:
+            raise ValueError("item mask larger than n_bound; filter items first")
 
 
 def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
@@ -16,10 +41,7 @@ def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
     the branch bound B/m is admissible because the count of members with a
     definitively-outside neighbor only grows along a branch.
     """
-    if universe < 1 or s_count < 1 or n_max < 1:
-        raise ValueError("universe, s_count and n_max must be positive")
-    if len(flat_neighbors) != universe * s_count:
-        raise ValueError("flat_neighbors has the wrong length")
+    check_subset_inputs(flat_neighbors, universe, s_count, n_max)
     nbr = [
         flat_neighbors[v * s_count : (v + 1) * s_count] for v in range(universe)
     ]
@@ -30,9 +52,10 @@ def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
     num = [0] * (n_max + 1)
     den = [0] * (n_max + 1)
     num[1], den[1] = 1, 1  # {0} is always reachable with ratio 1
-    st = {"B": 0, "nodes": 0, "complete": True}
+    B = 0
 
     def include(v):
+        nonlocal B
         status[v] = 1
         members.append(v)
         out = 0
@@ -41,33 +64,36 @@ def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
                 out += 1
         out_cnt[v] = out
         if out:
-            st["B"] += 1
+            B += 1
 
     def undo_include(v):
+        nonlocal B
         if out_cnt[v]:
-            st["B"] -= 1
+            B -= 1
         status[v] = 0
         members.pop()
 
     def exclude(v):
+        nonlocal B
         status[v] = 2
         for u in nbr[v]:
             if u >= 0 and status[u] == 1:
                 if out_cnt[u] == 0:
-                    st["B"] += 1
+                    B += 1
                 out_cnt[u] += 1
 
     def undo_exclude(v):
+        nonlocal B
         for u in nbr[v]:
             if u >= 0 and status[u] == 1:
                 out_cnt[u] -= 1
                 if out_cnt[u] == 0:
-                    st["B"] -= 1
+                    B -= 1
         status[v] = 0
 
     def leaf():
         size = len(members)
-        boundary = st["B"]
+        boundary = B
         for v in members:
             if out_cnt[v] == 0:
                 for u in nbr[v]:
@@ -77,38 +103,40 @@ def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
         if den[size] == 0 or boundary * den[size] < num[size] * size:
             num[size], den[size] = boundary, size
 
-    def search(k):
-        st["nodes"] += 1
-        if st["nodes"] > node_budget:
-            st["complete"] = False
-            return
-        size = len(members)
-        if size == n_max or k == universe:
-            leaf()
-            return
-        B = st["B"]
-        prunable = True
-        for m in range(size, n_max + 1):
-            if m == 0:
-                continue
-            if den[m] == 0 or B * den[m] < num[m] * m:
-                prunable = False
-                break
-        if prunable:
-            return
-        include(k)
-        search(k + 1)
-        undo_include(k)
-        if not st["complete"]:
-            return
-        exclude(k)
-        search(k + 1)
-        undo_exclude(k)
-
     include(0)
-    search(1)
-    undo_include(0)
-    return num, den, st["nodes"], st["complete"]
+    nodes, complete = 0, True
+    # the node at depth k decides vertex k; phase[k] is 0 on entering it,
+    # 1 once k is in and 2 once k is out
+    phase = bytearray(universe + 1)
+    k = 1
+    while k:
+        go = 0  # 0 returns to the parent, 1 or 2 descends with k in or out
+        if phase[k] == 0:
+            nodes += 1
+            if nodes > node_budget:
+                complete = False
+            elif len(members) == n_max or k == universe:
+                leaf()
+            else:
+                for m in range(len(members), n_max + 1):
+                    if m and (den[m] == 0 or B * den[m] < num[m] * m):
+                        include(k)  # some size can still improve
+                        go = 1
+                        break
+        elif phase[k] == 1:
+            undo_include(k)
+            if complete:
+                exclude(k)
+                go = 2
+        else:
+            undo_exclude(k)
+        if go:
+            phase[k] = go
+            k += 1
+            phase[k] = 0
+        else:
+            k -= 1
+    return num, den, nodes, complete
 
 
 def pack_max_weight(masks, weights, n_bound, node_budget):
@@ -120,14 +148,8 @@ def pack_max_weight(masks, weights, n_bound, node_budget):
     exactly the non-singleton cells of the partition the caller rebuilds.
     Returns (best_weight, best_items, nodes, complete).
     """
+    check_pack_inputs(masks, weights, n_bound)
     count = len(masks)
-    if count != len(weights):
-        raise ValueError("masks and weights must have equal length")
-    if n_bound < 1:
-        raise ValueError("n_bound must be positive")
-    for mask in masks:
-        if mask.bit_count() > n_bound:
-            raise ValueError("item mask larger than n_bound; filter items first")
     if count == 0:
         return 0, (), 0, True
 
@@ -172,11 +194,12 @@ def pack_max_weight(masks, weights, n_bound, node_budget):
             c = parent[c]
         return c
 
-    st = {"best": -1, "items": (), "cur": 0, "chosen": 0, "nodes": 0, "complete": True}
+    best, best_set, cur, chosen = -1, 0, 0, 0
 
     def try_include(i):
+        nonlocal chosen, cur
         roots = set()
-        rest = st["chosen"] & ov[i]
+        rest = chosen & ov[i]
         while rest:
             jb = rest & -rest
             rest ^= jb
@@ -192,53 +215,56 @@ def pack_max_weight(masks, weights, n_bound, node_budget):
         for r in roots:
             parent[r] = cid
         item_cluster[i] = cid
-        st["chosen"] |= 1 << i
-        st["cur"] += weights[i]
+        chosen |= 1 << i
+        cur += weights[i]
         return roots
 
     def undo_include(i, roots):
-        st["cur"] -= weights[i]
-        st["chosen"] ^= 1 << i
+        nonlocal chosen, cur
+        cur -= weights[i]
+        chosen ^= 1 << i
         cluster_mask.pop()
         parent.pop()
         for r in roots:
             parent[r] = r
 
-    def search(pool):
-        st["nodes"] += 1
-        if st["nodes"] > node_budget:
-            st["complete"] = False
-            return
-        if st["cur"] > st["best"]:
-            st["best"] = st["cur"]
-            chosen = st["chosen"]
-            items = []
-            while chosen:
-                bit = chosen & -chosen
-                items.append(bit.bit_length() - 1)
-                chosen ^= bit
-            st["items"] = tuple(items)
-        if not pool:
-            return
-        if st["cur"] + cover_bound(pool) <= st["best"]:
-            return
-        # branch on the pool item with the most exclusivity conflicts
-        pick, pick_deg = -1, -1
-        rest = pool
-        while rest:
-            ib = rest & -rest
-            rest ^= ib
-            i = ib.bit_length() - 1
-            d = (exq[i] & pool).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = i, d
-        roots = try_include(pick)
-        if roots is not None:
-            search(pool & ~((1 << pick) | exq[pick]))
+    nodes, complete = 0, True
+    # one frame per depth: [pool, branched item, its merged roots, phase], the
+    # phase 0 on entry, 1 with the item in and 2 with it out
+    stack = [[(1 << count) - 1, -1, None, 0]]
+    while stack:
+        frame = stack[-1]
+        pool, pick, roots, phase = frame
+        go = 0  # 0 returns to the parent, 1 or 2 descends with the pick in or out
+        if phase == 0:
+            nodes += 1
+            if nodes > node_budget:
+                complete = False
+            else:
+                if cur > best:
+                    best, best_set = cur, chosen
+                if pool and cur + cover_bound(pool) > best:
+                    # branch on the pool item with the most exclusivity conflicts
+                    pick_deg = -1
+                    rest = pool
+                    while rest:
+                        ib = rest & -rest
+                        rest ^= ib
+                        i = ib.bit_length() - 1
+                        d = (exq[i] & pool).bit_count()
+                        if d > pick_deg:
+                            pick, pick_deg = i, d
+                    roots = try_include(pick)
+                    frame[1], frame[2] = pick, roots
+                    go = 1 if roots is not None else 2
+        elif phase == 1:
             undo_include(pick, roots)
-            if not st["complete"]:
-                return
-        search(pool & ~(1 << pick))
-
-    search((1 << count) - 1)
-    return st["best"], st["items"], st["nodes"], st["complete"]
+            go = 2 if complete else 0
+        if not go:
+            stack.pop()
+            continue
+        frame[3] = go
+        drop = (1 << pick) | exq[pick] if go == 1 else 1 << pick
+        stack.append([pool & ~drop, -1, None, 0])
+    best_items = tuple(i for i in range(count) if best_set >> i & 1)
+    return best, best_items, nodes, complete

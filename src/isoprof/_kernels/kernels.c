@@ -1,0 +1,378 @@
+/* Compiled search kernels of isoprof: exact algorithmic twins of _pure.py.
+
+   Plain C99 behind a flat C ABI; _core.py builds this file and calls it
+   through ctypes after checking every input.  Branch order, pruning rules
+   and tie handling are kept in lockstep with the pure versions, so results
+   and node counts are bit-identical.  Both searches run on an explicit
+   stack, and vertex and item sets are arrays of ceil(n/64) 64-bit limbs, so
+   neither size has a cap.  Each entry point returns 1 when the search
+   finished, 0 when it stopped on the node budget and -1 when an allocation
+   failed. */
+
+#include <stdlib.h>
+#include <string.h>
+
+typedef unsigned long long u64;
+
+static int popcount64(u64 x)
+{
+    x = x - ((x >> 1) & 0x5555555555555555ULL);
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return (int)((x * 0x0101010101010101ULL) >> 56);
+}
+
+static int ctz64(u64 x)
+{
+    /* x != 0; count of trailing zeros via the isolated low bit */
+    return popcount64((x & (~x + 1)) - 1);
+}
+
+/* ---- kernel 1: minimum boundary ratio over all subsets containing vertex 0 ---- */
+
+typedef struct {
+    const int *nbr;
+    int S, msize;
+    int *status; /* 0 undecided, 1 in, 2 out */
+    int *out_cnt, *members;
+    long long B;
+} Smr;
+
+static void smr_leaf(Smr *st, long long *num, long long *den)
+{
+    int size = st->msize, i, j, v, u;
+    long long boundary = st->B;
+    for (i = 0; i < size; i++) {
+        v = st->members[i];
+        if (st->out_cnt[v] == 0) {
+            for (j = 0; j < st->S; j++) {
+                u = st->nbr[v * st->S + j];
+                if (u >= 0 && st->status[u] == 0) {
+                    boundary++;
+                    break;
+                }
+            }
+        }
+    }
+    if (den[size] == 0 || boundary * den[size] < num[size] * size) {
+        num[size] = boundary;
+        den[size] = size;
+    }
+}
+
+static void smr_include(Smr *st, int v)
+{
+    int out = 0, j, u;
+    st->status[v] = 1;
+    st->members[st->msize++] = v;
+    for (j = 0; j < st->S; j++) {
+        u = st->nbr[v * st->S + j];
+        if (u < 0 || st->status[u] == 2)
+            out++;
+    }
+    st->out_cnt[v] = out;
+    if (out)
+        st->B++;
+}
+
+static void smr_undo_include(Smr *st, int v)
+{
+    if (st->out_cnt[v])
+        st->B--;
+    st->status[v] = 0;
+    st->msize--;
+}
+
+static void smr_exclude(Smr *st, int v)
+{
+    int j, u;
+    st->status[v] = 2;
+    for (j = 0; j < st->S; j++) {
+        u = st->nbr[v * st->S + j];
+        if (u >= 0 && st->status[u] == 1) {
+            if (st->out_cnt[u] == 0)
+                st->B++;
+            st->out_cnt[u]++;
+        }
+    }
+}
+
+static void smr_undo_exclude(Smr *st, int v)
+{
+    int j, u;
+    for (j = 0; j < st->S; j++) {
+        u = st->nbr[v * st->S + j];
+        if (u >= 0 && st->status[u] == 1 && --st->out_cnt[u] == 0)
+            st->B--;
+    }
+    st->status[v] = 0;
+}
+
+/* nbr: universe x s_count vertex ids, -1 outside the universe; num and den
+   arrive zeroed with n_max + 1 entries. */
+int subset_min_ratio(const int *nbr, int universe, int s_count, int n_max,
+                     long long budget, long long *num, long long *den,
+                     long long *nodes_out)
+{
+    /* status, out_cnt, then phase[k] for the node at depth k (0 on entry,
+       1 with vertex k in, 2 with it out), then the members */
+    int *block = calloc(3 * (size_t)universe + n_max + 2, sizeof(int));
+    int *phase, complete = 1, k = 1, m, go;
+    long long nodes = 0;
+    Smr st = {nbr, s_count, 0};
+    if (!block)
+        return -1;
+    st.status = block;
+    st.out_cnt = block + universe;
+    phase = block + 2 * (size_t)universe;
+    st.members = phase + universe + 1;
+    num[1] = den[1] = 1; /* {0} is always reachable with ratio 1 */
+    smr_include(&st, 0);
+    while (k > 0) {
+        go = 0; /* 0 returns to the parent, 1 or 2 descends with k in or out */
+        if (phase[k] == 0) {
+            if (++nodes > budget)
+                complete = 0;
+            else if (st.msize == n_max || k == universe)
+                smr_leaf(&st, num, den);
+            else {
+                for (m = st.msize; m <= n_max; m++)
+                    if (m && (den[m] == 0 || st.B * den[m] < num[m] * m))
+                        break;
+                if (m <= n_max) { /* some size can still improve */
+                    smr_include(&st, k);
+                    go = 1;
+                }
+            }
+        } else if (phase[k] == 1) {
+            smr_undo_include(&st, k);
+            if (complete) {
+                smr_exclude(&st, k);
+                go = 2;
+            }
+        } else
+            smr_undo_exclude(&st, k);
+        if (go) {
+            phase[k++] = go;
+            phase[k] = 0;
+        } else
+            k--;
+    }
+    *nodes_out = nodes;
+    free(block);
+    return complete;
+}
+
+/* ---- kernel 2: maximum-weight feasible interior packing ---- */
+
+typedef struct {
+    size_t il, vl;           /* item limbs, vertex limbs */
+    int n_bound, ccount, undo_top;
+    const u64 *vmask;        /* count x vl */
+    const long long *w;
+    u64 *exq;                /* count x il: pairs that can never share a solution */
+    u64 *ov;                 /* count x il: overlapping pairs that force a merge */
+    u64 *cmask, *chosen;     /* cluster vertex masks, (count + 1) x vl; il */
+    int *parent, *item_cluster, *undo_roots;
+    long long cur;
+} Pmw;
+
+static int pmw_find(const Pmw *st, int c)
+{
+    while (st->parent[c] != c)
+        c = st->parent[c];
+    return c;
+}
+
+/* greedy clique cover of the exclusivity graph; any feasible subset of the
+   pool is an independent set, so one item per clique is admissible */
+static long long pmw_cover_bound(const Pmw *st, const u64 *pool, const int *by_weight,
+                                 int count, u64 *rem, u64 *common)
+{
+    long long ub = 0;
+    size_t il = st->il, t, k;
+    int oi, i, j;
+    u64 bit, jb;
+    memcpy(rem, pool, il * sizeof(u64));
+    for (oi = 0; oi < count; oi++) {
+        i = by_weight[oi];
+        bit = (u64)1 << (i & 63);
+        if (!(rem[i >> 6] & bit))
+            continue;
+        ub += st->w[i];
+        rem[i >> 6] ^= bit;
+        for (t = 0; t < il; t++)
+            common[t] = rem[t] & st->exq[i * il + t];
+        /* the masks only lose bits, so the limbs below t stay empty */
+        for (t = 0; t < il;) {
+            if (!common[t]) {
+                t++;
+                continue;
+            }
+            jb = common[t] & (~common[t] + 1);
+            j = (int)(t << 6) + ctz64(jb);
+            rem[t] ^= jb;
+            common[t] ^= jb;
+            for (k = t; k < il; k++)
+                common[k] &= st->exq[j * il + k];
+        }
+    }
+    return ub;
+}
+
+/* Returns the number of merged roots pushed onto the undo stack, or -1 when
+   the merged cluster would exceed n_bound. */
+static int pmw_try_include(Pmw *st, int i)
+{
+    size_t t;
+    int j, r, k, base = st->undo_top, pc = 0, cid = st->ccount;
+    u64 rest, jb, m;
+    u64 *merged = st->cmask + cid * st->vl;
+    for (t = 0; t < st->il; t++) {
+        rest = st->chosen[t] & st->ov[i * st->il + t];
+        while (rest) {
+            jb = rest & (~rest + 1);
+            rest ^= jb;
+            j = (int)(t << 6) + ctz64(jb);
+            r = pmw_find(st, st->item_cluster[j]);
+            for (k = base; k < st->undo_top && st->undo_roots[k] != r; k++)
+                ;
+            if (k == st->undo_top)
+                st->undo_roots[st->undo_top++] = r;
+        }
+    }
+    for (t = 0; t < st->vl; t++) {
+        m = st->vmask[i * st->vl + t];
+        for (k = base; k < st->undo_top; k++)
+            m |= st->cmask[st->undo_roots[k] * st->vl + t];
+        merged[t] = m;
+        pc += popcount64(m);
+    }
+    if (pc > st->n_bound) {
+        st->undo_top = base;
+        return -1;
+    }
+    st->parent[cid] = cid;
+    st->ccount++;
+    for (k = base; k < st->undo_top; k++)
+        st->parent[st->undo_roots[k]] = cid;
+    st->item_cluster[i] = cid;
+    st->chosen[i >> 6] |= (u64)1 << (i & 63);
+    st->cur += st->w[i];
+    return st->undo_top - base;
+}
+
+static void pmw_undo_include(Pmw *st, int i, int n_roots)
+{
+    int r;
+    st->cur -= st->w[i];
+    st->chosen[i >> 6] ^= (u64)1 << (i & 63);
+    st->ccount--;
+    while (n_roots--) {
+        r = st->undo_roots[--st->undo_top];
+        st->parent[r] = r;
+    }
+}
+
+/* vmask: count x vl vertex limbs per item; by_weight: items by descending
+   weight, ties by index; best_set receives the best item set, il limbs. */
+int pack_max_weight(int count, int vl, const u64 *vmask, const long long *w,
+                    const int *by_weight, int n_bound, long long budget,
+                    long long *best_out, u64 *best_set, long long *nodes_out)
+{
+    size_t il = ((size_t)count + 63) / 64, cap = (size_t)count + 1, t, k;
+    /* exq, ov, cluster masks, chosen, two scratch sets, then one pool per depth */
+    u64 *limbs = calloc((2 * (size_t)count + 3) * il + cap * (vl + il), sizeof(u64));
+    /* parent, item_cluster, undo_roots, then per depth the branched item, its
+       merged-root count and the phase (0 on entry, 1 with the item in, 2 out) */
+    int *ints = calloc(6 * cap, sizeof(int));
+    int complete = 1, d = 0, i, j, p, deg, pick_deg, go, *pick, *roots, *phase;
+    long long nodes = 0, best = -1;
+    u64 both, ib, *scratch, *pools, *pool, *next;
+    Pmw st = {il, (size_t)vl, n_bound, 0, 0, vmask, w};
+    if (!limbs || !ints) {
+        free(limbs);
+        free(ints);
+        return -1;
+    }
+    st.exq = limbs;
+    st.ov = st.exq + count * il;
+    st.cmask = st.ov + count * il;
+    st.chosen = st.cmask + cap * vl;
+    scratch = st.chosen + il;
+    pools = scratch + 2 * il;
+    st.parent = ints;
+    st.item_cluster = ints + cap;
+    st.undo_roots = ints + 2 * cap;
+    pick = ints + 3 * cap;
+    roots = ints + 4 * cap;
+    phase = ints + 5 * cap;
+    for (i = 0; i < count; i++) {
+        for (j = i + 1; j < count; j++) {
+            int meet = 0, pc = 0;
+            for (t = 0; t < st.vl; t++) {
+                meet |= (vmask[i * st.vl + t] & vmask[j * st.vl + t]) != 0;
+                pc += popcount64(vmask[i * st.vl + t] | vmask[j * st.vl + t]);
+            }
+            if (meet) {
+                u64 *pairs = pc > n_bound ? st.exq : st.ov;
+                pairs[i * il + (j >> 6)] |= (u64)1 << (j & 63);
+                pairs[j * il + (i >> 6)] |= (u64)1 << (i & 63);
+            }
+        }
+        pools[i >> 6] |= (u64)1 << (i & 63);
+    }
+    while (d >= 0) {
+        pool = pools + d * il;
+        next = pool + il;
+        go = 0; /* 0 returns to the parent, 1 or 2 descends with the pick in or out */
+        if (phase[d] == 0) {
+            if (++nodes > budget)
+                complete = 0;
+            else {
+                if (st.cur > best) {
+                    best = st.cur;
+                    memcpy(best_set, st.chosen, il * sizeof(u64));
+                }
+                for (t = 0, both = 0; t < il; t++)
+                    both |= pool[t];
+                if (both && st.cur + pmw_cover_bound(&st, pool, by_weight, count, scratch,
+                                                     scratch + il) > best) {
+                    /* branch on the pool item with the most exclusivity conflicts */
+                    pick_deg = -1;
+                    for (t = 0; t < il; t++)
+                        for (both = pool[t]; both; both ^= ib) {
+                            ib = both & (~both + 1);
+                            i = (int)(t << 6) + ctz64(ib);
+                            for (k = 0, deg = 0; k < il; k++)
+                                deg += popcount64(st.exq[i * il + k] & pool[k]);
+                            if (deg > pick_deg) {
+                                pick[d] = i;
+                                pick_deg = deg;
+                            }
+                        }
+                    roots[d] = pmw_try_include(&st, pick[d]);
+                    go = roots[d] >= 0 ? 1 : 2;
+                }
+            }
+        } else if (phase[d] == 1) {
+            pmw_undo_include(&st, pick[d], roots[d]);
+            go = complete ? 2 : 0;
+        }
+        if (!go) {
+            d--;
+            continue;
+        }
+        p = pick[d];
+        for (t = 0; t < il; t++)
+            next[t] = go == 1 ? pool[t] & ~st.exq[p * il + t] : pool[t];
+        next[p >> 6] &= ~((u64)1 << (p & 63));
+        phase[d++] = go;
+        phase[d] = 0;
+    }
+    *best_out = best;
+    *nodes_out = nodes;
+    free(limbs);
+    free(ints);
+    return complete;
+}

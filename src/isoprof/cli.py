@@ -6,8 +6,7 @@ canonicalized config, rationals are serialized as "p/q" strings, and files
 are written atomically (temp + rename) so failed runs leave nothing behind.
 
 Exit codes: 0 success, 1 check failure, 2 usage or schema error, 3 budget
-exhaustion.  ISOPROF_NODE_BUDGET overrides the default search node budget;
-ISOPROF_PURE=1 forces the pure-Python kernels.
+exhaustion.  ISOPROF_NODE_BUDGET overrides the default search node budget.
 """
 
 import argparse
@@ -82,11 +81,17 @@ def _write_out(path, text):
     if not path:
         sys.stdout.write(text)
         return
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
-                               dir=os.path.dirname(os.path.abspath(path)))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                                   dir=os.path.dirname(os.path.abspath(path)))
+    except OSError as exc:
+        raise IsoprofError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    try:
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise IsoprofError(f"cannot write {path}: {exc.strerror or exc}") from exc
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)

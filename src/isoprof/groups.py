@@ -492,6 +492,11 @@ def group_to_json(group):
     raise UnsupportedError(f"cannot serialize group {group!r}")
 
 
+# Z^d from JSON builds 2d generator vectors of length d before anything else
+# runs; no computation here is feasible far above a few dimensions
+MAX_ZD_DIMENSION = 32
+
+
 def group_from_json(obj, max_radius=64):
     """Build a marked group from its JSON description."""
     if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
@@ -512,6 +517,8 @@ def group_from_json(obj, max_radius=64):
     if kind == "Zd":
         if type(obj.get("d")) is not int:
             raise ConfigError("Zd needs an integer field 'd'")
+        if obj["d"] > MAX_ZD_DIMENSION:
+            raise ConfigError(f"Zd dimension must be at most {MAX_ZD_DIMENSION}, got {obj['d']}")
         return ZdGroup(obj["d"], generators=gens, max_radius=max_radius)
     if kind == "Heisenberg":
         return HeisenbergGroup(generators=gens, max_radius=max_radius)

@@ -111,7 +111,12 @@ class TestProfileGroup:
                      "--n-max", "3"]) == 2
         assert main(["profile-group", "--group", '{"kind": "Zd", "d": "x"}',
                      "--n-max", "3"]) == 2
-        assert "error: Zd needs an integer field 'd'" in capsys.readouterr().err
+        assert main(["profile-group", "--group", '{"kind": "Zd", "d": 1}', "--n-max", "3",
+                     "--out", str(tmp_path / "missing" / "z.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "error: Zd needs an integer field 'd'" in err
+        assert f"error: cannot write {tmp_path / 'missing' / 'z.csv'}: " in err
+        assert not (tmp_path / "missing").exists()
 
     def test_argparse_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -194,7 +194,8 @@ class TestSerialization:
     def test_bad_group_json_rejected(self):
         for obj in ({"kind": "Braid"}, {"d": 2}, {"kind": "Zd"},
                     {"kind": ["Zd"], "d": 2}, {"kind": "Zd", "d": "x"},
-                    {"kind": "Zd", "d": True}, {"kind": "Free", "rank": 1.5},
+                    {"kind": "Zd", "d": True}, {"kind": "Zd", "d": 100000},
+                    {"kind": "Free", "rank": 1.5},
                     {"kind": "Zd", "d": 1, "generators": [["1"], [-1]]},
                     {"kind": "Heisenberg", "generators": 5}):
             with pytest.raises(ConfigError):

@@ -8,17 +8,20 @@ import sys
 
 import pytest
 
-from isoprof import _kernels
+import isoprof
+from isoprof import ZdGroup, _kernels
 from isoprof._kernels import _pure, pack_max_weight, subset_min_ratio
+from isoprof.isoperimetry import neighbor_table
 
 try:
     from isoprof._kernels import _core
 except ImportError:
     _core = None
 
-needs_core = pytest.mark.skipif(_core is None, reason="compiled kernel not built")
+needs_core = pytest.mark.skipif(_core is None, reason="compiled kernel unavailable")
 
 BIG = 1 << 40
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(isoprof.__file__)))
 
 
 def path_neighbors(V):
@@ -124,6 +127,8 @@ class TestSubsetKernel:
             subset_min_ratio([0, 1], 2, 2, 1, BIG)  # wrong flat length
         with pytest.raises(ValueError):
             subset_min_ratio([], 0, 1, 1, BIG)
+        with pytest.raises(ValueError):
+            subset_min_ratio([1, 2], 2, 1, 1, BIG)  # neighbor id 2 is not a vertex
 
 
 class TestPackKernel:
@@ -198,10 +203,30 @@ class TestBackendParity:
                     _core.pack_max_weight(masks, weights, n_bound, budget)
 
 
+class TestLargeInstances:
+    """Sizes past the recursion limit, compared through the dispatcher, which
+    runs the compiled kernel when there is one."""
+
+    def test_large_universe_runs_without_recursion_limit(self):
+        # 1,159 vertices, one search depth each
+        order, nbr = neighbor_table(ZdGroup(3), 9)
+        args = ([u for row in nbr for u in row], len(order), len(nbr[0]), 10, 200_000)
+        assert _pure.subset_min_ratio(*args) == subset_min_ratio(*args)
+
+    def test_many_items_identical_including_nodes(self):
+        # 1,200 disjoint singletons: 19 limbs of items and of vertices, and a
+        # branch depth of 1,200
+        masks = [1 << v for v in range(1200)]
+        weights = [1] * 1200
+        pure = _pure.pack_max_weight(masks, weights, 1, BIG)
+        assert pure[0] == 1200 and pure[3]
+        assert pure == pack_max_weight(masks, weights, 1, BIG)
+
+
 class TestDispatch:
     def test_oversize_instances_fall_back_transparently(self):
-        # 200 singleton masks exceed the compiled vertex cap; the dispatcher
-        # must still answer (via the pure kernel)
+        # 200 singleton masks take four 64-bit limbs of items and of vertices;
+        # the compiled kernel sizes its sets to the instance
         masks = [1 << v for v in range(200)]
         weights = [1] * 200
         best, items, _, complete = pack_max_weight(masks, weights, 1, BIG)
@@ -213,16 +238,34 @@ class TestDispatch:
         best, _, _, complete = pack_max_weight(masks, weights, 1, BIG)
         assert complete and best == 1 << 63
 
-    def test_env_var_forces_pure_backend(self):
-        code = "import isoprof._kernels as k; print(k.BACKEND)"
-        env = dict(os.environ, ISOPROF_PURE="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "pure"
-
     def test_default_backend_is_stable_across_processes(self):
         code = "import isoprof._kernels as k; print(k.BACKEND)"
-        env = {k: v for k, v in os.environ.items() if k != "ISOPROF_PURE"}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
         assert out.stdout.strip() == _kernels.BACKEND
+
+
+def import_backend(home, path):
+    """[BACKEND, BACKEND_REASON] as a fresh interpreter with this HOME and PATH sees them."""
+    code = "import isoprof._kernels as k; print(k.BACKEND); print(k.BACKEND_REASON)"
+    env = dict(os.environ, HOME=str(home), PATH=str(path), PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()
+
+
+class TestBuild:
+    def test_no_compiler_selects_pure_and_records_why(self, tmp_path):
+        no_tools = tmp_path / "bin"
+        no_tools.mkdir()
+        backend, reason = import_backend(tmp_path / "home", no_tools)
+        assert backend == "pure"
+        assert "kernels.c" in reason
+
+    @needs_core
+    def test_cached_library_loads_without_a_compiler(self, tmp_path):
+        no_tools = tmp_path / "bin"
+        no_tools.mkdir()
+        home = tmp_path / "home"
+        assert import_backend(home, os.environ["PATH"]) == ["compiled", "None"]
+        assert import_backend(home, no_tools) == ["compiled", "None"]
