@@ -15,6 +15,7 @@ mass is the same as packing a maximum-weight set of closed neighborhoods
 whose transitive-overlap unions stay within the size bound.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -342,8 +343,7 @@ def _bnb_exact(graphing, n, node_budget):
     return mass, partition, nodes, complete
 
 
-def profile_action_exact(graphing, n, method="auto", node_budget=None,
-                         exhaustive_limit=EXHAUSTIVE_LIMIT):
+def profile_action_exact(graphing, n, method="auto", node_budget=None):
     """Exact minimum boundary mass over partitions into cells of size <= n."""
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
@@ -351,9 +351,9 @@ def profile_action_exact(graphing, n, method="auto", node_budget=None,
     V = graphing.n_vertices
     fallback = False
     if method == "auto":
-        chosen = "exhaustive" if V <= exhaustive_limit else "bnb"
+        chosen = "exhaustive" if V <= EXHAUSTIVE_LIMIT else "bnb"
     elif method == "exhaustive":
-        if V <= exhaustive_limit:
+        if V <= EXHAUSTIVE_LIMIT:
             chosen = "exhaustive"
         else:
             chosen = "bnb"
@@ -441,6 +441,11 @@ def iterated_boundary(graphing, partition, k):
     and the reported bound is the sum of mu(w * boundary) over all reduced
     words w of length at most k, which dominates the true mass: the first
     escape or break along the walk happens at a translated boundary point.
+
+    Neither is computed word by word.  A shortest path to a boundary vertex
+    never steps back, so the escaping set is everything within k - 1 steps of
+    the boundary; every word is injective, so the bound counts (word, boundary
+    vertex) pairs by their image, in a dynamic program over (last label, vertex).
     """
     if partition.graphing is not graphing:
         raise ParameterError("partition belongs to a different graphing")
@@ -451,51 +456,25 @@ def iterated_boundary(graphing, partition, k):
             f"k={k} exceeds the free window {graphing.free_window}; "
             "wraparound would corrupt the boundary semantics"
         )
-    V = graphing.n_vertices
-    cell_of = partition.cell_of
-    labels = graphing.group.labels
-    inv = graphing.group._inv_label
-    flagged = [False] * V
-
-    def walk(positions, depth, first_label):
-        for lab in labels:
-            if first_label is not None and lab == inv[first_label]:
-                continue
-            row = graphing.maps[lab]
-            pos = []
-            for v in range(V):
-                p = positions[v]
-                t = None if p is None else row[p]
-                pos.append(t)
-                if positions[v] is not None:
-                    if t is None or cell_of[t] != cell_of[v]:
-                        flagged[v] = True
-            if depth + 1 < k:
-                walk(pos, depth + 1, lab)
-
-    walk(list(range(V)), 0, None)
-    boundary = tuple(v for v in range(V) if flagged[v])
-    mass = graphing.mu(boundary)
-
     base = boundary_mass(graphing, partition).boundary_set
-    bound = Fraction(0)
-
-    def word_sum(prefix_positions, depth, first_label):
-        nonlocal bound
-        image = [p for p in prefix_positions if p is not None]
-        bound += graphing.mu(image)
-        if depth == k:
-            return
-        for lab in labels:
-            if first_label is not None and lab == inv[first_label]:
-                continue
-            row = graphing.maps[lab]
-            nxt = [None if p is None else row[p] for p in prefix_positions]
-            word_sum(nxt, depth + 1, lab)
-
-    word_sum(list(base), 0, None)
+    boundary = tuple(sorted(graphing.within(base, k - 1)))
+    inv = graphing.group.inverse_label
+    words = {None: Counter(base)}  # last label -> image vertex -> word count
+    images = Counter(base)
+    for _ in range(k):
+        longer = {}
+        for lab, row in graphing.maps.items():
+            counts = longer[lab] = Counter()
+            for last, ends in words.items():
+                if last != inv(lab):
+                    for v, c in ends.items():
+                        if row[v] is not None:
+                            counts[row[v]] += c
+            images.update(counts)
+        words = longer
+    bound = sum((c * graphing.weights[v] for v, c in images.items()), Fraction(0))
     return IteratedBoundaryReport(
-        k=k, boundary_set=boundary, mass=mass, telescoping_bound=bound
+        k=k, boundary_set=boundary, mass=graphing.mu(boundary), telescoping_bound=bound
     )
 
 

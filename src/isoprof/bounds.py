@@ -168,9 +168,7 @@ def generating_set_containment(g1, g2, partition):
     p2 = BoundedPartition(g2, partition.cells, partition.n_bound)
     bdry2 = boundary_mass(g2, p2).boundary_set
     bdry1 = boundary_mass(g1, partition).boundary_set
-    union = set()
-    for word in _reduced_words(g1.group.labels, g1.group._inv_label, k - 1):
-        union.update(_word_image(g1, word, bdry1))
+    union = g1.within(bdry1, k - 1)
     missing = tuple(v for v in bdry2 if v not in union)
     return ContainmentReport(
         contained=not missing,
@@ -201,9 +199,8 @@ def check_generating_set_comparison(g1, g2, n, p=None):
     mu1 = g1.mu(bdry1)
     mu2 = g1.mu(containment.boundary_coarse)
     words = _reduced_words(g1.group.labels, g1.group._inv_label, k - 1)
-    union_sum = Fraction(0)
-    for word in words:
-        union_sum += g1.mu(_word_image(g1, word, bdry1))
+    masses = [g1.mu(_word_image(g1, word, bdry1)) for word in words]
+    union_sum = sum(masses, Fraction(0))
     union_ok = mu2 <= union_sum
     context = {
         "n": n,
@@ -216,10 +213,10 @@ def check_generating_set_comparison(g1, g2, n, p=None):
         M = max(g1.rn_profile(lab).linf() for lab in g1.group.labels)
         links_ok = True
         C = Fraction(0)
-        for word in words:
+        for word, mass in zip(words, masses):
             factor = M ** len(word)
             C += factor
-            if g1.mu(_word_image(g1, word, bdry1)) > factor * mu1:
+            if mass > factor * mu1:
                 links_ok = False
         rhs = C * mu1
         context.update({"method": "sup", "M": M, "C": C, "links": links_ok})
@@ -241,7 +238,7 @@ def check_generating_set_comparison(g1, g2, n, p=None):
         )
     a, b = p.numerator, p.denominator
     links_ok = True
-    for word in words:
+    for word, mass in zip(words, masses):
         values = []
         for v in range(g1.n_vertices):
             t = g1.apply_word(word, v)
@@ -249,9 +246,8 @@ def check_generating_set_comparison(g1, g2, n, p=None):
         profile = RNProfile(label=",".join(word) or "e", values=tuple(values),
                             weights=g1.weights)
         s_pow = profile.p_norm_power_sum(p)
-        lhs_w = g1.mu(_word_image(g1, word, bdry1))
         # mu(wA)^a <= S^b * mu(A)^(a-b) certifies mu(wA) <= ||density||_p mu(A)^{1/q}
-        lhs_pow = SqrtSum.from_rational(lhs_w) ** a
+        lhs_pow = SqrtSum.from_rational(mass) ** a
         rhs_pow = s_pow**b * SqrtSum.from_rational(mu1) ** (a - b)
         if (rhs_pow - lhs_pow).sign() < 0:
             links_ok = False

@@ -90,13 +90,13 @@ def _write_out(path, text):
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
         except OSError as exc:
             raise IsoprofError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -5,10 +5,13 @@ Maps act on the left (phi_s then phi_t models the element ts), weights are
 exact rationals summing to one, and the free_window radius is the range of n
 for which theorem checks are meaningful on the finite model: below it, no
 nonidentity group element of that word norm fixes any vertex where defined.
+Checking a window walks the orbit graph over distinct states, so its cost
+grows with the ball of that radius, not with the number of reduced words.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 
 from .errors import (
     ConfigError,
@@ -22,39 +25,54 @@ from .exact import SqrtSum, format_fraction, parse_fraction
 from .groups import ZdGroup, HeisenbergGroup, group_from_json, group_to_json
 
 
+# start vertices are walked 64 at a time: a state then holds 64 images, so
+# the memo of seen states stays small however many vertices there are
+_BLOCK = 64
+
+
 def _min_violation_depth(group, maps, n_vertices, radius):
     """Smallest length <= radius of a reduced, nonidentity-element word fixing a vertex.
 
     Words that reduce to the identity element of the group (commutators and
     the like) fix vertices for free and are skipped; they say nothing about
     freeness of the modeled action.
+
+    Breadth-first over states (element, images of a block of start vertices),
+    not words: phi_s phi_{s^-1} is the identity where defined, so words that
+    reach one state extend alike, and a word fixing a vertex reduces to one no
+    longer that fixes it too.  Each state is expanded once, except for the
+    step back along the label that reached it, whose target its parent dominates.
     """
-    labels = group.labels
-    inv = group._inv_label
-    gens = {lab: group.generator(lab) for lab in labels}
-    hit = [None]
+    gone = n_vertices  # the image of a vertex whose shift chain broke
+    steps = []
+    for lab in group.labels:
+        row = tuple(gone if t is None else t for t in maps[lab]) + (gone,)
+        steps.append((lab, group.generator(lab), row.__getitem__, group.inverse_label(lab)))
+    identity, mul = group.identity, group._mul_raw
 
-    def walk(element, positions, depth, first_label):
-        if hit[0] is not None and depth >= hit[0]:
-            return
-        for lab in labels:
-            if first_label is not None and lab == inv[first_label]:
-                continue
-            el = group._mul_raw(gens[lab], element)
-            row = maps[lab]
-            pos = [None if p is None else row[p] for p in positions]
-            if el != group.identity:
-                for v in range(n_vertices):
-                    if pos[v] == v:
-                        if hit[0] is None or depth + 1 < hit[0]:
-                            hit[0] = depth + 1
-                        break
-            if depth + 1 < radius:
-                walk(el, pos, depth + 1, lab)
+    def first_hit(starts, limit):
+        seen = {(identity, starts)}
+        frontier = [(identity, starts, None)]
+        for depth in range(1, limit + 1):
+            nxt = []
+            for el, pos, last in frontier:
+                for lab, gen, step, back in steps:
+                    if last == back:
+                        continue
+                    g, img = state = (mul(gen, el), tuple(map(step, pos)))
+                    if state in seen or img.count(gone) == len(img):
+                        continue
+                    if g != identity and any(map(eq, img, starts)):
+                        return depth
+                    seen.add(state)
+                    nxt.append((g, img, lab))
+            frontier = nxt
 
-    if radius >= 1:
-        walk(group.identity, list(range(n_vertices)), 0, None)
-    return hit[0]
+    best = None
+    for lo in range(0, n_vertices, _BLOCK):
+        starts = tuple(range(lo, min(lo + _BLOCK, n_vertices)))
+        best = first_hit(starts, radius if best is None else best - 1) or best
+    return best
 
 
 def _clean_window(group, maps, n_vertices, cap):
@@ -137,6 +155,16 @@ class MeasuredGraphing:
                 total += self.weights[v]
         return total
 
+    def within(self, sources, radius):
+        """The set of vertices at most radius shift steps from a source vertex."""
+        reached = set(sources)
+        frontier = reached
+        for _ in range(radius):
+            frontier = {row[v] for row in self.maps.values() for v in frontier}
+            frontier -= reached | {None}
+            reached |= frontier
+        return reached
+
     def is_pmp(self):
         """True for the measure-preserving models: uniform weights, total maps."""
         uniform = len(set(self.weights)) == 1
@@ -145,16 +173,7 @@ class MeasuredGraphing:
 
     def is_transitive(self):
         """Single orbit under all labeled shifts (the finite stand-in for ergodicity)."""
-        seen = {0}
-        queue = [0]
-        while queue:
-            v = queue.pop()
-            for row in self.maps.values():
-                t = row[v]
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return len(seen) == self.n_vertices
+        return len(self.within({0}, self.n_vertices - 1)) == self.n_vertices
 
     def rn_value(self, label, v):
         """ds_*mu/dmu at v: weight(phi_{s^-1}(v))/weight(v), 0 where the density vanishes."""

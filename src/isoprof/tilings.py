@@ -77,6 +77,13 @@ class LatticeCenters:
         return f"LatticeCenters({list(self.generators)})"
 
 
+def _coordinate_lists(obj, what):
+    if not isinstance(obj, list) or not all(
+            isinstance(e, list) and all(type(c) is int for c in e) for e in obj):
+        raise ConfigError(f"{what} must be a list of integer coordinate lists")
+    return obj
+
+
 def _centers_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("center set must be an object with a 'kind' field")
@@ -84,11 +91,11 @@ def _centers_from_json(obj):
     if kind == "lattice":
         if set(obj) != {"kind", "generators"}:
             raise ConfigError("lattice centers need exactly the fields kind, generators")
-        return LatticeCenters(obj["generators"])
+        return LatticeCenters(_coordinate_lists(obj["generators"], "lattice generators"))
     if kind == "explicit":
         if set(obj) != {"kind", "list"}:
             raise ConfigError("explicit centers need exactly the fields kind, list")
-        return ExplicitCenters(obj["list"])
+        return ExplicitCenters(_coordinate_lists(obj["list"], "explicit centers"))
     raise ConfigError(f"unknown center kind {kind!r}")
 
 
@@ -141,12 +148,14 @@ def multitile_from_json(group, obj):
         raise ConfigError("shapes must be a nonempty list")
     shapes = []
     for raw in raw_shapes:
+        if not isinstance(raw, list):
+            raise ConfigError("each shape must be a list of elements")
         elems = [group.element_from_json(e) for e in raw]
         shapes.append(group.subset(elems))
     raw_centers = obj["centers"]
     if isinstance(raw_centers, dict):
         raw_centers = [raw_centers] * len(shapes)
-    if len(raw_centers) != len(shapes):
+    if not isinstance(raw_centers, list) or len(raw_centers) != len(shapes):
         raise ConfigError("need one center set per shape")
     centers = [_centers_from_json(c) for c in raw_centers]
     return MultiTile(shapes, centers)
@@ -355,16 +364,9 @@ def verify_multitile_window(mt, window_radius):
         _scan_shape(group, shape, centers, counts)
 
     region_radius = R - margin
-    region_size = 0
-    covered_count = 0
-    uncovered = []
-    for w in window:
-        if group.word_norm(w) <= region_radius:
-            region_size += 1
-            if counts[w] > 0:
-                covered_count += 1
-            elif len(uncovered) < 5:
-                uncovered.append(w)
+    region = group.ball(region_radius)  # a prefix of the window, in the same order
+    covered_count = sum(1 for w in region if counts[w] > 0)
+    uncovered = [w for w in region if counts[w] == 0][:5]
 
     collision_points = []
     for w in window:
@@ -384,7 +386,7 @@ def verify_multitile_window(mt, window_radius):
         margin=margin,
         region_radius=region_radius,
         window_size=len(window),
-        region_size=region_size,
+        region_size=len(region),
         covered_count=covered_count,
         density=Fraction(sum(counts.values()), len(window)),
         collisions=collisions,

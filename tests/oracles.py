@@ -250,3 +250,91 @@ def random_partition(rng, n_vertices, n_bound):
         else:
             cells.append([v])
     return cells
+
+
+def reduced_words(labels, inverse, max_len):
+    """Every reduced label word of length 1..max_len, in the order it is applied."""
+    words = []
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [w + (lab,) for w in frontier for lab in labels
+                    if not w or lab != inverse[w[-1]]]
+        words.extend(frontier)
+    return words
+
+
+def _walk(rows, word, v):
+    """The vertex the word carries v to, or None where the chain breaks."""
+    for lab in word:
+        v = rows[lab][v]
+        if v is None:
+            return None
+    return v
+
+
+def violation_depth_oracle(group, maps, n_vertices, radius):
+    """Shortest reduced word of length <= radius with a nonidentity element that fixes a vertex.
+
+    Walks every reduced word from every vertex.  Elements use an inline group
+    law: vector addition on Z^d, and on the Heisenberg group
+    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b').
+    """
+    gens = {lab: group.generator(lab) for lab in group.labels}
+    zero = (0,) * len(next(iter(gens.values())))
+    if group.kind == "Heisenberg":
+        def mul(g, h):
+            return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
+    else:
+        def mul(g, h):
+            return tuple(x + y for x, y in zip(g, h))
+    inverse = {lab: group.inverse_label(lab) for lab in group.labels}
+    for word in reduced_words(group.labels, inverse, radius):
+        element = zero
+        for lab in word:
+            element = mul(gens[lab], element)
+        if element != zero and any(_walk(maps, word, v) == v for v in range(n_vertices)):
+            return len(word)
+    return None
+
+
+def iterated_boundary_oracle(graphing, cells, k):
+    """(escaping vertices, their mass, sum of mu(w * boundary) over reduced |w| <= k).
+
+    A vertex escapes when the walk of some reduced word of length <= k breaks
+    or leaves its cell; the boundary is the set escaping in one step.
+    """
+    cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
+    rows = graphing.maps
+    inverse = {lab: graphing.group.inverse_label(lab) for lab in graphing.group.labels}
+    words = reduced_words(graphing.group.labels, inverse, k)
+
+    def escapes(v, word):
+        for lab in word:
+            v2 = rows[lab][v]
+            if v2 is None or cell_of[v2] != cell_of[v]:
+                return True
+            v = v2
+        return False
+
+    V = graphing.n_vertices
+    escaping = tuple(v for v in range(V) if any(escapes(v, w) for w in words))
+    boundary = [v for v in range(V) if any(escapes(v, (lab,)) for lab in rows)]
+    bound = Fraction(0)
+    for word in [()] + words:
+        images = {_walk(rows, word, b) for b in boundary} - {None}
+        bound += sum(graphing.weights[t] for t in images)
+    mass = sum((graphing.weights[v] for v in escaping), Fraction(0))
+    return escaping, mass, bound
+
+
+def punctured(graphing, rng, hole_prob):
+    """The same graphing with shift edges removed at random, each with its inverse."""
+    from isoprof import MeasuredGraphing
+
+    maps = {lab: list(row) for lab, row in graphing.maps.items()}
+    for lab in graphing.group.labels:
+        inv = graphing.group.inverse_label(lab)
+        for v, t in enumerate(maps[lab]):
+            if t is not None and rng.random() < hole_prob:
+                maps[lab][v] = maps[inv][t] = None
+    return MeasuredGraphing(graphing.group, graphing.weights, maps, 0)

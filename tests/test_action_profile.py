@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from isoprof import (
     BoundedPartition,
+    MeasuredGraphing,
     ZdGroup,
     boundary_mass,
+    build_heisenberg_quotient,
     build_torus_action,
     build_weighted_cycle,
     connected_refinement,
@@ -25,7 +27,13 @@ from isoprof.errors import (
     ParameterError,
     WindowExceededError,
 )
-from oracles import action_profile_oracle, random_graphing, random_partition
+from oracles import (
+    action_profile_oracle,
+    iterated_boundary_oracle,
+    random_graphing,
+    random_partition,
+    violation_depth_oracle,
+)
 
 
 def two_arcs(g):
@@ -259,6 +267,38 @@ class TestIteratedBoundary:
         b1 = set(iterated_boundary(g, p, 1).boundary_set)
         b2 = set(iterated_boundary(g, p, 2).boundary_set)
         assert b1 <= b2
+
+    def assert_matches_the_word_oracle(self, g, rng, n_bound):
+        p = BoundedPartition(g, random_partition(rng, g.n_vertices, n_bound), n_bound)
+        for k in range(1, min(g.free_window, 5) + 1):
+            rep = iterated_boundary(g, p, k)
+            assert (rep.boundary_set, rep.mass, rep.telescoping_bound) == (
+                iterated_boundary_oracle(g, p.cells, k))
+
+    def test_random_graphings_with_holes(self):
+        deepest = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = random_graphing(rng, rng.randint(4, 12), d=rng.choice([1, 2]),
+                                hole_prob=Fraction(1, 3))
+            depth = violation_depth_oracle(g.group, g.maps, g.n_vertices, 5)
+            window = 5 if depth is None else depth - 1
+            g = MeasuredGraphing(g.group, g.weights, g.maps, window)
+            self.assert_matches_the_word_oracle(g, rng, rng.randint(1, 4))
+            deepest = max(deepest, window)
+        assert deepest == 5
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_heisenberg_quotients(self, m):
+        self.assert_matches_the_word_oracle(build_heisenberg_quotient(m), random.Random(m), 4)
+
+    @pytest.mark.parametrize("d, m, gens", [
+        (1, 12, [(1,), (-1,), (2,), (-2,)]),
+        (2, 5, [(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+    ])
+    def test_tori_with_other_generators(self, d, m, gens):
+        g = build_torus_action(d, m, generators=gens)
+        self.assert_matches_the_word_oracle(g, random.Random(m), 3)
 
     def test_window_guard(self):
         g = build_torus_action(1, 8)  # free_window 3

@@ -92,13 +92,13 @@ class TestProfileGroup:
         assert "budget exhausted" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_rename_leaves_the_directory_unchanged(self, tmp_path, monkeypatch):
+    def test_failed_rename_leaves_the_directory_unchanged(self, tmp_path, monkeypatch, capsys):
         stale = tmp_path / "z.csv.tmp"
         stale.write_text("someone else's file")
         monkeypatch.setattr(os, "replace", mock.Mock(side_effect=OSError("refused")))
-        with pytest.raises(OSError, match="refused"):
-            main(["profile-group", "--group", '{"kind": "Zd", "d": 1}',
-                  "--n-max", "3", "--out", str(tmp_path / "z.csv")])
+        assert main(["profile-group", "--group", '{"kind": "Zd", "d": 1}',
+                     "--n-max", "3", "--out", str(tmp_path / "z.csv")]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'z.csv'}: refused\n"
         assert list(tmp_path.iterdir()) == [stale]
         assert stale.read_text() == "someone else's file"
 
@@ -113,6 +113,12 @@ class TestProfileGroup:
                      "--n-max", "3"]) == 2
         assert main(["profile-group", "--group", '{"kind": "Zd", "d": 1}', "--n-max", "3",
                      "--out", str(tmp_path / "missing" / "z.csv")]) == 2
+        for tile in ('{"shapes": [[[0]]], "centers": {"kind": "explicit", "list": [["x"]]}}',
+                     '{"shapes": [[[0]]], "centers": {"kind": "lattice", "generators": "ab"}}',
+                     '{"shapes": [5], "centers": {"kind": "lattice", "generators": [[1]]}}',
+                     '{"shapes": [[[0]]], "centers": 5}'):
+            assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',
+                         "--tile", tile, "--window", "4"]) == 2
         err = capsys.readouterr().err
         assert "error: Zd needs an integer field 'd'" in err
         assert f"error: cannot write {tmp_path / 'missing' / 'z.csv'}: " in err

@@ -24,7 +24,8 @@ from isoprof.errors import (
     StationarityError,
     UnsupportedError,
 )
-from oracles import random_graphing
+from isoprof.graphings import _min_violation_depth
+from oracles import punctured, random_graphing, violation_depth_oracle
 
 
 def tiny_graphing(maps, weights=None, fw=0):
@@ -76,6 +77,53 @@ class TestValidation:
         g = build_torus_action(2, 5)
         assert g.free_window == 2
         MeasuredGraphing(g.group, g.weights, dict(g.maps), 4)
+
+
+class TestFreeWindow:
+    """The state walk against every reduced word, radius by radius."""
+
+    def oracle_window(self, g, cap):
+        """Compare the walk radius by radius; return the clean window up to cap."""
+        depth = violation_depth_oracle(g.group, g.maps, g.n_vertices, 6)
+        for radius in range(7):
+            want = depth if depth is not None and depth <= radius else None
+            assert _min_violation_depth(g.group, g.maps, g.n_vertices, radius) == want
+        return cap if depth is None or depth > cap else depth - 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphings_with_holes(self, seed):
+        rng = random.Random(seed)
+        V = rng.randint(3, 12)
+        g = random_graphing(rng, V, d=rng.choice([1, 2]), hole_prob=Fraction(1, 5))
+        obj = g.to_json()
+        del obj["free_window"]
+        assert MeasuredGraphing.from_json(obj).free_window == self.oracle_window(g, min(V - 1, 6))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_punctured_tori_and_quotients(self, seed):
+        rng = random.Random(seed)
+        for g in (build_torus_action(2, 4), build_heisenberg_quotient(4),
+                  build_torus_action(2, 5, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)])):
+            self.oracle_window(punctured(g, rng, Fraction(1, 4)), 6)
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_heisenberg_quotients(self, m):
+        g = build_heisenberg_quotient(m)
+        assert g.free_window == self.oracle_window(g, min(m - 1, 6))
+
+    @pytest.mark.parametrize("d, m, gens", [
+        (1, 12, [(1,), (-1,), (2,), (-2,)]),
+        (1, 9, [(2,), (-2,), (3,), (-3,)]),
+        (2, 5, [(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+        (2, 5, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]),
+    ])
+    def test_tori_with_other_generators(self, d, m, gens):
+        g = build_torus_action(d, m, generators=gens)
+        assert g.free_window == self.oracle_window(g, min(m - 1, 6))
+
+    def test_large_window_builds(self):
+        # a walk over words would take 4 * 3**15 words of length 16
+        assert build_torus_action(2, 34).free_window == 16
 
 
 class TestBuilders:
