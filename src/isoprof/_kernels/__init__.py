@@ -2,9 +2,9 @@
 
 `_core` compiles kernels.c on first import.  When that fails BACKEND is "pure"
 and BACKEND_REASON says why; otherwise BACKEND is "compiled" and the reason is
-None.  The compiled packing kernel sums weights in int64, so calls with larger
-weights run on the pure kernel.  Either way the results (including node
-counts) are identical.
+None.  The compiled packing kernel and partition DP sum weights in int64, so
+calls with larger weights run on the pure kernels.  Either way the results
+(including node counts) are identical.
 """
 
 from . import _pure
@@ -36,3 +36,18 @@ def pack_max_weight(masks, weights, n_bound, node_budget):
     if _core is not None and _fits_int64(weights):
         return _core.pack_max_weight(masks, weights, n_bound, node_budget)
     return _pure.pack_max_weight(masks, weights, n_bound, node_budget)
+
+
+def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget):
+    """Fewest boundary members per connected-set size; see _pure.min_boundary_sets."""
+    if _core is not None:
+        return _core.min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks,
+                                       node_budget)
+    return _pure.min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget)
+
+
+def partition_dp(flat_neighbors, universe, s_count, weights, limit):
+    """Cheapest partition into small connected cells; see _pure.partition_dp."""
+    if _core is not None and _fits_int64(weights):
+        return _core.partition_dp(flat_neighbors, universe, s_count, weights, limit)
+    return _pure.partition_dp(flat_neighbors, universe, s_count, weights, limit)

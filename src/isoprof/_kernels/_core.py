@@ -11,8 +11,14 @@ import ctypes
 import hashlib
 import os
 import sysconfig
+from array import array
 
-from ._pure import check_pack_inputs, check_subset_inputs
+from ._pure import (
+    check_connected_inputs,
+    check_pack_inputs,
+    check_partition_inputs,
+    check_subset_inputs,
+)
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
 _INT_MAX = (1 << 31) - 1
@@ -59,7 +65,13 @@ def _load():
     lib.subset_min_ratio.argtypes = [_int_p, _int, _int, _int, _i64, _i64_p, _i64_p, _i64_p]
     lib.pack_max_weight.argtypes = [_int, _int, _u64_p, _i64_p, _int_p, _int, _i64, _i64_p,
                                     _u64_p, _i64_p]
-    lib.subset_min_ratio.restype = lib.pack_max_weight.restype = _int
+    lib.min_boundary_sets.argtypes = [_int_p, _int, _int, _int, _int_p, _i64, _i64_p, _int_p,
+                                      _i64_p]
+    lib.partition_dp.argtypes = [_int_p, _int, _int, _i64_p, _int, _i64_p, _u64_p, _int_p,
+                                 _i64_p]
+    for fn in (lib.subset_min_ratio, lib.pack_max_weight, lib.min_boundary_sets,
+               lib.partition_dp):
+        fn.restype = _int
     return lib
 
 
@@ -70,15 +82,26 @@ def _budget(node_budget):
     return max(_INT64_MIN, min(node_budget, _INT64_MAX))
 
 
+def _ints(values):
+    """A C int array over values: shared with an array('i'), copied from anything else."""
+    if isinstance(values, array) and values.typecode == "i":
+        return (_int * len(values)).from_buffer(values)
+    return (_int * len(values))(*values)
+
+
+def _check_int32(limit):
+    if limit > _INT_MAX:
+        raise ValueError("the size limit must fit in int32")
+
+
 def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
     """Compiled twin of _pure.subset_min_ratio; same contract, same node counts."""
     check_subset_inputs(flat_neighbors, universe, s_count, n_max)
-    if n_max > _INT_MAX:
-        raise ValueError("n_max must fit in int32")
+    _check_int32(n_max)
     num = (_i64 * (n_max + 1))()
     den = (_i64 * (n_max + 1))()
     nodes = _i64()
-    status = _lib.subset_min_ratio((_int * len(flat_neighbors))(*flat_neighbors), universe,
+    status = _lib.subset_min_ratio(_ints(flat_neighbors), universe,
                                    s_count, n_max, _budget(node_budget), num, den,
                                    ctypes.byref(nodes))
     if status < 0:
@@ -102,10 +125,45 @@ def pack_max_weight(masks, weights, n_bound, node_budget):
     best_set = (_u64 * ((count + 63) // 64))()
     nodes = _i64()
     status = _lib.pack_max_weight(count, limbs, vmask, (_i64 * count)(*weights),
-                                  (_int * count)(*order), min(n_bound, _INT_MAX),
+                                  _ints(order), min(n_bound, _INT_MAX),
                                   _budget(node_budget), ctypes.byref(best), best_set,
                                   ctypes.byref(nodes))
     if status < 0:
         raise MemoryError("pack_max_weight could not allocate its search state")
     items = tuple(i for i in range(count) if best_set[i >> 6] >> (i & 63) & 1)
     return best.value, items, nodes.value, status == 1
+
+
+def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget):
+    """Compiled twin of _pure.min_boundary_sets; same contract, same node counts."""
+    check_connected_inputs(flat_neighbors, universe, s_count, limit, ranks)
+    _check_int32(limit)
+    best = (_i64 * (limit + 1))()
+    sets = (_int * ((limit + 1) * limit))()
+    nodes = _i64()
+    status = _lib.min_boundary_sets(_ints(flat_neighbors), universe, s_count, limit,
+                                    _ints(ranks), _budget(node_budget), best, sets,
+                                    ctypes.byref(nodes))
+    if status < 0:
+        raise MemoryError("min_boundary_sets could not allocate its search state")
+    sets = [tuple(sets[k * limit : k * limit + k]) if best[k] >= 0 else ()
+            for k in range(limit + 1)]
+    return list(best), sets, nodes.value, status == 1
+
+
+def partition_dp(flat_neighbors, universe, s_count, weights, limit):
+    """Compiled twin of _pure.partition_dp for weights whose sums fit in int64."""
+    check_partition_inputs(flat_neighbors, universe, s_count, weights, limit)
+    if sum(weights) > _INT64_MAX:
+        raise ValueError("weight sums must fit in int64")
+    value = _i64()
+    cells = (_u64 * universe)()
+    n_cells = _int()
+    nodes = _i64()
+    status = _lib.partition_dp(_ints(flat_neighbors), universe, s_count,
+                               (_i64 * universe)(*weights), min(limit, universe),
+                               ctypes.byref(value), cells, ctypes.byref(n_cells),
+                               ctypes.byref(nodes))
+    if status < 0:
+        raise MemoryError("partition_dp could not allocate its tables")
+    return value.value, tuple(cells[: n_cells.value]), nodes.value

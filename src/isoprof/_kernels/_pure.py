@@ -1,11 +1,15 @@
-"""Pure-Python twins of the compiled search kernels.
+"""Pure-Python twins of the compiled kernels.
 
 Same algorithms, same node counts, same results as kernels.c; only the data
-layout differs (Python ints as bitmasks instead of uint64 limbs).  Both
-searches run on an explicit stack in the same node order, so no input size
-hits the recursion limit.  The dispatcher in __init__ picks the compiled
-versions when they build.
+layout differs (Python ints as bitmasks instead of uint64 limbs).  Every
+search runs on an explicit stack in the same node order, so no input size
+hits the recursion limit.  The connected-set kernels, min_boundary_sets and
+partition_dp, share one enumerator, grow_sets.  The dispatcher in __init__
+picks the compiled versions when they build.
 """
+
+# partition_dp keeps a table of 2**universe values
+DP_MAX_VERTICES = 20
 
 
 def check_subset_inputs(flat_neighbors, universe, s_count, n_max):
@@ -16,6 +20,13 @@ def check_subset_inputs(flat_neighbors, universe, s_count, n_max):
         raise ValueError("flat_neighbors has the wrong length")
     if min(flat_neighbors) < -1 or max(flat_neighbors) >= universe:
         raise ValueError("neighbor ids must be -1 or vertices of the universe")
+
+
+def check_connected_inputs(flat_neighbors, universe, s_count, limit, per_vertex):
+    """Raise ValueError unless the arguments fit min_boundary_sets or partition_dp."""
+    check_subset_inputs(flat_neighbors, universe, s_count, limit)
+    if len(per_vertex) != universe:
+        raise ValueError("need one rank or weight per vertex")
 
 
 def check_pack_inputs(masks, weights, n_bound):
@@ -42,9 +53,7 @@ def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
     definitively-outside neighbor only grows along a branch.
     """
     check_subset_inputs(flat_neighbors, universe, s_count, n_max)
-    nbr = [
-        flat_neighbors[v * s_count : (v + 1) * s_count] for v in range(universe)
-    ]
+    nbr = _rows(flat_neighbors, universe, s_count)
     # status: 0 undecided, 1 in, 2 out
     status = bytearray(universe)
     out_cnt = [0] * universe
@@ -268,3 +277,189 @@ def pack_max_weight(masks, weights, n_bound, node_budget):
         stack.append([pool & ~drop, -1, None, 0])
     best_items = tuple(i for i in range(count) if best_set >> i & 1)
     return best, best_items, nodes, complete
+
+
+def _rows(flat_neighbors, universe, s_count):
+    return [flat_neighbors[v * s_count : (v + 1) * s_count] for v in range(universe)]
+
+
+def grow_sets(grow, bnd, weights, root, limit, node_budget, visit):
+    """Visit every connected set that contains root, has its other members above root
+    and at most limit members; twin of kernels.c's grow_sets.
+
+    grow and bnd hold one row of vertex ids per vertex (-1 for none): a set
+    grows along grow, and its boundary is the weight (weights[v], or 1 when
+    weights is None) of the members with a bnd id outside it.  visit(members,
+    boundary) sees root alone first, then each set grown by one candidate,
+    members in the order they were added.  A vertex becomes a candidate once,
+    when it first neighbours the set, so every set comes once (Redelmeier
+    1981).  Nodes count the sets past the root; returns (nodes, complete).
+    """
+    universe = len(bnd)
+    weights = weights or [1] * universe
+    in_set = bytearray(universe)
+    seen = bytearray(universe)
+    out_cnt = [0] * universe
+    members = []
+    B = 0
+
+    def add(w):
+        nonlocal B
+        in_set[w] = 1
+        members.append(w)
+        out = 0
+        for u in bnd[w]:
+            if u < 0 or not in_set[u]:
+                out += 1
+            elif u != w:
+                out_cnt[u] -= 1
+                if out_cnt[u] == 0:
+                    B -= weights[u]
+        out_cnt[w] = out
+        if out:
+            B += weights[w]
+
+    def remove(w):
+        nonlocal B
+        if out_cnt[w]:
+            B -= weights[w]
+        for u in bnd[w]:
+            if u >= 0 and u != w and in_set[u]:
+                if out_cnt[u] == 0:
+                    B += weights[u]
+                out_cnt[u] += 1
+        in_set[w] = 0
+        members.pop()
+
+    def offer(w):
+        # candidates fresh at w go at the end of cand
+        for u in grow[w]:
+            if u > root and not seen[u]:
+                seen[u] = 1
+                cand.append(u)
+
+    # level d tries cand[pos[d]:end[d]] as member d + 1; the candidates fresh
+    # at level d sit at cand[end[d - 1]:end[d]], end[0] = 0
+    cand = []
+    pos = [0] * (limit + 2)
+    end = [0] * (limit + 2)
+    seen[root] = 1
+    add(root)
+    visit(members, B)
+    if limit > 1:
+        offer(root)
+    end[1] = len(cand)
+    d, nodes = 1, 0
+    while True:
+        if pos[d] < end[d]:
+            nodes += 1
+            if nodes > node_budget:
+                return nodes, False
+            w = cand[pos[d]]
+            add(w)
+            visit(members, B)
+            if len(members) < limit:
+                del cand[end[d] :]
+                offer(w)
+                pos[d + 1] = pos[d] + 1
+                d += 1
+                end[d] = len(cand)
+            else:
+                remove(w)
+                pos[d] += 1
+        else:
+            for u in cand[end[d - 1] : end[d]]:
+                seen[u] = 0
+            d -= 1
+            if d == 0:
+                break
+            remove(cand[pos[d]])
+            pos[d] += 1
+    remove(root)
+    return nodes, True
+
+
+def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget):
+    """Per size k <= limit, a connected set containing vertex 0 with the fewest boundary members.
+
+    flat_neighbors: row-major universe x s_count vertex ids, -1 = outside the
+    universe, used for growth and boundary alike.  Among sets with equal
+    boundary the one whose sorted ranks (ranks[v] per vertex) are least
+    wins.  Returns (best, sets, nodes, complete): best[k] is the boundary
+    count of the winner of size k, or -1 when no connected set has k
+    members, and sets[k] its members in the order they were added.
+    """
+    check_connected_inputs(flat_neighbors, universe, s_count, limit, ranks)
+    rows = _rows(flat_neighbors, universe, s_count)
+    best = [-1] * (limit + 1)
+    keys = [None] * (limit + 1)
+    sets = [()] * (limit + 1)
+
+    def visit(members, boundary):
+        k = len(members)
+        if best[k] >= 0 and boundary > best[k]:
+            return
+        key = sorted([ranks[v] for v in members])
+        if boundary == best[k] and key >= keys[k]:
+            return
+        best[k], keys[k], sets[k] = boundary, key, tuple(members)
+
+    nodes, complete = grow_sets(rows, rows, None, 0, limit, node_budget, visit)
+    return best, sets, nodes, complete
+
+
+def check_partition_inputs(flat_neighbors, universe, s_count, weights, limit):
+    """Raise ValueError unless the arguments fit the partition_dp contract."""
+    check_connected_inputs(flat_neighbors, universe, s_count, limit, weights)
+    if universe > DP_MAX_VERTICES:
+        raise ValueError(f"partition_dp takes at most {DP_MAX_VERTICES} vertices")
+    if min(weights) < 0:
+        raise ValueError("weights must be nonnegative")
+
+
+def partition_dp(flat_neighbors, universe, s_count, weights, limit):
+    """Minimum cost of a partition into connected cells of at most limit vertices.
+
+    A cell costs the weight of its members with a neighbour id outside it
+    (-1 counts as outside).  Cells grow along each row's distinct ids in
+    ascending order; a dynamic program over the 2**universe vertex sets
+    splits off the cell of the lowest uncovered vertex, ties to the smaller
+    cell mask, and finds the chosen cells again on the way back from the
+    full set.  Returns (value, cells, nodes): cells are vertex bitmasks,
+    nodes sums the enumerator's nodes over all roots.
+    """
+    check_partition_inputs(flat_neighbors, universe, s_count, weights, limit)
+    limit = min(limit, universe)
+    bnd = _rows(flat_neighbors, universe, s_count)
+    grow = [sorted({u for u in row if u >= 0}) for row in bnd]
+    by_root = []
+    nodes = 0
+    for root in range(universe):
+        cells = []
+        by_root.append(cells)
+
+        def visit(members, cost):
+            cells.append((sum(1 << v for v in members), cost))
+
+        nodes += grow_sets(grow, bnd, weights, root, limit, 1 << 63, visit)[0]
+    full = (1 << universe) - 1
+    value = [0] * (full + 1)
+
+    def best_split(mask):
+        # the cheapest cell of the lowest vertex plus the best value of the rest
+        best, pick = None, 0
+        for cmask, cost in by_root[(mask & -mask).bit_length() - 1]:
+            if cmask & mask == cmask:
+                cand = cost + value[mask ^ cmask]
+                if best is None or cand < best or (cand == best and cmask < pick):
+                    best, pick = cand, cmask
+        return best, pick
+
+    for mask in range(1, full + 1):
+        value[mask] = best_split(mask)[0]
+    cells = []
+    mask = full
+    while mask:
+        cells.append(best_split(mask)[1])
+        mask ^= cells[-1]
+    return value[full], tuple(cells), nodes

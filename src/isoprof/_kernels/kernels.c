@@ -1,14 +1,17 @@
-/* Compiled search kernels of isoprof: exact algorithmic twins of _pure.py.
+/* Compiled kernels of isoprof: exact algorithmic twins of _pure.py.
 
    Plain C99 behind a flat C ABI; _core.py builds this file and calls it
    through ctypes after checking every input.  Branch order, pruning rules
    and tie handling are kept in lockstep with the pure versions, so results
-   and node counts are bit-identical.  Both searches run on an explicit
+   and node counts are bit-identical.  Every search runs on an explicit
    stack, and vertex and item sets are arrays of ceil(n/64) 64-bit limbs, so
-   neither size has a cap.  Each entry point returns 1 when the search
-   finished, 0 when it stopped on the node budget and -1 when an allocation
-   failed. */
+   neither size has a cap.  Three kernels search: all subsets containing
+   vertex 0 (subset_min_ratio), interior packings (pack_max_weight) and
+   connected sets (one enumerator behind min_boundary_sets and
+   partition_dp).  Each entry point returns 1 when the search finished, 0
+   when it stopped on the node budget and -1 when an allocation failed. */
 
+#include <limits.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -375,4 +378,310 @@ int pack_max_weight(int count, int vl, const u64 *vmask, const long long *w,
     free(limbs);
     free(ints);
     return complete;
+}
+
+/* ---- kernel 3: connected sets grown from a root (Redelmeier 1981) ---- */
+
+typedef struct {
+    const int *grow, *bnd; /* universe x gw growth ids, universe x bw boundary ids, -1 pads */
+    int gw, bw;
+    const long long *weight; /* NULL weighs every vertex 1 */
+    int *in_set, *seen, *out_cnt, *members, *cand, *pos, *end;
+    int size;
+    long long B; /* weight of the members with a boundary id outside the set */
+} Grow;
+
+#define GROW_WEIGHT(g, v) ((g)->weight ? (g)->weight[v] : 1)
+
+/* the ints Grow needs for a universe of n vertices and sets of size <= limit */
+#define GROW_INTS(n, limit) (5 * (size_t)(n) + 2 * ((size_t)(limit) + 2))
+
+static void grow_init(Grow *g, int *block, int universe, int limit)
+{
+    g->in_set = block;
+    g->seen = block + universe;
+    g->out_cnt = block + 2 * (size_t)universe;
+    g->members = block + 3 * (size_t)universe;
+    g->cand = block + 4 * (size_t)universe;
+    g->pos = block + 5 * (size_t)universe;
+    g->end = g->pos + limit + 2;
+}
+
+static void grow_add(Grow *g, int w)
+{
+    int j, u, out = 0;
+    g->in_set[w] = 1;
+    g->members[g->size++] = w;
+    for (j = 0; j < g->bw; j++) {
+        u = g->bnd[(size_t)w * g->bw + j];
+        if (u < 0 || !g->in_set[u])
+            out++;
+        else if (u != w && --g->out_cnt[u] == 0)
+            g->B -= GROW_WEIGHT(g, u);
+    }
+    g->out_cnt[w] = out;
+    if (out)
+        g->B += GROW_WEIGHT(g, w);
+}
+
+static void grow_remove(Grow *g, int w)
+{
+    int j, u;
+    if (g->out_cnt[w])
+        g->B -= GROW_WEIGHT(g, w);
+    for (j = 0; j < g->bw; j++) {
+        u = g->bnd[(size_t)w * g->bw + j];
+        if (u >= 0 && u != w && g->in_set[u] && g->out_cnt[u]++ == 0)
+            g->B += GROW_WEIGHT(g, u);
+    }
+    g->in_set[w] = 0;
+    g->size--;
+}
+
+/* Calls visit on every connected set that contains root, has its other
+   members above root and at most limit members: root alone first, then each
+   set grown by one candidate, where a vertex becomes a candidate once, when
+   it first neighbours the set.  Nodes count the sets past the root.  Returns
+   1, or 0 when the node budget stopped it, leaving the state dirty. */
+static int grow_sets(Grow *g, int root, int limit, long long budget, long long *nodes,
+                     void (*visit)(const Grow *, void *), void *ctx)
+{
+    /* level d tries cand[pos[d]..end[d]) as member d + 1; the candidates
+       fresh at level d sit at cand[end[d - 1]..end[d]), end[0] = 0 */
+    int d = 1, e = 0, j, u, w;
+    int *cand = g->cand, *pos = g->pos, *end = g->end;
+    g->seen[root] = 1;
+    grow_add(g, root);
+    visit(g, ctx);
+    if (limit > 1)
+        for (j = 0; j < g->gw; j++) {
+            u = g->grow[(size_t)root * g->gw + j];
+            if (u > root && !g->seen[u]) {
+                g->seen[u] = 1;
+                cand[e++] = u;
+            }
+        }
+    end[0] = pos[1] = 0;
+    end[1] = e;
+    for (;;) {
+        if (pos[d] < end[d]) {
+            if (++*nodes > budget)
+                return 0;
+            w = cand[pos[d]];
+            grow_add(g, w);
+            visit(g, ctx);
+            if (g->size < limit) {
+                e = end[d];
+                for (j = 0; j < g->gw; j++) {
+                    u = g->grow[(size_t)w * g->gw + j];
+                    if (u > root && !g->seen[u]) {
+                        g->seen[u] = 1;
+                        cand[e++] = u;
+                    }
+                }
+                pos[d + 1] = pos[d] + 1;
+                end[++d] = e;
+            } else {
+                grow_remove(g, w);
+                pos[d]++;
+            }
+        } else {
+            for (j = end[d - 1]; j < end[d]; j++)
+                g->seen[cand[j]] = 0;
+            if (--d == 0)
+                break;
+            grow_remove(g, cand[pos[d]]);
+            pos[d]++;
+        }
+    }
+    grow_remove(g, root);
+    g->seen[root] = 0;
+    return 1;
+}
+
+/* per size, the fewest boundary members, ties to the least sorted rank array */
+typedef struct {
+    const int *rank;
+    int limit;
+    long long *best; /* limit + 1 entries, -1 while no set of that size was seen */
+    int *sets, *keys, *key; /* (limit + 1) x limit members and sorted ranks; scratch */
+} MinBoundary;
+
+static void min_boundary_visit(const Grow *g, void *ctx)
+{
+    MinBoundary *mb = ctx;
+    int k = g->size, i, j, r;
+    int *key = mb->key, *slot = mb->keys + (size_t)k * mb->limit;
+    long long old = mb->best[k];
+    if (old >= 0 && g->B > old)
+        return;
+    for (i = 0; i < k; i++) {
+        r = mb->rank[g->members[i]];
+        for (j = i; j > 0 && key[j - 1] > r; j--)
+            key[j] = key[j - 1];
+        key[j] = r;
+    }
+    if (old == g->B) {
+        for (i = 0; i < k && key[i] == slot[i]; i++)
+            ;
+        if (i == k || key[i] > slot[i])
+            return;
+    }
+    mb->best[k] = g->B;
+    memcpy(slot, key, k * sizeof(int));
+    memcpy(mb->sets + (size_t)k * mb->limit, g->members, k * sizeof(int));
+}
+
+/* nbr: universe x s_count vertex ids, -1 outside the universe, for growth
+   and boundary alike; rank: each vertex's place in the canonical element
+   order; best: limit + 1 entries; sets: (limit + 1) x limit vertex ids, row
+   k holding the winning set of size k in the order it grew. */
+int min_boundary_sets(const int *nbr, int universe, int s_count, int limit,
+                      const int *rank, long long budget, long long *best, int *sets,
+                      long long *nodes_out)
+{
+    size_t keys = ((size_t)limit + 1) * limit;
+    int *block = calloc(GROW_INTS(universe, limit) + keys + limit, sizeof(int));
+    int k, complete;
+    long long nodes = 0;
+    Grow g = {nbr, nbr, s_count, s_count, NULL};
+    MinBoundary mb = {rank, limit, best, sets};
+    if (!block)
+        return -1;
+    grow_init(&g, block, universe, limit);
+    mb.keys = block + GROW_INTS(universe, limit);
+    mb.key = mb.keys + keys;
+    for (k = 0; k <= limit; k++)
+        best[k] = -1;
+    complete = grow_sets(&g, 0, limit, budget, &nodes, min_boundary_visit, &mb);
+    *nodes_out = nodes;
+    free(block);
+    return complete;
+}
+
+typedef struct {
+    u64 *mask; /* NULL while only counting */
+    long long *cost;
+    size_t count;
+} CellList;
+
+static void cell_list_visit(const Grow *g, void *ctx)
+{
+    CellList *cl = ctx;
+    u64 m = 0;
+    int i;
+    if (cl->mask) {
+        for (i = 0; i < g->size; i++)
+            m |= (u64)1 << g->members[i];
+        cl->mask[cl->count] = m;
+        cl->cost[cl->count] = g->B;
+    }
+    cl->count++;
+}
+
+/* the best split of mask: its cheapest cell of the lowest vertex plus the
+   best value of the rest, ties to the smaller cell mask */
+static long long dp_best(const CellList *cl, const int *start, const long long *value,
+                         u64 mask, u64 *pick)
+{
+    int v = ctz64(mask);
+    size_t c;
+    long long best = -1, cand;
+    u64 cm;
+    for (c = start[v]; c < (size_t)start[v + 1]; c++) {
+        cm = cl->mask[c];
+        if ((cm & mask) != cm)
+            continue;
+        cand = cl->cost[c] + value[mask ^ cm];
+        if (best < 0 || cand < best || (cand == best && cm < *pick)) {
+            best = cand;
+            *pick = cm;
+        }
+    }
+    return best;
+}
+
+/* Minimum total cost of a partition of the universe into connected cells of
+   at most limit vertices, a cell costing the weight of its members with a
+   neighbour id outside it.  nbr: universe x s_count ids, -1 for none; cells
+   grow along each row's distinct ids in ascending order.  Ties go to the
+   numerically smaller cell mask of the lowest uncovered vertex.  cells_out
+   receives up to universe cell masks, *n_cells_out their number.  Only the
+   2**universe values are kept; the chosen cells are found again on the way
+   back from the full set. */
+int partition_dp(const int *nbr, int universe, int s_count, const long long *weight,
+                 int limit, long long *value_out, u64 *cells_out, int *n_cells_out,
+                 long long *nodes_out)
+{
+    size_t full = ((size_t)1 << universe) - 1, mask;
+    int *block = calloc(GROW_INTS(universe, limit) + (size_t)universe * s_count + universe + 1,
+                        sizeof(int));
+    int v, j, k, u, i, pass, n_cells = 0, *grow, *start;
+    long long nodes = 0, *value = malloc((full + 1) * sizeof(long long));
+    u64 pick;
+    Grow g = {NULL, nbr, s_count, s_count, weight};
+    CellList cl = {NULL, NULL, 0};
+    if (!block || !value) {
+        free(block);
+        free(value);
+        return -1;
+    }
+    grow_init(&g, block, universe, limit);
+    grow = block + GROW_INTS(universe, limit);
+    start = grow + (size_t)universe * s_count;
+    /* growth rows: each row's distinct ids, ascending */
+    for (v = 0; v < universe; v++) {
+        int *row = grow + (size_t)v * s_count;
+        for (j = 0, k = 0; j < s_count; j++) {
+            u = nbr[(size_t)v * s_count + j];
+            if (u < 0)
+                continue;
+            for (i = k; i > 0 && row[i - 1] > u; i--)
+                ;
+            if (i > 0 && row[i - 1] == u)
+                continue;
+            memmove(row + i + 1, row + i, (k - i) * sizeof(int));
+            row[i] = u;
+            k++;
+        }
+        for (; k < s_count; k++)
+            row[k] = -1;
+    }
+    g.grow = grow;
+    /* count the cells, then list them grouped by their lowest vertex */
+    for (pass = 0; pass < 2; pass++) {
+        if (pass) {
+            cl.mask = malloc(cl.count * sizeof(u64));
+            cl.cost = malloc(cl.count * sizeof(long long));
+            if (!cl.mask || !cl.cost) {
+                free(cl.mask);
+                free(cl.cost);
+                free(block);
+                free(value);
+                return -1;
+            }
+            cl.count = 0;
+            nodes = 0;
+        }
+        for (v = 0; v < universe; v++) {
+            start[v] = (int)cl.count;
+            grow_sets(&g, v, limit, LLONG_MAX, &nodes, cell_list_visit, &cl);
+        }
+        start[universe] = (int)cl.count;
+    }
+    value[0] = 0;
+    for (mask = 1; mask <= full; mask++)
+        value[mask] = dp_best(&cl, start, value, mask, &pick);
+    *value_out = value[full];
+    for (mask = full; mask; mask ^= pick) {
+        dp_best(&cl, start, value, mask, &pick);
+        cells_out[n_cells++] = pick;
+    }
+    *n_cells_out = n_cells;
+    *nodes_out = nodes;
+    free(cl.mask);
+    free(cl.cost);
+    free(block);
+    free(value);
+    return 1;
 }

@@ -16,10 +16,10 @@ whose transitive-overlap unions stay within the size bound.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import Record
 from .errors import (
     CoverageError,
     NotApplicableError,
@@ -97,8 +97,7 @@ class BoundedPartition:
         return f"BoundedPartition({len(self.cells)} cells, n_bound={self.n_bound})"
 
 
-@dataclass(frozen=True)
-class BoundaryMassReport:
+class BoundaryMassReport(Record):
     """Boundary vertices of a partition with their measure and per-generator split."""
 
     boundary_set: tuple
@@ -171,8 +170,7 @@ def connected_refinement(graphing, partition):
     return BoundedPartition(graphing, cells, partition.n_bound)
 
 
-@dataclass(frozen=True)
-class ActionProfileResult:
+class ActionProfileResult(Record):
     """Minimum boundary mass over bounded partitions, with the witness partition."""
 
     value: Fraction
@@ -187,108 +185,30 @@ class ActionProfileResult:
         yield self.partition
 
 
-def _connected_cells_by_root(graphing, n):
-    """Per root vertex, all connected subsets C with min(C) == root and |C| <= n."""
-    V = graphing.n_vertices
-    adj = _adjacency_masks(graphing)
-    weights = graphing.weights
-    rows = list(graphing.maps.values())
-
-    def cell_cost(mask):
-        cost = Fraction(0)
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            for row in rows:
-                t = row[v]
-                if t is None or not (mask >> t) & 1:
-                    cost += weights[v]
-                    break
-        return cost
-
-    per_root = [[] for _ in range(V)]
-
-    for root in range(V):
-        out = per_root[root]
-        base = 1 << root
-        out.append((base, cell_cost(base)))
-        if n == 1:
-            continue
-
-        # Redelmeier-style growth: 'seen' marks every vertex ever offered as a
-        # candidate on the current path, so each connected set appears once
-        seen = base
-
-        def grow(mask, size, cand):
-            nonlocal seen
-            for i, w in enumerate(cand):
-                m2 = mask | (1 << w)
-                out.append((m2, cell_cost(m2)))
-                if size + 1 < n:
-                    fresh = []
-                    rest = adj[w]
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        u = bit.bit_length() - 1
-                        if u > root and not (seen >> u) & 1:
-                            fresh.append(u)
-                            seen |= 1 << u
-                    grow(m2, size + 1, cand[i + 1 :] + fresh)
-                    for u in fresh:
-                        seen ^= 1 << u
-
-        first = []
-        rest = adj[root]
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            u = bit.bit_length() - 1
-            if u > root:
-                first.append(u)
-                seen |= 1 << u
-        grow(base, 1, first)
-        seen = base
-    return per_root
+def _scaled_weights(graphing):
+    """Vertex weights times the lcm of their denominators, as integers, and that lcm."""
+    scale = lcm(*[w.denominator for w in graphing.weights], 1)
+    return [int(w * scale) for w in graphing.weights], scale
 
 
 def _exhaustive_exact(graphing, n):
-    """Bitmask DP over vertex sets; cells restricted to connected subsets."""
+    """Bitmask DP over vertex sets, run by the connected-set kernel; cells are
+    connected subsets.  Returns (value, partition, nodes)."""
+    from ._kernels import partition_dp
+
     V = graphing.n_vertices
-    per_root = _connected_cells_by_root(graphing, n)
-    full = (1 << V) - 1
-    INF = Fraction(2)
-    value = [INF] * (full + 1)
-    choice = [0] * (full + 1)
-    value[0] = Fraction(0)
-    for mask in range(1, full + 1):
-        root = (mask & -mask).bit_length() - 1
-        best = INF
-        best_cell = 0
-        for cmask, cost in per_root[root]:
-            if cmask & mask != cmask:
-                continue
-            cand = cost + value[mask ^ cmask]
-            if cand < best or (cand == best and cmask < best_cell):
-                best = cand
-                best_cell = cmask
-        value[mask] = best
-        choice[mask] = best_cell
-    cells = []
-    mask = full
-    while mask:
-        cmask = choice[mask]
-        cells.append([i for i in range(V) if (cmask >> i) & 1])
-        mask ^= cmask
-    partition = BoundedPartition(graphing, cells, n)
-    return value[full], partition
+    rows = list(graphing.maps.values())
+    flat = [-1 if row[v] is None else row[v] for v in range(V) for row in rows]
+    weights, scale = _scaled_weights(graphing)
+    value, cells, nodes = partition_dp(flat, V, len(rows), weights, n)
+    cells = [[v for v in range(V) if cell >> v & 1] for cell in cells]
+    return Fraction(value, scale), BoundedPartition(graphing, cells, n), nodes
 
 
 def packing_items(graphing, n):
     """Interior-packing items as (closed-neighborhood masks, scaled integer weights, scale)."""
     rows = list(graphing.maps.values())
+    scaled, scale = _scaled_weights(graphing)
     masks = []
     weights = []
     for x in range(graphing.n_vertices):
@@ -301,9 +221,8 @@ def packing_items(graphing, n):
         else:
             if nb.bit_count() <= n:
                 masks.append(nb)
-                weights.append(graphing.weights[x])
-    scale = lcm(*[w.denominator for w in graphing.weights], 1)
-    return masks, [int(w * scale) for w in weights], scale
+                weights.append(scaled[x])
+    return masks, weights, scale
 
 
 def _bnb_exact(graphing, n, node_budget):
@@ -363,10 +282,10 @@ def profile_action_exact(graphing, n, method="auto", node_budget=None):
     else:
         raise ParameterError(f"unknown method {method!r}")
     if chosen == "exhaustive":
-        value, partition = _exhaustive_exact(graphing, n)
+        value, partition, nodes = _exhaustive_exact(graphing, n)
         return ActionProfileResult(
             value=value, partition=partition, method="exhaustive",
-            optimal=True, nodes=0, fallback=fallback,
+            optimal=True, nodes=nodes, fallback=fallback,
         )
     value, partition, nodes, complete = _bnb_exact(graphing, n, budget)
     return ActionProfileResult(
@@ -375,8 +294,7 @@ def profile_action_exact(graphing, n, method="auto", node_budget=None):
     )
 
 
-@dataclass(frozen=True)
-class TilingProfileResult:
+class TilingProfileResult(Record):
     """Upper-bound partition built from Rokhlin tower fibers plus leftover singletons."""
 
     value: Fraction
@@ -424,8 +342,7 @@ def profile_action_tiling(graphing, multitile, epsilon):
     )
 
 
-@dataclass(frozen=True)
-class IteratedBoundaryReport:
+class IteratedBoundaryReport(Record):
     """Vertices escaping their cell within k generator steps, plus the word-sum bound."""
 
     k: int
@@ -478,8 +395,7 @@ def iterated_boundary(graphing, partition, k):
     )
 
 
-@dataclass(frozen=True)
-class DisintegrationReport:
+class DisintegrationReport(Record):
     """Boundary mass against the cellwise boundary-ratio integral; equal on pmp models."""
 
     mass: Fraction

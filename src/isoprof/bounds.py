@@ -11,9 +11,9 @@ M^(k-1) undercounts the translates and fails on round trips, see the
 decision ledger.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .action_profile import BoundedPartition, boundary_mass, profile_action_exact, profile_action_tiling
 from .errors import (
     NotApplicableError,
@@ -29,8 +29,7 @@ from .isoperimetry import profile_exact
 from .tilings import cube_tile
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Record):
     """One exact inequality: passed iff 'lhs relation rhs' holds (informational rows excepted)."""
 
     name: str
@@ -148,8 +147,7 @@ def _shared_space(g1, g2):
         raise ParameterError("the two graphings must share vertices and weights")
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
+class ContainmentReport(Record):
     """Is the coarse boundary inside the union of word-translated fine boundaries?"""
 
     contained: bool
@@ -164,10 +162,13 @@ def generating_set_containment(g1, g2, partition):
     _shared_space(g1, g2)
     if partition.graphing is not g1:
         raise ParameterError("the partition must be built on the fine-marking graphing")
+    return _containment(g1, g2, partition, boundary_mass(g1, partition).boundary_set)
+
+
+def _containment(g1, g2, partition, bdry1):
     k = _marking_power(g1, g2)
     p2 = BoundedPartition(g2, partition.cells, partition.n_bound)
     bdry2 = boundary_mass(g2, p2).boundary_set
-    bdry1 = boundary_mass(g1, partition).boundary_set
     union = g1.within(bdry1, k - 1)
     missing = tuple(v for v in bdry2 if v not in union)
     return ContainmentReport(
@@ -193,9 +194,9 @@ def check_generating_set_comparison(g1, g2, n, p=None):
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
     partition = profile_action_exact(g1, n).partition
-    containment = generating_set_containment(g1, g2, partition)
-    k = containment.k
     bdry1 = boundary_mass(g1, partition).boundary_set
+    containment = _containment(g1, g2, partition, bdry1)
+    k = containment.k
     mu1 = g1.mu(bdry1)
     mu2 = g1.mu(containment.boundary_coarse)
     words = _reduced_words(g1.group.labels, g1.group._inv_label, k - 1)
@@ -316,25 +317,20 @@ def suite_tiling_upper(epsilon=Fraction(1, 4)):
     return checks
 
 
-def _cycle_with_marking(m, weights, steps):
-    """A cycle graphing over Z marked with the given step set."""
-    gens = [(s,) for s in steps]
-    group = ZdGroup(1, generators=gens)
+def cycle_with_marking(m, weights, steps):
+    """The same m points shifted by each step, marked by the step set; the free window
+    is derived up to min(m - 1, 6)."""
+    group = ZdGroup(1, generators=[(s,) for s in steps])
     maps = {group.labels[i]: [(v + steps[i]) % m for v in range(m)]
             for i in range(len(steps))}
-    return MeasuredGraphing.from_json({
-        "vertices": m,
-        "weights": [f"{w.numerator}/{w.denominator}" for w in weights],
-        "maps": maps,
-        "group": {"kind": "Zd", "d": 1, "generators": [list(g) for g in gens]},
-    })
+    return MeasuredGraphing._with_clean_window(group, weights, maps, min(m - 1, 6))
 
 
 def suite_generating_sets():
     """Marking comparisons on shared cyclic models: pmp sup-form and weighted Hoelder form."""
     checks = []
     g1 = build_torus_action(1, 12)
-    g2 = _cycle_with_marking(12, g1.weights, [1, -1, 2, -2])
+    g2 = cycle_with_marking(12, g1.weights, [1, -1, 2, -2])
     for n in (2, 3):
         checks.append(check_generating_set_comparison(g1, g2, n))
     checks.append(check_generating_set_comparison(g1, g1, 3))
@@ -342,7 +338,7 @@ def suite_generating_sets():
     total = sum(raw)
     weights = [w / total for w in raw]
     w1 = build_weighted_cycle(8, weights)
-    w2 = _cycle_with_marking(8, w1.weights, [1, -1, 2, -2])
+    w2 = cycle_with_marking(8, w1.weights, [1, -1, 2, -2])
     checks.append(check_generating_set_comparison(w1, w2, 2, p=Fraction(2)))
     return checks
 

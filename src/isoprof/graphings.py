@@ -9,10 +9,10 @@ Checking a window walks the orbit graph over distinct states, so its cost
 grows with the ball of that radius, not with the number of reduced words.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq
 
+from ._record import Record
 from .errors import (
     ConfigError,
     NormalizationError,
@@ -75,16 +75,33 @@ def _min_violation_depth(group, maps, n_vertices, radius):
     return best
 
 
-def _clean_window(group, maps, n_vertices, cap):
-    """The largest radius <= cap up to which no nonidentity word fixes a vertex."""
-    bad = _min_violation_depth(group, maps, n_vertices, cap)
-    return cap if bad is None else bad - 1
-
-
 class MeasuredGraphing:
     """Vertices 0..V-1 with positive rational weights and partial shift bijections."""
 
     def __init__(self, group, weights, maps, free_window):
+        self._check(group, weights, maps)
+        free_window = int(free_window)
+        if free_window < 0:
+            raise ParameterError("free_window must be nonnegative")
+        bad = _min_violation_depth(group, self.maps, self.n_vertices, free_window)
+        if bad is not None:
+            raise ConfigError(
+                f"free_window={free_window} is wrong: a word of length {bad} fixes a vertex"
+            )
+        self.free_window = free_window
+
+    @classmethod
+    def _with_clean_window(cls, group, weights, maps, cap):
+        """A graphing whose free_window is the largest radius <= cap up to which no
+        nonidentity word fixes a vertex; one walk finds it and certifies it."""
+        self = cls.__new__(cls)
+        self._check(group, weights, maps)
+        bad = _min_violation_depth(group, self.maps, self.n_vertices, cap)
+        self.free_window = cap if bad is None else bad - 1
+        return self
+
+    def _check(self, group, weights, maps):
+        """Store the group, weights and maps, rejecting malformed ones."""
         self.group = group
         self.weights = tuple(Fraction(w) for w in weights)
         self.n_vertices = len(self.weights)
@@ -117,15 +134,6 @@ class MeasuredGraphing:
                     raise ConfigError(
                         f"map {group.inverse_label(lab)!r} does not invert {lab!r} at vertex {v}"
                     )
-        free_window = int(free_window)
-        if free_window < 0:
-            raise ParameterError("free_window must be nonnegative")
-        bad = _min_violation_depth(group, self.maps, self.n_vertices, free_window)
-        if bad is not None:
-            raise ConfigError(
-                f"free_window={free_window} is wrong: a word of length {bad} fixes a vertex"
-            )
-        self.free_window = free_window
 
     def phi(self, label, v):
         """Image of vertex v under the labeled shift, or None where undefined."""
@@ -223,10 +231,8 @@ class MeasuredGraphing:
             raise ConfigError("weights length does not match the vertex count")
         if fw is None:
             # not serialized in the minimal format: derive the largest clean
-            # radius up to the builders' walk cap, on maps checked by a
-            # window-0 construction
-            checked = cls(group, weights, maps, 0).maps
-            fw = _clean_window(group, checked, V, min(V - 1, 6))
+            # radius up to the builders' walk cap
+            return cls._with_clean_window(group, weights, maps, min(V - 1, 6))
         return cls(group, weights, maps, fw)
 
     def __repr__(self):
@@ -236,8 +242,7 @@ class MeasuredGraphing:
         )
 
 
-@dataclass(frozen=True)
-class RNProfile:
+class RNProfile(Record):
     """Radon-Nikodym values of one labeled shift, with exact p-norm power sums."""
 
     label: str
@@ -265,11 +270,6 @@ class RNProfile:
                 total = total + SqrtSum.from_rational(w) * SqrtSum.sqrt(r**a)
         return total
 
-    def p_norm_float(self, p):
-        """Floating-point ||RN||_p, for human-readable reports only."""
-        p = Fraction(p)
-        return float(self.p_norm_power_sum(p)) ** (1 / float(p))
-
 
 def build_torus_action(d, m, generators=None):
     """(Z/m)^d with uniform weights and coordinate shifts; a pmp quotient model."""
@@ -293,10 +293,8 @@ def build_torus_action(d, m, generators=None):
         gen = group.generator(lab)
         maps[lab] = [idx([c + g for c, g in zip(coords(v), gen)]) for v in range(n_vertices)]
     if generators is None:
-        free_window = (m - 1) // 2
-    else:
-        free_window = _clean_window(group, maps, n_vertices, min(m - 1, 6))
-    return MeasuredGraphing(group, weights, maps, free_window)
+        return MeasuredGraphing(group, weights, maps, (m - 1) // 2)
+    return MeasuredGraphing._with_clean_window(group, weights, maps, min(m - 1, 6))
 
 
 def build_heisenberg_quotient(m):
@@ -317,8 +315,7 @@ def build_heisenberg_quotient(m):
         maps["X"].append(idx(a - 1, b, c - b))
         maps["y"].append(idx(a, b + 1, c))
         maps["Y"].append(idx(a, b - 1, c))
-    free_window = _clean_window(group, maps, n_vertices, min(m - 1, 6))
-    return MeasuredGraphing(group, weights, maps, free_window)
+    return MeasuredGraphing._with_clean_window(group, weights, maps, min(m - 1, 6))
 
 
 def build_weighted_cycle(m, weights):
@@ -336,8 +333,7 @@ def build_weighted_cycle(m, weights):
     return MeasuredGraphing(group, weights, maps, (m - 1) // 2)
 
 
-@dataclass(frozen=True)
-class HolderBound:
+class HolderBound(Record):
     """mu(sA) against the Holder bound, compared exactly through integer powers."""
 
     label: str
@@ -408,8 +404,7 @@ def holder_pushforward_bound(graphing, label, A, p):
     )
 
 
-@dataclass(frozen=True)
-class StationaryReport:
+class StationaryReport(Record):
     """Vertexwise RN bounds under a stationary measure, with violation witnesses."""
 
     passed: bool

@@ -6,10 +6,11 @@ under right translation F -> F*c, which is what makes "F contains the
 identity" a harmless normalization in the profile search.
 """
 
-from dataclasses import dataclass
+from array import array
 from fractions import Fraction
 from itertools import product
 
+from ._record import Record
 from .errors import (
     BudgetError,
     ConfigError,
@@ -62,8 +63,7 @@ def right_translate(F, c):
     return GroupSubset(group, [group._mul_raw(g, c) for g in F])
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(Record):
     """One profile value: the minimum ratio over subsets of size <= n, with a witness."""
 
     n: int
@@ -72,11 +72,12 @@ class ProfilePoint:
 
 
 class ProfileResult:
-    """Profile points for n = 1..n_max plus a completeness flag."""
+    """Profile points for n = 1..n_max, a completeness flag and the search's node count."""
 
-    def __init__(self, points, complete):
+    def __init__(self, points, complete, nodes):
         self.points = tuple(points)
         self.complete = bool(complete)
+        self.nodes = nodes
 
     def __iter__(self):
         return iter(self.points)
@@ -107,11 +108,20 @@ def search_cap(group):
 
 
 def neighbor_table(group, radius):
-    """ball(radius) in canonical order, with the index of s*g per generator s (-1 outside)."""
+    """ball(radius) in canonical order, and the row-major table of s*g per element g and
+    generator s: an array('i') of vertex ids, -1 outside the ball."""
     order = list(group.ball(radius))
     index = {g: i for i, g in enumerate(order)}
     acts = [group._left[lab] for lab in group.labels]
-    return order, [[index.get(act(g), -1) for act in acts] for g in order]
+    return order, array("i", (index.get(act(g), -1) for g in order for act in acts))
+
+
+def canonical_ranks(order):
+    """Each element's place in sorted(order), as an array('i') indexed like order."""
+    ranks = array("i", bytes(4 * len(order)))
+    for r, i in enumerate(sorted(range(len(order)), key=order.__getitem__)):
+        ranks[i] = r
+    return ranks
 
 
 def profile_exact(group, n_max, node_budget=None):
@@ -119,104 +129,38 @@ def profile_exact(group, n_max, node_budget=None):
 
     Connectivity and the identity normalization lose nothing: boundaries are
     right-translation equivariant, and a disconnected set has a component
-    whose ratio is no larger.  Each connected subset is enumerated exactly
-    once by extending with unseen neighbors of the newest member.
+    whose ratio is no larger.  The connected-set kernel enumerates each
+    connected subset exactly once and keeps, per size, the fewest boundary
+    members, ties to the least sorted element tuple (compared as sorted ranks
+    in the canonical order).
     """
+    from ._kernels import min_boundary_sets
+
     if n_max < 1:
         raise ParameterError(f"n_max must be positive, got {n_max}")
     cap = search_cap(group)
     limit = min(n_max, cap)
 
-    order, nbr = neighbor_table(group, limit - 1)
-    U = len(order)
-
-    # per size: [num, den, sort key, member indices]; den 0 = unseen
-    best = [[0, 0, None, None] for _ in range(limit + 1)]
-    in_set = bytearray(U)
-    out_cnt = [0] * U
-    members = []
-    state = {"B": 0, "nodes": 0}
-
-    def record():
-        size = len(members)
-        num, den = state["B"], size
-        slot = best[size]
-        if slot[1] and num * slot[1] > slot[0] * den:
-            return
-        key = tuple(sorted(order[i] for i in members))
-        if slot[1] and num * slot[1] == slot[0] * den and key >= slot[2]:
-            return
-        best[size] = [num, den, key, tuple(members)]
-
-    def add(w):
-        in_set[w] = 1
-        members.append(w)
-        out = 0
-        for u in nbr[w]:
-            if u < 0 or not in_set[u]:
-                out += 1
-            else:
-                out_cnt[u] -= 1
-                if out_cnt[u] == 0:
-                    state["B"] -= 1
-        out_cnt[w] = out
-        if out:
-            state["B"] += 1
-
-    def remove(w):
-        if out_cnt[w]:
-            state["B"] -= 1
-        for u in nbr[w]:
-            if u >= 0 and in_set[u] and u != w:
-                if out_cnt[u] == 0:
-                    state["B"] += 1
-                out_cnt[u] += 1
-        in_set[w] = 0
-        members.pop()
-
-    seen = bytearray(U)
-
-    def grow(candidates):
-        for i, w in enumerate(candidates):
-            state["nodes"] += 1
-            if node_budget is not None and state["nodes"] > node_budget:
-                raise BudgetError("profile_exact exceeded its node budget")
-            add(w)
-            record()
-            if len(members) < limit:
-                fresh = [u for u in nbr[w] if u >= 0 and not seen[u]]
-                for u in fresh:
-                    seen[u] = 1
-                grow(candidates[i + 1 :] + fresh)
-                for u in fresh:
-                    seen[u] = 0
-            remove(w)
-
-    seen[0] = 1
-    add(0)
-    record()
-    fresh = [u for u in nbr[0] if u >= 0 and not seen[u]]
-    for u in fresh:
-        seen[u] = 1
-    if limit > 1:
-        grow(fresh)
-    remove(0)
+    order, flat = neighbor_table(group, limit - 1)
+    budget = node_budget if node_budget is not None else 1 << 62
+    best, sets, nodes, complete = min_boundary_sets(
+        flat, len(order), len(group.labels), limit, canonical_ranks(order), budget)
+    if not complete:
+        raise BudgetError("profile_exact exceeded its node budget")
 
     points = []
     running = None
     for n in range(1, limit + 1):
-        num, den, key, idxs = best[n]
-        if den:
-            cand = (Fraction(num, den), key, idxs)
-            if running is None or (cand[0], cand[1]) < (running[0], running[1]):
-                running = cand
+        if best[n] >= 0:
+            key = tuple(sorted(order[i] for i in sets[n]))
+            if running is None or (Fraction(best[n], n), key) < running[:2]:
+                running = (Fraction(best[n], n), key, sets[n])
         witness = GroupSubset(group, [order[i] for i in running[2]])
         points.append(ProfilePoint(n, running[0], witness))
-    return ProfileResult(points, complete=(n_max <= cap))
+    return ProfileResult(points, complete=(n_max <= cap), nodes=nodes)
 
 
-@dataclass(frozen=True)
-class SubsetSearchProfile:
+class SubsetSearchProfile(Record):
     """Profile values from the unrestricted all-subsets search, no witnesses."""
 
     values: tuple
@@ -242,8 +186,7 @@ def profile_all_subsets(group, n_max, radius=None, node_budget=None):
         raise ParameterError(f"n_max must be positive, got {n_max}")
     if radius is None:
         radius = n_max - 1
-    order, nbr = neighbor_table(group, radius)
-    flat = [u for row in nbr for u in row]
+    order, flat = neighbor_table(group, radius)
     budget = node_budget if node_budget is not None else 1 << 62
     num, den, nodes, complete = subset_min_ratio(
         flat, len(order), len(group.labels), n_max, budget)

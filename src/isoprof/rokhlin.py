@@ -7,15 +7,14 @@ first) and reports the exact covered mass; disjointness is never trusted
 from construction, verify_tower_family recomputes everything from the bases.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ConfigError, MixedGroupError, ParameterError, WindowExceededError
 from .exact import format_fraction, parse_fraction
 
 
-@dataclass(frozen=True)
-class TowerFamily:
+class TowerFamily(Record):
     """Per-shape base sets with the exact covered mass."""
 
     bases: tuple
@@ -117,8 +116,7 @@ def build_towers(graphing, mt, epsilon):
     )
 
 
-@dataclass(frozen=True)
-class TowerVerification:
+class TowerVerification(Record):
     """From-scratch disjointness and coverage recheck of a claimed family."""
 
     passed: bool

@@ -15,9 +15,9 @@ of three one-dimensional interval counts, which keeps radius-36 windows
 (716,455 ball points) cheap.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (
     BudgetError,
     ConfigError,
@@ -290,38 +290,44 @@ def _scan_explicit(group, shape, centers, counts):
                 counts[p] += 1
 
 
-def _scan_shape(group, shape, centers, counts):
+def _center_test(group, centers):
+    """What the scans need to test a lattice center: the Z^d membership solver or the
+    Heisenberg axis moduli; None for an explicit center list."""
     if isinstance(centers, ExplicitCenters):
+        return None
+    if isinstance(group, ZdGroup):
+        return _zd_lattice_solver(group, centers.generators)
+    if isinstance(group, HeisenbergGroup):
+        return _heis_axis_moduli(centers.generators)
+    raise UnsupportedError("lattice center sets are supported on Z^d and Heisenberg only")
+
+
+def _scan_shape(group, shape, centers, test, counts):
+    if test is None:
         _scan_explicit(group, shape, centers, counts)
     elif isinstance(group, ZdGroup):
-        contains = _zd_lattice_solver(group, centers.generators)
-        _scan_lattice_zd(group, shape, contains, counts)
-    elif isinstance(group, HeisenbergGroup):
-        moduli = _heis_axis_moduli(centers.generators)
-        _scan_lattice_heis(group, shape, moduli, counts)
+        _scan_lattice_zd(group, shape, test, counts)
     else:
-        raise UnsupportedError("lattice center sets are supported on Z^d and Heisenberg only")
+        _scan_lattice_heis(group, shape, test, counts)
 
 
-def _hits_at_point(mt, w):
+def _hits_at_point(mt, tests, w):
     """All (shape index, center) pairs whose translate contains the point w."""
     group = mt.group
     mul = group._mul_raw
     hits = []
-    for i, (shape, centers) in enumerate(zip(mt.shapes, mt.centers)):
-        if isinstance(centers, ExplicitCenters):
+    for i, (shape, centers, test) in enumerate(zip(mt.shapes, mt.centers, tests)):
+        if test is None:
             for c in centers.elements:
                 if mul(w, group.inverse(c)) in shape:
                     hits.append((i, c))
         elif isinstance(group, ZdGroup):
-            contains = _zd_lattice_solver(group, centers.generators)
             for t in shape:
                 c = tuple(a - b for a, b in zip(w, t))
-                if contains(c):
+                if test(c):
                     hits.append((i, c))
         else:
-            moduli = _heis_axis_moduli(centers.generators)
-            m1, m2, m3 = moduli
+            m1, m2, m3 = test
             for t in shape:
                 c = mul(group.inverse(t), w)
                 if c[0] % m1 == 0 and c[1] % m2 == 0 and c[2] % m3 == 0:
@@ -329,8 +335,7 @@ def _hits_at_point(mt, w):
     return hits
 
 
-@dataclass(frozen=True)
-class TileVerification:
+class TileVerification(Record):
     """Windowed partition certificate: disjoint on ball(R), covered on ball(R - margin)."""
 
     passed: bool
@@ -360,8 +365,10 @@ def verify_multitile_window(mt, window_radius):
         )
     window = group.ball(R)
     counts = dict.fromkeys(window, 0)
+    tests = []
     for shape, centers in zip(mt.shapes, mt.centers):
-        _scan_shape(group, shape, centers, counts)
+        tests.append(_center_test(group, centers))
+        _scan_shape(group, shape, centers, tests[-1], counts)
 
     region_radius = R - margin
     region = group.ball(region_radius)  # a prefix of the window, in the same order
@@ -374,7 +381,7 @@ def verify_multitile_window(mt, window_radius):
             collision_points.append(w)
             if len(collision_points) == 5:
                 break
-    collisions = tuple((w, tuple(_hits_at_point(mt, w))) for w in collision_points)
+    collisions = tuple((w, tuple(_hits_at_point(mt, tests, w))) for w in collision_points)
 
     disjoint = not collision_points
     covered = not uncovered
@@ -394,8 +401,7 @@ def verify_multitile_window(mt, window_radius):
     )
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Record):
     """|KT delta T| / |T| against a target epsilon."""
 
     K: GroupSubset

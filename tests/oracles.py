@@ -195,14 +195,37 @@ def action_profile_oracle(graphing, n_max=None):
     return out
 
 
-def cycle_marking(m, weights, steps, group=None):
-    """The same m points shifted by each step, marked by the step set."""
-    from isoprof import MeasuredGraphing, ZdGroup
-
-    group = group or ZdGroup(1, generators=[(s,) for s in steps])
-    maps = {group.labels[i]: [(v + steps[i]) % m for v in range(m)]
-            for i in range(len(steps))}
-    return MeasuredGraphing(group, weights, maps, 0)
+def connected_profile_oracle(group, n_max):
+    """Per n <= n_max, the least (|inner boundary| / |F|, sorted F) over connected F
+    containing the identity with |F| <= n, by checking every subset of ball(n - 1)."""
+    gens = [group.generator(lab) for lab in group.labels]
+    identity = group.identity
+    others = [g for g in group.ball(n_max - 1) if g != identity]
+    best = [None] * (n_max + 1)
+    for r in range(n_max):
+        for rest in combinations(others, r):
+            F = {identity, *rest}
+            reached, todo = {identity}, [identity]
+            while todo:
+                g = todo.pop()
+                for s in gens:
+                    h = group.multiply(s, g)
+                    if h in F and h not in reached:
+                        reached.add(h)
+                        todo.append(h)
+            if reached != F:
+                continue
+            bdry = sum(1 for g in F if any(group.multiply(s, g) not in F for s in gens))
+            cand = (Fraction(bdry, len(F)), tuple(sorted(F)))
+            if best[len(F)] is None or cand < best[len(F)]:
+                best[len(F)] = cand
+    out = []
+    for n in range(1, n_max + 1):
+        if best[n] is not None and (not out or best[n] < out[-1]):
+            out.append(best[n])
+        else:
+            out.append(out[-1])
+    return out
 
 
 def random_graphing(rng, n_vertices, d=1, hole_prob=Fraction(1, 5), uniform=False):

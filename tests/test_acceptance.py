@@ -35,11 +35,10 @@ from isoprof import (
     verify_tower_family,
     zd_cube,
 )
-from isoprof.bounds import suite_lower_bound, suite_tiling_upper
+from isoprof.bounds import cycle_with_marking, suite_lower_bound, suite_tiling_upper
 
 from oracles import (
     action_profile_oracle,
-    cycle_marking,
     heisenberg_cuboid_boundary,
     random_graphing,
     random_partition,
@@ -260,7 +259,7 @@ def test_holder_containment(capsys):
     for i in range(100):
         m = rng.randint(6, 16)
         g1 = build_torus_action(1, m)
-        g2 = cycle_marking(m, g1.weights, [1, -1, 2, -2])
+        g2 = cycle_with_marking(m, g1.weights, [1, -1, 2, -2])
         n_bound = rng.randint(1, m)
         cells = random_partition(rng, m, n_bound)
         rep = generating_set_containment(

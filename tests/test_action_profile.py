@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isoprof import _kernels
 from isoprof import (
     BoundedPartition,
     MeasuredGraphing,
@@ -179,6 +181,42 @@ class TestProfileExact:
             res = profile_action_exact(g, n)
             assert res.method == "exhaustive" and res.optimal
             assert res.value == oracle[n - 1]
+
+    def test_exhaustive_nodes_count_the_connected_cells(self):
+        # on the 8-cycle every arc of 2..7 vertices is grown once, from its first vertex
+        g = build_torus_action(1, 8)
+        assert [profile_action_exact(g, n).nodes for n in range(1, 8)] == \
+            [8 * (n - 1) for n in range(1, 8)]
+
+    def test_exhaustive_route_is_backend_independent(self, monkeypatch):
+        rng = random.Random(17)
+        graphings = [build_torus_action(2, 3), build_torus_action(1, 12),
+                     build_weighted_cycle(14, [Fraction(1 + i % 4, 33) for i in range(14)])]
+        graphings += [random_graphing(rng, rng.randint(2, 12), d=rng.choice([1, 2]),
+                                      hole_prob=Fraction(1, 4)) for _ in range(10)]
+
+        def results():
+            return [(r.value, r.partition, r.nodes) for g in graphings for n in range(1, 6)
+                    for r in [profile_action_exact(g, n, method="exhaustive")]]
+
+        default = results()
+        monkeypatch.setattr(_kernels, "_core", None)
+        assert results() == default
+
+    def test_weights_beyond_int64_take_the_pure_dp(self):
+        # the lcm of the denominators exceeds 2**62, so the scaled weights do
+        # not fit the compiled DP
+        p, q = (1 << 40) + 15, (1 << 41) + 21
+        weights = [Fraction(1, p), Fraction(1, q), Fraction(1, 3)]
+        weights += [1 - sum(weights)]
+        g = MeasuredGraphing(ZdGroup(1), weights, {"1": [1, 2, 3, 0], "-1": [3, 0, 1, 2]}, 0)
+        assert lcm(p, q, 3) > 1 << 62
+        oracle = action_profile_oracle(g)
+        for n in range(1, 5):
+            a = profile_action_exact(g, n, method="exhaustive")
+            b = profile_action_exact(g, n, method="bnb")
+            assert a.method == "exhaustive" and a.value == b.value == oracle[n - 1]
+            assert boundary_mass(g, a.partition).mass == a.value
 
     def test_bnb_agrees_with_exhaustive(self):
         g = build_torus_action(1, 8)

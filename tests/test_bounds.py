@@ -6,6 +6,7 @@ import pytest
 
 from isoprof import (
     BoundedPartition,
+    MeasuredGraphing,
     ZdGroup,
     build_torus_action,
     build_weighted_cycle,
@@ -17,14 +18,14 @@ from isoprof import (
     positivity_check,
     profile_exact,
 )
-from isoprof.bounds import SUITES
+from isoprof import bounds
+from isoprof.bounds import SUITES, cycle_with_marking
 from isoprof.errors import (
     NotApplicableError,
     ParameterError,
     UnsupportedError,
     WindowExceededError,
 )
-from oracles import cycle_marking
 
 
 class TestLowerBound:
@@ -74,7 +75,7 @@ class TestTilingUpperBound:
 class TestContainment:
     def test_double_step_marking_is_contained(self):
         g1 = build_torus_action(1, 12)
-        g2 = cycle_marking(12, g1.weights, [1, -1, 2, -2])
+        g2 = cycle_with_marking(12, g1.weights, [1, -1, 2, -2])
         p = BoundedPartition(g1, [range(6), range(6, 12)], 6)
         rep = generating_set_containment(g1, g2, p)
         assert rep.contained and rep.k == 2
@@ -85,7 +86,10 @@ class TestContainment:
         # a graphing whose "+1" really shifts by five: the coarse boundary
         # escapes the k=1 translate union and the check says so
         g1 = build_torus_action(1, 12)
-        g2 = cycle_marking(12, g1.weights, [5, -5], group=ZdGroup(1))
+        g2 = MeasuredGraphing(ZdGroup(1), g1.weights, {
+            "1": [(v + 5) % 12 for v in range(12)],
+            "-1": [(v - 5) % 12 for v in range(12)],
+        }, 0)
         p = BoundedPartition(g1, [range(6), range(6, 12)], 6)
         rep = generating_set_containment(g1, g2, p)
         assert not rep.contained and rep.k == 1
@@ -94,7 +98,7 @@ class TestContainment:
 
     def test_partition_ownership(self):
         g1 = build_torus_action(1, 12)
-        g2 = cycle_marking(12, g1.weights, [1, -1, 2, -2])
+        g2 = cycle_with_marking(12, g1.weights, [1, -1, 2, -2])
         p = BoundedPartition(g2, [range(6), range(6, 12)], 6)
         with pytest.raises(ParameterError):
             generating_set_containment(g1, g2, p)
@@ -110,13 +114,23 @@ class TestContainment:
 class TestGeneratingSetComparison:
     def test_sup_form_on_the_pmp_cycle(self):
         g1 = build_torus_action(1, 12)
-        g2 = cycle_marking(12, g1.weights, [1, -1, 2, -2])
+        g2 = cycle_with_marking(12, g1.weights, [1, -1, 2, -2])
         chk = check_generating_set_comparison(g1, g2, 3)
         assert chk.passed
         assert chk.context["method"] == "sup"
         assert chk.context["M"] == 1  # pmp densities
         assert chk.context["C"] == 3  # words e, +1, -1
         assert chk.context["containment"] and chk.context["links"]
+
+    def test_each_boundary_is_computed_once(self, monkeypatch):
+        computed = []
+        mass = bounds.boundary_mass
+        monkeypatch.setattr(bounds, "boundary_mass",
+                            lambda g, p: computed.append(g) or mass(g, p))
+        g1 = build_torus_action(1, 12)
+        g2 = cycle_with_marking(12, g1.weights, [1, -1, 2, -2])
+        assert check_generating_set_comparison(g1, g2, 3).passed
+        assert computed == [g1, g2]
 
     def test_marking_compared_with_itself_is_tight(self):
         g1 = build_torus_action(1, 12)
@@ -128,7 +142,7 @@ class TestGeneratingSetComparison:
         raw = [Fraction(2 + (i % 3)) for i in range(8)]
         weights = [w / sum(raw) for w in raw]
         w1 = build_weighted_cycle(8, weights)
-        w2 = cycle_marking(8, w1.weights, [1, -1, 2, -2])
+        w2 = cycle_with_marking(8, w1.weights, [1, -1, 2, -2])
         chk = check_generating_set_comparison(w1, w2, 2, p=Fraction(2))
         assert chk.passed
         assert chk.context["method"] == "holder"
@@ -136,14 +150,17 @@ class TestGeneratingSetComparison:
 
     def test_holder_form_is_capped_at_one_ball_step(self):
         g1 = build_torus_action(1, 12)
-        g2 = cycle_marking(12, g1.weights, [1, -1, 3, -3])
+        g2 = cycle_with_marking(12, g1.weights, [1, -1, 3, -3])
         assert check_generating_set_comparison(g1, g2, 2).passed  # sup form is fine
         with pytest.raises(UnsupportedError):
             check_generating_set_comparison(g1, g2, 2, p=Fraction(2))
 
     def test_unbounded_marking_power_rejected(self):
         fine_group = ZdGroup(1, generators=[(2,), (-2,)], max_radius=3)
-        g1 = cycle_marking(8, [Fraction(1, 8)] * 8, [2, -2], group=fine_group)
+        g1 = MeasuredGraphing(fine_group, [Fraction(1, 8)] * 8, {
+            "2": [(v + 2) % 8 for v in range(8)],
+            "-2": [(v - 2) % 8 for v in range(8)],
+        }, 0)
         g2 = build_torus_action(1, 8)
         with pytest.raises(UnsupportedError):
             check_generating_set_comparison(g1, g2, 2)

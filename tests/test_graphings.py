@@ -24,6 +24,7 @@ from isoprof.errors import (
     StationarityError,
     UnsupportedError,
 )
+from isoprof import graphings
 from isoprof.graphings import _min_violation_depth
 from oracles import punctured, random_graphing, violation_depth_oracle
 
@@ -152,6 +153,29 @@ class TestBuilders:
         assert not g.is_pmp()
         assert g.is_transitive()
         assert g.mu([0, 1]) == Fraction(7, 10)
+
+    def test_each_graphing_walks_its_window_once(self, monkeypatch):
+        walk = graphings._min_violation_depth
+        blocks = []
+
+        def counting(group, maps, n_vertices, radius):
+            blocks.append(-(-n_vertices // graphings._BLOCK))  # one walk per block
+            return walk(group, maps, n_vertices, radius)
+
+        monkeypatch.setattr(graphings, "_min_violation_depth", counting)
+        g = build_heisenberg_quotient(8)  # 512 vertices: 8 blocks
+        assert sum(blocks) == 8
+        obj = g.to_json()
+        blocks.clear()
+        assert MeasuredGraphing.from_json(obj).free_window == g.free_window
+        assert sum(blocks) == 8  # a window the caller supplies is still checked
+        del obj["free_window"]
+        blocks.clear()
+        assert MeasuredGraphing.from_json(obj).free_window == g.free_window
+        assert sum(blocks) == 8
+        blocks.clear()
+        build_torus_action(2, 12, generators=[(1, 0), (-1, 0), (0, 1), (0, -1)])
+        assert sum(blocks) == 3
 
     def test_builder_parameter_guards(self):
         with pytest.raises(ParameterError):

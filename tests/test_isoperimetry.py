@@ -28,7 +28,7 @@ from isoprof.errors import (
     ParameterError,
     WindowTooSmallError,
 )
-from oracles import z2_profile_oracle, z_profile_oracle
+from oracles import connected_profile_oracle, z2_profile_oracle, z_profile_oracle
 
 
 def random_z2_subset(seed, size):
@@ -131,6 +131,25 @@ class TestProfileExact:
         for pt in profile_exact(ZdGroup(2), 7):
             assert boundary_ratio(pt.witness) == pt.value
             assert len(pt.witness) <= pt.n
+
+    @pytest.mark.parametrize("group, n", [
+        (ZdGroup(1), 6),
+        (ZdGroup(2), 4),
+        (ZdGroup(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)]), 4),
+        (ZdGroup(3), 4),
+        (HeisenbergGroup(), 4),
+        (HeisenbergGroup(generators=[(0, 1, 0), (-1, 0, 0), (0, -1, 0), (1, 0, 0)]), 4),
+        (FreeGroup(2), 4),
+    ])
+    def test_values_and_witnesses_match_brute_force(self, group, n):
+        points = [(pt.value, tuple(sorted(pt.witness.elements))) for pt in profile_exact(group, n)]
+        assert points == connected_profile_oracle(group, n)
+
+    def test_node_counts(self):
+        # every connected set containing the identity is one node, past the identity alone
+        assert profile_exact(ZdGroup(1), 10).nodes == sum(range(2, 11))
+        assert profile_exact(HeisenbergGroup(), 8).nodes == 93_267
+        assert profile_exact(FreeGroup(2), 8).nodes == 93_491
 
     def test_profile_is_monotone_nonincreasing(self):
         values = [pt.value for pt in profile_exact(HeisenbergGroup(), 8)]

@@ -10,7 +10,13 @@ import pytest
 
 import isoprof
 from isoprof import ZdGroup, _kernels
-from isoprof._kernels import _pure, pack_max_weight, subset_min_ratio
+from isoprof._kernels import (
+    _pure,
+    min_boundary_sets,
+    pack_max_weight,
+    partition_dp,
+    subset_min_ratio,
+)
 from isoprof.isoperimetry import neighbor_table
 
 try:
@@ -61,6 +67,61 @@ def brute_subset_min(flat, universe, s_count, n_max):
             if den[k] == 0 or bd * den[k] < num[k] * k:
                 num[k], den[k] = bd, k
     return num, den
+
+
+def rows_of(flat, s_count):
+    return [flat[v * s_count : (v + 1) * s_count] for v in range(len(flat) // s_count)]
+
+
+def brute_connected_sets(rows, root, limit):
+    """Every set with root and other members above root, at most limit members,
+    that the rows connect from root."""
+    found = set()
+    for r in range(min(limit, len(rows))):
+        for rest in itertools.combinations(range(root + 1, len(rows)), r):
+            F = {root, *rest}
+            reached, todo = {root}, [root]
+            while todo:
+                for u in rows[todo.pop()]:
+                    if u in F and u not in reached:
+                        reached.add(u)
+                        todo.append(u)
+            if reached == F:
+                found.add(frozenset(F))
+    return found
+
+
+def brute_boundary(rows, F, weights=None):
+    return sum(1 if weights is None else weights[v]
+               for v in F if any(u < 0 or u not in F for u in rows[v]))
+
+
+def brute_min_boundary(rows, ranks, limit):
+    """Per size, (boundary, sorted ranks, set) of the least connected set containing 0."""
+    best = [None] * (limit + 1)
+    for F in brute_connected_sets(rows, 0, limit):
+        cand = (brute_boundary(rows, F), sorted(ranks[v] for v in F), F)
+        if best[len(F)] is None or cand[:2] < best[len(F)][:2]:
+            best[len(F)] = cand
+    return best
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def brute_partition_cost(rows, weights, limit):
+    """Least cost over all partitions into cells of at most limit vertices."""
+    return min(sum(brute_boundary(rows, set(cell), weights) for cell in part)
+               for part in set_partitions(list(range(len(rows))))
+               if all(len(cell) <= limit for cell in part))
 
 
 def brute_pack(masks, weights, n_bound):
@@ -177,6 +238,88 @@ class TestPackKernel:
             pack_max_weight([0b1], [1], 0, BIG)
 
 
+class TestConnectedSets:
+    def test_each_connected_set_comes_once_with_its_boundary(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            V = rng.randint(1, 9)
+            s = rng.randint(1, 3)
+            rows = rows_of(random_symmetric_neighbors(rng, V, s), s)
+            weights = [rng.randint(0, 9) for _ in range(V)]
+            root, limit = rng.randrange(V), rng.randint(1, V)
+            seen = []
+
+            def visit(members, boundary):
+                F = frozenset(members)
+                assert boundary == brute_boundary(rows, F, weights)
+                seen.append(F)
+
+            nodes, complete = _pure.grow_sets(rows, rows, weights, root, limit, BIG, visit)
+            assert complete and nodes == len(seen) - 1
+            assert seen[0] == {root}
+            assert len(set(seen)) == len(seen)
+            assert set(seen) == brute_connected_sets(rows, root, limit)
+
+    def test_min_boundary_sets_match_brute_force(self):
+        rng = random.Random(42)
+        for _ in range(25):
+            V = rng.randint(1, 9)
+            s = rng.randint(1, 3)
+            flat = random_symmetric_neighbors(rng, V, s)
+            ranks = rng.sample(range(V), V)
+            limit = rng.randint(1, V + 1)
+            best, sets, nodes, complete = min_boundary_sets(flat, V, s, limit, ranks, BIG)
+            assert complete
+            want = brute_min_boundary(rows_of(flat, s), ranks, limit)
+            for k in range(1, limit + 1):
+                if want[k] is None:
+                    assert best[k] == -1 and sets[k] == ()
+                else:
+                    assert (best[k], set(sets[k])) == (want[k][0], want[k][2])
+            assert nodes == len(brute_connected_sets(rows_of(flat, s), 0, limit)) - 1
+
+    def test_min_boundary_sets_budget_truncates(self):
+        best, sets, nodes, complete = min_boundary_sets(path_neighbors(16), 16, 2, 8,
+                                                        list(range(16)), 3)
+        assert not complete and nodes == 4  # stops on the first node past the budget
+        assert best[:4] == [-1, 1, 2, 2] and sets[3] == (0, 1, 2)
+
+    def test_partition_dp_matches_brute_force(self):
+        rng = random.Random(43)
+        for _ in range(25):
+            V = rng.randint(1, 7)
+            s = rng.randint(1, 3)
+            flat = random_symmetric_neighbors(rng, V, s)
+            weights = [rng.randint(1, 9) for _ in range(V)]
+            limit = rng.randint(1, V)
+            value, cells, nodes = partition_dp(flat, V, s, weights, limit)
+            rows = rows_of(flat, s)
+            assert value == brute_partition_cost(rows, weights, limit)
+            members = [[v for v in range(V) if c >> v & 1] for c in cells]
+            assert sorted(v for cell in members for v in cell) == list(range(V))
+            assert all(1 <= len(cell) <= limit for cell in members)
+            assert value == sum(brute_boundary(rows, set(cell), weights) for cell in members)
+            grow = [[u for u in row if u >= 0] for row in rows]
+            assert nodes == sum(len(brute_connected_sets(grow, root, limit)) - 1
+                                for root in range(V))
+
+    def test_partition_dp_beyond_int64_runs_pure(self):
+        flat = path_neighbors(5)
+        weights = [1 << 62, 3, 1 << 62, 5, 1 << 61]
+        out = partition_dp(flat, 5, 2, weights, 2)
+        assert out == _pure.partition_dp(flat, 5, 2, weights, 2)
+        assert out[0] == brute_partition_cost(rows_of(flat, 2), weights, 2)
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            min_boundary_sets(path_neighbors(3), 3, 2, 2, [0, 1], BIG)  # one rank short
+        with pytest.raises(ValueError):
+            partition_dp(path_neighbors(3), 3, 2, [1, -1, 1], 2)  # negative weight
+        V = _pure.DP_MAX_VERTICES + 1
+        with pytest.raises(ValueError):
+            partition_dp(path_neighbors(V), V, 2, [1] * V, 2)
+
+
 @needs_core
 class TestBackendParity:
     def test_subset_kernel_identical_including_nodes(self):
@@ -202,6 +345,33 @@ class TestBackendParity:
                 assert _pure.pack_max_weight(masks, weights, n_bound, budget) == \
                     _core.pack_max_weight(masks, weights, n_bound, budget)
 
+    def test_min_boundary_sets_identical_including_nodes(self):
+        rng = random.Random(35)
+        for _ in range(30):
+            V = rng.randint(1, 40)
+            s = rng.randint(1, 4)
+            flat = random_symmetric_neighbors(rng, V, s)
+            ranks = rng.sample(range(V), V)
+            limit = rng.randint(1, 8)
+            for budget in (BIG, 30):
+                assert _pure.min_boundary_sets(flat, V, s, limit, ranks, budget) == \
+                    _core.min_boundary_sets(flat, V, s, limit, ranks, budget)
+
+    def test_partition_dp_identical_including_nodes(self):
+        rng = random.Random(36)
+        for _ in range(20):
+            V = rng.randint(1, 12)
+            s = rng.randint(1, 4)
+            flat = random_symmetric_neighbors(rng, V, s)
+            weights = [rng.randint(0, 1 << 40) for _ in range(V)]
+            limit = rng.randint(1, V + 2)
+            assert _pure.partition_dp(flat, V, s, weights, limit) == \
+                _core.partition_dp(flat, V, s, weights, limit)
+
+    def test_partition_dp_refuses_sums_beyond_int64(self):
+        with pytest.raises(ValueError):
+            _core.partition_dp(path_neighbors(2), 2, 2, [1 << 62, 1 << 62], 2)
+
 
 class TestLargeInstances:
     """Sizes past the recursion limit, compared through the dispatcher, which
@@ -209,8 +379,8 @@ class TestLargeInstances:
 
     def test_large_universe_runs_without_recursion_limit(self):
         # 1,159 vertices, one search depth each
-        order, nbr = neighbor_table(ZdGroup(3), 9)
-        args = ([u for row in nbr for u in row], len(order), len(nbr[0]), 10, 200_000)
+        order, flat = neighbor_table(ZdGroup(3), 9)
+        args = (flat, len(order), len(flat) // len(order), 10, 200_000)
         assert _pure.subset_min_ratio(*args) == subset_min_ratio(*args)
 
     def test_many_items_identical_including_nodes(self):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from isoprof import tilings
+
 from isoprof import (
     ExplicitCenters,
     HeisenbergGroup,
@@ -109,6 +111,20 @@ class TestZdVerification:
             assert idx == 0
             t = (point[0] - c[0],)
             assert t in {(0,), (1,), (2,)}
+
+    def test_lattice_solver_is_built_once_per_shape(self, monkeypatch):
+        # a 2x2 square over the (1,0),(0,2) lattice overlaps its translates:
+        # the five reported collisions reuse the solver the scan built
+        built = []
+        solver = tilings._zd_lattice_solver
+        monkeypatch.setattr(tilings, "_zd_lattice_solver",
+                            lambda group, gens: built.append(gens) or solver(group, gens))
+        g = ZdGroup(2)
+        mt = MultiTile([g.subset([(0, 0), (1, 0), (0, 1), (1, 1)])],
+                       [LatticeCenters([(1, 0), (0, 2)])])
+        v = verify_multitile_window(mt, 6)
+        assert len(v.collisions) == 5
+        assert len(built) == 1
 
     def test_multi_shape_tile_with_explicit_centers(self):
         # {0} on 3Z and {0,1} on 3Z+1 partition Z into blocks 0|12|3|45|...
