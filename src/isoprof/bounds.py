@@ -22,8 +22,13 @@ from .errors import (
     UnsupportedError,
     WindowExceededError,
 )
-from .exact import SqrtSum
-from .graphings import MeasuredGraphing, RNProfile, build_torus_action, build_weighted_cycle
+from .graphings import (
+    MeasuredGraphing,
+    RNProfile,
+    build_torus_action,
+    build_weighted_cycle,
+    holder_power_check,
+)
 from .groups import ZdGroup
 from .isoperimetry import profile_exact
 from .tilings import cube_tile
@@ -237,7 +242,6 @@ def check_generating_set_comparison(g1, g2, n, p=None):
         raise UnsupportedError(
             "the L^p comparison is implemented for markings within one ball step (k <= 2)"
         )
-    a, b = p.numerator, p.denominator
     links_ok = True
     for word, mass in zip(words, masses):
         values = []
@@ -246,11 +250,7 @@ def check_generating_set_comparison(g1, g2, n, p=None):
             values.append(Fraction(0) if t is None else g1.weights[t] / g1.weights[v])
         profile = RNProfile(label=",".join(word) or "e", values=tuple(values),
                             weights=g1.weights)
-        s_pow = profile.p_norm_power_sum(p)
-        # mu(wA)^a <= S^b * mu(A)^(a-b) certifies mu(wA) <= ||density||_p mu(A)^{1/q}
-        lhs_pow = SqrtSum.from_rational(mass) ** a
-        rhs_pow = s_pow**b * SqrtSum.from_rational(mu1) ** (a - b)
-        if (rhs_pow - lhs_pow).sign() < 0:
+        if not holder_power_check(mass, mu1, profile.p_norm_power_sum(p), p)[2]:
             links_ok = False
     context.update({"method": "holder", "p": p, "links": links_ok})
     passed = containment.contained and union_ok and links_ok and mu2 <= union_sum

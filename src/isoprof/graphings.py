@@ -66,6 +66,8 @@ def _min_violation_depth(group, maps, n_vertices, radius):
                         return depth
                     seen.add(state)
                     nxt.append((g, img, lab))
+            if not nxt:  # no state is left to extend, so no longer word fixes a vertex
+                return None
             frontier = nxt
 
     best = None
@@ -348,6 +350,19 @@ class HolderBound(Record):
     identity_holds: bool
 
 
+def holder_power_check(mu_image, mu_A, norm_power_sum, p):
+    """The power trick behind mu(image) <= ||density||_p * mu(A)^(1/q), 1/p + 1/q = 1.
+
+    With p = a/b and S = ||density||_p^p, both sides raised to the power a give
+    mu(image)^a <= S^b * mu(A)^(a-b), a comparison in Q with square roots that
+    is decided exactly.  Returns (lhs power, rhs power, whether it holds).
+    """
+    a, b = p.numerator, p.denominator
+    lhs_power = mu_image**a
+    rhs_power = norm_power_sum**b * SqrtSum.from_rational(mu_A ** (a - b))
+    return lhs_power, rhs_power, (rhs_power - SqrtSum.from_rational(lhs_power)).sign() >= 0
+
+
 def holder_pushforward_bound(graphing, label, A, p):
     """Certify mu(sA) <= ||RN_{s^-1}||_p * mu(A)^{1/q} with 1/p + 1/q = 1.
 
@@ -360,8 +375,7 @@ def holder_pushforward_bound(graphing, label, A, p):
     p = Fraction(p)
     if p <= 1:
         raise ParameterError(f"Holder exponent must exceed 1, got {p}")
-    a, b = p.numerator, p.denominator
-    if b not in (1, 2):
+    if p.denominator not in (1, 2):
         raise UnsupportedError(
             f"exact comparison supports p with denominator 1 or 2, got {p}"
         )
@@ -387,9 +401,7 @@ def holder_pushforward_bound(graphing, label, A, p):
     )
     identity_holds = integral == mu_sA
     s_pow = profile.p_norm_power_sum(p)
-    lhs_power = mu_sA**a
-    rhs_power = s_pow**b * SqrtSum.from_rational(mu_A ** (a - b))
-    passed = (rhs_power - SqrtSum.from_rational(lhs_power)).sign() >= 0
+    lhs_power, rhs_power, passed = holder_power_check(mu_sA, mu_A, s_pow, p)
     return HolderBound(
         label=label,
         p=p,

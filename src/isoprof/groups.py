@@ -193,27 +193,23 @@ class MarkedGroup:
             self._bfs_extend(radius)
             radius += 1
 
-    def sphere(self, radius):
-        """Elements of word norm exactly radius, sorted."""
+    def _cached_spheres(self, radius):
+        """The BFS cache's spheres of radius 0..radius; shared lists, not copies."""
         if radius < 0:
             raise ParameterError("radius must be nonnegative")
         if radius > self.max_radius:
             raise RadiusExceededError(f"radius {radius} exceeds max_radius={self.max_radius}")
         self._bfs_extend(radius)
-        if radius >= len(self._spheres):
-            return []
-        return list(self._spheres[radius])
+        return self._spheres[:radius + 1]
+
+    def sphere(self, radius):
+        """Elements of word norm exactly radius, sorted."""
+        spheres = self._cached_spheres(radius)
+        return list(spheres[radius]) if radius < len(spheres) else []
 
     def ball(self, radius):
         """GroupSubset of all elements with word norm <= radius, in (norm, tuple) order."""
-        if radius < 0:
-            raise ParameterError("radius must be nonnegative")
-        if radius > self.max_radius:
-            raise RadiusExceededError(f"radius {radius} exceeds max_radius={self.max_radius}")
-        self._bfs_extend(radius)
-        ordered = []
-        for r in range(min(radius, len(self._spheres) - 1) + 1):
-            ordered.extend(self._spheres[r])
+        ordered = [g for sphere in self._cached_spheres(radius) for g in sphere]
         return GroupSubset(self, ordered, ordered=ordered)
 
     def geodesic_word(self, g):
@@ -255,31 +251,64 @@ def _vector_labels(vectors):
     return [",".join(str(c) for c in v) for v in vectors]
 
 
-class ZdGroup(MarkedGroup):
+class _TupleGroup(MarkedGroup):
+    """Z^d and Heisenberg: elements are integer tuples of one length, written as
+    coordinate lists; generators are the standard ones or parsed vectors."""
+
+    _bad_generator = _not_element = ""  # message formats, set per subclass
+
+    def __init__(self, length, generators, standard, max_radius, labels=None):
+        self._length = length
+        self._standard = generators is None
+        if self._standard:
+            gens = standard
+        else:
+            gens = []
+            for v in generators:
+                v = tuple(int(c) for c in v)
+                if len(v) != length:
+                    raise ConfigError(self._bad_generator.format(v=v, n=length))
+                gens.append(v)
+            labels = None
+        super().__init__(labels or _vector_labels(gens), gens, max_radius=max_radius)
+
+    def validate_element(self, g):
+        if not (isinstance(g, tuple) and len(g) == self._length
+                and all(isinstance(c, int) for c in g)):
+            raise MixedGroupError(self._not_element.format(g=g, n=self._length))
+
+    def element_str(self, g):
+        return "(" + ",".join(str(c) for c in g) + ")"
+
+    def element_to_json(self, g):
+        self.validate_element(g)
+        return list(g)
+
+    def element_from_json(self, obj):
+        if not isinstance(obj, list):
+            raise ConfigError(f"expected a coordinate list, got {obj!r}")
+        try:
+            g = tuple(int(c) for c in obj)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad coordinates {obj!r}") from exc
+        self.validate_element(g)
+        return g
+
+
+class ZdGroup(_TupleGroup):
     """Z^d with coordinatewise addition; default generators are the signed unit vectors."""
 
     kind = "Zd"
+    _bad_generator = "generator {v} does not have length {n}"
+    _not_element = "{g!r} is not an element of Z^{n}"
 
     def __init__(self, d, generators=None, max_radius=64):
         if int(d) < 1:
             raise ParameterError(f"dimension must be positive, got {d}")
         self.d = int(d)
-        if generators is None:
-            gens = []
-            for i in range(self.d):
-                e = tuple(1 if j == i else 0 for j in range(self.d))
-                gens.append(e)
-                gens.append(tuple(-c for c in e))
-            self._standard = True
-        else:
-            gens = []
-            for v in generators:
-                v = tuple(int(c) for c in v)
-                if len(v) != self.d:
-                    raise ConfigError(f"generator {v} does not have length {d}")
-                gens.append(v)
-            self._standard = False
-        super().__init__(_vector_labels(gens), gens, max_radius=max_radius)
+        units = [tuple(s if j == i else 0 for j in range(self.d))
+                 for i in range(self.d) for s in (1, -1)] if generators is None else None
+        super().__init__(self.d, generators, units, max_radius)
 
     @property
     def identity(self):
@@ -301,56 +330,25 @@ class ZdGroup(MarkedGroup):
             return lambda g: (g[0] + c0, g[1] + c1)
         return lambda g: tuple(a + b for a, b in zip(s, g))
 
-    def validate_element(self, g):
-        if not (isinstance(g, tuple) and len(g) == self.d and all(isinstance(c, int) for c in g)):
-            raise MixedGroupError(f"{g!r} is not an element of Z^{self.d}")
-
     def _norm_closed(self, g):
         if self._standard:
             return sum(abs(c) for c in g)
         return None
 
-    def element_str(self, g):
-        return "(" + ",".join(str(c) for c in g) + ")"
-
-    def element_to_json(self, g):
-        self.validate_element(g)
-        return list(g)
-
-    def element_from_json(self, obj):
-        if not isinstance(obj, list):
-            raise ConfigError(f"expected a coordinate list, got {obj!r}")
-        try:
-            g = tuple(int(c) for c in obj)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad coordinates {obj!r}") from exc
-        self.validate_element(g)
-        return g
-
     def descriptor(self):
         return ("Zd", self.d, self.generators)
 
 
-class HeisenbergGroup(MarkedGroup):
+class HeisenbergGroup(_TupleGroup):
     """Integer Heisenberg group on triples (a, b, c) with (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b')."""
 
     kind = "Heisenberg"
+    _bad_generator = "generator {v} is not a triple"
+    _not_element = "{g!r} is not a Heisenberg triple"
 
     def __init__(self, generators=None, max_radius=64):
-        if generators is None:
-            gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-            labels = ["x", "X", "y", "Y"]
-            self._standard = True
-        else:
-            gens = []
-            for v in generators:
-                v = tuple(int(c) for c in v)
-                if len(v) != 3:
-                    raise ConfigError(f"generator {v} is not a triple")
-                gens.append(v)
-            labels = _vector_labels(gens)
-            self._standard = False
-        super().__init__(labels, gens, max_radius=max_radius)
+        super().__init__(3, generators, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
+                         max_radius, labels=["x", "X", "y", "Y"])
 
     @property
     def identity(self):
@@ -366,27 +364,6 @@ class HeisenbergGroup(MarkedGroup):
     def _left_action(self, s):
         p, q, r = s
         return lambda g: (p + g[0], q + g[1], r + g[2] + p * g[1])
-
-    def validate_element(self, g):
-        if not (isinstance(g, tuple) and len(g) == 3 and all(isinstance(c, int) for c in g)):
-            raise MixedGroupError(f"{g!r} is not a Heisenberg triple")
-
-    def element_str(self, g):
-        return "(" + ",".join(str(c) for c in g) + ")"
-
-    def element_to_json(self, g):
-        self.validate_element(g)
-        return list(g)
-
-    def element_from_json(self, obj):
-        if not isinstance(obj, list):
-            raise ConfigError(f"expected a coordinate list, got {obj!r}")
-        try:
-            g = tuple(int(c) for c in obj)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad coordinates {obj!r}") from exc
-        self.validate_element(g)
-        return g
 
     def descriptor(self):
         return ("Heisenberg", self.generators)
@@ -477,18 +454,15 @@ class FreeGroup(MarkedGroup):
 
 def group_to_json(group):
     """JSON-ready description of a marked group."""
-    if isinstance(group, ZdGroup):
-        obj = {"kind": "Zd", "d": group.d}
-        if not group._standard:
-            obj["generators"] = [list(g) for g in group.generators]
-        return obj
-    if isinstance(group, HeisenbergGroup):
-        obj = {"kind": "Heisenberg"}
-        if not group._standard:
-            obj["generators"] = [list(g) for g in group.generators]
-        return obj
     if isinstance(group, FreeGroup):
         return {"kind": "Free", "rank": group.rank}
+    if isinstance(group, _TupleGroup):
+        obj = {"kind": group.kind}
+        if isinstance(group, ZdGroup):
+            obj["d"] = group.d
+        if not group._standard:
+            obj["generators"] = [list(g) for g in group.generators]
+        return obj
     raise UnsupportedError(f"cannot serialize group {group!r}")
 
 

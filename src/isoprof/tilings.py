@@ -5,17 +5,24 @@ per-shape center sets C_i; the claim is that {T_i * c : c in C_i} partitions
 the group.  The full claim is not finitely checkable, so verification runs on
 a window: disjointness of translates is checked on all of ball(R), and
 coverage on ball(R - margin) where margin is the largest shape diameter,
-which removes edge effects near the window boundary.
+which removes edge effects near the window boundary.  The window is read
+sphere by sphere from the group's BFS cache into a dict of cover counts, and
+the region is a prefix of it.
 
-The scan never enumerates center sets globally.  A window point w lies in
-T * c exactly when w * c^{-1} lands in T, so the candidate centers for w are
-{t^{-1} w : t in T} intersected with the center set; for box-shaped
-Heisenberg shapes with axis-aligned lattice moduli the candidates come out
-of three one-dimensional interval counts, which keeps radius-36 windows
-(716,455 ball points) cheap.
+The scan never enumerates lattice center sets.  A window point w lies in
+T * c exactly when c = t^{-1} w for some t in T, so one gather function lists
+the centers over w: the candidates t^{-1} w that pass the lattice's membership
+test (integer rows mod D on Z^d, axis moduli on Heisenberg), or the explicit
+centers c with w c^{-1} in T.  It serves the collision report and the lattice
+count scan; explicit centers are scattered instead, and box-shaped Heisenberg
+shapes over axis moduli count their centers with one-dimensional interval
+counts, which keeps radius-36 windows (716,455 ball points) cheap.
 """
 
+import operator
 from fractions import Fraction
+from itertools import islice
+from math import lcm
 
 from ._record import Record
 from .errors import (
@@ -124,6 +131,8 @@ class MultiTile:
         for cs in centers:
             if not isinstance(cs, (ExplicitCenters, LatticeCenters)):
                 raise ParameterError("centers must be ExplicitCenters or LatticeCenters")
+            for c in cs.elements if isinstance(cs, ExplicitCenters) else cs.generators:
+                group.validate_element(c)
         self.group = group
         self.shapes = shapes
         self.centers = centers
@@ -162,7 +171,9 @@ def multitile_from_json(group, obj):
 
 
 def _zd_lattice_solver(group, gens):
-    """Membership test for the lattice spanned by d integer vectors in Z^d."""
+    """Membership test for the lattice spanned by d integer vectors in Z^d: with D
+    the lcm of the denominators of L^-1 (L has the generators as columns), c is
+    in the lattice iff each row of the integer matrix D * L^-1 dots c to 0 mod D."""
     d = group.d
     if len(gens) != d:
         raise UnsupportedError(
@@ -184,12 +195,11 @@ def _zd_lattice_solver(group, gens):
                 f = mat[r][col]
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    D = lcm(*(x.denominator for row in inv for x in row))
+    rows = [[int(x * D) for x in row] for row in inv]
 
     def contains(vec):
-        for row in inv:
-            if sum(f * c for f, c in zip(row, vec)).denominator != 1:
-                return False
-        return True
+        return all(sum(map(operator.mul, row, vec)) % D == 0 for row in rows)
 
     return contains
 
@@ -211,6 +221,30 @@ def _heis_axis_moduli(gens):
     return tuple(mods)
 
 
+def _center_test(group, centers):
+    """Membership predicate of a lattice center set: the Z^d solver, or the
+    Heisenberg axis moduli applied coordinatewise."""
+    if isinstance(group, ZdGroup):
+        return _zd_lattice_solver(group, centers.generators)
+    if isinstance(group, HeisenbergGroup):
+        m1, m2, m3 = _heis_axis_moduli(centers.generators)
+        return lambda c: c[0] % m1 == 0 and c[1] % m2 == 0 and c[2] % m3 == 0
+    raise UnsupportedError("lattice center sets are supported on Z^d and Heisenberg only")
+
+
+def _gatherer(group, shape, centers):
+    """The function listing, for a point w, the centers c with w in shape * c: the
+    explicit c with w * c^-1 in the shape, or the t^-1 * w (t in the shape) that
+    pass the lattice test, which is built once here."""
+    mul = group._mul_raw
+    if isinstance(centers, ExplicitCenters):
+        pairs = [(c, group.inverse(c)) for c in centers.elements]
+        return lambda w: [c for c, ci in pairs if mul(w, ci) in shape]
+    test = _center_test(group, centers)
+    invs = [group.inverse(t) for t in shape]
+    return lambda w: [c for c in (mul(ti, w) for ti in invs) if test(c)]
+
+
 def _shape_box(shape):
     """The coordinate box of a Heisenberg shape, or None if the shape is not a full box."""
     pts = list(shape)
@@ -224,115 +258,45 @@ def _shape_box(shape):
     return lo, hi
 
 
-def _count_multiples(lo, hi, m):
-    """How many multiples of m lie in [lo, hi]."""
-    if hi < lo:
-        return 0
-    return hi // m - (lo - 1) // m
-
-
 def _multiples(lo, hi, m):
     first = -((-lo) // m) * m
     return range(first, hi + 1, m)
 
 
-def _scan_lattice_zd(group, shape, contains, counts):
-    if len(counts) * len(shape) > SCAN_BUDGET:
-        raise BudgetError("lattice window scan too large")
-    pts = list(shape)
-    for w in counts:
-        hits = 0
-        for t in pts:
-            if contains(tuple(a - b for a, b in zip(w, t))):
-                hits += 1
-        if hits:
-            counts[w] += hits
-
-
-def _scan_lattice_heis(group, shape, moduli, counts):
-    m1, m2, m3 = moduli
-    box = _shape_box(shape)
-    if box is not None:
-        (lo1, lo2, lo3), (hi1, hi2, hi3) = box
+def _scan_shape(group, shape, centers, gather, counts):
+    """Add to each counts[w] the number of translates shape * c, c a center, containing w."""
+    if isinstance(centers, ExplicitCenters):
+        if len(centers.elements) * len(shape) > SCAN_BUDGET:
+            raise BudgetError("explicit center scatter too large")
+        mul = group._mul_raw
+        for c in centers.elements:
+            for t in shape:
+                p = mul(t, c)
+                if p in counts:
+                    counts[p] += 1
+        return
+    box = _shape_box(shape) if isinstance(group, HeisenbergGroup) else None
+    if box is None:
+        if len(counts) * len(shape) > SCAN_BUDGET:
+            raise BudgetError("lattice window scan too large")
         for w in counts:
-            a, b, c = w
-            hits = 0
-            for g1 in _multiples(a - hi1, a - lo1, m1):
-                for g2 in _multiples(b - hi2, b - lo2, m2):
-                    base = c + g1 * g2 - a * g2
-                    hits += _count_multiples(base - hi3, base - lo3, m3)
+            hits = len(gather(w))
             if hits:
                 counts[w] += hits
         return
-    if len(counts) * len(shape) > SCAN_BUDGET:
-        raise BudgetError("non-box Heisenberg shape: window scan too large")
-    invs = [group.inverse(t) for t in shape]
-    mul = group._mul_raw
+    # a box shape over axis moduli: per (g1, g2), the fitting c-multiples of m3
+    # fill one interval, so each point costs a few divisions
+    (lo1, lo2, lo3), (hi1, hi2, hi3) = box
+    m1, m2, m3 = _heis_axis_moduli(centers.generators)
     for w in counts:
+        a, b, c = w
         hits = 0
-        for ti in invs:
-            c = mul(ti, w)
-            if c[0] % m1 == 0 and c[1] % m2 == 0 and c[2] % m3 == 0:
-                hits += 1
+        for g1 in _multiples(a - hi1, a - lo1, m1):
+            for g2 in _multiples(b - hi2, b - lo2, m2):
+                base = c + g1 * g2 - a * g2
+                hits += (base - lo3) // m3 - (base - hi3 - 1) // m3
         if hits:
             counts[w] += hits
-
-
-def _scan_explicit(group, shape, centers, counts):
-    if len(centers.elements) * len(shape) > SCAN_BUDGET:
-        raise BudgetError("explicit center scatter too large")
-    mul = group._mul_raw
-    for c in centers.elements:
-        group.validate_element(c)
-        for t in shape:
-            p = mul(t, c)
-            if p in counts:
-                counts[p] += 1
-
-
-def _center_test(group, centers):
-    """What the scans need to test a lattice center: the Z^d membership solver or the
-    Heisenberg axis moduli; None for an explicit center list."""
-    if isinstance(centers, ExplicitCenters):
-        return None
-    if isinstance(group, ZdGroup):
-        return _zd_lattice_solver(group, centers.generators)
-    if isinstance(group, HeisenbergGroup):
-        return _heis_axis_moduli(centers.generators)
-    raise UnsupportedError("lattice center sets are supported on Z^d and Heisenberg only")
-
-
-def _scan_shape(group, shape, centers, test, counts):
-    if test is None:
-        _scan_explicit(group, shape, centers, counts)
-    elif isinstance(group, ZdGroup):
-        _scan_lattice_zd(group, shape, test, counts)
-    else:
-        _scan_lattice_heis(group, shape, test, counts)
-
-
-def _hits_at_point(mt, tests, w):
-    """All (shape index, center) pairs whose translate contains the point w."""
-    group = mt.group
-    mul = group._mul_raw
-    hits = []
-    for i, (shape, centers, test) in enumerate(zip(mt.shapes, mt.centers, tests)):
-        if test is None:
-            for c in centers.elements:
-                if mul(w, group.inverse(c)) in shape:
-                    hits.append((i, c))
-        elif isinstance(group, ZdGroup):
-            for t in shape:
-                c = tuple(a - b for a, b in zip(w, t))
-                if test(c):
-                    hits.append((i, c))
-        else:
-            m1, m2, m3 = test
-            for t in shape:
-                c = mul(group.inverse(t), w)
-                if c[0] % m1 == 0 and c[1] % m2 == 0 and c[2] % m3 == 0:
-                    hits.append((i, c))
-    return hits
 
 
 class TileVerification(Record):
@@ -363,25 +327,27 @@ def verify_multitile_window(mt, window_radius):
         raise WindowTooSmallError(
             f"window radius {R} is smaller than the largest shape diameter {margin}"
         )
-    window = group.ball(R)
-    counts = dict.fromkeys(window, 0)
-    tests = []
-    for shape, centers in zip(mt.shapes, mt.centers):
-        tests.append(_center_test(group, centers))
-        _scan_shape(group, shape, centers, tests[-1], counts)
-
     region_radius = R - margin
-    region = group.ball(region_radius)  # a prefix of the window, in the same order
-    covered_count = sum(1 for w in region if counts[w] > 0)
-    uncovered = [w for w in region if counts[w] == 0][:5]
+    # the window in (norm, tuple) order; the region ball(R - margin) is a prefix
+    spheres = group._cached_spheres(R)
+    counts = {w: 0 for sphere in spheres for w in sphere}
+    region_size = sum(map(len, spheres[:region_radius + 1]))
+    gathers = []
+    for shape, centers in zip(mt.shapes, mt.centers):
+        gathers.append(_gatherer(group, shape, centers))
+        _scan_shape(group, shape, centers, gathers[-1], counts)
 
-    collision_points = []
-    for w in window:
-        if counts[w] > 1:
-            collision_points.append(w)
-            if len(collision_points) == 5:
-                break
-    collisions = tuple((w, tuple(_hits_at_point(mt, tests, w))) for w in collision_points)
+    covered_count, uncovered = 0, []
+    for w, hits in islice(counts.items(), region_size):
+        if hits:
+            covered_count += 1
+        elif len(uncovered) < 5:
+            uncovered.append(w)
+    collision_points = list(islice((w for w, hits in counts.items() if hits > 1), 5))
+    collisions = tuple(
+        (w, tuple((i, c) for i, gather in enumerate(gathers) for c in gather(w)))
+        for w in collision_points
+    )
 
     disjoint = not collision_points
     covered = not uncovered
@@ -392,10 +358,10 @@ def verify_multitile_window(mt, window_radius):
         window_radius=R,
         margin=margin,
         region_radius=region_radius,
-        window_size=len(window),
-        region_size=len(region),
+        window_size=len(counts),
+        region_size=region_size,
         covered_count=covered_count,
-        density=Fraction(sum(counts.values()), len(window)),
+        density=Fraction(sum(counts.values()), len(counts)),
         collisions=collisions,
         uncovered=tuple(uncovered),
     )

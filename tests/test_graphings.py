@@ -1,6 +1,7 @@
 """Measured graphings: validation, builders, RN profiles, Holder and stationary bounds."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,27 @@ class TestFreeWindow:
     def test_large_window_builds(self):
         # a walk over words would take 4 * 3**15 words of length 16
         assert build_torus_action(2, 34).free_window == 16
+
+    def test_huge_declared_window_stops_when_no_state_is_left(self):
+        # on a path every word runs off the end within 3 steps; the walk must
+        # stop there, not count depths up to the declared window
+        path = {"vertices": 3, "weights": ["1/3"] * 3, "maps": {"1": [1, 2, None], "-1": [None, 0, 1]},
+                "group": {"kind": "Zd", "d": 1}, "free_window": 10**12}
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the free-window walk did not stop")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        try:
+            assert MeasuredGraphing.from_json(path).free_window == 10**12
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        torus = build_torus_action(1, 5).to_json()
+        torus["free_window"] = 10**12
+        with pytest.raises(ConfigError, match="a word of length 5 fixes a vertex"):
+            MeasuredGraphing.from_json(torus)
 
 
 class TestBuilders:

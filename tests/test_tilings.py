@@ -1,6 +1,8 @@
 """Multi-tile windowed verification, center-set handling, invariance."""
 
+import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -67,6 +69,15 @@ class TestMultiTileValidation:
                 [ZdGroup(1).subset([(0,)]), ZdGroup(2).subset([(0, 0)])],
                 [LatticeCenters([(1,)]), LatticeCenters([(1, 0), (0, 1)])],
             )
+
+    @pytest.mark.parametrize("centers", [
+        LatticeCenters([(2, 0, 7), (0, 2, 9)]),
+        LatticeCenters([(2,), (2,)]),
+        ExplicitCenters([(0, 0), (1,)]),
+    ])
+    def test_centers_of_the_wrong_dimension_rejected(self, centers):
+        with pytest.raises(MixedGroupError):
+            MultiTile([zd_cube(ZdGroup(2), 2)], [centers])
 
 
 class TestZdVerification:
@@ -159,6 +170,54 @@ class TestZdVerification:
         mt = MultiTile([zd_cube(g, 2)], [LatticeCenters([(2, 0), (4, 0)])])
         with pytest.raises(ConfigError):
             verify_multitile_window(mt, 6)
+
+
+def _det(rows):
+    """Leibniz determinant of a small integer matrix."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i))
+        term = sign
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+class TestScanPaths:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_integer_lattice_test_matches_brute_force(self, seed):
+        # L contains |det L| * Z^d, so membership is decided mod |det L|, where
+        # every integer vector k can be tried up to that modulus
+        rng = random.Random(seed)
+        d = 2 + seed % 2
+        while True:
+            gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
+            det = _det([[g[i] for g in gens] for i in range(d)])
+            if det and (seed < 10) == (det < 0):
+                break
+        m = abs(det)
+        residues = {tuple(sum(g[i] * k for g, k in zip(gens, ks)) % m for i in range(d))
+                    for ks in product(range(m), repeat=d)}
+        contains = tilings._zd_lattice_solver(ZdGroup(d), gens)
+        for c in product(range(-7, 8), repeat=d):
+            assert contains(c) == (tuple(x % m for x in c) in residues), (gens, c)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_heisenberg_box_count_matches_the_gather(self, seed):
+        rng = random.Random(seed)
+        g = HeisenbergGroup()
+        lo = [-rng.randint(0, 2) for _ in range(3)]
+        hi = [rng.randint(0, 2) for _ in range(3)]
+        shape = g.subset(list(product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
+        centers = LatticeCenters([(rng.randint(1, 4), 0, 0), (0, -rng.randint(1, 4), 0),
+                                  (0, 0, rng.randint(1, 6))])
+        points = {tuple(rng.randint(-12, 12) for _ in range(3)) for _ in range(300)}
+        counts = dict.fromkeys(points, 0)
+        gather = tilings._gatherer(g, shape, centers)
+        tilings._scan_shape(g, shape, centers, gather, counts)
+        for w in points:
+            assert counts[w] == len(gather(w)), w
 
 
 class TestHeisenbergVerification:
