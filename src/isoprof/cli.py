@@ -6,7 +6,8 @@ canonicalized config, rationals are serialized as "p/q" strings, and files
 are written atomically (temp + rename) so failed runs leave nothing behind.
 
 Exit codes: 0 success, 1 check failure, 2 usage or schema error, 3 budget
-exhaustion.  ISOPROF_NODE_BUDGET overrides the default search node budget.
+exhaustion, 4 internal error (an exception isoprof does not expect, reported
+in one line).  ISOPROF_NODE_BUDGET overrides the default search node budget.
 """
 
 import argparse
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _node_budget():
@@ -466,6 +468,10 @@ def main(argv=None):
     except IsoprofError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a defect, not a check result: keep it apart from exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

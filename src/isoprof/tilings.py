@@ -6,23 +6,38 @@ the group.  The full claim is not finitely checkable, so verification runs on
 a window: disjointness of translates is checked on all of ball(R), and
 coverage on ball(R - margin) where margin is the largest shape diameter,
 which removes edge effects near the window boundary.  The window is read
-sphere by sphere from the group's BFS cache into a dict of cover counts, and
-the region is a prefix of it.
+from the group's sphere cache in column form (groups.py): per column key, the
+intervals of the last coordinate.
 
 The scan never enumerates lattice center sets.  A window point w lies in
 T * c exactly when c = t^{-1} w for some t in T, so one gather function lists
 the centers over w: the candidates t^{-1} w that pass the lattice's membership
 test (integer rows mod D on Z^d, axis moduli on Heisenberg), or the explicit
-centers c with w c^{-1} in T.  It serves the collision report and the lattice
-count scan; explicit centers are scattered instead, and box-shaped Heisenberg
-shapes over axis moduli count their centers with one-dimensional interval
-counts, which keeps radius-36 windows (716,455 ball points) cheap.
+centers c with w c^{-1} in T.  It serves the collision report and counts the
+lattice centers over a point; box-shaped Heisenberg shapes over axis moduli
+count them with one-dimensional interval counts instead.
+
+Along a column the lattice counts are periodic in the last coordinate: if
+z = (0, .., 0, p) is a center (p = D at most on Z^d, p = m3 on Heisenberg), z
+is central and the centers are closed under multiplying by it, so w and w z
+are covered equally often.  Each column therefore costs at most
+min(length, period) evaluations, and SCAN_BUDGET counts those.  Explicit
+centers are scattered onto the window as sparse additions.  The window's
+sizes, covered count and density are sums over intervals, and the first five
+uncovered and colliding points come from walking the spheres in (norm,
+tuple) order, point by point but only through columns that can hold a bad
+count: those with explicit additions or a bad pattern entry.  The radius-36
+Heisenberg window of the 425-point cuboid tile, 716,455 points in 2,665
+columns, needs 45,177 evaluations.
+
+Free groups have no columns and no lattice center sets, so their scan keeps
+one count per window point, in (norm, tuple) order.
 """
 
 import operator
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 from ._record import Record
 from .errors import (
@@ -34,10 +49,11 @@ from .errors import (
     UnsupportedError,
     WindowTooSmallError,
 )
-from .groups import GroupSubset, HeisenbergGroup, ZdGroup
+from .groups import GroupSubset, HeisenbergGroup, ZdGroup, column_size, union_columns
 from .isoperimetry import heisenberg_cuboid, zd_cube
 
-# generic (non-box) lattice scans and explicit scatters beyond this refuse
+# non-box lattice evaluations times shape size, and explicit center counts
+# times shape size, beyond this refuse
 SCAN_BUDGET = 5_000_000
 
 
@@ -170,10 +186,10 @@ def multitile_from_json(group, obj):
     return MultiTile(shapes, centers)
 
 
-def _zd_lattice_solver(group, gens):
-    """Membership test for the lattice spanned by d integer vectors in Z^d: with D
-    the lcm of the denominators of L^-1 (L has the generators as columns), c is
-    in the lattice iff each row of the integer matrix D * L^-1 dots c to 0 mod D."""
+def _zd_lattice(group, gens):
+    """(D, rows) for the lattice spanned by d integer vectors in Z^d: with D the
+    lcm of the denominators of L^-1 (L has the generators as columns) and rows
+    the integer matrix D * L^-1, c is in the lattice iff each row dots c to 0 mod D."""
     d = group.d
     if len(gens) != d:
         raise UnsupportedError(
@@ -196,7 +212,12 @@ def _zd_lattice_solver(group, gens):
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     D = lcm(*(x.denominator for row in inv for x in row))
-    rows = [[int(x * D) for x in row] for row in inv]
+    return D, [[int(x * D) for x in row] for row in inv]
+
+
+def _zd_lattice_solver(group, gens):
+    """Membership test for the lattice spanned by d integer vectors in Z^d."""
+    D, rows = _zd_lattice(group, gens)
 
     def contains(vec):
         return all(sum(map(operator.mul, row, vec)) % D == 0 for row in rows)
@@ -263,40 +284,172 @@ def _multiples(lo, hi, m):
     return range(first, hi + 1, m)
 
 
-def _scan_shape(group, shape, centers, gather, counts):
-    """Add to each counts[w] the number of translates shape * c, c a center, containing w."""
-    if isinstance(centers, ExplicitCenters):
-        if len(centers.elements) * len(shape) > SCAN_BUDGET:
-            raise BudgetError("explicit center scatter too large")
-        mul = group._mul_raw
-        for c in centers.elements:
-            for t in shape:
-                p = mul(t, c)
-                if p in counts:
-                    counts[p] += 1
-        return
+def _box_counter(group, shape, centers):
+    """For a box-shaped Heisenberg shape over axis moduli, the function counting the
+    translates shape * c, c a center, that contain a point; None for other shapes.
+    Per (g1, g2) the fitting c-multiples of m3 fill one interval, so a point costs
+    a few divisions."""
     box = _shape_box(shape) if isinstance(group, HeisenbergGroup) else None
     if box is None:
-        if len(counts) * len(shape) > SCAN_BUDGET:
-            raise BudgetError("lattice window scan too large")
-        for w in counts:
-            hits = len(gather(w))
-            if hits:
-                counts[w] += hits
-        return
-    # a box shape over axis moduli: per (g1, g2), the fitting c-multiples of m3
-    # fill one interval, so each point costs a few divisions
+        return None
     (lo1, lo2, lo3), (hi1, hi2, hi3) = box
     m1, m2, m3 = _heis_axis_moduli(centers.generators)
-    for w in counts:
+
+    def count(w):
         a, b, c = w
         hits = 0
         for g1 in _multiples(a - hi1, a - lo1, m1):
             for g2 in _multiples(b - hi2, b - lo2, m2):
                 base = c + g1 * g2 - a * g2
                 hits += (base - lo3) // m3 - (base - hi3 - 1) // m3
+        return hits
+
+    return count
+
+
+def _center_period(group, centers):
+    """The least p > 0 with z = (0, .., 0, p) a lattice center.  Such a z is central
+    and the centers are closed under multiplying by it, so cover counts repeat
+    with period p along every column.  On Z^d, z is a center when every row's
+    last entry times p is divisible by D; on Heisenberg p is m3."""
+    if isinstance(group, ZdGroup):
+        D, rows = _zd_lattice(group, centers.generators)
+        return D // gcd(D, *(row[-1] for row in rows))
+    return _heis_axis_moduli(centers.generators)[2]
+
+
+def _scatter(group, shape, centers):
+    """The points t * c, t in the shape and c an explicit center: one per translate
+    covering the point."""
+    if len(centers.elements) * len(shape) > SCAN_BUDGET:
+        raise BudgetError("explicit center scatter too large")
+    mul = group._mul_raw
+    return (mul(t, c) for c in centers.elements for t in shape)
+
+
+class _Column:
+    """Cover counts along one window column: the count at c is
+    pattern[(c - base) % period] (lattice centers) plus extra.get(c, 0)
+    (explicit centers).  Pattern entries no column point uses stay None."""
+
+    __slots__ = ("base", "period", "pattern", "extra")
+
+    def __init__(self, base, period, pattern, extra):
+        self.base, self.period, self.pattern, self.extra = base, period, pattern, extra
+
+    def hits(self, c):
+        return self.pattern[(c - self.base) % self.period] + self.extra.get(c, 0)
+
+    def tally(self, lo, hi, f):
+        """The sum of f(count) over c in [lo, hi]: whole periods of the pattern,
+        the remainder, then the change the explicit centers make."""
+        P, pattern = self.period, self.pattern
+        q, rem = divmod(hi - lo + 1, P)
+        total = q * sum(map(f, pattern)) if q else 0
+        total += sum(f(pattern[(c - self.base) % P]) for c in range(hi - rem + 1, hi + 1))
+        for c, e in self.extra.items():
+            if lo <= c <= hi:
+                h = pattern[(c - self.base) % P]
+                total += f(h + e) - f(h)
+        return total
+
+
+def _window_columns(group, mt, gathers, window):
+    """Each window column's _Column.  Lattice shapes are evaluated at one point per
+    pattern index the column uses, explicit centers are scattered onto the window.
+    Budgets are checked shape by shape, before each shape's work."""
+    period = lcm(*(_center_period(group, centers) for centers in mt.centers
+                   if isinstance(centers, LatticeCenters)))
+    needed = {}
+    for key, ivs in window.items():
+        base = ivs[0][0]
+        P = min(period, ivs[-1][1] - base + 1)
+        if any(hi - lo + 1 >= P for lo, hi in ivs):
+            needed[key] = (base, P, range(P))
+        else:
+            needed[key] = (base, P, sorted({(c - base) % P for lo, hi in ivs
+                                            for c in range(lo, hi + 1)}))
+    evaluations = sum(len(idx) for _, _, idx in needed.values())
+
+    counts, extra = [], {}
+    for shape, centers, gather in zip(mt.shapes, mt.centers, gathers):
+        if isinstance(centers, ExplicitCenters):
+            for p in _scatter(group, shape, centers):
+                key, x = group._column_of(p)
+                if any(lo <= x <= hi for lo, hi in window.get(key, ())):
+                    col = extra.setdefault(key, {})
+                    col[x] = col.get(x, 0) + 1
+            continue
+        box = _box_counter(group, shape, centers)
+        if box is None and evaluations * len(shape) > SCAN_BUDGET:
+            raise BudgetError("lattice window scan too large")
+        counts.append(box or (lambda w, gather=gather: len(gather(w))))
+
+    columns = {}
+    for key, (base, P, idx) in needed.items():
+        pattern = [None] * P
+        for i in idx:
+            w = group._point(key, base + i)
+            pattern[i] = sum(count(w) for count in counts)
+        columns[key] = _Column(base, P, pattern, extra.get(key, {}))
+    return columns
+
+
+def _first_bad(group, spheres, columns, bad):
+    """The first five points of the spheres, in (norm, tuple) order, whose count
+    passes bad.  Only columns with explicit additions or a bad pattern entry are
+    walked."""
+    suspects = {key for key, col in columns.items()
+                if col.extra or any(h is not None and bad(h) for h in col.pattern)}
+    found = []
+    for sphere in spheres:
+        for key, ivs in sphere.items():
+            if key not in suspects:
+                continue
+            col = columns[key]
+            for lo, hi in ivs:
+                for c in range(lo, hi + 1):
+                    if bad(col.hits(c)):
+                        found.append(group._point(key, c))
+                        if len(found) == 5:
+                            return found
+    return found
+
+
+def _column_scan(group, mt, gathers, spheres, region_radius):
+    """(window size, region size, sum of counts, covered count, first uncovered,
+    first collisions) on Z^d and Heisenberg, column by column."""
+    region = union_columns(spheres[:region_radius + 1])
+    window = union_columns([region] + spheres[region_radius + 1:])
+    columns = _window_columns(group, mt, gathers, window)
+    total = sum(columns[key].tally(lo, hi, int)
+                for key, ivs in window.items() for lo, hi in ivs)
+    covered_count = sum(columns[key].tally(lo, hi, bool)
+                        for key, ivs in region.items() for lo, hi in ivs)
+    uncovered = _first_bad(group, spheres[:region_radius + 1], columns, lambda h: h == 0)
+    collision_points = _first_bad(group, spheres, columns, lambda h: h > 1)
+    return (column_size(window), column_size(region), total, covered_count,
+            uncovered, collision_points)
+
+
+def _point_scan(group, mt, spheres, region_radius):
+    """The same on a free group, whose center sets are all explicit: one count per
+    window point, kept in (norm, tuple) order."""
+    counts = {w: 0 for sphere in spheres for w in sphere}
+    for shape, centers in zip(mt.shapes, mt.centers):
+        for p in _scatter(group, shape, centers):
+            if p in counts:
+                counts[p] += 1
+    region_size = sum(map(len, spheres[:region_radius + 1]))
+    covered_count, uncovered = 0, []
+    for w, hits in islice(counts.items(), region_size):
         if hits:
-            counts[w] += hits
+            covered_count += 1
+        elif len(uncovered) < 5:
+            uncovered.append(w)
+    collision_points = list(islice((w for w, hits in counts.items() if hits > 1), 5))
+    return (len(counts), region_size, sum(counts.values()), covered_count,
+            uncovered, collision_points)
 
 
 class TileVerification(Record):
@@ -328,22 +481,14 @@ def verify_multitile_window(mt, window_radius):
             f"window radius {R} is smaller than the largest shape diameter {margin}"
         )
     region_radius = R - margin
-    # the window in (norm, tuple) order; the region ball(R - margin) is a prefix
+    # every center set is validated before any scan work or budget refusal
+    gathers = [_gatherer(group, shape, centers) for shape, centers in zip(mt.shapes, mt.centers)]
     spheres = group._cached_spheres(R)
-    counts = {w: 0 for sphere in spheres for w in sphere}
-    region_size = sum(map(len, spheres[:region_radius + 1]))
-    gathers = []
-    for shape, centers in zip(mt.shapes, mt.centers):
-        gathers.append(_gatherer(group, shape, centers))
-        _scan_shape(group, shape, centers, gathers[-1], counts)
-
-    covered_count, uncovered = 0, []
-    for w, hits in islice(counts.items(), region_size):
-        if hits:
-            covered_count += 1
-        elif len(uncovered) < 5:
-            uncovered.append(w)
-    collision_points = list(islice((w for w, hits in counts.items() if hits > 1), 5))
+    if isinstance(group, (ZdGroup, HeisenbergGroup)):
+        scan = _column_scan(group, mt, gathers, spheres, region_radius)
+    else:
+        scan = _point_scan(group, mt, spheres, region_radius)
+    window_size, region_size, total, covered_count, uncovered, collision_points = scan
     collisions = tuple(
         (w, tuple((i, c) for i, gather in enumerate(gathers) for c in gather(w)))
         for w in collision_points
@@ -358,10 +503,10 @@ def verify_multitile_window(mt, window_radius):
         window_radius=R,
         margin=margin,
         region_radius=region_radius,
-        window_size=len(counts),
+        window_size=window_size,
         region_size=region_size,
         covered_count=covered_count,
-        density=Fraction(sum(counts.values()), len(counts)),
+        density=Fraction(total, window_size),
         collisions=collisions,
         uncovered=tuple(uncovered),
     )

@@ -7,7 +7,7 @@ map tables; the evaluation logic is local).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def z_profile_oracle(n_max):
@@ -275,6 +275,106 @@ def random_partition(rng, n_vertices, n_bound):
     return cells
 
 
+def inline_law(group):
+    """(product, inverse) written out for the group's kind: vector addition on
+    Z^d, (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b') on the Heisenberg
+    group, and free reduction of letter tuples (letter x ^ 1 inverts x) on F_k."""
+    if group.kind == "Heisenberg":
+        return (lambda g, h: (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1]),
+                lambda g: (-g[0], -g[1], g[0] * g[1] - g[2]))
+    if group.kind == "Free":
+        def mul(g, h):
+            g, h = list(g), list(h)
+            while g and h and g[-1] == h[0] ^ 1:
+                g.pop()
+                h.pop(0)
+            return tuple(g + h)
+        return mul, lambda g: tuple(x ^ 1 for x in reversed(g))
+    return lambda g, h: tuple(x + y for x, y in zip(g, h)), lambda g: tuple(-x for x in g)
+
+
+def sphere_oracle(group, radius):
+    """Spheres 0..radius of the Cayley graph, each sorted, by a breadth-first
+    search over single points with the inline group law."""
+    mul, _ = inline_law(group)
+    gens = [group.generator(lab) for lab in group.labels]
+    seen = {group.identity}
+    spheres = [[group.identity]]
+    for _ in range(radius):
+        fresh = {mul(s, g) for g in spheres[-1] for s in gens} - seen
+        seen |= fresh
+        spheres.append(sorted(fresh))
+    return spheres
+
+
+def determinant(rows):
+    """Leibniz determinant of a small integer matrix."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i))
+        for i, j in enumerate(perm):
+            sign *= rows[i][j]
+        total += sign
+    return total
+
+
+def lattice_member_oracle(group, gens):
+    """Membership in a lattice center set: Cramer's rule on Z^d (every coefficient
+    det(L with column i replaced by c) / det(L) an integer), the per-axis
+    moduli on the Heisenberg group."""
+    d = len(gens)
+    if group.kind == "Heisenberg":
+        mods = [sum(abs(g[i]) for g in gens) for i in range(3)]
+        return lambda c: all(x % m == 0 for x, m in zip(c, mods))
+    det = determinant([[g[r] for g in gens] for r in range(d)])
+    return lambda c: all(
+        determinant([[c[r] if j == i else gens[j][r] for j in range(d)] for r in range(d)]) % det == 0
+        for i in range(d))
+
+
+def tile_window_oracle(mt, radius):
+    """Every TileVerification field, by listing the centers over each point of the
+    point-BFS ball: the explicit c with w c^-1 in the shape (list order) and the
+    lattice members t^-1 w (shape order), counted in a dict over the window."""
+    from isoprof import ExplicitCenters
+
+    group = mt.group
+    mul, inv = inline_law(group)
+    spheres = sphere_oracle(group, radius)
+    norms = {g: r for r, sphere in enumerate(spheres) for g in sphere}
+    margin = max(norms[t] for shape in mt.shapes for t in shape)
+    members = [None if isinstance(cs, ExplicitCenters) else lattice_member_oracle(group, cs.generators)
+               for cs in mt.centers]
+
+    def centers_over(w):
+        out = []
+        for i, (shape, cs, member) in enumerate(zip(mt.shapes, mt.centers, members)):
+            if member is None:
+                out += [(i, c) for c in cs.elements if mul(w, inv(c)) in shape]
+            else:
+                out += [(i, c) for c in (mul(inv(t), w) for t in shape) if member(c)]
+        return out
+
+    counts = {w: len(centers_over(w)) for sphere in spheres for w in sphere}
+    region = [w for sphere in spheres[:radius - margin + 1] for w in sphere]
+    uncovered = tuple(w for w in region if not counts[w])[:5]
+    collisions = tuple((w, tuple(centers_over(w))) for w in counts if counts[w] > 1)[:5]
+    return {
+        "passed": not uncovered and not collisions,
+        "disjoint": not collisions,
+        "covered": not uncovered,
+        "window_radius": radius,
+        "margin": margin,
+        "region_radius": radius - margin,
+        "window_size": len(counts),
+        "region_size": len(region),
+        "covered_count": sum(1 for w in region if counts[w]),
+        "density": Fraction(sum(counts.values()), len(counts)),
+        "collisions": collisions,
+        "uncovered": uncovered,
+    }
+
+
 def reduced_words(labels, inverse, max_len):
     """Every reduced label word of length 1..max_len, in the order it is applied."""
     words = []
@@ -304,12 +404,7 @@ def violation_depth_oracle(group, maps, n_vertices, radius):
     """
     gens = {lab: group.generator(lab) for lab in group.labels}
     zero = (0,) * len(next(iter(gens.values())))
-    if group.kind == "Heisenberg":
-        def mul(g, h):
-            return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
-    else:
-        def mul(g, h):
-            return tuple(x + y for x, y in zip(g, h))
+    mul, _ = inline_law(group)
     inverse = {lab: group.inverse_label(lab) for lab in group.labels}
     for word in reduced_words(group.labels, inverse, radius):
         element = zero

@@ -8,9 +8,18 @@ import sys
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from isoprof import ZdGroup, build_torus_action, cube_tile, multitile_to_json
-from isoprof.cli import main
+from isoprof import (
+    HeisenbergGroup,
+    ZdGroup,
+    build_torus_action,
+    cube_tile,
+    folner_multitile_sequence,
+    group_from_json,
+    multitile_to_json,
+)
+from isoprof.cli import EXIT_INTERNAL, main
 
 HEADER = re.compile(r"^# isoprof 0\.1\.0 config=[0-9a-f]{12}$")
 
@@ -124,6 +133,23 @@ class TestProfileGroup:
         assert f"error: cannot write {tmp_path / 'missing' / 'z.csv'}: " in err
         assert not (tmp_path / "missing").exists()
 
+    def test_unexpected_exception_exits_4_in_one_line(self, monkeypatch, capsys):
+        def broken(mt, window):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr("isoprof.cli.verify_multitile_window", broken)
+        assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',
+                     "--tile", interval_tile_json(3), "--window", "8"]) == EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+    def test_readme_group_arguments_parse(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            groups = re.findall(r"--group '([^']*)'", fh.read())
+        assert groups
+        for raw in groups:
+            group_from_json(json.loads(raw))
+
     def test_argparse_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["profile-group", "--group", '{"kind": "Zd", "d": 1}'])
@@ -207,10 +233,93 @@ class TestVerifyTile:
         (row,) = read_rows(out)
         assert row["passed"] == "False" and row["covered"] == "False"
 
+    def test_heisenberg_425_tile_on_the_radius_64_window(self, tmp_path):
+        # 7,179,905 window points: the scan reads them as 8,321 columns
+        tile = multitile_to_json(folner_multitile_sequence(HeisenbergGroup(), 425, verify=False))
+        out = tmp_path / "h.csv"
+        assert main(["verify-tile", "--group", '{"kind": "Heisenberg"}', "--tile",
+                     json.dumps(tile), "--window", "64", "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        assert row["passed"] == "True"
+        assert row["window_size"] == "7179905"
+
     def test_window_too_small_exits_2(self, capsys):
         assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',
                      "--tile", interval_tile_json(5), "--window", "3"]) == 2
         capsys.readouterr()
+
+
+def _json_values():
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(-4, 4), st.floats(-2, 2),
+                        st.sampled_from(["", "x", "Zd", "lattice", "explicit", "1"]))
+    return st.recursive(scalars, lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.sampled_from(["kind", "d", "rank", "generators", "shapes",
+                                         "centers", "list", "x"]), kids, max_size=3)),
+        max_leaves=8)
+
+
+def _vectors(n, bound=3):
+    return st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+
+
+def _symmetric(vectors, heisenberg):
+    """The vectors with their inverses, duplicates dropped."""
+    out = []
+    for v in vectors:
+        inv = [-v[0], -v[1], v[0] * v[1] - v[2]] if heisenberg else [-c for c in v]
+        out += [w for w in (v, inv) if w not in out]
+    return out
+
+
+@st.composite
+def _group_and_tile(draw):
+    """Near-valid verify-tile arguments: each part is well formed or garbage."""
+    kind = draw(st.sampled_from(["Zd", "Heisenberg", "garbage"]))
+    dim = 3 if kind == "Heisenberg" else draw(st.integers(1, 3))
+    group = {"Zd": {"kind": "Zd", "d": dim}, "Heisenberg": {"kind": "Heisenberg"}}.get(kind)
+    if group is None:
+        group = draw(_json_values())
+    elif draw(st.booleans()):
+        # the unit vectors keep the set generating, so every shape point has a norm
+        units = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        group["generators"] = draw(st.one_of(
+            st.lists(_vectors(dim), max_size=3),
+            st.lists(_vectors(dim, 1), max_size=2).map(
+                lambda vs: _symmetric(units + vs, kind == "Heisenberg"))))
+    shape = st.lists(_vectors(dim, 1), max_size=4).map(lambda s: [[0] * dim] + s)
+    centers = st.one_of(
+        st.builds(lambda g: {"kind": "lattice", "generators": g},
+                  st.lists(_vectors(dim), min_size=dim, max_size=dim)),
+        st.builds(lambda m: {"kind": "lattice", "generators": [
+            [m[i] if i == j else 0 for j in range(dim)] for i in range(dim)]},
+            _vectors(dim)),
+        st.builds(lambda c: {"kind": "explicit", "list": c}, st.lists(_vectors(dim), max_size=6)),
+        _json_values())
+    k = draw(st.integers(1, 2))
+    tile = draw(st.one_of(
+        st.builds(lambda s, c: {"shapes": [s], "centers": c}, shape, centers),
+        st.builds(lambda s, c: {"shapes": s, "centers": c},
+                  st.lists(shape, min_size=k, max_size=k), st.lists(centers, min_size=k,
+                                                                    max_size=k)),
+        _json_values()))
+    return group, tile, draw(st.integers(0, 6))
+
+
+class TestMalformedJson:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_group_and_tile())
+    def test_exit_1_only_from_real_checks(self, capsys, args):
+        group, tile, window = args
+        code = main(["verify-tile", "--group=" + json.dumps(group),
+                     "--tile=" + json.dumps(tile), "--window", str(window)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), err
+        if code == 1:
+            assert out.splitlines()[2].startswith("False,")
+        if code in (2, 3):
+            assert len(err.splitlines()) == 1
 
 
 class TestBuildGraphing:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isoprof import FreeGroup, HeisenbergGroup, ZdGroup, group_from_json, group_to_json
+from isoprof.groups import column_size, union_columns
+from oracles import sphere_oracle
 from isoprof.errors import (
     ConfigError,
     MixedGroupError,
@@ -168,6 +170,64 @@ class TestFree:
     def test_custom_basis_rejected(self):
         with pytest.raises(UnsupportedError):
             FreeGroup(2, generators=[(0,)])
+
+
+COLUMN_GROUPS = {
+    "Z": lambda: ZdGroup(1),
+    "Z^2": lambda: ZdGroup(2),
+    "Z^3": lambda: ZdGroup(3),
+    "H3": HeisenbergGroup,
+    "Z^2 shuffled": lambda: ZdGroup(2, generators=[(0, -1), (1, 0), (-1, 0), (0, 1)]),
+    "Z^3 shuffled": lambda: ZdGroup(3, generators=[(0, 0, 1), (-1, 0, 0), (0, 1, 0),
+                                                   (1, 0, 0), (0, -1, 0), (0, 0, -1)]),
+    "H3 shuffled": lambda: HeisenbergGroup(generators=[(0, -1, 0), (1, 0, 0), (0, 1, 0),
+                                                       (-1, 0, 0)]),
+    "Z {2, 3}": lambda: ZdGroup(1, generators=[(2,), (-2,), (3,), (-3,)]),
+    "Z^2 diagonal": lambda: ZdGroup(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1),
+                                                   (1, -1), (-1, 1)]),
+    "Z^3 {e1, e2, e1+e2+e3}": lambda: ZdGroup(3, generators=[(1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                                              (0, -1, 0), (1, 1, 1),
+                                                              (-1, -1, -1)]),
+    "H3 sheared": lambda: HeisenbergGroup(generators=[(1, 0, 0), (-1, 0, 0), (1, 1, 0),
+                                                      (-1, -1, 1)]),
+    "H3 with z": lambda: HeisenbergGroup(generators=[(1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                                     (0, -1, 0), (0, 0, 2), (0, 0, -2)]),
+}
+
+
+class TestColumnSpheres:
+    """The column search against a plain point BFS."""
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_GROUPS))
+    def test_spheres_ball_order_and_norms_match_a_point_bfs(self, name):
+        expected = sphere_oracle(COLUMN_GROUPS[name](), 8)
+        g = COLUMN_GROUPS[name]()
+        assert [g.sphere(r) for r in range(9)] == expected
+        assert list(g.ball(8)) == [w for sphere in expected for w in sphere]
+        fresh = COLUMN_GROUPS[name]()  # norms on a cache that grows on demand
+        for r, sphere in enumerate(expected):
+            assert [fresh.word_norm(w) for w in sphere] == [r] * len(sphere)
+
+    def test_column_form_is_the_sphere(self):
+        g = COLUMN_GROUPS["Z^2 diagonal"]()
+        spheres = g._cached_spheres(6)
+        for r, columns in enumerate(spheres):
+            assert [key + (c,) for key, ivs in columns.items() for lo, hi in ivs
+                    for c in range(lo, hi + 1)] == g.sphere(r)
+            for ivs in columns.values():
+                assert all(hi + 1 < lo2 for (_, hi), (lo2, _) in zip(ivs, ivs[1:]))
+        # column (6,) of sphere 6 is one long interval: every (6, c), |c| <= 6
+        assert spheres[6][(6,)] == [(-6, 6)]
+
+    def test_heisenberg_ball_36_totals(self):
+        ball = union_columns(HeisenbergGroup()._cached_spheres(36))
+        assert len(ball) == 2665
+        assert column_size(ball) == 716455
+
+    def test_free_group_keeps_point_lists(self):
+        g = FreeGroup(2)
+        assert [g.sphere(r) for r in range(5)] == sphere_oracle(FreeGroup(2), 4)
+        assert g._cached_spheres(1)[1] == g.sphere(1)
 
 
 class TestSerialization:

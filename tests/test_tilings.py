@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
 from isoprof import tilings
+from oracles import determinant, tile_window_oracle
 
 from isoprof import (
     ExplicitCenters,
+    FreeGroup,
     HeisenbergGroup,
     LatticeCenters,
     MultiTile,
@@ -23,6 +25,7 @@ from isoprof import (
     zd_cube,
 )
 from isoprof.errors import (
+    BudgetError,
     ConfigError,
     MixedGroupError,
     ParameterError,
@@ -172,18 +175,6 @@ class TestZdVerification:
             verify_multitile_window(mt, 6)
 
 
-def _det(rows):
-    """Leibniz determinant of a small integer matrix."""
-    total = 0
-    for perm in permutations(range(len(rows))):
-        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i))
-        term = sign
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        total += term
-    return total
-
-
 class TestScanPaths:
     @pytest.mark.parametrize("seed", range(20))
     def test_integer_lattice_test_matches_brute_force(self, seed):
@@ -193,7 +184,7 @@ class TestScanPaths:
         d = 2 + seed % 2
         while True:
             gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
-            det = _det([[g[i] for g in gens] for i in range(d)])
+            det = determinant([[g[i] for g in gens] for i in range(d)])
             if det and (seed < 10) == (det < 0):
                 break
         m = abs(det)
@@ -213,11 +204,163 @@ class TestScanPaths:
         centers = LatticeCenters([(rng.randint(1, 4), 0, 0), (0, -rng.randint(1, 4), 0),
                                   (0, 0, rng.randint(1, 6))])
         points = {tuple(rng.randint(-12, 12) for _ in range(3)) for _ in range(300)}
-        counts = dict.fromkeys(points, 0)
         gather = tilings._gatherer(g, shape, centers)
-        tilings._scan_shape(g, shape, centers, gather, counts)
+        count = tilings._box_counter(g, shape, centers)
         for w in points:
-            assert counts[w] == len(gather(w)), w
+            assert count(w) == len(gather(w)), w
+
+
+def _random_lattice(rng, d, negative):
+    while True:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
+        det = determinant([[g[i] for g in gens] for i in range(d)])
+        if det and (det < 0) == negative:
+            return gens
+
+
+def _random_shape(rng, group, size, spread=2):
+    n = len(group.identity)
+    return group.subset([group.identity] + [
+        tuple(rng.randint(-spread, spread) for _ in range(n)) for _ in range(size - 1)])
+
+
+def _heisenberg_box(rng, g):
+    lo = [-rng.randint(0, 1) for _ in range(3)]
+    hi = [rng.randint(0, 2) for _ in range(3)]
+    return g.subset(list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))), lo, hi
+
+
+class TestColumnScan:
+    """Every field of the column scan against a per-point oracle over the point ball."""
+
+    @staticmethod
+    def check(mt, radius):
+        v = verify_multitile_window(mt, radius)
+        expected = tile_window_oracle(mt, radius)
+        assert {k: getattr(v, k) for k in expected} == expected
+        return v
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_zd_lattices(self, seed):
+        rng = random.Random(seed)
+        d = 2 + seed % 2
+        g = ZdGroup(d)
+        shape = _random_shape(rng, g, rng.randint(1, 6))
+        centers = LatticeCenters(_random_lattice(rng, d, negative=seed < 8))
+        self.check(MultiTile([shape], [centers]), 8 if d == 2 else 6)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_heisenberg_boxes_with_right_and_wrong_moduli(self, seed):
+        rng = random.Random(seed)
+        g = HeisenbergGroup()
+        shape, lo, hi = _heisenberg_box(rng, g)
+        mods = [b - a + 1 + (rng.randint(-1, 1) if seed % 2 else 0) or 1 for a, b in zip(lo, hi)]
+        centers = LatticeCenters([(mods[0], 0, 0), (0, -mods[1], 0), (0, 0, mods[2])])
+        v = self.check(MultiTile([shape], [centers]), 7)
+        assert tilings._box_counter(g, shape, centers) is not None
+        if not seed % 2:
+            assert v.passed
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_heisenberg_non_box_shapes(self, seed):
+        rng = random.Random(seed)
+        g = HeisenbergGroup(generators=[(1, 0, 0), (-1, 0, 0), (1, 1, 0), (-1, -1, 1)]
+                            if seed % 2 else None)
+        shape = _random_shape(rng, g, rng.randint(2, 6), spread=1)
+        centers = LatticeCenters([(rng.randint(1, 3), 0, 0), (0, rng.randint(1, 3), 0),
+                                  (0, 0, rng.randint(1, 4))])
+        assert tilings._box_counter(g, shape, centers) is None or len(shape) == 1
+        self.check(MultiTile([shape], [centers]), 6)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_explicit_and_mixed_multi_tiles(self, seed):
+        rng = random.Random(seed)
+        g = [ZdGroup(1), ZdGroup(2), HeisenbergGroup()][seed % 3]
+        n = len(g.identity)
+        shapes = [_random_shape(rng, g, rng.randint(1, 3), spread=1) for _ in range(2)]
+        explicit = ExplicitCenters({tuple(rng.randint(-4, 4) for _ in range(n))
+                                    for _ in range(rng.randint(1, 30))})
+        lattice = LatticeCenters([tuple(rng.randint(1, 3) if i == j else 0 for j in range(n))
+                                  for i in range(n)])
+        second = lattice if seed < 4 else explicit
+        self.check(MultiTile(shapes, [explicit, second]), 6 if n < 3 else 5)
+
+    def test_bad_residues_deep_inside_long_intervals(self):
+        # with generators +-1..+-50, sphere 1 of Z is the intervals [-50, -1] and
+        # [1, 50]; over 50Z the shape {0..48, 75} covers 25 twice and 49 never,
+        # so the first witnesses sit 25 and 49 steps into the first interval
+        g = ZdGroup(1, generators=[(s * k,) for k in range(1, 51) for s in (1, -1)])
+        shape = g.subset([(t,) for t in range(49)] + [(75,)])
+        v = self.check(MultiTile([shape], [LatticeCenters([(50,)])]), 3)
+        assert v.uncovered[0] == (-1,)
+        assert v.collisions[0][0] == (-25,)
+
+    def test_free_group_explicit_tile(self):
+        # {1, a} over the centers of even a-exponent on the a-axis: a partial
+        # cover, so the walk reports uncovered words of every branch
+        g = FreeGroup(2)
+        shape = g.subset([(), (0,)])
+        centers = ExplicitCenters([(0,) * k for k in range(0, 5, 2)] + [(1,) * k for k in (2, 4)])
+        self.check(MultiTile([shape], [centers]), 5)
+
+    def test_budget_counts_evaluations_not_points(self):
+        # 345,149 window points times 20 shape points is past the budget, but
+        # with period m3 = 2 each column needs at most 2 evaluations
+        g = HeisenbergGroup()
+        shape = g.subset([(0, 0, 0)] + [(1, 0, c) for c in range(19)])
+        v = verify_multitile_window(
+            MultiTile([shape], [LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 2)])]), 30)
+        assert v.window_size == 345149
+
+    def test_a_scan_without_a_short_period_still_refuses(self):
+        g = HeisenbergGroup()
+        # 41 points, not a box; with no period inside the window every one of the
+        # 141,225 points is an evaluation
+        shape = g.subset([(a, b, 0) for a in range(-3, 4) for b in range(-3, 3)][:-1])
+        mt = MultiTile([shape], [LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 10 ** 6)])])
+        with pytest.raises(BudgetError, match="^lattice window scan too large$"):
+            verify_multitile_window(mt, 24)
+
+    def test_a_refused_scan_gathers_nothing_first(self, monkeypatch):
+        # the interval {0..N-1} over NZ at window N - 1 needs N evaluations of N
+        # shape points each; the period N is read off the lattice, so the
+        # refusal comes before any window point is gathered
+        gathered = []
+        build = tilings._gatherer
+
+        def counting(group, shape, centers):
+            gather = build(group, shape, centers)
+            return lambda w: gathered.append(w) or gather(w)
+
+        monkeypatch.setattr(tilings, "_gatherer", counting)
+        N = 10 ** 4
+        g = ZdGroup(1, max_radius=N)
+        mt = MultiTile([g.subset([(t,) for t in range(N)])], [LatticeCenters([(N,)])])
+        with pytest.raises(BudgetError, match="^lattice window scan too large$"):
+            verify_multitile_window(mt, N - 1)
+        assert gathered == []
+
+    def test_budget_refusals_come_in_shape_order(self):
+        g = ZdGroup(1, max_radius=2999)
+        wide = g.subset([(t,) for t in range(3000)])  # 3,000 evaluations of 3,000 points
+        short = g.subset([(t,) for t in range(100)])
+        lattice = LatticeCenters([(3000,)])
+        scatter = ExplicitCenters([(c,) for c in range(50001)])  # 5,000,100 scatter steps
+        with pytest.raises(BudgetError, match="^lattice window scan too large$"):
+            verify_multitile_window(MultiTile([wide, short], [lattice, scatter]), 2999)
+        with pytest.raises(BudgetError, match="^explicit center scatter too large$"):
+            verify_multitile_window(MultiTile([short, wide], [scatter, lattice]), 2999)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_period_is_the_least_center_on_the_last_axis(self, seed):
+        rng = random.Random(seed)
+        d = 1 + seed % 3
+        gens = _random_lattice(rng, d, negative=seed < 6)
+        g = ZdGroup(d)
+        p = tilings._center_period(g, LatticeCenters(gens))
+        contains = tilings._zd_lattice_solver(g, gens)
+        on_axis = [contains((0,) * (d - 1) + (q,)) for q in range(1, p + 1)]
+        assert on_axis == [False] * (p - 1) + [True], gens
 
 
 class TestHeisenbergVerification:
