@@ -45,16 +45,6 @@ class BoundCheck(Record):
     context: dict
 
 
-def _relation_holds(lhs, relation, rhs):
-    if relation == "<=":
-        return lhs <= rhs
-    if relation == ">=":
-        return lhs >= rhs
-    if relation == ">":
-        return lhs > rhs
-    raise ParameterError(f"unknown relation {relation!r}")
-
-
 def check_lower_bound(graphing, group, n):
     """Action profile >= group profile at n, both exact (pmp models, inside the window)."""
     if graphing.group != group:
@@ -323,7 +313,7 @@ def cycle_with_marking(m, weights, steps):
     group = ZdGroup(1, generators=[(s,) for s in steps])
     maps = {group.labels[i]: [(v + steps[i]) % m for v in range(m)]
             for i in range(len(steps))}
-    return MeasuredGraphing._with_clean_window(group, weights, maps, min(m - 1, 6))
+    return MeasuredGraphing._with_clean_window(group, weights, maps)
 
 
 def suite_generating_sets():

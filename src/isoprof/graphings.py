@@ -93,11 +93,12 @@ class MeasuredGraphing:
         self.free_window = free_window
 
     @classmethod
-    def _with_clean_window(cls, group, weights, maps, cap):
-        """A graphing whose free_window is the largest radius <= cap up to which no
-        nonidentity word fixes a vertex; one walk finds it and certifies it."""
+    def _with_clean_window(cls, group, weights, maps):
+        """A graphing whose free_window is the largest radius <= min(V - 1, 6) up to
+        which no nonidentity word fixes a vertex; one walk finds it and certifies it."""
         self = cls.__new__(cls)
         self._check(group, weights, maps)
+        cap = min(self.n_vertices - 1, 6)
         bad = _min_violation_depth(group, self.maps, self.n_vertices, cap)
         self.free_window = cap if bad is None else bad - 1
         return self
@@ -234,7 +235,7 @@ class MeasuredGraphing:
         if fw is None:
             # not serialized in the minimal format: derive the largest clean
             # radius up to the builders' walk cap
-            return cls._with_clean_window(group, weights, maps, min(V - 1, 6))
+            return cls._with_clean_window(group, weights, maps)
         return cls(group, weights, maps, fw)
 
     def __repr__(self):
@@ -296,7 +297,7 @@ def build_torus_action(d, m, generators=None):
         maps[lab] = [idx([c + g for c, g in zip(coords(v), gen)]) for v in range(n_vertices)]
     if generators is None:
         return MeasuredGraphing(group, weights, maps, (m - 1) // 2)
-    return MeasuredGraphing._with_clean_window(group, weights, maps, min(m - 1, 6))
+    return MeasuredGraphing._with_clean_window(group, weights, maps)
 
 
 def build_heisenberg_quotient(m):
@@ -317,7 +318,7 @@ def build_heisenberg_quotient(m):
         maps["X"].append(idx(a - 1, b, c - b))
         maps["y"].append(idx(a, b + 1, c))
         maps["Y"].append(idx(a, b - 1, c))
-    return MeasuredGraphing._with_clean_window(group, weights, maps, min(m - 1, 6))
+    return MeasuredGraphing._with_clean_window(group, weights, maps)
 
 
 def build_weighted_cycle(m, weights):

@@ -1,6 +1,7 @@
 """Finitely generated marked groups: Z^d, the integer Heisenberg group, free groups.
 
-A marked group is a group together with a finite symmetric generating tuple.
+A marked group is a group together with a finite symmetric generating tuple;
+a tuple that does not generate the group is refused when the group is built.
 Elements are plain tuples of ints, products are exact, and word norms come
 either from a closed form or from a cached breadth-first search over spheres.
 The canonical element order (word norm, then tuple order) makes every
@@ -17,6 +18,7 @@ the search is interval arithmetic per column, and the Heisenberg ball(36)
 (key, c) order, which is tuple order.  Free groups keep sorted point lists.
 """
 
+from functools import partial
 from operator import add
 
 from .errors import (
@@ -117,8 +119,10 @@ class MarkedGroup:
         raise NotImplementedError
 
     def _left_action(self, s):
-        """Fast closure for g -> s*g, no validation."""
-        return lambda g: self._mul_raw(s, g)
+        """Closure for g -> s*g, no validation.  It must not hold the group: a cycle
+        through the group would keep its sphere cache alive until the cycle
+        collector runs, so subclasses define _mul_raw as a static method."""
+        return partial(self._mul_raw, s)
 
     def _norm(self, g):
         """Word norm of a validated element."""
@@ -290,11 +294,35 @@ def column_size(columns):
     return sum(hi - lo + 1 for ivs in columns.values() for lo, hi in ivs)
 
 
+def _spans_integer_lattice(vectors, n):
+    """Whether integer vectors of length n span all of Z^n.  Integer row operations
+    keep the span; Euclid on each column leaves one row with a nonzero entry there,
+    which must be +-1, and the other rows go on to the next column."""
+    rows = [list(v) for v in vectors]
+    for col in range(n):
+        while True:
+            live = [r for r in rows if r[col]]
+            if not live:
+                return False
+            pivot = min(live, key=lambda r: abs(r[col]))
+            if len(live) == 1:
+                break
+            for r in live:
+                if r is not pivot:
+                    q = r[col] // pivot[col]
+                    r[:] = [x - q * y for x, y in zip(r, pivot)]
+        if abs(pivot[col]) != 1:
+            return False
+        rows.remove(pivot)
+    return True
+
+
 class _TupleGroup(MarkedGroup):
     """Z^d and Heisenberg: elements are integer tuples of one length, written as
     coordinate lists; generators are the standard ones or parsed vectors."""
 
     _bad_generator = _not_element = ""  # message formats, set per subclass
+    _abelian = 0  # leading coordinates that map onto the abelianization; 0: all
 
     def __init__(self, length, generators, standard, max_radius, labels=None):
         self._length = length
@@ -310,6 +338,9 @@ class _TupleGroup(MarkedGroup):
                 gens.append(v)
             labels = None
         super().__init__(labels or _vector_labels(gens), gens, max_radius=max_radius)
+        n = self._abelian or length
+        if not self._standard and not _spans_integer_lattice([g[:n] for g in gens], n):
+            raise ConfigError(f"the generators do not generate the group: {self!r}")
         self._steps = [self._column_step(g) for g in self.generators]
 
     def _column_step(self, s):
@@ -371,12 +402,9 @@ class _TupleGroup(MarkedGroup):
         return list(g)
 
     def element_from_json(self, obj):
-        if not isinstance(obj, list):
-            raise ConfigError(f"expected a coordinate list, got {obj!r}")
-        try:
-            g = tuple(int(c) for c in obj)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad coordinates {obj!r}") from exc
+        if not (isinstance(obj, list) and all(type(c) is int for c in obj)):
+            raise ConfigError(f"expected a list of integer coordinates, got {obj!r}")
+        g = tuple(obj)
         self.validate_element(g)
         return g
 
@@ -403,18 +431,9 @@ class ZdGroup(_TupleGroup):
     def inverse(self, g):
         return tuple(-c for c in g)
 
-    def _mul_raw(self, g, h):
+    @staticmethod
+    def _mul_raw(g, h):
         return tuple(a + b for a, b in zip(g, h))
-
-    def _left_action(self, s):
-        d = self.d
-        if d == 1:
-            (c,) = s
-            return lambda g: (g[0] + c,)
-        if d == 2:
-            c0, c1 = s
-            return lambda g: (g[0] + c0, g[1] + c1)
-        return lambda g: tuple(a + b for a, b in zip(s, g))
 
     def _column_step(self, s):
         head, dc = s[:-1], s[-1]
@@ -435,6 +454,8 @@ class HeisenbergGroup(_TupleGroup):
     kind = "Heisenberg"
     _bad_generator = "generator {v} is not a triple"
     _not_element = "{g!r} is not a Heisenberg triple"
+    # (a, b): the group is nilpotent, so a set generating its abelianization generates it
+    _abelian = 2
 
     def __init__(self, generators=None, max_radius=64):
         super().__init__(3, generators, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
@@ -448,12 +469,9 @@ class HeisenbergGroup(_TupleGroup):
         a, b, c = g
         return (-a, -b, -c + a * b)
 
-    def _mul_raw(self, g, h):
+    @staticmethod
+    def _mul_raw(g, h):
         return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
-
-    def _left_action(self, s):
-        p, q, r = s
-        return lambda g: (p + g[0], q + g[1], r + g[2] + p * g[1])
 
     def _column_step(self, s):
         p, q, r = s
@@ -494,7 +512,8 @@ class FreeGroup(MarkedGroup):
     def inverse(self, g):
         return tuple(x ^ 1 for x in reversed(g))
 
-    def _mul_raw(self, g, h):
+    @staticmethod
+    def _mul_raw(g, h):
         g = list(g)
         i = 0
         while g and i < len(h) and g[-1] == h[i] ^ 1:

@@ -10,19 +10,25 @@ from the group's sphere cache in column form (groups.py): per column key, the
 intervals of the last coordinate.
 
 The scan never enumerates lattice center sets.  A window point w lies in
-T * c exactly when c = t^{-1} w for some t in T, so one gather function lists
-the centers over w: the candidates t^{-1} w that pass the lattice's membership
-test (integer rows mod D on Z^d, axis moduli on Heisenberg), or the explicit
-centers c with w c^{-1} in T.  It serves the collision report and counts the
-lattice centers over a point; box-shaped Heisenberg shapes over axis moduli
-count them with one-dimensional interval counts instead.
+T * c exactly when c = t^{-1} w for some t in T, and one residue index per
+shape, built from one lattice solve, lists those t for any w.  On Z^d, with
+D * L^{-1} = R the integer rows of the lattice, w - t is a center exactly when
+R w = R t (mod D), so the shape is bucketed by R t mod D and a point costs one
+lookup.  On Heisenberg with axis moduli (m1, m2, m3), t^{-1} w is a center
+exactly when a = ta (m1), b = tb (m2) and c - ta b = tc - ta tb (m3), so the
+shape is bucketed by (ta mod m1, tb mod m2), then by ta mod m3, then by
+(tc - ta tb) mod m3, and a point costs one lookup per ta class in its bucket.
+The index counts the lattice centers over a point, and the collision report
+lists them as t^{-1} w in shape order; the explicit centers over w are the c
+with w c^{-1} in T.
 
 Along a column the lattice counts are periodic in the last coordinate: if
-z = (0, .., 0, p) is a center (p = D at most on Z^d, p = m3 on Heisenberg), z
-is central and the centers are closed under multiplying by it, so w and w z
-are covered equally often.  Each column therefore costs at most
-min(length, period) evaluations, and SCAN_BUDGET counts those.  Explicit
-centers are scattered onto the window as sparse additions.  The window's
+z = (0, .., 0, p) is a center (p = D / gcd(D, last entries of R) on Z^d,
+p = m3 on Heisenberg, both read off the same solve), z is central and the
+centers are closed under multiplying by it, so w and w z are covered equally
+often.  Each column therefore costs at most min(length, period) evaluations,
+and SCAN_BUDGET counts those times the lookups per point.  Explicit centers
+are scattered onto the window as sparse additions.  The window's
 sizes, covered count and density are sums over intervals, and the first five
 uncovered and colliding points come from walking the spheres in (norm,
 tuple) order, point by point but only through columns that can hold a bad
@@ -52,8 +58,8 @@ from .errors import (
 from .groups import GroupSubset, HeisenbergGroup, ZdGroup, column_size, union_columns
 from .isoperimetry import heisenberg_cuboid, zd_cube
 
-# non-box lattice evaluations times shape size, and explicit center counts
-# times shape size, beyond this refuse
+# lattice evaluations times index lookups per point, and explicit center
+# counts times shape size, beyond this refuse
 SCAN_BUDGET = 5_000_000
 
 
@@ -100,25 +106,24 @@ class LatticeCenters:
         return f"LatticeCenters({list(self.generators)})"
 
 
-def _coordinate_lists(obj, what):
-    if not isinstance(obj, list) or not all(
-            isinstance(e, list) and all(type(c) is int for c in e) for e in obj):
-        raise ConfigError(f"{what} must be a list of integer coordinate lists")
-    return obj
+def _elements_from_json(group, obj, what):
+    if not isinstance(obj, list):
+        raise ConfigError(f"{what} must be a list of elements")
+    return [group.element_from_json(e) for e in obj]
 
 
-def _centers_from_json(obj):
+def _centers_from_json(group, obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("center set must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "lattice":
         if set(obj) != {"kind", "generators"}:
             raise ConfigError("lattice centers need exactly the fields kind, generators")
-        return LatticeCenters(_coordinate_lists(obj["generators"], "lattice generators"))
+        return LatticeCenters(_elements_from_json(group, obj["generators"], "lattice generators"))
     if kind == "explicit":
         if set(obj) != {"kind", "list"}:
             raise ConfigError("explicit centers need exactly the fields kind, list")
-        return ExplicitCenters(_coordinate_lists(obj["list"], "explicit centers"))
+        return ExplicitCenters(_elements_from_json(group, obj["list"], "explicit centers"))
     raise ConfigError(f"unknown center kind {kind!r}")
 
 
@@ -171,18 +176,13 @@ def multitile_from_json(group, obj):
     raw_shapes = obj["shapes"]
     if not isinstance(raw_shapes, list) or not raw_shapes:
         raise ConfigError("shapes must be a nonempty list")
-    shapes = []
-    for raw in raw_shapes:
-        if not isinstance(raw, list):
-            raise ConfigError("each shape must be a list of elements")
-        elems = [group.element_from_json(e) for e in raw]
-        shapes.append(group.subset(elems))
+    shapes = [group.subset(_elements_from_json(group, raw, "each shape")) for raw in raw_shapes]
     raw_centers = obj["centers"]
     if isinstance(raw_centers, dict):
         raw_centers = [raw_centers] * len(shapes)
     if not isinstance(raw_centers, list) or len(raw_centers) != len(shapes):
         raise ConfigError("need one center set per shape")
-    centers = [_centers_from_json(c) for c in raw_centers]
+    centers = [_centers_from_json(group, c) for c in raw_centers]
     return MultiTile(shapes, centers)
 
 
@@ -215,16 +215,6 @@ def _zd_lattice(group, gens):
     return D, [[int(x * D) for x in row] for row in inv]
 
 
-def _zd_lattice_solver(group, gens):
-    """Membership test for the lattice spanned by d integer vectors in Z^d."""
-    D, rows = _zd_lattice(group, gens)
-
-    def contains(vec):
-        return all(sum(map(operator.mul, row, vec)) % D == 0 for row in rows)
-
-    return contains
-
-
 def _heis_axis_moduli(gens):
     """Extract (m1, m2, m3) from axis-aligned Heisenberg lattice generators."""
     mods = [None, None, None]
@@ -242,80 +232,54 @@ def _heis_axis_moduli(gens):
     return tuple(mods)
 
 
-def _center_test(group, centers):
-    """Membership predicate of a lattice center set: the Z^d solver, or the
-    Heisenberg axis moduli applied coordinatewise."""
-    if isinstance(group, ZdGroup):
-        return _zd_lattice_solver(group, centers.generators)
-    if isinstance(group, HeisenbergGroup):
-        m1, m2, m3 = _heis_axis_moduli(centers.generators)
-        return lambda c: c[0] % m1 == 0 and c[1] % m2 == 0 and c[2] % m3 == 0
-    raise UnsupportedError("lattice center sets are supported on Z^d and Heisenberg only")
-
-
-def _gatherer(group, shape, centers):
-    """The function listing, for a point w, the centers c with w in shape * c: the
-    explicit c with w * c^-1 in the shape, or the t^-1 * w (t in the shape) that
-    pass the lattice test, which is built once here."""
-    mul = group._mul_raw
-    if isinstance(centers, ExplicitCenters):
-        pairs = [(c, group.inverse(c)) for c in centers.elements]
-        return lambda w: [c for c, ci in pairs if mul(w, ci) in shape]
-    test = _center_test(group, centers)
-    invs = [group.inverse(t) for t in shape]
-    return lambda w: [c for c in (mul(ti, w) for ti in invs) if test(c)]
-
-
-def _shape_box(shape):
-    """The coordinate box of a Heisenberg shape, or None if the shape is not a full box."""
-    pts = list(shape)
-    lo = [min(p[i] for p in pts) for i in range(3)]
-    hi = [max(p[i] for p in pts) for i in range(3)]
-    volume = 1
-    for a, b in zip(lo, hi):
-        volume *= b - a + 1
-    if volume != len(pts):
-        return None
-    return lo, hi
-
-
-def _multiples(lo, hi, m):
-    first = -((-lo) // m) * m
-    return range(first, hi + 1, m)
-
-
-def _box_counter(group, shape, centers):
-    """For a box-shaped Heisenberg shape over axis moduli, the function counting the
-    translates shape * c, c a center, that contain a point; None for other shapes.
-    Per (g1, g2) the fitting c-multiples of m3 fill one interval, so a point costs
-    a few divisions."""
-    box = _shape_box(shape) if isinstance(group, HeisenbergGroup) else None
-    if box is None:
-        return None
-    (lo1, lo2, lo3), (hi1, hi2, hi3) = box
-    m1, m2, m3 = _heis_axis_moduli(centers.generators)
-
-    def count(w):
-        a, b, c = w
-        hits = 0
-        for g1 in _multiples(a - hi1, a - lo1, m1):
-            for g2 in _multiples(b - hi2, b - lo2, m2):
-                base = c + g1 * g2 - a * g2
-                hits += (base - lo3) // m3 - (base - hi3 - 1) // m3
-        return hits
-
-    return count
-
-
-def _center_period(group, centers):
-    """The least p > 0 with z = (0, .., 0, p) a lattice center.  Such a z is central
-    and the centers are closed under multiplying by it, so cover counts repeat
-    with period p along every column.  On Z^d, z is a center when every row's
-    last entry times p is divisible by D; on Heisenberg p is m3."""
+def _residue_index(group, shape, centers):
+    """(over, period, lookups) of a lattice center set over a shape, from one lattice
+    solve: over(w) lists, in shape order, the t in the shape with t^-1 * w a center;
+    period is the least p with (0, .., 0, p) a center; lookups bounds the table
+    lookups one call of over makes."""
     if isinstance(group, ZdGroup):
         D, rows = _zd_lattice(group, centers.generators)
-        return D // gcd(D, *(row[-1] for row in rows))
-    return _heis_axis_moduli(centers.generators)[2]
+
+        def residue(v):
+            return tuple(sum(map(operator.mul, row, v)) % D for row in rows)
+
+        buckets = {}
+        for t in shape:
+            buckets.setdefault(residue(t), []).append(t)
+        period = D // gcd(D, *(row[-1] for row in rows))
+        return (lambda w: buckets.get(residue(w), ())), period, 1
+    if not isinstance(group, HeisenbergGroup):
+        raise UnsupportedError("lattice center sets are supported on Z^d and Heisenberg only")
+    m1, m2, m3 = _heis_axis_moduli(centers.generators)
+    position = {t: i for i, t in enumerate(shape)}
+    buckets = {}
+    for t in shape:
+        ta, tb, tc = t
+        classes = buckets.setdefault((ta % m1, tb % m2), {})
+        classes.setdefault(ta % m3, {}).setdefault((tc - ta * tb) % m3, []).append(t)
+
+    def over(w):
+        a, b, c = w
+        classes = buckets.get((a % m1, b % m2), {})
+        if len(classes) == 1:
+            ((u, table),) = classes.items()
+            return table.get((c - u * b) % m3, ())
+        return sorted((t for u, table in classes.items() for t in table.get((c - u * b) % m3, ())),
+                      key=position.__getitem__)
+
+    return over, m3, max(map(len, buckets.values()))
+
+
+def _gatherer(group, shape, centers, index):
+    """The function listing, for a point w, the centers c with w in shape * c: the
+    explicit c with w * c^-1 in the shape, or t^-1 * w for the t the residue index
+    finds over w."""
+    mul, inverse = group._mul_raw, group.inverse
+    if index is None:
+        pairs = [(c, inverse(c)) for c in centers.elements]
+        return lambda w: [c for c, ci in pairs if mul(w, ci) in shape]
+    over = index[0]
+    return lambda w: [mul(inverse(t), w) for t in over(w)]
 
 
 def _scatter(group, shape, centers):
@@ -354,12 +318,11 @@ class _Column:
         return total
 
 
-def _window_columns(group, mt, gathers, window):
+def _window_columns(group, mt, indexes, window):
     """Each window column's _Column.  Lattice shapes are evaluated at one point per
     pattern index the column uses, explicit centers are scattered onto the window.
     Budgets are checked shape by shape, before each shape's work."""
-    period = lcm(*(_center_period(group, centers) for centers in mt.centers
-                   if isinstance(centers, LatticeCenters)))
+    period = lcm(*(index[1] for index in indexes if index))
     needed = {}
     for key, ivs in window.items():
         base = ivs[0][0]
@@ -371,26 +334,26 @@ def _window_columns(group, mt, gathers, window):
                                             for c in range(lo, hi + 1)}))
     evaluations = sum(len(idx) for _, _, idx in needed.values())
 
-    counts, extra = [], {}
-    for shape, centers, gather in zip(mt.shapes, mt.centers, gathers):
-        if isinstance(centers, ExplicitCenters):
+    overs, extra = [], {}
+    for shape, centers, index in zip(mt.shapes, mt.centers, indexes):
+        if index is None:
             for p in _scatter(group, shape, centers):
                 key, x = group._column_of(p)
                 if any(lo <= x <= hi for lo, hi in window.get(key, ())):
                     col = extra.setdefault(key, {})
                     col[x] = col.get(x, 0) + 1
             continue
-        box = _box_counter(group, shape, centers)
-        if box is None and evaluations * len(shape) > SCAN_BUDGET:
+        over, _, lookups = index
+        if evaluations * lookups > SCAN_BUDGET:
             raise BudgetError("lattice window scan too large")
-        counts.append(box or (lambda w, gather=gather: len(gather(w))))
+        overs.append(over)
 
     columns = {}
     for key, (base, P, idx) in needed.items():
         pattern = [None] * P
         for i in idx:
             w = group._point(key, base + i)
-            pattern[i] = sum(count(w) for count in counts)
+            pattern[i] = sum(len(over(w)) for over in overs)
         columns[key] = _Column(base, P, pattern, extra.get(key, {}))
     return columns
 
@@ -416,12 +379,12 @@ def _first_bad(group, spheres, columns, bad):
     return found
 
 
-def _column_scan(group, mt, gathers, spheres, region_radius):
+def _column_scan(group, mt, indexes, spheres, region_radius):
     """(window size, region size, sum of counts, covered count, first uncovered,
     first collisions) on Z^d and Heisenberg, column by column."""
     region = union_columns(spheres[:region_radius + 1])
     window = union_columns([region] + spheres[region_radius + 1:])
-    columns = _window_columns(group, mt, gathers, window)
+    columns = _window_columns(group, mt, indexes, window)
     total = sum(columns[key].tally(lo, hi, int)
                 for key, ivs in window.items() for lo, hi in ivs)
     covered_count = sum(columns[key].tally(lo, hi, bool)
@@ -481,14 +444,18 @@ def verify_multitile_window(mt, window_radius):
             f"window radius {R} is smaller than the largest shape diameter {margin}"
         )
     region_radius = R - margin
-    # every center set is validated before any scan work or budget refusal
-    gathers = [_gatherer(group, shape, centers) for shape, centers in zip(mt.shapes, mt.centers)]
+    # every lattice is solved once, which also validates it, before any scan
+    # work or budget refusal
+    indexes = [_residue_index(group, shape, centers) if isinstance(centers, LatticeCenters)
+               else None for shape, centers in zip(mt.shapes, mt.centers)]
     spheres = group._cached_spheres(R)
     if isinstance(group, (ZdGroup, HeisenbergGroup)):
-        scan = _column_scan(group, mt, gathers, spheres, region_radius)
+        scan = _column_scan(group, mt, indexes, spheres, region_radius)
     else:
         scan = _point_scan(group, mt, spheres, region_radius)
     window_size, region_size, total, covered_count, uncovered, collision_points = scan
+    gathers = [_gatherer(group, shape, centers, index)
+               for shape, centers, index in zip(mt.shapes, mt.centers, indexes)]
     collisions = tuple(
         (w, tuple((i, c) for i, gather in enumerate(gathers) for c in gather(w)))
         for w in collision_points

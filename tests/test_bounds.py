@@ -156,12 +156,11 @@ class TestGeneratingSetComparison:
             check_generating_set_comparison(g1, g2, 2, p=Fraction(2))
 
     def test_unbounded_marking_power_rejected(self):
-        fine_group = ZdGroup(1, generators=[(2,), (-2,)], max_radius=3)
-        g1 = MeasuredGraphing(fine_group, [Fraction(1, 8)] * 8, {
-            "2": [(v + 2) % 8 for v in range(8)],
-            "-2": [(v - 2) % 8 for v in range(8)],
-        }, 0)
-        g2 = build_torus_action(1, 8)
+        # 1 = 2 * 8 - 3 * 5 is a word of length 5 in the steps +-5, +-8
+        fine_group = ZdGroup(1, generators=[(5,), (-5,), (8,), (-8,)], max_radius=3)
+        g1 = MeasuredGraphing(fine_group, [Fraction(1, 9)] * 9, {
+            f"{s}": [(v + s) % 9 for v in range(9)] for s in (5, -5, 8, -8)}, 0)
+        g2 = build_torus_action(1, 9)
         with pytest.raises(UnsupportedError):
             check_generating_set_comparison(g1, g2, 2)
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -242,6 +243,30 @@ class TestVerifyTile:
         (row,) = read_rows(out)
         assert row["passed"] == "True"
         assert row["window_size"] == "7179905"
+
+    @pytest.mark.parametrize("point", ["[1.7, 0]", '["3", true]', "[true, 0]"])
+    def test_non_integer_coordinates_exit_2(self, point, capsys):
+        tile = ('{"shapes": [[[0, 0], %s]], "centers": {"kind": "lattice", '
+                '"generators": [[2, 0], [0, 1]]}}' % point)
+        assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 2}', "--tile", tile,
+                     "--window", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: expected a list of integer coordinates")
+
+    def test_free_group_tile(self, capsys):
+        tile = '{"shapes": [["1", "a"]], "centers": {"kind": "explicit", "list": ["1", "b", "ab", "A"]}}'
+        assert main(["verify-tile", "--group", '{"kind": "Free", "rank": 2}', "--tile", tile,
+                     "--window", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[2].startswith("False,False,False,4,1,3,161,")
+
+    def test_a_set_that_does_not_generate_exits_2_at_once(self, capsys):
+        group = ('{"kind": "Heisenberg", "generators": [[3, 0, 0], [-3, 0, 0], [0, 3, 0], '
+                 '[0, -3, 0], [1, 1, 1], [-1, -1, 0]]}')
+        tile = '{"shapes": [[[0, 0, 0], [1, 0, 0]]], "centers": {"kind": "explicit", "list": [[0, 0, 0]]}}'
+        start = time.perf_counter()
+        assert main(["verify-tile", "--group", group, "--tile", tile, "--window", "4"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "do not generate" in capsys.readouterr().err
 
     def test_window_too_small_exits_2(self, capsys):
         assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',

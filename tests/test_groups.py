@@ -1,10 +1,14 @@
 """Marked groups: products, norms, spheres, serialization."""
 
+import gc
+import weakref
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
 from isoprof import FreeGroup, HeisenbergGroup, ZdGroup, group_from_json, group_to_json
-from isoprof.groups import column_size, union_columns
+from isoprof.groups import _spans_integer_lattice, column_size, union_columns
 from oracles import sphere_oracle
 from isoprof.errors import (
     ConfigError,
@@ -79,6 +83,41 @@ class TestZd:
     def test_identity_generator_rejected(self):
         with pytest.raises(ConfigError):
             ZdGroup(1, generators=[(0,), (1,), (-1,)])
+
+    @pytest.mark.parametrize("make", [
+        lambda: ZdGroup(2, generators=[(2, 0), (-2, 0), (0, 1), (0, -1)]),
+        lambda: ZdGroup(1, generators=[(6,), (-6,), (10,), (-10,)]),
+        lambda: ZdGroup(2, generators=[(1, 1), (-1, -1), (1, -1), (-1, 1)]),
+        lambda: HeisenbergGroup(generators=[(3, 0, 0), (-3, 0, 0), (0, 3, 0), (0, -3, 0),
+                                            (1, 1, 1), (-1, -1, 0)]),
+        lambda: HeisenbergGroup(generators=[(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)]),
+    ])
+    def test_a_set_that_does_not_generate_is_rejected(self, make):
+        with pytest.raises(ConfigError, match="do not generate"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: ZdGroup(2), lambda: ZdGroup(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+        HeisenbergGroup, lambda: FreeGroup(2),
+    ])
+    def test_a_dropped_group_is_freed_without_the_cycle_collector(self, make):
+        # a cycle through the group would hold its sphere cache until the
+        # collector runs, and a loop over fresh groups would peak higher
+        gc.disable()
+        try:
+            g = make()
+            g.ball(3)
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=4))
+    def test_generation_matches_the_minors(self, vectors):
+        # integer vectors span Z^2 exactly when their 2x2 minors have gcd 1
+        minors = [a[0] * b[1] - a[1] * b[0] for a in vectors for b in vectors]
+        assert _spans_integer_lattice(vectors, 2) == (gcd(*minors) == 1)
 
     def test_foreign_element_rejected(self):
         with pytest.raises(MixedGroupError):

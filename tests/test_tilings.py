@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from isoprof import tilings
-from oracles import determinant, tile_window_oracle
+from oracles import determinant, inline_law, lattice_member_oracle, tile_window_oracle
 
 from isoprof import (
     ExplicitCenters,
@@ -128,17 +128,28 @@ class TestZdVerification:
 
     def test_lattice_solver_is_built_once_per_shape(self, monkeypatch):
         # a 2x2 square over the (1,0),(0,2) lattice overlaps its translates:
-        # the five reported collisions reuse the solver the scan built
+        # the five reported collisions reuse the residue index the scan built
         built = []
-        solver = tilings._zd_lattice_solver
-        monkeypatch.setattr(tilings, "_zd_lattice_solver",
-                            lambda group, gens: built.append(gens) or solver(group, gens))
+        index = tilings._residue_index
+        monkeypatch.setattr(tilings, "_residue_index", lambda group, shape, centers:
+                            built.append(centers) or index(group, shape, centers))
         g = ZdGroup(2)
         mt = MultiTile([g.subset([(0, 0), (1, 0), (0, 1), (1, 1)])],
                        [LatticeCenters([(1, 0), (0, 2)])])
         v = verify_multitile_window(mt, 6)
         assert len(v.collisions) == 5
         assert len(built) == 1
+
+    def test_lattice_is_solved_once_for_scan_period_and_collisions(self, monkeypatch):
+        solved = []
+        solve = tilings._zd_lattice
+        monkeypatch.setattr(tilings, "_zd_lattice",
+                            lambda group, gens: solved.append(gens) or solve(group, gens))
+        g = ZdGroup(2)
+        mt = MultiTile([g.subset([(0, 0), (1, 0), (0, 1), (1, 1)])],
+                       [LatticeCenters([(1, 0), (0, 2)])])
+        assert len(verify_multitile_window(mt, 6).collisions) == 5
+        assert solved == [((1, 0), (0, 2))]
 
     def test_multi_shape_tile_with_explicit_centers(self):
         # {0} on 3Z and {0,1} on 3Z+1 partition Z into blocks 0|12|3|45|...
@@ -179,7 +190,8 @@ class TestScanPaths:
     @pytest.mark.parametrize("seed", range(20))
     def test_integer_lattice_test_matches_brute_force(self, seed):
         # L contains |det L| * Z^d, so membership is decided mod |det L|, where
-        # every integer vector k can be tried up to that modulus
+        # every integer vector k can be tried up to that modulus; the index lists
+        # the shape points t with w - t in L, in shape order
         rng = random.Random(seed)
         d = 2 + seed % 2
         while True:
@@ -190,24 +202,43 @@ class TestScanPaths:
         m = abs(det)
         residues = {tuple(sum(g[i] * k for g, k in zip(gens, ks)) % m for i in range(d))
                     for ks in product(range(m), repeat=d)}
-        contains = tilings._zd_lattice_solver(ZdGroup(d), gens)
-        for c in product(range(-7, 8), repeat=d):
-            assert contains(c) == (tuple(x % m for x in c) in residues), (gens, c)
+        g = ZdGroup(d)
+        shape = _random_shape(rng, g, rng.randint(1, 8))
+        over, _, lookups = tilings._residue_index(g, shape, LatticeCenters(gens))
+        assert lookups == 1
+        for w in product(range(-7, 8), repeat=d):
+            expected = [t for t in shape
+                        if tuple((x - y) % m for x, y in zip(w, t)) in residues]
+            assert list(over(w)) == expected, (gens, w)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_heisenberg_box_count_matches_the_gather(self, seed):
+        # box shapes on even seeds, scattered ones on odd seeds, against the
+        # membership of every t^-1 w
         rng = random.Random(seed)
         g = HeisenbergGroup()
-        lo = [-rng.randint(0, 2) for _ in range(3)]
-        hi = [rng.randint(0, 2) for _ in range(3)]
-        shape = g.subset(list(product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
-        centers = LatticeCenters([(rng.randint(1, 4), 0, 0), (0, -rng.randint(1, 4), 0),
-                                  (0, 0, rng.randint(1, 6))])
+        if seed % 2:
+            shape = _random_shape(rng, g, rng.randint(1, 12))
+        else:
+            lo = [-rng.randint(0, 2) for _ in range(3)]
+            hi = [rng.randint(0, 2) for _ in range(3)]
+            shape = g.subset(list(product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
+        gens = [(rng.randint(1, 4), 0, 0), (0, -rng.randint(1, 4), 0), (0, 0, rng.randint(1, 6))]
+        mul, inv = inline_law(g)
+        member = lattice_member_oracle(g, gens)
         points = {tuple(rng.randint(-12, 12) for _ in range(3)) for _ in range(300)}
-        gather = tilings._gatherer(g, shape, centers)
-        count = tilings._box_counter(g, shape, centers)
+        over, period, lookups = tilings._residue_index(g, shape, LatticeCenters(gens))
+        assert period == gens[2][2]
+        assert lookups == max(len({t[0] % gens[2][2] for t in shape
+                                   if (t[0] - s[0]) % gens[0][0] == (t[1] - s[1]) % gens[1][1] == 0})
+                              for s in shape)
         for w in points:
-            assert count(w) == len(gather(w)), w
+            assert list(over(w)) == [t for t in shape if member(mul(inv(t), w))], w
+
+    def test_cuboid_tiles_cost_one_lookup(self):
+        for n in (8, 45, 425):
+            mt = folner_multitile_sequence(HeisenbergGroup(), n, verify=False)
+            assert tilings._residue_index(mt.group, mt.shapes[0], mt.centers[0])[2] == 1
 
 
 def _random_lattice(rng, d, negative):
@@ -257,7 +288,6 @@ class TestColumnScan:
         mods = [b - a + 1 + (rng.randint(-1, 1) if seed % 2 else 0) or 1 for a, b in zip(lo, hi)]
         centers = LatticeCenters([(mods[0], 0, 0), (0, -mods[1], 0), (0, 0, mods[2])])
         v = self.check(MultiTile([shape], [centers]), 7)
-        assert tilings._box_counter(g, shape, centers) is not None
         if not seed % 2:
             assert v.passed
 
@@ -269,7 +299,6 @@ class TestColumnScan:
         shape = _random_shape(rng, g, rng.randint(2, 6), spread=1)
         centers = LatticeCenters([(rng.randint(1, 3), 0, 0), (0, rng.randint(1, 3), 0),
                                   (0, 0, rng.randint(1, 4))])
-        assert tilings._box_counter(g, shape, centers) is None or len(shape) == 1
         self.check(MultiTile([shape], [centers]), 6)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -303,49 +332,54 @@ class TestColumnScan:
         centers = ExplicitCenters([(0,) * k for k in range(0, 5, 2)] + [(1,) * k for k in (2, 4)])
         self.check(MultiTile([shape], [centers]), 5)
 
-    def test_budget_counts_evaluations_not_points(self):
-        # 345,149 window points times 20 shape points is past the budget, but
-        # with period m3 = 2 each column needs at most 2 evaluations
+    def test_budget_counts_evaluations_not_points(self, monkeypatch):
+        # 345,149 window points are past a budget of 100,000, but with period
+        # m3 = 2 each column needs at most 2 evaluations of one lookup
+        monkeypatch.setattr(tilings, "SCAN_BUDGET", 100_000)
         g = HeisenbergGroup()
         shape = g.subset([(0, 0, 0)] + [(1, 0, c) for c in range(19)])
         v = verify_multitile_window(
             MultiTile([shape], [LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 2)])]), 30)
         assert v.window_size == 345149
 
-    def test_a_scan_without_a_short_period_still_refuses(self):
-        g = HeisenbergGroup()
+    def test_a_scan_without_a_short_period_still_refuses(self, monkeypatch):
         # 41 points, not a box; with no period inside the window every one of the
-        # 141,225 points is an evaluation
+        # 141,225 points is an evaluation, and each costs 4 lookups, since the
+        # columns a = -3, -1, 1, 3 share a bucket mod 2 but not mod 10^6
+        monkeypatch.setattr(tilings, "SCAN_BUDGET", 500_000)
+        g = HeisenbergGroup()
         shape = g.subset([(a, b, 0) for a in range(-3, 4) for b in range(-3, 3)][:-1])
         mt = MultiTile([shape], [LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 10 ** 6)])])
         with pytest.raises(BudgetError, match="^lattice window scan too large$"):
             verify_multitile_window(mt, 24)
 
     def test_a_refused_scan_gathers_nothing_first(self, monkeypatch):
-        # the interval {0..N-1} over NZ at window N - 1 needs N evaluations of N
-        # shape points each; the period N is read off the lattice, so the
-        # refusal comes before any window point is gathered
+        # the interval {0..N-1} over NZ at window N - 1 needs N evaluations, one
+        # past the budget; the period N is read off the lattice, so the refusal
+        # comes before any window point is looked up
         gathered = []
-        build = tilings._gatherer
+        build = tilings._residue_index
 
         def counting(group, shape, centers):
-            gather = build(group, shape, centers)
-            return lambda w: gathered.append(w) or gather(w)
+            over, period, lookups = build(group, shape, centers)
+            return (lambda w: gathered.append(w) or over(w)), period, lookups
 
-        monkeypatch.setattr(tilings, "_gatherer", counting)
+        monkeypatch.setattr(tilings, "_residue_index", counting)
         N = 10 ** 4
+        monkeypatch.setattr(tilings, "SCAN_BUDGET", N - 1)
         g = ZdGroup(1, max_radius=N)
         mt = MultiTile([g.subset([(t,) for t in range(N)])], [LatticeCenters([(N,)])])
         with pytest.raises(BudgetError, match="^lattice window scan too large$"):
             verify_multitile_window(mt, N - 1)
         assert gathered == []
 
-    def test_budget_refusals_come_in_shape_order(self):
+    def test_budget_refusals_come_in_shape_order(self, monkeypatch):
+        monkeypatch.setattr(tilings, "SCAN_BUDGET", 2999)
         g = ZdGroup(1, max_radius=2999)
-        wide = g.subset([(t,) for t in range(3000)])  # 3,000 evaluations of 3,000 points
+        wide = g.subset([(t,) for t in range(3000)])  # 3,000 evaluations
         short = g.subset([(t,) for t in range(100)])
         lattice = LatticeCenters([(3000,)])
-        scatter = ExplicitCenters([(c,) for c in range(50001)])  # 5,000,100 scatter steps
+        scatter = ExplicitCenters([(c,) for c in range(30)])  # 3,000 scatter steps
         with pytest.raises(BudgetError, match="^lattice window scan too large$"):
             verify_multitile_window(MultiTile([wide, short], [lattice, scatter]), 2999)
         with pytest.raises(BudgetError, match="^explicit center scatter too large$"):
@@ -353,13 +387,14 @@ class TestColumnScan:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_period_is_the_least_center_on_the_last_axis(self, seed):
+        # over the one-point shape {0}, the index finds a point exactly when it is
+        # a center
         rng = random.Random(seed)
         d = 1 + seed % 3
         gens = _random_lattice(rng, d, negative=seed < 6)
         g = ZdGroup(d)
-        p = tilings._center_period(g, LatticeCenters(gens))
-        contains = tilings._zd_lattice_solver(g, gens)
-        on_axis = [contains((0,) * (d - 1) + (q,)) for q in range(1, p + 1)]
+        over, p, _ = tilings._residue_index(g, g.subset([g.identity]), LatticeCenters(gens))
+        on_axis = [bool(over((0,) * (d - 1) + (q,))) for q in range(1, p + 1)]
         assert on_axis == [False] * (p - 1) + [True], gens
 
 
@@ -446,6 +481,24 @@ class TestTileJson:
         assert isinstance(obj["centers"], list) and len(obj["centers"]) == 2
         back = multitile_from_json(g, obj)
         assert [len(s) for s in back.shapes] == [1, 2]
+
+    def test_free_group_roundtrip(self):
+        g = FreeGroup(2)
+        mt = MultiTile([g.subset([(), (0,)])], [ExplicitCenters([(), (2,), (0, 2), (1,)])])
+        obj = multitile_to_json(mt)
+        assert obj["centers"] == {"kind": "explicit", "list": ["1", "b", "ab", "A"]}
+        back = multitile_from_json(g, obj)
+        assert back.shapes == mt.shapes and back.centers[0].elements == mt.centers[0].elements
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, "1", True])
+    @pytest.mark.parametrize("where", ["shape", "explicit", "lattice"])
+    def test_non_integer_coordinates_rejected(self, where, bad):
+        shapes = [[[0, 0], [bad, 0]] if where == "shape" else [[0, 0]]]
+        centers = ({"kind": "explicit", "list": [[0, 0], [bad, 0]]} if where == "explicit" else
+                   {"kind": "lattice",
+                    "generators": [[2, 0], [0, bad if where == "lattice" else 1]]})
+        with pytest.raises(ConfigError):
+            multitile_from_json(ZdGroup(2), {"shapes": shapes, "centers": centers})
 
     @pytest.mark.parametrize(
         "obj",
