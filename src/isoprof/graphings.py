@@ -5,12 +5,15 @@ Maps act on the left (phi_s then phi_t models the element ts), weights are
 exact rationals summing to one, and the free_window radius is the range of n
 for which theorem checks are meaningful on the finite model: below it, no
 nonidentity group element of that word norm fixes any vertex where defined.
-Checking a window walks the orbit graph over distinct states, so its cost
-grows with the ball of that radius, not with the number of reduced words.
+Checking a window walks the orbit graph over distinct states from both ends
+of a word, so its cost grows with the ball of half that radius, not with the
+number of reduced words.
 """
 
 from fractions import Fraction
-from operator import eq
+from itertools import compress, repeat
+from math import lcm
+from operator import add, ne
 
 from ._record import Record
 from .errors import (
@@ -42,6 +45,21 @@ def _min_violation_depth(group, maps, n_vertices, radius):
     reach one state extend alike, and a word fixing a vertex reduces to one no
     longer that fixes it too.  Each state is expanded once, except for the
     step back along the label that reached it, whose target its parent dominates.
+    Every (start, image, element) that a word of length i reaches is thus
+    reached by a state at depth <= i, and at depth exactly i when i is least.
+
+    The walk meets in the middle and stops at depth ceil(radius / 2).  Two
+    states at depths i and j that send one start v to one vertex u with
+    elements h != h' give a word of length i + j fixing v with element
+    h'^-1 h != e: the maps are partial bijections, so the second word can run
+    backwards from u.  Conversely, a shortest violating word, of length k,
+    splits into a head of length ceil(k/2) and a reversed tail of length
+    floor(k/2) that collide so, and neither half is reached sooner, or a
+    shorter word would violate.  So the first depth j with a collision is
+    ceil(k/2), and k is 2j - 1 (a collision with depth j - 1) or 2j (within
+    depth j); a collision with an older depth would give a shorter word.
+    Each depth keeps one element per (start, image) key, so only the last
+    two depths are held.
     """
     gone = n_vertices  # the image of a vertex whose shift chain broke
     steps = []
@@ -51,30 +69,51 @@ def _min_violation_depth(group, maps, n_vertices, radius):
     identity, mul = group.identity, group._mul_raw
 
     def first_hit(starts, limit):
+        # the image u of start position p has the key p * (gone + 1) + u
+        offsets = range(0, len(starts) * (gone + 1), gone + 1)
         seen = {(identity, starts)}
         frontier = [(identity, starts, None)]
-        for depth in range(1, limit + 1):
-            nxt = []
+        older = dict.fromkeys(map(add, offsets, starts), identity)
+        for depth in range(1, (limit + 1) // 2 + 1):
+            nxt, layer, even = [], {}, False
             for el, pos, last in frontier:
                 for lab, gen, step, back in steps:
                     if last == back:
                         continue
                     g, img = state = (mul(gen, el), tuple(map(step, pos)))
-                    if state in seen or img.count(gone) == len(img):
+                    if state in seen or (lost := img.count(gone)) == len(img):
                         continue
-                    if g != identity and any(map(eq, img, starts)):
-                        return depth
+                    keys = map(add, offsets, img)
+                    keys = list(compress(keys, map(gone.__ne__, img)) if lost else keys)
+                    if any(map(ne, map(older.get, keys, repeat(g)), repeat(g))):
+                        return 2 * depth - 1
+                    # a collision within this depth ends the walk here, so
+                    # the layer need not be complete after one, nor be kept
+                    # when its length 2 * depth is over the limit
+                    even = even or (2 * depth <= limit and any(
+                        map(ne, map(layer.setdefault, keys, repeat(g)), repeat(g))))
                     seen.add(state)
                     nxt.append((g, img, lab))
+            if even:
+                return 2 * depth
             if not nxt:  # no state is left to extend, so no longer word fixes a vertex
                 return None
-            frontier = nxt
+            frontier, older = nxt, layer
+        return None
 
     best = None
     for lo in range(0, n_vertices, _BLOCK):
         starts = tuple(range(lo, min(lo + _BLOCK, n_vertices)))
         best = first_hit(starts, radius if best is None else best - 1) or best
     return best
+
+
+def _fraction_sum(values):
+    """Exact sum of Fractions over the lcm of their denominators, with no Fraction
+    (and no gcd) per partial sum."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 
 
 class MeasuredGraphing:
@@ -106,16 +145,15 @@ class MeasuredGraphing:
     def _check(self, group, weights, maps):
         """Store the group, weights and maps, rejecting malformed ones."""
         self.group = group
-        self.weights = tuple(Fraction(w) for w in weights)
+        self.weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
         self.n_vertices = len(self.weights)
         if self.n_vertices < 1:
             raise ConfigError("a graphing needs at least one vertex")
         if any(w <= 0 for w in self.weights):
             raise NormalizationError("vertex weights must be positive")
-        if sum(self.weights) != 1:
-            raise NormalizationError(
-                f"vertex weights must sum to 1, got {sum(self.weights)}"
-            )
+        total = _fraction_sum(self.weights)
+        if total != 1:
+            raise NormalizationError(f"vertex weights must sum to 1, got {total}")
         if set(maps) != set(group.labels):
             raise ConfigError("graphing maps must cover exactly the generator labels")
         self.maps = {}
@@ -124,7 +162,7 @@ class MeasuredGraphing:
             if len(row) != self.n_vertices:
                 raise ConfigError(f"map {lab!r} has the wrong length")
             for t in row:
-                if t is not None and not (isinstance(t, int) and 0 <= t < self.n_vertices):
+                if t is not None and not (type(t) is int and 0 <= t < self.n_vertices):
                     raise ConfigError(f"map {lab!r} has target {t!r} out of range")
             defined = [t for t in row if t is not None]
             if len(set(defined)) != len(defined):
@@ -157,14 +195,11 @@ class MeasuredGraphing:
     def mu(self, vertices):
         """Total weight of a vertex collection."""
         seen = set()
-        total = Fraction(0)
         for v in vertices:
             if not 0 <= v < self.n_vertices:
                 raise ParameterError(f"vertex {v} out of range")
-            if v not in seen:
-                seen.add(v)
-                total += self.weights[v]
-        return total
+            seen.add(v)
+        return _fraction_sum(self.weights[v] for v in seen)
 
     def within(self, sources, radius):
         """The set of vertices at most radius shift steps from a source vertex."""

@@ -317,6 +317,15 @@ def _spans_integer_lattice(vectors, n):
     return True
 
 
+def integer_vector(v):
+    """v as a tuple, refusing any coordinate whose type is not int: a float, a
+    bool or a string is a mistake, not a coordinate to round."""
+    v = tuple(v)
+    if not all(type(c) is int for c in v):
+        raise ConfigError(f"expected integer coordinates, got {v!r}")
+    return v
+
+
 class _TupleGroup(MarkedGroup):
     """Z^d and Heisenberg: elements are integer tuples of one length, written as
     coordinate lists; generators are the standard ones or parsed vectors."""
@@ -332,7 +341,7 @@ class _TupleGroup(MarkedGroup):
         else:
             gens = []
             for v in generators:
-                v = tuple(int(c) for c in v)
+                v = integer_vector(v)
                 if len(v) != length:
                     raise ConfigError(self._bad_generator.format(v=v, n=length))
                 gens.append(v)

@@ -55,7 +55,8 @@ from .errors import (
     UnsupportedError,
     WindowTooSmallError,
 )
-from .groups import GroupSubset, HeisenbergGroup, ZdGroup, column_size, union_columns
+from .groups import (GroupSubset, HeisenbergGroup, ZdGroup, column_size, integer_vector,
+                     union_columns)
 from .isoperimetry import heisenberg_cuboid, zd_cube
 
 # lattice evaluations times index lookups per point, and explicit center
@@ -67,7 +68,7 @@ class ExplicitCenters:
     """A finite explicit list of translation centers."""
 
     def __init__(self, elements):
-        elements = [tuple(int(c) for c in e) for e in elements]
+        elements = [integer_vector(e) for e in elements]
         if len(set(elements)) != len(elements):
             raise ConfigError("explicit center list contains duplicates")
         self.elements = tuple(elements)
@@ -89,7 +90,7 @@ class LatticeCenters:
     """
 
     def __init__(self, generators):
-        gens = [tuple(int(c) for c in g) for g in generators]
+        gens = [integer_vector(g) for g in generators]
         if not gens:
             raise ConfigError("lattice needs at least one generator")
         if any(all(c == 0 for c in g) for g in gens):

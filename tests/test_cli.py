@@ -204,6 +204,15 @@ class TestProfileAction:
         err = capsys.readouterr().err
         assert err == "error: weights must be a list of rationals\n"
 
+    def test_boolean_map_targets_exit_2(self, capsys):
+        # true and false are not vertices 1 and 0
+        graphing = ('{"vertices": 3, "weights": ["1/3", "1/3", "1/3"], '
+                    '"maps": {"1": [true, 2, 0], "-1": [2, 0, 1]}, '
+                    '"group": {"kind": "Zd", "d": 1}}')
+        assert main(["profile-action", "--n", "2", "--graphing", graphing]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: map '1' has target True out of range\n"
+
     def test_budget_truncation_still_writes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ISOPROF_NODE_BUDGET", "1")
         out = tmp_path / "act.csv"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoprof import (
+    HeisenbergGroup,
     MeasuredGraphing,
     SqrtSum,
     ZdGroup,
@@ -27,7 +28,7 @@ from isoprof.errors import (
 )
 from isoprof import graphings
 from isoprof.graphings import _min_violation_depth
-from oracles import punctured, random_graphing, violation_depth_oracle
+from oracles import inline_law, punctured, random_graphing, reduced_words, violation_depth_oracle
 
 
 def tiny_graphing(maps, weights=None, fw=0):
@@ -73,6 +74,23 @@ class TestValidation:
         # one below the first violating word length is accepted
         MeasuredGraphing(g.group, g.weights, dict(g.maps), 5)
 
+    def test_weight_sum_is_reported_exactly(self):
+        weights = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 10)]
+        with pytest.raises(NormalizationError, match=r"must sum to 1, got 11/10$"):
+            tiny_graphing({"1": [1, 2, 3, 0], "-1": [3, 0, 1, 2]}, weights=weights)
+
+    def test_weights_are_read_as_fractions(self):
+        g = MeasuredGraphing(ZdGroup(1), ["1/2", 0.25, Fraction(1, 4)],
+                             {"1": [1, 2, 0], "-1": [2, 0, 1]}, 0)
+        assert g.weights == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+        assert all(type(w) is Fraction for w in g.weights)
+
+    @pytest.mark.parametrize("target", [True, False, 1.0])
+    def test_targets_must_be_integers(self, target):
+        # True and False would pass for vertices 1 and 0
+        with pytest.raises(ConfigError, match="out of range"):
+            tiny_graphing({"1": [target, None, None], "-1": [None, 0, None]})
+
     def test_identity_element_words_do_not_break_freeness(self):
         # on a torus the commutator 1,0 0,1 -1,0 0,-1 fixes every vertex but
         # multiplies to the identity, so it must not shrink the free window
@@ -85,9 +103,9 @@ class TestFreeWindow:
     """The state walk against every reduced word, radius by radius."""
 
     def oracle_window(self, g, cap):
-        """Compare the walk radius by radius; return the clean window up to cap."""
-        depth = violation_depth_oracle(g.group, g.maps, g.n_vertices, 6)
-        for radius in range(7):
+        """Compare the walk radius by radius up to 8; return the clean window up to cap."""
+        depth = violation_depth_oracle(g.group, g.maps, g.n_vertices, 8)
+        for radius in range(9):
             want = depth if depth is not None and depth <= radius else None
             assert _min_violation_depth(g.group, g.maps, g.n_vertices, radius) == want
         return cap if depth is None or depth > cap else depth - 1
@@ -104,8 +122,12 @@ class TestFreeWindow:
     @pytest.mark.parametrize("seed", range(10))
     def test_punctured_tori_and_quotients(self, seed):
         rng = random.Random(seed)
-        for g in (build_torus_action(2, 4), build_heisenberg_quotient(4),
-                  build_torus_action(2, 5, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)])):
+        for g in (build_torus_action(2, 4), build_torus_action(2, 5), build_heisenberg_quotient(3),
+                  build_heisenberg_quotient(4),
+                  build_torus_action(2, 5, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+                  # no parity: 2 and 1 + 1 reach one vertex with one element
+                  # at two depths, which is no violation
+                  build_torus_action(1, 12, generators=[(1,), (-1,), (2,), (-2,)])):
             self.oracle_window(punctured(g, rng, Fraction(1, 4)), 6)
 
     @pytest.mark.parametrize("m", range(3, 8))
@@ -122,6 +144,53 @@ class TestFreeWindow:
     def test_tori_with_other_generators(self, d, m, gens):
         g = build_torus_action(d, m, generators=gens)
         assert g.free_window == self.oracle_window(g, min(m - 1, 6))
+
+    @pytest.mark.parametrize("m, generators, depth", [
+        (4, None, 4), (5, None, 5), (7, None, 7), (8, None, 8), (9, None, None),
+        (4, [(1,), (-1,), (2,), (-2,)], 2),  # 2 + 2
+        (5, [(1,), (-1,), (2,), (-2,)], 3),  # 2 + 2 + 1
+    ])
+    def test_rings_to_radius_8(self, m, generators, depth):
+        # odd depths meet one step apart, even depths at one depth
+        g = build_torus_action(1, m, generators=generators)
+        self.oracle_window(g, 0)
+        assert _min_violation_depth(g.group, g.maps, m, 8) == depth
+
+    def test_heisenberg_identity_words_do_not_count(self):
+        # H3 under left multiplication, on the points that its reduced words
+        # of length 8 with the identity element (figure eights of zero signed
+        # area: xyXYXyxY and the like) pass through from the identity.  The
+        # action is free, so no word fixes a vertex, though those words lead
+        # the identity back to itself.
+        group = HeisenbergGroup()
+        mul, _ = inline_law(group)
+        inverse = {lab: group.inverse_label(lab) for lab in group.labels}
+        loops, points = [], {group.identity}
+        for word in reduced_words(group.labels, inverse, 8):
+            path = [group.identity]
+            for lab in word:
+                path.append(mul(group.generator(lab), path[-1]))
+            if path[-1] == group.identity:
+                loops.append(word)
+                points.update(path)
+        points = sorted(points)
+        index = {p: i for i, p in enumerate(points)}
+        maps = {lab: [index.get(mul(group.generator(lab), p)) for p in points]
+                for lab in group.labels}
+        g = MeasuredGraphing(group, [Fraction(1, len(points))] * len(points), maps, 8)
+        assert len(loops) == 64 and len(points) == 71
+        start = index[group.identity]
+        assert all(g.apply_word(word[::-1], start) == start for word in loops)
+        assert self.oracle_window(g, 8) == 8
+
+    def test_walk_meets_in_the_middle(self, monkeypatch):
+        g = build_heisenberg_quotient(8)
+        mul, calls = g.group._mul_raw, []
+        monkeypatch.setattr(g.group, "_mul_raw", lambda a, b: calls.append(1) or mul(a, b))
+        assert _min_violation_depth(g.group, g.maps, g.n_vertices, 6) is None
+        # 416: 8 blocks of 64 starts, 4 + 12 + 36 states to depth 3 each; a
+        # walk to depth 6 makes 7,184
+        assert len(calls) <= 500
 
     def test_large_window_builds(self):
         # a walk over words would take 4 * 3**15 words of length 16
@@ -223,6 +292,15 @@ class TestWordsAndMeasure:
     def test_mu_deduplicates(self):
         g = build_torus_action(1, 4)
         assert g.mu([0, 0, 1]) == Fraction(2, 4)
+
+    def test_mu_sums_mixed_denominators_exactly(self):
+        w = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 10), Fraction(1, 15)]
+        g = build_weighted_cycle(4, w)
+        assert g.mu([]) == 0 and type(g.mu([])) is Fraction
+        assert g.mu([1, 3, 2, 3]) == Fraction(1, 2)
+        assert g.mu(range(4)) == 1
+        with pytest.raises(ParameterError, match="vertex 4 out of range"):
+            g.mu([0, 4, -1])
 
     def test_json_roundtrip_preserves_everything(self):
         rng = random.Random(11)

@@ -96,6 +96,16 @@ class TestZd:
         with pytest.raises(ConfigError, match="do not generate"):
             make()
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
+    @pytest.mark.parametrize("make", [
+        lambda c: ZdGroup(2, generators=[(c, 0), (-1, 0), (0, 1), (0, -1)]),
+        lambda c: HeisenbergGroup(generators=[(c, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]),
+    ])
+    def test_non_integer_generator_coordinates_rejected(self, make, bad):
+        # int() would read each of them as 1 and build the standard marking
+        with pytest.raises(ConfigError, match="expected integer coordinates"):
+            make(bad)
+
     @pytest.mark.parametrize("make", [
         lambda: ZdGroup(2), lambda: ZdGroup(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)]),
         HeisenbergGroup, lambda: FreeGroup(2),

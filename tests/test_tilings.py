@@ -500,6 +500,13 @@ class TestTileJson:
         with pytest.raises(ConfigError):
             multitile_from_json(ZdGroup(2), {"shapes": shapes, "centers": centers})
 
+    @pytest.mark.parametrize("bad", [1.7, 1.0, "1", True])
+    @pytest.mark.parametrize("make", [ExplicitCenters, LatticeCenters])
+    def test_center_constructors_reject_non_integer_coordinates(self, make, bad):
+        # int() would read 1.7 and True as 1
+        with pytest.raises(ConfigError, match="expected integer coordinates"):
+            make([(0, 1), (bad, 2)])
+
     @pytest.mark.parametrize(
         "obj",
         [
