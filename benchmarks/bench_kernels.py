@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from isoprof import ZdGroup, build_torus_action, build_weighted_cycle
 from isoprof._kernels import BACKEND_REASON, _core, _pure
-from isoprof.action_profile import _scaled_weights, packing_items
+from isoprof.action_profile import packing_items, partition_tables
 from isoprof.isoperimetry import canonical_ranks, neighbor_table
 
 BUDGET = 1 << 62
@@ -36,10 +36,8 @@ def connected_inputs(group, limit):
 
 def partition_inputs(graphing, n):
     """Arguments of partition_dp, from the tables the exhaustive action profile builds."""
-    V = graphing.n_vertices
-    rows = list(graphing.maps.values())
-    flat = [-1 if row[v] is None else row[v] for v in range(V) for row in rows]
-    return flat, V, len(rows), _scaled_weights(graphing)[0], n
+    *tables, _ = partition_tables(graphing)
+    return (*tables, n)
 
 
 def packing_inputs(graphing, n):

@@ -27,6 +27,7 @@ from .errors import (
     WindowExceededError,
 )
 from .graphings import MeasuredGraphing
+from .groups import integer_parameter
 
 EXHAUSTIVE_LIMIT = 14
 
@@ -37,8 +38,7 @@ class BoundedPartition:
     def __init__(self, graphing, cells, n_bound):
         if not isinstance(graphing, MeasuredGraphing):
             raise ParameterError("expected a MeasuredGraphing")
-        n_bound = int(n_bound)
-        if n_bound < 1:
+        if integer_parameter("n_bound", n_bound) < 1:
             raise ParameterError("n_bound must be positive")
         self.graphing = graphing
         self.n_bound = n_bound
@@ -128,44 +128,24 @@ def boundary_mass(graphing, partition):
     )
 
 
-def _adjacency_masks(graphing):
-    V = graphing.n_vertices
-    adj = [0] * V
-    for row in graphing.maps.values():
-        for v, t in enumerate(row):
-            if t is not None:
-                adj[v] |= 1 << t
-                adj[t] |= 1 << v
-    return adj
-
-
 def connected_refinement(graphing, partition):
     """Split every cell into its connected components under generator edges.
 
     Two cellmates joined by a generator edge stay together, so no vertex
     gains a new way to leave its cell: boundary mass is exactly preserved,
-    and cell sizes can only shrink.
+    and cell sizes can only shrink.  The maps hold each generator's inverse,
+    so following them forward reaches every neighbour.
     """
-    adj = _adjacency_masks(graphing)
+    rows = graphing.maps.values()
     cells = []
     for cell in partition.cells:
-        cell_set = set(cell)
         left = set(cell)
         while left:
-            start = min(left)
-            comp = {start}
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                rest = adj[v]
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    u = bit.bit_length() - 1
-                    if u in cell_set and u not in comp:
-                        comp.add(u)
-                        queue.append(u)
-            cells.append(sorted(comp))
+            comp = frontier = {min(left)}
+            while frontier:
+                frontier = {row[v] for row in rows for v in frontier} & left - comp
+                comp |= frontier
+            cells.append(comp)
             left -= comp
     return BoundedPartition(graphing, cells, partition.n_bound)
 
@@ -178,7 +158,6 @@ class ActionProfileResult(Record):
     method: str
     optimal: bool
     nodes: int
-    fallback: bool
 
     def __iter__(self):
         yield self.value
@@ -191,18 +170,41 @@ def _scaled_weights(graphing):
     return [int(w * scale) for w in graphing.weights], scale
 
 
+def _partition_of_masks(graphing, masks, n):
+    """The partition whose cells are the disjoint vertex masks, every other vertex alone."""
+    V = graphing.n_vertices
+    covered = 0
+    cells = []
+    for mask in masks:
+        cells.append([v for v in range(V) if mask >> v & 1])
+        covered |= mask
+    cells += [[v] for v in range(V) if not covered >> v & 1]
+    return BoundedPartition(graphing, cells, n)
+
+
 def _exhaustive_exact(graphing, n):
     """Bitmask DP over vertex sets, run by the connected-set kernel; cells are
     connected subsets.  Returns (value, partition, nodes)."""
-    from ._kernels import partition_dp
+    from ._kernels import _pure, partition_dp
 
+    if graphing.n_vertices > _pure.DP_MAX_VERTICES:
+        raise ParameterError(
+            f"the exhaustive route takes at most {_pure.DP_MAX_VERTICES} vertices, "
+            f"got {graphing.n_vertices}"
+        )
+    *tables, scale = partition_tables(graphing)
+    value, cells, nodes = partition_dp(*tables, n)
+    return Fraction(value, scale), _partition_of_masks(graphing, cells, n), nodes
+
+
+def partition_tables(graphing):
+    """Partition-DP inputs as (flat neighbour table, vertex count, generator count,
+    scaled integer weights, scale); -1 marks an undefined shift."""
     V = graphing.n_vertices
     rows = list(graphing.maps.values())
     flat = [-1 if row[v] is None else row[v] for v in range(V) for row in rows]
     weights, scale = _scaled_weights(graphing)
-    value, cells, nodes = partition_dp(flat, V, len(rows), weights, n)
-    cells = [[v for v in range(V) if cell >> v & 1] for cell in cells]
-    return Fraction(value, scale), BoundedPartition(graphing, cells, n), nodes
+    return flat, V, len(rows), weights, scale
 
 
 def packing_items(graphing, n):
@@ -229,31 +231,19 @@ def _bnb_exact(graphing, n, node_budget):
     """Kernel-backed interior packing; returns (value, partition, nodes, complete)."""
     from ._kernels import pack_max_weight
 
-    V = graphing.n_vertices
     masks, int_weights, scale = packing_items(graphing, n)
     best, chosen, nodes, complete = pack_max_weight(masks, int_weights, n, node_budget)
-    merged = [masks[i] for i in chosen]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(merged)):
-            for j in range(i + 1, len(merged)):
-                if merged[i] & merged[j]:
-                    merged[i] |= merged[j]
-                    del merged[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    covered = 0
+    # each chosen mask absorbs the cells it meets, so the cells stay disjoint
     cells = []
-    for m in merged:
-        cells.append([v for v in range(V) if (m >> v) & 1])
-        covered |= m
-    for v in range(V):
-        if not (covered >> v) & 1:
-            cells.append([v])
-    partition = BoundedPartition(graphing, cells, n)
+    for i in chosen:
+        cell, apart = masks[i], []
+        for c in cells:
+            if c & cell:
+                cell |= c
+            else:
+                apart.append(c)
+        cells = apart + [cell]
+    partition = _partition_of_masks(graphing, cells, n)
     mass = boundary_mass(graphing, partition).mass
     if complete and mass != 1 - Fraction(best, scale):
         raise RuntimeError(
@@ -263,34 +253,28 @@ def _bnb_exact(graphing, n, node_budget):
 
 
 def profile_action_exact(graphing, n, method="auto", node_budget=None):
-    """Exact minimum boundary mass over partitions into cells of size <= n."""
+    """Exact minimum boundary mass over partitions into cells of size <= n.
+
+    "exhaustive" runs the DP over vertex sets, "bnb" the interior packing, and
+    "auto" the DP up to EXHAUSTIVE_LIMIT vertices and the packing above.  The
+    result's method names the route that ran; it is the one named, never a
+    substitute.
+    """
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
-    budget = node_budget if node_budget is not None else 1 << 62
-    V = graphing.n_vertices
-    fallback = False
     if method == "auto":
-        chosen = "exhaustive" if V <= EXHAUSTIVE_LIMIT else "bnb"
-    elif method == "exhaustive":
-        if V <= EXHAUSTIVE_LIMIT:
-            chosen = "exhaustive"
-        else:
-            chosen = "bnb"
-            fallback = True
-    elif method == "bnb":
-        chosen = "bnb"
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    if chosen == "exhaustive":
+        method = "exhaustive" if graphing.n_vertices <= EXHAUSTIVE_LIMIT else "bnb"
+    if method == "exhaustive":
         value, partition, nodes = _exhaustive_exact(graphing, n)
         return ActionProfileResult(
-            value=value, partition=partition, method="exhaustive",
-            optimal=True, nodes=nodes, fallback=fallback,
+            value=value, partition=partition, method=method, optimal=True, nodes=nodes
         )
+    if method != "bnb":
+        raise ParameterError(f"unknown method {method!r}")
+    budget = node_budget if node_budget is not None else 1 << 62
     value, partition, nodes, complete = _bnb_exact(graphing, n, budget)
     return ActionProfileResult(
-        value=value, partition=partition, method="bnb",
-        optimal=complete, nodes=nodes, fallback=fallback,
+        value=value, partition=partition, method=method, optimal=complete, nodes=nodes
     )
 
 
@@ -411,15 +395,8 @@ def disintegration_identity(graphing, partition):
         raise NotApplicableError(
             "the disintegration identity is a statement about pmp models"
         )
-    mass = boundary_mass(graphing, partition).mass
-    integral = Fraction(0)
-    for cell in partition.cells:
-        cell_set = set(cell)
-        bdry = 0
-        for v in cell:
-            for row in graphing.maps.values():
-                if row[v] not in cell_set:
-                    bdry += 1
-                    break
-        integral += Fraction(bdry, len(cell)) * graphing.mu(cell)
+    report = boundary_mass(graphing, partition)
+    mass, boundary = report.mass, set(report.boundary_set)
+    integral = sum((Fraction(len(boundary.intersection(cell)), len(cell)) * graphing.mu(cell)
+                    for cell in partition.cells), Fraction(0))
     return DisintegrationReport(mass=mass, integral=integral, passed=mass == integral)

@@ -207,49 +207,37 @@ def check_generating_set_comparison(g1, g2, n, p=None):
     }
     if p is None:
         M = max(g1.rn_profile(lab).linf() for lab in g1.group.labels)
-        links_ok = True
-        C = Fraction(0)
-        for word, mass in zip(words, masses):
-            factor = M ** len(word)
-            C += factor
-            if mass > factor * mu1:
-                links_ok = False
+        factors = [M ** len(word) for word in words]
+        links_ok = all(mass <= factor * mu1 for mass, factor in zip(masses, factors))
+        C = sum(factors, Fraction(0))
         rhs = C * mu1
         context.update({"method": "sup", "M": M, "C": C, "links": links_ok})
-        passed = containment.contained and union_ok and links_ok and mu2 <= rhs
-        return BoundCheck(
-            name="generating-sets",
-            lhs=mu2,
-            rhs=rhs,
-            relation="<=",
-            passed=passed,
-            context=context,
-        )
-    p = Fraction(p)
-    if p <= 1:
-        raise ParameterError(f"p must exceed 1, got {p}")
-    if k > 2:
-        raise UnsupportedError(
-            "the L^p comparison is implemented for markings within one ball step (k <= 2)"
-        )
-    links_ok = True
-    for word, mass in zip(words, masses):
-        values = []
-        for v in range(g1.n_vertices):
-            t = g1.apply_word(word, v)
-            values.append(Fraction(0) if t is None else g1.weights[t] / g1.weights[v])
-        profile = RNProfile(label=",".join(word) or "e", values=tuple(values),
-                            weights=g1.weights)
-        if not holder_power_check(mass, mu1, profile.p_norm_power_sum(p), p)[2]:
-            links_ok = False
-    context.update({"method": "holder", "p": p, "links": links_ok})
-    passed = containment.contained and union_ok and links_ok and mu2 <= union_sum
+    else:
+        p = Fraction(p)
+        if p <= 1:
+            raise ParameterError(f"p must exceed 1, got {p}")
+        if k > 2:
+            raise UnsupportedError(
+                "the L^p comparison is implemented for markings within one ball step (k <= 2)"
+            )
+        links_ok = True
+        for word, mass in zip(words, masses):
+            values = []
+            for v in range(g1.n_vertices):
+                t = g1.apply_word(word, v)
+                values.append(Fraction(0) if t is None else g1.weights[t] / g1.weights[v])
+            profile = RNProfile(label=",".join(word) or "e", values=tuple(values),
+                                weights=g1.weights)
+            if not holder_power_check(mass, mu1, profile.p_norm_power_sum(p), p)[2]:
+                links_ok = False
+        rhs = union_sum
+        context.update({"method": "holder", "p": p, "links": links_ok})
     return BoundCheck(
         name="generating-sets",
         lhs=mu2,
-        rhs=union_sum,
+        rhs=rhs,
         relation="<=",
-        passed=passed,
+        passed=containment.contained and union_ok and links_ok and mu2 <= rhs,
         context=context,
     )
 
@@ -259,26 +247,16 @@ def positivity_check(graphing, n):
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
     value = profile_action_exact(graphing, n).value
-    if n > graphing.free_window:
-        # the finite model degenerates to 0 here by design; the infinite
-        # statement needs n generator steps to stay faithful
-        return BoundCheck(
-            name="positivity",
-            lhs=value,
-            rhs=Fraction(0),
-            relation="out-of-window",
-            passed=True,
-            context={"n": n, "free_window": graphing.free_window,
-                     "out_of_window": True},
-        )
+    # beyond the window the finite model degenerates to 0 by design; the
+    # infinite statement needs n generator steps to stay faithful
+    out = n > graphing.free_window
     return BoundCheck(
         name="positivity",
         lhs=value,
         rhs=Fraction(0),
-        relation=">",
-        passed=value > 0,
-        context={"n": n, "free_window": graphing.free_window,
-                 "out_of_window": False},
+        relation="out-of-window" if out else ">",
+        passed=out or value > 0,
+        context={"n": n, "free_window": graphing.free_window, "out_of_window": out},
     )
 
 
@@ -313,7 +291,7 @@ def cycle_with_marking(m, weights, steps):
     group = ZdGroup(1, generators=[(s,) for s in steps])
     maps = {group.labels[i]: [(v + steps[i]) % m for v in range(m)]
             for i in range(len(steps))}
-    return MeasuredGraphing._with_clean_window(group, weights, maps)
+    return MeasuredGraphing(group, weights, maps)
 
 
 def suite_generating_sets():

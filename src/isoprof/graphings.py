@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedError,
 )
 from .exact import SqrtSum, format_fraction, parse_fraction
-from .groups import ZdGroup, HeisenbergGroup, group_from_json, group_to_json
+from .groups import ZdGroup, HeisenbergGroup, group_from_json, group_to_json, integer_parameter
 
 
 # start vertices are walked 64 at a time: a state then holds 64 images, so
@@ -119,31 +119,14 @@ def _fraction_sum(values):
 class MeasuredGraphing:
     """Vertices 0..V-1 with positive rational weights and partial shift bijections."""
 
-    def __init__(self, group, weights, maps, free_window):
-        self._check(group, weights, maps)
-        free_window = int(free_window)
-        if free_window < 0:
-            raise ParameterError("free_window must be nonnegative")
-        bad = _min_violation_depth(group, self.maps, self.n_vertices, free_window)
-        if bad is not None:
-            raise ConfigError(
-                f"free_window={free_window} is wrong: a word of length {bad} fixes a vertex"
-            )
-        self.free_window = free_window
+    def __init__(self, group, weights, maps, free_window=None):
+        """Validate the weights and maps, then the free window.
 
-    @classmethod
-    def _with_clean_window(cls, group, weights, maps):
-        """A graphing whose free_window is the largest radius <= min(V - 1, 6) up to
-        which no nonidentity word fixes a vertex; one walk finds it and certifies it."""
-        self = cls.__new__(cls)
-        self._check(group, weights, maps)
-        cap = min(self.n_vertices - 1, 6)
-        bad = _min_violation_depth(group, self.maps, self.n_vertices, cap)
-        self.free_window = cap if bad is None else bad - 1
-        return self
-
-    def _check(self, group, weights, maps):
-        """Store the group, weights and maps, rejecting malformed ones."""
+        A declared free_window is certified: a nonidentity word of length at
+        most free_window that fixes a vertex is refused.  None derives it as
+        the largest radius <= min(V - 1, 6) up to which no such word exists;
+        one walk finds it and certifies it.
+        """
         self.group = group
         self.weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
         self.n_vertices = len(self.weights)
@@ -175,6 +158,18 @@ class MeasuredGraphing:
                     raise ConfigError(
                         f"map {group.inverse_label(lab)!r} does not invert {lab!r} at vertex {v}"
                     )
+        if free_window is None:
+            radius = min(self.n_vertices - 1, 6)
+        elif integer_parameter("free_window", free_window) < 0:
+            raise ParameterError("free_window must be nonnegative")
+        else:
+            radius = free_window
+        bad = _min_violation_depth(group, self.maps, self.n_vertices, radius)
+        if bad is not None and free_window is not None:
+            raise ConfigError(
+                f"free_window={free_window} is wrong: a word of length {bad} fixes a vertex"
+            )
+        self.free_window = radius if bad is None else bad - 1
 
     def phi(self, label, v):
         """Image of vertex v under the labeled shift, or None where undefined."""
@@ -264,13 +259,15 @@ class MeasuredGraphing:
         if fw is not None and type(fw) is not int:
             raise ConfigError(f"free_window must be an integer, got {fw!r}")
         group = group_from_json(obj["group"])
-        weights = [parse_fraction(w) for w in obj["weights"]]
+        weights, parsed = [], {}  # the builders write one string V times: parse each once
+        for w in obj["weights"]:
+            if type(w) is str and w not in parsed:
+                parsed[w] = parse_fraction(w)
+            # any other entry (a number, a list) is parsed alone: it may be unhashable
+            weights.append(parsed[w] if type(w) is str else parse_fraction(w))
         if len(weights) != V:
             raise ConfigError("weights length does not match the vertex count")
-        if fw is None:
-            # not serialized in the minimal format: derive the largest clean
-            # radius up to the builders' walk cap
-            return cls._with_clean_window(group, weights, maps)
+        # a missing free_window (the minimal format) is derived
         return cls(group, weights, maps, fw)
 
     def __repr__(self):
@@ -330,9 +327,8 @@ def build_torus_action(d, m, generators=None):
     for lab in group.labels:
         gen = group.generator(lab)
         maps[lab] = [idx([c + g for c, g in zip(coords(v), gen)]) for v in range(n_vertices)]
-    if generators is None:
-        return MeasuredGraphing(group, weights, maps, (m - 1) // 2)
-    return MeasuredGraphing._with_clean_window(group, weights, maps)
+    # the unit shifts are free up to (m - 1) // 2; other generating sets derive theirs
+    return MeasuredGraphing(group, weights, maps, (m - 1) // 2 if generators is None else None)
 
 
 def build_heisenberg_quotient(m):
@@ -353,7 +349,7 @@ def build_heisenberg_quotient(m):
         maps["X"].append(idx(a - 1, b, c - b))
         maps["y"].append(idx(a, b + 1, c))
         maps["Y"].append(idx(a, b - 1, c))
-    return MeasuredGraphing._with_clean_window(group, weights, maps)
+    return MeasuredGraphing(group, weights, maps)
 
 
 def build_weighted_cycle(m, weights):

@@ -83,10 +83,10 @@ class MarkedGroup:
             raise ConfigError("generator labels must be distinct")
         if len(set(generators)) != len(generators):
             raise ConfigError("generators must be distinct")
-        if int(max_radius) < 1:
+        if integer_parameter("max_radius", max_radius) < 1:
             raise ParameterError("max_radius must be positive")
         self.labels = tuple(labels)
-        self.max_radius = int(max_radius)
+        self.max_radius = max_radius
         self._gens = dict(zip(self.labels, generators))
         by_element = {g: lab for lab, g in self._gens.items()}
         self._inv_label = {}
@@ -326,6 +326,14 @@ def integer_vector(v):
     return v
 
 
+def integer_parameter(name, x):
+    """x, refusing it unless its type is int: a float, a bool or a string is a
+    mistake, not a count to truncate."""
+    if type(x) is not int:
+        raise ParameterError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 class _TupleGroup(MarkedGroup):
     """Z^d and Heisenberg: elements are integer tuples of one length, written as
     coordinate lists; generators are the standard ones or parsed vectors."""
@@ -426,9 +434,9 @@ class ZdGroup(_TupleGroup):
     _not_element = "{g!r} is not an element of Z^{n}"
 
     def __init__(self, d, generators=None, max_radius=64):
-        if int(d) < 1:
+        if integer_parameter("dimension", d) < 1:
             raise ParameterError(f"dimension must be positive, got {d}")
-        self.d = int(d)
+        self.d = d
         units = [tuple(s if j == i else 0 for j in range(self.d))
                  for i in range(self.d) for s in (1, -1)] if generators is None else None
         super().__init__(self.d, generators, units, max_radius)
@@ -501,9 +509,9 @@ class FreeGroup(MarkedGroup):
     def __init__(self, rank, generators=None, max_radius=64):
         if generators is not None:
             raise UnsupportedError("free groups only carry their standard free basis")
-        if not 1 <= int(rank) <= len(_FREE_ALPHABET):
+        if not 1 <= integer_parameter("rank", rank) <= len(_FREE_ALPHABET):
             raise ParameterError(f"rank must be between 1 and {len(_FREE_ALPHABET)}, got {rank}")
-        self.rank = int(rank)
+        self.rank = rank
         # letter 2i is the i-th generator, letter 2i+1 its inverse
         labels = []
         gens = []

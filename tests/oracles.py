@@ -263,6 +263,27 @@ def random_graphing(rng, n_vertices, d=1, hole_prob=Fraction(1, 5), uniform=Fals
     return MeasuredGraphing(group, weights, maps, 0)
 
 
+def cell_components_oracle(rows, cells):
+    """Components of each cell under the edges v - row[v] inside it, by union-find,
+    as a set of frozensets."""
+    parent = {v: v for cell in cells for v in cell}
+    cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for row in rows:
+        for v, t in enumerate(row):
+            if t is not None and cell_of[t] == cell_of[v]:
+                parent[find(v)] = find(t)
+    comps = {}
+    for v in parent:
+        comps.setdefault(find(v), set()).add(v)
+    return {frozenset(c) for c in comps.values()}
+
+
 def random_partition(rng, n_vertices, n_bound):
     """Random vertex partition with block sizes <= n_bound, as a cell list."""
     cells = []

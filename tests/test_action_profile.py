@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoprof import _kernels
+from isoprof._kernels import _pure
 from isoprof import (
     BoundedPartition,
     MeasuredGraphing,
@@ -31,6 +32,7 @@ from isoprof.errors import (
 )
 from oracles import (
     action_profile_oracle,
+    cell_components_oracle,
     iterated_boundary_oracle,
     random_graphing,
     random_partition,
@@ -82,6 +84,13 @@ class TestBoundedPartition:
             BoundedPartition(g, [[0], [1], [2], [3]], 0)
         with pytest.raises(ParameterError):
             BoundedPartition("nope", [[0]], 1)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", True])
+    def test_n_bound_must_be_an_integer(self, bad):
+        # int() would truncate 2.5 to 2 and read True as 1
+        g = build_torus_action(1, 4)
+        with pytest.raises(ParameterError, match="n_bound must be an integer"):
+            BoundedPartition(g, [[0, 1], [2, 3]], bad)
 
 
 class TestBoundaryMass:
@@ -161,6 +170,16 @@ class TestConnectedRefinement:
         q = connected_refinement(mg, p)
         assert boundary_mass(mg, q).mass == boundary_mass(mg, p).mass
         assert len(q.cells) >= len(p.cells)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cells_are_the_components_inside_each_cell(self, seed):
+        rng = random.Random(seed)
+        mg = random_graphing(rng, rng.randint(4, 12), d=rng.choice([1, 2]),
+                             hole_prob=Fraction(1, 3))
+        cells = random_partition(rng, mg.n_vertices, 6)
+        q = connected_refinement(mg, BoundedPartition(mg, cells, 6))
+        assert set(map(frozenset, q.cells)) == \
+            cell_components_oracle(list(mg.maps.values()), cells)
 
 
 class TestProfileExact:
@@ -245,10 +264,33 @@ class TestProfileExact:
         assert profile_action_exact(g, 6).value == 0
         assert profile_action_exact(g, 8).value == 0  # n above V is fine
 
-    def test_exhaustive_falls_back_above_the_limit(self):
-        g = build_torus_action(2, 4)  # 16 vertices
-        res = profile_action_exact(g, 2, method="exhaustive")
-        assert res.method == "bnb" and res.fallback and res.optimal
+    def test_exhaustive_runs_when_named_above_the_auto_limit(self):
+        g = build_torus_action(2, 4)  # 16 vertices: auto takes the packing
+        for n in (2, 5):
+            a = profile_action_exact(g, n, method="exhaustive")
+            b = profile_action_exact(g, n)
+            assert (a.method, b.method) == ("exhaustive", "bnb") and b.optimal
+            assert a.value == b.value and boundary_mass(g, a.partition).mass == a.value
+
+    def test_exhaustive_refuses_more_vertices_than_the_dp_takes(self, monkeypatch):
+        def no_dp(*args):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(_kernels, "partition_dp", no_dp)
+        g = build_torus_action(1, _pure.DP_MAX_VERTICES + 1)
+        with pytest.raises(ParameterError, match=f"at most {_pure.DP_MAX_VERTICES} vertices"):
+            profile_action_exact(g, 2, method="exhaustive")
+        assert profile_action_exact(g, 2).method == "bnb"
+
+    def test_a_bridging_item_merges_two_cells(self, monkeypatch):
+        # on the 8-cycle, items are closed neighbourhoods {x-1, x, x+1}; the
+        # third pick, x=2, meets both {0,1,2} and {3,4,5}
+        g = build_torus_action(1, 8)
+        monkeypatch.setattr(_kernels, "pack_max_weight",
+                            lambda masks, weights, n, budget: (4, (1, 4, 2), 3, True))
+        res = profile_action_exact(g, 6, method="bnb")
+        assert res.partition.cells == ((0, 1, 2, 3, 4, 5), (6,), (7,))
+        assert res.value == Fraction(1, 2)
 
     def test_node_budget_yields_upper_bound(self):
         g = build_torus_action(2, 4)

@@ -204,6 +204,15 @@ class TestProfileAction:
         err = capsys.readouterr().err
         assert err == "error: weights must be a list of rationals\n"
 
+    def test_list_weight_exits_2(self, capsys):
+        # weight strings are parsed once each; any other entry is parsed alone
+        graphing = ('{"vertices": 3, "weights": ["1/3", "1/3", [1]], '
+                    '"maps": {"1": [1, 2, 0], "-1": [2, 0, 1]}, '
+                    '"group": {"kind": "Zd", "d": 1}}')
+        assert main(["profile-action", "--n", "2", "--graphing", graphing]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: not a rational number: [1]\n"
+
     def test_boolean_map_targets_exit_2(self, capsys):
         # true and false are not vertices 1 and 0
         graphing = ('{"vertices": 3, "weights": ["1/3", "1/3", "1/3"], '

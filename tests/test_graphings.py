@@ -74,6 +74,30 @@ class TestValidation:
         # one below the first violating word length is accepted
         MeasuredGraphing(g.group, g.weights, dict(g.maps), 5)
 
+    @pytest.mark.parametrize("bad", [1.7, 1.0, "1", True])
+    def test_free_window_must_be_an_integer(self, bad):
+        # int() would read each of them as 1
+        with pytest.raises(ParameterError, match="free_window must be an integer"):
+            MeasuredGraphing(ZdGroup(1), [Fraction(1, 3)] * 3,
+                             {"1": [1, 2, 0], "-1": [2, 0, 1]}, bad)
+
+    @pytest.mark.parametrize("make, window", [
+        (lambda: build_heisenberg_quotient(8), 6),
+        (lambda: build_heisenberg_quotient(3), 2),
+        (lambda: build_torus_action(2, 6, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)]), 5),
+        (lambda: build_torus_action(1, 12, generators=[(1,), (-1,), (2,), (-2,)]), 5),
+    ])
+    def test_omitted_free_window_is_derived(self, make, window):
+        # a builder with no declared window, the constructor given none and a
+        # read without the field derive one window: the largest clean radius
+        # up to min(V - 1, 6)
+        g = make()
+        obj = g.to_json()
+        del obj["free_window"]
+        derived = [g.free_window, MeasuredGraphing(g.group, g.weights, g.maps).free_window,
+                   MeasuredGraphing.from_json(obj).free_window]
+        assert derived == [window] * 3
+
     def test_weight_sum_is_reported_exactly(self):
         weights = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 10)]
         with pytest.raises(NormalizationError, match=r"must sum to 1, got 11/10$"):

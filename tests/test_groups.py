@@ -106,6 +106,16 @@ class TestZd:
         with pytest.raises(ConfigError, match="expected integer coordinates"):
             make(bad)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", True])
+    @pytest.mark.parametrize("make", [
+        ZdGroup, FreeGroup, lambda r: ZdGroup(1, max_radius=r),
+        lambda r: HeisenbergGroup(max_radius=r), lambda r: FreeGroup(2, max_radius=r),
+    ])
+    def test_non_integer_scalars_rejected(self, make, bad):
+        # int() would truncate 2.5 to 2 and read True as 1
+        with pytest.raises(ParameterError, match="must be an integer"):
+            make(bad)
+
     @pytest.mark.parametrize("make", [
         lambda: ZdGroup(2), lambda: ZdGroup(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)]),
         HeisenbergGroup, lambda: FreeGroup(2),

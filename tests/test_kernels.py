@@ -415,6 +415,14 @@ class TestDispatch:
         assert out.stdout.strip() == _kernels.BACKEND
 
 
+def test_import_leaves_the_kernels_out():
+    # the kernels load, and may compile, on the first search, not on import
+    code = "import sys, isoprof; print('isoprof._kernels' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def import_backend(home, path):
     """[BACKEND, BACKEND_REASON] as a fresh interpreter with this HOME and PATH sees them."""
     code = "import isoprof._kernels as k; print(k.BACKEND); print(k.BACKEND_REASON)"
