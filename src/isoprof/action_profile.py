@@ -25,9 +25,9 @@ from .errors import (
     NotApplicableError,
     ParameterError,
     WindowExceededError,
+    integer_parameter,
 )
 from .graphings import MeasuredGraphing
-from .groups import integer_parameter
 
 EXHAUSTIVE_LIMIT = 14
 
@@ -38,10 +38,8 @@ class BoundedPartition:
     def __init__(self, graphing, cells, n_bound):
         if not isinstance(graphing, MeasuredGraphing):
             raise ParameterError("expected a MeasuredGraphing")
-        if integer_parameter("n_bound", n_bound) < 1:
-            raise ParameterError("n_bound must be positive")
         self.graphing = graphing
-        self.n_bound = n_bound
+        self.n_bound = integer_parameter("n_bound", n_bound, 1)
         V = graphing.n_vertices
         seen = [False] * V
         norm = []
@@ -260,8 +258,8 @@ def profile_action_exact(graphing, n, method="auto", node_budget=None):
     result's method names the route that ran; it is the one named, never a
     substitute.
     """
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    integer_parameter("n", n, 1)
+    budget = 1 << 62 if node_budget is None else integer_parameter("node_budget", node_budget, 1)
     if method == "auto":
         method = "exhaustive" if graphing.n_vertices <= EXHAUSTIVE_LIMIT else "bnb"
     if method == "exhaustive":
@@ -271,7 +269,6 @@ def profile_action_exact(graphing, n, method="auto", node_budget=None):
         )
     if method != "bnb":
         raise ParameterError(f"unknown method {method!r}")
-    budget = node_budget if node_budget is not None else 1 << 62
     value, partition, nodes, complete = _bnb_exact(graphing, n, budget)
     return ActionProfileResult(
         value=value, partition=partition, method=method, optimal=complete, nodes=nodes
@@ -350,9 +347,7 @@ def iterated_boundary(graphing, partition, k):
     """
     if partition.graphing is not graphing:
         raise ParameterError("partition belongs to a different graphing")
-    if k < 1:
-        raise ParameterError(f"k must be positive, got {k}")
-    if k > graphing.free_window:
+    if integer_parameter("k", k, 1) > graphing.free_window:
         raise WindowExceededError(
             f"k={k} exceeds the free window {graphing.free_window}; "
             "wraparound would corrupt the boundary semantics"

@@ -21,12 +21,14 @@ from .errors import (
     RadiusExceededError,
     UnsupportedError,
     WindowExceededError,
+    integer_parameter,
 )
 from .graphings import (
     MeasuredGraphing,
     RNProfile,
     build_torus_action,
     build_weighted_cycle,
+    holder_exponent,
     holder_power_check,
 )
 from .groups import ZdGroup
@@ -47,12 +49,11 @@ class BoundCheck(Record):
 
 def check_lower_bound(graphing, group, n):
     """Action profile >= group profile at n, both exact (pmp models, inside the window)."""
+    integer_parameter("n", n, 1)
     if graphing.group != group:
         raise ParameterError("the graphing does not model the given group")
     if not graphing.is_pmp():
         raise NotApplicableError("the lower bound is proved for pmp actions")
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
     if n > graphing.free_window:
         raise WindowExceededError(
             f"n={n} exceeds the free window {graphing.free_window}: beyond it the "
@@ -73,6 +74,7 @@ def check_lower_bound(graphing, group, n):
 
 def check_tiling_upper_bound(graphing, multitile, n, epsilon):
     """Tower-partition mass <= max shape ratio adjusted by the uncovered mass."""
+    integer_parameter("n", n, 1)
     sizes = [len(s) for s in multitile.shapes]
     if max(sizes) > n:
         raise ParameterError(f"shape sizes {sizes} exceed n={n}")
@@ -185,9 +187,10 @@ def check_generating_set_comparison(g1, g2, n, p=None):
     term satisfies the Hoelder bound mu(wA) <= ||density_w||_p mu(A)^{1/q},
     verified exactly by the power trick.
     """
+    integer_parameter("n", n, 1)
+    if p is not None:
+        p = holder_exponent(p)
     _shared_space(g1, g2)
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
     partition = profile_action_exact(g1, n).partition
     bdry1 = boundary_mass(g1, partition).boundary_set
     containment = _containment(g1, g2, partition, bdry1)
@@ -213,9 +216,6 @@ def check_generating_set_comparison(g1, g2, n, p=None):
         rhs = C * mu1
         context.update({"method": "sup", "M": M, "C": C, "links": links_ok})
     else:
-        p = Fraction(p)
-        if p <= 1:
-            raise ParameterError(f"p must exceed 1, got {p}")
         if k > 2:
             raise UnsupportedError(
                 "the L^p comparison is implemented for markings within one ball step (k <= 2)"
@@ -244,8 +244,7 @@ def check_generating_set_comparison(g1, g2, n, p=None):
 
 def positivity_check(graphing, n):
     """Profile positivity inside the free window; informational beyond it."""
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    integer_parameter("n", n, 1)
     value = profile_action_exact(graphing, n).value
     # beyond the window the finite model degenerates to 0 by design; the
     # infinite statement needs n generator steps to stay faithful

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .action_profile import profile_action_exact, profile_action_tiling
 from .bounds import SUITES
-from .errors import BudgetError, CoverageError, IsoprofError
+from .errors import BudgetError, CoverageError, IsoprofError, integer_parameter
 from .exact import format_fraction, parse_fraction
 from .graphings import (
     MeasuredGraphing,
@@ -63,9 +63,7 @@ def _node_budget():
         value = int(raw)
     except ValueError:
         raise IsoprofError(f"ISOPROF_NODE_BUDGET must be an integer, got {raw!r}")
-    if value < 1:
-        raise IsoprofError("ISOPROF_NODE_BUDGET must be positive")
-    return value
+    return integer_parameter("ISOPROF_NODE_BUDGET", value, 1)
 
 
 def _config_digest(command, params):

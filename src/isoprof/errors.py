@@ -37,6 +37,14 @@ class ParameterError(IsoprofError, ValueError):
     """A numeric parameter is outside its valid range."""
 
 
+def integer_parameter(name, x, least):
+    """x, refused unless its type is int and it is at least least: a float, a
+    bool or a string is a mistake, not a count to truncate."""
+    if type(x) is not int or x < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {x!r}")
+    return x
+
+
 class NormalizationError(IsoprofError, ValueError):
     """Weights do not sum to one; nothing is rescaled silently."""
 

@@ -17,7 +17,7 @@ refinement.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, integer_parameter
 
 
 def parse_fraction(text):
@@ -126,11 +126,9 @@ class SqrtSum:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ParameterError("only nonnegative integer powers are exact here")
+        e = integer_parameter("exponent", exponent, 0)
         result = SqrtSum.from_rational(1)
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base

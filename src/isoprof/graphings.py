@@ -23,9 +23,10 @@ from .errors import (
     ParameterError,
     StationarityError,
     UnsupportedError,
+    integer_parameter,
 )
 from .exact import SqrtSum, format_fraction, parse_fraction
-from .groups import ZdGroup, HeisenbergGroup, group_from_json, group_to_json, integer_parameter
+from .groups import ZdGroup, HeisenbergGroup, group_from_json, group_to_json
 
 
 # start vertices are walked 64 at a time: a state then holds 64 images, so
@@ -160,10 +161,8 @@ class MeasuredGraphing:
                     )
         if free_window is None:
             radius = min(self.n_vertices - 1, 6)
-        elif integer_parameter("free_window", free_window) < 0:
-            raise ParameterError("free_window must be nonnegative")
         else:
-            radius = free_window
+            radius = integer_parameter("free_window", free_window, 0)
         bad = _min_violation_depth(group, self.maps, self.n_vertices, radius)
         if bad is not None and free_window is not None:
             raise ConfigError(
@@ -308,8 +307,7 @@ class RNProfile(Record):
 
 def build_torus_action(d, m, generators=None):
     """(Z/m)^d with uniform weights and coordinate shifts; a pmp quotient model."""
-    if m < 3:
-        raise ParameterError(f"torus modulus must be at least 3, got {m}")
+    integer_parameter("m", m, 3)
     group = ZdGroup(d, generators=generators)
     n_vertices = m**d
     weights = [Fraction(1, n_vertices)] * n_vertices
@@ -333,8 +331,7 @@ def build_torus_action(d, m, generators=None):
 
 def build_heisenberg_quotient(m):
     """Heisenberg triples mod m under left multiplication by x, y and inverses."""
-    if m < 3:
-        raise ParameterError(f"quotient modulus must be at least 3, got {m}")
+    integer_parameter("m", m, 3)
     group = HeisenbergGroup()
     n_vertices = m**3
     weights = [Fraction(1, n_vertices)] * n_vertices
@@ -354,8 +351,7 @@ def build_heisenberg_quotient(m):
 
 def build_weighted_cycle(m, weights):
     """Z rotating m weighted points; the nonsingular, generally non-pmp model."""
-    if m < 3:
-        raise ParameterError(f"cycle length must be at least 3, got {m}")
+    integer_parameter("m", m, 3)
     weights = [Fraction(w) for w in weights]
     if len(weights) != m:
         raise NormalizationError(f"expected {m} weights, got {len(weights)}")
@@ -395,6 +391,19 @@ def holder_power_check(mu_image, mu_A, norm_power_sum, p):
     return lhs_power, rhs_power, (rhs_power - SqrtSum.from_rational(lhs_power)).sign() >= 0
 
 
+def holder_exponent(p):
+    """p as a Fraction, refused unless p > 1 with denominator 1 or 2: the power
+    trick compares exactly only inside Q with square roots."""
+    p = Fraction(p)
+    if p <= 1:
+        raise ParameterError(f"Holder exponent must exceed 1, got {p}")
+    if p.denominator not in (1, 2):
+        raise UnsupportedError(
+            f"exact comparison supports p with denominator 1 or 2, got {p}"
+        )
+    return p
+
+
 def holder_pushforward_bound(graphing, label, A, p):
     """Certify mu(sA) <= ||RN_{s^-1}||_p * mu(A)^{1/q} with 1/p + 1/q = 1.
 
@@ -404,13 +413,7 @@ def holder_pushforward_bound(graphing, label, A, p):
     a = numerator(p), both sides become elements of Q with square roots and
     the comparison is exact.
     """
-    p = Fraction(p)
-    if p <= 1:
-        raise ParameterError(f"Holder exponent must exceed 1, got {p}")
-    if p.denominator not in (1, 2):
-        raise UnsupportedError(
-            f"exact comparison supports p with denominator 1 or 2, got {p}"
-        )
+    p = holder_exponent(p)
     q = p / (p - 1)
     A = sorted(set(A))
     row = graphing.maps[label] if label in graphing.maps else None

@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     RadiusExceededError,
     UnsupportedError,
+    integer_parameter,
 )
 
 
@@ -83,8 +84,7 @@ class MarkedGroup:
             raise ConfigError("generator labels must be distinct")
         if len(set(generators)) != len(generators):
             raise ConfigError("generators must be distinct")
-        if integer_parameter("max_radius", max_radius) < 1:
-            raise ParameterError("max_radius must be positive")
+        integer_parameter("max_radius", max_radius, 1)
         self.labels = tuple(labels)
         self.max_radius = max_radius
         self._gens = dict(zip(self.labels, generators))
@@ -189,9 +189,7 @@ class MarkedGroup:
 
     def _cached_spheres(self, radius):
         """The cached spheres of radius 0..radius; shared, not copies."""
-        if radius < 0:
-            raise ParameterError("radius must be nonnegative")
-        if radius > self.max_radius:
+        if integer_parameter("radius", radius, 0) > self.max_radius:
             raise RadiusExceededError(f"radius {radius} exceeds max_radius={self.max_radius}")
         while len(self._spheres) <= radius:
             self._spheres.append(self._next_sphere())
@@ -326,14 +324,6 @@ def integer_vector(v):
     return v
 
 
-def integer_parameter(name, x):
-    """x, refusing it unless its type is int: a float, a bool or a string is a
-    mistake, not a count to truncate."""
-    if type(x) is not int:
-        raise ParameterError(f"{name} must be an integer, got {x!r}")
-    return x
-
-
 class _TupleGroup(MarkedGroup):
     """Z^d and Heisenberg: elements are integer tuples of one length, written as
     coordinate lists; generators are the standard ones or parsed vectors."""
@@ -434,9 +424,7 @@ class ZdGroup(_TupleGroup):
     _not_element = "{g!r} is not an element of Z^{n}"
 
     def __init__(self, d, generators=None, max_radius=64):
-        if integer_parameter("dimension", d) < 1:
-            raise ParameterError(f"dimension must be positive, got {d}")
-        self.d = d
+        self.d = integer_parameter("dimension", d, 1)
         units = [tuple(s if j == i else 0 for j in range(self.d))
                  for i in range(self.d) for s in (1, -1)] if generators is None else None
         super().__init__(self.d, generators, units, max_radius)
@@ -509,8 +497,8 @@ class FreeGroup(MarkedGroup):
     def __init__(self, rank, generators=None, max_radius=64):
         if generators is not None:
             raise UnsupportedError("free groups only carry their standard free basis")
-        if not 1 <= integer_parameter("rank", rank) <= len(_FREE_ALPHABET):
-            raise ParameterError(f"rank must be between 1 and {len(_FREE_ALPHABET)}, got {rank}")
+        if integer_parameter("rank", rank, 1) > len(_FREE_ALPHABET):
+            raise ParameterError(f"rank must be at most {len(_FREE_ALPHABET)}, got {rank}")
         self.rank = rank
         # letter 2i is the i-th generator, letter 2i+1 its inverse
         labels = []

@@ -18,6 +18,7 @@ from .errors import (
     MixedGroupError,
     ParameterError,
     WindowTooSmallError,
+    integer_parameter,
 )
 from .groups import GroupSubset, HeisenbergGroup, ZdGroup
 
@@ -136,13 +137,12 @@ def profile_exact(group, n_max, node_budget=None):
     """
     from ._kernels import min_boundary_sets
 
-    if n_max < 1:
-        raise ParameterError(f"n_max must be positive, got {n_max}")
+    integer_parameter("n_max", n_max, 1)
+    budget = 1 << 62 if node_budget is None else integer_parameter("node_budget", node_budget, 1)
     cap = search_cap(group)
     limit = min(n_max, cap)
 
     order, flat = neighbor_table(group, limit - 1)
-    budget = node_budget if node_budget is not None else 1 << 62
     best, sets, nodes, complete = min_boundary_sets(
         flat, len(order), len(group.labels), limit, canonical_ranks(order), budget)
     if not complete:
@@ -168,7 +168,7 @@ class SubsetSearchProfile(Record):
     complete: bool
 
     def value(self, n):
-        if not 1 <= n <= len(self.values):
+        if integer_parameter("n", n, 1) > len(self.values):
             raise ParameterError(f"no value for n={n}")
         return self.values[n - 1]
 
@@ -182,12 +182,10 @@ def profile_all_subsets(group, n_max, radius=None, node_budget=None):
     """
     from ._kernels import subset_min_ratio
 
-    if n_max < 1:
-        raise ParameterError(f"n_max must be positive, got {n_max}")
-    if radius is None:
-        radius = n_max - 1
+    integer_parameter("n_max", n_max, 1)
+    radius = n_max - 1 if radius is None else integer_parameter("radius", radius, 0)
+    budget = 1 << 62 if node_budget is None else integer_parameter("node_budget", node_budget, 1)
     order, flat = neighbor_table(group, radius)
-    budget = node_budget if node_budget is not None else 1 << 62
     num, den, nodes, complete = subset_min_ratio(
         flat, len(order), len(group.labels), n_max, budget)
     values = []
@@ -205,8 +203,7 @@ def zd_cube(group, k):
     """The cube {0..k-1}^d as a GroupSubset of Z^d."""
     if not isinstance(group, ZdGroup):
         raise ConfigError("cubes are a Z^d shape family")
-    if k < 1:
-        raise ParameterError(f"cube side must be positive, got {k}")
+    integer_parameter("k", k, 1)
     return GroupSubset(group, [tuple(p) for p in product(range(k), repeat=group.d)])
 
 
@@ -214,8 +211,7 @@ def heisenberg_cuboid(group, m):
     """The shape [0,m] x [0,m] x [0,m^2] in Heisenberg coordinates, size (m+1)^2(m^2+1)."""
     if not isinstance(group, HeisenbergGroup):
         raise ConfigError("cuboids are a Heisenberg shape family")
-    if m < 0:
-        raise ParameterError(f"cuboid parameter must be nonnegative, got {m}")
+    integer_parameter("m", m, 0)
     cells = [
         (a, b, c)
         for a in range(m + 1)
@@ -227,8 +223,7 @@ def heisenberg_cuboid(group, m):
 
 def profile_upper(group, n, family):
     """Best boundary ratio over the named shape family restricted to size <= n."""
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    integer_parameter("n", n, 1)
     if isinstance(group, ZdGroup):
         if family == "intervals":
             if group.d != 1:

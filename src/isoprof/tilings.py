@@ -54,6 +54,7 @@ from .errors import (
     ParameterError,
     UnsupportedError,
     WindowTooSmallError,
+    integer_parameter,
 )
 from .groups import (GroupSubset, HeisenbergGroup, ZdGroup, column_size, integer_vector,
                      union_columns)
@@ -435,10 +436,8 @@ class TileVerification(Record):
 
 def verify_multitile_window(mt, window_radius):
     """Exhaustively check the partition property of a multi-tile on a ball window."""
+    R = integer_parameter("window_radius", window_radius, 0)
     group = mt.group
-    R = int(window_radius)
-    if R < 0:
-        raise ParameterError("window radius must be nonnegative")
     margin = max(group.word_norm(t) for shape in mt.shapes for t in shape)
     if margin > R:
         raise WindowTooSmallError(
@@ -510,21 +509,20 @@ def cube_tile(group, k):
     return MultiTile([shape], [LatticeCenters(gens)])
 
 
-def folner_multitile_sequence(group, n, verify=True, window_radius=None):
+def folner_multitile_sequence(group, n, verify=True):
     """The largest built-in tile of size <= n, window-verified by default.
 
     Z^d gets the k x .. x k cube with the (k e_i) lattice; Heisenberg gets
     the cuboid [0,m]^2 x [0,m^2] with moduli (m+1, m+1, m^2+1).
     """
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    integer_parameter("n", n, 1)
     if isinstance(group, ZdGroup):
         d = group.d
         k = 1
         while (k + 1) ** d <= n:
             k += 1
         mt = cube_tile(group, k)
-        window = 4 * k if window_radius is None else window_radius
+        window = 4 * k
     elif isinstance(group, HeisenbergGroup):
         m = 0
         while (m + 2) ** 2 * ((m + 1) ** 2 + 1) <= n:
@@ -532,7 +530,7 @@ def folner_multitile_sequence(group, n, verify=True, window_radius=None):
         shape = heisenberg_cuboid(group, m)
         centers = LatticeCenters([(m + 1, 0, 0), (0, m + 1, 0), (0, 0, m * m + 1)])
         mt = MultiTile([shape], [centers])
-        window = 2 * (m * m + 2) if window_radius is None else window_radius
+        window = 2 * (m * m + 2)
     else:
         raise UnsupportedError("no built-in tiling family for this group")
     if verify:

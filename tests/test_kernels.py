@@ -5,11 +5,12 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import isoprof
-from isoprof import ZdGroup, _kernels
+from isoprof import ZdGroup, _kernels, build_torus_action, build_weighted_cycle
 from isoprof._kernels import (
     _pure,
     min_boundary_sets,
@@ -17,7 +18,8 @@ from isoprof._kernels import (
     partition_dp,
     subset_min_ratio,
 )
-from isoprof.isoperimetry import neighbor_table
+from isoprof.action_profile import packing_items, partition_tables
+from isoprof.isoperimetry import canonical_ranks, neighbor_table
 
 try:
     from isoprof._kernels import _core
@@ -320,8 +322,39 @@ class TestConnectedSets:
             partition_dp(path_neighbors(V), V, 2, [1] * V, 2)
 
 
+def realistic_inputs(name):
+    """Kernel arguments built by the package's own table builders, for one
+    named search of the profile and action-profile routes."""
+    kind, what, n = name.split()
+    n = int(n)
+    if kind in ("subset", "connected"):
+        group = ZdGroup(int(what))
+        order, flat = neighbor_table(group, n - 1)
+        head = (flat, len(order), len(group.labels), n)
+        if kind == "subset":
+            return "subset_min_ratio", (*head, BIG)
+        return "min_boundary_sets", (*head, canonical_ranks(order), BIG)
+    if what == "C14":
+        graphing = build_weighted_cycle(14, [Fraction(1 + i % 4, 33) for i in range(14)])
+    else:
+        graphing = build_torus_action(2, int(what))
+    if kind == "partition":
+        *tables, _ = partition_tables(graphing)
+        return "partition_dp", (*tables, n)
+    masks, weights, _ = packing_items(graphing, n)
+    return "pack_max_weight", (masks, weights, n, BIG)
+
+
 @needs_core
 class TestBackendParity:
+    @pytest.mark.parametrize("name", [
+        "subset 1 9", "subset 2 5", "connected 2 8", "connected 3 6",
+        "partition C14 5", "partition 3 5", "pack 6 5", "pack 8 5",
+    ])
+    def test_realistic_searches_identical_including_nodes(self, name):
+        kernel, args = realistic_inputs(name)
+        assert getattr(_pure, kernel)(*args) == getattr(_core, kernel)(*args)
+
     def test_subset_kernel_identical_including_nodes(self):
         rng = random.Random(33)
         cases = [(path_neighbors(12), 12, 2, 8)]

@@ -192,3 +192,19 @@ class TestTowerJson:
         ):
             with pytest.raises(ConfigError):
                 tower_family_from_json(obj)
+
+    @pytest.mark.parametrize("bases, coverage", [
+        ("0", "1/2"),           # bases not a list
+        ([0, 1], "1/2"),        # a base set not a list
+        ([[1.7]], "1/2"),       # a float vertex
+        ([[True]], "1/2"),      # a bool vertex
+        ([["1"]], "1/2"),       # a string vertex
+        ([[-1]], "1/2"),        # a negative vertex
+        ([[0]], "-1/2"),        # coverage below 0
+        ([[0]], "3/2"),         # coverage above 1
+        ([[0]], "half"),        # coverage not a rational
+        ([[0]], True),          # coverage a bool
+    ])
+    def test_malformed_fields_rejected(self, bases, coverage):
+        with pytest.raises(ConfigError):
+            tower_family_from_json({"bases": bases, "coverage": coverage})
