@@ -180,9 +180,9 @@ def _partition_of_masks(graphing, masks, n):
     return BoundedPartition(graphing, cells, n)
 
 
-def _exhaustive_exact(graphing, n):
+def _exhaustive_exact(graphing, n, node_budget):
     """Bitmask DP over vertex sets, run by the connected-set kernel; cells are
-    connected subsets.  Returns (value, partition, nodes)."""
+    connected subsets.  It has no budget and always completes."""
     from ._kernels import _pure, partition_dp
 
     if graphing.n_vertices > _pure.DP_MAX_VERTICES:
@@ -192,7 +192,7 @@ def _exhaustive_exact(graphing, n):
         )
     *tables, scale = partition_tables(graphing)
     value, cells, nodes = partition_dp(*tables, n)
-    return Fraction(value, scale), _partition_of_masks(graphing, cells, n), nodes
+    return cells, Fraction(value, scale), nodes, True
 
 
 def partition_tables(graphing):
@@ -226,7 +226,8 @@ def packing_items(graphing, n):
 
 
 def _bnb_exact(graphing, n, node_budget):
-    """Kernel-backed interior packing; returns (value, partition, nodes, complete)."""
+    """Kernel-backed interior packing; the cells are the chosen closed
+    neighbourhoods, each merged with the cells it meets."""
     from ._kernels import pack_max_weight
 
     masks, int_weights, scale = packing_items(graphing, n)
@@ -241,13 +242,11 @@ def _bnb_exact(graphing, n, node_budget):
             else:
                 apart.append(c)
         cells = apart + [cell]
-    partition = _partition_of_masks(graphing, cells, n)
-    mass = boundary_mass(graphing, partition).mass
-    if complete and mass != 1 - Fraction(best, scale):
-        raise RuntimeError(
-            "internal: packing optimum disagrees with the recomputed boundary mass"
-        )
-    return mass, partition, nodes, complete
+    return cells, 1 - Fraction(best, scale), nodes, complete
+
+
+# method -> route; each returns (cell masks, claimed mass, nodes, complete)
+_ROUTES = {"exhaustive": _exhaustive_exact, "bnb": _bnb_exact}
 
 
 def profile_action_exact(graphing, n, method="auto", node_budget=None):
@@ -256,22 +255,25 @@ def profile_action_exact(graphing, n, method="auto", node_budget=None):
     "exhaustive" runs the DP over vertex sets, "bnb" the interior packing, and
     "auto" the DP up to EXHAUSTIVE_LIMIT vertices and the packing above.  The
     result's method names the route that ran; it is the one named, never a
-    substitute.
+    substitute.  The value is the recomputed boundary mass of the witness
+    partition, and a complete route whose claimed optimum differs from it is
+    an internal error.
     """
     integer_parameter("n", n, 1)
     budget = 1 << 62 if node_budget is None else integer_parameter("node_budget", node_budget, 1)
     if method == "auto":
         method = "exhaustive" if graphing.n_vertices <= EXHAUSTIVE_LIMIT else "bnb"
-    if method == "exhaustive":
-        value, partition, nodes = _exhaustive_exact(graphing, n)
-        return ActionProfileResult(
-            value=value, partition=partition, method=method, optimal=True, nodes=nodes
-        )
-    if method != "bnb":
+    if not (isinstance(method, str) and method in _ROUTES):
         raise ParameterError(f"unknown method {method!r}")
-    value, partition, nodes, complete = _bnb_exact(graphing, n, budget)
+    cells, claimed, nodes, complete = _ROUTES[method](graphing, n, budget)
+    partition = _partition_of_masks(graphing, cells, n)
+    mass = boundary_mass(graphing, partition).mass
+    if complete and mass != claimed:
+        raise RuntimeError(
+            f"internal: the {method} optimum disagrees with the recomputed boundary mass"
+        )
     return ActionProfileResult(
-        value=value, partition=partition, method=method, optimal=complete, nodes=nodes
+        value=mass, partition=partition, method=method, optimal=complete, nodes=nodes
     )
 
 

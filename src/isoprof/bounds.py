@@ -24,12 +24,12 @@ from .errors import (
     integer_parameter,
 )
 from .graphings import (
-    MeasuredGraphing,
     RNProfile,
     build_torus_action,
     build_weighted_cycle,
     holder_exponent,
     holder_power_check,
+    quotient_action,
 )
 from .groups import ZdGroup
 from .isoperimetry import profile_exact
@@ -159,11 +159,11 @@ def generating_set_containment(g1, g2, partition):
     _shared_space(g1, g2)
     if partition.graphing is not g1:
         raise ParameterError("the partition must be built on the fine-marking graphing")
-    return _containment(g1, g2, partition, boundary_mass(g1, partition).boundary_set)
-
-
-def _containment(g1, g2, partition, bdry1):
     k = _marking_power(g1, g2)
+    return _containment(g1, g2, partition, boundary_mass(g1, partition).boundary_set, k)
+
+
+def _containment(g1, g2, partition, bdry1, k):
     p2 = BoundedPartition(g2, partition.cells, partition.n_bound)
     bdry2 = boundary_mass(g2, p2).boundary_set
     union = g1.within(bdry1, k - 1)
@@ -191,10 +191,15 @@ def check_generating_set_comparison(g1, g2, n, p=None):
     if p is not None:
         p = holder_exponent(p)
     _shared_space(g1, g2)
+    # k needs no search, so a marking the L^p form cannot take is refused first
+    k = _marking_power(g1, g2)
+    if p is not None and k > 2:
+        raise UnsupportedError(
+            "the L^p comparison is implemented for markings within one ball step (k <= 2)"
+        )
     partition = profile_action_exact(g1, n).partition
     bdry1 = boundary_mass(g1, partition).boundary_set
-    containment = _containment(g1, g2, partition, bdry1)
-    k = containment.k
+    containment = _containment(g1, g2, partition, bdry1, k)
     mu1 = g1.mu(bdry1)
     mu2 = g1.mu(containment.boundary_coarse)
     words = _reduced_words(g1.group.labels, g1.group._inv_label, k - 1)
@@ -216,10 +221,6 @@ def check_generating_set_comparison(g1, g2, n, p=None):
         rhs = C * mu1
         context.update({"method": "sup", "M": M, "C": C, "links": links_ok})
     else:
-        if k > 2:
-            raise UnsupportedError(
-                "the L^p comparison is implemented for markings within one ball step (k <= 2)"
-            )
         links_ok = True
         for word, mass in zip(words, masses):
             values = []
@@ -285,12 +286,9 @@ def suite_tiling_upper(epsilon=Fraction(1, 4)):
 
 
 def cycle_with_marking(m, weights, steps):
-    """The same m points shifted by each step, marked by the step set; the free window
-    is derived up to min(m - 1, 6)."""
-    group = ZdGroup(1, generators=[(s,) for s in steps])
-    maps = {group.labels[i]: [(v + steps[i]) % m for v in range(m)]
-            for i in range(len(steps))}
-    return MeasuredGraphing(group, weights, maps)
+    """Z rotating the same m points, marked by the step set; the free window is
+    derived up to min(m - 1, 6)."""
+    return quotient_action(ZdGroup(1, generators=[(s,) for s in steps]), m, weights)
 
 
 def suite_generating_sets():

@@ -7,11 +7,13 @@ for which theorem checks are meaningful on the finite model: below it, no
 nonidentity group element of that word norm fixes any vertex where defined.
 Checking a window walks the orbit graph over distinct states from both ends
 of a word, so its cost grows with the ball of half that radius, not with the
-number of reduced words.
+number of reduced words.  The quotient models, Z^d on (Z/m)^d and the
+Heisenberg group on its triples mod m, come from one builder that reads the
+group's own product.
 """
 
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, product, repeat
 from math import lcm
 from operator import add, ne
 
@@ -199,7 +201,7 @@ class MeasuredGraphing:
         """The set of vertices at most radius shift steps from a source vertex."""
         reached = set(sources)
         frontier = reached
-        for _ in range(radius):
+        for _ in range(integer_parameter("radius", radius, 0)):
             frontier = {row[v] for row in self.maps.values() for v in frontier}
             frontier -= reached | {None}
             reached |= frontier
@@ -305,48 +307,42 @@ class RNProfile(Record):
         return total
 
 
-def build_torus_action(d, m, generators=None):
-    """(Z/m)^d with uniform weights and coordinate shifts; a pmp quotient model."""
-    integer_parameter("m", m, 3)
-    group = ZdGroup(d, generators=generators)
-    n_vertices = m**d
-    weights = [Fraction(1, n_vertices)] * n_vertices
+def quotient_action(group, m, weights, free_window=None):
+    """The action of a Z^d or Heisenberg group on its points mod m, by left
+    multiplication in the group's own law.
 
-    def idx(coords):
-        v = 0
-        for i in range(d):
-            v += (coords[i] % m) * m**i
-        return v
-
-    def coords(v):
-        return tuple((v // m**i) % m for i in range(d))
-
+    Vertex v = c_0 + c_1 m + c_2 m^2 + .. is the point (c_0, c_1, ..) with
+    0 <= c_i < m, and maps[lab][v] is the vertex of generator * point with
+    each coordinate reduced mod m.  Reduction mod m is a ring homomorphism, so
+    it commutes with the products of Z^d and H3(Z) and the maps form an
+    action.  They are inserted in group.labels order, which the kernels'
+    tables follow.  A free_window is certified as by MeasuredGraphing; None
+    derives it.
+    """
+    points = [p[::-1] for p in product(range(m), repeat=len(group.identity))]
+    vertex = {p: v for v, p in enumerate(points)}.__getitem__
+    reduce = m.__rmod__
     maps = {}
     for lab in group.labels:
-        gen = group.generator(lab)
-        maps[lab] = [idx([c + g for c, g in zip(coords(v), gen)]) for v in range(n_vertices)]
+        # the images coordinate by coordinate, reduced, zipped back into points
+        images = zip(*map(group._left[lab], points))
+        maps[lab] = list(map(vertex, zip(*[map(reduce, c) for c in images])))
+    return MeasuredGraphing(group, weights, maps, free_window)
+
+
+def build_torus_action(d, m, generators=None):
+    """Z^d on (Z/m)^d with uniform weights; a pmp quotient model."""
+    integer_parameter("m", m, 3)
+    group = ZdGroup(d, generators=generators)
     # the unit shifts are free up to (m - 1) // 2; other generating sets derive theirs
-    return MeasuredGraphing(group, weights, maps, (m - 1) // 2 if generators is None else None)
+    return quotient_action(group, m, [Fraction(1, m**d)] * m**d,
+                           (m - 1) // 2 if generators is None else None)
 
 
 def build_heisenberg_quotient(m):
-    """Heisenberg triples mod m under left multiplication by x, y and inverses."""
+    """The Heisenberg group on its triples mod m with uniform weights."""
     integer_parameter("m", m, 3)
-    group = HeisenbergGroup()
-    n_vertices = m**3
-    weights = [Fraction(1, n_vertices)] * n_vertices
-
-    def idx(a, b, c):
-        return (a % m) + (b % m) * m + (c % m) * m * m
-
-    maps = {"x": [], "X": [], "y": [], "Y": []}
-    for v in range(n_vertices):
-        a, b, c = v % m, (v // m) % m, v // (m * m)
-        maps["x"].append(idx(a + 1, b, c + b))
-        maps["X"].append(idx(a - 1, b, c - b))
-        maps["y"].append(idx(a, b + 1, c))
-        maps["Y"].append(idx(a, b - 1, c))
-    return MeasuredGraphing(group, weights, maps)
+    return quotient_action(HeisenbergGroup(), m, [Fraction(1, m**3)] * m**3)
 
 
 def build_weighted_cycle(m, weights):
@@ -355,12 +351,7 @@ def build_weighted_cycle(m, weights):
     weights = [Fraction(w) for w in weights]
     if len(weights) != m:
         raise NormalizationError(f"expected {m} weights, got {len(weights)}")
-    group = ZdGroup(1)
-    maps = {
-        "1": [(v + 1) % m for v in range(m)],
-        "-1": [(v - 1) % m for v in range(m)],
-    }
-    return MeasuredGraphing(group, weights, maps, (m - 1) // 2)
+    return quotient_action(ZdGroup(1), m, weights, (m - 1) // 2)
 
 
 class HolderBound(Record):

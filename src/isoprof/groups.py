@@ -5,7 +5,10 @@ a tuple that does not generate the group is refused when the group is built.
 Elements are plain tuples of ints, products are exact, and word norms come
 either from a closed form or from a cached breadth-first search over spheres.
 The canonical element order (word norm, then tuple order) makes every
-enumeration in the package deterministic.
+enumeration in the package deterministic.  Lattices of integer vectors are
+read through one integer echelon form (lattice_basis): it checks that a
+generating tuple generates, and it reduces points modulo a tile's center
+lattice.
 
 The search keeps sphere r as the neighbours of sphere r - 1 that lie in
 neither sphere r - 1 nor sphere r - 2.  On Z^d and the Heisenberg group it
@@ -292,16 +295,20 @@ def column_size(columns):
     return sum(hi - lo + 1 for ivs in columns.values() for lo, hi in ivs)
 
 
-def _spans_integer_lattice(vectors, n):
-    """Whether integer vectors of length n span all of Z^n.  Integer row operations
-    keep the span; Euclid on each column leaves one row with a nonzero entry there,
-    which must be +-1, and the other rows go on to the next column."""
+def lattice_basis(vectors, n):
+    """The echelon basis of the lattice that integer vectors of length n span, or
+    None below rank n.  Integer row operations keep the span; Euclid on each
+    column leaves one row with a nonzero entry there, the pivot, and the other
+    rows go on to the next column.  Row i of the basis is zero before its
+    pivot at i, which is positive, and the product of the pivots is the index
+    of the lattice in Z^n."""
     rows = [list(v) for v in vectors]
+    basis = []
     for col in range(n):
         while True:
             live = [r for r in rows if r[col]]
             if not live:
-                return False
+                return None
             pivot = min(live, key=lambda r: abs(r[col]))
             if len(live) == 1:
                 break
@@ -309,10 +316,20 @@ def _spans_integer_lattice(vectors, n):
                 if r is not pivot:
                     q = r[col] // pivot[col]
                     r[:] = [x - q * y for x, y in zip(r, pivot)]
-        if abs(pivot[col]) != 1:
-            return False
         rows.remove(pivot)
-    return True
+        basis.append(tuple(pivot) if pivot[col] > 0 else tuple(-x for x in pivot))
+    return basis
+
+
+def lattice_residue(basis, v):
+    """The representative of v modulo the lattice of an echelon basis: coordinate i
+    reduced by row i, in order, into 0 <= v[i] < pivot i.  Each coset has
+    exactly one such representative."""
+    for i, row in enumerate(basis):
+        q = v[i] // row[i]
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]  # row is zero before i
+    return tuple(v)
 
 
 def integer_vector(v):
@@ -346,8 +363,10 @@ class _TupleGroup(MarkedGroup):
             labels = None
         super().__init__(labels or _vector_labels(gens), gens, max_radius=max_radius)
         n = self._abelian or length
-        if not self._standard and not _spans_integer_lattice([g[:n] for g in gens], n):
-            raise ConfigError(f"the generators do not generate the group: {self!r}")
+        if not self._standard:
+            basis = lattice_basis([g[:n] for g in gens], n)
+            if basis is None or any(row[i] != 1 for i, row in enumerate(basis)):
+                raise ConfigError(f"the generators do not generate the group: {self!r}")
         self._steps = [self._column_step(g) for g in self.generators]
 
     def _column_step(self, s):

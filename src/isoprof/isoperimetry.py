@@ -87,6 +87,7 @@ class ProfileResult:
         return len(self.points)
 
     def value(self, n):
+        integer_parameter("n", n, 1)
         for pt in self.points:
             if pt.n == n:
                 return pt.value

@@ -11,39 +11,42 @@ intervals of the last coordinate.
 
 The scan never enumerates lattice center sets.  A window point w lies in
 T * c exactly when c = t^{-1} w for some t in T, and one residue index per
-shape, built from one lattice solve, lists those t for any w.  On Z^d, with
-D * L^{-1} = R the integer rows of the lattice, w - t is a center exactly when
-R w = R t (mod D), so the shape is bucketed by R t mod D and a point costs one
-lookup.  On Heisenberg with axis moduli (m1, m2, m3), t^{-1} w is a center
-exactly when a = ta (m1), b = tb (m2) and c - ta b = tc - ta tb (m3), so the
-shape is bucketed by (ta mod m1, tb mod m2), then by ta mod m3, then by
-(tc - ta tb) mod m3, and a point costs one lookup per ta class in its bucket.
-The index counts the lattice centers over a point, and the collision report
-lists them as t^{-1} w in shape order; the explicit centers over w are the c
-with w c^{-1} in T.
+shape lists those t for any w.  On Z^d the lattice has an echelon basis
+(groups.lattice_basis): row i is zero before its positive pivot p_i at i.
+Each coset of the lattice has exactly one point with 0 <= v_i < p_i, reached
+by reducing coordinate i by row i in order, so w - t is a center exactly when
+w and t reduce to the same point; the shape is bucketed by its reduced points
+and a point costs one lookup.  On Heisenberg with axis moduli (m1, m2, m3),
+t^{-1} w is a center exactly when a = ta (m1), b = tb (m2) and
+c - ta b = tc - ta tb (m3), so the shape is bucketed by (ta mod m1, tb mod m2),
+then by ta mod m3, then by (tc - ta tb) mod m3, and a point costs one lookup
+per ta class in its bucket.  The index counts the lattice centers over a
+point, and the collision report lists them as t^{-1} w in shape order; the
+explicit centers over w are the c with w c^{-1} in T.
 
 Along a column the lattice counts are periodic in the last coordinate: if
-z = (0, .., 0, p) is a center (p = D / gcd(D, last entries of R) on Z^d,
-p = m3 on Heisenberg, both read off the same solve), z is central and the
-centers are closed under multiplying by it, so w and w z are covered equally
-often.  Each column therefore costs at most min(length, period) evaluations,
-and SCAN_BUDGET counts those times the lookups per point.  Explicit centers
-are scattered onto the window as sparse additions.  The window's
-sizes, covered count and density are sums over intervals, and the first five
-uncovered and colliding points come from walking the spheres in (norm,
-tuple) order, point by point but only through columns that can hold a bad
-count: those with explicit additions or a bad pattern entry.  The radius-36
-Heisenberg window of the 425-point cuboid tile, 716,455 points in 2,665
-columns, needs 45,177 evaluations.
+z = (0, .., 0, p) is a center (on Z^d p is the last pivot, since a lattice
+vector that is zero but for its last coordinate is a multiple of the last
+basis row; on Heisenberg p = m3), z is central and the centers are closed
+under multiplying by it, so w and w z are covered equally often.  Each column
+therefore costs at most min(length, period) evaluations, and SCAN_BUDGET
+counts those times the lookups per point.  Explicit centers are scattered
+onto the window as sparse additions.  The window's sizes, covered count and
+density are sums over intervals, and the first five uncovered and colliding
+points come from walking the spheres in (norm, tuple) order, point by point
+but only through columns that can hold a bad count: those with explicit
+additions or a bad pattern entry.  The radius-36 Heisenberg window of the
+425-point cuboid tile, 716,455 points in 2,665 columns, needs 45,177
+evaluations.
 
 Free groups have no columns and no lattice center sets, so their scan keeps
 one count per window point, in (norm, tuple) order.
 """
 
-import operator
 from fractions import Fraction
+from functools import partial
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 
 from ._record import Record
 from .errors import (
@@ -57,7 +60,7 @@ from .errors import (
     integer_parameter,
 )
 from .groups import (GroupSubset, HeisenbergGroup, ZdGroup, column_size, integer_vector,
-                     union_columns)
+                     lattice_basis, lattice_residue, union_columns)
 from .isoperimetry import heisenberg_cuboid, zd_cube
 
 # lattice evaluations times index lookups per point, and explicit center
@@ -189,32 +192,17 @@ def multitile_from_json(group, obj):
 
 
 def _zd_lattice(group, gens):
-    """(D, rows) for the lattice spanned by d integer vectors in Z^d: with D the
-    lcm of the denominators of L^-1 (L has the generators as columns) and rows
-    the integer matrix D * L^-1, c is in the lattice iff each row dots c to 0 mod D."""
+    """The echelon basis (groups.lattice_basis) of the lattice that d integer
+    vectors span in Z^d."""
     d = group.d
     if len(gens) != d:
         raise UnsupportedError(
             f"Z^{d} lattice verification needs exactly {d} generators, got {len(gens)}"
         )
-    inv = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    mat = [[Fraction(gens[j][i]) for j in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if mat[r][col]), None)
-        if pivot is None:
-            raise ConfigError("lattice generators are linearly dependent")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = mat[col][col]
-        mat[col] = [x / scale for x in mat[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(d):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    D = lcm(*(x.denominator for row in inv for x in row))
-    return D, [[int(x * D) for x in row] for row in inv]
+    basis = lattice_basis(gens, d)
+    if basis is None:
+        raise ConfigError("lattice generators are linearly dependent")
+    return basis
 
 
 def _heis_axis_moduli(gens):
@@ -235,21 +223,17 @@ def _heis_axis_moduli(gens):
 
 
 def _residue_index(group, shape, centers):
-    """(over, period, lookups) of a lattice center set over a shape, from one lattice
-    solve: over(w) lists, in shape order, the t in the shape with t^-1 * w a center;
-    period is the least p with (0, .., 0, p) a center; lookups bounds the table
-    lookups one call of over makes."""
+    """(over, period, lookups) of a lattice center set over a shape: over(w)
+    lists, in shape order, the t in the shape with t^-1 * w a center; period is
+    the least p with (0, .., 0, p) a center; lookups bounds the table lookups
+    one call of over makes."""
     if isinstance(group, ZdGroup):
-        D, rows = _zd_lattice(group, centers.generators)
-
-        def residue(v):
-            return tuple(sum(map(operator.mul, row, v)) % D for row in rows)
-
+        basis = _zd_lattice(group, centers.generators)
+        residue = partial(lattice_residue, basis)
         buckets = {}
         for t in shape:
             buckets.setdefault(residue(t), []).append(t)
-        period = D // gcd(D, *(row[-1] for row in rows))
-        return (lambda w: buckets.get(residue(w), ())), period, 1
+        return (lambda w: buckets.get(residue(w), ())), basis[-1][-1], 1
     if not isinstance(group, HeisenbergGroup):
         raise UnsupportedError("lattice center sets are supported on Z^d and Heisenberg only")
     m1, m2, m3 = _heis_axis_moduli(centers.generators)
@@ -444,8 +428,8 @@ def verify_multitile_window(mt, window_radius):
             f"window radius {R} is smaller than the largest shape diameter {margin}"
         )
     region_radius = R - margin
-    # every lattice is solved once, which also validates it, before any scan
-    # work or budget refusal
+    # every lattice's residue index is built once, which also validates the
+    # lattice, before any scan work or budget refusal
     indexes = [_residue_index(group, shape, centers) if isinstance(centers, LatticeCenters)
                else None for shape, centers in zip(mt.shapes, mt.centers)]
     spheres = group._cached_spheres(R)

@@ -292,6 +292,20 @@ class TestProfileExact:
         assert res.partition.cells == ((0, 1, 2, 3, 4, 5), (6,), (7,))
         assert res.value == Fraction(1, 2)
 
+    @pytest.mark.parametrize("kernel, method", [("partition_dp", "exhaustive"),
+                                                ("pack_max_weight", "bnb")])
+    def test_a_wrong_claimed_optimum_is_caught(self, kernel, method, monkeypatch):
+        # both routes' values are rechecked against the witness partition
+        honest = getattr(_kernels, kernel)
+
+        def lying(*args):
+            value, *rest = honest(*args)
+            return (value + 1, *rest)
+
+        monkeypatch.setattr(_kernels, kernel, lying)
+        with pytest.raises(RuntimeError, match="disagrees with the recomputed boundary mass"):
+            profile_action_exact(build_torus_action(1, 8), 3, method=method)
+
     def test_node_budget_yields_upper_bound(self):
         g = build_torus_action(2, 4)
         full = profile_action_exact(g, 5, method="bnb")

@@ -18,7 +18,7 @@ from isoprof import (
     positivity_check,
     profile_exact,
 )
-from isoprof import bounds
+from isoprof import _kernels, bounds
 from isoprof.bounds import SUITES, cycle_with_marking, suite_lower_bound
 from isoprof.errors import (
     NotApplicableError,
@@ -154,6 +154,19 @@ class TestGeneratingSetComparison:
         assert check_generating_set_comparison(g1, g2, 2).passed  # sup form is fine
         with pytest.raises(UnsupportedError):
             check_generating_set_comparison(g1, g2, 2, p=Fraction(2))
+
+    def test_holder_cap_is_refused_before_any_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a search kernel ran before the marking was checked")
+
+        for name in ("subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp"):
+            monkeypatch.setattr(_kernels, name, refuse)
+        g1 = build_torus_action(1, 12)
+        g2 = cycle_with_marking(12, g1.weights, [1, -1, 3, -3])
+        message = "the L^p comparison is implemented for markings within one ball step (k <= 2)"
+        with pytest.raises(UnsupportedError) as err:
+            check_generating_set_comparison(g1, g2, 2, p=2)
+        assert str(err.value) == message
 
     def test_unbounded_marking_power_rejected(self):
         # 1 = 2 * 8 - 3 * 5 is a word of length 5 in the steps +-5, +-8

@@ -27,6 +27,7 @@ from isoprof.errors import (
     UnsupportedError,
 )
 from isoprof import graphings
+from isoprof.bounds import cycle_with_marking
 from isoprof.graphings import _min_violation_depth
 from oracles import inline_law, punctured, random_graphing, reduced_words, violation_depth_oracle
 
@@ -261,6 +262,32 @@ class TestBuilders:
         # x sends (a,b,c) to (a+1, b, c+b)
         v = 1 + 3 * 1 + 9 * 0  # (1,1,0)
         assert g.phi("x", v) == (2 % 3) + 3 * 1 + 9 * 1
+
+    @pytest.mark.parametrize("make, m", [
+        (lambda m: build_torus_action(1, m), 7),
+        (lambda m: build_torus_action(2, m), 5),
+        (lambda m: build_torus_action(3, m), 3),
+        (lambda m: build_torus_action(1, m, [(2,), (-2,), (3,), (-3,)]), 9),
+        (lambda m: build_torus_action(2, m, [(1, 0), (-1, 0), (1, 1), (-1, -1)]), 6),
+        (lambda m: build_torus_action(3, m, [(1, 0, 0), (-1, 0, 0), (1, 1, 0), (-1, -1, 0),
+                                             (0, 1, 1), (0, -1, -1)]), 4),
+        *[(build_heisenberg_quotient, m) for m in range(3, 7)],
+        (lambda m: build_weighted_cycle(m, [Fraction(2 * v + 1, m * m) for v in range(m)]), 5),
+        (lambda m: cycle_with_marking(m, [Fraction(1, m)] * m, [1, -1, 3, -3]), 8),
+    ])
+    def test_builders_follow_the_group_law(self, make, m):
+        # vertex c_0 + c_1 m + .. is the point (c_0, c_1, ..), and the generator
+        # s sends it to the vertex of s * point reduced mod m
+        g = make(m)
+        group = g.group
+        d = len(group.identity)
+        assert g.n_vertices == m**d
+        assert list(g.maps) == list(group.labels)
+        for v in range(g.n_vertices):
+            point = tuple(v // m**i % m for i in range(d))
+            for lab in group.labels:
+                image = group.multiply(group.generator(lab), point)
+                assert g.maps[lab][v] == sum(c % m * m**i for i, c in enumerate(image))
 
     def test_weighted_cycle_weights(self):
         w = [Fraction(4, 10), Fraction(3, 10), Fraction(2, 10), Fraction(1, 10)]

@@ -2,13 +2,13 @@
 
 import gc
 import weakref
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from isoprof import FreeGroup, HeisenbergGroup, ZdGroup, group_from_json, group_to_json
-from isoprof.groups import _spans_integer_lattice, column_size, union_columns
+from isoprof.groups import column_size, lattice_basis, lattice_residue, union_columns
 from oracles import sphere_oracle
 from isoprof.errors import (
     ConfigError,
@@ -135,9 +135,12 @@ class TestZd:
 
     @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=4))
     def test_generation_matches_the_minors(self, vectors):
-        # integer vectors span Z^2 exactly when their 2x2 minors have gcd 1
+        # integer vectors span Z^2 exactly when their 2x2 minors have gcd 1,
+        # that is when their echelon basis has every pivot 1
         minors = [a[0] * b[1] - a[1] * b[0] for a in vectors for b in vectors]
-        assert _spans_integer_lattice(vectors, 2) == (gcd(*minors) == 1)
+        basis = lattice_basis(vectors, 2)
+        spans = basis is not None and all(row[i] == 1 for i, row in enumerate(basis))
+        assert spans == (gcd(*minors) == 1)
 
     def test_foreign_element_rejected(self):
         with pytest.raises(MixedGroupError):
@@ -153,6 +156,45 @@ class TestZd:
         h = ZdGroup(1, generators=[(2,), (-2,), (3,), (-3,)], max_radius=3)
         with pytest.raises(RadiusExceededError):
             h.word_norm((17,))
+
+
+def determinant(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def full_rank_lattices():
+    """d = 2 or 3 integer vectors of length d with a nonzero determinant."""
+    return st.integers(2, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-5, 5)] * d), min_size=d, max_size=d)).filter(determinant)
+
+
+class TestLattice:
+    @given(full_rank_lattices())
+    def test_pivots_multiply_to_the_determinant(self, gens):
+        d = len(gens)
+        basis = lattice_basis(gens, d)
+        assert all(row[:i] == (0,) * i and row[i] > 0 for i, row in enumerate(basis))
+        assert prod(row[i] for i, row in enumerate(basis)) == abs(determinant(gens))
+        # the generators lie in the lattice of the basis, which has their index
+        assert all(lattice_residue(basis, g) == (0,) * d for g in gens)
+
+    @given(full_rank_lattices(), st.data())
+    def test_residue_is_one_point_per_coset(self, gens, data):
+        d = len(gens)
+        basis = lattice_basis(gens, d)
+        w = data.draw(st.tuples(*[st.integers(-30, 30)] * d))
+        ks = data.draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+        shifted = tuple(x + sum(k * g[i] for k, g in zip(ks, gens)) for i, x in enumerate(w))
+        r = lattice_residue(basis, w)
+        assert lattice_residue(basis, shifted) == r
+        assert all(0 <= r[i] < row[i] for i, row in enumerate(basis))
+
+    def test_below_full_rank_there_is_no_basis(self):
+        assert lattice_basis([(1, 2), (2, 4), (-3, -6)], 2) is None
+        assert lattice_basis([(0, 0, 1), (0, 1, 0)], 3) is None
 
 
 class TestHeisenberg:

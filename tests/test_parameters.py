@@ -36,7 +36,7 @@ from isoprof.bounds import cycle_with_marking
 from isoprof.cli import main
 from isoprof.errors import ParameterError, UnsupportedError
 from isoprof.exact import SqrtSum
-from isoprof.isoperimetry import SubsetSearchProfile
+from isoprof.isoperimetry import ProfilePoint, ProfileResult, SubsetSearchProfile
 
 KERNELS = ("subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp")
 
@@ -65,6 +65,8 @@ class Models:
         self.partition = BoundedPartition.singletons(self.g)
         self.tile = cube_tile(self.z1, 3)
         self.coarse = cycle_with_marking(12, self.g.weights, [1, -1, 2, -2])
+        self.profile = ProfileResult([ProfilePoint(n=n, value=Fraction(1, n), witness=None)
+                                      for n in (1, 2, 3)], complete=True, nodes=0)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,7 @@ ENTRIES = {
     "profile_all_subsets radius": (0, lambda o, x: profile_all_subsets(o.z1, 3, radius=x)),
     "profile_all_subsets node_budget":
         (1, lambda o, x: profile_all_subsets(o.z1, 3, node_budget=x)),
+    "ProfileResult.value": (1, lambda o, x: o.profile.value(x)),
     "SubsetSearchProfile.value":
         (1, lambda o, x: SubsetSearchProfile(values=(Fraction(1),), nodes=0,
                                              complete=True).value(x)),
@@ -93,6 +96,7 @@ ENTRIES = {
     "profile_upper n": (1, lambda o, x: profile_upper(o.z1, x, "intervals")),
     "MeasuredGraphing free_window":
         (0, lambda o, x: MeasuredGraphing(o.g.group, o.g.weights, o.g.maps, x)),
+    "MeasuredGraphing.within radius": (0, lambda o, x: o.g.within({0}, x)),
     "build_torus_action d": (1, lambda o, x: build_torus_action(x, 6)),
     "build_torus_action m": (3, lambda o, x: build_torus_action(2, x)),
     "build_heisenberg_quotient m": (3, lambda o, x: build_heisenberg_quotient(x)),
