@@ -31,11 +31,11 @@ def _fits_int64(weights):
     return all(0 <= w < _INT64_CAP for w in weights) and sum(weights) < _INT64_CAP
 
 
-def pack_max_weight(masks, weights, n_bound, node_budget):
+def pack_max_weight(masks, weights, n_bound, node_budget, fix_root):
     """Maximum-weight feasible interior packing; see _pure.pack_max_weight."""
     if _core is not None and _fits_int64(weights):
-        return _core.pack_max_weight(masks, weights, n_bound, node_budget)
-    return _pure.pack_max_weight(masks, weights, n_bound, node_budget)
+        return _core.pack_max_weight(masks, weights, n_bound, node_budget, fix_root)
+    return _pure.pack_max_weight(masks, weights, n_bound, node_budget, fix_root)
 
 
 def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget):

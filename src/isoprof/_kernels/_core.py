@@ -63,8 +63,8 @@ def _load():
     except OSError as exc:
         raise ImportError(f"cannot build or load {_SOURCE}: {exc}") from exc
     lib.subset_min_ratio.argtypes = [_int_p, _int, _int, _int, _i64, _i64_p, _i64_p, _i64_p]
-    lib.pack_max_weight.argtypes = [_int, _int, _u64_p, _i64_p, _int_p, _int, _i64, _i64_p,
-                                    _u64_p, _i64_p]
+    lib.pack_max_weight.argtypes = [_int, _int, _u64_p, _i64_p, _int_p, _int, _i64, _int,
+                                    _i64_p, _u64_p, _i64_p]
     lib.min_boundary_sets.argtypes = [_int_p, _int, _int, _int, _int_p, _i64, _i64_p, _int_p,
                                       _i64_p]
     lib.partition_dp.argtypes = [_int_p, _int, _int, _i64_p, _int, _i64_p, _u64_p, _int_p,
@@ -109,7 +109,7 @@ def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
     return list(num), list(den), nodes.value, status == 1
 
 
-def pack_max_weight(masks, weights, n_bound, node_budget):
+def pack_max_weight(masks, weights, n_bound, node_budget, fix_root):
     """Compiled twin of _pure.pack_max_weight for weights whose sums fit in int64."""
     check_pack_inputs(masks, weights, n_bound)
     count = len(masks)
@@ -126,7 +126,8 @@ def pack_max_weight(masks, weights, n_bound, node_budget):
     nodes = _i64()
     status = _lib.pack_max_weight(count, limbs, vmask, (_i64 * count)(*weights),
                                   _ints(order), min(n_bound, _INT_MAX),
-                                  _budget(node_budget), ctypes.byref(best), best_set,
+                                  _budget(node_budget), 1 if fix_root else 0,
+                                  ctypes.byref(best), best_set,
                                   ctypes.byref(nodes))
     if status < 0:
         raise MemoryError("pack_max_weight could not allocate its search state")

@@ -148,7 +148,7 @@ def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
     return num, den, nodes, complete
 
 
-def pack_max_weight(masks, weights, n_bound, node_budget):
+def pack_max_weight(masks, weights, n_bound, node_budget, fix_root):
     """Maximum total weight of a feasible interior-item set.
 
     Items carry vertex bitmasks (closed generator neighborhoods) and integer
@@ -156,6 +156,14 @@ def pack_max_weight(masks, weights, n_bound, node_budget):
     overlapping masks unions to at most n_bound vertices; those unions are
     exactly the non-singleton cells of the partition the caller rebuilds.
     Returns (best_weight, best_items, nodes, complete).
+
+    fix_root skips the exclude branch of the root pick.  The caller sets it
+    only when label-preserving automorphisms act transitively on the
+    vertices; they map items to items and keep weights and exclusivity, so
+    some optimum contains the root pick.  The include branch runs first and
+    only a strict improvement replaces best, so the first optimum found,
+    which is the one returned, lies in that branch: value and witness are
+    those of the full search.
     """
     check_pack_inputs(masks, weights, n_bound)
     count = len(masks)
@@ -268,7 +276,7 @@ def pack_max_weight(masks, weights, n_bound, node_budget):
                     go = 1 if roots is not None else 2
         elif phase == 1:
             undo_include(pick, roots)
-            go = 2 if complete else 0
+            go = 2 if complete and not (fix_root and len(stack) == 1) else 0
         if not go:
             stack.pop()
             continue

@@ -278,9 +278,16 @@ static void pmw_undo_include(Pmw *st, int i, int n_roots)
 }
 
 /* vmask: count x vl vertex limbs per item; by_weight: items by descending
-   weight, ties by index; best_set receives the best item set, il limbs. */
+   weight, ties by index; best_set receives the best item set, il limbs.
+
+   fix_root skips the exclude branch of the root pick.  The caller sets it
+   only when label-preserving automorphisms act transitively on the
+   vertices, so some optimum contains the root pick; the include branch
+   runs first and only a strict improvement replaces best, so the optimum
+   returned, the first one found, is that of the full search
+   (_pure.pack_max_weight gives the argument in full). */
 int pack_max_weight(int count, int vl, const u64 *vmask, const long long *w,
-                    const int *by_weight, int n_bound, long long budget,
+                    const int *by_weight, int n_bound, long long budget, int fix_root,
                     long long *best_out, u64 *best_set, long long *nodes_out)
 {
     size_t il = ((size_t)count + 63) / 64, cap = (size_t)count + 1, t, k;
@@ -360,7 +367,7 @@ int pack_max_weight(int count, int vl, const u64 *vmask, const long long *w,
             }
         } else if (phase[d] == 1) {
             pmw_undo_include(&st, pick[d], roots[d]);
-            go = complete ? 2 : 0;
+            go = complete && !(fix_root && d == 0) ? 2 : 0;
         }
         if (!go) {
             d--;

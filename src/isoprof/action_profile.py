@@ -227,11 +227,15 @@ def packing_items(graphing, n):
 
 def _bnb_exact(graphing, n, node_budget):
     """Kernel-backed interior packing; the cells are the chosen closed
-    neighbourhoods, each merged with the cells it meets."""
+    neighbourhoods, each merged with the cells it meets.  When the graphing
+    certifies transitive symmetries, the search fixes its root pick."""
     from ._kernels import pack_max_weight
 
     masks, int_weights, scale = packing_items(graphing, n)
-    best, chosen, nodes, complete = pack_max_weight(masks, int_weights, n, node_budget)
+    # the certificate is sought only when there is a search for it to shorten
+    fix_root = bool(masks) and graphing.transitive_symmetries() is not None
+    best, chosen, nodes, complete = pack_max_weight(masks, int_weights, n, node_budget,
+                                                    fix_root)
     # each chosen mask absorbs the cells it meets, so the cells stay disjoint
     cells = []
     for i in chosen:
@@ -258,9 +262,15 @@ def profile_action_exact(graphing, n, method="auto", node_budget=None):
     substitute.  The value is the recomputed boundary mass of the witness
     partition, and a complete route whose claimed optimum differs from it is
     an internal error.
+
+    node_budget bounds the packing's nodes.  The DP has no budget, so naming
+    "exhaustive" with one is refused; "auto" takes one and its DP ignores it,
+    since the DP's table is capped at EXHAUSTIVE_LIMIT vertices.
     """
     integer_parameter("n", n, 1)
     budget = 1 << 62 if node_budget is None else integer_parameter("node_budget", node_budget, 1)
+    if method == "exhaustive" and node_budget is not None:
+        raise ParameterError("the exhaustive route has no node budget; use method='bnb' or 'auto'")
     if method == "auto":
         method = "exhaustive" if graphing.n_vertices <= EXHAUSTIVE_LIMIT else "bnb"
     if not (isinstance(method, str) and method in _ROUTES):

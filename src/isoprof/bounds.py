@@ -288,6 +288,7 @@ def suite_tiling_upper(epsilon=Fraction(1, 4)):
 def cycle_with_marking(m, weights, steps):
     """Z rotating the same m points, marked by the step set; the free window is
     derived up to min(m - 1, 6)."""
+    integer_parameter("m", m, 3)
     return quotient_action(ZdGroup(1, generators=[(s,) for s in steps]), m, weights)
 
 

@@ -9,7 +9,9 @@ Checking a window walks the orbit graph over distinct states from both ends
 of a word, so its cost grows with the ball of half that radius, not with the
 number of reduced words.  The quotient models, Z^d on (Z/m)^d and the
 Heisenberg group on its triples mod m, come from one builder that reads the
-group's own product.
+group's own product.  transitive_symmetries certifies, from the maps alone,
+automorphisms that move vertex 0 to every vertex; the packing search then
+fixes its root pick.
 """
 
 from fractions import Fraction
@@ -216,6 +218,54 @@ class MeasuredGraphing:
     def is_transitive(self):
         """Single orbit under all labeled shifts (the finite stand-in for ergodicity)."""
         return len(self.within({0}, self.n_vertices - 1)) == self.n_vertices
+
+    def transitive_symmetries(self):
+        """Label-preserving automorphisms that carry vertex 0 to every vertex, or None.
+
+        For each label s, sigma_s sends 0 to phi_s(0) and follows a
+        breadth-first tree of the maps by sigma(phi_t(v)) = phi_t(sigma(v)).
+        It is kept only as a weight-preserving bijection that commutes with
+        every map, undefined shifts included, and the sigmas together must
+        move 0 to every vertex.  On the quotient models they are the right
+        translations by conjugates of the generators.  None means a check
+        failed: the maps are disconnected, a hole breaks the symmetry, the
+        weights differ, or the sigmas are not transitive.  Nothing is cached.
+        """
+        V = self.n_vertices
+        # V stands for an undefined shift, and every row and sigma fixes it
+        rows = [[V if t is None else t for t in row] + [V] for row in self.maps.values()]
+        # the breadth-first tree: u = row[v] is reached first from v
+        order, tree = [0], []
+        seen = [True] + [False] * (V - 1) + [True]
+        for v in order:
+            for row in rows:
+                u = row[v]
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+                    tree.append((u, v, row))
+        if len(order) < V:
+            return None
+        sigmas = []
+        for start in rows:
+            sigma = [V] * (V + 1)
+            sigma[0] = start[0]
+            for u, v, row in tree:
+                sigma[u] = row[sigma[v]]
+            if len(set(sigma)) <= V:  # not a permutation of 0..V fixing V
+                return None
+            if tuple(map(self.weights.__getitem__, sigma[:V])) != self.weights:
+                return None
+            for row in rows:
+                if list(map(row.__getitem__, sigma)) != list(map(sigma.__getitem__, row)):
+                    return None
+            sigmas.append(tuple(sigma[:V]))
+        orbit = {0}
+        frontier = orbit
+        while frontier:
+            frontier = {sigma[v] for sigma in sigmas for v in frontier} - orbit
+            orbit |= frontier
+        return tuple(sigmas) if len(orbit) == V else None
 
     def rn_value(self, label, v):
         """ds_*mu/dmu at v: weight(phi_{s^-1}(v))/weight(v), 0 where the density vanishes."""

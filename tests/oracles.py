@@ -6,6 +6,7 @@ types only appear as input containers (graphings hand over their weight and
 map tables; the evaluation logic is local).
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -477,3 +478,29 @@ def punctured(graphing, rng, hole_prob):
             if t is not None and rng.random() < hole_prob:
                 maps[lab][v] = maps[inv][t] = None
     return MeasuredGraphing(graphing.group, graphing.weights, maps, 0)
+
+
+def relabelled(graphing, seed):
+    """The same graphing with its vertices renumbered by a seeded permutation."""
+    from isoprof import MeasuredGraphing
+
+    V = graphing.n_vertices
+    perm = list(range(V))
+    random.Random(seed).shuffle(perm)
+    weights = [None] * V
+    maps = {lab: [None] * V for lab in graphing.maps}
+    for v in range(V):
+        weights[perm[v]] = graphing.weights[v]
+        for lab, row in graphing.maps.items():
+            maps[lab][perm[v]] = None if row[v] is None else perm[row[v]]
+    return MeasuredGraphing(graphing.group, weights, maps, graphing.free_window)
+
+
+def two_cycles(m):
+    """Z rotating two disjoint m-cycles with uniform weights: a disconnected graphing."""
+    from isoprof import MeasuredGraphing, ZdGroup
+
+    step = [(v + 1) % m + v // m * m for v in range(2 * m)]
+    back = [(v - 1) % m + v // m * m for v in range(2 * m)]
+    return MeasuredGraphing(ZdGroup(1), [Fraction(1, 2 * m)] * (2 * m),
+                            {"1": step, "-1": back}, (m - 1) // 2)

@@ -30,12 +30,16 @@ from isoprof.errors import (
     ParameterError,
     WindowExceededError,
 )
+from isoprof.action_profile import packing_items
 from oracles import (
     action_profile_oracle,
     cell_components_oracle,
     iterated_boundary_oracle,
+    punctured,
     random_graphing,
     random_partition,
+    relabelled,
+    two_cycles,
     violation_depth_oracle,
 )
 
@@ -287,7 +291,7 @@ class TestProfileExact:
         # third pick, x=2, meets both {0,1,2} and {3,4,5}
         g = build_torus_action(1, 8)
         monkeypatch.setattr(_kernels, "pack_max_weight",
-                            lambda masks, weights, n, budget: (4, (1, 4, 2), 3, True))
+                            lambda masks, weights, n, budget, fix_root: (4, (1, 4, 2), 3, True))
         res = profile_action_exact(g, 6, method="bnb")
         assert res.partition.cells == ((0, 1, 2, 3, 4, 5), (6,), (7,))
         assert res.value == Fraction(1, 2)
@@ -322,6 +326,15 @@ class TestProfileExact:
         with pytest.raises(ParameterError):
             profile_action_exact(g, 2, method="magic")
 
+    def test_the_exhaustive_route_refuses_a_node_budget(self):
+        # the DP has no budget to honour; auto takes one, which its DP ignores
+        g = build_torus_action(2, 3)
+        with pytest.raises(ParameterError, match="no node budget"):
+            profile_action_exact(g, 5, method="exhaustive", node_budget=1)
+        res = profile_action_exact(g, 5, node_budget=1)
+        assert res.method == "exhaustive" and res.optimal
+        assert res.value == profile_action_exact(g, 5, method="exhaustive").value
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4))
     def test_both_routes_match_the_bell_oracle(self, seed, n):
@@ -335,6 +348,45 @@ class TestProfileExact:
         assert a.value == oracle[n - 1]
         assert b.value == oracle[n - 1]
         assert a.optimal and b.optimal
+
+
+class TestFixedRoot:
+    """The packing fixes its root pick exactly when the graphing certifies
+    transitive symmetries, and that changes nothing but the node count."""
+
+    @pytest.mark.parametrize("make, n", [
+        (lambda: build_torus_action(1, 10), 3),
+        (lambda: build_torus_action(2, 6), 5),
+        (lambda: build_torus_action(2, 8), 5),
+        (lambda: build_torus_action(3, 4), 7),
+        (lambda: build_heisenberg_quotient(4), 5),
+        (lambda: build_heisenberg_quotient(5), 5),
+        (lambda: relabelled(build_torus_action(2, 8), 1), 5),
+        (lambda: relabelled(build_torus_action(2, 9), 3), 5),
+        (lambda: relabelled(build_heisenberg_quotient(4), 2), 5),
+    ])
+    def test_symmetric_graphings_keep_value_and_witness(self, make, n):
+        g = make()
+        masks, weights, _ = packing_items(g, n)
+        full = _kernels.pack_max_weight(masks, weights, n, 1 << 62, False)
+        fixed = _kernels.pack_max_weight(masks, weights, n, 1 << 62, True)
+        assert g.transitive_symmetries() is not None
+        assert fixed[:2] == full[:2] and fixed[3]
+        assert fixed[2] < full[2]
+        assert profile_action_exact(g, n, method="bnb").nodes == fixed[2]
+
+    @pytest.mark.parametrize("make, n", [
+        (lambda: punctured(build_torus_action(2, 6), random.Random(5), Fraction(1, 10)), 5),
+        (lambda: build_weighted_cycle(12, [Fraction(1 + v % 4, 30) for v in range(12)]), 3),
+        (lambda: two_cycles(7), 4),
+    ])
+    def test_a_refused_certificate_keeps_the_full_search(self, make, n):
+        g = make()
+        masks, weights, _ = packing_items(g, n)
+        full = _kernels.pack_max_weight(masks, weights, n, 1 << 62, False)
+        res = profile_action_exact(g, n, method="bnb")
+        assert g.transitive_symmetries() is None
+        assert res.nodes == full[2]
 
 
 class TestIteratedBoundary:

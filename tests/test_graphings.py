@@ -29,7 +29,15 @@ from isoprof.errors import (
 from isoprof import graphings
 from isoprof.bounds import cycle_with_marking
 from isoprof.graphings import _min_violation_depth
-from oracles import inline_law, punctured, random_graphing, reduced_words, violation_depth_oracle
+from oracles import (
+    inline_law,
+    punctured,
+    random_graphing,
+    reduced_words,
+    relabelled,
+    two_cycles,
+    violation_depth_oracle,
+)
 
 
 def tiny_graphing(maps, weights=None, fw=0):
@@ -324,6 +332,54 @@ class TestBuilders:
             build_torus_action(1, 2)
         with pytest.raises(NormalizationError):
             build_weighted_cycle(3, [Fraction(1, 2), Fraction(1, 2)])
+
+
+def path_graphing(V):
+    """Z on a path of V points: both ends have a hole."""
+    return tiny_graphing({"1": [*range(1, V), None], "-1": [None, *range(V - 1)]})
+
+
+class TestTransitiveSymmetries:
+    @pytest.mark.parametrize("make", [
+        lambda: build_torus_action(1, 8),
+        lambda: build_torus_action(2, 6),
+        lambda: build_torus_action(3, 4),
+        lambda: build_torus_action(2, 6, [(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+        lambda: build_heisenberg_quotient(4),
+        lambda: build_heisenberg_quotient(5),
+        lambda: cycle_with_marking(12, [Fraction(1, 12)] * 12, [1, -1, 2, -2]),
+        lambda: relabelled(build_torus_action(2, 7), 3),
+        lambda: relabelled(build_heisenberg_quotient(4), 5),
+    ])
+    def test_quotient_models_certify_transitive_automorphisms(self, make):
+        g = make()
+        sigmas = g.transitive_symmetries()
+        assert sigmas is not None and len(sigmas) == len(g.group.labels)
+        V = g.n_vertices
+        for sigma in sigmas:
+            assert sorted(sigma) == list(range(V))
+            assert all(g.weights[sigma[v]] == g.weights[v] for v in range(V))
+            for row in g.maps.values():
+                assert all(row[sigma[v]] == sigma[row[v]] for v in range(V))
+        orbit = {0}
+        for _ in range(V):
+            orbit |= {sigma[v] for sigma in sigmas for v in orbit}
+        assert orbit == set(range(V))
+
+    @pytest.mark.parametrize("make", [
+        lambda: path_graphing(8),
+        lambda: punctured(build_torus_action(2, 6), random.Random(5), Fraction(1, 10)),
+        lambda: build_weighted_cycle(12, [Fraction(1 + v % 4, 30) for v in range(12)]),
+        lambda: two_cycles(6),
+    ])
+    def test_holes_uneven_weights_and_disconnected_maps_are_refused(self, make):
+        assert make().transitive_symmetries() is None
+
+    def test_nothing_is_kept_on_the_graphing(self):
+        g = build_torus_action(2, 5)
+        before = dict(vars(g))
+        assert g.transitive_symmetries() is not None
+        assert vars(g) == before
 
 
 class TestWordsAndMeasure:

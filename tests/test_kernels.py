@@ -197,19 +197,19 @@ class TestSubsetKernel:
 class TestPackKernel:
     def test_disjoint_items_all_fit(self):
         masks = [0b11, 0b1100, 0b110000]
-        best, items, nodes, complete = pack_max_weight(masks, [5, 7, 9], 2, BIG)
+        best, items, nodes, complete = pack_max_weight(masks, [5, 7, 9], 2, BIG, False)
         assert complete and best == 21 and items == (0, 1, 2)
 
     def test_overlap_merges_against_the_bound(self):
         # items 0 and 1 overlap; their union has 3 > 2 vertices
         masks = [0b011, 0b110]
-        best, items, _, complete = pack_max_weight(masks, [5, 7], 2, BIG)
+        best, items, _, complete = pack_max_weight(masks, [5, 7], 2, BIG, False)
         assert complete and best == 7 and items == (1,)
 
     def test_transitive_merge_is_enforced(self):
         # pairwise unions fit in 4 but the triple union has 5 vertices
         masks = [0b00111, 0b01110, 0b11100]
-        best, _, _, _ = pack_max_weight(masks, [10, 10, 10], 4, BIG)
+        best, _, _, _ = pack_max_weight(masks, [10, 10, 10], 4, BIG, False)
         assert best == 20
 
     def test_matches_brute_force(self):
@@ -218,26 +218,26 @@ class TestPackKernel:
             V = rng.randint(4, 9)
             n_bound = rng.randint(1, 4)
             masks, weights = random_pack_instance(rng, V, rng.randint(1, 8), n_bound)
-            best, items, _, complete = pack_max_weight(masks, weights, n_bound, BIG)
+            best, items, _, complete = pack_max_weight(masks, weights, n_bound, BIG, False)
             assert complete
             assert best == brute_pack(masks, weights, n_bound)
             assert best == sum(weights[i] for i in items) or items == ()
 
     def test_budget_truncates(self):
         masks, weights = random_pack_instance(random.Random(4), 12, 12, 3)
-        best, _, nodes, complete = pack_max_weight(masks, weights, 3, 1)
+        best, _, nodes, complete = pack_max_weight(masks, weights, 3, 1, False)
         assert not complete and best == 0 and nodes == 2
 
     def test_empty_instance(self):
-        assert pack_max_weight([], [], 3, BIG) == (0, (), 0, True)
+        assert pack_max_weight([], [], 3, BIG, False) == (0, (), 0, True)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            pack_max_weight([0b1], [1, 2], 1, BIG)
+            pack_max_weight([0b1], [1, 2], 1, BIG, False)
         with pytest.raises(ValueError):
-            pack_max_weight([0b111], [1], 2, BIG)
+            pack_max_weight([0b111], [1], 2, BIG, False)
         with pytest.raises(ValueError):
-            pack_max_weight([0b1], [1], 0, BIG)
+            pack_max_weight([0b1], [1], 0, BIG, False)
 
 
 class TestConnectedSets:
@@ -342,14 +342,16 @@ def realistic_inputs(name):
         *tables, _ = partition_tables(graphing)
         return "partition_dp", (*tables, n)
     masks, weights, _ = packing_items(graphing, n)
-    return "pack_max_weight", (masks, weights, n, BIG)
+    return "pack_max_weight", (masks, weights, n, BIG,
+                               graphing.transitive_symmetries() is not None)
 
 
 @needs_core
 class TestBackendParity:
     @pytest.mark.parametrize("name", [
         "subset 1 9", "subset 2 5", "connected 2 8", "connected 3 6",
-        "partition C14 5", "partition 3 5", "pack 6 5", "pack 8 5",
+        "partition C14 5", "partition 3 5", "pack 6 5", "pack 8 5", "pack 9 5",
+        "pack C14 3",
     ])
     def test_realistic_searches_identical_including_nodes(self, name):
         kernel, args = realistic_inputs(name)
@@ -374,9 +376,9 @@ class TestBackendParity:
             V = rng.randint(4, 14)
             n_bound = rng.randint(1, 5)
             masks, weights = random_pack_instance(rng, V, rng.randint(1, 10), n_bound)
-            for budget in (BIG, 25):
-                assert _pure.pack_max_weight(masks, weights, n_bound, budget) == \
-                    _core.pack_max_weight(masks, weights, n_bound, budget)
+            for budget, fix_root in itertools.product((BIG, 25), (False, True)):
+                assert _pure.pack_max_weight(masks, weights, n_bound, budget, fix_root) == \
+                    _core.pack_max_weight(masks, weights, n_bound, budget, fix_root)
 
     def test_min_boundary_sets_identical_including_nodes(self):
         rng = random.Random(35)
@@ -421,9 +423,9 @@ class TestLargeInstances:
         # branch depth of 1,200
         masks = [1 << v for v in range(1200)]
         weights = [1] * 1200
-        pure = _pure.pack_max_weight(masks, weights, 1, BIG)
+        pure = _pure.pack_max_weight(masks, weights, 1, BIG, False)
         assert pure[0] == 1200 and pure[3]
-        assert pure == pack_max_weight(masks, weights, 1, BIG)
+        assert pure == pack_max_weight(masks, weights, 1, BIG, False)
 
 
 class TestDispatch:
@@ -432,13 +434,13 @@ class TestDispatch:
         # the compiled kernel sizes its sets to the instance
         masks = [1 << v for v in range(200)]
         weights = [1] * 200
-        best, items, _, complete = pack_max_weight(masks, weights, 1, BIG)
+        best, items, _, complete = pack_max_weight(masks, weights, 1, BIG, False)
         assert complete and best == 200 and len(items) == 200
 
     def test_huge_weights_fall_back_transparently(self):
         masks = [0b1, 0b10]
         weights = [1 << 62, 1 << 62]
-        best, _, _, complete = pack_max_weight(masks, weights, 1, BIG)
+        best, _, _, complete = pack_max_weight(masks, weights, 1, BIG, False)
         assert complete and best == 1 << 63
 
     def test_default_backend_is_stable_across_processes(self):

@@ -101,6 +101,7 @@ ENTRIES = {
     "build_torus_action m": (3, lambda o, x: build_torus_action(2, x)),
     "build_heisenberg_quotient m": (3, lambda o, x: build_heisenberg_quotient(x)),
     "build_weighted_cycle m": (3, lambda o, x: build_weighted_cycle(x, [Fraction(1, 3)] * 3)),
+    "cycle_with_marking m": (3, lambda o, x: cycle_with_marking(x, [Fraction(1, 3)] * 3, [1, -1])),
     "BoundedPartition n_bound": (1, lambda o, x: BoundedPartition.singletons(o.g, x)),
     "profile_action_exact n exhaustive":
         (1, lambda o, x: profile_action_exact(o.g, x, method="exhaustive")),
