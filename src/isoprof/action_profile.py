@@ -70,13 +70,6 @@ class BoundedPartition:
         self.cell_of = tuple(cell_of)
 
     @classmethod
-    def from_cell_ids(cls, graphing, cell_of, n_bound):
-        groups = {}
-        for v, cid in enumerate(cell_of):
-            groups.setdefault(cid, []).append(v)
-        return cls(graphing, groups.values(), n_bound)
-
-    @classmethod
     def singletons(cls, graphing, n_bound=1):
         return cls(graphing, [[v] for v in range(graphing.n_vertices)], n_bound)
 
@@ -228,14 +221,13 @@ def packing_items(graphing, n):
 def _bnb_exact(graphing, n, node_budget):
     """Kernel-backed interior packing; the cells are the chosen closed
     neighbourhoods, each merged with the cells it meets.  When the graphing
-    certifies transitive symmetries, the search fixes its root pick."""
+    is symmetric (its constructor certified transitive symmetries), the
+    search fixes its root pick."""
     from ._kernels import pack_max_weight
 
     masks, int_weights, scale = packing_items(graphing, n)
-    # the certificate is sought only when there is a search for it to shorten
-    fix_root = bool(masks) and graphing.transitive_symmetries() is not None
     best, chosen, nodes, complete = pack_max_weight(masks, int_weights, n, node_budget,
-                                                    fix_root)
+                                                    graphing.symmetric)
     # each chosen mask absorbs the cells it meets, so the cells stay disjoint
     cells = []
     for i in chosen:

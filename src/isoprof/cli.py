@@ -195,7 +195,8 @@ def _cmd_profile_action(args):
     row = [args.n, value.numerator, value.denominator, method, _cells_str(partition)]
     if args.decimal:
         row.append(_decimal_str(value))
-    _emit(args.out, _header("profile-action", _json_friendly(params)), columns, [row])
+    # the graphing, tile and epsilon are JSON-ready as written
+    _emit(args.out, _header("profile-action", params), columns, [row])
     return exit_code
 
 

@@ -139,11 +139,6 @@ class SqrtSum:
     def is_rational(self):
         return all(m == 1 for m in self._terms)
 
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ParameterError(f"{self!r} is irrational")
-        return self._terms.get(1, Fraction(0))
-
     def sign(self):
         """Exact sign in {-1, 0, 1}."""
         if not self._terms:

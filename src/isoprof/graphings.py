@@ -10,8 +10,9 @@ of a word, so its cost grows with the ball of half that radius, not with the
 number of reduced words.  The quotient models, Z^d on (Z/m)^d and the
 Heisenberg group on its triples mod m, come from one builder that reads the
 group's own product.  transitive_symmetries certifies, from the maps alone,
-automorphisms that move vertex 0 to every vertex; the packing search then
-fixes its root pick.
+automorphisms that move vertex 0 to every vertex.  Such a graphing walks its
+window from vertex 0 alone, as the automorphisms carry a word fixing any
+vertex to one fixing 0, and the packing search fixes its root pick.
 """
 
 from fractions import Fraction
@@ -38,8 +39,9 @@ from .groups import ZdGroup, HeisenbergGroup, group_from_json, group_to_json
 _BLOCK = 64
 
 
-def _min_violation_depth(group, maps, n_vertices, radius):
-    """Smallest length <= radius of a reduced, nonidentity-element word fixing a vertex.
+def _min_violation_depth(group, maps, n_vertices, radius, starts):
+    """Smallest length <= radius of a reduced, nonidentity-element word fixing
+    one of the start vertices.
 
     Words that reduce to the identity element of the group (commutators and
     the like) fix vertices for free and are skipped; they say nothing about
@@ -107,9 +109,9 @@ def _min_violation_depth(group, maps, n_vertices, radius):
         return None
 
     best = None
-    for lo in range(0, n_vertices, _BLOCK):
-        starts = tuple(range(lo, min(lo + _BLOCK, n_vertices)))
-        best = first_hit(starts, radius if best is None else best - 1) or best
+    for lo in range(0, len(starts), _BLOCK):
+        block = tuple(starts[lo:lo + _BLOCK])
+        best = first_hit(block, radius if best is None else best - 1) or best
     return best
 
 
@@ -130,7 +132,9 @@ class MeasuredGraphing:
         A declared free_window is certified: a nonidentity word of length at
         most free_window that fixes a vertex is refused.  None derives it as
         the largest radius <= min(V - 1, 6) up to which no such word exists;
-        one walk finds it and certifies it.
+        one walk finds it and certifies it.  symmetric records whether
+        transitive_symmetries holds; if so the walk starts from vertex 0
+        alone, otherwise from every vertex.
         """
         self.group = group
         self.weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
@@ -167,7 +171,11 @@ class MeasuredGraphing:
             radius = min(self.n_vertices - 1, 6)
         else:
             radius = integer_parameter("free_window", free_window, 0)
-        bad = _min_violation_depth(group, self.maps, self.n_vertices, radius)
+        # the automorphisms carry 0 to every vertex and commute with every
+        # map, so a word fixes some vertex exactly when it fixes vertex 0
+        self.symmetric = self.transitive_symmetries() is not None
+        starts = (0,) if self.symmetric else range(self.n_vertices)
+        bad = _min_violation_depth(group, self.maps, self.n_vertices, radius, starts)
         if bad is not None and free_window is not None:
             raise ConfigError(
                 f"free_window={free_window} is wrong: a word of length {bad} fixes a vertex"
@@ -215,10 +223,6 @@ class MeasuredGraphing:
         total = all(t is not None for row in self.maps.values() for t in row)
         return uniform and total
 
-    def is_transitive(self):
-        """Single orbit under all labeled shifts (the finite stand-in for ergodicity)."""
-        return len(self.within({0}, self.n_vertices - 1)) == self.n_vertices
-
     def transitive_symmetries(self):
         """Label-preserving automorphisms that carry vertex 0 to every vertex, or None.
 
@@ -229,7 +233,8 @@ class MeasuredGraphing:
         move 0 to every vertex.  On the quotient models they are the right
         translations by conjugates of the generators.  None means a check
         failed: the maps are disconnected, a hole breaks the symmetry, the
-        weights differ, or the sigmas are not transitive.  Nothing is cached.
+        weights differ, or the sigmas are not transitive.  The constructor
+        calls it once and keeps only whether it held, as symmetric.
         """
         V = self.n_vertices
         # V stands for an undefined shift, and every row and sigma fixes it
@@ -279,9 +284,14 @@ class MeasuredGraphing:
         return RNProfile(label=label, values=values, weights=self.weights)
 
     def to_json(self):
+        # the builders repeat one Fraction V times and from_json shares one per
+        # string, so each object is formatted once; it is keyed by id, since
+        # hashing a Fraction costs about as much as formatting it
+        distinct = {id(w): w for w in self.weights}
+        text = {key: format_fraction(w) for key, w in distinct.items()}
         return {
             "vertices": self.n_vertices,
-            "weights": [format_fraction(w) for w in self.weights],
+            "weights": [text[id(w)] for w in self.weights],
             "maps": {lab: list(row) for lab, row in self.maps.items()},
             "group": group_to_json(self.group),
             "free_window": self.free_window,

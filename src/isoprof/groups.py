@@ -70,10 +70,6 @@ class GroupSubset:
     def __repr__(self):
         return f"GroupSubset({self.group!r}, {len(self)} elements)"
 
-    def sort_key(self):
-        """Canonical key for comparing subsets of the same group."""
-        return tuple(sorted(self.elements))
-
 
 class MarkedGroup:
     """Base class; subclasses fix the element representation and the product."""

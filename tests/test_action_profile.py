@@ -57,9 +57,9 @@ class TestBoundedPartition:
         assert p.cell(3) == (1, 3)
         assert p.cell_of == (0, 1, 0, 1)
 
-    def test_from_cell_ids_matches_explicit(self):
+    def test_cell_order_does_not_matter(self):
         g = build_torus_action(1, 4)
-        assert BoundedPartition.from_cell_ids(g, [0, 1, 0, 1], 2) == BoundedPartition(
+        assert BoundedPartition(g, [[3, 1], [2, 0]], 2) == BoundedPartition(
             g, [[0, 2], [1, 3]], 2
         )
 
@@ -385,8 +385,19 @@ class TestFixedRoot:
         masks, weights, _ = packing_items(g, n)
         full = _kernels.pack_max_weight(masks, weights, n, 1 << 62, False)
         res = profile_action_exact(g, n, method="bnb")
-        assert g.transitive_symmetries() is None
+        assert g.transitive_symmetries() is None and not g.symmetric
         assert res.nodes == full[2]
+
+    def test_the_packing_reads_the_constructor_certificate(self, monkeypatch):
+        calls = []
+        derive = MeasuredGraphing.transitive_symmetries
+        monkeypatch.setattr(MeasuredGraphing, "transitive_symmetries",
+                            lambda self: calls.append(self) or derive(self))
+        g = build_torus_action(2, 6)
+        fixed = profile_action_exact(g, 5, method="bnb")
+        assert calls == [g] and g.symmetric
+        masks, weights, _ = packing_items(g, 5)
+        assert fixed.nodes < _kernels.pack_max_weight(masks, weights, 5, 1 << 62, False)[2]
 
 
 class TestIteratedBoundary:

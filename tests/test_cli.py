@@ -14,13 +14,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from isoprof import (
     HeisenbergGroup,
     ZdGroup,
+    build_heisenberg_quotient,
     build_torus_action,
     cube_tile,
     folner_multitile_sequence,
     group_from_json,
     multitile_to_json,
 )
-from isoprof.cli import EXIT_INTERNAL, main
+from isoprof.cli import EXIT_INTERNAL, _config_digest, _json_friendly, main
 
 HEADER = re.compile(r"^# isoprof 0\.1\.0 config=[0-9a-f]{12}$")
 
@@ -221,6 +222,30 @@ class TestProfileAction:
         assert main(["profile-action", "--n", "2", "--graphing", graphing]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: map '1' has target True out of range\n"
+
+    @pytest.mark.parametrize("graphing, extra, digest", [
+        (lambda: build_torus_action(2, 16),
+         ["--tiling", json.dumps(multitile_to_json(cube_tile(ZdGroup(2), 2))), "--epsilon", "1/2"],
+         "42a5a5e21459"),
+        (lambda: build_heisenberg_quotient(8), ["--decimal"], "783239bf4b86"),
+    ])
+    def test_config_digest_hashes_the_params_as_written(self, tmp_path, graphing, extra,
+                                                        digest):
+        # the params are JSON-ready, so hashing them as they are gives the
+        # digest of their walk through _json_friendly
+        g = graphing()
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(g.to_json()))
+        out = tmp_path / "act.csv"
+        assert main(["profile-action", "--graphing", str(path), "--n", "4", *extra,
+                     "--out", str(out)]) == 0
+        params = {"graphing": g.to_json(), "n": 4, "decimal": "--decimal" in extra}
+        if "--tiling" in extra:
+            params["tiling"] = json.loads(extra[1])
+            params["epsilon"] = extra[3]
+        walked = _config_digest("profile-action", _json_friendly(params))
+        assert out.read_text().splitlines()[0] == f"# isoprof 0.1.0 config={digest}"
+        assert walked == digest
 
     def test_budget_truncation_still_writes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ISOPROF_NODE_BUDGET", "1")

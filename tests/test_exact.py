@@ -41,12 +41,13 @@ def test_format_fraction_integers_have_no_slash():
 
 
 def test_sqrt_of_perfect_square_is_rational():
-    assert SqrtSum.sqrt(Fraction(9, 4)).as_fraction() == Fraction(3, 2)
+    root = SqrtSum.sqrt(Fraction(9, 4))
+    assert root.is_rational() and root == SqrtSum.from_rational(Fraction(3, 2))
 
 
 def test_sqrt_squared_recovers_radicand():
     s = SqrtSum.sqrt(Fraction(7, 3))
-    assert (s * s).as_fraction() == Fraction(7, 3)
+    assert s * s == SqrtSum.from_rational(Fraction(7, 3))
 
 
 def test_sqrt_of_negative_rejected():
@@ -54,9 +55,8 @@ def test_sqrt_of_negative_rejected():
         SqrtSum.sqrt(Fraction(-1, 2))
 
 
-def test_irrational_value_refuses_as_fraction():
-    with pytest.raises(ParameterError):
-        SqrtSum.sqrt(2).as_fraction()
+def test_irrational_value_is_not_rational():
+    assert not SqrtSum.sqrt(2).is_rational()
 
 
 def test_sqrt2_plus_sqrt3_vs_sqrt10_sign():

@@ -28,7 +28,7 @@ from isoprof.errors import (
 )
 from isoprof import graphings
 from isoprof.bounds import cycle_with_marking
-from isoprof.graphings import _min_violation_depth
+from isoprof.graphings import _min_violation_depth, quotient_action
 from oracles import (
     inline_law,
     punctured,
@@ -140,7 +140,8 @@ class TestFreeWindow:
         depth = violation_depth_oracle(g.group, g.maps, g.n_vertices, 8)
         for radius in range(9):
             want = depth if depth is not None and depth <= radius else None
-            assert _min_violation_depth(g.group, g.maps, g.n_vertices, radius) == want
+            assert _min_violation_depth(g.group, g.maps, g.n_vertices, radius,
+                                        range(g.n_vertices)) == want
         return cap if depth is None or depth > cap else depth - 1
 
     @pytest.mark.parametrize("seed", range(40))
@@ -187,7 +188,7 @@ class TestFreeWindow:
         # odd depths meet one step apart, even depths at one depth
         g = build_torus_action(1, m, generators=generators)
         self.oracle_window(g, 0)
-        assert _min_violation_depth(g.group, g.maps, m, 8) == depth
+        assert _min_violation_depth(g.group, g.maps, m, 8, range(m)) == depth
 
     def test_heisenberg_identity_words_do_not_count(self):
         # H3 under left multiplication, on the points that its reduced words
@@ -220,7 +221,7 @@ class TestFreeWindow:
         g = build_heisenberg_quotient(8)
         mul, calls = g.group._mul_raw, []
         monkeypatch.setattr(g.group, "_mul_raw", lambda a, b: calls.append(1) or mul(a, b))
-        assert _min_violation_depth(g.group, g.maps, g.n_vertices, 6) is None
+        assert _min_violation_depth(g.group, g.maps, g.n_vertices, 6, range(g.n_vertices)) is None
         # 416: 8 blocks of 64 starts, 4 + 12 + 36 states to depth 3 each; a
         # walk to depth 6 makes 7,184
         assert len(calls) <= 500
@@ -255,7 +256,8 @@ class TestBuilders:
     def test_torus_shapes(self):
         g = build_torus_action(2, 4)
         assert g.n_vertices == 16
-        assert g.is_pmp() and g.is_transitive()
+        assert g.is_pmp() and g.symmetric
+        assert len(g.within({0}, g.n_vertices - 1)) == g.n_vertices
         assert g.free_window == 1
 
     def test_torus_shift_wraps(self):
@@ -266,7 +268,8 @@ class TestBuilders:
     def test_heisenberg_quotient_action(self):
         g = build_heisenberg_quotient(3)
         assert g.n_vertices == 27
-        assert g.is_pmp() and g.is_transitive()
+        assert g.is_pmp() and g.symmetric
+        assert len(g.within({0}, g.n_vertices - 1)) == g.n_vertices
         # x sends (a,b,c) to (a+1, b, c+b)
         v = 1 + 3 * 1 + 9 * 0  # (1,1,0)
         assert g.phi("x", v) == (2 % 3) + 3 * 1 + 9 * 1
@@ -301,31 +304,42 @@ class TestBuilders:
         w = [Fraction(4, 10), Fraction(3, 10), Fraction(2, 10), Fraction(1, 10)]
         g = build_weighted_cycle(4, w)
         assert not g.is_pmp()
-        assert g.is_transitive()
+        # one orbit, though the uneven weights refuse the certificate
+        assert len(g.within({0}, g.n_vertices - 1)) == g.n_vertices
+        assert g.transitive_symmetries() is None and not g.symmetric
         assert g.mu([0, 1]) == Fraction(7, 10)
 
     def test_each_graphing_walks_its_window_once(self, monkeypatch):
         walk = graphings._min_violation_depth
-        blocks = []
+        walks = []
 
-        def counting(group, maps, n_vertices, radius):
-            blocks.append(-(-n_vertices // graphings._BLOCK))  # one walk per block
-            return walk(group, maps, n_vertices, radius)
+        def recording(group, maps, n_vertices, radius, starts):
+            walks.append(tuple(starts))
+            return walk(group, maps, n_vertices, radius, starts)
 
-        monkeypatch.setattr(graphings, "_min_violation_depth", counting)
-        g = build_heisenberg_quotient(8)  # 512 vertices: 8 blocks
-        assert sum(blocks) == 8
+        monkeypatch.setattr(graphings, "_min_violation_depth", recording)
+        g = build_heisenberg_quotient(8)  # 512 vertices, certified: vertex 0 alone
+        assert walks == [(0,)]
         obj = g.to_json()
-        blocks.clear()
+        walks.clear()
         assert MeasuredGraphing.from_json(obj).free_window == g.free_window
-        assert sum(blocks) == 8  # a window the caller supplies is still checked
+        assert walks == [(0,)]  # a window the caller supplies is still checked
         del obj["free_window"]
-        blocks.clear()
+        walks.clear()
         assert MeasuredGraphing.from_json(obj).free_window == g.free_window
-        assert sum(blocks) == 8
-        blocks.clear()
+        assert walks == [(0,)]
+        walks.clear()
         build_torus_action(2, 12, generators=[(1, 0), (-1, 0), (0, 1), (0, -1)])
-        assert sum(blocks) == 3
+        assert walks == [(0,)]
+        # a hole, uneven weights or two orbits refuse the certificate, and the
+        # walk starts from every vertex: 150 of them make 3 blocks
+        for make in (lambda: path_graphing(150),
+                     lambda: build_weighted_cycle(150, [Fraction(2 * v + 1, 150**2)
+                                                        for v in range(150)]),
+                     lambda: two_cycles(75)):
+            walks.clear()
+            assert not make().symmetric
+            assert walks == [tuple(range(150))]
 
     def test_builder_parameter_guards(self):
         with pytest.raises(ParameterError):
@@ -337,6 +351,52 @@ class TestBuilders:
 def path_graphing(V):
     """Z on a path of V points: both ends have a hole."""
     return tiny_graphing({"1": [*range(1, V), None], "-1": [None, *range(V - 1)]})
+
+
+class TestOneStart:
+    """A certified graphing walks its free window from vertex 0 alone."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_torus_action(1, 9),
+        lambda: build_torus_action(2, 5),
+        lambda: build_torus_action(3, 3),
+        lambda: build_torus_action(1, 12, [(1,), (-1,), (2,), (-2,)]),
+        lambda: build_torus_action(2, 6, [(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+        *[lambda m=m: build_heisenberg_quotient(m) for m in range(3, 6)],
+        lambda: build_weighted_cycle(11, [Fraction(1, 11)] * 11),
+        lambda: quotient_action(ZdGroup(2), 4, [Fraction(1, 16)] * 16),
+        lambda: cycle_with_marking(10, [Fraction(1, 10)] * 10, [1, -1, 3, -3]),
+        lambda: relabelled(build_torus_action(2, 7), 3),
+        lambda: relabelled(build_heisenberg_quotient(4), 5),
+        lambda: relabelled(cycle_with_marking(12, [Fraction(1, 12)] * 12, [1, -1, 2, -2]), 8),
+    ])
+    def test_vertex_0_finds_the_shortest_violation(self, make):
+        g = make()
+        assert g.symmetric
+        V = g.n_vertices
+        for radius in (1, 3, 6, min(V - 1, 12)):
+            everywhere = _min_violation_depth(g.group, g.maps, V, radius, range(V))
+            for start in (0, V // 2, V - 1):
+                assert _min_violation_depth(g.group, g.maps, V, radius, (start,)) == everywhere
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_torus_action(1, 6),
+        lambda: build_torus_action(2, 5),
+        lambda: build_torus_action(2, 6, [(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+        lambda: relabelled(build_torus_action(2, 7), 2),
+    ])
+    def test_a_wrong_declared_window_is_refused_as_before(self, make):
+        # the refusal names the shortest violation over every start vertex
+        g = make()
+        assert g.symmetric
+        V = g.n_vertices
+        depth = _min_violation_depth(g.group, g.maps, V, V, range(V))
+        assert depth > g.free_window
+        for declared in (depth, depth + 3):
+            with pytest.raises(ConfigError) as info:
+                MeasuredGraphing(g.group, g.weights, g.maps, declared)
+            assert str(info.value) == (
+                f"free_window={declared} is wrong: a word of length {depth} fixes a vertex")
 
 
 class TestTransitiveSymmetries:
@@ -417,6 +477,12 @@ class TestWordsAndMeasure:
         assert h.maps == g.maps
         assert h.group == g.group
         assert h.free_window == g.free_window
+
+    def test_json_writes_each_weight_in_place(self):
+        # each distinct weight is formatted once and written at every vertex
+        g = build_weighted_cycle(5, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 6),
+                                     Fraction(1, 6), Fraction(1, 6)])
+        assert g.to_json()["weights"] == ["1/6", "1/3", "1/6", "1/6", "1/6"]
 
     def test_json_without_free_window_derives_one(self):
         g = build_torus_action(1, 8)
