@@ -374,16 +374,18 @@ class _TupleGroup(MarkedGroup):
 
     def _next_sphere(self):
         moved = {}
-        for key, ivs in self._spheres[-1].items():
-            for step in self._steps:
+        for step in self._steps:
+            for key, ivs in self._spheres[-1].items():
                 key2, dc = step(key)
-                moved.setdefault(key2, []).extend([(lo + dc, hi + dc) for lo, hi in ivs])
+                moved.setdefault(key2, []).extend(
+                    [(lo + dc, hi + dc) for lo, hi in ivs] if dc else ivs)
         fresh = {}
         for key in sorted(moved):
-            ivs = _merged(moved[key])
+            ivs = moved[key]
+            if len(ivs) > 1:
+                ivs = _merged(ivs)
             for older in self._spheres[-2:]:
-                if key in older:
-                    ivs = _minus(ivs, older[key])
+                ivs = _minus(ivs, older.get(key, ()))
             if ivs:
                 fresh[key] = ivs
         return fresh
@@ -405,8 +407,9 @@ class _TupleGroup(MarkedGroup):
         for r in range(self.max_radius + 1):
             if r == len(self._spheres):
                 self._spheres.append(self._next_sphere())
-            if any(lo <= c <= hi for lo, hi in self._spheres[r].get(key, ())):
-                return r
+            for lo, hi in self._spheres[r].get(key, ()):
+                if lo <= c <= hi:
+                    return r
         raise RadiusExceededError(
             f"element {self.element_str(g)} not reached within radius {self.max_radius}"
         )

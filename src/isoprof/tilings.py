@@ -28,16 +28,21 @@ Along a column the lattice counts are periodic in the last coordinate: if
 z = (0, .., 0, p) is a center (on Z^d p is the last pivot, since a lattice
 vector that is zero but for its last coordinate is a multiple of the last
 basis row; on Heisenberg p = m3), z is central and the centers are closed
-under multiplying by it, so w and w z are covered equally often.  Each column
-therefore costs at most min(length, period) evaluations, and SCAN_BUDGET
-counts those times the lookups per point.  Explicit centers are scattered
-onto the window as sparse additions.  The window's sizes, covered count and
-density are sums over intervals, and the first five uncovered and colliding
-points come from walking the spheres in (norm, tuple) order, point by point
-but only through columns that can hold a bad count: those with explicit
-additions or a bad pattern entry.  The radius-36 Heisenberg window of the
-425-point cuboid tile, 716,455 points in 2,665 columns, needs 45,177
-evaluations.
+under multiplying by it, so w and w z are covered equally often.  The counts
+depend on the column key only through its class: on Z^d the residue of
+(key, 0), as keys of one residue differ by a lattice vector; on Heisenberg
+(a mod m1, b mod m2, b mod m3); for a multi-tile the tuple of its lattice
+shapes' classes, over the lcm of their periods.  A class keeps one pattern
+of counts by c mod period, each entry evaluated when first used, and tallies
+an interval at least one period long from the pattern's prefix sums.
+SCAN_BUDGET charges each column its own residues mod period (at most
+min(length, period)) times the lookups per point, a bound on the
+evaluations.  Explicit centers are scattered onto the window as sparse
+additions.  The first five uncovered and colliding points come from walking
+the spheres in (norm, tuple) order through the columns that can hold a bad
+count: those with explicit additions or a bad class pattern entry.  The
+radius-36 Heisenberg window of the 425-point cuboid tile, 716,455 points in
+2,665 columns, needs 5,937 evaluations (45,177 at one pattern per column).
 
 Free groups have no columns and no lattice center sets, so their scan keeps
 one count per window point, in (norm, tuple) order.
@@ -45,7 +50,7 @@ one count per window point, in (norm, tuple) order.
 
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice
 from math import lcm
 
 from ._record import Record
@@ -154,6 +159,8 @@ class MultiTile:
                 raise EmptySetError("shapes must be nonempty")
             if group.identity not in shape:
                 raise ParameterError("every shape must contain the identity")
+            for t in shape:
+                group.validate_element(t)
         for cs in centers:
             if not isinstance(cs, (ExplicitCenters, LatticeCenters)):
                 raise ParameterError("centers must be ExplicitCenters or LatticeCenters")
@@ -226,14 +233,20 @@ def _residue_index(group, shape, centers):
     """(over, period, lookups) of a lattice center set over a shape: over(w)
     lists, in shape order, the t in the shape with t^-1 * w a center; period is
     the least p with (0, .., 0, p) a center; lookups bounds the table lookups
-    one call of over makes."""
+    one call of over makes; over.column_class(key) is the class of a window
+    column, which fixes the length of over's list at each c mod period."""
     if isinstance(group, ZdGroup):
         basis = _zd_lattice(group, centers.generators)
         residue = partial(lattice_residue, basis)
         buckets = {}
         for t in shape:
             buckets.setdefault(residue(t), []).append(t)
-        return (lambda w: buckets.get(residue(w), ())), basis[-1][-1], 1
+
+        def over(w):
+            return buckets.get(residue(w), ())
+
+        over.column_class = lambda key: residue(key + (0,))
+        return over, basis[-1][-1], 1
     if not isinstance(group, HeisenbergGroup):
         raise UnsupportedError("lattice center sets are supported on Z^d and Heisenberg only")
     m1, m2, m3 = _heis_axis_moduli(centers.generators)
@@ -253,6 +266,7 @@ def _residue_index(group, shape, centers):
         return sorted((t for u, table in classes.items() for t in table.get((c - u * b) % m3, ())),
                       key=position.__getitem__)
 
+    over.column_class = lambda key: (key[0] % m1, key[1] % m2, key[1] % m3)
     return over, m3, max(map(len, buckets.values()))
 
 
@@ -277,48 +291,48 @@ def _scatter(group, shape, centers):
     return (mul(t, c) for c in centers.elements for t in shape)
 
 
-class _Column:
-    """Cover counts along one window column: the count at c is
-    pattern[(c - base) % period] (lattice centers) plus extra.get(c, 0)
-    (explicit centers).  Pattern entries no column point uses stay None."""
+class _Pattern(dict):
+    """The lattice cover counts of one column class by c mod period, each
+    evaluated when first used, at a representative column of the class.  A
+    window column is the pair of its class pattern and its explicit additions
+    {c: count}."""
 
-    __slots__ = ("base", "period", "pattern", "extra")
+    def __init__(self, count, period):
+        super().__init__()
+        self.count, self.period, self.sums = count, period, {}
 
-    def __init__(self, base, period, pattern, extra):
-        self.base, self.period, self.pattern, self.extra = base, period, pattern, extra
+    def __missing__(self, i):
+        self[i] = h = self.count(i)
+        return h
 
-    def hits(self, c):
-        return self.pattern[(c - self.base) % self.period] + self.extra.get(c, 0)
-
-    def tally(self, lo, hi, f):
-        """The sum of f(count) over c in [lo, hi]: whole periods of the pattern,
-        the remainder, then the change the explicit centers make."""
-        P, pattern = self.period, self.pattern
-        q, rem = divmod(hi - lo + 1, P)
-        total = q * sum(map(f, pattern)) if q else 0
-        total += sum(f(pattern[(c - self.base) % P]) for c in range(hi - rem + 1, hi + 1))
-        for c, e in self.extra.items():
+    def tally(self, lo, hi, f, extra):
+        """The sum of f(count) over c in [lo, hi] of a column with these explicit
+        additions: point by point below one period, else from the prefix sums of
+        f over a period; then the change the additions make."""
+        P = self.period
+        if hi - lo + 1 < P:
+            total = sum(f(self[c % P]) for c in range(lo, hi + 1))
+        else:
+            if f not in self.sums:
+                self.sums[f] = list(accumulate((f(self[i]) for i in range(P)), initial=0))
+            sums = self.sums[f]
+            total = (hi + 1) // P * sums[P] + sums[(hi + 1) % P] - lo // P * sums[P] - sums[lo % P]
+        for c, e in extra.items():
             if lo <= c <= hi:
-                h = pattern[(c - self.base) % P]
+                h = self[c % P]
                 total += f(h + e) - f(h)
         return total
 
 
 def _window_columns(group, mt, indexes, window):
-    """Each window column's _Column.  Lattice shapes are evaluated at one point per
-    pattern index the column uses, explicit centers are scattered onto the window.
-    Budgets are checked shape by shape, before each shape's work."""
+    """({window column key: (class pattern, explicit additions)}, the patterns).
+    Explicit centers are scattered onto the window.  Budgets are checked shape by
+    shape, before each shape's work; each column is charged its residues mod
+    period, a bound on its share of the lattice evaluations."""
     period = lcm(*(index[1] for index in indexes if index))
-    needed = {}
-    for key, ivs in window.items():
-        base = ivs[0][0]
-        P = min(period, ivs[-1][1] - base + 1)
-        if any(hi - lo + 1 >= P for lo, hi in ivs):
-            needed[key] = (base, P, range(P))
-        else:
-            needed[key] = (base, P, sorted({(c - base) % P for lo, hi in ivs
-                                            for c in range(lo, hi + 1)}))
-    evaluations = sum(len(idx) for _, _, idx in needed.values())
+    evaluations = sum(period if any(hi - lo + 1 >= period for lo, hi in ivs)
+                      else len({c % period for lo, hi in ivs for c in range(lo, hi + 1)})
+                      for ivs in window.values())
 
     overs, extra = [], {}
     for shape, centers, index in zip(mt.shapes, mt.centers, indexes):
@@ -334,31 +348,33 @@ def _window_columns(group, mt, indexes, window):
             raise BudgetError("lattice window scan too large")
         overs.append(over)
 
-    columns = {}
-    for key, (base, P, idx) in needed.items():
-        pattern = [None] * P
-        for i in idx:
-            w = group._point(key, base + i)
-            pattern[i] = sum(len(over(w)) for over in overs)
-        columns[key] = _Column(base, P, pattern, extra.get(key, {}))
-    return columns
+    classes, columns = {}, {}
+    for key in window:
+        cls = tuple(over.column_class(key) for over in overs)
+        if cls not in classes:
+            classes[cls] = _Pattern(
+                lambda c, key=key: sum(len(over(group._point(key, c))) for over in overs), period)
+        columns[key] = (classes[cls], extra.get(key, {}))
+    return columns, classes.values()
 
 
-def _first_bad(group, spheres, columns, bad):
+def _first_bad(group, spheres, columns, patterns, bad):
     """The first five points of the spheres, in (norm, tuple) order, whose count
-    passes bad.  Only columns with explicit additions or a bad pattern entry are
-    walked."""
-    suspects = {key for key, col in columns.items()
-                if col.extra or any(h is not None and bad(h) for h in col.pattern)}
+    passes bad.  Each class pattern is judged once, and only columns with
+    explicit additions or a bad pattern entry are walked."""
+    bad_patterns = {id(p) for p in patterns if any(map(bad, p.values()))}
+    suspects = {key for key, (p, extra) in columns.items() if extra or id(p) in bad_patterns}
+    if not suspects:
+        return []
     found = []
     for sphere in spheres:
         for key, ivs in sphere.items():
             if key not in suspects:
                 continue
-            col = columns[key]
+            pattern, extra = columns[key]
             for lo, hi in ivs:
                 for c in range(lo, hi + 1):
-                    if bad(col.hits(c)):
+                    if bad(pattern[c % pattern.period] + extra.get(c, 0)):
                         found.append(group._point(key, c))
                         if len(found) == 5:
                             return found
@@ -370,13 +386,14 @@ def _column_scan(group, mt, indexes, spheres, region_radius):
     first collisions) on Z^d and Heisenberg, column by column."""
     region = union_columns(spheres[:region_radius + 1])
     window = union_columns([region] + spheres[region_radius + 1:])
-    columns = _window_columns(group, mt, indexes, window)
-    total = sum(columns[key].tally(lo, hi, int)
+    columns, patterns = _window_columns(group, mt, indexes, window)
+    total = sum(columns[key][0].tally(lo, hi, int, columns[key][1])
                 for key, ivs in window.items() for lo, hi in ivs)
-    covered_count = sum(columns[key].tally(lo, hi, bool)
+    covered_count = sum(columns[key][0].tally(lo, hi, bool, columns[key][1])
                         for key, ivs in region.items() for lo, hi in ivs)
-    uncovered = _first_bad(group, spheres[:region_radius + 1], columns, lambda h: h == 0)
-    collision_points = _first_bad(group, spheres, columns, lambda h: h > 1)
+    uncovered = _first_bad(group, spheres[:region_radius + 1], columns, patterns,
+                           lambda h: h == 0)
+    collision_points = _first_bad(group, spheres, columns, patterns, lambda h: h > 1)
     return (column_size(window), column_size(region), total, covered_count,
             uncovered, collision_points)
 
@@ -422,7 +439,7 @@ def verify_multitile_window(mt, window_radius):
     """Exhaustively check the partition property of a multi-tile on a ball window."""
     R = integer_parameter("window_radius", window_radius, 0)
     group = mt.group
-    margin = max(group.word_norm(t) for shape in mt.shapes for t in shape)
+    margin = max(group._norm(t) for shape in mt.shapes for t in shape)
     if margin > R:
         raise WindowTooSmallError(
             f"window radius {R} is smaller than the largest shape diameter {margin}"

@@ -7,11 +7,13 @@ from itertools import product
 import pytest
 
 from isoprof import tilings
+from isoprof.groups import union_columns
 from oracles import determinant, inline_law, lattice_member_oracle, tile_window_oracle
 
 from isoprof import (
     ExplicitCenters,
     FreeGroup,
+    GroupSubset,
     HeisenbergGroup,
     LatticeCenters,
     MultiTile,
@@ -81,6 +83,14 @@ class TestMultiTileValidation:
     def test_centers_of_the_wrong_dimension_rejected(self, centers):
         with pytest.raises(MixedGroupError):
             MultiTile([zd_cube(ZdGroup(2), 2)], [centers])
+
+    @pytest.mark.parametrize("group, bad", [(ZdGroup(2), (1, 0, 0)), (HeisenbergGroup(), (1, 2)),
+                                            (FreeGroup(2), (0, 1))])
+    def test_shape_elements_outside_the_group_rejected(self, group, bad):
+        # a GroupSubset built directly skips group.subset's checks; the tile makes
+        # them, so the window scan can read shape norms without them
+        with pytest.raises(MixedGroupError):
+            MultiTile([GroupSubset(group, [group.identity, bad])], [ExplicitCenters([group.identity])])
 
 
 class TestZdVerification:
@@ -396,6 +406,132 @@ class TestColumnScan:
         over, p, _ = tilings._residue_index(g, g.subset([g.identity]), LatticeCenters(gens))
         on_axis = [bool(over((0,) * (d - 1) + (q,))) for q in range(1, p + 1)]
         assert on_axis == [False] * (p - 1) + [True], gens
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Record (over, w) for every point a residue index's over is asked about,
+        and the overs built; the wrapper keeps over's column class."""
+        calls, overs = [], []
+        build = tilings._residue_index
+
+        def counting(group, shape, centers):
+            over, period, lookups = build(group, shape, centers)
+
+            def wrapped(w):
+                calls.append((over, w))
+                return over(w)
+
+            wrapped.column_class = over.column_class
+            overs.append(over)
+            return wrapped, period, lookups
+
+        monkeypatch.setattr(tilings, "_residue_index", counting)
+        return calls, overs
+
+    @staticmethod
+    def evaluations(calls, v, lattice_shapes=1):
+        """The recorded calls of the scan: the collision report then asks every
+        lattice shape's over about each collision point."""
+        return calls[:len(calls) - len(v.collisions) * lattice_shapes]
+
+    @staticmethod
+    def window_classes(mt, radius, overs):
+        """The class tuple of every window column, by key."""
+        window = union_columns(mt.group._cached_spheres(radius))
+        return {key: tuple(over.column_class(key) for over in overs) for key in window}
+
+    @pytest.mark.parametrize("kind", ["Z2", "H3"])
+    def test_lattice_shapes_with_different_periods(self, kind, monkeypatch):
+        # periods 3 and 4 (Z^2) or 2 and 3 (H3): a column's class is the pair of
+        # its classes under the two lattices, and its pattern runs over the lcm
+        calls, overs = self.counted(monkeypatch)
+        if kind == "Z2":
+            g, radius, period = ZdGroup(2), 8, 12
+            shapes = [g.subset([(0, 0), (1, 0), (0, 1)]), g.subset([(0, 0), (0, 1), (-1, 2)])]
+            lattices = [[(2, 1), (0, 3)], [(1, 1), (0, 4)]]
+        else:
+            g, radius, period = HeisenbergGroup(), 7, 6
+            shapes = [g.subset([(0, 0, 0), (1, 0, 0), (0, 0, 1)]),
+                      g.subset([(0, 0, 0), (0, 1, 0), (1, 1, 2)])]
+            lattices = [[(2, 0, 0), (0, 1, 0), (0, 0, 2)], [(1, 0, 0), (0, 2, 0), (0, 0, 3)]]
+        mt = MultiTile(shapes, [LatticeCenters(gens) for gens in lattices])
+        assert [tilings._residue_index(g, s, c)[1] for s, c in zip(mt.shapes, mt.centers)] \
+            == ([3, 4] if kind == "Z2" else [2, 3])
+        calls.clear()
+        v = self.check(mt, radius)
+        classes = set(self.window_classes(mt, radius, overs[-2:]).values())
+        assert len({cls[0] for cls in classes}) < len(classes)  # the pair is finer
+        assert len(self.evaluations(calls, v, 2)) <= 2 * len(classes) * period
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_short_columns_share_a_class_with_long_ones(self, seed, monkeypatch):
+        # Z^2 marked by +-(1,0), +-(0,4), +-(1,1) splits the radius-6 ball columns
+        # a = 0, +-1, +-2 into several intervals; over the lattice of (2,0), (1,6)
+        # (period 12) the columns of one parity of a share a class, and the
+        # columns a = +-5, +-6 are shorter than 12; on H3 marked by x, (1,1,0) the
+        # columns of one class have lengths on both sides of the period 5
+        calls, overs = self.counted(monkeypatch)
+        rng = random.Random(seed)
+        if seed % 2:
+            g = HeisenbergGroup(generators=[(1, 0, 0), (-1, 0, 0), (1, 1, 0), (-1, -1, 1)])
+            centers, radius, period = LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 5)]), 7, 5
+        else:
+            g = ZdGroup(2, generators=[(1, 0), (-1, 0), (0, 4), (0, -4), (1, 1), (-1, -1)])
+            centers, radius, period = LatticeCenters([(2, 0), (1, 6)]), 6, 12
+        mt = MultiTile([_random_shape(rng, g, rng.randint(2, 8), spread=1)], [centers])
+        v = self.check(mt, radius)
+        window = union_columns(g._cached_spheres(radius))
+        lengths = {}
+        for key, cls in self.window_classes(mt, radius, overs[-1:]).items():
+            lengths.setdefault(cls, []).append(max(hi - lo + 1 for lo, hi in window[key]))
+        assert any(min(ls) < period <= max(ls) for ls in lengths.values())
+        if not seed % 2:
+            assert any(len(ivs) > 1 for ivs in window.values())
+        evaluated = [(over.column_class(w[:-1]), w[-1] % period)
+                     for over, w in self.evaluations(calls, v)]
+        assert len(evaluated) == len(set(evaluated)) <= len(lengths) * period
+
+    def test_evaluations_are_one_per_class_and_residue(self, monkeypatch):
+        calls, overs = self.counted(monkeypatch)
+        mt = folner_multitile_sequence(ZdGroup(3), 27, verify=False)
+        assert verify_multitile_window(mt, 12).passed
+        assert len(calls) == 27  # 9 classes (a, b mod 3) times the period 3
+        calls.clear()
+        mt = folner_multitile_sequence(HeisenbergGroup(), 425, verify=False)
+        assert verify_multitile_window(mt, 36).passed
+        classes = set(self.window_classes(mt, 36, overs[-1:]).values())
+        assert len(calls) <= len(classes) * 17
+        assert len(calls) == 5937  # 45,177 at one pattern per column
+
+    @pytest.mark.parametrize("kind", ["Z2", "H3"])
+    def test_a_long_period_fills_only_the_residues_used(self, kind, monkeypatch):
+        # the last-axis period 10^6 is far longer than any column, so every
+        # column is short and columns of one parity of a (and one b on H3) share
+        # a class; the patterns hold only the residues the window uses
+        import tracemalloc
+
+        calls, _ = self.counted(monkeypatch)
+        if kind == "Z2":
+            g, radius = ZdGroup(2), 8
+            mt = MultiTile([g.subset([(0, 0), (1, 0), (0, 1), (1, 2)])],
+                           [LatticeCenters([(2, 0), (0, 10 ** 6)])])
+        else:
+            g, radius = HeisenbergGroup(), 7
+            mt = MultiTile([g.subset([(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, -1, 2)])],
+                           [LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 10 ** 6)])])
+        g._cached_spheres(radius)
+        tracemalloc.start()
+        try:
+            v = self.check(mt, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # a list of 10^6 counts alone takes 8 MB
+        evaluated = [(over.column_class(w[:-1]), w[-1] % 10 ** 6)
+                     for over, w in self.evaluations(calls, v)]
+        assert len(evaluated) == len(set(evaluated))
+        assert len(evaluated) < sum(hi - lo + 1 for sphere in g._cached_spheres(radius)
+                                    for ivs in sphere.values() for lo, hi in ivs)
 
 
 class TestHeisenbergVerification:
