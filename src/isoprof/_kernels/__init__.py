@@ -38,12 +38,14 @@ def pack_max_weight(masks, weights, n_bound, node_budget, fix_root):
     return _pure.pack_max_weight(masks, weights, n_bound, node_budget, fix_root)
 
 
-def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget):
+def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget,
+                      inverse=None):
     """Fewest boundary members per connected-set size; see _pure.min_boundary_sets."""
     if _core is not None:
         return _core.min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks,
-                                       node_budget)
-    return _pure.min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget)
+                                       node_budget, inverse)
+    return _pure.min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget,
+                                   inverse)
 
 
 def partition_dp(flat_neighbors, universe, s_count, weights, limit):

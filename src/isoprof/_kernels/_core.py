@@ -65,8 +65,8 @@ def _load():
     lib.subset_min_ratio.argtypes = [_int_p, _int, _int, _int, _i64, _i64_p, _i64_p, _i64_p]
     lib.pack_max_weight.argtypes = [_int, _int, _u64_p, _i64_p, _int_p, _int, _i64, _int,
                                     _i64_p, _u64_p, _i64_p]
-    lib.min_boundary_sets.argtypes = [_int_p, _int, _int, _int, _int_p, _i64, _i64_p, _int_p,
-                                      _i64_p]
+    lib.min_boundary_sets.argtypes = [_int_p, _int, _int, _int, _int_p, _int_p, _i64, _i64_p,
+                                      _int_p, _i64_p]
     lib.partition_dp.argtypes = [_int_p, _int, _int, _i64_p, _int, _i64_p, _u64_p, _int_p,
                                  _i64_p]
     for fn in (lib.subset_min_ratio, lib.pack_max_weight, lib.min_boundary_sets,
@@ -135,16 +135,19 @@ def pack_max_weight(masks, weights, n_bound, node_budget, fix_root):
     return best.value, items, nodes.value, status == 1
 
 
-def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget):
+def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget,
+                      inverse=None):
     """Compiled twin of _pure.min_boundary_sets; same contract, same node counts."""
-    check_connected_inputs(flat_neighbors, universe, s_count, limit, ranks)
+    check_connected_inputs(flat_neighbors, universe, s_count, limit, ranks, inverse)
     _check_int32(limit)
     best = (_i64 * (limit + 1))()
     sets = (_int * ((limit + 1) * limit))()
     nodes = _i64()
     status = _lib.min_boundary_sets(_ints(flat_neighbors), universe, s_count, limit,
-                                    _ints(ranks), _budget(node_budget), best, sets,
-                                    ctypes.byref(nodes))
+                                    _ints(ranks), None if inverse is None else _ints(inverse),
+                                    _budget(node_budget), best, sets, ctypes.byref(nodes))
+    if status == -2:
+        raise ValueError("the neighbor table misses a translate of a visited set")
     if status < 0:
         raise MemoryError("min_boundary_sets could not allocate its search state")
     sets = [tuple(sets[k * limit : k * limit + k]) if best[k] >= 0 else ()

@@ -22,11 +22,17 @@ def check_subset_inputs(flat_neighbors, universe, s_count, n_max):
         raise ValueError("neighbor ids must be -1 or vertices of the universe")
 
 
-def check_connected_inputs(flat_neighbors, universe, s_count, limit, per_vertex):
+def check_connected_inputs(flat_neighbors, universe, s_count, limit, per_vertex, inverse=None):
     """Raise ValueError unless the arguments fit min_boundary_sets or partition_dp."""
     check_subset_inputs(flat_neighbors, universe, s_count, limit)
     if len(per_vertex) != universe:
         raise ValueError("need one rank or weight per vertex")
+    if inverse is not None:
+        if len(inverse) != universe:
+            raise ValueError("need one inverse id per vertex")
+        if inverse[0] != 0 or any(not 0 <= u < universe or inverse[u] != v
+                                  for v, u in enumerate(inverse)):
+            raise ValueError("inverse must be an involution of the universe fixing vertex 0")
 
 
 def check_pack_inputs(masks, weights, n_bound):
@@ -291,20 +297,26 @@ def _rows(flat_neighbors, universe, s_count):
     return [flat_neighbors[v * s_count : (v + 1) * s_count] for v in range(universe)]
 
 
-def grow_sets(grow, bnd, weights, root, limit, node_budget, visit):
+def grow_sets(grow, bnd, weights, root, limit, node_budget, visit, rank=None, via=None):
     """Visit every connected set that contains root, has its other members above root
     and at most limit members; twin of kernels.c's grow_sets.
 
     grow and bnd hold one row of vertex ids per vertex (-1 for none): a set
     grows along grow, and its boundary is the weight (weights[v], or 1 when
-    weights is None) of the members with a bnd id outside it.  visit(members,
-    boundary) sees root alone first, then each set grown by one candidate,
-    members in the order they were added.  A vertex becomes a candidate once,
-    when it first neighbours the set, so every set comes once (Redelmeier
-    1981).  Nodes count the sets past the root; returns (nodes, complete).
+    weights is None) of the members with a bnd id outside it.  "Above" is
+    rank[u] > rank[root] when a rank order is given, u > root otherwise.
+    visit(members, boundary) sees root alone first, then each set grown by
+    one candidate, members in the order they were added.  A vertex becomes a
+    candidate once, when it first neighbours the set, so every set comes once
+    (Redelmeier 1981); via, when given, receives per candidate the pair
+    (index of the member that offered it, slot of its grow row).  Nodes count
+    the sets past the root; returns (nodes, complete).
     """
     universe = len(bnd)
     weights = weights or [1] * universe
+    if rank is None:
+        rank = range(universe)
+    top = rank[root]
     in_set = bytearray(universe)
     seen = bytearray(universe)
     out_cnt = [0] * universe
@@ -341,9 +353,11 @@ def grow_sets(grow, bnd, weights, root, limit, node_budget, visit):
 
     def offer(w):
         # candidates fresh at w go at the end of cand
-        for u in grow[w]:
-            if u > root and not seen[u]:
+        for j, u in enumerate(grow[w]):
+            if u >= 0 and rank[u] > top and not seen[u]:
                 seen[u] = 1
+                if via is not None:
+                    via[u] = (len(members) - 1, j)
                 cand.append(u)
 
     # level d tries cand[pos[d]:end[d]] as member d + 1; the candidates fresh
@@ -387,7 +401,8 @@ def grow_sets(grow, bnd, weights, root, limit, node_budget, visit):
     return nodes, True
 
 
-def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget):
+def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budget,
+                      inverse=None):
     """Per size k <= limit, a connected set containing vertex 0 with the fewest boundary members.
 
     flat_neighbors: row-major universe x s_count vertex ids, -1 = outside the
@@ -395,24 +410,49 @@ def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budg
     boundary the one whose sorted ranks (ranks[v] per vertex) are least
     wins.  Returns (best, sets, nodes, complete): best[k] is the boundary
     count of the winner of size k, or -1 when no connected set has k
-    members, and sets[k] its members in the order they were added.
+    members, and sets[k] its members in the order they were added (with
+    inverse, those of the translate its key comes from).
+
+    inverse, the id of each vertex's inverse, asks for one visit per
+    translation class.  The ranks must then order the group right-invariantly
+    (g < h exactly when g*x < h*x) and the table must count the boundary with
+    left generators, so every right translate S*x of a set has the boundary
+    of S.  Growth goes only into ranks above vertex 0, the identity, so each
+    class comes once, as the translate whose least member is the identity.
+    Its key is that of its least translate containing the identity, S*h^-1
+    for the member h whose inverse ranks least (min(S*h^-1) = h^-1, and
+    right-invariance keeps the sorted order of S); the ids of that translate
+    follow the growth tree, the identity going to inverse[h] and a member
+    offered by member p along slot j to slot j of p's translate.  Every such
+    translate lies within limit - 1 steps of the identity; a table that
+    misses one raises ValueError.
     """
-    check_connected_inputs(flat_neighbors, universe, s_count, limit, ranks)
+    check_connected_inputs(flat_neighbors, universe, s_count, limit, ranks, inverse)
     rows = _rows(flat_neighbors, universe, s_count)
     best = [-1] * (limit + 1)
     keys = [None] * (limit + 1)
     sets = [()] * (limit + 1)
+    via = None if inverse is None else [None] * universe
 
     def visit(members, boundary):
         k = len(members)
         if best[k] >= 0 and boundary > best[k]:
             return
+        if inverse is not None:
+            moved = [inverse[min(members, key=lambda v: ranks[inverse[v]])]]
+            for v in members[1:]:
+                p, j = via[v]
+                moved.append(rows[moved[p]][j])
+                if moved[-1] < 0:
+                    raise ValueError("the neighbor table misses a translate of a visited set")
+            members = moved
         key = sorted([ranks[v] for v in members])
         if boundary == best[k] and key >= keys[k]:
             return
         best[k], keys[k], sets[k] = boundary, key, tuple(members)
 
-    nodes, complete = grow_sets(rows, rows, None, 0, limit, node_budget, visit)
+    nodes, complete = grow_sets(rows, rows, None, 0, limit, node_budget, visit,
+                                None if inverse is None else ranks, via)
     return best, sets, nodes, complete
 
 

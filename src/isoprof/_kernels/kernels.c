@@ -9,7 +9,8 @@
    vertex 0 (subset_min_ratio), interior packings (pack_max_weight) and
    connected sets (one enumerator behind min_boundary_sets and
    partition_dp).  Each entry point returns 1 when the search finished, 0
-   when it stopped on the node budget and -1 when an allocation failed. */
+   when it stopped on the node budget and -1 when an allocation failed;
+   min_boundary_sets returns -2 when its table misses a translate. */
 
 #include <limits.h>
 #include <stdlib.h>
@@ -393,7 +394,8 @@ typedef struct {
     const int *grow, *bnd; /* universe x gw growth ids, universe x bw boundary ids, -1 pads */
     int gw, bw;
     const long long *weight; /* NULL weighs every vertex 1 */
-    int *in_set, *seen, *out_cnt, *members, *cand, *pos, *end;
+    const int *rank; /* NULL grows into ids above the root, else into ranks above it */
+    int *in_set, *seen, *out_cnt, *members, *via, *cand, *pos, *end;
     int size;
     long long B; /* weight of the members with a boundary id outside the set */
 } Grow;
@@ -401,7 +403,7 @@ typedef struct {
 #define GROW_WEIGHT(g, v) ((g)->weight ? (g)->weight[v] : 1)
 
 /* the ints Grow needs for a universe of n vertices and sets of size <= limit */
-#define GROW_INTS(n, limit) (5 * (size_t)(n) + 2 * ((size_t)(limit) + 2))
+#define GROW_INTS(n, limit) (6 * (size_t)(n) + 2 * ((size_t)(limit) + 2))
 
 static void grow_init(Grow *g, int *block, int universe, int limit)
 {
@@ -409,8 +411,9 @@ static void grow_init(Grow *g, int *block, int universe, int limit)
     g->seen = block + universe;
     g->out_cnt = block + 2 * (size_t)universe;
     g->members = block + 3 * (size_t)universe;
-    g->cand = block + 4 * (size_t)universe;
-    g->pos = block + 5 * (size_t)universe;
+    g->via = block + 4 * (size_t)universe;
+    g->cand = block + 5 * (size_t)universe;
+    g->pos = block + 6 * (size_t)universe;
     g->end = g->pos + limit + 2;
 }
 
@@ -445,31 +448,41 @@ static void grow_remove(Grow *g, int w)
     g->size--;
 }
 
+/* Offers the growth ids of w, the newest member, that lie above root and are
+   not yet candidates; via records which member offered each, and along which
+   slot.  Returns the new end of cand. */
+static int grow_offer(Grow *g, int root, int w, int e)
+{
+    int j, u;
+    for (j = 0; j < g->gw; j++) {
+        u = g->grow[(size_t)w * g->gw + j];
+        if (u >= 0 && (g->rank ? g->rank[u] > g->rank[root] : u > root) && !g->seen[u]) {
+            g->seen[u] = 1;
+            g->via[u] = (g->size - 1) * g->gw + j;
+            g->cand[e++] = u;
+        }
+    }
+    return e;
+}
+
 /* Calls visit on every connected set that contains root, has its other
-   members above root and at most limit members: root alone first, then each
-   set grown by one candidate, where a vertex becomes a candidate once, when
-   it first neighbours the set.  Nodes count the sets past the root.  Returns
-   1, or 0 when the node budget stopped it, leaving the state dirty. */
+   members above root (by rank when there is one, else by id) and at most
+   limit members: root alone first, then each set grown by one candidate,
+   where a vertex becomes a candidate once, when it first neighbours the set.
+   Nodes count the sets past the root.  Returns 1, or 0 when the node budget
+   stopped it, leaving the state dirty. */
 static int grow_sets(Grow *g, int root, int limit, long long budget, long long *nodes,
                      void (*visit)(const Grow *, void *), void *ctx)
 {
     /* level d tries cand[pos[d]..end[d]) as member d + 1; the candidates
        fresh at level d sit at cand[end[d - 1]..end[d]), end[0] = 0 */
-    int d = 1, e = 0, j, u, w;
+    int d = 1, j, w;
     int *cand = g->cand, *pos = g->pos, *end = g->end;
     g->seen[root] = 1;
     grow_add(g, root);
     visit(g, ctx);
-    if (limit > 1)
-        for (j = 0; j < g->gw; j++) {
-            u = g->grow[(size_t)root * g->gw + j];
-            if (u > root && !g->seen[u]) {
-                g->seen[u] = 1;
-                cand[e++] = u;
-            }
-        }
     end[0] = pos[1] = 0;
-    end[1] = e;
+    end[1] = limit > 1 ? grow_offer(g, root, root, 0) : 0;
     for (;;) {
         if (pos[d] < end[d]) {
             if (++*nodes > budget)
@@ -478,16 +491,9 @@ static int grow_sets(Grow *g, int root, int limit, long long budget, long long *
             grow_add(g, w);
             visit(g, ctx);
             if (g->size < limit) {
-                e = end[d];
-                for (j = 0; j < g->gw; j++) {
-                    u = g->grow[(size_t)w * g->gw + j];
-                    if (u > root && !g->seen[u]) {
-                        g->seen[u] = 1;
-                        cand[e++] = u;
-                    }
-                }
                 pos[d + 1] = pos[d] + 1;
-                end[++d] = e;
+                end[d + 1] = grow_offer(g, root, w, end[d]);
+                d++;
             } else {
                 grow_remove(g, w);
                 pos[d]++;
@@ -506,24 +512,55 @@ static int grow_sets(Grow *g, int root, int limit, long long budget, long long *
     return 1;
 }
 
-/* per size, the fewest boundary members, ties to the least sorted rank array */
+/* Per size, the fewest boundary members, ties to the least sorted rank array.
+
+   With inv (the id of each vertex's inverse) the rank order is taken to be
+   right-invariant, g < h exactly when g*x < h*x, and the boundary to be
+   counted with left generators, so every right translate S*x of a set has
+   the boundary of S.  The enumerator then grows only into ranks above the
+   identity (vertex 0) and visits each translation class once, as the
+   translate whose least member is the identity.  The key of a visited S is
+   that of its least translate among those containing the identity, S*h^-1
+   for a member h: min(S*h^-1) = h^-1, so it is the one whose h^-1 ranks
+   least, and right-invariance keeps its sorted order that of S.  Its ids
+   follow the growth tree: member 0 (the identity) goes to inv[h], and a
+   member offered by member p along slot j goes to slot j of p's translate.
+   Every translate lies within limit - 1 steps of the identity, so a table of
+   that ball holds it; a table that does not sets bad. */
 typedef struct {
-    const int *rank;
-    int limit;
+    const int *rank, *inv, *nbr;
+    int limit, bad;
     long long *best; /* limit + 1 entries, -1 while no set of that size was seen */
-    int *sets, *keys, *key; /* (limit + 1) x limit members and sorted ranks; scratch */
+    int *sets, *keys, *key, *moved; /* (limit + 1) x limit ids and sorted ranks; scratch */
 } MinBoundary;
 
 static void min_boundary_visit(const Grow *g, void *ctx)
 {
     MinBoundary *mb = ctx;
-    int k = g->size, i, j, r;
+    int k = g->size, i, j, r, h = 0;
+    const int *ids = g->members;
     int *key = mb->key, *slot = mb->keys + (size_t)k * mb->limit;
     long long old = mb->best[k];
     if (old >= 0 && g->B > old)
         return;
+    if (mb->inv) {
+        for (i = 1; i < k; i++)
+            if (mb->rank[mb->inv[ids[i]]] < mb->rank[mb->inv[ids[h]]])
+                h = i;
+        mb->moved[0] = mb->inv[ids[h]];
+        for (i = 1; i < k; i++) {
+            j = g->via[ids[i]];
+            r = mb->nbr[(size_t)mb->moved[j / g->gw] * g->gw + j % g->gw];
+            if (r < 0) {
+                mb->bad = 1;
+                return;
+            }
+            mb->moved[i] = r;
+        }
+        ids = mb->moved;
+    }
     for (i = 0; i < k; i++) {
-        r = mb->rank[g->members[i]];
+        r = mb->rank[ids[i]];
         for (j = i; j > 0 && key[j - 1] > r; j--)
             key[j] = key[j - 1];
         key[j] = r;
@@ -536,34 +573,37 @@ static void min_boundary_visit(const Grow *g, void *ctx)
     }
     mb->best[k] = g->B;
     memcpy(slot, key, k * sizeof(int));
-    memcpy(mb->sets + (size_t)k * mb->limit, g->members, k * sizeof(int));
+    memcpy(mb->sets + (size_t)k * mb->limit, ids, k * sizeof(int));
 }
 
 /* nbr: universe x s_count vertex ids, -1 outside the universe, for growth
    and boundary alike; rank: each vertex's place in the canonical element
-   order; best: limit + 1 entries; sets: (limit + 1) x limit vertex ids, row
-   k holding the winning set of size k in the order it grew. */
+   order; inv: NULL, or each vertex's inverse for the translation classes
+   above; best: limit + 1 entries; sets: (limit + 1) x limit vertex ids, row
+   k holding the winning set of size k in the order it grew.  Returns -2 when
+   a translate left the table. */
 int min_boundary_sets(const int *nbr, int universe, int s_count, int limit,
-                      const int *rank, long long budget, long long *best, int *sets,
-                      long long *nodes_out)
+                      const int *rank, const int *inv, long long budget, long long *best,
+                      int *sets, long long *nodes_out)
 {
     size_t keys = ((size_t)limit + 1) * limit;
-    int *block = calloc(GROW_INTS(universe, limit) + keys + limit, sizeof(int));
+    int *block = calloc(GROW_INTS(universe, limit) + keys + 2 * (size_t)limit, sizeof(int));
     int k, complete;
     long long nodes = 0;
-    Grow g = {nbr, nbr, s_count, s_count, NULL};
-    MinBoundary mb = {rank, limit, best, sets};
+    Grow g = {nbr, nbr, s_count, s_count, NULL, inv ? rank : NULL};
+    MinBoundary mb = {rank, inv, nbr, limit, 0, best, sets};
     if (!block)
         return -1;
     grow_init(&g, block, universe, limit);
     mb.keys = block + GROW_INTS(universe, limit);
     mb.key = mb.keys + keys;
+    mb.moved = mb.key + limit;
     for (k = 0; k <= limit; k++)
         best[k] = -1;
     complete = grow_sets(&g, 0, limit, budget, &nodes, min_boundary_visit, &mb);
     *nodes_out = nodes;
     free(block);
-    return complete;
+    return mb.bad ? -2 : complete;
 }
 
 typedef struct {

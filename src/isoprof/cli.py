@@ -12,6 +12,7 @@ in one line).  ISOPROF_NODE_BUDGET overrides the default search node budget.
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -393,7 +394,10 @@ def _cmd_reproduce(args):
     return EXIT_OK if total_failures == 0 else EXIT_CHECK
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    # one per process: no option appends or has a mutable default, so a parse
+    # leaves the parser as it found it
     parser = argparse.ArgumentParser(
         prog="isoprof",
         description="Exact isoperimetric profiles of marked groups and their finite models",
@@ -454,8 +458,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -75,6 +75,8 @@ class MarkedGroup:
     """Base class; subclasses fix the element representation and the product."""
 
     kind = "?"
+    right_ordered = False
+    """Whether tuple order is right-invariant: g < h exactly when g*x < h*x."""
 
     def __init__(self, labels, generators, max_radius=64):
         if not labels:
@@ -343,6 +345,12 @@ class _TupleGroup(MarkedGroup):
 
     _bad_generator = _not_element = ""  # message formats, set per subclass
     _abelian = 0  # leading coordinates that map onto the abelianization; 0: all
+    right_ordered = True
+    """Tuple order is right-invariant, whatever the generators, since the law is
+    fixed.  On Z^d, g*x = g + x shifts every coordinate of g and h alike.  On
+    the Heisenberg group, (a,b,c)(p,q,r) = (a+p, b+q, c+r+aq): the first two
+    coordinates of g*x and h*x shift by the constants p and q, and where g and
+    h tie on a and b the third coordinates shift by the same r + aq."""
 
     def __init__(self, length, generators, standard, max_radius, labels=None):
         self._length = length

@@ -109,13 +109,17 @@ def search_cap(group):
     return 8
 
 
-def neighbor_table(group, radius):
-    """ball(radius) in canonical order, and the row-major table of s*g per element g and
-    generator s: an array('i') of vertex ids, -1 outside the ball."""
+def neighbor_table(group, radius, inverse=False):
+    """ball(radius) in canonical order; the row-major table of s*g per element g and
+    generator s, an array('i') of vertex ids with -1 outside the ball; and, when
+    inverse is set, the id of g^-1 per element g (the ball holds it, as the
+    generators are symmetric), else None."""
     order = list(group.ball(radius))
     index = {g: i for i, g in enumerate(order)}
     acts = [group._left[lab] for lab in group.labels]
-    return order, array("i", (index.get(act(g), -1) for g in order for act in acts))
+    flat = array("i", (index.get(act(g), -1) for g in order for act in acts))
+    inv = array("i", (index[group.inverse(g)] for g in order)) if inverse else None
+    return order, flat, inv
 
 
 def canonical_ranks(order):
@@ -131,10 +135,15 @@ def profile_exact(group, n_max, node_budget=None):
 
     Connectivity and the identity normalization lose nothing: boundaries are
     right-translation equivariant, and a disconnected set has a component
-    whose ratio is no larger.  The connected-set kernel enumerates each
-    connected subset exactly once and keeps, per size, the fewest boundary
-    members, ties to the least sorted element tuple (compared as sorted ranks
-    in the canonical order).
+    whose ratio is no larger.  The connected-set kernel keeps, per size, the
+    fewest boundary members, ties to the least sorted element tuple (compared
+    as sorted ranks in tuple order) over the connected sets that contain the
+    identity.  Where tuple order is right-invariant (group.right_ordered) all
+    right translates of a set are one candidate, so the kernel visits each
+    translation class once, as the translate whose least element is the
+    identity, and keys it by its least translate that contains the identity:
+    the one whose least element is the least inverse of a member.  Elsewhere
+    it visits every connected set that contains the identity.
     """
     from ._kernels import min_boundary_sets
 
@@ -143,9 +152,9 @@ def profile_exact(group, n_max, node_budget=None):
     cap = search_cap(group)
     limit = min(n_max, cap)
 
-    order, flat = neighbor_table(group, limit - 1)
+    order, flat, inverse = neighbor_table(group, limit - 1, group.right_ordered)
     best, sets, nodes, complete = min_boundary_sets(
-        flat, len(order), len(group.labels), limit, canonical_ranks(order), budget)
+        flat, len(order), len(group.labels), limit, canonical_ranks(order), budget, inverse)
     if not complete:
         raise BudgetError("profile_exact exceeded its node budget")
 
@@ -186,7 +195,7 @@ def profile_all_subsets(group, n_max, radius=None, node_budget=None):
     integer_parameter("n_max", n_max, 1)
     radius = n_max - 1 if radius is None else integer_parameter("radius", radius, 0)
     budget = 1 << 62 if node_budget is None else integer_parameter("node_budget", node_budget, 1)
-    order, flat = neighbor_table(group, radius)
+    order, flat, _ = neighbor_table(group, radius)
     num, den, nodes, complete = subset_min_ratio(
         flat, len(order), len(group.labels), n_max, budget)
     values = []

@@ -87,6 +87,14 @@ class TestProfileGroup:
         rows = read_rows(out)
         assert rows[2]["decimal"] == "0.666666666667"
 
+    def test_flags_do_not_carry_over_between_calls(self, capsys):
+        # one parser serves every call in a process; each call parses afresh
+        argv = ["profile-group", "--group", '{"kind": "Zd", "d": 1}', "--n-max", "3"]
+        assert main(argv + ["--decimal"]) == 0
+        columns = capsys.readouterr().out.splitlines()[1]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] + ",decimal" == columns
+
     def test_search_cap_reports_budget_exit(self, tmp_path):
         out = tmp_path / "z.csv"
         code = main(["profile-group", "--group", '{"kind": "Zd", "d": 1}',

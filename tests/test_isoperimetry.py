@@ -146,9 +146,13 @@ class TestProfileExact:
         assert points == connected_profile_oracle(group, n)
 
     def test_node_counts(self):
-        # every connected set containing the identity is one node, past the identity alone
-        assert profile_exact(ZdGroup(1), 10).nodes == sum(range(2, 11))
-        assert profile_exact(HeisenbergGroup(), 8).nodes == 93_267
+        # Z^d and H3 visit each translation class of connected sets once, as the
+        # set whose least element is the identity; F_2 visits every connected
+        # set that contains the identity; the identity alone is no node
+        assert profile_exact(ZdGroup(1), 10).nodes == 9  # the intervals that start at 0
+        assert profile_exact(ZdGroup(2), 10).nodes == 50_147
+        assert profile_exact(ZdGroup(3), 8).nodes == 190_534
+        assert profile_exact(HeisenbergGroup(), 8).nodes == 12_053
         assert profile_exact(FreeGroup(2), 8).nodes == 93_491
 
     def test_profile_is_monotone_nonincreasing(self):

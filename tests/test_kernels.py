@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 
 import isoprof
-from isoprof import ZdGroup, _kernels, build_torus_action, build_weighted_cycle
+from isoprof import (
+    HeisenbergGroup,
+    ZdGroup,
+    _kernels,
+    build_torus_action,
+    build_weighted_cycle,
+)
 from isoprof._kernels import (
     _pure,
     min_boundary_sets,
@@ -27,6 +33,7 @@ except ImportError:
     _core = None
 
 needs_core = pytest.mark.skipif(_core is None, reason="compiled kernel unavailable")
+BACKENDS = [_pure] + ([] if _core is None else [_core])
 
 BIG = 1 << 40
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(isoprof.__file__)))
@@ -322,18 +329,102 @@ class TestConnectedSets:
             partition_dp(path_neighbors(V), V, 2, [1] * V, 2)
 
 
+def shuffled(gens, seed):
+    gens = list(gens)
+    random.Random(seed).shuffle(gens)
+    return gens
+
+
+# right-ordered groups with standard, shuffled and non-standard generating
+# sets, each with a size limit that keeps the pure kernel quick
+UNITS2 = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+UNITS3 = [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)]
+H3_UNITS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+ORDERED_GROUPS = {
+    "Z^1": (lambda: ZdGroup(1), 10),
+    "Z^2": (lambda: ZdGroup(2), 7),
+    "Z^3": (lambda: ZdGroup(3), 5),
+    "H3": (lambda: HeisenbergGroup(), 6),
+    "Z^1 shuffled": (lambda: ZdGroup(1, generators=[(-1,), (1,)]), 10),
+    "Z^2 shuffled": (lambda: ZdGroup(2, generators=shuffled(UNITS2, 1)), 7),
+    "Z^3 shuffled": (lambda: ZdGroup(3, generators=shuffled(UNITS3, 2)), 5),
+    "H3 shuffled": (lambda: HeisenbergGroup(generators=shuffled(H3_UNITS, 3)), 6),
+    "Z^2 (1,0),(1,1)": (lambda: ZdGroup(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+                        7),
+    "Z^2 (2,1),(1,1)": (lambda: ZdGroup(2, generators=[(2, 1), (-2, -1), (1, 1), (-1, -1)]),
+                        7),
+    "H3 (1,1,0)": (lambda: HeisenbergGroup(generators=H3_UNITS + [(1, 1, 0), (-1, -1, 1)]), 5),
+}
+
+
+def ordered_inputs(name):
+    """min_boundary_sets arguments over the ball a profile search of this group
+    uses, its inverse ids and the ball's elements."""
+    make, limit = ORDERED_GROUPS[name]
+    group = make()
+    assert group.right_ordered
+    order, flat, inverse = neighbor_table(group, limit - 1, inverse=True)
+    args = (flat, len(order), len(group.labels), limit, canonical_ranks(order), BIG)
+    return args, inverse, order
+
+
+class TestTranslationClasses:
+    @pytest.mark.parametrize("name", list(ORDERED_GROUPS))
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    def test_one_visit_per_class_keeps_values_and_witnesses(self, name, kernels):
+        args, inverse, order = ordered_inputs(name)
+        full = kernels.min_boundary_sets(*args)
+        ordered = kernels.min_boundary_sets(*args, inverse)
+        assert ordered[0] == full[0]
+        assert [sorted(order[i] for i in s) for s in ordered[1]] == \
+            [sorted(order[i] for i in s) for s in full[1]]
+        assert ordered[3] and ordered[2] < full[2]
+
+    @pytest.mark.parametrize("name", ["Z^2", "H3", "Z^2 (2,1),(1,1)"])
+    def test_each_class_of_k_sets_comes_once(self, name):
+        # a class of connected k-sets has k translates that contain the identity
+        (flat, universe, s, limit, ranks, _), _, _ = ordered_inputs(name)
+        rows = rows_of(flat, s)
+        counts = []
+        for rank in (None, ranks):
+            sizes = [0] * (limit + 1)
+
+            def visit(members, boundary):
+                sizes[len(members)] += 1
+
+            _pure.grow_sets(rows, rows, None, 0, limit, BIG, visit, rank)
+            counts.append(sizes)
+        full, ordered = counts
+        assert full == [k * c for k, c in enumerate(ordered)]
+
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    def test_input_validation(self, kernels):
+        flat, V = path_neighbors(3), 3
+        for inverse in ([0, 2], [0, 2, 1, 0], [0, 2, 3], [0, 2, -1], [0, 1, 1], [1, 0, 2]):
+            with pytest.raises(ValueError):
+                kernels.min_boundary_sets(flat, V, 2, 2, [0, 1, 2], BIG, inverse)
+
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    def test_truncated_table_raises(self, kernels):
+        # sets of 3 need ball(2) for their translates; ball(1) misses (-1, 1)
+        order, flat, inverse = neighbor_table(ZdGroup(2), 1, inverse=True)
+        with pytest.raises(ValueError, match="translate"):
+            kernels.min_boundary_sets(flat, len(order), 4, 3, canonical_ranks(order), BIG,
+                                      inverse)
+
+
 def realistic_inputs(name):
     """Kernel arguments built by the package's own table builders, for one
     named search of the profile and action-profile routes."""
     kind, what, n = name.split()
     n = int(n)
-    if kind in ("subset", "connected"):
-        group = ZdGroup(int(what))
-        order, flat = neighbor_table(group, n - 1)
+    if kind in ("subset", "connected", "ordered"):
+        group = HeisenbergGroup() if what == "H3" else ZdGroup(int(what))
+        order, flat, inverse = neighbor_table(group, n - 1, inverse=kind == "ordered")
         head = (flat, len(order), len(group.labels), n)
         if kind == "subset":
             return "subset_min_ratio", (*head, BIG)
-        return "min_boundary_sets", (*head, canonical_ranks(order), BIG)
+        return "min_boundary_sets", (*head, canonical_ranks(order), BIG, inverse)
     if what == "C14":
         graphing = build_weighted_cycle(14, [Fraction(1 + i % 4, 33) for i in range(14)])
     else:
@@ -349,7 +440,8 @@ def realistic_inputs(name):
 @needs_core
 class TestBackendParity:
     @pytest.mark.parametrize("name", [
-        "subset 1 9", "subset 2 5", "connected 2 8", "connected 3 6",
+        "subset 1 9", "subset 2 5", "connected 2 8", "connected 3 6", "ordered 1 10",
+        "ordered 2 9", "ordered 3 7", "ordered H3 7",
         "partition C14 5", "partition 3 5", "pack 6 5", "pack 8 5", "pack 9 5",
         "pack C14 3",
     ])
@@ -392,6 +484,33 @@ class TestBackendParity:
                 assert _pure.min_boundary_sets(flat, V, s, limit, ranks, budget) == \
                     _core.min_boundary_sets(flat, V, s, limit, ranks, budget)
 
+    def test_ordered_min_boundary_sets_identical_or_both_refuse(self):
+        # random tables with a random involution: the translates may leave the
+        # table, and then both backends refuse
+        rng = random.Random(37)
+        refused = 0
+        for _ in range(60):
+            V = rng.randint(1, 30)
+            s = rng.randint(1, 4)
+            flat = random_symmetric_neighbors(rng, V, s)
+            ranks = rng.sample(range(V), V)
+            rest = rng.sample(range(1, V), V - 1)
+            inverse = list(range(V))
+            for a, b in zip(rest[::2], rest[1::2]):
+                inverse[a], inverse[b] = b, a
+            limit = rng.randint(1, 7)
+            for budget in (BIG, 30):
+                outs = []
+                for kernels in (_pure, _core):
+                    try:
+                        outs.append(kernels.min_boundary_sets(flat, V, s, limit, ranks, budget,
+                                                              inverse))
+                    except ValueError:
+                        outs.append("refused")
+                assert outs[0] == outs[1]
+                refused += outs[0] == "refused"
+        assert 0 < refused < 120
+
     def test_partition_dp_identical_including_nodes(self):
         rng = random.Random(36)
         for _ in range(20):
@@ -414,7 +533,7 @@ class TestLargeInstances:
 
     def test_large_universe_runs_without_recursion_limit(self):
         # 1,159 vertices, one search depth each
-        order, flat = neighbor_table(ZdGroup(3), 9)
+        order, flat, _ = neighbor_table(ZdGroup(3), 9)
         args = (flat, len(order), len(flat) // len(order), 10, 200_000)
         assert _pure.subset_min_ratio(*args) == subset_min_ratio(*args)
 
