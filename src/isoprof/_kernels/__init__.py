@@ -1,10 +1,15 @@
-"""Search-kernel dispatch: the compiled kernels when they build, pure Python otherwise.
+"""Kernel dispatch: the compiled kernels when they build, pure Python otherwise.
 
-`_core` compiles kernels.c on first import.  When that fails BACKEND is "pure"
-and BACKEND_REASON says why; otherwise BACKEND is "compiled" and the reason is
-None.  The compiled packing kernel and partition DP sum weights in int64, so
-calls with larger weights run on the pure kernels.  Either way the results
-(including node counts) are identical.
+The searches (subset_min_ratio, pack_max_weight, min_boundary_sets,
+partition_dp) and the step that grows the column spheres of Z^d and the
+Heisenberg group (next_sphere) each have both versions.  `_core` compiles
+kernels.c on first import.  When that
+fails BACKEND is "pure" and BACKEND_REASON says why; otherwise BACKEND is
+"compiled" and the reason is None.  The compiled packing kernel and partition
+DP sum weights in int64, so calls with larger weights run on the pure
+kernels; the compiled sphere step refuses a call where a coordinate could
+reach 2**62, which then runs pure too.  Either way the results (including
+node counts and sphere rows) are identical.
 """
 
 from . import _pure
@@ -53,3 +58,14 @@ def partition_dp(flat_neighbors, universe, s_count, weights, limit):
     if _core is not None and _fits_int64(weights):
         return _core.partition_dp(flat_neighbors, universe, s_count, weights, limit)
     return _pure.partition_dp(flat_neighbors, universe, s_count, weights, limit)
+
+
+def next_sphere(key_len, steps, prev_rows, older_rows):
+    """Rows of the next column sphere; see _pure.next_sphere.  The compiled kernel
+    refuses a call where a coordinate could reach 2**62, which then runs pure."""
+    if _core is not None:
+        try:
+            return _core.next_sphere(key_len, steps, prev_rows, older_rows)
+        except OverflowError:
+            pass
+    return _pure.next_sphere(key_len, steps, prev_rows, older_rows)

@@ -17,6 +17,7 @@ from ._pure import (
     check_connected_inputs,
     check_pack_inputs,
     check_partition_inputs,
+    check_sphere_inputs,
     check_subset_inputs,
 )
 
@@ -72,6 +73,8 @@ def _load():
     for fn in (lib.subset_min_ratio, lib.pack_max_weight, lib.min_boundary_sets,
                lib.partition_dp):
         fn.restype = _int
+    lib.next_sphere.argtypes = [_int, _int, _i64_p, _i64_p, _i64, _i64_p, _i64, _i64_p]
+    lib.next_sphere.restype = _i64
     return lib
 
 
@@ -87,6 +90,14 @@ def _ints(values):
     if isinstance(values, array) and values.typecode == "i":
         return (_int * len(values)).from_buffer(values)
     return (_int * len(values))(*values)
+
+
+def _i64s(values):
+    """A C int64 array over values, shared with an array('q'); OverflowError when a
+    value does not fit."""
+    if not (isinstance(values, array) and values.typecode == "q"):
+        values = array("q", values)
+    return (_i64 * len(values)).from_buffer(values)
 
 
 def _check_int32(limit):
@@ -171,3 +182,23 @@ def partition_dp(flat_neighbors, universe, s_count, weights, limit):
     if status < 0:
         raise MemoryError("partition_dp could not allocate its tables")
     return value.value, tuple(cells[: n_cells.value]), nodes.value
+
+
+def next_sphere(key_len, steps, prev_rows, older_rows):
+    """Compiled twin of _pure.next_sphere; the rows come back as an array('q').
+    OverflowError when a coordinate could reach 2**62."""
+    check_sphere_inputs(key_len, steps, prev_rows, older_rows)
+    width = key_len + 2
+    n_prev, n_older = len(prev_rows) // width, len(older_rows) // width
+    out = array("q", bytes(8 * width * ((len(steps) + 1) * n_prev + n_older)))
+    flat = [x for head, dc, coef in steps for x in (*head, dc, *coef)]
+    rows = _lib.next_sphere(key_len, len(steps), _i64s(flat), _i64s(prev_rows), n_prev,
+                            _i64s(older_rows), n_older, _i64s(out))
+    if rows == -2:
+        raise ValueError("rows must be sorted by (key, lo), disjoint per key")
+    if rows == -3:
+        raise OverflowError("sphere coordinates could reach 2**62")
+    if rows < 0:
+        raise MemoryError("next_sphere could not allocate its runs")
+    del out[rows * width:]
+    return out

@@ -4,9 +4,14 @@ Same algorithms, same node counts, same results as kernels.c; only the data
 layout differs (Python ints as bitmasks instead of uint64 limbs).  Every
 search runs on an explicit stack in the same node order, so no input size
 hits the recursion limit.  The connected-set kernels, min_boundary_sets and
-partition_dp, share one enumerator, grow_sets.  The dispatcher in __init__
-picks the compiled versions when they build.
+partition_dp, share one enumerator, grow_sets.  next_sphere, the one kernel
+that does not search, grows the column spheres of Z^d and the Heisenberg
+group.  The dispatcher in __init__ picks the compiled versions when they
+build.
 """
+
+from itertools import islice, repeat
+from operator import add, gt, le, mul
 
 # partition_dp keeps a table of 2**universe values
 DP_MAX_VERTICES = 20
@@ -511,3 +516,81 @@ def partition_dp(flat_neighbors, universe, s_count, weights, limit):
         cells.append(best_split(mask)[1])
         mask ^= cells[-1]
     return value[full], tuple(cells), nodes
+
+
+def check_sphere_inputs(key_len, steps, prev_rows, older_rows):
+    """Raise ValueError unless the arguments fit the next_sphere contract; the
+    order of the rows is checked by each backend's own sweep."""
+    if key_len < 0 or not steps:
+        raise ValueError("key_len must be nonnegative and steps nonempty")
+    for head, _, coef in steps:
+        if len(head) != key_len or len(coef) != key_len:
+            raise ValueError("each step needs a head and a coef of key_len entries")
+    if len(prev_rows) % (key_len + 2) or len(older_rows) % (key_len + 2):
+        raise ValueError("rows must have key_len + 2 entries each")
+
+
+def _split_rows(rows, key_len):
+    """The key columns, keys, lo and hi of flat rows, refusing rows that are not
+    sorted by (key, lo) with disjoint intervals per key."""
+    width = key_len + 2
+    cols = [rows[t::width] for t in range(key_len)]
+    los, his = rows[key_len::width], rows[key_len + 1::width]
+    keys = list(zip(*cols)) or [()] * len(los)
+    if not (all(map(le, los, his))
+            and all(map(gt, islice(zip(keys, los), 1, None), zip(keys, his)))):
+        raise ValueError("rows must be sorted by (key, lo), disjoint per key")
+    return cols, keys, los, his
+
+
+def next_sphere(key_len, steps, prev_rows, older_rows):
+    """Rows of sphere r of a column group, from the rows of spheres r - 1
+    (prev_rows) and r - 2 (older_rows).
+
+    A row is one interval of a column: key_len key coordinates, then lo and
+    hi, the least and largest last coordinate.  Rows are flat and sorted by
+    (key, lo), with disjoint intervals per key.  A step (head, dc, coef) is a
+    left generator acting on columns: it sends column key to key + head and
+    shifts the last coordinate by dc + coef.key.  Sphere r is the neighbours
+    of sphere r - 1 in neither sphere r - 1 nor r - 2.  A step translates
+    keys and shifts each column as a whole, so its image of prev_rows is
+    sorted again: the images are merged as sorted runs, overlapping or
+    adjacent intervals joined and the two older spheres cut out in one sweep,
+    so each column comes out as the maximal intervals of its points.  Python
+    ints have no cap, so this twin also runs the calls whose coordinates
+    could reach 2**62.
+    """
+    check_sphere_inputs(key_len, steps, prev_rows, older_rows)
+    cols, keys, los, his = _split_rows(prev_rows, key_len)
+    _, old_keys, old_los, old_his = _split_rows(older_rows, key_len)
+    moved = []
+    for head, dc, coef in steps:
+        shifts = repeat(dc, len(los))
+        for c, col in zip(coef, cols):
+            if c:
+                shifts = map(add, shifts, map(mul, col, repeat(c)))
+        shifts = list(shifts)
+        moved_keys = list(zip(*(map(add, col, repeat(h)) for col, h in zip(cols, head)))) or keys
+        moved += zip(moved_keys, map(add, los, shifts), map(add, his, shifts))
+    moved.sort()  # timsort merges the sorted runs
+    holes = sorted([*zip(keys, los, his), *zip(old_keys, old_los, old_his)])
+    out = []
+    j = 0  # the first hole that can meet the current interval
+    moved.append((None, 0, 0))
+    cur, start, end = moved[0]
+    for key, lo, hi in islice(moved, 1, None):
+        if key == cur and lo <= end + 1:
+            end = max(end, hi)
+            continue
+        while j < len(holes) and (holes[j][0], holes[j][2]) < (cur, start):
+            j += 1
+        k = j
+        while k < len(holes) and holes[k][0] == cur and holes[k][1] <= end:
+            if holes[k][1] > start:
+                out += (*cur, start, holes[k][1] - 1)
+            start = max(start, holes[k][2] + 1)
+            k += 1
+        if start <= end:
+            out += (*cur, start, end)
+        cur, start, end = key, lo, hi
+    return out

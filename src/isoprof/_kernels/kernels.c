@@ -10,7 +10,9 @@
    connected sets (one enumerator behind min_boundary_sets and
    partition_dp).  Each entry point returns 1 when the search finished, 0
    when it stopped on the node budget and -1 when an allocation failed;
-   min_boundary_sets returns -2 when its table misses a translate. */
+   min_boundary_sets returns -2 when its table misses a translate.  A fourth
+   kernel, next_sphere, does not search: it grows the column spheres of Z^d
+   and the Heisenberg group, one interval sweep per sphere. */
 
 #include <limits.h>
 #include <stdlib.h>
@@ -731,4 +733,193 @@ int partition_dp(const int *nbr, int universe, int s_count, const long long *wei
     free(block);
     free(value);
     return 1;
+}
+
+/* ---- kernel 4: the next column sphere of Z^d or the Heisenberg group ---- */
+
+/* lexicographic comparison of the first n entries of two rows */
+static int row_cmp(const long long *a, const long long *b, int n)
+{
+    int i;
+    for (i = 0; i < n; i++)
+        if (a[i] != b[i])
+            return a[i] < b[i] ? -1 : 1;
+    return 0;
+}
+
+#define COORD_CAP (1LL << 62)
+
+/* |x|, or COORD_CAP when that is smaller */
+static long long abs_capped(long long x)
+{
+    return x <= -COORD_CAP || x >= COORD_CAP ? COORD_CAP : x < 0 ? -x : x;
+}
+
+/* 0 when rows of k key entries, lo and hi are sorted by (key, lo), with
+   disjoint intervals per key, and every entry is below COORD_CAP in absolute
+   value; -2 when unsorted, -3 when too large.  top[0] and top[1] grow to
+   bound the key entries and all entries */
+static int rows_check(const long long *rows, long long n, int k, long long *top)
+{
+    long long i, a;
+    const long long *r;
+    int c, t;
+    for (i = 0; i < n; i++) {
+        r = rows + i * (k + 2);
+        for (t = 0; t < k + 2; t++) {
+            if ((a = abs_capped(r[t])) == COORD_CAP)
+                return -3;
+            if (t < k && a > top[0])
+                top[0] = a;
+            if (a > top[1])
+                top[1] = a;
+        }
+        if (r[k] > r[k + 1])
+            return -2;
+        if (i && ((c = row_cmp(r - (k + 2), r, k)) > 0 || (c == 0 && r[-1] >= r[k])))
+            return -2;
+    }
+    return 0;
+}
+
+/* a + b * c for a, b, c in [0, COORD_CAP], or COORD_CAP when that is smaller */
+static long long capped_madd(long long a, long long b, long long c)
+{
+    if (b && c > (COORD_CAP - a) / b)
+        return COORD_CAP;
+    return a + b * c;
+}
+
+typedef struct {
+    int k;
+    const long long *holes; /* spheres r - 1 and r - 2, merged */
+    long long n_holes, j;   /* j: the first hole that can meet the next interval */
+    long long *out, n_out;
+} Sweep;
+
+static void sweep_put(Sweep *s, const long long *key, long long lo, long long hi)
+{
+    long long *r = s->out + s->n_out++ * (s->k + 2);
+    memcpy(r, key, s->k * sizeof(long long));
+    r[s->k] = lo;
+    r[s->k + 1] = hi;
+}
+
+/* write the points of key's interval lo..hi that no hole holds */
+static void sweep_cut(Sweep *s, const long long *key, long long lo, long long hi)
+{
+    int k = s->k, c;
+    long long i;
+    const long long *h;
+    for (; s->j < s->n_holes; s->j++) {
+        h = s->holes + s->j * (k + 2);
+        c = row_cmp(h, key, k);
+        if (c > 0 || (c == 0 && h[k + 1] >= lo))
+            break;
+    }
+    for (i = s->j; i < s->n_holes; i++) {
+        h = s->holes + i * (k + 2);
+        if (row_cmp(h, key, k) != 0 || h[k] > hi)
+            break;
+        if (h[k] > lo)
+            sweep_put(s, key, lo, h[k] - 1);
+        if (h[k + 1] + 1 > lo)
+            lo = h[k + 1] + 1;
+    }
+    if (lo <= hi)
+        sweep_put(s, key, lo, hi);
+}
+
+/* Rows of sphere r from the rows of spheres r - 1 (prev) and r - 2 (older).
+   A row is k key entries, then lo and hi; rows are sorted by (key, lo) with
+   disjoint intervals per key.  Step s is 2k + 1 entries: head, dc, coef; it
+   sends column key to key + head and shifts lo and hi by dc + coef.key, so
+   its image of prev is sorted again.  The images are merged as n_steps
+   sorted runs, overlapping or adjacent intervals joined and the holes of
+   spheres r - 1 and r - 2 cut out in the same sweep.  Every joined interval
+   writes at most one row after its last hole and every hole at most one row
+   before it, so out needs room for n_steps * n_prev + n_prev + n_older rows.
+   Returns the number of rows written, -1 when an allocation failed, -2 when
+   prev or older is not sorted and -3 when a number could reach 2**62: a
+   step moves a coordinate by at most |head| or |dc| + |coef|.|key|, so no
+   sum below overflows. */
+long long next_sphere(int k, int n_steps, const long long *steps, const long long *prev,
+                      long long n_prev, const long long *older, long long n_older,
+                      long long *out)
+{
+    int w = k + 2, s, t, best, bad;
+    size_t n_moved = (size_t)n_steps * n_prev * w, n_holes = (size_t)(n_prev + n_older) * w;
+    long long i, j, shift, hi = 0, top[2] = {0, 0}, reach, *moved, *holes, *pos, *dst;
+    const long long *step, *src, *r, *pick, *cur = NULL;
+    Sweep sw;
+    if ((bad = rows_check(prev, n_prev, k, top)) || (bad = rows_check(older, n_older, k, top)))
+        return bad;
+    for (s = 0; s < n_steps; s++) {
+        step = steps + (size_t)s * (2 * k + 1);
+        reach = abs_capped(step[k]);
+        for (t = 0; t < k; t++)
+            reach = capped_madd(reach, abs_capped(step[k + 1 + t]), top[0]);
+        for (t = 0; t < k; t++)
+            if (abs_capped(step[t]) > reach)
+                reach = abs_capped(step[t]);
+        if (top[1] + reach >= COORD_CAP)
+            return -3;
+    }
+    moved = calloc(n_moved + n_holes + n_steps, sizeof(long long));
+    if (!moved)
+        return -1;
+    holes = moved + n_moved;
+    pos = holes + n_holes; /* the next row of each run */
+    sw = (Sweep){k, holes, n_prev + n_older, 0, out, 0};
+    for (s = 0; s < n_steps; s++) {
+        step = steps + (size_t)s * (2 * k + 1);
+        for (i = 0; i < n_prev; i++) {
+            src = prev + i * w;
+            dst = moved + ((size_t)s * n_prev + i) * w;
+            shift = step[k];
+            for (t = 0; t < k; t++) {
+                shift += step[k + 1 + t] * src[t];
+                dst[t] = src[t] + step[t];
+            }
+            dst[k] = src[k] + shift;
+            dst[k + 1] = src[k + 1] + shift;
+        }
+    }
+    /* the holes: prev and older merged by (key, lo) */
+    for (i = j = 0; i < n_prev || j < n_older;) {
+        if (j == n_older || (i < n_prev && row_cmp(prev + i * w, older + j * w, k + 1) < 0))
+            src = prev + i++ * w;
+        else
+            src = older + j++ * w;
+        memcpy(holes + (i + j - 1) * w, src, w * sizeof(long long));
+    }
+    for (;;) {
+        best = -1;
+        pick = NULL;
+        for (s = 0; s < n_steps; s++) {
+            if (pos[s] == n_prev)
+                continue;
+            r = moved + ((size_t)s * n_prev + pos[s]) * w;
+            if (best < 0 || row_cmp(r, pick, k + 1) < 0) {
+                best = s;
+                pick = r;
+            }
+        }
+        if (best < 0)
+            break;
+        pos[best]++;
+        if (cur && row_cmp(cur, pick, k) == 0 && pick[k] <= hi + 1) {
+            if (pick[k + 1] > hi)
+                hi = pick[k + 1];
+            continue;
+        }
+        if (cur)
+            sweep_cut(&sw, cur, cur[k], hi);
+        cur = pick;
+        hi = pick[k + 1];
+    }
+    if (cur)
+        sweep_cut(&sw, cur, cur[k], hi);
+    free(moved);
+    return sw.n_out;
 }

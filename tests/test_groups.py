@@ -1,13 +1,21 @@
 """Marked groups: products, norms, spheres, serialization."""
 
 import gc
+import sys
 import weakref
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from isoprof import FreeGroup, HeisenbergGroup, ZdGroup, group_from_json, group_to_json
+from isoprof import (
+    FreeGroup,
+    HeisenbergGroup,
+    ZdGroup,
+    _kernels,
+    group_from_json,
+    group_to_json,
+)
 from isoprof.groups import column_size, lattice_basis, lattice_residue, union_columns
 from oracles import sphere_oracle
 from isoprof.errors import (
@@ -296,8 +304,34 @@ COLUMN_GROUPS = {
 }
 
 
+@pytest.fixture(params=["compiled", "pure"])
+def sphere_backend(request, monkeypatch):
+    """Grow column spheres on one kernel backend."""
+    if request.param == "pure":
+        monkeypatch.setattr(_kernels, "_core", None)
+    elif _kernels._core is None:
+        pytest.skip("compiled kernel unavailable")
+
+
+def deep_size(obj):
+    """Bytes of obj and of every distinct object that its lists, tuples and
+    dicts hold, each counted once."""
+    seen = {}
+    stack = [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) not in seen:
+            seen[id(o)] = o
+            if isinstance(o, dict):
+                stack += [*o.keys(), *o.values()]
+            elif isinstance(o, (list, tuple)):
+                stack += o
+    return sum(map(sys.getsizeof, seen.values()))
+
+
+@pytest.mark.usefixtures("sphere_backend")
 class TestColumnSpheres:
-    """The column search against a plain point BFS."""
+    """The column search against a plain point BFS, on both kernel backends."""
 
     @pytest.mark.parametrize("name", sorted(COLUMN_GROUPS))
     def test_spheres_ball_order_and_norms_match_a_point_bfs(self, name):
@@ -324,6 +358,13 @@ class TestColumnSpheres:
         ball = union_columns(HeisenbergGroup()._cached_spheres(36))
         assert len(ball) == 2665
         assert column_size(ball) == 716455
+
+    def test_heisenberg_ball_36_shares_keys_and_stays_small(self):
+        spheres = HeisenbergGroup()._cached_spheres(36)
+        keys = {}
+        assert all(keys.setdefault(key, key) is key for sphere in spheres for key in sphere)
+        assert len(keys) == 2665
+        assert deep_size(spheres) <= 5_000_000
 
     def test_free_group_keeps_point_lists(self):
         g = FreeGroup(2)

@@ -437,8 +437,60 @@ def realistic_inputs(name):
                                graphing.transitive_symmetries() is not None)
 
 
+# column groups with standard, shuffled and non-standard generating sets, each
+# with a radius that keeps the pure kernel quick
+COLUMN_GROUPS = {
+    "Z^1": (lambda: ZdGroup(1), 20),
+    "Z^2": (lambda: ZdGroup(2), 14),
+    "Z^3": (lambda: ZdGroup(3), 9),
+    "Z^4": (lambda: ZdGroup(4), 6),
+    "H3": (lambda: HeisenbergGroup(), 16),
+    "Z^3 shuffled": (lambda: ZdGroup(3, generators=shuffled(UNITS3, 4)), 9),
+    "H3 shuffled": (lambda: HeisenbergGroup(generators=shuffled(H3_UNITS, 5)), 16),
+    "H3 (0,0,5)": (lambda: HeisenbergGroup(generators=H3_UNITS + [(0, 0, 5), (0, 0, -5)]), 10),
+    "H3 (1,1,3)": (lambda: HeisenbergGroup(generators=[(1, 0, 0), (-1, 0, 0), (1, 1, 3),
+                                                       (-1, -1, -2)]), 14),
+}
+
+
+def sphere_rows(kernels, group, radius):
+    """The rows of spheres 0..radius of a column group, grown by one backend."""
+    rows = [(), [0] * (group._length + 1)]
+    for _ in range(radius):
+        rows.append(kernels.next_sphere(group._length - 1, group._steps, rows[-1], rows[-2]))
+    return [list(r) for r in rows[1:]]
+
+
+class TestSphereStep:
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    def test_input_validation(self, kernels):
+        step = ((1,), 0, (0,))
+        one = [0, 0, 0]
+        for key_len, steps, prev, older in (
+            (1, [step], [0, 0], []),  # ragged
+            (1, [step], one, [0, 1]),  # ragged older rows
+            (1, [], one, []),  # no steps
+            (1, [((1, 0), 0, (0,))], one, []),  # head of the wrong length
+            (1, [((1,), 0, ())], one, []),  # coef of the wrong length
+            (-1, [((), 0, ())], [0], []),
+            (1, [step], [0, 1, 0], []),  # lo > hi
+            (1, [step], [1, 0, 0, 0, 0, 0], []),  # keys out of order
+            (1, [step], [0, 2, 3, 0, 0, 1], []),  # intervals out of order
+            (1, [step], [0, 0, 2, 0, 2, 3], []),  # overlapping intervals
+            (1, [step], one, [0, 5, 5, 0, 1, 1]),  # older rows out of order
+        ):
+            with pytest.raises(ValueError):
+                kernels.next_sphere(key_len, steps, prev, older)
+        assert list(kernels.next_sphere(1, [step], one, [])) == [1, 0, 0]
+
+
 @needs_core
 class TestBackendParity:
+    @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
+    def test_sphere_rows_identical(self, name):
+        make, radius = COLUMN_GROUPS[name]
+        assert sphere_rows(_core, make(), radius) == sphere_rows(_pure, make(), radius)
+
     @pytest.mark.parametrize("name", [
         "subset 1 9", "subset 2 5", "connected 2 8", "connected 3 6", "ordered 1 10",
         "ordered 2 9", "ordered 3 7", "ordered H3 7",
@@ -562,6 +614,34 @@ class TestDispatch:
         best, _, _, complete = pack_max_weight(masks, weights, 1, BIG, False)
         assert complete and best == 1 << 63
 
+    @pytest.mark.parametrize("make", [
+        lambda: HeisenbergGroup(generators=H3_UNITS + [(BIG, BIG, 0), (-BIG, -BIG, BIG * BIG)]),
+        lambda: HeisenbergGroup(generators=H3_UNITS + [(BIG + 1, 3, 0),
+                                                       (-BIG - 1, -3, 3 * BIG + 3)]),
+        lambda: ZdGroup(2, generators=UNITS2 + [(1 << 61, 1), (-(1 << 61), -1)]),
+    ])
+    def test_huge_spheres_fall_back_transparently(self, make, monkeypatch):
+        spheres = make()._cached_spheres(4)
+        if _core is not None:
+            with pytest.raises(OverflowError):
+                sphere_rows(_core, make(), 4)
+        monkeypatch.setattr(_kernels, "_core", None)
+        pure = make()._cached_spheres(4)
+        assert [list(s.items()) for s in pure] == [list(s.items()) for s in spheres]
+
+    @needs_core
+    def test_compiled_sphere_refuses_coordinates_near_2_62(self):
+        step = ((), 1, ())
+        assert list(_core.next_sphere(0, [step], [0, (1 << 62) - 2], [])) == [(1 << 62) - 1] * 2
+        for prev, steps in (([0, (1 << 62) - 1], [step]), ([0, 1 << 62], [step]),
+                            ([0, 1 << 63], [step]), ([0, 0], [((), 1 << 62, ())]),
+                            ([2, 0, 0], [((1,), 0, (1 << 61,))])):
+            with pytest.raises(OverflowError):
+                _core.next_sphere(len(steps[0][0]), steps, prev, [])
+            key_len = len(steps[0][0])
+            assert _kernels.next_sphere(key_len, steps, prev, []) == \
+                _pure.next_sphere(key_len, steps, prev, [])
+
     def test_default_backend_is_stable_across_processes(self):
         code = "import isoprof._kernels as k; print(k.BACKEND)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -570,11 +650,19 @@ class TestDispatch:
 
 
 def test_import_leaves_the_kernels_out():
-    # the kernels load, and may compile, on the first search, not on import
-    code = "import sys, isoprof; print('isoprof._kernels' in sys.modules)"
+    # the kernels load, and may compile, on the first search or on growing a
+    # column sphere past radius 0, not on import or on building a group
+    code = ("import sys, isoprof\n"
+            "loaded = lambda: print('isoprof._kernels' in sys.modules)\n"
+            "loaded()\n"
+            "h = isoprof.HeisenbergGroup(); z = isoprof.ZdGroup(3)\n"
+            "h.sphere(0), z.sphere(0), z.word_norm((1, 2, 3))\n"
+            "loaded()\n"
+            "h.sphere(1)\n"
+            "loaded()\n")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 def import_backend(home, path):
