@@ -1,15 +1,15 @@
 """Kernel dispatch: the compiled kernels when they build, pure Python otherwise.
 
 The searches (subset_min_ratio, pack_max_weight, min_boundary_sets,
-partition_dp) and the step that grows the column spheres of Z^d and the
-Heisenberg group (next_sphere) each have both versions.  `_core` compiles
-kernels.c on first import.  When that
-fails BACKEND is "pure" and BACKEND_REASON says why; otherwise BACKEND is
-"compiled" and the reason is None.  The compiled packing kernel and partition
-DP sum weights in int64, so calls with larger weights run on the pure
-kernels; the compiled sphere step refuses a call where a coordinate could
-reach 2**62, which then runs pure too.  Either way the results (including
-node counts and sphere rows) are identical.
+partition_dp), the step that grows the column spheres of Z^d and the
+Heisenberg group (next_sphere) and the union of those spheres into a ball
+(union_rows) each have both versions.  `_core` compiles kernels.c on first
+import.  When that fails BACKEND is "pure" and BACKEND_REASON says why;
+otherwise BACKEND is "compiled" and the reason is None.  The compiled packing
+kernel and partition DP sum weights in int64, so calls with larger weights
+run on the pure kernels; the compiled sphere step and union refuse a call
+where a coordinate could reach 2**62, which then runs pure too.  Either way
+the results (including node counts and sphere rows) are identical.
 """
 
 from . import _pure
@@ -69,3 +69,14 @@ def next_sphere(key_len, steps, prev_rows, older_rows):
         except OverflowError:
             pass
     return _pure.next_sphere(key_len, steps, prev_rows, older_rows)
+
+
+def union_rows(key_len, rows, ends):
+    """Rows of the union of sorted runs of rows; see _pure.union_rows.  The
+    compiled kernel refuses entries that reach 2**62, which then run pure."""
+    if _core is not None:
+        try:
+            return _core.union_rows(key_len, rows, ends)
+        except OverflowError:
+            pass
+    return _pure.union_rows(key_len, rows, ends)

@@ -4,13 +4,14 @@ Same algorithms, same node counts, same results as kernels.c; only the data
 layout differs (Python ints as bitmasks instead of uint64 limbs).  Every
 search runs on an explicit stack in the same node order, so no input size
 hits the recursion limit.  The connected-set kernels, min_boundary_sets and
-partition_dp, share one enumerator, grow_sets.  next_sphere, the one kernel
-that does not search, grows the column spheres of Z^d and the Heisenberg
-group.  The dispatcher in __init__ picks the compiled versions when they
-build.
+partition_dp, share one enumerator, grow_sets.  Two kernels do not search:
+next_sphere grows the column spheres of Z^d and the Heisenberg group, and
+union_rows joins them into a ball; both end in one sweep, _sweep.  The
+dispatcher in __init__ picks the compiled versions when they build.
 """
 
-from itertools import islice, repeat
+from heapq import merge
+from itertools import chain, islice, repeat
 from operator import add, gt, le, mul
 
 # partition_dp keeps a table of 2**universe values
@@ -574,11 +575,18 @@ def next_sphere(key_len, steps, prev_rows, older_rows):
         moved += zip(moved_keys, map(add, los, shifts), map(add, his, shifts))
     moved.sort()  # timsort merges the sorted runs
     holes = sorted([*zip(keys, los, his), *zip(old_keys, old_los, old_his)])
+    return _sweep(moved, holes)
+
+
+def _sweep(moved, holes):
+    """Flat rows of the points of sorted (key, lo, hi) intervals, from any
+    iterable, that no hole holds: overlapping or adjacent intervals of a key
+    are joined, then the sorted holes are cut out."""
     out = []
     j = 0  # the first hole that can meet the current interval
-    moved.append((None, 0, 0))
-    cur, start, end = moved[0]
-    for key, lo, hi in islice(moved, 1, None):
+    moved = chain(moved, [(None, 0, 0)])
+    cur, start, end = next(moved)
+    for key, lo, hi in moved:
         if key == cur and lo <= end + 1:
             end = max(end, hi)
             continue
@@ -594,3 +602,34 @@ def next_sphere(key_len, steps, prev_rows, older_rows):
             out += (*cur, start, end)
         cur, start, end = key, lo, hi
     return out
+
+
+def check_union_inputs(key_len, rows, ends):
+    """Raise ValueError unless the arguments fit the union_rows contract; the
+    order within each run is checked by each backend's own sweep."""
+    if key_len < 0 or len(rows) % (key_len + 2):
+        raise ValueError("key_len must be nonnegative and rows need key_len + 2 entries each")
+    bounds = [0, *ends]
+    if any(map(gt, bounds, bounds[1:])) or bounds[-1] != len(rows) // (key_len + 2):
+        raise ValueError("run ends must rise from 0 to the number of rows")
+
+
+def union_rows(key_len, rows, ends):
+    """Flat rows of the union of sorted runs of rows, e.g. the spheres of a ball.
+
+    Run s is rows ends[s - 1] up to ends[s] (from row 0 for s = 0), a row as
+    in next_sphere, and each run is sorted by (key, lo) with disjoint
+    intervals per key.  The union joins the overlapping or adjacent intervals
+    of each key, so each column comes out as the maximal intervals of its
+    points, sorted by (key, lo).  Python ints have no cap, so this twin also
+    runs the calls whose entries reach 2**62.
+    """
+    check_union_inputs(key_len, rows, ends)
+    width = key_len + 2
+    runs = []
+    for start, end in zip((0, *ends), ends):
+        run = rows[start * width:end * width]
+        _split_rows(run, key_len)
+        keys = zip(*(run[t::width] for t in range(key_len))) if key_len else repeat(())
+        runs.append(zip(keys, run[key_len::width], run[key_len + 1::width]))
+    return _sweep(merge(*runs), [])  # one row of each run held at a time

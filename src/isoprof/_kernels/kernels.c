@@ -10,9 +10,10 @@
    connected sets (one enumerator behind min_boundary_sets and
    partition_dp).  Each entry point returns 1 when the search finished, 0
    when it stopped on the node budget and -1 when an allocation failed;
-   min_boundary_sets returns -2 when its table misses a translate.  A fourth
-   kernel, next_sphere, does not search: it grows the column spheres of Z^d
-   and the Heisenberg group, one interval sweep per sphere. */
+   min_boundary_sets returns -2 when its table misses a translate.  Two
+   kernels do not search: next_sphere grows the column spheres of Z^d and the
+   Heisenberg group, and union_rows joins them into a ball, each one interval
+   sweep over sorted runs of rows. */
 
 #include <limits.h>
 #include <stdlib.h>
@@ -792,17 +793,21 @@ static long long capped_madd(long long a, long long b, long long c)
 
 typedef struct {
     int k;
-    const long long *holes; /* spheres r - 1 and r - 2, merged */
+    const long long *holes; /* rows to cut out, sorted by (key, lo) */
     long long n_holes, j;   /* j: the first hole that can meet the next interval */
-    long long *out, n_out;
+    long long *out, n_out;  /* out NULL: only count the rows */
 } Sweep;
 
 static void sweep_put(Sweep *s, const long long *key, long long lo, long long hi)
 {
-    long long *r = s->out + s->n_out++ * (s->k + 2);
-    memcpy(r, key, s->k * sizeof(long long));
-    r[s->k] = lo;
-    r[s->k + 1] = hi;
+    long long *r;
+    if (s->out) {
+        r = s->out + s->n_out * (s->k + 2);
+        memcpy(r, key, s->k * sizeof(long long));
+        r[s->k] = lo;
+        r[s->k + 1] = hi;
+    }
+    s->n_out++;
 }
 
 /* write the points of key's interval lo..hi that no hole holds */
@@ -830,6 +835,72 @@ static void sweep_cut(Sweep *s, const long long *key, long long lo, long long hi
         sweep_put(s, key, lo, hi);
 }
 
+/* whether run a's next row comes before run b's: by (key, lo), then by run */
+static int run_before(const long long **at, int a, int b, int k)
+{
+    int c = row_cmp(at[a], at[b], k + 1);
+    return c < 0 || (c == 0 && a < b);
+}
+
+/* restore the heap order of the n runs in heap below position i */
+static void heap_down(const long long **at, int *heap, int n, int i, int k)
+{
+    int c, t;
+    while ((c = 2 * i + 1) < n) {
+        if (c + 1 < n && run_before(at, heap[c + 1], heap[c], k))
+            c++;
+        if (!run_before(at, heap[c], heap[i], k))
+            break;
+        t = heap[i];
+        heap[i] = heap[c];
+        heap[c] = t;
+        i = c;
+    }
+}
+
+/* Merge n_runs runs of rows sorted by (key, lo), run s from at[s] up to
+   end[s], joining the overlapping or adjacent intervals of each key, and
+   pass each joined interval through sweep_cut.  The runs wait in a binary
+   heap (room for n_runs ints) ordered by their next rows; at[] advances to
+   end[]. */
+static void sweep_runs(Sweep *sw, const long long **at, const long long **end, int n_runs,
+                       int *heap)
+{
+    int k = sw->k, s, n = 0;
+    long long hi = 0;
+    const long long *pick, *cur = NULL;
+    for (s = 0; s < n_runs; s++)
+        if (at[s] != end[s])
+            heap[n++] = s;
+    for (s = n / 2 - 1; s >= 0; s--)
+        heap_down(at, heap, n, s, k);
+    while (n) {
+        s = heap[0];
+        pick = at[s];
+        at[s] += k + 2;
+        if (at[s] == end[s])
+            heap[0] = heap[--n];
+        heap_down(at, heap, n, 0, k);
+        if (cur && row_cmp(cur, pick, k) == 0 && pick[k] <= hi + 1) {
+            if (pick[k + 1] > hi)
+                hi = pick[k + 1];
+            continue;
+        }
+        if (cur)
+            sweep_cut(sw, cur, cur[k], hi);
+        cur = pick;
+        hi = pick[k + 1];
+    }
+    if (cur)
+        sweep_cut(sw, cur, cur[k], hi);
+}
+
+/* room for the cursors of n runs: at and end, then a heap of run indices */
+static const long long **runs_alloc(int n)
+{
+    return malloc((size_t)(n ? n : 1) * (2 * sizeof(long long *) + sizeof(int)));
+}
+
 /* Rows of sphere r from the rows of spheres r - 1 (prev) and r - 2 (older).
    A row is k key entries, then lo and hi; rows are sorted by (key, lo) with
    disjoint intervals per key.  Step s is 2k + 1 entries: head, dc, coef; it
@@ -847,10 +918,10 @@ long long next_sphere(int k, int n_steps, const long long *steps, const long lon
                       long long n_prev, const long long *older, long long n_older,
                       long long *out)
 {
-    int w = k + 2, s, t, best, bad;
+    int w = k + 2, s, t, bad;
     size_t n_moved = (size_t)n_steps * n_prev * w, n_holes = (size_t)(n_prev + n_older) * w;
-    long long i, j, shift, hi = 0, top[2] = {0, 0}, reach, *moved, *holes, *pos, *dst;
-    const long long *step, *src, *r, *pick, *cur = NULL;
+    long long i, j, shift, top[2] = {0, 0}, reach, *moved, *holes, *dst;
+    const long long *step, *src, **at, **end;
     Sweep sw;
     if ((bad = rows_check(prev, n_prev, k, top)) || (bad = rows_check(older, n_older, k, top)))
         return bad;
@@ -865,14 +936,19 @@ long long next_sphere(int k, int n_steps, const long long *steps, const long lon
         if (top[1] + reach >= COORD_CAP)
             return -3;
     }
-    moved = calloc(n_moved + n_holes + n_steps, sizeof(long long));
-    if (!moved)
+    moved = malloc((n_moved + n_holes + 1) * sizeof(long long));
+    at = runs_alloc(n_steps);
+    if (!moved || !at) {
+        free(moved);
+        free(at);
         return -1;
+    }
     holes = moved + n_moved;
-    pos = holes + n_holes; /* the next row of each run */
-    sw = (Sweep){k, holes, n_prev + n_older, 0, out, 0};
+    end = at + n_steps;
     for (s = 0; s < n_steps; s++) {
         step = steps + (size_t)s * (2 * k + 1);
+        at[s] = moved + (size_t)s * n_prev * w;
+        end[s] = at[s] + (size_t)n_prev * w;
         for (i = 0; i < n_prev; i++) {
             src = prev + i * w;
             dst = moved + ((size_t)s * n_prev + i) * w;
@@ -893,33 +969,42 @@ long long next_sphere(int k, int n_steps, const long long *steps, const long lon
             src = older + j++ * w;
         memcpy(holes + (i + j - 1) * w, src, w * sizeof(long long));
     }
-    for (;;) {
-        best = -1;
-        pick = NULL;
-        for (s = 0; s < n_steps; s++) {
-            if (pos[s] == n_prev)
-                continue;
-            r = moved + ((size_t)s * n_prev + pos[s]) * w;
-            if (best < 0 || row_cmp(r, pick, k + 1) < 0) {
-                best = s;
-                pick = r;
-            }
-        }
-        if (best < 0)
-            break;
-        pos[best]++;
-        if (cur && row_cmp(cur, pick, k) == 0 && pick[k] <= hi + 1) {
-            if (pick[k + 1] > hi)
-                hi = pick[k + 1];
-            continue;
-        }
-        if (cur)
-            sweep_cut(&sw, cur, cur[k], hi);
-        cur = pick;
-        hi = pick[k + 1];
-    }
-    if (cur)
-        sweep_cut(&sw, cur, cur[k], hi);
+    sw = (Sweep){k, holes, n_prev + n_older, 0, out, 0};
+    sweep_runs(&sw, at, end, n_steps, (int *)(end + n_steps));
     free(moved);
+    free(at);
+    return sw.n_out;
+}
+
+/* ---- kernel 5: the union of sorted runs of column rows ---- */
+
+/* The union of n_runs runs of rows: run s is rows ends[s - 1] up to ends[s]
+   (from row 0 for s = 0), each sorted by (key, lo) with disjoint intervals per
+   key, as next_sphere returns them.  The runs are merged with the overlapping
+   or adjacent intervals of each key joined, and no holes.  With out NULL
+   nothing is written, so a first call sizes out exactly.  Returns the number
+   of rows, -1 when an allocation failed, -2 when a run is not sorted and -3
+   when an entry reaches 2**62. */
+long long union_rows(int k, const long long *rows, int n_runs, const long long *ends,
+                     long long *out)
+{
+    int s, bad;
+    long long top[2] = {0, 0};
+    const long long **at, **end;
+    Sweep sw = {k, NULL, 0, 0, out, 0};
+    for (s = 0; s < n_runs; s++)
+        if ((bad = rows_check(rows + (s ? ends[s - 1] : 0) * (k + 2),
+                              ends[s] - (s ? ends[s - 1] : 0), k, top)))
+            return bad;
+    at = runs_alloc(n_runs);
+    if (!at)
+        return -1;
+    end = at + n_runs;
+    for (s = 0; s < n_runs; s++) {
+        at[s] = rows + (s ? ends[s - 1] : 0) * (k + 2);
+        end[s] = rows + ends[s] * (k + 2);
+    }
+    sweep_runs(&sw, at, end, n_runs, (int *)(end + n_runs));
+    free(at);
     return sw.n_out;
 }

@@ -19,15 +19,19 @@ left generator moves a whole column at once (on the Heisenberg group
 each generator is data, (head, dc, coef) = ((p, q), r, (0, p)), and the
 search is interval arithmetic per column.  The kernel step
 _kernels.next_sphere (compiled, or its pure twin) turns the flat rows of
-spheres r - 1 and r - 2 into those of sphere r; the group keeps only those
-two row arrays, and builds each sphere's dict from its rows with one shared
-object per column key and per interval.  The Heisenberg ball(36) (716,455
-points) is 17,574 column entries over 2,665 distinct keys and 32,483
-intervals over 1,789 distinct ones.  Building a group and its sphere 0 does
-not load the kernels.  Points are listed only when asked for, in (key, c)
-order, which is tuple order.  Free groups keep sorted point lists.
+spheres r - 1 and r - 2 into those of sphere r.  The group keeps the rows of
+every sphere back to back in one store, with the row at which each sphere
+ends, and builds a sphere's dict from its rows only when the sphere is first
+read, with one shared object per column key and per interval.  A ball in
+column form comes from one _kernels.union_rows over the store, with no
+sphere dict.  The Heisenberg ball(36) (716,455 points) is 32,483 rows, 1 MB
+of store; as dicts it is 17,574 column entries over 2,665 distinct keys and
+32,483 intervals over 1,789 distinct ones.  Building a group and its sphere
+0 does not load the kernels.  Points are listed only when asked for, in
+(key, c) order, which is tuple order.  Free groups keep sorted point lists.
 """
 
+from array import array
 from functools import partial
 from itertools import chain, compress, islice
 from operator import ne
@@ -196,10 +200,15 @@ class MarkedGroup:
         """A cached sphere's elements, sorted."""
         return sphere
 
-    def _cached_spheres(self, radius):
-        """The cached spheres of radius 0..radius; shared, not copies."""
+    def _check_radius(self, radius):
+        """radius, refused unless it is a count of at most max_radius."""
         if integer_parameter("radius", radius, 0) > self.max_radius:
             raise RadiusExceededError(f"radius {radius} exceeds max_radius={self.max_radius}")
+        return radius
+
+    def _cached_spheres(self, radius):
+        """The cached spheres of radius 0..radius; shared, not copies."""
+        self._check_radius(radius)
         while len(self._spheres) <= radius:
             self._spheres.append(self._next_sphere())
         return self._spheres[:radius + 1]
@@ -251,31 +260,6 @@ class MarkedGroup:
 
 def _vector_labels(vectors):
     return [",".join(str(c) for c in v) for v in vectors]
-
-
-def _merged(intervals):
-    """The union of a nonempty list of integer intervals as sorted disjoint
-    intervals, adjacent ones joined."""
-    ordered = iter(sorted(intervals))
-    start, end = next(ordered)
-    out = []
-    for lo, hi in ordered:
-        if lo > end + 1:
-            out.append((start, end))
-            start, end = lo, hi
-        elif hi > end:
-            end = hi
-    out.append((start, end))
-    return out
-
-
-def union_columns(spheres):
-    """The union of column-form spheres, e.g. a ball, in column form with sorted keys."""
-    cols = {}
-    for sphere in spheres:
-        for key, ivs in sphere.items():
-            cols.setdefault(key, []).extend(ivs)
-    return {key: _merged(cols[key]) for key in sorted(cols)}
 
 
 def column_size(columns):
@@ -345,10 +329,13 @@ class _TupleGroup(MarkedGroup):
     def __init__(self, length, generators, standard, max_radius, labels=None):
         self._length = length
         self._standard = generators is None
-        # spheres r - 2 and r - 1 as flat rows (column key, lo, hi), sphere 0
-        # the identity's column; and one object per column key and interval,
-        # shared by every sphere that holds it
-        self._rows = (), [0] * (length + 1)
+        # every grown sphere's flat rows (column key, lo, hi) back to back, an
+        # array('q') until an entry does not fit and a list after; sphere r is
+        # rows _ends[r] up to _ends[r + 1], sphere 0 the identity's column.
+        # And one object per column key and interval, shared by every sphere
+        # dict that holds it
+        self._store = array("q", bytes(8 * (length + 1)))
+        self._ends = [0, 1]
         self._shared = {}
         if self._standard:
             gens = standard
@@ -374,30 +361,65 @@ class _TupleGroup(MarkedGroup):
         raise NotImplementedError
 
     def _first_sphere(self):
-        return self._columns(self._rows[1])
+        return self._columns(self._sphere_rows(0), self._shared.setdefault)
 
     def _next_sphere(self):
-        from . import _kernels  # loads, and may compile, the kernels on first use
+        r = len(self._spheres)
+        self._grow(r)
+        return self._columns(self._sphere_rows(r), self._shared.setdefault)
 
-        older, prev = self._rows
-        rows = _kernels.next_sphere(self._length - 1, self._steps, prev, older)
-        self._rows = prev, rows
-        return self._columns(rows)
-
-    def _columns(self, rows):
-        """The column form of a sphere's rows, with shared keys and intervals."""
+    def _sphere_rows(self, r):
+        """The flat rows of grown sphere r, copied out of the store."""
         width = self._length + 1
-        share = self._shared.setdefault
+        return self._store[self._ends[r] * width:self._ends[r + 1] * width]
+
+    def _grow(self, radius):
+        """Grow the row store through sphere radius, building no sphere dict."""
+        ends = self._ends
+        while len(ends) <= radius + 1:
+            from . import _kernels  # loads, and may compile, the kernels on first use
+
+            r = len(ends) - 1
+            older = self._sphere_rows(r - 2) if r > 1 else ()
+            rows = _kernels.next_sphere(self._length - 1, self._steps,
+                                        self._sphere_rows(r - 1), older)
+            store = self._store
+            if isinstance(store, array) and not isinstance(rows, array):
+                try:
+                    rows = array("q", rows)
+                except OverflowError:  # an entry past int64: the store goes on as a list
+                    self._store = store = store.tolist()
+            store.extend(rows)
+            ends.append(len(store) // (self._length + 1))
+
+    def _ball_columns(self, radius):
+        """ball(radius) in column form, {key: sorted disjoint intervals} with sorted
+        keys, from one union of the store's rows; no sphere dict is built."""
+        from . import _kernels
+
+        self._grow(self._check_radius(radius))
+        ends = self._ends[1:radius + 2]
+        size = ends[-1] * (self._length + 1)
+        store = self._store
+        rows = memoryview(store)[:size] if isinstance(store, array) else store[:size]
+        return self._columns(_kernels.union_rows(self._length - 1, rows, ends))
+
+    def _columns(self, rows, share=None):
+        """The column form of flat rows, with keys and intervals shared through
+        share (a setdefault) when it is given."""
+        width = self._length + 1
         los, his = rows[width - 2::width], rows[width - 1::width]
-        pairs = list(zip(los, his))
-        intervals = list(map(share, pairs, pairs))
+        intervals = list(zip(los, his))
         keys = list(zip(*(rows[t::width] for t in range(width - 2)))) or [()] * len(los)
         # a column's rows are consecutive: starts holds the first row of each
         starts = list(compress(range(len(keys)),
                                chain((True,), map(ne, keys, islice(keys, 1, None)))))
         heads = list(map(keys.__getitem__, starts))
+        if share:
+            intervals = list(map(share, intervals, intervals))
+            heads = map(share, heads, heads)
         runs = map(slice, starts, [*starts[1:], len(keys)])
-        return dict(zip(map(share, heads, heads), map(intervals.__getitem__, runs)))
+        return dict(zip(heads, map(intervals.__getitem__, runs)))
 
     def _sphere_points(self, sphere):
         return [key + (c,) for key, ivs in sphere.items()

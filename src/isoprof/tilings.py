@@ -5,9 +5,10 @@ per-shape center sets C_i; the claim is that {T_i * c : c in C_i} partitions
 the group.  The full claim is not finitely checkable, so verification runs on
 a window: disjointness of translates is checked on all of ball(R), and
 coverage on ball(R - margin) where margin is the largest shape diameter,
-which removes edge effects near the window boundary.  The window is read
-from the group's sphere cache in column form (groups.py): per column key, the
-intervals of the last coordinate.
+which removes edge effects near the window boundary.  On Z^d and Heisenberg
+the window and the region are read as balls in column form (groups.py), per
+column key the intervals of the last coordinate, each from one union of the
+group's sphere rows; no sphere is read as a dict unless a count is bad.
 
 The scan never enumerates lattice center sets.  A window point w lies in
 T * c exactly when c = t^{-1} w for some t in T, and one residue index per
@@ -36,13 +37,14 @@ shapes' classes, over the lcm of their periods.  A class keeps one pattern
 of counts by c mod period, each entry evaluated when first used, and tallies
 an interval at least one period long from the pattern's prefix sums.
 SCAN_BUDGET charges each column its own residues mod period (at most
-min(length, period)) times the lookups per point, a bound on the
-evaluations.  Explicit centers are scattered onto the window as sparse
-additions.  The first five uncovered and colliding points come from walking
-the spheres in (norm, tuple) order through the columns that can hold a bad
-count: those with explicit additions or a bad class pattern entry.  The
-radius-36 Heisenberg window of the 425-point cuboid tile, 716,455 points in
-2,665 columns, needs 5,937 evaluations (45,177 at one pattern per column).
+min(length, period)), counted from its intervals' arcs on the circle of
+residues, times the lookups per point, a bound on the evaluations.
+Explicit centers are scattered onto the window as sparse additions.  The
+first five uncovered and colliding points come from walking the spheres in
+(norm, tuple) order through the columns that can hold a bad count: those
+with explicit additions or a bad class pattern entry.  The radius-36
+Heisenberg window of the 425-point cuboid tile, 716,455 points in 2,665
+columns, needs 5,937 evaluations (45,177 at one pattern per column).
 
 Free groups have no columns and no lattice center sets, so their scan keeps
 one count per window point, in (norm, tuple) order.
@@ -65,7 +67,7 @@ from .errors import (
     integer_parameter,
 )
 from .groups import (GroupSubset, HeisenbergGroup, ZdGroup, column_size, integer_vector,
-                     lattice_basis, lattice_residue, union_columns)
+                     lattice_basis, lattice_residue)
 from .isoperimetry import heisenberg_cuboid, zd_cube
 
 # lattice evaluations times index lookups per point, and explicit center
@@ -324,15 +326,30 @@ class _Pattern(dict):
         return total
 
 
+def _residue_count(ivs, period):
+    """How many residues mod period the points of disjoint intervals take: the
+    size of the union of their arcs on the circle of residues."""
+    arcs = []
+    for lo, hi in ivs:
+        if hi - lo + 1 >= period:
+            return period
+        start, end = lo % period, hi % period
+        arcs += [(start, end)] if start <= end else [(start, period - 1), (0, end)]
+    count, reach = 0, -1
+    for start, end in sorted(arcs):
+        if end > reach:
+            count += end - max(start, reach + 1) + 1
+            reach = end
+    return count
+
+
 def _window_columns(group, mt, indexes, window):
     """({window column key: (class pattern, explicit additions)}, the patterns).
     Explicit centers are scattered onto the window.  Budgets are checked shape by
     shape, before each shape's work; each column is charged its residues mod
     period, a bound on its share of the lattice evaluations."""
     period = lcm(*(index[1] for index in indexes if index))
-    evaluations = sum(period if any(hi - lo + 1 >= period for lo, hi in ivs)
-                      else len({c % period for lo, hi in ivs for c in range(lo, hi + 1)})
-                      for ivs in window.values())
+    evaluations = sum(_residue_count(ivs, period) for ivs in window.values())
 
     overs, extra = [], {}
     for shape, centers, index in zip(mt.shapes, mt.centers, indexes):
@@ -358,16 +375,17 @@ def _window_columns(group, mt, indexes, window):
     return columns, classes.values()
 
 
-def _first_bad(group, spheres, columns, patterns, bad):
-    """The first five points of the spheres, in (norm, tuple) order, whose count
+def _first_bad(group, radius, columns, patterns, bad):
+    """The first five points of ball(radius), in (norm, tuple) order, whose count
     passes bad.  Each class pattern is judged once, and only columns with
-    explicit additions or a bad pattern entry are walked."""
+    explicit additions or a bad pattern entry are walked, through the sphere
+    dicts, which are read only when there is such a column."""
     bad_patterns = {id(p) for p in patterns if any(map(bad, p.values()))}
     suspects = {key for key, (p, extra) in columns.items() if extra or id(p) in bad_patterns}
     if not suspects:
         return []
     found = []
-    for sphere in spheres:
+    for sphere in group._cached_spheres(radius):
         for key, ivs in sphere.items():
             if key not in suspects:
                 continue
@@ -381,19 +399,18 @@ def _first_bad(group, spheres, columns, patterns, bad):
     return found
 
 
-def _column_scan(group, mt, indexes, spheres, region_radius):
+def _column_scan(group, mt, indexes, window_radius, region_radius):
     """(window size, region size, sum of counts, covered count, first uncovered,
     first collisions) on Z^d and Heisenberg, column by column."""
-    region = union_columns(spheres[:region_radius + 1])
-    window = union_columns([region] + spheres[region_radius + 1:])
+    window = group._ball_columns(window_radius)
+    region = group._ball_columns(region_radius)
     columns, patterns = _window_columns(group, mt, indexes, window)
     total = sum(columns[key][0].tally(lo, hi, int, columns[key][1])
                 for key, ivs in window.items() for lo, hi in ivs)
     covered_count = sum(columns[key][0].tally(lo, hi, bool, columns[key][1])
                         for key, ivs in region.items() for lo, hi in ivs)
-    uncovered = _first_bad(group, spheres[:region_radius + 1], columns, patterns,
-                           lambda h: h == 0)
-    collision_points = _first_bad(group, spheres, columns, patterns, lambda h: h > 1)
+    uncovered = _first_bad(group, region_radius, columns, patterns, lambda h: h == 0)
+    collision_points = _first_bad(group, window_radius, columns, patterns, lambda h: h > 1)
     return (column_size(window), column_size(region), total, covered_count,
             uncovered, collision_points)
 
@@ -449,11 +466,10 @@ def verify_multitile_window(mt, window_radius):
     # lattice, before any scan work or budget refusal
     indexes = [_residue_index(group, shape, centers) if isinstance(centers, LatticeCenters)
                else None for shape, centers in zip(mt.shapes, mt.centers)]
-    spheres = group._cached_spheres(R)
     if isinstance(group, (ZdGroup, HeisenbergGroup)):
-        scan = _column_scan(group, mt, indexes, spheres, region_radius)
+        scan = _column_scan(group, mt, indexes, R, region_radius)
     else:
-        scan = _point_scan(group, mt, spheres, region_radius)
+        scan = _point_scan(group, mt, group._cached_spheres(R), region_radius)
     window_size, region_size, total, covered_count, uncovered, collision_points = scan
     gathers = [_gatherer(group, shape, centers, index)
                for shape, centers, index in zip(mt.shapes, mt.centers, indexes)]

@@ -329,6 +329,30 @@ def sphere_oracle(group, radius):
     return spheres
 
 
+def union_columns(spheres):
+    """The union of column-form sets, e.g. the spheres of a ball, in column form
+    with sorted keys: each key's intervals pooled, sorted and swept, adjacent
+    ones joined."""
+    cols = {}
+    for sphere in spheres:
+        for key, ivs in sphere.items():
+            cols.setdefault(key, []).extend(ivs)
+    out = {}
+    for key in sorted(cols):
+        ordered = iter(sorted(cols[key]))
+        start, end = next(ordered)
+        joined = []
+        for lo, hi in ordered:
+            if lo > end + 1:
+                joined.append((start, end))
+                start, end = lo, hi
+            elif hi > end:
+                end = hi
+        joined.append((start, end))
+        out[key] = joined
+    return out
+
+
 def determinant(rows):
     """Leibniz determinant of a small integer matrix."""
     total = 0

@@ -16,8 +16,8 @@ from isoprof import (
     group_from_json,
     group_to_json,
 )
-from isoprof.groups import column_size, lattice_basis, lattice_residue, union_columns
-from oracles import sphere_oracle
+from isoprof.groups import column_size, lattice_basis, lattice_residue
+from oracles import sphere_oracle, union_columns
 from isoprof.errors import (
     ConfigError,
     MixedGroupError,

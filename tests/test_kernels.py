@@ -26,6 +26,7 @@ from isoprof._kernels import (
 )
 from isoprof.action_profile import packing_items, partition_tables
 from isoprof.isoperimetry import canonical_ranks, neighbor_table
+from oracles import union_columns
 
 try:
     from isoprof._kernels import _core
@@ -482,6 +483,115 @@ class TestSphereStep:
             with pytest.raises(ValueError):
                 kernels.next_sphere(key_len, steps, prev, older)
         assert list(kernels.next_sphere(1, [step], one, [])) == [1, 0, 0]
+
+
+def random_runs(rng, key_len, n_runs):
+    """(rows, ends) of n_runs runs, each sorted by (key, lo) with disjoint
+    intervals per key; the runs overlap, touch and nest one another."""
+    rows, ends = [], []
+    for _ in range(n_runs):
+        cols = {}
+        for _ in range(rng.randint(0, 6)):
+            key = tuple(rng.randint(-2, 2) for _ in range(key_len))
+            lo = rng.randint(-12, 12)
+            cols.setdefault(key, []).append((lo, lo + rng.randint(0, 4)))
+        for key in sorted(cols):
+            end = None
+            for lo, hi in sorted(cols[key]):
+                if end is None or lo > end:  # keep a run's intervals disjoint
+                    rows += (*key, lo, hi)
+                    end = hi
+        ends.append(len(rows) // (key_len + 2))
+    return rows, ends
+
+
+def ball_runs(group, radius):
+    """(rows, ends) of spheres 0..radius of a column group, back to back."""
+    rows, ends = [], []
+    for sphere in sphere_rows(_pure, group, radius):
+        rows += sphere
+        ends.append(len(rows) // (group._length + 1))
+    return rows, ends
+
+
+class TestRowUnion:
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    def test_input_validation(self, kernels):
+        one = [0, 0, 0]
+        for key_len, rows, ends in (
+            (1, [0, 0], [1]),  # ragged
+            (-1, [0], [1]),
+            (1, one, []),  # a row past the last run
+            (1, one, [2]),  # a run past the rows
+            (1, one + one, [2, 1]),  # ends fall
+            (1, [0, 1, 0], [1]),  # lo > hi
+            (1, [1, 0, 0, 0, 0, 0], [2]),  # keys out of order
+            (1, [0, 2, 3, 0, 0, 1], [2]),  # intervals out of order
+            (1, [0, 0, 2, 0, 2, 3], [2]),  # overlapping intervals in one run
+            (1, [0, 0, 0, 0, 5, 5, 0, 1, 1], [1, 3]),  # the second run unsorted
+        ):
+            with pytest.raises(ValueError):
+                kernels.union_rows(key_len, rows, ends)
+        # across runs, intervals may overlap, touch and come in any order
+        assert list(kernels.union_rows(1, [0, 3, 5, 0, 0, 2, 0, 1, 4], [1, 2, 3])) == [0, 0, 5]
+        assert list(kernels.union_rows(1, [], [])) == []
+        assert list(kernels.union_rows(0, [7, 9, 1, 2], [1, 1, 2])) == [1, 2, 7, 9]
+
+    @needs_core
+    @pytest.mark.parametrize("seed", range(8))
+    def test_backends_agree_on_random_runs(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            key_len = rng.randint(0, 3)
+            rows, ends = random_runs(rng, key_len, rng.randint(0, 6))
+            assert list(_core.union_rows(key_len, rows, ends)) == \
+                _pure.union_rows(key_len, rows, ends)
+
+    @needs_core
+    @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
+    def test_backends_agree_on_balls(self, name):
+        make, radius = COLUMN_GROUPS[name]
+        group = make()
+        rows, ends = ball_runs(group, radius)
+        assert list(_core.union_rows(group._length - 1, rows, ends)) == \
+            _pure.union_rows(group._length - 1, rows, ends)
+
+    @pytest.mark.parametrize("backend", ["compiled", "pure"])
+    @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
+    def test_ball_columns_are_the_union_of_the_spheres(self, name, backend, monkeypatch):
+        if backend == "pure":
+            monkeypatch.setattr(_kernels, "_core", None)
+        elif _core is None:
+            pytest.skip("compiled kernel unavailable")
+        make, radius = COLUMN_GROUPS[name]
+        group, spheres = make(), make()._cached_spheres(radius)
+        # a radius below what is grown reads a prefix of the store
+        for r in (radius, 0, radius // 2):
+            assert list(group._ball_columns(r).items()) == \
+                list(union_columns(spheres[:r + 1]).items())
+        assert len(group._spheres) == 1  # and no sphere dict past sphere 0
+
+    @pytest.mark.parametrize("coordinate", [BIG, 1 << 61, 1 << 80])
+    def test_ball_columns_past_int64_run_pure(self, coordinate, monkeypatch):
+        # coordinates of 2**40 fit the compiled kernels throughout; those of
+        # 2**61 reach 2**62 within two steps, which the compiled union refuses,
+        # and leave int64 within four; those of 2**80 leave it at once.  Past
+        # int64 the store turns into a list and its unions run pure
+        makes = [lambda: ZdGroup(2, generators=UNITS2 + [(coordinate, 1), (-coordinate, -1)]),
+                 lambda: HeisenbergGroup(generators=H3_UNITS + [(coordinate, 1, 0),
+                                                                (-coordinate, -1, coordinate)])]
+        for make, radius in itertools.product(makes, (3, 4)):
+            spheres = make()._cached_spheres(radius)
+            expected = list(union_columns(spheres).items())
+            top = max(abs(x) for sphere in spheres for key, ivs in sphere.items()
+                      for x in (*key, ivs[0][0], ivs[-1][1]))
+            for backend in ("compiled", "pure"):
+                if backend == "pure":
+                    monkeypatch.setattr(_kernels, "_core", None)
+                group = make()
+                assert list(group._ball_columns(radius).items()) == expected
+                assert isinstance(group._store, list) == (top >= 1 << 63)
+            monkeypatch.undo()
 
 
 @needs_core

@@ -45,7 +45,7 @@ KERNELS = ("subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partitio
 def no_search(request, monkeypatch):
     """Run on one backend with every dispatcher kernel refusing to run."""
     if request.param == "compiled":
-        pytest.importorskip("isoprof._kernels._core")
+        pytest.importorskip("isoprof._kernels._core", exc_type=ImportError)
     else:
         monkeypatch.setattr(_kernels, "_core", None)
 

@@ -7,8 +7,8 @@ from itertools import product
 import pytest
 
 from isoprof import tilings
-from isoprof.groups import union_columns
-from oracles import determinant, inline_law, lattice_member_oracle, tile_window_oracle
+from oracles import (determinant, inline_law, lattice_member_oracle, tile_window_oracle,
+                     union_columns)
 
 from isoprof import (
     ExplicitCenters,
@@ -532,6 +532,51 @@ class TestColumnScan:
         assert len(evaluated) == len(set(evaluated))
         assert len(evaluated) < sum(hi - lo + 1 for sphere in g._cached_spheres(radius)
                                     for ivs in sphere.values() for lo, hi in ivs)
+
+
+class TestLazySpheres:
+    """The scan reads the window and the region as balls from the group's row
+    store, and the sphere dicts only to list bad points."""
+
+    def test_a_passing_scan_builds_no_sphere_dict_past_the_margin(self):
+        g = HeisenbergGroup()
+        mt = folner_multitile_sequence(g, 425, verify=False)
+        v = verify_multitile_window(mt, 36)
+        assert v.passed and v.window_size == 716455
+        assert len(g._spheres) == v.margin + 1 < 37  # the margin reads norms
+        assert len(g._ends) == 38  # the rows are grown through sphere 36
+
+    @pytest.mark.parametrize("moduli", [(2, 2, 3), (2, 3, 1), (3, 2, 2)])
+    def test_a_failing_scan_reports_its_first_points_in_norm_order(self, moduli):
+        # gaps, collisions or both from the unit cuboid over wrong moduli
+        g = HeisenbergGroup()
+        centers = LatticeCenters([(moduli[0], 0, 0), (0, moduli[1], 0), (0, 0, moduli[2])])
+        mt = MultiTile([heisenberg_cuboid(g, 1)], [centers])
+        v = TestColumnScan.check(mt, 9)
+        assert not v.passed and len(v.uncovered) + len(v.collisions) >= 5
+        for points in (v.uncovered, [w for w, _ in v.collisions]):
+            keys = [(g.word_norm(w), w) for w in points]
+            assert keys == sorted(keys)
+        assert len(g._spheres) == (10 if v.collisions else v.region_radius + 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residue_count_matches_a_point_set(self, seed):
+        # columns of short, disjoint intervals around multiples of the period,
+        # so that arcs wrap past residue 0; an interval of a whole period or
+        # more takes every residue
+        rng = random.Random(seed)
+        for _ in range(300):
+            period = rng.choice([1, 2, 3, 5, 12, 97, 10 ** 6])
+            lo = rng.randint(-3, 3) * period - rng.randint(0, 30)
+            ivs = []
+            for _ in range(rng.randint(1, 5)):
+                hi = lo + rng.randint(0, min(period + 1, 40))
+                ivs.append((lo, hi))
+                lo = hi + rng.randint(2, 2 * period + 2)
+            expected = len({c % period for lo, hi in ivs for c in range(lo, hi + 1)})
+            assert tilings._residue_count(ivs, period) == expected
+        assert tilings._residue_count([(5, 10 ** 6 + 4)], 10 ** 6) == 10 ** 6
+        assert tilings._residue_count([(-3, 2), (10 ** 6 - 1, 10 ** 6 + 3)], 10 ** 6) == 7
 
 
 class TestHeisenbergVerification:
