@@ -4,7 +4,11 @@ The C compiler that sysconfig reports builds kernels.c into ~/.cache/isoprof,
 under a name hashed from the source, the platform and the compile command, so
 later imports only load the library.  Any failure to build or load raises
 ImportError with the reason, and the dispatcher in __init__ then runs the pure
-kernels.  The wrappers check every input the C code would otherwise trust.
+kernels.  The wrappers check every input the C code would otherwise trust:
+ValueError for what the pure twin refuses too, and OverflowError for a call
+whose numbers could leave int64 (a weight outside [0, 2**62) or a weight sum
+past it, a sphere or row entry that could reach 2**62), which the dispatcher
+then runs on the pure twin.  _check_status decodes the C return codes.
 """
 
 import ctypes
@@ -114,6 +118,23 @@ def _check_int32(limit):
         raise ValueError("the size limit must fit in int32")
 
 
+def _check_weights(weights):
+    """OverflowError unless every weight and the weight sum lie in [0, 2**62)."""
+    if not all(0 <= w < 1 << 62 for w in weights) or sum(weights) >= 1 << 62:
+        raise OverflowError("weights and their sum must lie in [0, 2**62)")
+
+
+def _check_status(code, kernel, refusal=""):
+    """Raise what a C return code stands for: -1 MemoryError, -2 ValueError
+    with the kernel's refusal, -3 OverflowError; other codes are results."""
+    if code == -1:
+        raise MemoryError(f"{kernel} could not allocate its working memory")
+    if code == -2:
+        raise ValueError(refusal)
+    if code == -3:
+        raise OverflowError(f"{kernel} entries could reach 2**62")
+
+
 def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
     """Compiled twin of _pure.subset_min_ratio; same contract, same node counts."""
     check_subset_inputs(flat_neighbors, universe, s_count, n_max)
@@ -124,19 +145,18 @@ def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
     status = _lib.subset_min_ratio(_ints(flat_neighbors), universe,
                                    s_count, n_max, _budget(node_budget), num, den,
                                    ctypes.byref(nodes))
-    if status < 0:
-        raise MemoryError("subset_min_ratio could not allocate its search state")
+    _check_status(status, "subset_min_ratio")
     return list(num), list(den), nodes.value, status == 1
 
 
 def pack_max_weight(masks, weights, n_bound, node_budget, fix_root):
-    """Compiled twin of _pure.pack_max_weight for weights whose sums fit in int64."""
+    """Compiled twin of _pure.pack_max_weight for weights in [0, 2**62) whose
+    sum is too."""
     check_pack_inputs(masks, weights, n_bound)
+    _check_weights(weights)
     count = len(masks)
     if count == 0:
         return 0, (), 0, True
-    if sum(abs(w) for w in weights) > _INT64_MAX:
-        raise ValueError("weight sums must fit in int64")
     limbs = max(1, (max(masks).bit_length() + 63) // 64)
     vmask = (_u64 * (count * limbs))(
         *[(mask >> s) & _LIMB for mask in masks for s in range(0, 64 * limbs, 64)])
@@ -149,8 +169,7 @@ def pack_max_weight(masks, weights, n_bound, node_budget, fix_root):
                                   _budget(node_budget), 1 if fix_root else 0,
                                   ctypes.byref(best), best_set,
                                   ctypes.byref(nodes))
-    if status < 0:
-        raise MemoryError("pack_max_weight could not allocate its search state")
+    _check_status(status, "pack_max_weight")
     items = tuple(i for i in range(count) if best_set[i >> 6] >> (i & 63) & 1)
     return best.value, items, nodes.value, status == 1
 
@@ -166,20 +185,17 @@ def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budg
     status = _lib.min_boundary_sets(_ints(flat_neighbors), universe, s_count, limit,
                                     _ints(ranks), None if inverse is None else _ints(inverse),
                                     _budget(node_budget), best, sets, ctypes.byref(nodes))
-    if status == -2:
-        raise ValueError("the neighbor table misses a translate of a visited set")
-    if status < 0:
-        raise MemoryError("min_boundary_sets could not allocate its search state")
+    _check_status(status, "min_boundary_sets",
+                  "the neighbor table misses a translate of a visited set")
     sets = [tuple(sets[k * limit : k * limit + k]) if best[k] >= 0 else ()
             for k in range(limit + 1)]
     return list(best), sets, nodes.value, status == 1
 
 
 def partition_dp(flat_neighbors, universe, s_count, weights, limit):
-    """Compiled twin of _pure.partition_dp for weights whose sums fit in int64."""
+    """Compiled twin of _pure.partition_dp for weights whose sum lies below 2**62."""
     check_partition_inputs(flat_neighbors, universe, s_count, weights, limit)
-    if sum(weights) > _INT64_MAX:
-        raise ValueError("weight sums must fit in int64")
+    _check_weights(weights)
     value = _i64()
     cells = (_u64 * universe)()
     n_cells = _int()
@@ -188,8 +204,7 @@ def partition_dp(flat_neighbors, universe, s_count, weights, limit):
                                (_i64 * universe)(*weights), min(limit, universe),
                                ctypes.byref(value), cells, ctypes.byref(n_cells),
                                ctypes.byref(nodes))
-    if status < 0:
-        raise MemoryError("partition_dp could not allocate its tables")
+    _check_status(status, "partition_dp")
     return value.value, tuple(cells[: n_cells.value]), nodes.value
 
 
@@ -203,12 +218,7 @@ def next_sphere(key_len, steps, prev_rows, older_rows):
     flat = [x for head, dc, coef in steps for x in (*head, dc, *coef)]
     rows = _lib.next_sphere(key_len, len(steps), _i64s(flat), _i64s(prev_rows), n_prev,
                             _i64s(older_rows), n_older, _i64s(out))
-    if rows == -2:
-        raise ValueError("rows must be sorted by (key, lo), disjoint per key")
-    if rows == -3:
-        raise OverflowError("sphere coordinates could reach 2**62")
-    if rows < 0:
-        raise MemoryError("next_sphere could not allocate its runs")
+    _check_status(rows, "next_sphere", "rows must be sorted by (key, lo), disjoint per key")
     del out[rows * width:]
     return out
 
@@ -220,13 +230,8 @@ def union_rows(key_len, rows, ends):
     check_union_inputs(key_len, rows, ends)
     args = key_len, _i64s(rows), len(ends), _i64s(ends)
     count = _lib.union_rows(*args, None)
-    if count == -2:
-        raise ValueError("rows must be sorted by (key, lo), disjoint per key, in each run")
-    if count == -3:
-        raise OverflowError("row entries reach 2**62")
-    if count < 0:
-        raise MemoryError("union_rows could not allocate its runs")
+    _check_status(count, "union_rows",
+                  "rows must be sorted by (key, lo), disjoint per key, in each run")
     out = array("q", bytes(8 * (key_len + 2) * count))
-    if _lib.union_rows(*args, _i64s(out)) != count:
-        raise MemoryError("union_rows could not allocate its runs")
+    _check_status(_lib.union_rows(*args, _i64s(out)), "union_rows")
     return out

@@ -7,7 +7,9 @@ hits the recursion limit.  The connected-set kernels, min_boundary_sets and
 partition_dp, share one enumerator, grow_sets.  Two kernels do not search:
 next_sphere grows the column spheres of Z^d and the Heisenberg group, and
 union_rows joins them into a ball; both end in one sweep, _sweep.  The
-dispatcher in __init__ picks the compiled versions when they build.
+dispatcher in __init__ runs these twins when the compiled kernels do not
+build, and for each call whose compiled twin raises OverflowError: Python
+ints have no cap, so the calls whose numbers leave int64 run here.
 """
 
 from heapq import merge

@@ -124,12 +124,14 @@ def _load_json_arg(raw, what):
         try:
             with open(raw, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IsoprofError(f"cannot read {what} file {raw!r}: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise IsoprofError(f"invalid {what} JSON: {exc}")
+    except RecursionError:
+        raise IsoprofError(f"invalid {what} JSON: nested too deeply")
 
 
 def _json_friendly(value):

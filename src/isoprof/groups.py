@@ -114,7 +114,7 @@ class MarkedGroup:
             if self._inv_label[self._inv_label[lab]] != lab:
                 raise ConfigError("inverse labeling is not an involution")
         self._left = {lab: self._left_action(g) for lab, g in self._gens.items()}
-        self._spheres = [self._first_sphere()]
+        self._spheres = [self._sphere(0)]
 
     # -- subclass surface ------------------------------------------------
 
@@ -139,6 +139,10 @@ class MarkedGroup:
 
     def _norm(self, g):
         """Word norm of a validated element."""
+        raise NotImplementedError
+
+    def _sphere(self, r):
+        """Sphere r in the cache's form, once spheres 0..r-1 are cached."""
         raise NotImplementedError
 
     def element_str(self, g):
@@ -188,14 +192,6 @@ class MarkedGroup:
 
     # -- the sphere cache: sorted point lists here, column form in _TupleGroup --
 
-    def _first_sphere(self):
-        return [self.identity]
-
-    def _next_sphere(self):
-        last = self._spheres[-1]
-        seen = set(last).union(*self._spheres[-2:-1])
-        return sorted({act(g) for g in last for act in self._left.values()} - seen)
-
     def _sphere_points(self, sphere):
         """A cached sphere's elements, sorted."""
         return sphere
@@ -210,7 +206,7 @@ class MarkedGroup:
         """The cached spheres of radius 0..radius; shared, not copies."""
         self._check_radius(radius)
         while len(self._spheres) <= radius:
-            self._spheres.append(self._next_sphere())
+            self._spheres.append(self._sphere(len(self._spheres)))
         return self._spheres[:radius + 1]
 
     def sphere(self, radius):
@@ -360,11 +356,7 @@ class _TupleGroup(MarkedGroup):
         column key + head, shifted by dc + coef.key."""
         raise NotImplementedError
 
-    def _first_sphere(self):
-        return self._columns(self._sphere_rows(0), self._shared.setdefault)
-
-    def _next_sphere(self):
-        r = len(self._spheres)
+    def _sphere(self, r):
         self._grow(r)
         return self._columns(self._sphere_rows(r), self._shared.setdefault)
 
@@ -437,7 +429,7 @@ class _TupleGroup(MarkedGroup):
         key, c = g[:-1], g[-1]
         for r in range(self.max_radius + 1):
             if r == len(self._spheres):
-                self._spheres.append(self._next_sphere())
+                self._spheres.append(self._sphere(r))
             for lo, hi in self._spheres[r].get(key, ()):
                 if lo <= c <= hi:
                     return r
@@ -588,6 +580,14 @@ class FreeGroup(MarkedGroup):
 
     def _norm(self, g):
         return len(g)
+
+    def _sphere(self, r):
+        """The reduced words of length r, sorted: each word of sphere r - 1
+        followed by each letter that does not cancel its last one."""
+        if r == 0:
+            return [()]
+        return [w + (x,) for w in self._spheres[r - 1] for x in range(2 * self.rank)
+                if not w or x != w[-1] ^ 1]
 
     def element_str(self, g):
         if not g:

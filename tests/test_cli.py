@@ -138,7 +138,20 @@ class TestProfileGroup:
                      '{"shapes": [[[0]]], "centers": 5}'):
             assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',
                          "--tile", tile, "--window", "4"]) == 2
+        # bytes that are not UTF-8, and nesting past the recursion limit, as a
+        # file and inline
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b"\xff\xfe{}")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        for bad in (str(not_utf8), str(deep), "[" * 200_000):
+            assert main(["profile-group", "--group", bad, "--n-max", "3"]) == 2
+            assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',
+                         "--tile", bad, "--window", "4"]) == 2
         err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"error: cannot read group file {str(not_utf8)!r}: " in err
+        assert "error: invalid tile JSON: nested too deeply" in err
         assert "error: Zd needs an integer field 'd'" in err
         assert f"error: cannot write {tmp_path / 'missing' / 'z.csv'}: " in err
         assert not (tmp_path / "missing").exists()

@@ -367,9 +367,10 @@ class TestColumnSpheres:
         assert deep_size(spheres) <= 5_000_000
 
     def test_free_group_keeps_point_lists(self):
-        g = FreeGroup(2)
-        assert [g.sphere(r) for r in range(5)] == sphere_oracle(FreeGroup(2), 4)
-        assert g._cached_spheres(1)[1] == g.sphere(1)
+        for rank, radius in ((1, 6), (2, 5), (3, 3)):
+            g = FreeGroup(rank)
+            assert [g.sphere(r) for r in range(radius + 1)] == sphere_oracle(g, radius)
+            assert g._cached_spheres(1)[1] == g.sphere(1)
 
 
 class TestSerialization:

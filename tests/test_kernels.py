@@ -1,11 +1,13 @@
 """Search kernels: pure/compiled parity, dispatch, budgets, and brute-force checks."""
 
+import inspect
 import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -685,8 +687,17 @@ class TestBackendParity:
                 _core.partition_dp(flat, V, s, weights, limit)
 
     def test_partition_dp_refuses_sums_beyond_int64(self):
-        with pytest.raises(ValueError):
-            _core.partition_dp(path_neighbors(2), 2, 2, [1 << 62, 1 << 62], 2)
+        args = path_neighbors(2), 2, 2, [1 << 62, 1 << 62], 2
+        with pytest.raises(OverflowError):
+            _core.partition_dp(*args)
+        assert partition_dp(*args) == _pure.partition_dp(*args)
+
+    @pytest.mark.parametrize("weights", [[1 << 62, 1 << 62], [1 << 61, 1 << 61], [3, -1]])
+    def test_pack_max_weight_refuses_weights_beyond_int64(self, weights):
+        args = [0b1, 0b10], weights, 1, BIG, False
+        with pytest.raises(OverflowError):
+            _core.pack_max_weight(*args)
+        assert pack_max_weight(*args) == _pure.pack_max_weight(*args)
 
 
 class TestLargeInstances:
@@ -709,7 +720,41 @@ class TestLargeInstances:
         assert pure == pack_max_weight(masks, weights, 1, BIG, False)
 
 
+# each dual kernel once, with a small call that both twins accept
+DUAL_KERNELS = {
+    "subset_min_ratio": (path_neighbors(6), 6, 2, 4, BIG),
+    "pack_max_weight": ([0b11, 0b110, 0b1000], [3, 2, 5], 2, BIG, False),
+    "min_boundary_sets": (path_neighbors(6), 6, 2, 3, list(range(6)), BIG),
+    "partition_dp": (path_neighbors(4), 4, 2, [1, 2, 3, 4], 2),
+    "next_sphere": (1, [((1,), 0, (0,))], [0, 0, 0], []),
+    "union_rows": (1, [0, 3, 5, 0, 0, 2, 0, 1, 4], [1, 2, 3]),
+}
+
+
 class TestDispatch:
+    @needs_core
+    @pytest.mark.parametrize("name", DUAL_KERNELS)
+    def test_twins_share_one_signature(self, name):
+        signature = inspect.signature(getattr(_pure, name))
+        assert inspect.signature(getattr(_core, name)) == signature
+        assert inspect.signature(getattr(_kernels, name)) == signature
+
+    @pytest.mark.parametrize("name", DUAL_KERNELS)
+    def test_overflow_in_the_compiled_twin_runs_pure(self, name, monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise OverflowError("stub")
+
+        args = DUAL_KERNELS[name]
+        # the last argument goes by keyword, which the dispatcher passes on
+        last = list(inspect.signature(getattr(_pure, name)).parameters)[len(args) - 1]
+        kwargs = {last: args[-1]}
+        monkeypatch.setattr(_kernels, "_core", SimpleNamespace(**{name: refuse}))
+        assert getattr(_kernels, name)(*args[:-1], **kwargs) == getattr(_pure, name)(*args)
+        assert calls == [(args[:-1], kwargs)]
+
     def test_oversize_instances_fall_back_transparently(self):
         # 200 singleton masks take four 64-bit limbs of items and of vertices;
         # the compiled kernel sizes its sets to the instance
