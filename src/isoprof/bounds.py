@@ -271,17 +271,16 @@ def suite_lower_bound():
     return checks
 
 
+# (d, m, k): the side-k cube tiling (Z/m)^d, here and in `reproduce --suite rokhlin`
+TOWER_CASES = ((1, 12, 3), (1, 5, 2), (2, 6, 2))
+
+
 def suite_tiling_upper(epsilon=Fraction(1, 4)):
-    """Tower upper bounds on the cyclic and grid quotients."""
-    cases = [
-        (build_torus_action(1, 12), 3, 3),
-        (build_torus_action(1, 5), 2, 2),
-        (build_torus_action(2, 6), 2, 4),
-    ]
+    """Tower upper bounds on the cyclic and grid quotients, at n the tile's size."""
     checks = []
-    for g, k, n in cases:
-        mt = cube_tile(g.group, k)
-        checks.append(check_tiling_upper_bound(g, mt, n, epsilon))
+    for d, m, k in TOWER_CASES:
+        g = build_torus_action(d, m)
+        checks.append(check_tiling_upper_bound(g, cube_tile(g.group, k), k ** d, epsilon))
     return checks
 
 

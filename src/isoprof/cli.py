@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import __version__
 from .action_profile import profile_action_exact, profile_action_tiling
-from .bounds import SUITES
+from .bounds import SUITES, TOWER_CASES
 from .errors import BudgetError, CoverageError, IsoprofError, integer_parameter
 from .exact import format_fraction, parse_fraction
 from .graphings import (
@@ -43,7 +43,7 @@ from .isoperimetry import (
 from .rokhlin import build_towers, tower_family_to_json, verify_tower_family
 from .tilings import (
     cube_tile,
-    folner_multitile_sequence,
+    folner_tiles,
     multitile_from_json,
     multitile_to_json,
     verify_multitile_window,
@@ -54,6 +54,7 @@ EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+ERROR_LINE_CAP = 300  # characters of an error line on stderr
 
 
 def _node_budget():
@@ -316,18 +317,14 @@ def _suite_tiles():
     failures = 0
     cases = [(ZdGroup(1), 10), (ZdGroup(2), 9), (HeisenbergGroup(), 425)]
     for group, n in cases:
-        mt = folner_multitile_sequence(group, n, verify=False)
+        tile = max(folner_tiles(group, n))
+        mt = tile.multitile()
         shape = mt.shapes[0]
-        side = max(t[0] for t in shape)
-        if isinstance(group, ZdGroup):
-            window = 4 * (side + 1)
-        else:
-            window = 2 * (side * side + 2)
-        report = verify_multitile_window(mt, window)
+        report = verify_multitile_window(mt, tile.window)
         if not report.passed:
             failures += 1
         rows.append([json.dumps(group.descriptor()), n, len(shape),
-                     format_fraction(boundary_ratio(shape)), window,
+                     format_fraction(boundary_ratio(shape)), tile.window,
                      report.passed])
     return columns, rows, failures
 
@@ -336,13 +333,10 @@ def _suite_rokhlin():
     columns = ["graphing", "tile_side", "epsilon", "coverage", "success", "verified"]
     rows = []
     failures = 0
-    cases = [
-        ("Z/12", build_torus_action(1, 12), 3),
-        ("Z/5", build_torus_action(1, 5), 2),
-        ("(Z/6)^2", build_torus_action(2, 6), 2),
-    ]
     eps = Fraction(1, 4)
-    for name, g, k in cases:
+    for d, m, k in TOWER_CASES:
+        g = build_torus_action(d, m)
+        name = f"Z/{m}" if d == 1 else f"(Z/{m})^{d}"
         mt = cube_tile(g.group, k)
         family = build_towers(g, mt, eps)
         verification = verify_tower_family(g, mt, family)
@@ -464,18 +458,19 @@ def main(argv=None):
     try:
         return args.func(args)
     except BudgetError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code, line = EXIT_BUDGET, f"budget exhausted: {exc}"
     except CoverageError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+        code, line = EXIT_CHECK, f"check failed: {exc}"
     except IsoprofError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, line = EXIT_USAGE, f"error: {exc}"
     except Exception as exc:
         # a defect, not a check result: keep it apart from exit 1
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, line = EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
+    # the message may quote the input at fault, of any length: cut it
+    if len(line) > ERROR_LINE_CAP:
+        line = line[:ERROR_LINE_CAP - 3] + "..."
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The boundary convention is left multiplication: g lies on the inner boundary
 of F when sg leaves F for some generator s.  Boundaries are then invariant
 under right translation F -> F*c, which is what makes "F contains the
-identity" a harmless normalization in the profile search.
+identity" a harmless normalization in the profile search.  The cube and
+cuboid families are defined once, by tilings.folner_tiles.
 """
 
 from array import array
@@ -232,32 +233,18 @@ def heisenberg_cuboid(group, m):
 
 
 def profile_upper(group, n, family):
-    """Best boundary ratio over the named shape family restricted to size <= n."""
+    """Best boundary ratio over the named shape family (tilings.folner_tiles) of size <= n."""
+    from .tilings import folner_tiles
+
     integer_parameter("n", n, 1)
     if isinstance(group, ZdGroup):
-        if family == "intervals":
-            if group.d != 1:
-                raise ConfigError("the intervals family lives on Z^1")
-            family = "cubes"
-        if family != "cubes":
+        if family == "intervals" and group.d != 1:
+            raise ConfigError("the intervals family lives on Z^1")
+        if family not in ("intervals", "cubes"):
             raise ConfigError(f"unknown Z^d shape family {family!r}")
-        best = None
-        k = 1
-        while k**group.d <= n:
-            r = boundary_ratio(zd_cube(group, k))
-            if best is None or r < best:
-                best = r
-            k += 1
-        return best
-    if isinstance(group, HeisenbergGroup):
+    elif isinstance(group, HeisenbergGroup):
         if family not in ("cuboids", "cuboids_n_n_n2"):
             raise ConfigError(f"unknown Heisenberg shape family {family!r}")
-        best = None
-        m = 0
-        while (m + 1) ** 2 * (m * m + 1) <= n:
-            r = boundary_ratio(heisenberg_cuboid(group, m))
-            if best is None or r < best:
-                best = r
-            m += 1
-        return best
-    raise ConfigError(f"no built-in shape family for {group!r}")
+    else:
+        raise ConfigError(f"no built-in shape family for {group!r}")
+    return min(boundary_ratio(tile.shape()) for tile in folner_tiles(group, n))

@@ -48,11 +48,15 @@ columns, needs 5,937 evaluations (45,177 at one pattern per column).
 
 Free groups have no columns and no lattice center sets, so their scan keeps
 one count per window point, in (norm, tuple) order.
+
+The built-in Folner tiles, with their center lattices and windows, are
+defined once here, by folner_tiles.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice, takewhile
 from math import lcm
 
 from ._record import Record
@@ -518,42 +522,55 @@ def invariance(T, K, epsilon):
     return InvarianceReport(K=K, epsilon=epsilon, achieved=achieved, passed=achieved <= epsilon)
 
 
-def cube_tile(group, k):
-    """The cube {0..k-1}^d of Z^d with the (k e_i) center lattice; an interval for d = 1."""
-    shape = zd_cube(group, k)
-    d = group.d
-    gens = [tuple(k if j == i else 0 for j in range(d)) for i in range(d)]
+def _axis_tile(shape, moduli):
+    """shape with the center lattice of the axis steps moduli[i] * e_i."""
+    d = len(moduli)
+    gens = [tuple(q if j == i else 0 for j in range(d)) for i, q in enumerate(moduli)]
     return MultiTile([shape], [LatticeCenters(gens)])
 
 
-def folner_multitile_sequence(group, n, verify=True):
-    """The largest built-in tile of size <= n, window-verified by default.
+def cube_tile(group, k):
+    """The cube {0..k-1}^d of Z^d with the (k e_i) center lattice; an interval for d = 1."""
+    return _axis_tile(zd_cube(group, k), (k,) * group.d)
 
-    Z^d gets the k x .. x k cube with the (k e_i) lattice; Heisenberg gets
-    the cuboid [0,m]^2 x [0,m^2] with moduli (m+1, m+1, m^2+1).
-    """
+
+class FolnerTile(namedtuple("FolnerTile", "size window shape moduli")):
+    """A built-in tile of size points, verified at radius window: shape() builds
+    the shape, and its centers are the lattice of the axis steps moduli[i] * e_i."""
+
+    __slots__ = ()
+
+    def multitile(self):
+        return _axis_tile(self.shape(), self.moduli)
+
+
+def folner_tiles(group, n):
+    """The built-in Folner tiles of at most n points, smallest first, built when read.
+
+    Z^d has the cubes {0..k-1}^d with the (k e_i) lattice, verified at 4k;
+    Heisenberg the cuboids [0,m]^2 x [0,m^2] with moduli (m+1, m+1, m^2+1),
+    verified at 2(m^2+2)."""
     integer_parameter("n", n, 1)
     if isinstance(group, ZdGroup):
         d = group.d
-        k = 1
-        while (k + 1) ** d <= n:
-            k += 1
-        mt = cube_tile(group, k)
-        window = 4 * k
+        tiles = (FolnerTile(k ** d, 4 * k, partial(zd_cube, group, k), (k,) * d)
+                 for k in count(1))
     elif isinstance(group, HeisenbergGroup):
-        m = 0
-        while (m + 2) ** 2 * ((m + 1) ** 2 + 1) <= n:
-            m += 1
-        shape = heisenberg_cuboid(group, m)
-        centers = LatticeCenters([(m + 1, 0, 0), (0, m + 1, 0), (0, 0, m * m + 1)])
-        mt = MultiTile([shape], [centers])
-        window = 2 * (m * m + 2)
+        tiles = (FolnerTile((m + 1) ** 2 * (m * m + 1), 2 * (m * m + 2),
+                            partial(heisenberg_cuboid, group, m), (m + 1, m + 1, m * m + 1))
+                 for m in count())
     else:
         raise UnsupportedError("no built-in tiling family for this group")
+    return takewhile(lambda tile: tile.size <= n, tiles)
+
+
+def folner_multitile_sequence(group, n, verify=True):
+    """The largest built-in tile of size <= n (folner_tiles), window-verified by default."""
+    tile = max(folner_tiles(group, n))
+    mt = tile.multitile()
     if verify:
-        report = verify_multitile_window(mt, window)
+        report = verify_multitile_window(mt, tile.window)
         if not report.passed:
-            raise RuntimeError(
-                f"built-in tile failed window verification at radius {window}: {report}"
-            )
+            raise RuntimeError(f"built-in tile failed window verification at radius "
+                               f"{tile.window}: {report}")
     return mt

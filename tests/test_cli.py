@@ -21,7 +21,7 @@ from isoprof import (
     group_from_json,
     multitile_to_json,
 )
-from isoprof.cli import EXIT_INTERNAL, _config_digest, _json_friendly, main
+from isoprof.cli import ERROR_LINE_CAP, EXIT_INTERNAL, _config_digest, _json_friendly, main
 
 HEADER = re.compile(r"^# isoprof 0\.1\.0 config=[0-9a-f]{12}$")
 
@@ -148,7 +148,21 @@ class TestProfileGroup:
             assert main(["profile-group", "--group", bad, "--n-max", "3"]) == 2
             assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',
                          "--tile", bad, "--window", "4"]) == 2
+        # an offending value of thousands of characters, quoted in the message
+        long_generator = json.dumps({"kind": "Zd", "d": 1,
+                                     "generators": [[1], [-1], "x" * 5000]})
+        assert main(["profile-group", "--group", long_generator, "--n-max", "3"]) == 2
+        long_center = json.dumps({"shapes": [[[0]]], "centers": {
+            "kind": "explicit", "list": [[0, 0, "y" * 4000]]}})
+        assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',
+                     "--tile", long_center, "--window", "4"]) == 2
         err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert max(map(len, lines)) <= ERROR_LINE_CAP
+        assert [len(line) for line in lines[-2:]] == [ERROR_LINE_CAP] * 2
+        assert lines[-2].startswith("error: generators must be a list of integer vectors")
+        assert lines[-1].startswith("error: expected a list of integer coordinates")
+        assert lines[-1].endswith("yyy...")
         assert "internal error" not in err
         assert f"error: cannot read group file {str(not_utf8)!r}: " in err
         assert "error: invalid tile JSON: nested too deeply" in err
@@ -157,14 +171,19 @@ class TestProfileGroup:
         assert not (tmp_path / "missing").exists()
 
     def test_unexpected_exception_exits_4_in_one_line(self, monkeypatch, capsys):
+        messages = ["division by zero", "z" * 1000]
+
         def broken(mt, window):
-            raise ZeroDivisionError("division by zero")
+            raise ZeroDivisionError(messages.pop(0))
 
         monkeypatch.setattr("isoprof.cli.verify_multitile_window", broken)
-        assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',
-                     "--tile", interval_tile_json(3), "--window", "8"]) == EXIT_INTERNAL == 4
+        for _ in range(2):
+            assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}', "--tile",
+                         interval_tile_json(3), "--window", "8"]) == EXIT_INTERNAL == 4
         err = capsys.readouterr().err
-        assert err == "internal error: ZeroDivisionError: division by zero\n"
+        capped = "internal error: ZeroDivisionError: z"
+        capped += "z" * (ERROR_LINE_CAP - len(capped) - 3) + "..."
+        assert err == "internal error: ZeroDivisionError: division by zero\n" + capped + "\n"
 
     def test_readme_group_arguments_parse(self):
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
@@ -507,6 +526,16 @@ class TestReproduce:
         assert all(r["match"] == "False" for r in required)
         assert rows[3]["ratio"] == "308/425"
         assert rows[3]["claimed_formula"] == "77/85"
+
+    def test_tiles_table_verifies_at_the_family_windows(self, tmp_path, capsys):
+        outdir = tmp_path / "results"
+        assert main(["reproduce", "--suite", "tiles", "--outdir", str(outdir)]) == 0
+        capsys.readouterr()
+        # the group column holds commas: read the last four columns
+        rows = (outdir / "tiles.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[-4:] for row in rows] == [
+            ["10", "1/5", "40", "True"], ["9", "8/9", "12", "True"],
+            ["425", "308/425", "36", "True"]]
 
     def test_rokhlin_table(self, tmp_path, capsys):
         outdir = tmp_path / "results"

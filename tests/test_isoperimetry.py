@@ -228,8 +228,19 @@ class TestProfileUpper:
             assert profile_upper(g, n, "cubes") >= exact.value(n)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ConfigError):
-            profile_upper(ZdGroup(2), 4, "diamonds")
+        for group in (ZdGroup(2), HeisenbergGroup(), FreeGroup(2)):
+            with pytest.raises(ConfigError):
+                profile_upper(group, 4, "diamonds")
+
+    def test_cuboid_family_values(self):
+        # the cuboid [0,m]^2 x [0,m^2] has (m+1)^2 (m^2+1) points: 1, 8, 45, 160, 425
+        g = HeisenbergGroup()
+        values = [(1, Fraction(1)), (8, Fraction(1)), (45, Fraction(14, 15)),
+                  (160, Fraction(33, 40)), (425, Fraction(308, 425))]
+        for m, (n, value) in enumerate(values):
+            assert boundary_ratio(heisenberg_cuboid(g, m)) == value
+            for name in ("cuboids", "cuboids_n_n_n2"):
+                assert profile_upper(g, n, name) == value
 
 
 @settings(max_examples=40, deadline=None)

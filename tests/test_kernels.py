@@ -4,8 +4,10 @@ import inspect
 import itertools
 import os
 import random
+import shutil
 import subprocess
 import sys
+import sysconfig
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -36,6 +38,10 @@ except ImportError:
     _core = None
 
 needs_core = pytest.mark.skipif(_core is None, reason="compiled kernel unavailable")
+# the compiler that _core builds with, looked up on PATH as the build does
+needs_compiler = pytest.mark.skipif(
+    shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) is None,
+    reason="no C compiler on PATH")
 BACKENDS = [_pure] + ([] if _core is None else [_core])
 
 BIG = 1 << 40
@@ -838,7 +844,9 @@ class TestBuild:
         assert "kernels.c" in reason
 
     @needs_core
+    @needs_compiler
     def test_cached_library_loads_without_a_compiler(self, tmp_path):
+        # the library is built afresh in a new HOME, so this needs the compiler
         no_tools = tmp_path / "bin"
         no_tools.mkdir()
         home = tmp_path / "home"

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import count, product, takewhile
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,11 +19,13 @@ from isoprof import (
     LatticeCenters,
     MultiTile,
     ZdGroup,
+    boundary_ratio,
     folner_multitile_sequence,
     heisenberg_cuboid,
     invariance,
     multitile_from_json,
     multitile_to_json,
+    profile_upper,
     verify_multitile_window,
     zd_cube,
 )
@@ -732,6 +735,18 @@ class TestInvariance:
             prev = rep.achieved
 
 
+def cube_formulas(d):
+    """Size, lattice generators and window of the side-k cube of Z^d."""
+    return lambda k: (k ** d, tuple(tuple(k if j == i else 0 for j in range(d))
+                                    for i in range(d)), 4 * k)
+
+
+def cuboid_formulas(m):
+    """Size, lattice generators and window of the cuboid [0,m]^2 x [0,m^2] of H3."""
+    return ((m + 1) ** 2 * (m * m + 1),
+            ((m + 1, 0, 0), (0, m + 1, 0), (0, 0, m * m + 1)), 2 * (m * m + 2))
+
+
 class TestFolnerSequence:
     def test_zd_picks_largest_cube(self):
         g = ZdGroup(2)
@@ -756,3 +771,36 @@ class TestFolnerSequence:
 
         with pytest.raises(UnsupportedError):
             folner_multitile_sequence(FreeGroup(2), 4)
+
+    @pytest.mark.parametrize("group, name, first, formulas, shape, n_max", [
+        (ZdGroup(1), "intervals", 1, cube_formulas(1), zd_cube, 40),
+        (ZdGroup(2), "cubes", 1, cube_formulas(2), zd_cube, 40),
+        (ZdGroup(3), "cubes", 1, cube_formulas(3), zd_cube, 70),
+        (HeisenbergGroup(), "cuboids", 0, cuboid_formulas, heisenberg_cuboid, 170),
+    ])
+    def test_the_largest_tile_and_the_upper_profile_follow_the_formulas(
+            self, monkeypatch, group, name, first, formulas, shape, n_max):
+        radii = []
+        monkeypatch.setattr(tilings, "verify_multitile_window",
+                            lambda mt, R: radii.append(R) or SimpleNamespace(passed=True))
+        for n in range(1, n_max + 1):
+            fits = list(takewhile(lambda p: formulas(p)[0] <= n, count(first)))
+            size, gens, window = formulas(fits[-1])
+            mt = folner_multitile_sequence(group, n)
+            assert len(mt.shapes[0]) == size
+            assert mt.shapes[0] == shape(group, fits[-1])
+            assert mt.centers[0].generators == gens
+            assert radii == [window]
+            radii.clear()
+            assert profile_upper(group, n, name) == min(boundary_ratio(shape(group, p))
+                                                        for p in fits)
+
+    def test_one_tile_is_built(self, monkeypatch):
+        built = []
+        for name in ("zd_cube", "heisenberg_cuboid"):
+            real = getattr(tilings, name)
+            monkeypatch.setattr(tilings, name, lambda group, side, real=real:
+                                built.append(side) or real(group, side))
+        folner_multitile_sequence(ZdGroup(1), 1000, verify=False)
+        folner_multitile_sequence(HeisenbergGroup(), 424, verify=False)
+        assert built == [1000, 3]
