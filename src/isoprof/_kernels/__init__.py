@@ -2,14 +2,15 @@
 
 The searches (subset_min_ratio, pack_max_weight, min_boundary_sets,
 partition_dp), the step that grows the column spheres of Z^d and the
-Heisenberg group (next_sphere) and the union of those spheres into a ball
-(union_rows) each have both versions.  `_core` compiles kernels.c on first
-import.  When that fails BACKEND is "pure" and BACKEND_REASON says why;
-otherwise BACKEND is "compiled" and the reason is None.  One rule picks the
-version of every call: the compiled twin when `_core` loaded, and the pure
-twin when it did not or when the compiled twin raises OverflowError, which it
-does for exactly the calls whose numbers could leave its int64 range.  Either
-way the results (including node counts and sphere rows) are identical.
+Heisenberg group (next_sphere), the union of those spheres into a ball
+(union_rows) and the ball's neighbour table (ball_table) each have both
+versions.  `_core` compiles kernels.c on first import.  When that fails
+BACKEND is "pure" and BACKEND_REASON says why; otherwise BACKEND is
+"compiled" and the reason is None.  One rule picks the version of every
+call: the compiled twin when `_core` loaded, and the pure twin when it did
+not or when the compiled twin raises OverflowError, which it does for
+exactly the calls whose numbers could leave its int64 range.  Either way the
+results (including node counts, sphere rows and tables) are identical.
 """
 
 from functools import update_wrapper
@@ -41,5 +42,6 @@ def _dispatch(name):
 
 
 (subset_min_ratio, pack_max_weight, min_boundary_sets, partition_dp, next_sphere,
- union_rows) = map(_dispatch, ("subset_min_ratio", "pack_max_weight", "min_boundary_sets",
-                               "partition_dp", "next_sphere", "union_rows"))
+ union_rows, ball_table) = map(_dispatch, (
+     "subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp",
+     "next_sphere", "union_rows", "ball_table"))

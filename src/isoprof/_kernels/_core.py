@@ -7,8 +7,10 @@ ImportError with the reason, and the dispatcher in __init__ then runs the pure
 kernels.  The wrappers check every input the C code would otherwise trust:
 ValueError for what the pure twin refuses too, and OverflowError for a call
 whose numbers could leave int64 (a weight outside [0, 2**62) or a weight sum
-past it, a sphere or row entry that could reach 2**62), which the dispatcher
-then runs on the pure twin.  _check_status decodes the C return codes.
+past it, a sphere, row or table image entry that could reach 2**62), which
+the dispatcher then runs on the pure twin.  _check_status decodes the C
+return codes.  Buffers reach C as pointers into array('i'), array('q') or
+array('Q') objects, so no call makes a ctypes array type.
 """
 
 import ctypes
@@ -23,6 +25,7 @@ from ._pure import (
     check_partition_inputs,
     check_sphere_inputs,
     check_subset_inputs,
+    check_table_inputs,
     check_union_inputs,
 )
 
@@ -86,6 +89,9 @@ def _load():
     lib.next_sphere.restype = _i64
     lib.union_rows.argtypes = [_int, _i64_p, _int, _i64_p, _i64_p]
     lib.union_rows.restype = _i64
+    lib.ball_table.argtypes = [_int, _int, _i64_p, _i64_p, _i64_p, _int, _i64_p, _int_p, _int_p,
+                               _int_p]
+    lib.ball_table.restype = _int
     return lib
 
 
@@ -96,21 +102,30 @@ def _budget(node_budget):
     return max(_INT64_MIN, min(node_budget, _INT64_MAX))
 
 
+def _at(values, ctype):
+    """A pointer to the first item of a writable buffer of ctype items, which
+    keeps the buffer alive, or NULL for an empty one.  No ctypes array type is
+    made: each one would be a new type per call, a cycle of about 16 objects
+    left for the cyclic collector."""
+    return ctypes.byref(ctype.from_buffer(values)) if len(values) else None
+
+
 def _ints(values):
-    """A C int array over values: shared with an array('i'), copied from anything else."""
-    if isinstance(values, array) and values.typecode == "i":
-        return (_int * len(values)).from_buffer(values)
-    return (_int * len(values))(*values)
+    """A C int pointer to values: shared with an array('i'), copied from anything
+    else; OverflowError when a value does not fit."""
+    if not (isinstance(values, array) and values.typecode == "i"):
+        values = array("i", values)
+    return _at(values, _int)
 
 
 def _i64s(values):
-    """A C int64 array over values, shared with an array('q') or a view of one;
+    """A C int64 pointer to values, shared with an array('q') or a view of one;
     OverflowError when a value does not fit."""
     if isinstance(values, memoryview) and values.format == "q" and not values.readonly:
-        return (_i64 * len(values)).from_buffer(values)
+        return _at(values, _i64)
     if not (isinstance(values, array) and values.typecode == "q"):
         values = array("q", values)
-    return (_i64 * len(values)).from_buffer(values)
+    return _at(values, _i64)
 
 
 def _check_int32(limit):
@@ -139,11 +154,11 @@ def subset_min_ratio(flat_neighbors, universe, s_count, n_max, node_budget):
     """Compiled twin of _pure.subset_min_ratio; same contract, same node counts."""
     check_subset_inputs(flat_neighbors, universe, s_count, n_max)
     _check_int32(n_max)
-    num = (_i64 * (n_max + 1))()
-    den = (_i64 * (n_max + 1))()
+    num = array("q", bytes(8 * (n_max + 1)))
+    den = array("q", bytes(8 * (n_max + 1)))
     nodes = _i64()
     status = _lib.subset_min_ratio(_ints(flat_neighbors), universe,
-                                   s_count, n_max, _budget(node_budget), num, den,
+                                   s_count, n_max, _budget(node_budget), _i64s(num), _i64s(den),
                                    ctypes.byref(nodes))
     _check_status(status, "subset_min_ratio")
     return list(num), list(den), nodes.value, status == 1
@@ -158,16 +173,15 @@ def pack_max_weight(masks, weights, n_bound, node_budget, fix_root):
     if count == 0:
         return 0, (), 0, True
     limbs = max(1, (max(masks).bit_length() + 63) // 64)
-    vmask = (_u64 * (count * limbs))(
-        *[(mask >> s) & _LIMB for mask in masks for s in range(0, 64 * limbs, 64)])
+    vmask = array("Q", [(mask >> s) & _LIMB for mask in masks for s in range(0, 64 * limbs, 64)])
     order = sorted(range(count), key=lambda i: (-weights[i], i))
     best = _i64()
-    best_set = (_u64 * ((count + 63) // 64))()
+    best_set = array("Q", bytes(8 * ((count + 63) // 64)))
     nodes = _i64()
-    status = _lib.pack_max_weight(count, limbs, vmask, (_i64 * count)(*weights),
+    status = _lib.pack_max_weight(count, limbs, _at(vmask, _u64), _i64s(weights),
                                   _ints(order), min(n_bound, _INT_MAX),
                                   _budget(node_budget), 1 if fix_root else 0,
-                                  ctypes.byref(best), best_set,
+                                  ctypes.byref(best), _at(best_set, _u64),
                                   ctypes.byref(nodes))
     _check_status(status, "pack_max_weight")
     items = tuple(i for i in range(count) if best_set[i >> 6] >> (i & 63) & 1)
@@ -179,12 +193,13 @@ def min_boundary_sets(flat_neighbors, universe, s_count, limit, ranks, node_budg
     """Compiled twin of _pure.min_boundary_sets; same contract, same node counts."""
     check_connected_inputs(flat_neighbors, universe, s_count, limit, ranks, inverse)
     _check_int32(limit)
-    best = (_i64 * (limit + 1))()
-    sets = (_int * ((limit + 1) * limit))()
+    best = array("q", bytes(8 * (limit + 1)))
+    sets = array("i", bytes(4 * (limit + 1) * limit))
     nodes = _i64()
     status = _lib.min_boundary_sets(_ints(flat_neighbors), universe, s_count, limit,
                                     _ints(ranks), None if inverse is None else _ints(inverse),
-                                    _budget(node_budget), best, sets, ctypes.byref(nodes))
+                                    _budget(node_budget), _i64s(best), _ints(sets),
+                                    ctypes.byref(nodes))
     _check_status(status, "min_boundary_sets",
                   "the neighbor table misses a translate of a visited set")
     sets = [tuple(sets[k * limit : k * limit + k]) if best[k] >= 0 else ()
@@ -197,15 +212,19 @@ def partition_dp(flat_neighbors, universe, s_count, weights, limit):
     check_partition_inputs(flat_neighbors, universe, s_count, weights, limit)
     _check_weights(weights)
     value = _i64()
-    cells = (_u64 * universe)()
+    cells = array("Q", bytes(8 * universe))
     n_cells = _int()
     nodes = _i64()
-    status = _lib.partition_dp(_ints(flat_neighbors), universe, s_count,
-                               (_i64 * universe)(*weights), min(limit, universe),
-                               ctypes.byref(value), cells, ctypes.byref(n_cells),
-                               ctypes.byref(nodes))
+    status = _lib.partition_dp(_ints(flat_neighbors), universe, s_count, _i64s(weights),
+                               min(limit, universe), ctypes.byref(value), _at(cells, _u64),
+                               ctypes.byref(n_cells), ctypes.byref(nodes))
     _check_status(status, "partition_dp")
     return value.value, tuple(cells[: n_cells.value]), nodes.value
+
+
+def _step_entries(steps):
+    """Steps (head, dc, coef) as the flat entries kernels.c reads."""
+    return [x for head, dc, coef in steps for x in (*head, dc, *coef)]
 
 
 def next_sphere(key_len, steps, prev_rows, older_rows):
@@ -215,9 +234,8 @@ def next_sphere(key_len, steps, prev_rows, older_rows):
     width = key_len + 2
     n_prev, n_older = len(prev_rows) // width, len(older_rows) // width
     out = array("q", bytes(8 * width * ((len(steps) + 1) * n_prev + n_older)))
-    flat = [x for head, dc, coef in steps for x in (*head, dc, *coef)]
-    rows = _lib.next_sphere(key_len, len(steps), _i64s(flat), _i64s(prev_rows), n_prev,
-                            _i64s(older_rows), n_older, _i64s(out))
+    rows = _lib.next_sphere(key_len, len(steps), _i64s(_step_entries(steps)),
+                            _i64s(prev_rows), n_prev, _i64s(older_rows), n_older, _i64s(out))
     _check_status(rows, "next_sphere", "rows must be sorted by (key, lo), disjoint per key")
     del out[rows * width:]
     return out
@@ -235,3 +253,19 @@ def union_rows(key_len, rows, ends):
     out = array("q", bytes(8 * (key_len + 2) * count))
     _check_status(_lib.union_rows(*args, _i64s(out)), "union_rows")
     return out
+
+
+def ball_table(key_len, steps, form, rows, ends, inverse):
+    """Compiled twin of _pure.ball_table; OverflowError when an image
+    coordinate could reach 2**62."""
+    size = check_table_inputs(key_len, steps, form, rows, ends)
+    flat = array("i", bytes(4 * size * len(steps)))
+    inv = array("i", bytes(4 * size)) if inverse else None
+    ranks = array("i", bytes(4 * size))
+    status = _lib.ball_table(key_len, len(steps), _i64s(_step_entries(steps)),
+                             _i64s([x for row in form for x in row]), _i64s(rows), len(ends),
+                             _i64s(ends), _ints(flat), None if inv is None else _ints(inv),
+                             _ints(ranks))
+    _check_status(status, "ball_table",
+                  "rows must be sorted by (key, lo) in each run, disjoint per key across runs")
+    return flat, inv, ranks

@@ -4,20 +4,24 @@ Same algorithms, same node counts, same results as kernels.c; only the data
 layout differs (Python ints as bitmasks instead of uint64 limbs).  Every
 search runs on an explicit stack in the same node order, so no input size
 hits the recursion limit.  The connected-set kernels, min_boundary_sets and
-partition_dp, share one enumerator, grow_sets.  Two kernels do not search:
+partition_dp, share one enumerator, grow_sets.  Three kernels do not search:
 next_sphere grows the column spheres of Z^d and the Heisenberg group, and
-union_rows joins them into a ball; both end in one sweep, _sweep.  The
-dispatcher in __init__ runs these twins when the compiled kernels do not
-build, and for each call whose compiled twin raises OverflowError: Python
-ints have no cap, so the calls whose numbers leave int64 run here.
+union_rows joins them into a ball, both in one sweep, _sweep; ball_table
+builds a ball's neighbour table from those spheres' rows.  The dispatcher in
+__init__ runs these twins when the compiled kernels do not build, and for
+each call whose compiled twin raises OverflowError: Python ints have no cap,
+so the calls whose numbers leave int64 run here.
 """
 
+from array import array
 from heapq import merge
-from itertools import chain, islice, repeat
-from operator import add, gt, le, mul
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, eq, gt, itemgetter, le, mul, not_, or_, sub
 
 # partition_dp keeps a table of 2**universe values
 DP_MAX_VERTICES = 20
+# vertex ids are C ints
+MAX_VERTICES = (1 << 31) - 1
 
 
 def check_subset_inputs(flat_neighbors, universe, s_count, n_max):
@@ -521,14 +525,18 @@ def partition_dp(flat_neighbors, universe, s_count, weights, limit):
     return value[full], tuple(cells), nodes
 
 
-def check_sphere_inputs(key_len, steps, prev_rows, older_rows):
-    """Raise ValueError unless the arguments fit the next_sphere contract; the
-    order of the rows is checked by each backend's own sweep."""
+def _check_steps(key_len, steps):
     if key_len < 0 or not steps:
         raise ValueError("key_len must be nonnegative and steps nonempty")
     for head, _, coef in steps:
         if len(head) != key_len or len(coef) != key_len:
             raise ValueError("each step needs a head and a coef of key_len entries")
+
+
+def check_sphere_inputs(key_len, steps, prev_rows, older_rows):
+    """Raise ValueError unless the arguments fit the next_sphere contract; the
+    order of the rows is checked by each backend's own sweep."""
+    _check_steps(key_len, steps)
     if len(prev_rows) % (key_len + 2) or len(older_rows) % (key_len + 2):
         raise ValueError("rows must have key_len + 2 entries each")
 
@@ -635,3 +643,127 @@ def union_rows(key_len, rows, ends):
         keys = zip(*(run[t::width] for t in range(key_len))) if key_len else repeat(())
         runs.append(zip(keys, run[key_len::width], run[key_len + 1::width]))
     return _sweep(merge(*runs), [])  # one row of each run held at a time
+
+
+def check_table_inputs(key_len, steps, form, rows, ends):
+    """Raise ValueError unless the arguments fit the ball_table contract, and
+    return the ball's number of points; the order of the rows is checked by
+    each backend."""
+    check_union_inputs(key_len, rows, ends)
+    _check_steps(key_len, steps)
+    if len(form) != key_len or any(len(row) != key_len for row in form):
+        raise ValueError("form must be a key_len x key_len matrix")
+    los, his = rows[key_len::key_len + 2], rows[key_len + 1::key_len + 2]
+    if not all(map(le, los, his)):
+        raise ValueError("rows must have lo <= hi")
+    size = sum(his) - sum(los) + len(los)
+    if size > MAX_VERTICES:
+        raise ValueError(f"a ball table takes at most {MAX_VERTICES} points")
+    return size
+
+
+def _column_ids(columns, ids, outside, key, a, b, image):
+    """Extend image by the ids of the points a..b of column key, in order: a
+    slice of ids per interval of the column, a slice of outside (all -1) for
+    points outside the ball.  columns maps a key to its (lo, hi, rank)
+    intervals."""
+    t = a
+    for lo, hi, rank in columns.get(key, ()):
+        if hi < t:
+            continue
+        if lo > b:
+            break
+        if lo > t:
+            image += outside[:lo - t]
+            t = lo
+        end = hi if hi < b else b
+        image += ids[rank + t - lo:rank + end - lo + 1]
+        t = end + 1
+    if t <= b:
+        image += outside[:b - t + 1]
+
+
+def ball_table(key_len, steps, form, rows, ends, inverse):
+    """The neighbour table of a ball of a column group, from its spheres' rows.
+
+    rows and ends are as union_rows takes them, run r the rows of sphere r.
+    The points of each row get consecutive vertex ids, row after row, so
+    sphere 0, the identity, is vertex 0.  Returns (flat, inverse, ranks) as
+    arrays('i'): flat[v * len(steps) + s] is the id of step s (as in
+    next_sphere) applied to vertex v, inverse (None unless asked for) the id
+    of v's inverse, and ranks[v] v's place in (key, c) order, which is tuple
+    order.  Ids outside the ball are -1.  form is the key_len x key_len
+    matrix M of the law's twist, c(gh) = c(g) + c(h) + key(g).M.key(h), so
+    (key, c) has the inverse (-key, -c + key.M.key).  The rows of one key
+    must be disjoint across runs.  Sorted by (key, lo), adjacent rows join
+    into the maximal intervals of the ball's columns, whose ranks are
+    consecutive, so each (interval, step) image is one column lookup and a
+    few slices of ids; this twin builds each table column in rank order and
+    gathers it into id order at once.  Python ints have no cap, so this twin
+    also runs the calls whose coordinates could reach 2**62.
+    """
+    size = check_table_inputs(key_len, steps, form, rows, ends)
+    if not size:
+        return array("i"), array("i") if inverse else None, array("i")
+    width = key_len + 2
+    keys, los, his = [], [], []
+    for start, end in zip((0, *ends), ends):
+        _, run_keys, run_los, run_his = _split_rows(rows[start * width:end * width], key_len)
+        keys += run_keys
+        los += run_los
+        his += run_his
+    sizes = list(map(sub, map(add, his, repeat(1)), los))
+    starts = list(accumulate(sizes, initial=0))  # each row's first id
+    stops = starts[1:]
+    by_tuple = sorted(range(len(los)),
+                      key=list(zip(*(rows[t::width] for t in range(key_len + 1)))).__getitem__)
+    ids = array("i", chain.from_iterable(map(range, map(starts.__getitem__, by_tuple),
+                                             map(stops.__getitem__, by_tuple))))  # by rank
+    # in (key, lo) order: each row's rank, and whether it starts an interval of
+    # the ball's columns or joins the one before
+    skeys, slos, shis = (list(map(x.__getitem__, by_tuple)) for x in (keys, los, his))
+    firsts = list(accumulate(map(sizes.__getitem__, by_tuple), initial=0))
+    same = list(map(eq, skeys, islice(skeys, 1, None)))
+    if any(compress(map(le, islice(slos, 1, None), shis), same)):
+        raise ValueError("the rows of a key must be disjoint across runs")
+    heads = [True, *map(or_, map(not_, same),
+                        map(gt, islice(slos, 1, None), map(add, shis, repeat(1))))]
+    span_keys, span_los, span_ranks = (list(compress(x, heads)) for x in (skeys, slos, firsts))
+    span_his = list(compress(shis, [*islice(heads, 1, None), True]))
+    spans = list(zip(span_keys, span_los, span_his, span_ranks))
+    first = [0] * len(los)
+    for i, rank in zip(by_tuple, firsts):
+        first[i] = rank
+    ranks = array("i", chain.from_iterable(map(range, first, map(add, first, sizes))))
+    columns = {}
+    for key, lo, hi, rank in spans:
+        columns.setdefault(key, []).append((lo, hi, rank))
+    gather = itemgetter(*ranks, 0)  # the 0 makes a tuple of one point too; [:-1] drops it
+    outside = array("i", [-1]) * size
+
+    count = len(steps)
+    flat = array("i", bytes(4 * size * count))
+    key_cols = list(zip(*span_keys))
+    for s, (head, dc, coef) in enumerate(steps):
+        shifts = repeat(dc, len(spans))  # as in next_sphere, per interval
+        for c, col in zip(coef, key_cols):
+            if c:
+                shifts = map(add, shifts, map(mul, col, repeat(c)))
+        shifts = list(shifts)
+        moved = zip(*(map(add, col, repeat(h)) for col, h in zip(key_cols, head))) if key_len \
+            else repeat(())
+        image = array("i")
+        for key, a, b in zip(moved, map(add, span_los, shifts), map(add, span_his, shifts)):
+            _column_ids(columns, ids, outside, key, a, b, image)
+        flat[s::count] = array("i", gather(image)[:-1])
+    if not inverse:
+        return flat, None, ranks
+    twist = [(t, u, m) for t, row in enumerate(form) for u, m in enumerate(row) if m]
+    image = array("i")
+    for key, lo, hi, _ in spans:  # point lo + i goes to q - lo - i
+        q = sum(key[t] * m * key[u] for t, u, m in twist)
+        run = array("i")
+        _column_ids(columns, ids, outside, tuple(-x for x in key), q - hi, q - lo, run)
+        run.reverse()
+        image += run
+    return flat, array("i", gather(image)[:-1]), ranks

@@ -10,10 +10,11 @@
    connected sets (one enumerator behind min_boundary_sets and
    partition_dp).  Each entry point returns 1 when the search finished, 0
    when it stopped on the node budget and -1 when an allocation failed;
-   min_boundary_sets returns -2 when its table misses a translate.  Two
+   min_boundary_sets returns -2 when its table misses a translate.  Three
    kernels do not search: next_sphere grows the column spheres of Z^d and the
    Heisenberg group, and union_rows joins them into a ball, each one interval
-   sweep over sorted runs of rows. */
+   sweep over sorted runs of rows; ball_table merges the same runs into the
+   ball's columns and reads its neighbour table from them. */
 
 #include <limits.h>
 #include <stdlib.h>
@@ -791,6 +792,28 @@ static long long capped_madd(long long a, long long b, long long c)
     return a + b * c;
 }
 
+/* 0 when no step (2k + 1 entries: head, dc, coef) moves a coordinate of rows
+   bounded by top, as rows_check leaves it, to 2**62 or past it; -3 when one
+   could: a step moves a coordinate by at most |head| or |dc| + |coef|.|key| */
+static int steps_check(int k, int n_steps, const long long *steps, const long long *top)
+{
+    int s, t;
+    long long reach;
+    const long long *step;
+    for (s = 0; s < n_steps; s++) {
+        step = steps + (size_t)s * (2 * k + 1);
+        reach = abs_capped(step[k]);
+        for (t = 0; t < k; t++)
+            reach = capped_madd(reach, abs_capped(step[k + 1 + t]), top[0]);
+        for (t = 0; t < k; t++)
+            if (abs_capped(step[t]) > reach)
+                reach = abs_capped(step[t]);
+        if (top[1] + reach >= COORD_CAP)
+            return -3;
+    }
+    return 0;
+}
+
 typedef struct {
     int k;
     const long long *holes; /* rows to cut out, sorted by (key, lo) */
@@ -858,29 +881,46 @@ static void heap_down(const long long **at, int *heap, int n, int i, int k)
     }
 }
 
-/* Merge n_runs runs of rows sorted by (key, lo), run s from at[s] up to
-   end[s], joining the overlapping or adjacent intervals of each key, and
-   pass each joined interval through sweep_cut.  The runs wait in a binary
-   heap (room for n_runs ints) ordered by their next rows; at[] advances to
-   end[]. */
-static void sweep_runs(Sweep *sw, const long long **at, const long long **end, int n_runs,
-                       int *heap)
+/* Put the nonempty runs of n_runs, run s from at[s] up to end[s], in a
+   binary heap (room for n_runs ints) ordered by their next rows; returns
+   their count. */
+static int heap_init(const long long **at, const long long **end, int n_runs, int *heap, int k)
 {
-    int k = sw->k, s, n = 0;
-    long long hi = 0;
-    const long long *pick, *cur = NULL;
+    int s, n = 0;
     for (s = 0; s < n_runs; s++)
         if (at[s] != end[s])
             heap[n++] = s;
     for (s = n / 2 - 1; s >= 0; s--)
         heap_down(at, heap, n, s, k);
+    return n;
+}
+
+/* The next row of the *n runs in the heap, by (key, lo) then by run; its
+   run advances, and leaves the heap at its end. */
+static const long long *heap_next(const long long **at, const long long **end, int *heap,
+                                  int *n, int k)
+{
+    int s = heap[0];
+    const long long *pick = at[s];
+    at[s] += k + 2;
+    if (at[s] == end[s])
+        heap[0] = heap[--*n];
+    heap_down(at, heap, *n, 0, k);
+    return pick;
+}
+
+/* Merge n_runs runs of rows sorted by (key, lo), run s from at[s] up to
+   end[s], joining the overlapping or adjacent intervals of each key, and
+   pass each joined interval through sweep_cut.  The runs wait in a heap
+   (room for n_runs ints); at[] advances to end[]. */
+static void sweep_runs(Sweep *sw, const long long **at, const long long **end, int n_runs,
+                       int *heap)
+{
+    int k = sw->k, n = heap_init(at, end, n_runs, heap, sw->k);
+    long long hi = 0;
+    const long long *pick, *cur = NULL;
     while (n) {
-        s = heap[0];
-        pick = at[s];
-        at[s] += k + 2;
-        if (at[s] == end[s])
-            heap[0] = heap[--n];
-        heap_down(at, heap, n, 0, k);
+        pick = heap_next(at, end, heap, &n, k);
         if (cur && row_cmp(cur, pick, k) == 0 && pick[k] <= hi + 1) {
             if (pick[k + 1] > hi)
                 hi = pick[k + 1];
@@ -898,7 +938,7 @@ static void sweep_runs(Sweep *sw, const long long **at, const long long **end, i
 /* room for the cursors of n runs: at and end, then a heap of run indices */
 static const long long **runs_alloc(int n)
 {
-    return malloc((size_t)(n ? n : 1) * (2 * sizeof(long long *) + sizeof(int)));
+    return malloc((size_t)(n > 0 ? n : 1) * (2 * sizeof(long long *) + sizeof(int)));
 }
 
 /* Rows of sphere r from the rows of spheres r - 1 (prev) and r - 2 (older).
@@ -911,31 +951,20 @@ static const long long **runs_alloc(int n)
    writes at most one row after its last hole and every hole at most one row
    before it, so out needs room for n_steps * n_prev + n_prev + n_older rows.
    Returns the number of rows written, -1 when an allocation failed, -2 when
-   prev or older is not sorted and -3 when a number could reach 2**62: a
-   step moves a coordinate by at most |head| or |dc| + |coef|.|key|, so no
-   sum below overflows. */
+   prev or older is not sorted and -3 when a number could reach 2**62
+   (steps_check), so no sum below overflows. */
 long long next_sphere(int k, int n_steps, const long long *steps, const long long *prev,
                       long long n_prev, const long long *older, long long n_older,
                       long long *out)
 {
     int w = k + 2, s, t, bad;
     size_t n_moved = (size_t)n_steps * n_prev * w, n_holes = (size_t)(n_prev + n_older) * w;
-    long long i, j, shift, top[2] = {0, 0}, reach, *moved, *holes, *dst;
+    long long i, j, shift, top[2] = {0, 0}, *moved, *holes, *dst;
     const long long *step, *src, **at, **end;
     Sweep sw;
-    if ((bad = rows_check(prev, n_prev, k, top)) || (bad = rows_check(older, n_older, k, top)))
+    if ((bad = rows_check(prev, n_prev, k, top)) || (bad = rows_check(older, n_older, k, top))
+        || (bad = steps_check(k, n_steps, steps, top)))
         return bad;
-    for (s = 0; s < n_steps; s++) {
-        step = steps + (size_t)s * (2 * k + 1);
-        reach = abs_capped(step[k]);
-        for (t = 0; t < k; t++)
-            reach = capped_madd(reach, abs_capped(step[k + 1 + t]), top[0]);
-        for (t = 0; t < k; t++)
-            if (abs_capped(step[t]) > reach)
-                reach = abs_capped(step[t]);
-        if (top[1] + reach >= COORD_CAP)
-            return -3;
-    }
     moved = malloc((n_moved + n_holes + 1) * sizeof(long long));
     at = runs_alloc(n_steps);
     if (!moved || !at) {
@@ -978,33 +1007,197 @@ long long next_sphere(int k, int n_steps, const long long *steps, const long lon
 
 /* ---- kernel 5: the union of sorted runs of column rows ---- */
 
-/* The union of n_runs runs of rows: run s is rows ends[s - 1] up to ends[s]
-   (from row 0 for s = 0), each sorted by (key, lo) with disjoint intervals per
-   key, as next_sphere returns them.  The runs are merged with the overlapping
-   or adjacent intervals of each key joined, and no holes.  With out NULL
-   nothing is written, so a first call sizes out exactly.  Returns the number
-   of rows, -1 when an allocation failed, -2 when a run is not sorted and -3
-   when an entry reaches 2**62. */
-long long union_rows(int k, const long long *rows, int n_runs, const long long *ends,
-                     long long *out)
+/* Check the n_runs runs of rows, run s rows ends[s - 1] up to ends[s] (from
+   row 0 for s = 0), with rows_check, and open a cursor on each: *cursors
+   holds at, then end, then room for a heap of runs.  Returns 0, or -1 when
+   an allocation failed, or the code of rows_check. */
+static int runs_open(const long long *rows, int k, int n_runs, const long long *ends,
+                     long long *top, const long long ***cursors)
 {
     int s, bad;
-    long long top[2] = {0, 0};
-    const long long **at, **end;
-    Sweep sw = {k, NULL, 0, 0, out, 0};
+    const long long **at;
     for (s = 0; s < n_runs; s++)
         if ((bad = rows_check(rows + (s ? ends[s - 1] : 0) * (k + 2),
                               ends[s] - (s ? ends[s - 1] : 0), k, top)))
             return bad;
-    at = runs_alloc(n_runs);
-    if (!at)
+    if (!(*cursors = at = runs_alloc(n_runs)))
         return -1;
-    end = at + n_runs;
     for (s = 0; s < n_runs; s++) {
         at[s] = rows + (s ? ends[s - 1] : 0) * (k + 2);
-        end[s] = rows + ends[s] * (k + 2);
+        at[n_runs + s] = rows + ends[s] * (k + 2);
     }
-    sweep_runs(&sw, at, end, n_runs, (int *)(end + n_runs));
+    return 0;
+}
+
+/* The union of n_runs runs of rows, each sorted by (key, lo) with disjoint
+   intervals per key, as next_sphere returns them.  The runs are merged with
+   the overlapping or adjacent intervals of each key joined, and no holes.
+   With out NULL nothing is written, so a first call sizes out exactly.
+   Returns the number of rows, -1 when an allocation failed, -2 when a run is
+   not sorted and -3 when an entry reaches 2**62. */
+long long union_rows(int k, const long long *rows, int n_runs, const long long *ends,
+                     long long *out)
+{
+    int bad;
+    long long top[2] = {0, 0};
+    const long long **at;
+    Sweep sw = {k, NULL, 0, 0, out, 0};
+    if ((bad = runs_open(rows, k, n_runs, ends, top, &at)))
+        return bad;
+    sweep_runs(&sw, at, at + n_runs, n_runs, (int *)(at + 2 * n_runs));
     free(at);
     return sw.n_out;
+}
+
+/* ---- kernel 6: the neighbour table of a column ball ---- */
+
+/* A ball's columns as maximal intervals, sorted by (key, lo): interval j is
+   lo[j]..hi[j] of column key[j] (k entries of a row), and its points hold
+   the ranks rank[j] on, in order; id[] maps a rank to its vertex id. */
+typedef struct {
+    int k;
+    long long n;
+    const long long **key;
+    long long *lo, *hi, *rank;
+    const int *id;
+} Columns;
+
+/* The ids of the points a..b of column key into img, in order, -1 for a
+   point outside the ball: one binary search, then a walk along the
+   column's intervals. */
+static void column_ids(const Columns *c, const long long *key, long long a, long long b,
+                       int *img)
+{
+    long long lo = 0, hi = c->n, mid, j, t = a;
+    int cmp;
+    while (lo < hi) { /* the first interval that does not end before (key, a) */
+        mid = lo + (hi - lo) / 2;
+        cmp = row_cmp(c->key[mid], key, c->k);
+        if (cmp < 0 || (cmp == 0 && c->hi[mid] < a))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    for (j = lo; j < c->n && t <= b && row_cmp(c->key[j], key, c->k) == 0; j++) {
+        for (; t <= b && t < c->lo[j]; t++)
+            *img++ = -1;
+        for (; t <= b && t <= c->hi[j]; t++)
+            *img++ = c->id[c->rank[j] + (t - c->lo[j])];
+    }
+    for (; t <= b; t++)
+        *img++ = -1;
+}
+
+/* The neighbour table of a ball of a column group, from its spheres' rows:
+   n_runs runs as union_rows takes them, run r the rows of sphere r.  The
+   points of each row get consecutive vertex ids, row after row, so sphere 0,
+   the identity, is vertex 0.  ranks[v] receives v's place in (key, c)
+   order, which is tuple order; flat[v * n_steps + s] the id of step s (as in
+   next_sphere) applied to v; and inv, unless NULL, the id of v's inverse.
+   The k x k form M gives the law's twist, c(gh) = c(g) + c(h) + key(g).M.key(h),
+   so (key, c) has the inverse (-key, -c + key.M.key).  Ids outside the ball
+   are -1.  The runs are merged by (key, lo), and the rows of one key must be
+   disjoint across runs; adjacent rows join into the maximal intervals of the
+   ball's columns, whose ranks are consecutive, so each (interval, step) image
+   is one column lookup and a walk.  Returns 0, -1 when an allocation
+   failed, -2 when a run is not sorted or two runs overlap, and -3 when an
+   image coordinate could reach 2**62. */
+int ball_table(int k, int n_steps, const long long *steps, const long long *form,
+               const long long *rows, int n_runs, const long long *ends, int *flat,
+               int *inv, int *ranks)
+{
+    int w = k + 2, s, t, u, heap_n, bad;
+    long long top[2] = {0, 0}, n_rows = n_runs ? ends[n_runs - 1] : 0, i, j, size = 0;
+    long long ranked, len, twist = 0, shift, q, *base, *key;
+    const long long **at, *row, *step;
+    int *id, *img;
+    Columns c = {k, 0};
+    if ((bad = runs_open(rows, k, n_runs, ends, top, &at)))
+        return bad;
+    if ((bad = steps_check(k, n_steps, steps, top))) {
+        free(at);
+        return bad;
+    }
+    if (inv) { /* |key.M.key| <= sum |M| * top[0]**2 */
+        for (t = 0; t < k * k; t++)
+            twist = capped_madd(twist, 1, abs_capped(form[t]));
+        twist = capped_madd(0, capped_madd(0, twist, top[0]), top[0]);
+        if (twist + top[1] >= COORD_CAP) {
+            free(at);
+            return -3;
+        }
+    }
+    for (i = 0; i < n_rows; i++)
+        size += rows[i * w + k + 1] - rows[i * w + k] + 1;
+    /* per row its first id; per interval its key, lo, hi and rank; an image
+       key; per rank its id, then the ids of one image */
+    base = malloc(((size_t)5 * n_rows + k + 1) * sizeof(long long));
+    c.key = malloc(((size_t)n_rows + 1) * sizeof(long long *));
+    id = malloc(((size_t)2 * size + 1) * sizeof(int));
+    if (!base || !c.key || !id) {
+        free(at);
+        free(base);
+        free(c.key);
+        free(id);
+        return -1;
+    }
+    c.lo = base + n_rows;
+    c.hi = c.lo + n_rows;
+    c.rank = c.hi + n_rows;
+    key = c.rank + n_rows;
+    c.id = id;
+    img = id + size;
+    for (i = 0, base[0] = 0; i + 1 < n_rows; i++)
+        base[i + 1] = base[i] + rows[i * w + k + 1] - rows[i * w + k] + 1;
+    heap_n = heap_init(at, at + n_runs, n_runs, (int *)(at + 2 * n_runs), k);
+    for (ranked = 0; heap_n;) {
+        row = heap_next(at, at + n_runs, (int *)(at + 2 * n_runs), &heap_n, k);
+        j = c.n - 1;
+        if (c.n && row_cmp(c.key[j], row, k) == 0 && row[k] <= c.hi[j] + 1) {
+            if (row[k] <= c.hi[j]) {
+                bad = -2;
+                break;
+            }
+            c.hi[j] = row[k + 1];
+        } else {
+            c.key[c.n] = row;
+            c.lo[c.n] = row[k];
+            c.hi[c.n] = row[k + 1];
+            c.rank[c.n++] = ranked;
+        }
+        i = base[(row - rows) / w];
+        for (len = row[k + 1] - row[k] + 1; len--; i++, ranked++) {
+            ranks[i] = (int)ranked;
+            id[ranked] = (int)i;
+        }
+    }
+    for (j = 0; !bad && j < c.n; j++) {
+        len = c.hi[j] - c.lo[j] + 1;
+        for (s = 0; s < n_steps; s++) {
+            step = steps + (size_t)s * (2 * k + 1);
+            shift = step[k];
+            for (t = 0; t < k; t++) {
+                key[t] = c.key[j][t] + step[t];
+                shift += step[k + 1 + t] * c.key[j][t];
+            }
+            column_ids(&c, key, c.lo[j] + shift, c.hi[j] + shift, img);
+            for (i = 0; i < len; i++)
+                flat[(size_t)id[c.rank[j] + i] * n_steps + s] = img[i];
+        }
+        if (inv) { /* point lo + i goes to q - lo - i, image len - 1 - i */
+            for (q = 0, t = 0; t < k; t++) {
+                key[t] = -c.key[j][t];
+                for (u = 0; u < k; u++)
+                    q += c.key[j][t] * form[t * k + u] * c.key[j][u];
+            }
+            column_ids(&c, key, q - c.hi[j], q - c.lo[j], img);
+            for (i = 0; i < len; i++)
+                inv[id[c.rank[j] + i]] = img[len - 1 - i];
+        }
+    }
+    free(at);
+    free(base);
+    free(c.key);
+    free(id);
+    return bad;
 }

@@ -29,12 +29,22 @@ of store; as dicts it is 17,574 column entries over 2,665 distinct keys and
 32,483 intervals over 1,789 distinct ones.  Building a group and its sphere
 0 does not load the kernels.  Points are listed only when asked for, in
 (key, c) order, which is tuple order.  Free groups keep sorted point lists.
+
+A search reads ball(r) as a neighbour table that the group builds itself
+(MarkedGroup._table), with no {element: id} index and no product per entry.
+On Z^d and the Heisenberg group the law is one integer form M on column
+keys (c(gh) = c(g) + c(h) + key(g).M.key(h)), which gives both the column
+steps and the inverses, and _kernels.ball_table reads the table from the
+store's rows: each row's points get consecutive ids, and each image of a
+column interval is one column lookup.  On F_k every table column is a run of
+ranges per sphere, found by arithmetic on the sorted spheres' blocks.
 """
 
 from array import array
+from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import chain, compress, islice
-from operator import ne
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, mul, ne, sub, xor
 
 from .errors import (
     ConfigError,
@@ -139,6 +149,18 @@ class MarkedGroup:
 
     def _norm(self, g):
         """Word norm of a validated element."""
+        raise NotImplementedError
+
+    def _max_norm(self, points):
+        """The largest word norm over validated elements."""
+        return max(map(self._norm, points))
+
+    def _table(self, radius, inverse):
+        """(order, flat, inverse, ranks) of ball(radius): its elements in (norm,
+        tuple) order, the identity first; the row-major array('i') of the ids of
+        s*g per element g and generator s, -1 outside the ball; when inverse is
+        set the id of each g^-1, else None; and each element's place in tuple
+        order, an array('i')."""
         raise NotImplementedError
 
     def _sphere(self, r):
@@ -315,6 +337,10 @@ class _TupleGroup(MarkedGroup):
 
     _bad_generator = _not_element = ""  # message formats, set per subclass
     _abelian = 0  # leading coordinates that map onto the abelianization; 0: all
+    _form = ()
+    """The law as one integer form M on column keys: the key of g*h is
+    key(g) + key(h) and its last coordinate c(g) + c(h) + key(g).M.key(h), so
+    (key, c) has the inverse (-key, -c + key.M.key)."""
     right_ordered = True
     """Tuple order is right-invariant, whatever the generators, since the law is
     fixed.  On Z^d, g*x = g + x shifts every coordinate of g and h alike.  On
@@ -353,8 +379,9 @@ class _TupleGroup(MarkedGroup):
 
     def _column_step(self, s):
         """s acting on columns as data (head, dc, coef): s * column key lies in
-        column key + head, shifted by dc + coef.key."""
-        raise NotImplementedError
+        column key + head, shifted by dc + coef.key, where coef = key(s).M."""
+        head = s[:-1]
+        return head, s[-1], tuple(sum(map(mul, head, col)) for col in zip(*self._form))
 
     def _sphere(self, r):
         self._grow(r)
@@ -384,17 +411,35 @@ class _TupleGroup(MarkedGroup):
             store.extend(rows)
             ends.append(len(store) // (self._length + 1))
 
+    def _ball_rows(self, radius):
+        """(rows, ends) of spheres 0..radius: the store's rows through sphere
+        radius and the row at which each sphere ends."""
+        self._grow(self._check_radius(radius))
+        ends = self._ends[1:radius + 2]
+        size = ends[-1] * (self._length + 1)
+        store = self._store
+        return (memoryview(store)[:size] if isinstance(store, array) else store[:size]), ends
+
     def _ball_columns(self, radius):
         """ball(radius) in column form, {key: sorted disjoint intervals} with sorted
         keys, from one union of the store's rows; no sphere dict is built."""
         from . import _kernels
 
-        self._grow(self._check_radius(radius))
-        ends = self._ends[1:radius + 2]
-        size = ends[-1] * (self._length + 1)
-        store = self._store
-        rows = memoryview(store)[:size] if isinstance(store, array) else store[:size]
-        return self._columns(_kernels.union_rows(self._length - 1, rows, ends))
+        return self._columns(_kernels.union_rows(self._length - 1, *self._ball_rows(radius)))
+
+    def _table(self, radius, inverse):
+        from . import _kernels
+
+        rows, ends = self._ball_rows(radius)
+        flat, inv, ranks = _kernels.ball_table(self._length - 1, self._steps, self._form, rows,
+                                               ends, inverse)
+        # the points row after row, the ids ball_table gives them
+        width = self._length + 1
+        los, his = rows[width - 2::width], rows[width - 1::width]
+        ups = list(map(add, his, repeat(1)))
+        sizes = list(map(sub, ups, los))
+        keys = (chain.from_iterable(map(repeat, rows[t::width], sizes)) for t in range(width - 2))
+        return list(zip(*keys, chain.from_iterable(map(range, los, ups)))), flat, inv, ranks
 
     def _columns(self, rows, share=None):
         """The column form of flat rows, with keys and intervals shared through
@@ -424,6 +469,29 @@ class _TupleGroup(MarkedGroup):
     def _column_of(self, g):
         """(column key, c) of an element, inverse to _point."""
         return g[:-1], g[-1]
+
+    def _max_norm(self, points):
+        """Read from the store: the last sphere whose rows hold a point not yet
+        found, with no sphere dict."""
+        wanted = {}
+        for g in points:
+            wanted.setdefault(g[:-1], []).append(g[-1])
+        for cs in wanted.values():
+            cs.sort()
+        left = sum(map(len, wanted.values()))
+        width = self._length + 1
+        for r in range(self.max_radius + 1):
+            self._grow(r)
+            rows = self._sphere_rows(r)
+            keys = list(zip(*(rows[t::width] for t in range(width - 2)))) or [()] * (
+                len(rows) // width)
+            for i in compress(range(len(keys)), map(wanted.__contains__, keys)):
+                cs = wanted[keys[i]]
+                left -= (bisect_right(cs, rows[i * width + width - 1])
+                         - bisect_left(cs, rows[i * width + width - 2]))
+            if not left:
+                return r
+        return super()._max_norm(points)  # raises for the first point out of reach
 
     def _norm(self, g):
         key, c = g[:-1], g[-1]
@@ -466,6 +534,7 @@ class ZdGroup(_TupleGroup):
 
     def __init__(self, d, generators=None, max_radius=64):
         self.d = integer_parameter("dimension", d, 1)
+        self._form = ((0,) * (self.d - 1),) * (self.d - 1)
         units = [tuple(s if j == i else 0 for j in range(self.d))
                  for i in range(self.d) for s in (1, -1)] if generators is None else None
         super().__init__(self.d, generators, units, max_radius)
@@ -481,13 +550,15 @@ class ZdGroup(_TupleGroup):
     def _mul_raw(g, h):
         return tuple(a + b for a, b in zip(g, h))
 
-    def _column_step(self, s):
-        return s[:-1], s[-1], (0,) * (self.d - 1)
-
     def _norm(self, g):
         if self._standard:
             return sum(abs(c) for c in g)
         return super()._norm(g)
+
+    def _max_norm(self, points):
+        if self._standard:
+            return MarkedGroup._max_norm(self, points)
+        return super()._max_norm(points)
 
     def descriptor(self):
         return ("Zd", self.d, self.generators)
@@ -501,6 +572,7 @@ class HeisenbergGroup(_TupleGroup):
     _not_element = "{g!r} is not a Heisenberg triple"
     # (a, b): the group is nilpotent, so a set generating its abelianization generates it
     _abelian = 2
+    _form = ((0, 1), (0, 0))  # c(gh) = c(g) + c(h) + a(g) b(h)
 
     def __init__(self, generators=None, max_radius=64):
         super().__init__(3, generators, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
@@ -517,10 +589,6 @@ class HeisenbergGroup(_TupleGroup):
     @staticmethod
     def _mul_raw(g, h):
         return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
-
-    def _column_step(self, s):
-        p, q, r = s
-        return (p, q), r, (0, p)
 
     def descriptor(self):
         return ("Heisenberg", self.generators)
@@ -549,6 +617,8 @@ class FreeGroup(MarkedGroup):
             gens.append((2 * i,))
             gens.append((2 * i + 1,))
         super().__init__(labels, gens, max_radius=max_radius)
+        # the letter of digit d after a word ending in l: d skips l's inverse
+        self._after = [[d + (d >= l ^ 1) for l in range(2 * rank)] for d in range(2 * rank - 1)]
 
     @property
     def identity(self):
@@ -583,11 +653,77 @@ class FreeGroup(MarkedGroup):
 
     def _sphere(self, r):
         """The reduced words of length r, sorted: each word of sphere r - 1
-        followed by each letter that does not cancel its last one."""
-        if r == 0:
-            return [()]
-        return [w + (x,) for w in self._spheres[r - 1] for x in range(2 * self.rank)
-                if not w or x != w[-1] ^ 1]
+        followed by each letter that does not cancel its last one.  The words
+        that end in the d-th such letter fill every (2k - 1)-th place from d."""
+        if r < 2:
+            return [(x,) for x in range(2 * self.rank)] if r else [()]
+        prev = self._spheres[r - 1]
+        lasts = [w[-1] for w in prev]
+        out = [None] * (len(self._after) * len(prev))
+        for d, after in enumerate(self._after):
+            out[d::len(self._after)] = map(add, prev, map([(x,) for x in after].__getitem__,
+                                                          lasts))
+        return out
+
+    def _table(self, radius, inverse):
+        """Closed-form arithmetic on the sorted spheres: sphere r is 2k blocks
+        of m_r words, one per first letter.  s*w is w's tail when w starts with
+        s^-1, which skips block s of sphere r - 1, and otherwise the word of block
+        s of sphere r + 1 at w's place among the words not starting with s^-1;
+        every table column is a run of ranges per sphere.  Tuple order is the
+        preorder of the prefix tree, and a word's children are consecutive in
+        its sphere, so the ranks follow from subtree sizes; (w z)^-1 is z^-1 w^-1,
+        read from the table."""
+        spheres = self._cached_spheres(radius)
+        order = list(chain.from_iterable(spheres))
+        S, q = 2 * self.rank, 2 * self.rank - 1
+        starts = list(accumulate(map(len, spheres), initial=0))
+        n = starts[-1]
+        blocks = [len(sphere) // S for sphere in spheres]
+        flat = array("i", bytes(4 * n * S))
+        for x in range(S):
+            y = x ^ 1
+            runs = [[starts[1] + x] if radius else [-1]]
+            for r in range(1, radius + 1):
+                m, size = blocks[r], len(spheres[r])
+                if r < radius:
+                    up = starts[r + 1] + x * blocks[r + 1]
+                    out = range(up, up + size - m)
+                else:
+                    out = [-1] * (size - m)
+                if r == 1:
+                    back = [0]
+                else:
+                    lo, mb = starts[r - 1], blocks[r - 1]
+                    back = chain(range(lo, lo + x * mb), range(lo + (x + 1) * mb, starts[r]))
+                runs += (out[:y * m], back, out[y * m:])
+            flat[x::S] = array("i", chain.from_iterable(runs))
+        below = [1] * (radius + 2)  # below[r]: ball words that extend a given r-letter word
+        for r in range(radius - 1, 0, -1):
+            below[r] = 1 + q * below[r + 1]
+        ranks = array("i", bytes(4 * n))
+        if radius:
+            ranks[1:1 + S] = array("i", range(1, 1 + S * below[1], below[1]))
+        for r in range(2, radius + 1):
+            parents = ranks[starts[r - 1]:starts[r]]
+            for d in range(q):
+                ranks[starts[r] + d:starts[r + 1]:q] = array(
+                    "i", map(add, parents, repeat(1 + d * below[r])))
+        if not inverse:
+            return order, flat, None, ranks
+        inv, lasts = array("i", bytes(4 * n)), array("i", bytes(4 * n))
+        if radius:
+            lasts[1:1 + S] = array("i", range(S))
+            inv[1:1 + S] = array("i", [1 + (x ^ 1) for x in range(S)])
+        for r in range(2, radius + 1):
+            lo, hi = starts[r - 1], starts[r]
+            rows = array("i", map(mul, inv[lo:hi], repeat(S)))
+            for d, after in enumerate(self._after):
+                letters = array("i", map(after.__getitem__, lasts[lo:hi]))
+                lasts[hi + d:starts[r + 1]:q] = letters
+                inv[hi + d:starts[r + 1]:q] = array(
+                    "i", map(flat.__getitem__, map(add, rows, map(xor, letters, repeat(1)))))
+        return order, flat, inv, ranks
 
     def element_str(self, g):
         if not g:

@@ -7,7 +7,6 @@ identity" a harmless normalization in the profile search.  The cube and
 cuboid families are defined once, by tilings.folner_tiles.
 """
 
-from array import array
 from fractions import Fraction
 from itertools import product
 
@@ -112,23 +111,11 @@ def search_cap(group):
 
 def neighbor_table(group, radius, inverse=False):
     """ball(radius) in canonical order; the row-major table of s*g per element g and
-    generator s, an array('i') of vertex ids with -1 outside the ball; and, when
+    generator s, an array('i') of vertex ids with -1 outside the ball; when
     inverse is set, the id of g^-1 per element g (the ball holds it, as the
-    generators are symmetric), else None."""
-    order = list(group.ball(radius))
-    index = {g: i for i, g in enumerate(order)}
-    acts = [group._left[lab] for lab in group.labels]
-    flat = array("i", (index.get(act(g), -1) for g in order for act in acts))
-    inv = array("i", (index[group.inverse(g)] for g in order)) if inverse else None
-    return order, flat, inv
-
-
-def canonical_ranks(order):
-    """Each element's place in sorted(order), as an array('i') indexed like order."""
-    ranks = array("i", bytes(4 * len(order)))
-    for r, i in enumerate(sorted(range(len(order)), key=order.__getitem__)):
-        ranks[i] = r
-    return ranks
+    generators are symmetric), else None; and each element's place in tuple
+    order, an array('i').  The group builds it (MarkedGroup._table)."""
+    return group._table(radius, inverse)
 
 
 def profile_exact(group, n_max, node_budget=None):
@@ -153,9 +140,9 @@ def profile_exact(group, n_max, node_budget=None):
     cap = search_cap(group)
     limit = min(n_max, cap)
 
-    order, flat, inverse = neighbor_table(group, limit - 1, group.right_ordered)
+    order, flat, inverse, ranks = neighbor_table(group, limit - 1, group.right_ordered)
     best, sets, nodes, complete = min_boundary_sets(
-        flat, len(order), len(group.labels), limit, canonical_ranks(order), budget, inverse)
+        flat, len(order), len(group.labels), limit, ranks, budget, inverse)
     if not complete:
         raise BudgetError("profile_exact exceeded its node budget")
 
@@ -196,7 +183,7 @@ def profile_all_subsets(group, n_max, radius=None, node_budget=None):
     integer_parameter("n_max", n_max, 1)
     radius = n_max - 1 if radius is None else integer_parameter("radius", radius, 0)
     budget = 1 << 62 if node_budget is None else integer_parameter("node_budget", node_budget, 1)
-    order, flat, _ = neighbor_table(group, radius)
+    order, flat, _, _ = neighbor_table(group, radius)
     num, den, nodes, complete = subset_min_ratio(
         flat, len(order), len(group.labels), n_max, budget)
     values = []

@@ -460,7 +460,7 @@ def verify_multitile_window(mt, window_radius):
     """Exhaustively check the partition property of a multi-tile on a ball window."""
     R = integer_parameter("window_radius", window_radius, 0)
     group = mt.group
-    margin = max(group._norm(t) for shape in mt.shapes for t in shape)
+    margin = group._max_norm([t for shape in mt.shapes for t in shape])
     if margin > R:
         raise WindowTooSmallError(
             f"window radius {R} is smaller than the largest shape diameter {margin}"

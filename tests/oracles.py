@@ -329,6 +329,28 @@ def sphere_oracle(group, radius):
     return spheres
 
 
+def neighbor_table_oracle(group, radius, inverse):
+    """(order, flat, inverse, ranks) of ball(radius) as the group's table hook
+    gives them, by the dict path: the ball from sphere_oracle in (norm, tuple)
+    order, a {element: id} index, one inline product per (element,
+    generator), one inline inverse per element, and ranks from one sort."""
+    mul, inv = inline_law(group)
+    order = [g for sphere in sphere_oracle(group, radius) for g in sphere]
+    index = {g: i for i, g in enumerate(order)}
+    gens = [group.generator(lab) for lab in group.labels]
+    flat = [index.get(mul(s, g), -1) for g in order for s in gens]
+    inverse_ids = [index[inv(g)] for g in order] if inverse else None
+    return order, flat, inverse_ids, canonical_ranks(order)
+
+
+def canonical_ranks(order):
+    """Each element's place in sorted(order), indexed like order."""
+    ranks = [0] * len(order)
+    for r, i in enumerate(sorted(range(len(order)), key=order.__getitem__)):
+        ranks[i] = r
+    return ranks
+
+
 def union_columns(spheres):
     """The union of column-form sets, e.g. the spheres of a ball, in column form
     with sorted keys: each key's intervals pooled, sorted and swept, adjacent

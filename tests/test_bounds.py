@@ -159,7 +159,8 @@ class TestGeneratingSetComparison:
         def refuse(*args):
             raise AssertionError("a search kernel ran before the marking was checked")
 
-        for name in ("subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp"):
+        for name in ("subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp",
+                     "ball_table"):
             monkeypatch.setattr(_kernels, name, refuse)
         g1 = build_torus_action(1, 12)
         g2 = cycle_with_marking(12, g1.weights, [1, -1, 3, -3])

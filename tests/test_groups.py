@@ -1,9 +1,12 @@
 """Marked groups: products, norms, spheres, serialization."""
 
 import gc
+import random
 import sys
 import weakref
+from array import array
 from math import gcd, prod
+from operator import add, mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +20,8 @@ from isoprof import (
     group_to_json,
 )
 from isoprof.groups import column_size, lattice_basis, lattice_residue
-from oracles import sphere_oracle, union_columns
+from isoprof.isoperimetry import neighbor_table
+from oracles import neighbor_table_oracle, sphere_oracle, union_columns
 from isoprof.errors import (
     ConfigError,
     MixedGroupError,
@@ -371,6 +375,71 @@ class TestColumnSpheres:
             g = FreeGroup(rank)
             assert [g.sphere(r) for r in range(radius + 1)] == sphere_oracle(g, radius)
             assert g._cached_spheres(1)[1] == g.sphere(1)
+
+
+# groups and the largest radius up to which their ball tables are checked
+TABLE_GROUPS = {
+    "Z": (lambda: ZdGroup(1), 8),
+    "Z^2": (lambda: ZdGroup(2), 8),
+    "Z^3": (lambda: ZdGroup(3), 8),
+    "Z^4": (lambda: ZdGroup(4), 8),
+    "Z^2 (1,0),(0,1),(1,1)": (lambda: ZdGroup(2, generators=[(1, 0), (-1, 0), (0, 1), (0, -1),
+                                                             (1, 1), (-1, -1)]), 8),
+    "H3": (HeisenbergGroup, 8),
+    "H3 shuffled": (COLUMN_GROUPS["H3 shuffled"], 8),
+    "H3 sheared": (COLUMN_GROUPS["H3 sheared"], 8),
+    "H3 with z": (COLUMN_GROUPS["H3 with z"], 6),
+    "F1": (lambda: FreeGroup(1), 8),
+    "F2": (lambda: FreeGroup(2), 8),
+    "F3": (lambda: FreeGroup(3), 5),
+    "F4": (lambda: FreeGroup(4), 4),
+}
+
+
+@pytest.mark.usefixtures("sphere_backend")
+class TestBallTables:
+    """Each group's table hook against the dict path, on both kernel backends."""
+
+    @pytest.mark.parametrize("name", list(TABLE_GROUPS))
+    def test_tables_match_the_dict_path(self, name):
+        make, top = TABLE_GROUPS[name]
+        for radius in range(top + 1):
+            order, flat, inverse, ranks = neighbor_table_oracle(make(), radius, True)
+            for inv in (False, True):
+                got = neighbor_table(make(), radius, inv)
+                assert [type(x) for x in got[1:]] == [array, array if inv else type(None), array]
+                assert all(x.typecode == "i" for x in got[1:] if x is not None)
+                assert got[0] == order and list(got[1]) == flat and list(got[3]) == ranks
+                assert (got[2] is None) if not inv else list(got[2]) == inverse
+
+    def test_a_warm_group_gives_the_same_table_from_any_radius(self):
+        g = HeisenbergGroup()
+        grown = neighbor_table(g, 7, True)
+        assert list(map(list, neighbor_table(g, 4, True)[1:])) == \
+            list(map(list, neighbor_table(HeisenbergGroup(), 4, True)[1:]))
+        assert list(map(list, neighbor_table(g, 7, True)[1:])) == list(map(list, grown[1:]))
+        assert len(g._spheres) == 1  # and no sphere dict past sphere 0
+
+    @pytest.mark.parametrize("make", [lambda: ZdGroup(1), lambda: ZdGroup(3), HeisenbergGroup,
+                                      COLUMN_GROUPS["H3 sheared"]])
+    def test_the_law_form_gives_products_inverses_and_column_steps(self, make):
+        g = make()
+        rng = random.Random(11)
+
+        def twist(key, other):
+            return sum(a * m * b for a, row in zip(key, g._form) for m, b in zip(row, other))
+
+        for _ in range(60):
+            x, y = (tuple(rng.randint(-9, 9) for _ in range(g._length)) for _ in range(2))
+            key_x, key_y = x[:-1], y[:-1]
+            assert g._mul_raw(x, y) == (*map(add, key_x, key_y),
+                                        x[-1] + y[-1] + twist(key_x, key_y))
+            assert g.inverse(x) == (*(-a for a in key_x), -x[-1] + twist(key_x, key_x))
+        for s in g.generators:
+            head, dc, coef = g._column_step(s)
+            key = tuple(rng.randint(-9, 9) for _ in range(g._length - 1))
+            assert g._mul_raw(s, (*key, 0)) == (*map(add, head, key),
+                                                dc + sum(map(mul, coef, key)))
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 """Search kernels: pure/compiled parity, dispatch, budgets, and brute-force checks."""
 
+import gc
 import inspect
 import itertools
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from array import array
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -29,8 +31,8 @@ from isoprof._kernels import (
     subset_min_ratio,
 )
 from isoprof.action_profile import packing_items, partition_tables
-from isoprof.isoperimetry import canonical_ranks, neighbor_table
-from oracles import union_columns
+from isoprof.isoperimetry import neighbor_table
+from oracles import neighbor_table_oracle, union_columns
 
 try:
     from isoprof._kernels import _core
@@ -372,8 +374,8 @@ def ordered_inputs(name):
     make, limit = ORDERED_GROUPS[name]
     group = make()
     assert group.right_ordered
-    order, flat, inverse = neighbor_table(group, limit - 1, inverse=True)
-    args = (flat, len(order), len(group.labels), limit, canonical_ranks(order), BIG)
+    order, flat, inverse, ranks = neighbor_table(group, limit - 1, inverse=True)
+    args = (flat, len(order), len(group.labels), limit, ranks, BIG)
     return args, inverse, order
 
 
@@ -416,10 +418,9 @@ class TestTranslationClasses:
     @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
     def test_truncated_table_raises(self, kernels):
         # sets of 3 need ball(2) for their translates; ball(1) misses (-1, 1)
-        order, flat, inverse = neighbor_table(ZdGroup(2), 1, inverse=True)
+        order, flat, inverse, ranks = neighbor_table(ZdGroup(2), 1, inverse=True)
         with pytest.raises(ValueError, match="translate"):
-            kernels.min_boundary_sets(flat, len(order), 4, 3, canonical_ranks(order), BIG,
-                                      inverse)
+            kernels.min_boundary_sets(flat, len(order), 4, 3, ranks, BIG, inverse)
 
 
 def realistic_inputs(name):
@@ -429,11 +430,11 @@ def realistic_inputs(name):
     n = int(n)
     if kind in ("subset", "connected", "ordered"):
         group = HeisenbergGroup() if what == "H3" else ZdGroup(int(what))
-        order, flat, inverse = neighbor_table(group, n - 1, inverse=kind == "ordered")
+        order, flat, inverse, ranks = neighbor_table(group, n - 1, inverse=kind == "ordered")
         head = (flat, len(order), len(group.labels), n)
         if kind == "subset":
             return "subset_min_ratio", (*head, BIG)
-        return "min_boundary_sets", (*head, canonical_ranks(order), BIG, inverse)
+        return "min_boundary_sets", (*head, ranks, BIG, inverse)
     if what == "C14":
         graphing = build_weighted_cycle(14, [Fraction(1 + i % 4, 33) for i in range(14)])
     else:
@@ -602,12 +603,60 @@ class TestRowUnion:
             monkeypatch.undo()
 
 
+def table_args(group, radius, inverse):
+    """ball_table arguments for ball(radius) of a column group, with the rows
+    copied out of the store, which can then grow again."""
+    rows, ends = group._ball_rows(radius)
+    return group._length - 1, group._steps, group._form, list(rows), ends, inverse
+
+
+class TestBallTable:
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    def test_input_validation(self, kernels):
+        step = ((1,), 0, (0,))
+        one, form = [0, 0, 0], ((0,),)
+        for key_len, steps, form_, rows, ends in (
+            (1, [step], form, [0, 0], [1]),  # ragged
+            (-1, [((), 0, ())], (), [0], [1]),
+            (1, [], form, one, [1]),  # no steps
+            (1, [((1, 0), 0, (0,))], form, one, [1]),  # head of the wrong length
+            (1, [step], (), one, [1]),  # form of the wrong size
+            (1, [step], ((0, 0),), one, [1]),
+            (1, [step], form, one, [2]),  # a run past the rows
+            (1, [step], form, one + one, [2, 1]),  # ends fall
+            (1, [step], form, [0, 1, 0], [1]),  # lo > hi
+            (1, [step], form, [1, 0, 0, 0, 0, 0], [2]),  # keys out of order
+            (1, [step], form, [0, 0, 2, 0, 2, 3], [2]),  # overlapping intervals
+            (1, [step], form, [0, 0, 2, 0, 2, 3], [1, 2]),  # runs that overlap
+            (1, [step], form, [0, 5, 5, 0, 0, 0, 0, 5, 5], [1, 3]),  # the second run unsorted
+            (0, [((), 1, ())], (), [0, (1 << 31) - 1], [1]),  # 2**31 points
+        ):
+            with pytest.raises(ValueError):
+                kernels.ball_table(key_len, steps, form_, rows, ends, True)
+        # ids follow the rows; ranks follow (key, c); rows may touch across runs
+        flat, inverse, ranks = kernels.ball_table(0, [((), 1, ()), ((), -1, ())], (),
+                                                  [0, 0, -1, -1, 1, 1], [1, 3], True)
+        assert list(flat) == [2, 1, 0, -1, -1, 0] and list(inverse) == [0, 2, 1]
+        assert list(ranks) == [1, 0, 2]
+        assert kernels.ball_table(1, [step], form, [], [], False) == \
+            (array("i"), None, array("i"))
+
+
 @needs_core
 class TestBackendParity:
     @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
     def test_sphere_rows_identical(self, name):
         make, radius = COLUMN_GROUPS[name]
         assert sphere_rows(_core, make(), radius) == sphere_rows(_pure, make(), radius)
+
+    @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
+    def test_ball_tables_identical(self, name):
+        make, radius = COLUMN_GROUPS[name]
+        group = make()
+        for r in (0, 1, min(radius, 8)):
+            for inverse in (False, True):
+                args = table_args(group, r, inverse)
+                assert _core.ball_table(*args) == _pure.ball_table(*args)
 
     @pytest.mark.parametrize("name", [
         "subset 1 9", "subset 2 5", "connected 2 8", "connected 3 6", "ordered 1 10",
@@ -712,7 +761,7 @@ class TestLargeInstances:
 
     def test_large_universe_runs_without_recursion_limit(self):
         # 1,159 vertices, one search depth each
-        order, flat, _ = neighbor_table(ZdGroup(3), 9)
+        order, flat, _, _ = neighbor_table(ZdGroup(3), 9)
         args = (flat, len(order), len(flat) // len(order), 10, 200_000)
         assert _pure.subset_min_ratio(*args) == subset_min_ratio(*args)
 
@@ -734,6 +783,7 @@ DUAL_KERNELS = {
     "partition_dp": (path_neighbors(4), 4, 2, [1, 2, 3, 4], 2),
     "next_sphere": (1, [((1,), 0, (0,))], [0, 0, 0], []),
     "union_rows": (1, [0, 3, 5, 0, 0, 2, 0, 1, 4], [1, 2, 3]),
+    "ball_table": (1, [((1,), 0, (0,))], ((0,),), [0, 0, 0], [1], True),
 }
 
 
@@ -802,6 +852,56 @@ class TestDispatch:
             key_len = len(steps[0][0])
             assert _kernels.next_sphere(key_len, steps, prev, []) == \
                 _pure.next_sphere(key_len, steps, prev, [])
+
+    @needs_core
+    def test_compiled_table_refuses_coordinates_near_2_62(self):
+        up = ((), 1, ())
+        top = (1 << 62) - 2
+        assert _core.ball_table(0, [up], (), [top, top], [1], False)[0] == array("i", [-1])
+        for args in ((0, [up], (), [top + 1, top + 1], [1], False),  # an image at 2**62
+                     (0, [((), 1 << 62, ())], (), [0, 0], [1], False),
+                     (0, [up], (), [1 << 63, 1 << 63], [1], False),  # past int64
+                     (1, [((1,), 0, (0,))], ((1,),), [1 << 31, 0, 0], [1], True),  # key.M.key
+                     (1, [((1,), 0, (0,))], ((1 << 62,),), [1, 0, 0], [1], True)):
+            with pytest.raises(OverflowError):
+                _core.ball_table(*args)
+            assert _kernels.ball_table(*args) == _pure.ball_table(*args)
+        # the twist is bounded only when the inverse is asked for
+        assert _core.ball_table(1, [((1,), 0, (0,))], ((1,),), [1 << 31, 0, 0], [1], False) \
+            == (array("i", [-1]), None, array("i", [0]))
+
+    @pytest.mark.parametrize("coordinate", [1 << 61, 1 << 80])
+    def test_huge_tables_fall_back_transparently(self, coordinate, monkeypatch):
+        # coordinates of 2**61 fit the store, but their images reach 2**62;
+        # those of 2**80 turn the store into a list
+        make = lambda: ZdGroup(2, generators=UNITS2 + [(coordinate, 1), (-coordinate, -1)])
+        for radius in (1, 2):
+            group = make()
+            expected = neighbor_table_oracle(group, radius, True)
+            args = table_args(group, radius, True)
+            assert isinstance(group._store, list) == (coordinate > 1 << 63)
+            if _core is not None:
+                with pytest.raises(OverflowError):
+                    _core.ball_table(*args)
+            assert _kernels.ball_table(*args) == _pure.ball_table(*args)
+            got = neighbor_table(make(), radius, True)
+            assert (got[0], *map(list, got[1:])) == expected
+
+    @needs_core
+    def test_compiled_calls_leave_no_cyclic_garbage(self):
+        # a ctypes array type made per call would be a cycle of about 16 objects
+        calls = [(name, args) for name, args in DUAL_KERNELS.items()]
+        calls.append(("ball_table", table_args(HeisenbergGroup(), 4, True)))
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for name, args in calls:
+                getattr(_core, name)(*args)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_default_backend_is_stable_across_processes(self):
         code = "import isoprof._kernels as k; print(k.BACKEND)"

@@ -38,7 +38,8 @@ from isoprof.errors import ParameterError, UnsupportedError
 from isoprof.exact import SqrtSum
 from isoprof.isoperimetry import ProfilePoint, ProfileResult, SubsetSearchProfile
 
-KERNELS = ("subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp")
+KERNELS = ("subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp",
+           "ball_table")
 
 
 @pytest.fixture(params=["compiled", "pure"])

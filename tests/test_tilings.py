@@ -541,13 +541,34 @@ class TestLazySpheres:
     """The scan reads the window and the region as balls from the group's row
     store, and the sphere dicts only to list bad points."""
 
-    def test_a_passing_scan_builds_no_sphere_dict_past_the_margin(self):
+    def test_a_passing_scan_builds_no_sphere_dict(self):
         g = HeisenbergGroup()
         mt = folner_multitile_sequence(g, 425, verify=False)
         v = verify_multitile_window(mt, 36)
         assert v.passed and v.window_size == 716455
-        assert len(g._spheres) == v.margin + 1 < 37  # the margin reads norms
+        assert len(g._spheres) == 1  # the margin reads the store's rows too
         assert len(g._ends) == 38  # the rows are grown through sphere 36
+        assert v.margin == max(g.word_norm(t) for t in mt.shapes[0])
+
+    @pytest.mark.parametrize("make, points", [
+        (lambda: ZdGroup(2), [(0, 0), (2, -3), (-1, 1)]),
+        (lambda: ZdGroup(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+         [(0, 0), (2, -3), (-1, 1), (0, 4)]),
+        (lambda: HeisenbergGroup(), [(a, b, c) for a in range(3) for b in range(3)
+                                     for c in range(5)]),
+        (lambda: HeisenbergGroup(generators=[(1, 0, 0), (-1, 0, 0), (1, 1, 3), (-1, -1, -2)]),
+         [(0, 0, 0), (1, 1, 0), (2, -1, 5), (0, 0, -4), (3, 3, 3)]),
+        (lambda: FreeGroup(2), [(), (0, 2, 2), (3,), (1, 1, 3, 3)]),
+    ])
+    def test_margin_is_the_largest_word_norm_of_the_shapes(self, make, points):
+        g = make()
+        shapes = [g.subset(points), g.subset([g.identity, points[-1]])]
+        mt = MultiTile(shapes, [ExplicitCenters([g.identity])] * 2)
+        margin = max(make().word_norm(t) for t in points)
+        v = verify_multitile_window(mt, margin)
+        assert v.margin == margin and v.region_radius == 0
+        with pytest.raises(WindowTooSmallError):
+            verify_multitile_window(mt, margin - 1)
 
     @pytest.mark.parametrize("moduli", [(2, 2, 3), (2, 3, 1), (3, 2, 2)])
     def test_a_failing_scan_reports_its_first_points_in_norm_order(self, moduli):
