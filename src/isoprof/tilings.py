@@ -33,18 +33,27 @@ under multiplying by it, so w and w z are covered equally often.  The counts
 depend on the column key only through its class: on Z^d the residue of
 (key, 0), as keys of one residue differ by a lattice vector; on Heisenberg
 (a mod m1, b mod m2, b mod m3); for a multi-tile the tuple of its lattice
-shapes' classes, over the lcm of their periods.  A class keeps one pattern
-of counts by c mod period, each entry evaluated when first used, and tallies
-an interval at least one period long from the pattern's prefix sums.
+shapes' classes, over the lcm of their periods.  Each class is evaluated in
+one batch at a representative column, by each residue index's batch reader
+over.counts, which builds no point and calls no over: on Z^d it reduces
+(key, 0) once, and key + (c,) then reduces to the same head with c added to
+the last coordinate mod p; on Heisenberg it is one lookup of (c - u b) mod m3
+per ta class u.  A class is evaluated at every residue mod period once one of
+its window intervals is a period long, else only at the residues its window
+intervals take, kept sorted.  The window's and the region's intervals are
+tallied class by class from the cumulative sums of the counts along the
+evaluated residues: whole periods times their total, plus the sums up to
+each end, so an interval costs two lookups whatever its length.
 SCAN_BUDGET charges each column its own residues mod period (at most
 min(length, period)), counted from its intervals' arcs on the circle of
 residues, times the lookups per point, a bound on the evaluations.
-Explicit centers are scattered onto the window as sparse additions.  The
-first five uncovered and colliding points come from walking the spheres in
-(norm, tuple) order through the columns that can hold a bad count: those
-with explicit additions or a bad class pattern entry.  The radius-36
+Explicit centers are scattered onto the window as sparse additions, column by
+column.  The first five uncovered and colliding points come from walking the
+spheres in (norm, tuple) order through the columns that can hold a bad count:
+those with explicit additions or a bad class pattern entry.  The radius-36
 Heisenberg window of the 425-point cuboid tile, 716,455 points in 2,665
-columns, needs 5,937 evaluations (45,177 at one pattern per column).
+columns of 353 classes, needs 5,937 evaluations (45,177 at one pattern per
+column).
 
 Free groups have no columns and no lattice center sets, so their scan keeps
 one count per window point, in (norm, tuple) order.
@@ -53,10 +62,12 @@ The built-in Folner tiles, with their center lattices and windows, are
 defined once here, by folner_tiles.
 """
 
+import operator
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, count, islice, takewhile
+from itertools import accumulate, count, islice, repeat, takewhile
 from math import lcm
 
 from ._record import Record
@@ -240,19 +251,33 @@ def _residue_index(group, shape, centers):
     lists, in shape order, the t in the shape with t^-1 * w a center; period is
     the least p with (0, .., 0, p) a center; lookups bounds the table lookups
     one call of over makes; over.column_class(key) is the class of a window
-    column, which fixes the length of over's list at each c mod period."""
+    column, which fixes the length of over's list at each c mod period; and
+    over.counts(key, residues) lists that length at each c in residues of the
+    column key, by lattice arithmetic alone."""
     if isinstance(group, ZdGroup):
         basis = _zd_lattice(group, centers.generators)
         residue = partial(lattice_residue, basis)
-        buckets = {}
+        period = basis[-1][-1]
+        buckets, sizes = {}, {}
         for t in shape:
             buckets.setdefault(residue(t), []).append(t)
+        for (*head, s), ts in buckets.items():
+            sizes.setdefault(tuple(head), {})[s] = len(ts)
 
         def over(w):
             return buckets.get(residue(w), ())
 
+        def counts(key, residues):
+            # the rows before the last reduce the key alone, and shift the last
+            # coordinate by the same amount whatever c is: key + (c,) reduces to
+            # head + ((s + c) % period,)
+            *head, s = residue(key + (0,))
+            table = sizes.get(tuple(head), {})
+            return [table.get((s + c) % period, 0) for c in residues]
+
         over.column_class = lambda key: residue(key + (0,))
-        return over, basis[-1][-1], 1
+        over.counts = counts
+        return over, period, 1
     if not isinstance(group, HeisenbergGroup):
         raise UnsupportedError("lattice center sets are supported on Z^d and Heisenberg only")
     m1, m2, m3 = _heis_axis_moduli(centers.generators)
@@ -272,7 +297,19 @@ def _residue_index(group, shape, centers):
         return sorted((t for u, table in classes.items() for t in table.get((c - u * b) % m3, ())),
                       key=position.__getitem__)
 
+    sizes = {cls: {u: {r: len(ts) for r, ts in table.items()} for u, table in classes.items()}
+             for cls, classes in buckets.items()}
+
+    def counts(key, residues):
+        a, b = key
+        found = [0] * len(residues)
+        for u, table in sizes.get((a % m1, b % m2), {}).items():
+            shift = u * b
+            found = [h + table.get((c - shift) % m3, 0) for h, c in zip(found, residues)]
+        return found
+
     over.column_class = lambda key: (key[0] % m1, key[1] % m2, key[1] % m3)
+    over.counts = counts
     return over, m3, max(map(len, buckets.values()))
 
 
@@ -297,63 +334,86 @@ def _scatter(group, shape, centers):
     return (mul(t, c) for c in centers.elements for t in shape)
 
 
-class _Pattern(dict):
-    """The lattice cover counts of one column class by c mod period, each
-    evaluated when first used, at a representative column of the class.  A
-    window column is the pair of its class pattern and its explicit additions
-    {c: count}."""
+class _Pattern:
+    """The lattice cover counts of one column class, read in one batch at a
+    representative column key: at every residue mod period once one of the
+    class's window intervals is a period long, else at the residues its window
+    intervals take.  The residues are kept sorted, the counts in their order,
+    and place(r) is the number of evaluated residues below r: r itself when
+    every residue is evaluated, else a bisection."""
 
-    def __init__(self, count, period):
-        super().__init__()
-        self.count, self.period, self.sums = count, period, {}
+    def __init__(self, key, period):
+        self.key, self.period, self.window, self.sums = key, period, [], {}
 
-    def __missing__(self, i):
-        self[i] = h = self.count(i)
-        return h
-
-    def tally(self, lo, hi, f, extra):
-        """The sum of f(count) over c in [lo, hi] of a column with these explicit
-        additions: point by point below one period, else from the prefix sums of
-        f over a period; then the change the additions make."""
-        P = self.period
-        if hi - lo + 1 < P:
-            total = sum(f(self[c % P]) for c in range(lo, hi + 1))
+    def fill(self, overs):
+        """Evaluate the counts, each residue index in one call of its batch reader."""
+        arcs = _arcs(self.window, self.period)
+        if arcs is None:
+            self.residues, self.place = range(self.period), operator.index
         else:
-            if f not in self.sums:
-                self.sums[f] = list(accumulate((f(self[i]) for i in range(P)), initial=0))
-            sums = self.sums[f]
-            total = (hi + 1) // P * sums[P] + sums[(hi + 1) % P] - lo // P * sums[P] - sums[lo % P]
-        for c, e in extra.items():
-            if lo <= c <= hi:
-                h = self[c % P]
-                total += f(h + e) - f(h)
+            self.residues = [r for start, end in arcs for r in range(start, end + 1)]
+            self.place = partial(bisect_left, self.residues)
+        self.counts = [0] * len(self.residues)
+        for over in overs:
+            self.counts = list(map(operator.add, self.counts,
+                                   over.counts(self.key, self.residues)))
+
+    def at(self, c):
+        """The count at last coordinate c of a column of the class."""
+        return self.counts[self.place(c % self.period)]
+
+    def tally(self, ivs, f):
+        """The sum of f(count) over the points of intervals of the class's columns.
+        Let S(n) be the sum over the points c < n whose residue was evaluated: n //
+        period whole periods, then the cumulative sum of f over the evaluated
+        residues below n mod period.  Every residue of an interval [lo, hi] was
+        evaluated, so it sums to S(hi + 1) - S(lo), whatever its length: two
+        lookups per interval."""
+        if f not in self.sums:
+            self.sums[f] = list(accumulate(map(f, self.counts), initial=0))
+        sums, period, place = self.sums[f], self.period, self.place
+        whole, total = sums[-1], 0
+        for lo, hi in ivs:
+            hi += 1
+            total += ((hi // period - lo // period) * whole
+                      + sums[place(hi % period)] - sums[place(lo % period)])
         return total
+
+
+def _arcs(ivs, period):
+    """The residues mod period that the points of intervals take, as sorted
+    disjoint arcs (start, end) of the circle of residues cut at 0, or None when
+    an interval is a whole period long."""
+    arcs = []
+    for lo, hi in ivs:
+        if hi - lo + 1 >= period:
+            return None
+        start, end = lo % period, hi % period
+        arcs += [(start, end)] if start <= end else [(start, period - 1), (0, end)]
+    merged = []
+    for start, end in sorted(arcs):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return merged
 
 
 def _residue_count(ivs, period):
     """How many residues mod period the points of disjoint intervals take: the
     size of the union of their arcs on the circle of residues."""
-    arcs = []
-    for lo, hi in ivs:
-        if hi - lo + 1 >= period:
-            return period
-        start, end = lo % period, hi % period
-        arcs += [(start, end)] if start <= end else [(start, period - 1), (0, end)]
-    count, reach = 0, -1
-    for start, end in sorted(arcs):
-        if end > reach:
-            count += end - max(start, reach + 1) + 1
-            reach = end
-    return count
+    arcs = _arcs(ivs, period)
+    return period if arcs is None else sum(end - start + 1 for start, end in arcs)
 
 
 def _window_columns(group, mt, indexes, window):
-    """({window column key: (class pattern, explicit additions)}, the patterns).
-    Explicit centers are scattered onto the window.  Budgets are checked shape by
-    shape, before each shape's work; each column is charged its residues mod
+    """({window column key: class pattern}, the class patterns, {key: explicit
+    additions {c: count}}), each pattern filled from its window intervals.
+    Explicit centers are scattered onto the window.  Budgets are checked shape
+    by shape, before each shape's work; each column is charged its residues mod
     period, a bound on its share of the lattice evaluations."""
     period = lcm(*(index[1] for index in indexes if index))
-    evaluations = sum(_residue_count(ivs, period) for ivs in window.values())
+    evaluations = sum(map(_residue_count, window.values(), repeat(period)))
 
     overs, extra = [], {}
     for shape, centers, index in zip(mt.shapes, mt.centers, indexes):
@@ -370,22 +430,45 @@ def _window_columns(group, mt, indexes, window):
         overs.append(over)
 
     classes, columns = {}, {}
-    for key in window:
-        cls = tuple(over.column_class(key) for over in overs)
-        if cls not in classes:
-            classes[cls] = _Pattern(
-                lambda c, key=key: sum(len(over(group._point(key, c))) for over in overs), period)
-        columns[key] = (classes[cls], extra.get(key, {}))
-    return columns, classes.values()
+    keys = list(window)
+    for key, cls, ivs in zip(keys, zip(*(map(over.column_class, keys) for over in overs))
+                             if overs else repeat(()), window.values()):
+        pattern = classes.get(cls)
+        if pattern is None:
+            pattern = classes[cls] = _Pattern(key, period)
+        pattern.window += ivs
+        columns[key] = pattern
+    patterns = list(classes.values())
+    for pattern in patterns:
+        pattern.fill(overs)
+    return columns, patterns, extra
 
 
-def _first_bad(group, radius, columns, patterns, bad):
+def _tally(columns, extra, ball, f):
+    """The sum of f(count) over the points of a ball in column form: each class's
+    intervals in one pass, then the change each explicit addition makes."""
+    by_class = {}
+    for key, ivs in ball.items():
+        by_class.setdefault(columns[key], []).extend(ivs)
+    total = sum(pattern.tally(ivs, f) for pattern, ivs in by_class.items())
+    for key, col in extra.items():
+        pattern, ivs = columns[key], ball.get(key, ())
+        for c, e in col.items():
+            if any(lo <= c <= hi for lo, hi in ivs):
+                h = pattern.at(c)
+                total += f(h + e) - f(h)
+    return total
+
+
+def _first_bad(group, radius, columns, patterns, extra, bad):
     """The first five points of ball(radius), in (norm, tuple) order, whose count
     passes bad.  Each class pattern is judged once, and only columns with
     explicit additions or a bad pattern entry are walked, through the sphere
     dicts, which are read only when there is such a column."""
-    bad_patterns = {id(p) for p in patterns if any(map(bad, p.values()))}
-    suspects = {key for key, (p, extra) in columns.items() if extra or id(p) in bad_patterns}
+    bad_patterns = {p for p in patterns if any(map(bad, p.counts))}
+    suspects = set(extra)
+    if bad_patterns:
+        suspects.update(key for key, p in columns.items() if p in bad_patterns)
     if not suspects:
         return []
     found = []
@@ -393,10 +476,10 @@ def _first_bad(group, radius, columns, patterns, bad):
         for key, ivs in sphere.items():
             if key not in suspects:
                 continue
-            pattern, extra = columns[key]
+            pattern, col = columns[key], extra.get(key, {})
             for lo, hi in ivs:
                 for c in range(lo, hi + 1):
-                    if bad(pattern[c % pattern.period] + extra.get(c, 0)):
+                    if bad(pattern.at(c) + col.get(c, 0)):
                         found.append(group._point(key, c))
                         if len(found) == 5:
                             return found
@@ -405,16 +488,15 @@ def _first_bad(group, radius, columns, patterns, bad):
 
 def _column_scan(group, mt, indexes, window_radius, region_radius):
     """(window size, region size, sum of counts, covered count, first uncovered,
-    first collisions) on Z^d and Heisenberg, column by column."""
+    first collisions) on Z^d and Heisenberg, class by class."""
     window = group._ball_columns(window_radius)
     region = group._ball_columns(region_radius)
-    columns, patterns = _window_columns(group, mt, indexes, window)
-    total = sum(columns[key][0].tally(lo, hi, int, columns[key][1])
-                for key, ivs in window.items() for lo, hi in ivs)
-    covered_count = sum(columns[key][0].tally(lo, hi, bool, columns[key][1])
-                        for key, ivs in region.items() for lo, hi in ivs)
-    uncovered = _first_bad(group, region_radius, columns, patterns, lambda h: h == 0)
-    collision_points = _first_bad(group, window_radius, columns, patterns, lambda h: h > 1)
+    columns, patterns, extra = _window_columns(group, mt, indexes, window)
+    total = _tally(columns, extra, window, int)
+    covered_count = _tally(columns, extra, region, bool)
+    uncovered = _first_bad(group, region_radius, columns, patterns, extra, lambda h: h == 0)
+    collision_points = _first_bad(group, window_radius, columns, patterns, extra,
+                                  lambda h: h > 1)
     return (column_size(window), column_size(region), total, covered_count,
             uncovered, collision_points)
 

@@ -1,8 +1,10 @@
 """Multi-tile windowed verification, center-set handling, invariance."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import count, product, takewhile
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -369,22 +371,15 @@ class TestColumnScan:
     def test_a_refused_scan_gathers_nothing_first(self, monkeypatch):
         # the interval {0..N-1} over NZ at window N - 1 needs N evaluations, one
         # past the budget; the period N is read off the lattice, so the refusal
-        # comes before any window point is looked up
-        gathered = []
-        build = tilings._residue_index
-
-        def counting(group, shape, centers):
-            over, period, lookups = build(group, shape, centers)
-            return (lambda w: gathered.append(w) or over(w)), period, lookups
-
-        monkeypatch.setattr(tilings, "_residue_index", counting)
+        # comes before any residue is evaluated
+        calls, _ = self.counted(monkeypatch)
         N = 10 ** 4
         monkeypatch.setattr(tilings, "SCAN_BUDGET", N - 1)
         g = ZdGroup(1, max_radius=N)
         mt = MultiTile([g.subset([(t,) for t in range(N)])], [LatticeCenters([(N,)])])
         with pytest.raises(BudgetError, match="^lattice window scan too large$"):
             verify_multitile_window(mt, N - 1)
-        assert gathered == []
+        assert calls == []
 
     def test_budget_refusals_come_in_shape_order(self, monkeypatch):
         monkeypatch.setattr(tilings, "SCAN_BUDGET", 2999)
@@ -412,30 +407,26 @@ class TestColumnScan:
 
     @staticmethod
     def counted(monkeypatch):
-        """Record (over, w) for every point a residue index's over is asked about,
-        and the overs built; the wrapper keeps over's column class."""
+        """Record (over, key, c) for every residue c that a residue index's batch
+        reader evaluates at a column key, and the overs built.  The collision
+        report asks over itself, which is not recorded."""
         calls, overs = [], []
         build = tilings._residue_index
 
         def counting(group, shape, centers):
             over, period, lookups = build(group, shape, centers)
+            counts = over.counts
 
-            def wrapped(w):
-                calls.append((over, w))
-                return over(w)
+            def recorded(key, residues):
+                calls.extend((over, key, c) for c in residues)
+                return counts(key, residues)
 
-            wrapped.column_class = over.column_class
+            over.counts = recorded
             overs.append(over)
-            return wrapped, period, lookups
+            return over, period, lookups
 
         monkeypatch.setattr(tilings, "_residue_index", counting)
         return calls, overs
-
-    @staticmethod
-    def evaluations(calls, v, lattice_shapes=1):
-        """The recorded calls of the scan: the collision report then asks every
-        lattice shape's over about each collision point."""
-        return calls[:len(calls) - len(v.collisions) * lattice_shapes]
 
     @staticmethod
     def window_classes(mt, radius, overs):
@@ -461,10 +452,10 @@ class TestColumnScan:
         assert [tilings._residue_index(g, s, c)[1] for s, c in zip(mt.shapes, mt.centers)] \
             == ([3, 4] if kind == "Z2" else [2, 3])
         calls.clear()
-        v = self.check(mt, radius)
+        self.check(mt, radius)
         classes = set(self.window_classes(mt, radius, overs[-2:]).values())
         assert len({cls[0] for cls in classes}) < len(classes)  # the pair is finer
-        assert len(self.evaluations(calls, v, 2)) <= 2 * len(classes) * period
+        assert len(calls) <= 2 * len(classes) * period
 
     @pytest.mark.parametrize("seed", range(6))
     def test_short_columns_share_a_class_with_long_ones(self, seed, monkeypatch):
@@ -482,7 +473,7 @@ class TestColumnScan:
             g = ZdGroup(2, generators=[(1, 0), (-1, 0), (0, 4), (0, -4), (1, 1), (-1, -1)])
             centers, radius, period = LatticeCenters([(2, 0), (1, 6)]), 6, 12
         mt = MultiTile([_random_shape(rng, g, rng.randint(2, 8), spread=1)], [centers])
-        v = self.check(mt, radius)
+        self.check(mt, radius)
         window = union_columns(g._cached_spheres(radius))
         lengths = {}
         for key, cls in self.window_classes(mt, radius, overs[-1:]).items():
@@ -490,8 +481,7 @@ class TestColumnScan:
         assert any(min(ls) < period <= max(ls) for ls in lengths.values())
         if not seed % 2:
             assert any(len(ivs) > 1 for ivs in window.values())
-        evaluated = [(over.column_class(w[:-1]), w[-1] % period)
-                     for over, w in self.evaluations(calls, v)]
+        evaluated = [(over.column_class(key), c % period) for over, key, c in calls]
         assert len(evaluated) == len(set(evaluated)) <= len(lengths) * period
 
     def test_evaluations_are_one_per_class_and_residue(self, monkeypatch):
@@ -505,6 +495,21 @@ class TestColumnScan:
         classes = set(self.window_classes(mt, 36, overs[-1:]).values())
         assert len(calls) <= len(classes) * 17
         assert len(calls) == 5937  # 45,177 at one pattern per column
+        evaluated = [(over.column_class(key), c % 17) for over, key, c in calls]
+        assert len(set(evaluated)) == len(evaluated)
+
+    def test_a_long_period_window_keeps_its_evaluations(self, monkeypatch):
+        # 1,092,681 points in columns far shorter than the period 10^6: a class
+        # is evaluated at the union of its columns' residues, each residue once
+        calls, overs = self.counted(monkeypatch)
+        g = HeisenbergGroup()
+        mt = MultiTile([g.subset([(0, 0, 0), (1, 0, 0)])],
+                       [LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 10 ** 6)])])
+        v = verify_multitile_window(mt, 40)
+        assert (v.window_size, v.covered_count, v.density) == (1092681, 3045,
+                                                               Fraction(3203, 1092681))
+        assert len(calls) == 89172
+        assert len({(over.column_class(key), c % 10 ** 6) for over, key, c in calls}) == 89172
 
     @pytest.mark.parametrize("kind", ["Z2", "H3"])
     def test_a_long_period_fills_only_the_residues_used(self, kind, monkeypatch):
@@ -525,16 +530,84 @@ class TestColumnScan:
         g._cached_spheres(radius)
         tracemalloc.start()
         try:
-            v = self.check(mt, radius)
+            self.check(mt, radius)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20  # a list of 10^6 counts alone takes 8 MB
-        evaluated = [(over.column_class(w[:-1]), w[-1] % 10 ** 6)
-                     for over, w in self.evaluations(calls, v)]
+        evaluated = [(over.column_class(key), c % 10 ** 6) for over, key, c in calls]
         assert len(evaluated) == len(set(evaluated))
         assert len(evaluated) < sum(hi - lo + 1 for sphere in g._cached_spheres(radius)
                                     for ivs in sphere.values() for lo, hi in ivs)
+
+
+class TestBatchCounts:
+    """The batch reader over.counts and the class patterns built from it, against
+    the length of over's list at each point, one point at a time."""
+
+    @staticmethod
+    def lattice(rng, g):
+        if isinstance(g, HeisenbergGroup):
+            return LatticeCenters([(rng.randint(1, 4), 0, 0), (0, -rng.randint(1, 4), 0),
+                                   (0, 0, rng.randint(1, 9))])
+        return LatticeCenters(_random_lattice(rng, g.d, negative=rng.random() < 0.5))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_batch_counts_match_the_index_point_by_point(self, seed):
+        # Z^1-Z^3 and H3 with box and scattered shapes; residues below 0, past
+        # the period, repeated and out of order, and a whole period
+        rng = random.Random(seed)
+        g = HeisenbergGroup() if seed % 4 == 3 else ZdGroup(1 + seed % 4)
+        shape = _random_shape(rng, g, rng.randint(1, 12))
+        over, period, _ = tilings._residue_index(g, shape, self.lattice(rng, g))
+        for _ in range(20):
+            key = tuple(rng.randint(-9, 9) for _ in g.identity[:-1])
+            for residues in (range(period), [rng.randint(-3 * period, 3 * period)
+                                             for _ in range(2 * period)]):
+                assert over.counts(key, residues) == [len(over(g._point(key, c)))
+                                                      for c in residues], (key, residues)
+
+    def test_heisenberg_counts_sum_several_ta_classes(self):
+        # (0,0,0) and (2,0,1) share the bucket (0, 0) mod (2, 1) but not ta mod 4
+        g = HeisenbergGroup()
+        over, period, lookups = tilings._residue_index(
+            g, g.subset([(0, 0, 0), (2, 0, 1)]), LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 4)]))
+        assert lookups == 2
+        for key in product(range(-3, 4), repeat=2):
+            assert over.counts(key, range(-8, 9)) == [len(over(key + (c,))) for c in range(-8, 9)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_class_patterns_match_the_indexes_point_by_point(self, seed):
+        # two lattice shapes of different last-axis periods (the patterns run over
+        # their lcm) and an explicit one; the window has columns shorter than the
+        # lcm and columns at least as long
+        rng = random.Random(seed)
+        g = HeisenbergGroup() if seed % 2 else ZdGroup(2)
+        n = len(g.identity)
+        shapes = [_random_shape(rng, g, rng.randint(1, 4), spread=1) for _ in range(3)]
+        last = [rng.choice([1, 2]), rng.choice([2, 3])] if seed % 2 else \
+            [rng.choice([2, 3]), rng.choice([2, 4])]
+        lattices = [LatticeCenters([tuple(rng.randint(1, 2) if i == j else 0 for j in range(n))
+                                    for i in range(n - 1)] + [(0,) * (n - 1) + (p,)])
+                    for p in last]
+        explicit = ExplicitCenters({tuple(rng.randint(-4, 4) for _ in range(n))
+                                    for _ in range(rng.randint(1, 30))})
+        mt = MultiTile(shapes, lattices + [explicit])
+        radius = 7 if seed % 2 else 6
+        indexes = [tilings._residue_index(g, s, c) for s, c in zip(shapes, lattices)] + [None]
+        window = g._ball_columns(radius)
+        columns, _, extra = tilings._window_columns(g, mt, indexes, window)
+        period = lcm(*last)
+        lengths = [hi - lo + 1 for ivs in window.values() for lo, hi in ivs]
+        assert min(lengths) < period <= max(lengths)
+        mul = g._mul_raw
+        scattered = Counter(mul(t, c) for c in explicit.elements for t in shapes[2])
+        for key, ivs in window.items():
+            for lo, hi in ivs:
+                for c in range(lo, hi + 1):
+                    w = g._point(key, c)
+                    expected = sum(len(index[0](w)) for index in indexes[:2]) + scattered[w]
+                    assert columns[key].at(c) + extra.get(key, {}).get(c, 0) == expected, w
 
 
 class TestLazySpheres:
@@ -586,8 +659,8 @@ class TestLazySpheres:
     @pytest.mark.parametrize("seed", range(4))
     def test_residue_count_matches_a_point_set(self, seed):
         # columns of short, disjoint intervals around multiples of the period,
-        # so that arcs wrap past residue 0; an interval of a whole period or
-        # more takes every residue
+        # so that arcs wrap past residue 0; the arcs list the residues in
+        # order, and an interval of a whole period or more takes every residue
         rng = random.Random(seed)
         for _ in range(300):
             period = rng.choice([1, 2, 3, 5, 12, 97, 10 ** 6])
@@ -597,8 +670,13 @@ class TestLazySpheres:
                 hi = lo + rng.randint(0, min(period + 1, 40))
                 ivs.append((lo, hi))
                 lo = hi + rng.randint(2, 2 * period + 2)
-            expected = len({c % period for lo, hi in ivs for c in range(lo, hi + 1)})
-            assert tilings._residue_count(ivs, period) == expected
+            residues = {c % period for lo, hi in ivs for c in range(lo, hi + 1)}
+            assert tilings._residue_count(ivs, period) == len(residues)
+            arcs = tilings._arcs(ivs, period)
+            if any(hi - lo + 1 >= period for lo, hi in ivs):
+                assert arcs is None
+            else:
+                assert [r for start, end in arcs for r in range(start, end + 1)] == sorted(residues)
         assert tilings._residue_count([(5, 10 ** 6 + 4)], 10 ** 6) == 10 ** 6
         assert tilings._residue_count([(-3, 2), (10 ** 6 - 1, 10 ** 6 + 3)], 10 ** 6) == 7
 
