@@ -15,9 +15,9 @@ mass is the same as packing a maximum-weight set of closed neighborhoods
 whose transitive-overlap unions stay within the size bound.
 """
 
-from collections import Counter
 from fractions import Fraction
-from math import lcm
+from itertools import chain, compress
+from operator import mul, ne, sub
 
 from ._record import Record
 from .errors import (
@@ -41,28 +41,25 @@ class BoundedPartition:
         self.graphing = graphing
         self.n_bound = integer_parameter("n_bound", n_bound, 1)
         V = graphing.n_vertices
-        seen = [False] * V
-        norm = []
-        for cell in cells:
-            cell = sorted(set(cell))
-            if not cell:
-                continue
-            if len(cell) > n_bound:
-                raise ParameterError(
-                    f"cell {cell} has size {len(cell)} > n_bound={n_bound}"
-                )
-            for v in cell:
-                if not 0 <= v < V:
-                    raise ParameterError(f"vertex {v} out of range")
-                if seen[v]:
+        cells = [list(cell) for cell in cells]
+        graphing._vertices(chain.from_iterable(cells))
+        norm = [sorted(set(cell)) for cell in cells if cell]
+        covered = set(chain.from_iterable(norm))
+        if max(map(len, norm), default=0) > n_bound or len(covered) != sum(map(len, norm)):
+            seen = set()
+            for cell in norm:
+                if len(cell) > n_bound:
+                    raise ParameterError(
+                        f"cell {cell} has size {len(cell)} > n_bound={n_bound}"
+                    )
+                v = next((v for v in cell if v in seen), None)
+                if v is not None:
                     raise ParameterError(f"vertex {v} appears in two cells")
-                seen[v] = True
-            norm.append(tuple(cell))
-        if not all(seen):
-            missing = [v for v in range(V) if not seen[v]]
+                seen.update(cell)
+        if len(covered) < V:
+            missing = sorted(set(range(V)) - covered)
             raise ParameterError(f"vertices {missing} are not covered by any cell")
-        norm.sort(key=lambda c: c[0])
-        self.cells = tuple(norm)
+        self.cells = tuple(sorted(map(tuple, norm)))
         cell_of = [0] * V
         for cid, cell in enumerate(self.cells):
             for v in cell:
@@ -100,18 +97,14 @@ def boundary_mass(graphing, partition):
     """mu of the vertices some generator moves out of their cell (or cannot move)."""
     if partition.graphing is not graphing:
         raise ParameterError("partition belongs to a different graphing")
-    per_generator = {}
-    boundary = set()
-    cell_of = partition.cell_of
-    for lab, row in graphing.maps.items():
-        moved = []
-        for v in range(graphing.n_vertices):
-            t = row[v]
-            if t is None or cell_of[t] != cell_of[v]:
-                moved.append(v)
-                boundary.add(v)
-        per_generator[lab] = tuple(moved)
-    boundary = tuple(sorted(boundary))
+    vertices = range(graphing.n_vertices)
+    # index V, an undefined shift, lies in no cell
+    cell_of = partition.cell_of + (-1,)
+    per_generator = {
+        lab: tuple(compress(vertices, map(ne, map(cell_of.__getitem__, row), cell_of)))
+        for lab, row in graphing._rows.items()
+    }
+    boundary = tuple(sorted(set().union(*per_generator.values())))
     return BoundaryMassReport(
         boundary_set=boundary,
         mass=graphing.mu(boundary),
@@ -155,21 +148,22 @@ class ActionProfileResult(Record):
         yield self.partition
 
 
-def _scaled_weights(graphing):
-    """Vertex weights times the lcm of their denominators, as integers, and that lcm."""
-    scale = lcm(*[w.denominator for w in graphing.weights], 1)
-    return [int(w * scale) for w in graphing.weights], scale
-
-
 def _partition_of_masks(graphing, masks, n):
     """The partition whose cells are the disjoint vertex masks, every other vertex alone."""
     V = graphing.n_vertices
     covered = 0
     cells = []
     for mask in masks:
-        cells.append([v for v in range(V) if mask >> v & 1])
         covered |= mask
-    cells += [[v] for v in range(V) if not covered >> v & 1]
+        cell = []
+        while mask:
+            low = mask & -mask
+            cell.append(low.bit_length() - 1)
+            mask ^= low
+        cells.append(cell)
+    # the uncovered vertices are the zero bits, read from the lowest
+    alone = map("0".__eq__, reversed(f"{covered:0{V}b}"))
+    cells += [[v] for v in compress(range(V), alone)]
     return BoundedPartition(graphing, cells, n)
 
 
@@ -194,14 +188,13 @@ def partition_tables(graphing):
     V = graphing.n_vertices
     rows = list(graphing.maps.values())
     flat = [-1 if row[v] is None else row[v] for v in range(V) for row in rows]
-    weights, scale = _scaled_weights(graphing)
-    return flat, V, len(rows), weights, scale
+    return flat, V, len(rows), list(graphing._units), graphing._scale
 
 
 def packing_items(graphing, n):
     """Interior-packing items as (closed-neighborhood masks, scaled integer weights, scale)."""
     rows = list(graphing.maps.values())
-    scaled, scale = _scaled_weights(graphing)
+    scaled = graphing._units
     masks = []
     weights = []
     for x in range(graphing.n_vertices):
@@ -215,7 +208,7 @@ def packing_items(graphing, n):
             if nb.bit_count() <= n:
                 masks.append(nb)
                 weights.append(scaled[x])
-    return masks, weights, scale
+    return masks, weights, graphing._scale
 
 
 def _bnb_exact(graphing, n, node_budget):
@@ -358,21 +351,25 @@ def iterated_boundary(graphing, partition, k):
         )
     base = boundary_mass(graphing, partition).boundary_set
     boundary = tuple(sorted(graphing.within(base, k - 1)))
-    inv = graphing.group.inverse_label
-    words = {None: Counter(base)}  # last label -> image vertex -> word count
-    images = Counter(base)
-    for _ in range(k):
-        longer = {}
-        for lab, row in graphing.maps.items():
-            counts = longer[lab] = Counter()
-            for last, ends in words.items():
-                if last != inv(lab):
-                    for v, c in ends.items():
-                        if row[v] is not None:
-                            counts[row[v]] += c
-            images.update(counts)
-        words = longer
-    bound = sum((c * graphing.weights[v] for v, c in images.items()), Fraction(0))
+    rows, inv = graphing._rows, graphing.group.inverse_label
+
+    def step(counts, lab):
+        # both maps are injective, so the row of lab^-1 moves counts along lab
+        return list(map(counts.__getitem__, rows[inv(lab)]))
+
+    # ends[lab][u] counts the reduced words whose last letter is lab and that
+    # carry a boundary vertex to u, with index V (a broken chain) held at 0
+    counts = [0] * (graphing.n_vertices + 1)
+    for v in base:
+        counts[v] = 1
+    ends = {lab: step(counts, lab) for lab in rows}
+    images = list(map(sum, zip(counts, *ends.values())))
+    for _ in range(k - 1):
+        total = list(map(sum, zip(*ends.values())))
+        # a reduced word never puts lab right after lab^-1
+        ends = {lab: step(list(map(sub, total, ends[inv(lab)])), lab) for lab in rows}
+        images = list(map(sum, zip(images, *ends.values())))
+    bound = Fraction(sum(map(mul, images, graphing._units)), graphing._scale)
     return IteratedBoundaryReport(
         k=k, boundary_set=boundary, mass=graphing.mu(boundary), telescoping_bound=bound
     )

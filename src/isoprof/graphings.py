@@ -13,12 +13,17 @@ group's own product.  transitive_symmetries certifies, from the maps alone,
 automorphisms that move vertex 0 to every vertex.  Such a graphing walks its
 window from vertex 0 alone, as the automorphisms carry a word fixing any
 vertex to one fixing 0, and the packing search fixes its root pick.
+
+The constructor builds two tables once, and every graphing pass reads them
+whole: _rows holds each map as a tuple of ints with V for an undefined shift
+and a trailing V, so that index V maps to V; _units holds each weight as an
+integer over _scale, the lcm of the weights' denominators.
 """
 
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import lcm
-from operator import add, ne
+from operator import add, eq, ne
 
 from ._record import Record
 from .errors import (
@@ -39,9 +44,9 @@ from .groups import ZdGroup, HeisenbergGroup, group_from_json, group_to_json
 _BLOCK = 64
 
 
-def _min_violation_depth(group, maps, n_vertices, radius, starts):
+def _min_violation_depth(group, rows, n_vertices, radius, starts):
     """Smallest length <= radius of a reduced, nonidentity-element word fixing
-    one of the start vertices.
+    one of the start vertices; rows are a graphing's integer rows.
 
     Words that reduce to the identity element of the group (commutators and
     the like) fix vertices for free and are skipped; they say nothing about
@@ -69,10 +74,8 @@ def _min_violation_depth(group, maps, n_vertices, radius, starts):
     two depths are held.
     """
     gone = n_vertices  # the image of a vertex whose shift chain broke
-    steps = []
-    for lab in group.labels:
-        row = tuple(gone if t is None else t for t in maps[lab]) + (gone,)
-        steps.append((lab, group.generator(lab), row.__getitem__, group.inverse_label(lab)))
+    steps = [(lab, group.generator(lab), rows[lab].__getitem__, group.inverse_label(lab))
+             for lab in group.labels]
     identity, mul = group.identity, group._mul_raw
 
     def first_hit(starts, limit):
@@ -115,12 +118,25 @@ def _min_violation_depth(group, maps, n_vertices, radius, starts):
     return best
 
 
-def _fraction_sum(values):
-    """Exact sum of Fractions over the lcm of their denominators, with no Fraction
-    (and no gcd) per partial sum."""
-    values = list(values)
-    den = lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+def _map_fault(group, maps, n_vertices):
+    """The first fault of maps that failed the whole-row checks, read entry by entry."""
+    for lab, row in maps.items():
+        if len(row) != n_vertices:
+            return ConfigError(f"map {lab!r} has the wrong length")
+        for t in row:
+            if t is not None and not (type(t) is int and 0 <= t < n_vertices):
+                return ConfigError(f"map {lab!r} has target {t!r} out of range")
+        defined = [t for t in row if t is not None]
+        if len(set(defined)) != len(defined):
+            return ConfigError(f"map {lab!r} is not injective")
+    for lab in group.labels:
+        back = maps[group.inverse_label(lab)]
+        for v, t in enumerate(maps[lab]):
+            if t is not None and back[t] != v:
+                return ConfigError(
+                    f"map {group.inverse_label(lab)!r} does not invert {lab!r} at vertex {v}"
+                )
+    return RuntimeError("internal: the whole-row checks refused maps with no fault")
 
 
 class MeasuredGraphing:
@@ -128,6 +144,12 @@ class MeasuredGraphing:
 
     def __init__(self, group, weights, maps, free_window=None):
         """Validate the weights and maps, then the free window.
+
+        The checks read whole rows: the distinct weights, and per map the set
+        of its entry types, its least and largest target, and its inverse row
+        after it, which must be the identity where the map is defined.  Only
+        a failed check reads the entries one by one, to name the first fault
+        with the message it always had.
 
         A declared free_window is certified: a nonidentity word of length at
         most free_window that fixes a vertex is refused.  None derives it as
@@ -137,57 +159,73 @@ class MeasuredGraphing:
         alone, otherwise from every vertex.
         """
         self.group = group
-        self.weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
-        self.n_vertices = len(self.weights)
-        if self.n_vertices < 1:
+        self.weights = tuple(weights)
+        if set(map(type, self.weights)) != {Fraction}:
+            self.weights = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
+        V = self.n_vertices = len(self.weights)
+        if V < 1:
             raise ConfigError("a graphing needs at least one vertex")
-        if any(w <= 0 for w in self.weights):
+        # the builders repeat one Fraction V times and from_json shares one
+        # per string, so the distinct weights are found by identity
+        distinct = {id(w): w for w in self.weights}
+        if any(w.numerator <= 0 for w in distinct.values()):
             raise NormalizationError("vertex weights must be positive")
-        total = _fraction_sum(self.weights)
-        if total != 1:
+        self._scale = lcm(*(w.denominator for w in distinct.values()))
+        unit = {key: w.numerator * (self._scale // w.denominator) for key, w in distinct.items()}
+        self._units = tuple(map(unit.__getitem__, map(id, self.weights)))
+        if sum(self._units) != self._scale:
+            total = Fraction(sum(self._units), self._scale)
             raise NormalizationError(f"vertex weights must sum to 1, got {total}")
         if set(maps) != set(group.labels):
             raise ConfigError("graphing maps must cover exactly the generator labels")
-        self.maps = {}
-        for lab, row in maps.items():
-            row = list(row)
-            if len(row) != self.n_vertices:
-                raise ConfigError(f"map {lab!r} has the wrong length")
-            for t in row:
-                if t is not None and not (type(t) is int and 0 <= t < self.n_vertices):
-                    raise ConfigError(f"map {lab!r} has target {t!r} out of range")
-            defined = [t for t in row if t is not None]
-            if len(set(defined)) != len(defined):
-                raise ConfigError(f"map {lab!r} is not injective")
-            self.maps[lab] = tuple(row)
+        self.maps = {lab: tuple(row) for lab, row in maps.items()}
+        self._rows, defined, hole = {}, {}, {None: V}.get
+        for lab, row in self.maps.items():
+            types = set(map(type, row))
+            if len(row) != V or not types <= {int, type(None)}:
+                raise _map_fault(group, self.maps, V)
+            full, defined[lab] = row, V
+            if type(None) in types:
+                full, defined[lab] = tuple(map(hole, row, row)), V - row.count(None)
+            if min(full) < 0 or max(full) > V:
+                raise _map_fault(group, self.maps, V)
+            self._rows[lab] = full + (V,)
         for lab in group.labels:
-            back = self.maps[group.inverse_label(lab)]
-            for v, t in enumerate(self.maps[lab]):
-                if t is not None and back[t] != v:
-                    raise ConfigError(
-                        f"map {group.inverse_label(lab)!r} does not invert {lab!r} at vertex {v}"
-                    )
+            # the inverse row after the row is the identity exactly where the
+            # row is defined, which makes the row injective too
+            back = self._rows[group.inverse_label(lab)]
+            if sum(map(eq, map(back.__getitem__, self._rows[lab]), range(V))) != defined[lab]:
+                raise _map_fault(group, self.maps, V)
         if free_window is None:
-            radius = min(self.n_vertices - 1, 6)
+            radius = min(V - 1, 6)
         else:
             radius = integer_parameter("free_window", free_window, 0)
         # the automorphisms carry 0 to every vertex and commute with every
         # map, so a word fixes some vertex exactly when it fixes vertex 0
         self.symmetric = self.transitive_symmetries() is not None
-        starts = (0,) if self.symmetric else range(self.n_vertices)
-        bad = _min_violation_depth(group, self.maps, self.n_vertices, radius, starts)
+        starts = (0,) if self.symmetric else range(V)
+        bad = _min_violation_depth(group, self._rows, V, radius, starts)
         if bad is not None and free_window is not None:
             raise ConfigError(
                 f"free_window={free_window} is wrong: a word of length {bad} fixes a vertex"
             )
         self.free_window = radius if bad is None else bad - 1
 
+    def _vertices(self, vertices):
+        """The vertices as a list, refused unless each is an int in [0, V)."""
+        vertices, V = list(vertices), self.n_vertices
+        if vertices and not (set(map(type, vertices)) == {int}
+                             and min(vertices) >= 0 and max(vertices) < V):
+            bad = next(v for v in vertices if type(v) is not int or not 0 <= v < V)
+            raise ParameterError(f"vertex {bad!r} out of range")
+        return vertices
+
     def phi(self, label, v):
         """Image of vertex v under the labeled shift, or None where undefined."""
         if label not in self.maps:
             raise ConfigError(f"unknown generator label {label!r}")
-        if not 0 <= v < self.n_vertices:
-            raise ParameterError(f"vertex {v} out of range")
+        if type(v) is not int or not 0 <= v < self.n_vertices:
+            raise ParameterError(f"vertex {v!r} out of range")
         return self.maps[label][v]
 
     def apply_word(self, word, v):
@@ -199,46 +237,50 @@ class MeasuredGraphing:
         return v
 
     def mu(self, vertices):
-        """Total weight of a vertex collection."""
-        seen = set()
-        for v in vertices:
-            if not 0 <= v < self.n_vertices:
-                raise ParameterError(f"vertex {v} out of range")
-            seen.add(v)
-        return _fraction_sum(self.weights[v] for v in seen)
+        """Total weight of a vertex collection, each vertex counted once."""
+        units = map(self._units.__getitem__, set(self._vertices(vertices)))
+        return Fraction(sum(units), self._scale)
 
     def within(self, sources, radius):
         """The set of vertices at most radius shift steps from a source vertex."""
-        reached = set(sources)
+        reached = set(self._vertices(sources))
+        steps = [row.__getitem__ for row in self._rows.values()]
         frontier = reached
         for _ in range(integer_parameter("radius", radius, 0)):
-            frontier = {row[v] for row in self.maps.values() for v in frontier}
-            frontier -= reached | {None}
+            frontier = set().union(*[map(step, frontier) for step in steps])
+            frontier.discard(self.n_vertices)
+            frontier -= reached
             reached |= frontier
         return reached
 
     def is_pmp(self):
         """True for the measure-preserving models: uniform weights, total maps."""
-        uniform = len(set(self.weights)) == 1
-        total = all(t is not None for row in self.maps.values() for t in row)
-        return uniform and total
+        uniform = self._units.count(self._units[0]) == self.n_vertices
+        return uniform and not any(None in row for row in self.maps.values())
 
     def transitive_symmetries(self):
         """Label-preserving automorphisms that carry vertex 0 to every vertex, or None.
 
         For each label s, sigma_s sends 0 to phi_s(0) and follows a
         breadth-first tree of the maps by sigma(phi_t(v)) = phi_t(sigma(v)).
-        It is kept only as a weight-preserving bijection that commutes with
-        every map, undefined shifts included, and the sigmas together must
-        move 0 to every vertex.  On the quotient models they are the right
-        translations by conjugates of the generators.  None means a check
-        failed: the maps are disconnected, a hole breaks the symmetry, the
-        weights differ, or the sigmas are not transitive.  The constructor
-        calls it once and keeps only whether it held, as symmetric.
+        It is kept only as a bijection that commutes with every map,
+        undefined shifts included, and that preserves the weights; with equal
+        weights every bijection does.  On the quotient models they are the
+        right translations by conjugates of the generators.  None means a
+        check failed: the maps are disconnected, a hole breaks the symmetry,
+        or the weights differ.  The constructor calls it once and keeps only
+        whether it held, as symmetric.
+
+        The sigmas are then transitive, with no orbit search.  Every vertex
+        u is phi_tk .. phi_t1(0) for the labels t1 .. tk of its tree path,
+        and sigma_t1 .. sigma_tk(0) = u by induction on k: sigma_t1(0) =
+        phi_t1(0), and as sigma_t1 commutes with every map,
+        sigma_t1(sigma_t2 .. sigma_tk(0)) = sigma_t1(phi_tk .. phi_t2(0))
+        = phi_tk .. phi_t2(sigma_t1(0)) = u.
         """
         V = self.n_vertices
         # V stands for an undefined shift, and every row and sigma fixes it
-        rows = [[V if t is None else t for t in row] + [V] for row in self.maps.values()]
+        rows = list(self._rows.values())
         # the breadth-first tree: u = row[v] is reached first from v
         order, tree = [0], []
         seen = [True] + [False] * (V - 1) + [True]
@@ -251,6 +293,7 @@ class MeasuredGraphing:
                     tree.append((u, v, row))
         if len(order) < V:
             return None
+        uniform = self._units.count(self._units[0]) == V
         sigmas = []
         for start in rows:
             sigma = [V] * (V + 1)
@@ -259,18 +302,13 @@ class MeasuredGraphing:
                 sigma[u] = row[sigma[v]]
             if len(set(sigma)) <= V:  # not a permutation of 0..V fixing V
                 return None
-            if tuple(map(self.weights.__getitem__, sigma[:V])) != self.weights:
+            if not uniform and tuple(map(self._units.__getitem__, sigma[:V])) != self._units:
                 return None
             for row in rows:
                 if list(map(row.__getitem__, sigma)) != list(map(sigma.__getitem__, row)):
                     return None
             sigmas.append(tuple(sigma[:V]))
-        orbit = {0}
-        frontier = orbit
-        while frontier:
-            frontier = {sigma[v] for sigma in sigmas for v in frontier} - orbit
-            orbit |= frontier
-        return tuple(sigmas) if len(orbit) == V else None
+        return tuple(sigmas)
 
     def rn_value(self, label, v):
         """ds_*mu/dmu at v: weight(phi_{s^-1}(v))/weight(v), 0 where the density vanishes."""
@@ -466,13 +504,11 @@ def holder_pushforward_bound(graphing, label, A, p):
     """
     p = holder_exponent(p)
     q = p / (p - 1)
-    A = sorted(set(A))
     row = graphing.maps[label] if label in graphing.maps else None
     if row is None:
         raise ConfigError(f"unknown generator label {label!r}")
+    A = sorted(set(graphing._vertices(A)))
     for v in A:
-        if not 0 <= v < graphing.n_vertices:
-            raise ParameterError(f"vertex {v} out of range")
         if row[v] is None:
             raise NotApplicableError(
                 f"phi_{label} is undefined at vertex {v}; the bound needs a total map on A"

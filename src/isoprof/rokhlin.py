@@ -1,13 +1,16 @@
 """Rokhlin towers: disjoint tile translates covering all but epsilon of a graphing.
 
-A tower with shape T and base vertex a is the fiber {t.a : t in T}, computed
-by walking geodesic words of the shape elements through the generator maps.
+A tower with shape T and base vertex a is the fiber {t.a : t in T}, read
+from the image of every vertex under the geodesic word of each shape
+element, composed once from the graphing's rows.
 A family places towers greedily in canonical vertex order (largest shape
 first) and reports the exact covered mass; disjointness is never trusted
 from construction, verify_tower_family recomputes everything from the bases.
 """
 
 from fractions import Fraction
+from itertools import chain, compress
+from operator import not_
 
 from ._record import Record
 from .errors import ConfigError, MixedGroupError, ParameterError, WindowExceededError
@@ -55,34 +58,34 @@ def tower_family_from_json(obj):
     )
 
 
-def _shape_words(graphing, mt, enforce_window=True):
-    """Geodesic words for every shape element, shape order preserved."""
+def _shape_images(graphing, mt, enforce_window=True):
+    """Per shape, per shape element in shape order, the image of every vertex
+    under its geodesic word, as one list; index V (a broken chain) maps to V."""
     group = mt.group
     if group != graphing.group:
         raise MixedGroupError("multi-tile and graphing use different groups")
-    words = []
-    diameter = 0
-    for shape in mt.shapes:
-        ws = [group.geodesic_word(t) for t in shape]
-        diameter = max([diameter] + [len(w) for w in ws])
-        words.append(ws)
+    words = [[group.geodesic_word(t) for t in shape] for shape in mt.shapes]
+    diameter = max((len(w) for ws in words for w in ws), default=0)
     if enforce_window and diameter > graphing.free_window:
         raise WindowExceededError(
             f"shape diameter {diameter} exceeds the free window "
             f"{graphing.free_window}; fibers could wrap onto themselves"
         )
-    return words
+    images = []
+    for ws in words:
+        images.append([])
+        for w in ws:
+            image = range(graphing.n_vertices + 1)
+            for lab in reversed(w):  # the word is applied rightmost letter first
+                image = list(map(graphing._rows[lab].__getitem__, image))
+            images[-1].append(image)
+    return images
 
 
-def _fiber(graphing, words, base):
+def _fiber(images, base, gone):
     """The tower fiber over a base vertex, or None if broken or self-colliding."""
-    fiber = []
-    for w in words:
-        v = graphing.apply_word(w, base)
-        if v is None:
-            return None
-        fiber.append(v)
-    if len(set(fiber)) != len(fiber):
+    fiber = [image[base] for image in images]
+    if gone in fiber or len(set(fiber)) != len(fiber):
         return None
     return fiber
 
@@ -92,7 +95,7 @@ def build_towers(graphing, mt, epsilon):
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
-    words = _shape_words(graphing, mt)
+    images = _shape_images(graphing, mt)
     order = sorted(range(len(mt.shapes)), key=lambda i: (-len(mt.shapes[i]), i))
     V = graphing.n_vertices
     used = [False] * V
@@ -102,7 +105,7 @@ def build_towers(graphing, mt, epsilon):
         if used[v]:
             continue
         for i in order:
-            fib = _fiber(graphing, words[i], v)
+            fib = _fiber(images[i], v, V)
             if fib is None or any(used[x] for x in fib):
                 continue
             for x in fib:
@@ -110,14 +113,13 @@ def build_towers(graphing, mt, epsilon):
             bases[i].append(v)
             fibers[i].append(tuple(fib))
             break
-    covered = [v for v in range(V) if used[v]]
-    coverage = graphing.mu(covered)
+    coverage = graphing.mu(compress(range(V), used))
     return TowerFamily(
         bases=tuple(tuple(b) for b in bases),
         coverage=coverage,
         epsilon_target=epsilon,
         success=coverage >= 1 - epsilon,
-        leftover=tuple(v for v in range(V) if not used[v]),
+        leftover=tuple(compress(range(V), map(not_, used))),
         fibers=tuple(tuple(f) for f in fibers),
     )
 
@@ -140,14 +142,15 @@ def verify_tower_family(graphing, mt, tf):
             f"family has {len(tf.bases)} base sets but the multi-tile has "
             f"{len(mt.shapes)} shapes"
         )
-    words = _shape_words(graphing, mt, enforce_window=False)
+    images = _shape_images(graphing, mt, enforce_window=False)
+    graphing._vertices(chain.from_iterable(tf.bases))
     seen = {}
     collisions = []
     broken = []
     covered = set()
     for i, base_set in enumerate(tf.bases):
         for a in base_set:
-            fib = _fiber(graphing, words[i], a)
+            fib = _fiber(images[i], a, graphing.n_vertices)
             if fib is None:
                 if len(broken) < 5:
                     broken.append((i, a))
@@ -158,7 +161,7 @@ def verify_tower_family(graphing, mt, tf):
                 elif len(collisions) < 5:
                     collisions.append((x, seen[x], (i, a)))
                 covered.add(x)
-    coverage = graphing.mu(sorted(covered))
+    coverage = graphing.mu(covered)
     disjoint = not collisions and not broken
     matches = coverage == tf.coverage
     return TowerVerification(

@@ -550,3 +550,106 @@ def two_cycles(m):
     back = [(v - 1) % m + v // m * m for v in range(2 * m)]
     return MeasuredGraphing(ZdGroup(1), [Fraction(1, 2 * m)] * (2 * m),
                             {"1": step, "-1": back}, (m - 1) // 2)
+
+
+def mu_oracle(graphing, vertices):
+    """Total weight of the distinct vertices, summed as Fractions one by one."""
+    total = Fraction(0)
+    for v in set(vertices):
+        if not 0 <= v < graphing.n_vertices:
+            raise ValueError(f"vertex {v} out of range")
+        total += graphing.weights[v]
+    return total
+
+
+def boundary_mass_oracle(graphing, cells):
+    """(boundary set, per-generator moved vertices, mass) of a partition, vertex
+    by vertex: v is moved by a map that is undefined at v or leaves its cell."""
+    cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
+    per_generator, boundary = {}, set()
+    for lab, row in graphing.maps.items():
+        moved = []
+        for v in range(graphing.n_vertices):
+            t = row[v]
+            if t is None or cell_of[t] != cell_of[v]:
+                moved.append(v)
+                boundary.add(v)
+        per_generator[lab] = tuple(moved)
+    boundary = tuple(sorted(boundary))
+    return boundary, per_generator, mu_oracle(graphing, boundary)
+
+
+def symmetries_oracle(graphing):
+    """Label-preserving, weight-preserving automorphisms sigma_s with sigma_s(0) =
+    phi_s(0), built along a breadth-first tree, or None; kept only when each
+    commutes with every map, holes included, and the sigmas together move 0
+    to every vertex, which an orbit search checks."""
+    V = graphing.n_vertices
+    rows = [list(row) for row in graphing.maps.values()]
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for row in rows:
+            u = row[v]
+            if u is not None and u not in parent:
+                parent[u] = (v, row)
+                order.append(u)
+    if len(order) < V:
+        return None
+    sigmas = []
+    for start in rows:
+        if start[0] is None:
+            return None
+        sigma = {0: start[0]}
+        for u in order[1:]:
+            v, row = parent[u]
+            t = row[sigma[v]]
+            if t is None:
+                return None
+            sigma[u] = t
+        if sorted(sigma.values()) != list(range(V)):
+            return None
+        for v in range(V):
+            if graphing.weights[sigma[v]] != graphing.weights[v]:
+                return None
+            for row in rows:
+                image = row[v]
+                if (None if image is None else sigma[image]) != row[sigma[v]]:
+                    return None
+        sigmas.append(tuple(sigma[v] for v in range(V)))
+    orbit, frontier = {0}, [0]
+    while frontier:
+        frontier = [sigma[v] for sigma in sigmas for v in frontier if sigma[v] not in orbit]
+        orbit.update(frontier)
+    return tuple(sigmas) if len(orbit) == V else None
+
+
+def towers_oracle(graphing, mt):
+    """(bases, fibers, leftover, coverage) of the greedy tower family, walking
+    each shape element's geodesic word from each base letter by letter."""
+    words = [[mt.group.geodesic_word(t) for t in shape] for shape in mt.shapes]
+    order = sorted(range(len(mt.shapes)), key=lambda i: (-len(mt.shapes[i]), i))
+    V = graphing.n_vertices
+    used = [False] * V
+    bases = [[] for _ in mt.shapes]
+    fibers = [[] for _ in mt.shapes]
+    for v in range(V):
+        if used[v]:
+            continue
+        for i in order:
+            fiber = []
+            for word in words[i]:
+                x = v
+                for lab in reversed(word):
+                    x = None if x is None else graphing.maps[lab][x]
+                fiber.append(x)
+            if None in fiber or len(set(fiber)) != len(fiber) or any(used[x] for x in fiber):
+                continue
+            for x in fiber:
+                used[x] = True
+            bases[i].append(v)
+            fibers[i].append(tuple(fiber))
+            break
+    leftover = tuple(v for v in range(V) if not used[v])
+    coverage = mu_oracle(graphing, [v for v in range(V) if used[v]])
+    return (tuple(map(tuple, bases)), tuple(map(tuple, fibers)), leftover, coverage)

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoprof import (
+    BoundedPartition,
     HeisenbergGroup,
     MeasuredGraphing,
     SqrtSum,
     ZdGroup,
+    boundary_mass,
     build_heisenberg_quotient,
     build_torus_action,
+    build_towers,
     build_weighted_cycle,
     holder_pushforward_bound,
+    iterated_boundary,
     stationary_rn_bounds,
 )
 from isoprof.errors import (
@@ -29,12 +33,19 @@ from isoprof.errors import (
 from isoprof import graphings
 from isoprof.bounds import cycle_with_marking
 from isoprof.graphings import _min_violation_depth, quotient_action
+from isoprof.tilings import folner_tiles
 from oracles import (
+    boundary_mass_oracle,
     inline_law,
+    iterated_boundary_oracle,
+    mu_oracle,
     punctured,
     random_graphing,
+    random_partition,
     reduced_words,
     relabelled,
+    symmetries_oracle,
+    towers_oracle,
     two_cycles,
     violation_depth_oracle,
 )
@@ -124,6 +135,39 @@ class TestValidation:
         with pytest.raises(ConfigError, match="out of range"):
             tiny_graphing({"1": [target, None, None], "-1": [None, 0, None]})
 
+    @pytest.mark.parametrize("maps, weights, error, message", [
+        ({"1": [1, 2], "-1": [2, 0, 1]}, None, ConfigError, "map '1' has the wrong length"),
+        ({"1": [1.0, 2, 7], "-1": [2, 0, 1]}, None, ConfigError,
+         "map '1' has target 1.0 out of range"),
+        ({"1": [True, 2, 0], "-1": [2, 0, 1]}, None, ConfigError,
+         "map '1' has target True out of range"),
+        ({"1": [1, -1, 0], "-1": [2, 0, 1]}, None, ConfigError,
+         "map '1' has target -1 out of range"),
+        ({"1": [1, 3, 0], "-1": [2, 0, 1]}, None, ConfigError,
+         "map '1' has target 3 out of range"),
+        ({"1": [1, 1, 0], "-1": [2, 0, 1]}, None, ConfigError, "map '1' is not injective"),
+        # the first map in order is named, whatever the fault of a later one
+        ({"1": [1, 1, 0], "-1": [2, 0]}, None, ConfigError, "map '1' is not injective"),
+        ({"1": [1, 2, 0], "-1": [2, 0, None]}, None, ConfigError,
+         "map '-1' does not invert '1' at vertex 1"),
+        ({"1": [1, 2, 0], "-1": [1, 2, 0]}, None, ConfigError,
+         "map '-1' does not invert '1' at vertex 0"),
+        ({"1": [1, 2, 0], "-1": [2, 0, 1]}, ["1/2", "0", "1/2"], NormalizationError,
+         "vertex weights must be positive"),
+        ({"1": [1, 2, 0], "-1": [2, 0, 1]}, ["1/2", "1/3", "1/4"], NormalizationError,
+         "vertex weights must sum to 1, got 13/12"),
+    ])
+    def test_the_first_fault_is_named(self, maps, weights, error, message):
+        # through the constructor and through from_json alike
+        weights = weights or ["1/3"] * 3
+        with pytest.raises(error) as direct:
+            MeasuredGraphing(ZdGroup(1), [Fraction(w) for w in weights], maps, 0)
+        obj = build_torus_action(1, 3).to_json()
+        obj.update(weights=weights, maps=maps, free_window=0)
+        with pytest.raises(error) as read:
+            MeasuredGraphing.from_json(obj)
+        assert str(direct.value) == str(read.value) == message
+
     def test_identity_element_words_do_not_break_freeness(self):
         # on a torus the commutator 1,0 0,1 -1,0 0,-1 fixes every vertex but
         # multiplies to the identity, so it must not shrink the free window
@@ -140,7 +184,7 @@ class TestFreeWindow:
         depth = violation_depth_oracle(g.group, g.maps, g.n_vertices, 8)
         for radius in range(9):
             want = depth if depth is not None and depth <= radius else None
-            assert _min_violation_depth(g.group, g.maps, g.n_vertices, radius,
+            assert _min_violation_depth(g.group, g._rows, g.n_vertices, radius,
                                         range(g.n_vertices)) == want
         return cap if depth is None or depth > cap else depth - 1
 
@@ -188,7 +232,7 @@ class TestFreeWindow:
         # odd depths meet one step apart, even depths at one depth
         g = build_torus_action(1, m, generators=generators)
         self.oracle_window(g, 0)
-        assert _min_violation_depth(g.group, g.maps, m, 8, range(m)) == depth
+        assert _min_violation_depth(g.group, g._rows, m, 8, range(m)) == depth
 
     def test_heisenberg_identity_words_do_not_count(self):
         # H3 under left multiplication, on the points that its reduced words
@@ -221,7 +265,7 @@ class TestFreeWindow:
         g = build_heisenberg_quotient(8)
         mul, calls = g.group._mul_raw, []
         monkeypatch.setattr(g.group, "_mul_raw", lambda a, b: calls.append(1) or mul(a, b))
-        assert _min_violation_depth(g.group, g.maps, g.n_vertices, 6, range(g.n_vertices)) is None
+        assert _min_violation_depth(g.group, g._rows, g.n_vertices, 6, range(g.n_vertices)) is None
         # 416: 8 blocks of 64 starts, 4 + 12 + 36 states to depth 3 each; a
         # walk to depth 6 makes 7,184
         assert len(calls) <= 500
@@ -313,9 +357,9 @@ class TestBuilders:
         walk = graphings._min_violation_depth
         walks = []
 
-        def recording(group, maps, n_vertices, radius, starts):
+        def recording(group, rows, n_vertices, radius, starts):
             walks.append(tuple(starts))
-            return walk(group, maps, n_vertices, radius, starts)
+            return walk(group, rows, n_vertices, radius, starts)
 
         monkeypatch.setattr(graphings, "_min_violation_depth", recording)
         g = build_heisenberg_quotient(8)  # 512 vertices, certified: vertex 0 alone
@@ -375,9 +419,9 @@ class TestOneStart:
         assert g.symmetric
         V = g.n_vertices
         for radius in (1, 3, 6, min(V - 1, 12)):
-            everywhere = _min_violation_depth(g.group, g.maps, V, radius, range(V))
+            everywhere = _min_violation_depth(g.group, g._rows, V, radius, range(V))
             for start in (0, V // 2, V - 1):
-                assert _min_violation_depth(g.group, g.maps, V, radius, (start,)) == everywhere
+                assert _min_violation_depth(g.group, g._rows, V, radius, (start,)) == everywhere
 
     @pytest.mark.parametrize("make", [
         lambda: build_torus_action(1, 6),
@@ -390,7 +434,7 @@ class TestOneStart:
         g = make()
         assert g.symmetric
         V = g.n_vertices
-        depth = _min_violation_depth(g.group, g.maps, V, V, range(V))
+        depth = _min_violation_depth(g.group, g._rows, V, V, range(V))
         assert depth > g.free_window
         for declared in (depth, depth + 3):
             with pytest.raises(ConfigError) as info:
@@ -637,3 +681,65 @@ def test_random_graphings_serialize_and_validate(seed, V):
     g = random_graphing(rng, V, d=rng.choice([1, 2]), hole_prob=Fraction(1, 4))
     h = MeasuredGraphing.from_json(g.to_json())
     assert h.maps == g.maps and h.weights == g.weights
+
+
+def rows_agree_with_entries(g, rng):
+    """Every graphing pass that reads the integer rows and units gives what the
+    entry-by-entry oracles give: symmetries, boundary mass, mu, towers and the
+    iterated boundary."""
+    V = g.n_vertices
+    sigmas = symmetries_oracle(g)
+    assert g.transitive_symmetries() == sigmas and g.symmetric == (sigmas is not None)
+    cells = random_partition(rng, V, 3)
+    partition = BoundedPartition(g, cells, 3)
+    report = boundary_mass(g, partition)
+    assert (report.boundary_set, report.per_generator, report.mass) == \
+        boundary_mass_oracle(g, cells)
+    some = [rng.randrange(V) for _ in range(rng.randint(0, 2 * V))]
+    assert g.mu(some) == mu_oracle(g, some)
+    # the largest built-in tile of at most 8 points that fits the free window
+    fits = [t.multitile() for t in folner_tiles(g.group, 8)]
+    fits = [mt for mt in fits if max(len(g.group.geodesic_word(t)) for shape in mt.shapes
+                                     for t in shape) <= g.free_window]
+    towers = build_towers(g, fits[-1], Fraction(1, 2))
+    assert (towers.bases, towers.fibers, towers.leftover, towers.coverage) == \
+        towers_oracle(g, fits[-1])
+    for k in range(1, min(g.free_window, 3) + 1):
+        r = iterated_boundary(g, partition, k)
+        assert (r.boundary_set, r.mass, r.telescoping_bound) == \
+            iterated_boundary_oracle(g, cells, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 12), st.sampled_from([1, 2]),
+       st.sampled_from([0, Fraction(1, 4)]), st.sampled_from(["shared", "distinct", "uneven"]))
+def test_rows_agree_with_entries_on_random_graphings(seed, V, d, holes, weights):
+    # random paired injections: holes, maps that fall apart into cycles, and
+    # equal weights shared, equal weights held as distinct objects, or uneven
+    rng = random.Random(seed)
+    g = random_graphing(rng, V, d=d, hole_prob=holes, uniform=True)
+    if weights == "distinct":
+        g = MeasuredGraphing(g.group, [Fraction(1, V) for _ in range(V)], g.maps)
+    elif weights == "uneven":
+        raw = [rng.randint(1, 4) for _ in range(V)]
+        g = MeasuredGraphing(g.group, [Fraction(r, sum(raw)) for r in raw], g.maps)
+    else:
+        g = MeasuredGraphing(g.group, g.weights, g.maps)
+    rows_agree_with_entries(g, rng)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_torus_action(1, 9),
+    lambda: build_torus_action(2, 5),
+    lambda: build_torus_action(3, 3),
+    lambda: build_torus_action(2, 6, [(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+    lambda: build_heisenberg_quotient(3),
+    lambda: build_weighted_cycle(9, [Fraction(1 + v % 3, 18) for v in range(9)]),
+    lambda: cycle_with_marking(10, [Fraction(1, 10)] * 10, [1, -1, 3, -3]),
+    lambda: quotient_action(ZdGroup(1), 7, [Fraction(1, 7)] * 7),
+    lambda: two_cycles(5),
+])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_rows_agree_with_entries_on_builders(make, seed):
+    g = make()
+    rows_agree_with_entries(g if seed is None else relabelled(g, seed), random.Random(seed))

@@ -37,6 +37,7 @@ from isoprof.cli import main
 from isoprof.errors import ParameterError, UnsupportedError
 from isoprof.exact import SqrtSum
 from isoprof.isoperimetry import ProfilePoint, ProfileResult, SubsetSearchProfile
+from isoprof.rokhlin import TowerFamily, verify_tower_family
 
 KERNELS = ("subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp",
            "ball_table")
@@ -150,3 +151,28 @@ def test_bad_holder_exponent_raises_before_any_search(p, error, no_search):
         check_generating_set_comparison(w1, w2, 2, p=p)
     with pytest.raises(error):
         holder_pushforward_bound(w1, "1", [0], p)
+
+
+# call with a graphing g (Z on 5 points) and one bad vertex x
+VERTEX_ENTRIES = {
+    "MeasuredGraphing.phi": lambda g, x: g.phi("1", x),
+    "MeasuredGraphing.within": lambda g, x: g.within({x}, 1),
+    "MeasuredGraphing.within radius 0": lambda g, x: g.within({x}, 0),
+    "MeasuredGraphing.mu": lambda g, x: g.mu([x]),
+    "MeasuredGraphing.mu beside a vertex": lambda g, x: g.mu([1, x]),
+    "BoundedPartition": lambda g, x: BoundedPartition(g, [[0, 1], [2, 3], [4, x]], 2),
+    "holder_pushforward_bound": lambda g, x: holder_pushforward_bound(g, "1", [0, x], 2),
+    "verify_tower_family": lambda g, x: verify_tower_family(
+        g, cube_tile(g.group, 1), TowerFamily(bases=((0, x),), coverage=Fraction(1, 5),
+                                              epsilon_target=Fraction(1), success=True)),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 99, 1.5, 1.0, True, False, "1", None])
+@pytest.mark.parametrize("entry", sorted(VERTEX_ENTRIES))
+def test_bad_vertices_raise_parameter_error(entry, bad):
+    # every vertex the graphing API takes is an int in [0, V): -1 would index
+    # from the end, and 1.0 and True would pass for vertex 1
+    g = build_torus_action(1, 5)
+    with pytest.raises(ParameterError, match=f"vertex {bad!r} out of range"):
+        VERTEX_ENTRIES[entry](g, bad)
