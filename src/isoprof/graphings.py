@@ -9,10 +9,18 @@ Checking a window walks the orbit graph over distinct states from both ends
 of a word, so its cost grows with the ball of half that radius, not with the
 number of reduced words.  The quotient models, Z^d on (Z/m)^d and the
 Heisenberg group on its triples mod m, come from one builder that reads the
-group's own product.  transitive_symmetries certifies, from the maps alone,
-automorphisms that move vertex 0 to every vertex.  Such a graphing walks its
-window from vertex 0 alone, as the automorphisms carry a word fixing any
-vertex to one fixing 0, and the packing search fixes its root pick.
+group's own law as index arithmetic: vertex v is a column key j = v mod K
+and a last digit c = v // K, with K = m^(d-1) on points of d coordinates,
+and a generator with column step (head, dc, coef) sends it to keyrow[j] +
+K ((c + dc + coef.key(j)) mod m), keyrow adding head to the key digit by
+digit.  Reduction mod m is a ring homomorphism, so these maps are the
+group's product reduced mod m and form an action.
+
+transitive_symmetries certifies, from the maps alone, automorphisms that
+move vertex 0 to every vertex; each commutes with every map, which it checks
+as two row compositions.  Such a graphing walks its window from vertex 0
+alone, as the automorphisms carry a word fixing any vertex to one fixing 0,
+and the packing search fixes its root pick.
 
 The constructor builds two tables once, and every graphing pass reads them
 whole: _rows holds each map as a tuple of ints with V for an undefined shift
@@ -21,9 +29,9 @@ integer over _scale, the lcm of the weights' denominators.
 """
 
 from fractions import Fraction
-from itertools import compress, product, repeat
+from itertools import chain, compress, repeat
 from math import lcm
-from operator import add, eq, ne
+from operator import add, eq, itemgetter, ne
 
 from ._record import Record
 from .errors import (
@@ -36,7 +44,7 @@ from .errors import (
     integer_parameter,
 )
 from .exact import SqrtSum, format_fraction, parse_fraction
-from .groups import ZdGroup, HeisenbergGroup, group_from_json, group_to_json
+from .groups import ZdGroup, HeisenbergGroup, _TupleGroup, group_from_json, group_to_json
 
 
 # start vertices are walked 64 at a time: a state then holds 64 images, so
@@ -294,6 +302,7 @@ class MeasuredGraphing:
         if len(order) < V:
             return None
         uniform = self._units.count(self._units[0]) == V
+        befores = [itemgetter(*row) for row in rows]
         sigmas = []
         for start in rows:
             sigma = [V] * (V + 1)
@@ -304,9 +313,10 @@ class MeasuredGraphing:
                 return None
             if not uniform and tuple(map(self._units.__getitem__, sigma[:V])) != self._units:
                 return None
-            for row in rows:
-                if list(map(row.__getitem__, sigma)) != list(map(sigma.__getitem__, row)):
-                    return None
+            # sigma commutes with a row when row o sigma and sigma o row agree
+            after = itemgetter(*sigma)
+            if any(after(row) != before(sigma) for row, before in zip(rows, befores)):
+                return None
             sigmas.append(tuple(sigma[:V]))
         return tuple(sigmas)
 
@@ -416,15 +426,35 @@ def quotient_action(group, m, weights, free_window=None):
     action.  They are inserted in group.labels order, which the kernels'
     tables follow.  A free_window is certified as by MeasuredGraphing; None
     derives it.
+
+    The rows come from the group's integer form, with no point tuple.  With
+    k key digits and K = m^k, vertex v is the column key j = v mod K and the
+    last digit c = v // K.  A generator with column step (head, dc, coef)
+    sends v to keyrow[j] + K ((c + dc + coef.key(j)) mod m), where keyrow
+    adds head to the key digit by digit mod m: each digit's block of m
+    sub-blocks is rotated by its digit of head.
     """
-    points = [p[::-1] for p in product(range(m), repeat=len(group.identity))]
-    vertex = {p: v for v, p in enumerate(points)}.__getitem__
-    reduce = m.__rmod__
+    if not isinstance(group, _TupleGroup):
+        raise ConfigError(f"a quotient model needs Z^d or a Heisenberg group, not {group!r}")
+    integer_parameter("m", m, 1)
+    k = len(group.identity) - 1
+    K = m**k
+    lasts = list(chain.from_iterable(map(repeat, range(m), repeat(K))))  # c of each vertex
     maps = {}
-    for lab in group.labels:
-        # the images coordinate by coordinate, reduced, zipped back into points
-        images = zip(*map(group._left[lab], points))
-        maps[lab] = list(map(vertex, zip(*[map(reduce, c) for c in images])))
+    for lab, (head, dc, coef) in zip(group.labels, group._steps):
+        # keyrow[j] is the index of key(j) + head, and lin[j] is coef.key(j)
+        # with each term reduced mod m; both grow one key digit at a time, and
+        # the digit of j that the step adds is d = j // block
+        keyrow, lin = [0], [0]
+        for h, a in zip(head, coef):
+            block = len(keyrow)
+            keyrow = list(map(add, keyrow * m, chain.from_iterable(
+                [repeat(block * ((d + h) % m), block) for d in range(m)])))
+            lin = list(map(add, lin * m, chain.from_iterable(
+                [repeat(a * d % m, block) for d in range(m)])))
+        # c + lin[j] is at most (k + 1)(m - 1), and wrap[i] = K ((dc + i) mod m)
+        wrap = [K * ((dc + i) % m) for i in range(k * (m - 1) + m)]
+        maps[lab] = list(map(add, keyrow * m, map(wrap.__getitem__, map(add, lasts, lin * m))))
     return MeasuredGraphing(group, weights, maps, free_window)
 
 

@@ -8,7 +8,7 @@ map tables; the evaluation logic is local).
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def z_profile_oracle(n_max):
@@ -315,6 +315,17 @@ def inline_law(group):
     return lambda g, h: tuple(x + y for x, y in zip(g, h)), lambda g: tuple(-x for x in g)
 
 
+def quotient_maps_oracle(group, m):
+    """The maps of quotient_action point by point: vertex v = c_0 + c_1 m + ..
+    is the point (c_0, c_1, ..), and its image under a generator is generator *
+    point by the inline law, with each coordinate reduced mod m and looked up."""
+    mul = inline_law(group)[0]
+    points = [p[::-1] for p in product(range(m), repeat=len(group.identity))]
+    vertex = {p: v for v, p in enumerate(points)}
+    return {lab: [vertex[tuple(x % m for x in mul(group.generator(lab), p))] for p in points]
+            for lab in group.labels}
+
+
 def sphere_oracle(group, radius):
     """Spheres 0..radius of the Cayley graph, each sorted, by a breadth-first
     search over single points with the inline group law."""
@@ -579,11 +590,10 @@ def boundary_mass_oracle(graphing, cells):
     return boundary, per_generator, mu_oracle(graphing, boundary)
 
 
-def symmetries_oracle(graphing):
-    """Label-preserving, weight-preserving automorphisms sigma_s with sigma_s(0) =
-    phi_s(0), built along a breadth-first tree, or None; kept only when each
-    commutes with every map, holes included, and the sigmas together move 0
-    to every vertex, which an orbit search checks."""
+def tree_sigmas(graphing):
+    """For each label s, the map sigma_s with sigma_s(0) = phi_s(0) filled along
+    a breadth-first tree by sigma(phi_t(v)) = phi_t(sigma(v)), as a dict, with
+    no check on it; None when the tree misses a vertex or meets a hole."""
     V = graphing.n_vertices
     rows = [list(row) for row in graphing.maps.values()]
     parent = {0: None}
@@ -607,6 +617,22 @@ def symmetries_oracle(graphing):
             if t is None:
                 return None
             sigma[u] = t
+        sigmas.append(sigma)
+    return sigmas
+
+
+def symmetries_oracle(graphing):
+    """Label-preserving, weight-preserving automorphisms sigma_s with sigma_s(0) =
+    phi_s(0), built along a breadth-first tree, or None; kept only when each
+    commutes with every map, holes included, and the sigmas together move 0
+    to every vertex, which an orbit search checks."""
+    V = graphing.n_vertices
+    rows = [list(row) for row in graphing.maps.values()]
+    filled = tree_sigmas(graphing)
+    if filled is None:
+        return None
+    sigmas = []
+    for sigma in filled:
         if sorted(sigma.values()) != list(range(V)):
             return None
         for v in range(V):
@@ -622,6 +648,22 @@ def symmetries_oracle(graphing):
         frontier = [sigma[v] for sigma in sigmas for v in frontier if sigma[v] not in orbit]
         orbit.update(frontier)
     return tuple(sigmas) if len(orbit) == V else None
+
+
+def swapped(graphing, v1, v2):
+    """The same graphing with the first label's targets at v1 and v2 swapped,
+    and its inverse label's entries at those two targets swapped to match, so
+    the maps stay paired bijections; the free window is derived."""
+    from isoprof import MeasuredGraphing
+
+    group = graphing.group
+    lab = group.labels[0]
+    inv = group.inverse_label(lab)
+    maps = {key: list(row) for key, row in graphing.maps.items()}
+    t1, t2 = maps[lab][v1], maps[lab][v2]
+    maps[lab][v1], maps[lab][v2] = t2, t1
+    maps[inv][t1], maps[inv][t2] = v2, v1
+    return MeasuredGraphing(group, graphing.weights, maps)
 
 
 def towers_oracle(graphing, mt):

@@ -5,10 +5,11 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isoprof import (
     BoundedPartition,
+    FreeGroup,
     HeisenbergGroup,
     MeasuredGraphing,
     SqrtSum,
@@ -40,12 +41,15 @@ from oracles import (
     iterated_boundary_oracle,
     mu_oracle,
     punctured,
+    quotient_maps_oracle,
     random_graphing,
     random_partition,
     reduced_words,
     relabelled,
+    swapped,
     symmetries_oracle,
     towers_oracle,
+    tree_sigmas,
     two_cycles,
     violation_depth_oracle,
 )
@@ -391,6 +395,73 @@ class TestBuilders:
         with pytest.raises(NormalizationError):
             build_weighted_cycle(3, [Fraction(1, 2), Fraction(1, 2)])
 
+    @pytest.mark.parametrize("m", [-3, 0, 2.0, True, "3", None])
+    def test_quotient_modulus_is_a_positive_integer(self, m):
+        with pytest.raises(ParameterError, match=rf"^m must be an integer >= 1, got {m!r}$"):
+            quotient_action(ZdGroup(1), m, [Fraction(1, 3)] * 3)
+
+    def test_quotient_needs_an_integer_form(self):
+        # a free group has no column form to reduce mod m
+        with pytest.raises(ConfigError) as err:
+            quotient_action(FreeGroup(2), 3, [Fraction(1, 9)] * 9)
+        assert str(err.value) == \
+            "a quotient model needs Z^d or a Heisenberg group, not FreeGroup(2)"
+
+    def test_a_one_point_quotient(self):
+        g = quotient_action(HeisenbergGroup(), 1, [Fraction(1)])
+        assert g.maps == {lab: (0,) for lab in g.group.labels} and g.free_window == 0
+
+
+def _unimodular(draw, n):
+    """An n x n integer matrix of determinant 1 with entries up to about 2^70:
+    random row additions applied to the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-2**70, 2**70))
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@st.composite
+def quotient_cases(draw):
+    """(group, m) over Z^1 to Z^4 and H3, with the standard generators or a
+    random generating set whose coordinates reach about 2^70, m from 2 to 9.
+    On Z^1 a random set is 1 and a few other steps: the model that
+    bounds.cycle_with_marking builds."""
+    kind = draw(st.sampled_from(["Zd", "Heisenberg"]))
+    d = draw(st.integers(1, 4)) if kind == "Zd" else 3
+    m = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        return (ZdGroup(d) if kind == "Zd" else HeisenbergGroup()), m
+    if kind == "Zd":
+        gens = [tuple(row) for row in _unimodular(draw, d)]
+        gens += [tuple(draw(st.integers(-2**70, 2**70)) for _ in range(d))
+                 for _ in range(draw(st.integers(0, 2)))]
+        # one of each pair g, -g, as the group takes each generator once
+        gens = {min(g, tuple(-c for c in g)): None for g in gens if any(g)}
+        return ZdGroup(d, generators=[v for g in gens for v in (g, tuple(-c for c in g))]), m
+    # H3 is generated by any set whose (a, b) parts generate Z^2; c is free
+    gens = [(*row, draw(st.integers(-2**70, 2**70))) for row in _unimodular(draw, 2)]
+    inverse = HeisenbergGroup().inverse
+    return HeisenbergGroup(generators=[v for g in gens for v in (g, inverse(g))]), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(quotient_cases())
+@example((HeisenbergGroup(generators=[(1, 1, 2), (-1, -1, -1), (0, 1, 0), (0, -1, 0)]), 8))
+@example((HeisenbergGroup(generators=[(1, 0, 5), (-1, 0, -5), (1, 1, 2**70),
+                                      (-1, -1, 1 - 2**70)]), 5))
+@example((ZdGroup(3, generators=[(1, 0, 0), (-1, 0, 0), (2**70, 1, 0), (-2**70, -1, 0),
+                                 (3, 5, 1), (-3, -5, -1)]), 9))
+def test_quotient_rows_match_the_point_by_point_oracle(case):
+    group, m = case
+    V = m ** len(group.identity)
+    g = quotient_action(group, m, [Fraction(1, V)] * V)
+    assert list(g.maps) == list(group.labels)
+    assert g.maps == {lab: tuple(row) for lab, row in quotient_maps_oracle(group, m).items()}
+
 
 def path_graphing(V):
     """Z on a path of V points: both ends have a hole."""
@@ -478,6 +549,21 @@ class TestTransitiveSymmetries:
     ])
     def test_holes_uneven_weights_and_disconnected_maps_are_refused(self, make):
         assert make().transitive_symmetries() is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: swapped(build_torus_action(2, 5), 5, 20),
+        lambda: swapped(build_heisenberg_quotient(3), 13, 25),
+    ])
+    def test_a_swap_off_the_tree_fails_only_the_commute_check(self, make):
+        # two targets swapped on an edge outside the tree: the maps stay paired
+        # bijections and the sigmas filled along the tree stay permutations of
+        # equal weights, so only sigma o row != row o sigma refuses them
+        g = make()
+        V = g.n_vertices
+        assert g.is_pmp()
+        assert all(sorted(sigma.values()) == list(range(V)) for sigma in tree_sigmas(g))
+        assert g.transitive_symmetries() is None and not g.symmetric
+        assert symmetries_oracle(g) is None
 
     def test_nothing_is_kept_on_the_graphing(self):
         g = build_torus_action(2, 5)
@@ -738,6 +824,8 @@ def test_rows_agree_with_entries_on_random_graphings(seed, V, d, holes, weights)
     lambda: cycle_with_marking(10, [Fraction(1, 10)] * 10, [1, -1, 3, -3]),
     lambda: quotient_action(ZdGroup(1), 7, [Fraction(1, 7)] * 7),
     lambda: two_cycles(5),
+    lambda: swapped(build_torus_action(2, 5), 5, 20),
+    lambda: swapped(build_heisenberg_quotient(3), 13, 25),
 ])
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_rows_agree_with_entries_on_builders(make, seed):
