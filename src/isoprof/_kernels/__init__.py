@@ -1,16 +1,15 @@
 """Kernel dispatch: the compiled kernels when they build, pure Python otherwise.
 
-The searches (subset_min_ratio, pack_max_weight, min_boundary_sets,
-partition_dp), the step that grows the column spheres of Z^d and the
-Heisenberg group (next_sphere), the union of those spheres into a ball
-(union_rows) and the ball's neighbour table (ball_table) each have both
-versions.  `_core` compiles kernels.c on first import.  When that fails
-BACKEND is "pure" and BACKEND_REASON says why; otherwise BACKEND is
-"compiled" and the reason is None.  One rule picks the version of every
+Six kernels have both versions: the searches (subset_min_ratio,
+pack_max_weight, min_boundary_sets, partition_dp), the step that grows the
+column balls of Z^d and the Heisenberg group (next_ball) and a ball's
+neighbour table (ball_table).  `_core` compiles kernels.c on first import.
+When that fails BACKEND is "pure" and BACKEND_REASON says why; otherwise
+BACKEND is "compiled" and the reason is None.  One rule picks the version of every
 call: the compiled twin when `_core` loaded, and the pure twin when it did
 not or when the compiled twin raises OverflowError, which it does for
 exactly the calls whose numbers could leave its int64 range.  Either way the
-results (including node counts, sphere rows and tables) are identical.
+results (including node counts, ball rows and tables) are identical.
 """
 
 from functools import update_wrapper
@@ -41,7 +40,7 @@ def _dispatch(name):
     return update_wrapper(kernel, pure)
 
 
-(subset_min_ratio, pack_max_weight, min_boundary_sets, partition_dp, next_sphere,
- union_rows, ball_table) = map(_dispatch, (
+(subset_min_ratio, pack_max_weight, min_boundary_sets, partition_dp, next_ball,
+ ball_table) = map(_dispatch, (
      "subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp",
-     "next_sphere", "union_rows", "ball_table"))
+     "next_ball", "ball_table"))

@@ -7,7 +7,7 @@ ImportError with the reason, and the dispatcher in __init__ then runs the pure
 kernels.  The wrappers check every input the C code would otherwise trust:
 ValueError for what the pure twin refuses too, and OverflowError for a call
 whose numbers could leave int64 (a weight outside [0, 2**62) or a weight sum
-past it, a sphere, row or table image entry that could reach 2**62), which
+past it, a ball row or table image entry that could reach 2**62), which
 the dispatcher then runs on the pure twin.  _check_status decodes the C
 return codes.  Buffers reach C as pointers into array('i'), array('q') or
 array('Q') objects, so no call makes a ctypes array type.
@@ -20,13 +20,12 @@ import sysconfig
 from array import array
 
 from ._pure import (
+    check_ball_inputs,
     check_connected_inputs,
     check_pack_inputs,
     check_partition_inputs,
-    check_sphere_inputs,
     check_subset_inputs,
     check_table_inputs,
-    check_union_inputs,
 )
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
@@ -85,10 +84,8 @@ def _load():
     for fn in (lib.subset_min_ratio, lib.pack_max_weight, lib.min_boundary_sets,
                lib.partition_dp):
         fn.restype = _int
-    lib.next_sphere.argtypes = [_int, _int, _i64_p, _i64_p, _i64, _i64_p, _i64, _i64_p]
-    lib.next_sphere.restype = _i64
-    lib.union_rows.argtypes = [_int, _i64_p, _int, _i64_p, _i64_p]
-    lib.union_rows.restype = _i64
+    lib.next_ball.argtypes = [_int, _int, _i64_p, _i64_p, _i64, _i64_p]
+    lib.next_ball.restype = _i64
     lib.ball_table.argtypes = [_int, _int, _i64_p, _i64_p, _i64_p, _int, _i64_p, _int_p, _int_p,
                                _int_p]
     lib.ball_table.restype = _int
@@ -119,10 +116,8 @@ def _ints(values):
 
 
 def _i64s(values):
-    """A C int64 pointer to values, shared with an array('q') or a view of one;
-    OverflowError when a value does not fit."""
-    if isinstance(values, memoryview) and values.format == "q" and not values.readonly:
-        return _at(values, _i64)
+    """A C int64 pointer to values: shared with an array('q'), copied from
+    anything else; OverflowError when a value does not fit."""
     if not (isinstance(values, array) and values.typecode == "q"):
         values = array("q", values)
     return _at(values, _i64)
@@ -227,31 +222,17 @@ def _step_entries(steps):
     return [x for head, dc, coef in steps for x in (*head, dc, *coef)]
 
 
-def next_sphere(key_len, steps, prev_rows, older_rows):
-    """Compiled twin of _pure.next_sphere; the rows come back as an array('q').
+def next_ball(key_len, steps, prev_rows):
+    """Compiled twin of _pure.next_ball; the rows come back as an array('q').
     OverflowError when a coordinate could reach 2**62."""
-    check_sphere_inputs(key_len, steps, prev_rows, older_rows)
+    check_ball_inputs(key_len, steps, prev_rows)
     width = key_len + 2
-    n_prev, n_older = len(prev_rows) // width, len(older_rows) // width
-    out = array("q", bytes(8 * width * ((len(steps) + 1) * n_prev + n_older)))
-    rows = _lib.next_sphere(key_len, len(steps), _i64s(_step_entries(steps)),
-                            _i64s(prev_rows), n_prev, _i64s(older_rows), n_older, _i64s(out))
-    _check_status(rows, "next_sphere", "rows must be sorted by (key, lo), disjoint per key")
+    n_prev = len(prev_rows) // width
+    out = array("q", bytes(8 * width * (len(steps) + 1) * n_prev))
+    rows = _lib.next_ball(key_len, len(steps), _i64s(_step_entries(steps)), _i64s(prev_rows),
+                          n_prev, _i64s(out))
+    _check_status(rows, "next_ball", "rows must be sorted by (key, lo), disjoint per key")
     del out[rows * width:]
-    return out
-
-
-def union_rows(key_len, rows, ends):
-    """Compiled twin of _pure.union_rows; the rows come back as an array('q') of
-    their exact size, which a counting sweep finds first.  OverflowError when an
-    entry reaches 2**62."""
-    check_union_inputs(key_len, rows, ends)
-    args = key_len, _i64s(rows), len(ends), _i64s(ends)
-    count = _lib.union_rows(*args, None)
-    _check_status(count, "union_rows",
-                  "rows must be sorted by (key, lo), disjoint per key, in each run")
-    out = array("q", bytes(8 * (key_len + 2) * count))
-    _check_status(_lib.union_rows(*args, _i64s(out)), "union_rows")
     return out
 
 
@@ -267,5 +248,5 @@ def ball_table(key_len, steps, form, rows, ends, inverse):
                              _i64s(ends), _ints(flat), None if inv is None else _ints(inv),
                              _ints(ranks))
     _check_status(status, "ball_table",
-                  "rows must be sorted by (key, lo) in each run, disjoint per key across runs")
+                  "rows must be sorted by (key, lo) in each run, each ball holding the one before")
     return flat, inv, ranks

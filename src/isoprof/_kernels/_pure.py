@@ -4,19 +4,18 @@ Same algorithms, same node counts, same results as kernels.c; only the data
 layout differs (Python ints as bitmasks instead of uint64 limbs).  Every
 search runs on an explicit stack in the same node order, so no input size
 hits the recursion limit.  The connected-set kernels, min_boundary_sets and
-partition_dp, share one enumerator, grow_sets.  Three kernels do not search:
-next_sphere grows the column spheres of Z^d and the Heisenberg group, and
-union_rows joins them into a ball, both in one sweep, _sweep; ball_table
-builds a ball's neighbour table from those spheres' rows.  The dispatcher in
+partition_dp, share one enumerator, grow_sets.  Two kernels do not search:
+next_ball grows the column balls of Z^d and the Heisenberg group, and
+ball_table builds a ball's neighbour table from the rows of the balls
+inside it, each with one sweep along sorted rows.  The dispatcher in
 __init__ runs these twins when the compiled kernels do not build, and for
 each call whose compiled twin raises OverflowError: Python ints have no cap,
 so the calls whose numbers leave int64 run here.
 """
 
 from array import array
-from heapq import merge
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, eq, gt, itemgetter, le, mul, not_, or_, sub
+from itertools import accumulate, chain, islice, repeat
+from operator import add, gt, itemgetter, le, mul, sub
 
 # partition_dp keeps a table of 2**universe values
 DP_MAX_VERTICES = 20
@@ -533,11 +532,11 @@ def _check_steps(key_len, steps):
             raise ValueError("each step needs a head and a coef of key_len entries")
 
 
-def check_sphere_inputs(key_len, steps, prev_rows, older_rows):
-    """Raise ValueError unless the arguments fit the next_sphere contract; the
+def check_ball_inputs(key_len, steps, prev_rows):
+    """Raise ValueError unless the arguments fit the next_ball contract; the
     order of the rows is checked by each backend's own sweep."""
     _check_steps(key_len, steps)
-    if len(prev_rows) % (key_len + 2) or len(older_rows) % (key_len + 2):
+    if len(prev_rows) % (key_len + 2):
         raise ValueError("rows must have key_len + 2 entries each")
 
 
@@ -554,27 +553,24 @@ def _split_rows(rows, key_len):
     return cols, keys, los, his
 
 
-def next_sphere(key_len, steps, prev_rows, older_rows):
-    """Rows of sphere r of a column group, from the rows of spheres r - 1
-    (prev_rows) and r - 2 (older_rows).
+def next_ball(key_len, steps, prev_rows):
+    """Rows of ball(r) of a column group, from the rows of ball(r - 1).
 
     A row is one interval of a column: key_len key coordinates, then lo and
     hi, the least and largest last coordinate.  Rows are flat and sorted by
     (key, lo), with disjoint intervals per key.  A step (head, dc, coef) is a
     left generator acting on columns: it sends column key to key + head and
-    shifts the last coordinate by dc + coef.key.  Sphere r is the neighbours
-    of sphere r - 1 in neither sphere r - 1 nor r - 2.  A step translates
-    keys and shifts each column as a whole, so its image of prev_rows is
-    sorted again: the images are merged as sorted runs, overlapping or
-    adjacent intervals joined and the two older spheres cut out in one sweep,
-    so each column comes out as the maximal intervals of its points.  Python
-    ints have no cap, so this twin also runs the calls whose coordinates
-    could reach 2**62.
+    shifts the last coordinate by dc + coef.key.  ball(r) is ball(r - 1) and
+    its images under the steps.  A step translates keys and shifts each
+    column as a whole, so its image of prev_rows is sorted again: ball(r - 1)
+    and its images are merged as sorted runs, and overlapping or adjacent
+    intervals joined, so each column comes out as the maximal intervals of
+    its points.  Python ints have no cap, so this twin also runs the calls
+    whose coordinates could reach 2**62.
     """
-    check_sphere_inputs(key_len, steps, prev_rows, older_rows)
+    check_ball_inputs(key_len, steps, prev_rows)
     cols, keys, los, his = _split_rows(prev_rows, key_len)
-    _, old_keys, old_los, old_his = _split_rows(older_rows, key_len)
-    moved = []
+    moved = list(zip(keys, los, his))
     for head, dc, coef in steps:
         shifts = repeat(dc, len(los))
         for c, col in zip(coef, cols):
@@ -584,79 +580,61 @@ def next_sphere(key_len, steps, prev_rows, older_rows):
         moved_keys = list(zip(*(map(add, col, repeat(h)) for col, h in zip(cols, head)))) or keys
         moved += zip(moved_keys, map(add, los, shifts), map(add, his, shifts))
     moved.sort()  # timsort merges the sorted runs
-    holes = sorted([*zip(keys, los, his), *zip(old_keys, old_los, old_his)])
-    return _sweep(moved, holes)
-
-
-def _sweep(moved, holes):
-    """Flat rows of the points of sorted (key, lo, hi) intervals, from any
-    iterable, that no hole holds: overlapping or adjacent intervals of a key
-    are joined, then the sorted holes are cut out."""
     out = []
-    j = 0  # the first hole that can meet the current interval
-    moved = chain(moved, [(None, 0, 0)])
-    cur, start, end = next(moved)
-    for key, lo, hi in moved:
+    if not moved:
+        return out
+    rest = iter(moved)
+    cur, start, end = next(rest)
+    for key, lo, hi in rest:
         if key == cur and lo <= end + 1:
-            end = max(end, hi)
+            if hi > end:
+                end = hi
             continue
-        while j < len(holes) and (holes[j][0], holes[j][2]) < (cur, start):
-            j += 1
-        k = j
-        while k < len(holes) and holes[k][0] == cur and holes[k][1] <= end:
-            if holes[k][1] > start:
-                out += (*cur, start, holes[k][1] - 1)
-            start = max(start, holes[k][2] + 1)
-            k += 1
-        if start <= end:
-            out += (*cur, start, end)
+        out += (*cur, start, end)
         cur, start, end = key, lo, hi
+    out += (*cur, start, end)
     return out
 
 
-def check_union_inputs(key_len, rows, ends):
-    """Raise ValueError unless the arguments fit the union_rows contract; the
-    order within each run is checked by each backend's own sweep."""
-    if key_len < 0 or len(rows) % (key_len + 2):
-        raise ValueError("key_len must be nonnegative and rows need key_len + 2 entries each")
-    bounds = [0, *ends]
-    if any(map(gt, bounds, bounds[1:])) or bounds[-1] != len(rows) // (key_len + 2):
-        raise ValueError("run ends must rise from 0 to the number of rows")
-
-
-def union_rows(key_len, rows, ends):
-    """Flat rows of the union of sorted runs of rows, e.g. the spheres of a ball.
-
-    Run s is rows ends[s - 1] up to ends[s] (from row 0 for s = 0), a row as
-    in next_sphere, and each run is sorted by (key, lo) with disjoint
-    intervals per key.  The union joins the overlapping or adjacent intervals
-    of each key, so each column comes out as the maximal intervals of its
-    points, sorted by (key, lo).  Python ints have no cap, so this twin also
-    runs the calls whose entries reach 2**62.
-    """
-    check_union_inputs(key_len, rows, ends)
-    width = key_len + 2
-    runs = []
-    for start, end in zip((0, *ends), ends):
-        run = rows[start * width:end * width]
-        _split_rows(run, key_len)
-        keys = zip(*(run[t::width] for t in range(key_len))) if key_len else repeat(())
-        runs.append(zip(keys, run[key_len::width], run[key_len + 1::width]))
-    return _sweep(merge(*runs), [])  # one row of each run held at a time
+def cut_rows(rows, holes):
+    """The parts of sorted disjoint (key, lo, hi) rows that no hole holds, as
+    (key, lo, hi) rows in order; the holes are sorted and disjoint too."""
+    out = []
+    n, j = len(holes), 0  # j: the first hole that can meet the current row
+    for key, lo, hi in rows:
+        while j < n and holes[j][:3:2] < (key, lo):
+            j += 1
+        for k in range(j, n):
+            hole_key, hole_lo, hole_hi = holes[k]
+            if hole_key != key or hole_lo > hi:
+                break
+            if hole_lo > lo:
+                out.append((key, lo, hole_lo - 1))
+            if hole_hi >= lo:
+                lo = hole_hi + 1
+        if lo <= hi:
+            out.append((key, lo, hi))
+    return out
 
 
 def check_table_inputs(key_len, steps, form, rows, ends):
     """Raise ValueError unless the arguments fit the ball_table contract, and
-    return the ball's number of points; the order of the rows is checked by
-    each backend."""
-    check_union_inputs(key_len, rows, ends)
+    return the number of points of the last ball; the order of the rows is
+    checked by each backend."""
     _check_steps(key_len, steps)
+    width = key_len + 2
+    if len(rows) % width:
+        raise ValueError("rows need key_len + 2 entries each")
+    bounds = [0, *ends]
+    if any(map(gt, bounds, bounds[1:])) or bounds[-1] != len(rows) // width:
+        raise ValueError("run ends must rise from 0 to the number of rows")
     if len(form) != key_len or any(len(row) != key_len for row in form):
         raise ValueError("form must be a key_len x key_len matrix")
-    los, his = rows[key_len::key_len + 2], rows[key_len + 1::key_len + 2]
+    los, his = rows[key_len::width], rows[key_len + 1::width]
     if not all(map(le, los, his)):
         raise ValueError("rows must have lo <= hi")
-    size = sum(his) - sum(los) + len(los)
+    last = bounds[-2] if ends else 0
+    size = sum(his[last:]) - sum(los[last:]) + len(los) - last
     if size > MAX_VERTICES:
         raise ValueError(f"a ball table takes at most {MAX_VERTICES} points")
     return size
@@ -684,59 +662,56 @@ def _column_ids(columns, ids, outside, key, a, b, image):
 
 
 def ball_table(key_len, steps, form, rows, ends, inverse):
-    """The neighbour table of a ball of a column group, from its spheres' rows.
+    """The neighbour table of a ball of a column group, from the rows of the
+    balls inside it.
 
-    rows and ends are as union_rows takes them, run r the rows of sphere r.
-    The points of each row get consecutive vertex ids, row after row, so
-    sphere 0, the identity, is vertex 0.  Returns (flat, inverse, ranks) as
-    arrays('i'): flat[v * len(steps) + s] is the id of step s (as in
-    next_sphere) applied to vertex v, inverse (None unless asked for) the id
-    of v's inverse, and ranks[v] v's place in (key, c) order, which is tuple
-    order.  Ids outside the ball are -1.  form is the key_len x key_len
-    matrix M of the law's twist, c(gh) = c(g) + c(h) + key(g).M.key(h), so
-    (key, c) has the inverse (-key, -c + key.M.key).  The rows of one key
-    must be disjoint across runs.  Sorted by (key, lo), adjacent rows join
-    into the maximal intervals of the ball's columns, whose ranks are
-    consecutive, so each (interval, step) image is one column lookup and a
-    few slices of ids; this twin builds each table column in rank order and
+    Run r of rows is rows ends[r - 1] up to ends[r] (from row 0 for r = 0),
+    the rows of ball(r), a row as in next_ball, sorted by (key, lo) with
+    disjoint intervals per key; each ball must hold the one before.  Sphere r
+    is ball(r) minus ball(r - 1), cut out in one sweep, and its points take
+    the next vertex ids, row after row, so sphere 0, the identity, is vertex
+    0.  Returns (flat, inverse, ranks) as arrays('i'): flat[v * len(steps) +
+    s] is the id of step s (as in next_ball) applied to vertex v, inverse
+    (None unless asked for) the id of v's inverse, and ranks[v] v's place in
+    (key, c) order, which is tuple order.  Ids outside the ball are -1.  form
+    is the key_len x key_len matrix M of the law's twist, c(gh) = c(g) + c(h)
+    + key(g).M.key(h), so (key, c) has the inverse (-key, -c + key.M.key).
+    The rows of the last ball are the table's columns, whose ranks are
+    consecutive, so each (row, step) image is one column lookup and a few
+    slices of ids; this twin builds each table column in rank order and
     gathers it into id order at once.  Python ints have no cap, so this twin
     also runs the calls whose coordinates could reach 2**62.
     """
     size = check_table_inputs(key_len, steps, form, rows, ends)
+    width = key_len + 2
+    spheres, inner, held = [], [], 0  # the rows of the spheres, back to back
+    for start, end in zip((0, *ends), ends):
+        _, *cols = _split_rows(rows[start * width:end * width], key_len)
+        ball, outer = list(zip(*cols)), sum(cols[2]) - sum(cols[1]) + len(cols[1])
+        sphere = cut_rows(ball, inner)
+        # the cut keeps |ball(r)| - |ball(r - 1)| points exactly when ball(r)
+        # holds ball(r - 1)
+        if sum(hi - lo + 1 for _, lo, hi in sphere) != outer - held:
+            raise ValueError("each ball must hold the one before")
+        spheres += sphere
+        inner, held = ball, outer
     if not size:
         return array("i"), array("i") if inverse else None, array("i")
-    width = key_len + 2
-    keys, los, his = [], [], []
-    for start, end in zip((0, *ends), ends):
-        _, run_keys, run_los, run_his = _split_rows(rows[start * width:end * width], key_len)
-        keys += run_keys
-        los += run_los
-        his += run_his
+    keys, los, his = zip(*spheres)
     sizes = list(map(sub, map(add, his, repeat(1)), los))
     starts = list(accumulate(sizes, initial=0))  # each row's first id
     stops = starts[1:]
-    by_tuple = sorted(range(len(los)),
-                      key=list(zip(*(rows[t::width] for t in range(key_len + 1)))).__getitem__)
+    by_tuple = sorted(range(len(los)), key=list(zip(keys, los)).__getitem__)
     ids = array("i", chain.from_iterable(map(range, map(starts.__getitem__, by_tuple),
                                              map(stops.__getitem__, by_tuple))))  # by rank
-    # in (key, lo) order: each row's rank, and whether it starts an interval of
-    # the ball's columns or joins the one before
-    skeys, slos, shis = (list(map(x.__getitem__, by_tuple)) for x in (keys, los, his))
-    firsts = list(accumulate(map(sizes.__getitem__, by_tuple), initial=0))
-    same = list(map(eq, skeys, islice(skeys, 1, None)))
-    if any(compress(map(le, islice(slos, 1, None), shis), same)):
-        raise ValueError("the rows of a key must be disjoint across runs")
-    heads = [True, *map(or_, map(not_, same),
-                        map(gt, islice(slos, 1, None), map(add, shis, repeat(1))))]
-    span_keys, span_los, span_ranks = (list(compress(x, heads)) for x in (skeys, slos, firsts))
-    span_his = list(compress(shis, [*islice(heads, 1, None), True]))
-    spans = list(zip(span_keys, span_los, span_his, span_ranks))
     first = [0] * len(los)
-    for i, rank in zip(by_tuple, firsts):
+    for i, rank in zip(by_tuple, accumulate(map(sizes.__getitem__, by_tuple), initial=0)):
         first[i] = rank
     ranks = array("i", chain.from_iterable(map(range, first, map(add, first, sizes))))
+    span_keys, span_los, span_his = zip(*inner)
+    span_ranks = accumulate(map(sub, map(add, span_his, repeat(1)), span_los), initial=0)
     columns = {}
-    for key, lo, hi, rank in spans:
+    for key, lo, hi, rank in zip(span_keys, span_los, span_his, span_ranks):
         columns.setdefault(key, []).append((lo, hi, rank))
     gather = itemgetter(*ranks, 0)  # the 0 makes a tuple of one point too; [:-1] drops it
     outside = array("i", [-1]) * size
@@ -745,7 +720,7 @@ def ball_table(key_len, steps, form, rows, ends, inverse):
     flat = array("i", bytes(4 * size * count))
     key_cols = list(zip(*span_keys))
     for s, (head, dc, coef) in enumerate(steps):
-        shifts = repeat(dc, len(spans))  # as in next_sphere, per interval
+        shifts = repeat(dc, len(span_los))  # as in next_ball, per interval
         for c, col in zip(coef, key_cols):
             if c:
                 shifts = map(add, shifts, map(mul, col, repeat(c)))
@@ -760,7 +735,7 @@ def ball_table(key_len, steps, form, rows, ends, inverse):
         return flat, None, ranks
     twist = [(t, u, m) for t, row in enumerate(form) for u, m in enumerate(row) if m]
     image = array("i")
-    for key, lo, hi, _ in spans:  # point lo + i goes to q - lo - i
+    for key, lo, hi in inner:  # point lo + i goes to q - lo - i
         q = sum(key[t] * m * key[u] for t, u, m in twist)
         run = array("i")
         _column_ids(columns, ids, outside, tuple(-x for x in key), q - hi, q - lo, run)

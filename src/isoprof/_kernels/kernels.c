@@ -10,11 +10,11 @@
    connected sets (one enumerator behind min_boundary_sets and
    partition_dp).  Each entry point returns 1 when the search finished, 0
    when it stopped on the node budget and -1 when an allocation failed;
-   min_boundary_sets returns -2 when its table misses a translate.  Three
-   kernels do not search: next_sphere grows the column spheres of Z^d and the
-   Heisenberg group, and union_rows joins them into a ball, each one interval
-   sweep over sorted runs of rows; ball_table merges the same runs into the
-   ball's columns and reads its neighbour table from them. */
+   min_boundary_sets returns -2 when its table misses a translate.  Two
+   kernels do not search: next_ball grows the column balls of Z^d and the
+   Heisenberg group, one interval sweep over sorted runs of rows, and
+   ball_table cuts each sphere out of its ball and reads the neighbour
+   table from the largest ball's rows. */
 
 #include <limits.h>
 #include <stdlib.h>
@@ -737,7 +737,7 @@ int partition_dp(const int *nbr, int universe, int s_count, const long long *wei
     return 1;
 }
 
-/* ---- kernel 4: the next column sphere of Z^d or the Heisenberg group ---- */
+/* ---- kernel 4: the next column ball of Z^d or the Heisenberg group ---- */
 
 /* lexicographic comparison of the first n entries of two rows */
 static int row_cmp(const long long *a, const long long *b, int n)
@@ -941,39 +941,34 @@ static const long long **runs_alloc(int n)
     return malloc((size_t)(n > 0 ? n : 1) * (2 * sizeof(long long *) + sizeof(int)));
 }
 
-/* Rows of sphere r from the rows of spheres r - 1 (prev) and r - 2 (older).
-   A row is k key entries, then lo and hi; rows are sorted by (key, lo) with
-   disjoint intervals per key.  Step s is 2k + 1 entries: head, dc, coef; it
-   sends column key to key + head and shifts lo and hi by dc + coef.key, so
-   its image of prev is sorted again.  The images are merged as n_steps
-   sorted runs, overlapping or adjacent intervals joined and the holes of
-   spheres r - 1 and r - 2 cut out in the same sweep.  Every joined interval
-   writes at most one row after its last hole and every hole at most one row
-   before it, so out needs room for n_steps * n_prev + n_prev + n_older rows.
+/* Rows of ball(r) from the rows of ball(r - 1) (prev).  A row is k key
+   entries, then lo and hi; rows are sorted by (key, lo) with disjoint
+   intervals per key.  Step s is 2k + 1 entries: head, dc, coef; it sends
+   column key to key + head and shifts lo and hi by dc + coef.key, so its
+   image of prev is sorted again.  ball(r) is ball(r - 1) and its images: the
+   n_steps images and prev itself are merged as sorted runs, and overlapping
+   or adjacent intervals joined, so each column comes out as the maximal
+   intervals of its points.  out needs room for (n_steps + 1) * n_prev rows.
    Returns the number of rows written, -1 when an allocation failed, -2 when
-   prev or older is not sorted and -3 when a number could reach 2**62
-   (steps_check), so no sum below overflows. */
-long long next_sphere(int k, int n_steps, const long long *steps, const long long *prev,
-                      long long n_prev, const long long *older, long long n_older,
-                      long long *out)
+   prev is not sorted and -3 when a number could reach 2**62 (steps_check),
+   so no sum below overflows. */
+long long next_ball(int k, int n_steps, const long long *steps, const long long *prev,
+                    long long n_prev, long long *out)
 {
     int w = k + 2, s, t, bad;
-    size_t n_moved = (size_t)n_steps * n_prev * w, n_holes = (size_t)(n_prev + n_older) * w;
-    long long i, j, shift, top[2] = {0, 0}, *moved, *holes, *dst;
+    long long i, shift, top[2] = {0, 0}, *moved, *dst;
     const long long *step, *src, **at, **end;
-    Sweep sw;
-    if ((bad = rows_check(prev, n_prev, k, top)) || (bad = rows_check(older, n_older, k, top))
-        || (bad = steps_check(k, n_steps, steps, top)))
+    Sweep sw = {k, NULL, 0, 0, out, 0};
+    if ((bad = rows_check(prev, n_prev, k, top)) || (bad = steps_check(k, n_steps, steps, top)))
         return bad;
-    moved = malloc((n_moved + n_holes + 1) * sizeof(long long));
-    at = runs_alloc(n_steps);
+    moved = malloc(((size_t)n_steps * n_prev * w + 1) * sizeof(long long));
+    at = runs_alloc(n_steps + 1);
     if (!moved || !at) {
         free(moved);
         free(at);
         return -1;
     }
-    holes = moved + n_moved;
-    end = at + n_steps;
+    end = at + n_steps + 1;
     for (s = 0; s < n_steps; s++) {
         step = steps + (size_t)s * (2 * k + 1);
         at[s] = moved + (size_t)s * n_prev * w;
@@ -990,70 +985,20 @@ long long next_sphere(int k, int n_steps, const long long *steps, const long lon
             dst[k + 1] = src[k + 1] + shift;
         }
     }
-    /* the holes: prev and older merged by (key, lo) */
-    for (i = j = 0; i < n_prev || j < n_older;) {
-        if (j == n_older || (i < n_prev && row_cmp(prev + i * w, older + j * w, k + 1) < 0))
-            src = prev + i++ * w;
-        else
-            src = older + j++ * w;
-        memcpy(holes + (i + j - 1) * w, src, w * sizeof(long long));
-    }
-    sw = (Sweep){k, holes, n_prev + n_older, 0, out, 0};
-    sweep_runs(&sw, at, end, n_steps, (int *)(end + n_steps));
+    at[n_steps] = prev;
+    end[n_steps] = prev + (size_t)n_prev * w;
+    sweep_runs(&sw, at, end, n_steps + 1, (int *)(end + n_steps + 1));
     free(moved);
     free(at);
     return sw.n_out;
 }
 
-/* ---- kernel 5: the union of sorted runs of column rows ---- */
+/* ---- kernel 5: the neighbour table of a column ball ---- */
 
-/* Check the n_runs runs of rows, run s rows ends[s - 1] up to ends[s] (from
-   row 0 for s = 0), with rows_check, and open a cursor on each: *cursors
-   holds at, then end, then room for a heap of runs.  Returns 0, or -1 when
-   an allocation failed, or the code of rows_check. */
-static int runs_open(const long long *rows, int k, int n_runs, const long long *ends,
-                     long long *top, const long long ***cursors)
-{
-    int s, bad;
-    const long long **at;
-    for (s = 0; s < n_runs; s++)
-        if ((bad = rows_check(rows + (s ? ends[s - 1] : 0) * (k + 2),
-                              ends[s] - (s ? ends[s - 1] : 0), k, top)))
-            return bad;
-    if (!(*cursors = at = runs_alloc(n_runs)))
-        return -1;
-    for (s = 0; s < n_runs; s++) {
-        at[s] = rows + (s ? ends[s - 1] : 0) * (k + 2);
-        at[n_runs + s] = rows + ends[s] * (k + 2);
-    }
-    return 0;
-}
-
-/* The union of n_runs runs of rows, each sorted by (key, lo) with disjoint
-   intervals per key, as next_sphere returns them.  The runs are merged with
-   the overlapping or adjacent intervals of each key joined, and no holes.
-   With out NULL nothing is written, so a first call sizes out exactly.
-   Returns the number of rows, -1 when an allocation failed, -2 when a run is
-   not sorted and -3 when an entry reaches 2**62. */
-long long union_rows(int k, const long long *rows, int n_runs, const long long *ends,
-                     long long *out)
-{
-    int bad;
-    long long top[2] = {0, 0};
-    const long long **at;
-    Sweep sw = {k, NULL, 0, 0, out, 0};
-    if ((bad = runs_open(rows, k, n_runs, ends, top, &at)))
-        return bad;
-    sweep_runs(&sw, at, at + n_runs, n_runs, (int *)(at + 2 * n_runs));
-    free(at);
-    return sw.n_out;
-}
-
-/* ---- kernel 6: the neighbour table of a column ball ---- */
-
-/* A ball's columns as maximal intervals, sorted by (key, lo): interval j is
-   lo[j]..hi[j] of column key[j] (k entries of a row), and its points hold
-   the ranks rank[j] on, in order; id[] maps a rank to its vertex id. */
+/* A ball's columns as the intervals of its rows, sorted by (key, lo):
+   interval j is lo[j]..hi[j] of column key[j] (k entries of a row), and its
+   points hold the ranks rank[j] on, in order; id[] maps a rank to its
+   vertex id. */
 typedef struct {
     int k;
     long long n;
@@ -1088,87 +1033,109 @@ static void column_ids(const Columns *c, const long long *key, long long a, long
         *img++ = -1;
 }
 
-/* The neighbour table of a ball of a column group, from its spheres' rows:
-   n_runs runs as union_rows takes them, run r the rows of sphere r.  The
-   points of each row get consecutive vertex ids, row after row, so sphere 0,
-   the identity, is vertex 0.  ranks[v] receives v's place in (key, c)
-   order, which is tuple order; flat[v * n_steps + s] the id of step s (as in
-   next_sphere) applied to v; and inv, unless NULL, the id of v's inverse.
-   The k x k form M gives the law's twist, c(gh) = c(g) + c(h) + key(g).M.key(h),
-   so (key, c) has the inverse (-key, -c + key.M.key).  Ids outside the ball
-   are -1.  The runs are merged by (key, lo), and the rows of one key must be
-   disjoint across runs; adjacent rows join into the maximal intervals of the
-   ball's columns, whose ranks are consecutive, so each (interval, step) image
-   is one column lookup and a walk.  Returns 0, -1 when an allocation
-   failed, -2 when a run is not sorted or two runs overlap, and -3 when an
+/* The neighbour table of ball(R) of a column group, from the rows of balls
+   0..R: n_runs runs, run r rows ends[r - 1] up to ends[r] (from row 0 for
+   r = 0), the rows of ball(r), each sorted by (key, lo) with disjoint
+   intervals per key.  Sphere r is ball(r) minus ball(r - 1), cut out with
+   sweep_cut, and its points take the next vertex ids, row after row, so
+   sphere 0, the identity, is vertex 0.  ranks[v] receives v's place in
+   (key, c) order, which is tuple order; flat[v * n_steps + s] the id of
+   step s (as in next_ball) applied to v; and inv, unless NULL, the id of v's
+   inverse.  The k x k form M gives the law's twist, c(gh) = c(g) + c(h) +
+   key(g).M.key(h), so (key, c) has the inverse (-key, -c + key.M.key).  Ids
+   outside the ball are -1.  The rows of ball(R) are the table's columns,
+   whose ranks are consecutive, so each (row, step) image is one column
+   lookup and a walk.  Returns 0, -1 when an allocation failed, -2 when a run
+   is not sorted or a ball misses a point of the one before, and -3 when an
    image coordinate could reach 2**62. */
 int ball_table(int k, int n_steps, const long long *steps, const long long *form,
                const long long *rows, int n_runs, const long long *ends, int *flat,
                int *inv, int *ranks)
 {
-    int w = k + 2, s, t, u, heap_n, bad;
-    long long top[2] = {0, 0}, n_rows = n_runs ? ends[n_runs - 1] : 0, i, j, size = 0;
-    long long ranked, len, twist = 0, shift, q, *base, *key;
-    const long long **at, *row, *step;
+    int w = k + 2, s, t, u, r, cmp = 0, bad = 0;
+    long long top[2] = {0, 0}, from = 0, prev, i, j, p, v = 0, x, last, len, size = 0, most = 0;
+    long long inner = 0, outer, count, rank, twist = 0, shift, q, *base, *key, *pieces;
+    const long long *piece, *step;
     int *id, *img;
     Columns c = {k, 0};
-    if ((bad = runs_open(rows, k, n_runs, ends, top, &at)))
-        return bad;
-    if ((bad = steps_check(k, n_steps, steps, top))) {
-        free(at);
-        return bad;
+    Sweep sw;
+    for (r = 0, prev = 0; r < n_runs; prev = from, r++) {
+        from = r ? ends[r - 1] : 0;
+        if ((bad = rows_check(rows + from * w, ends[r] - from, k, top)))
+            return bad;
+        if (ends[r] - prev > most) /* the rows of balls r - 1 and r */
+            most = ends[r] - prev;
     }
+    if ((bad = steps_check(k, n_steps, steps, top)))
+        return bad;
     if (inv) { /* |key.M.key| <= sum |M| * top[0]**2 */
         for (t = 0; t < k * k; t++)
             twist = capped_madd(twist, 1, abs_capped(form[t]));
         twist = capped_madd(0, capped_madd(0, twist, top[0]), top[0]);
-        if (twist + top[1] >= COORD_CAP) {
-            free(at);
+        if (twist + top[1] >= COORD_CAP)
             return -3;
-        }
     }
-    for (i = 0; i < n_rows; i++)
+    if (!n_runs)
+        return 0;
+    c.n = ends[n_runs - 1] - from; /* from: the first row of ball(R) */
+    for (i = from; i < ends[n_runs - 1]; i++)
         size += rows[i * w + k + 1] - rows[i * w + k] + 1;
-    /* per row its first id; per interval its key, lo, hi and rank; an image
-       key; per rank its id, then the ids of one image */
-    base = malloc(((size_t)5 * n_rows + k + 1) * sizeof(long long));
-    c.key = malloc(((size_t)n_rows + 1) * sizeof(long long *));
+    /* per interval its lo, hi and rank; an image key; one sphere's rows; per
+       rank its id, then the ids of one image */
+    base = malloc(((size_t)3 * c.n + k + (size_t)most * w + 1) * sizeof(long long));
+    c.key = malloc(((size_t)c.n + 1) * sizeof(long long *));
     id = malloc(((size_t)2 * size + 1) * sizeof(int));
     if (!base || !c.key || !id) {
-        free(at);
         free(base);
         free(c.key);
         free(id);
         return -1;
     }
-    c.lo = base + n_rows;
-    c.hi = c.lo + n_rows;
-    c.rank = c.hi + n_rows;
-    key = c.rank + n_rows;
+    c.lo = base;
+    c.hi = c.lo + c.n;
+    c.rank = c.hi + c.n;
+    key = c.rank + c.n;
+    pieces = key + k;
     c.id = id;
     img = id + size;
-    for (i = 0, base[0] = 0; i + 1 < n_rows; i++)
-        base[i + 1] = base[i] + rows[i * w + k + 1] - rows[i * w + k] + 1;
-    heap_n = heap_init(at, at + n_runs, n_runs, (int *)(at + 2 * n_runs), k);
-    for (ranked = 0; heap_n;) {
-        row = heap_next(at, at + n_runs, (int *)(at + 2 * n_runs), &heap_n, k);
-        j = c.n - 1;
-        if (c.n && row_cmp(c.key[j], row, k) == 0 && row[k] <= c.hi[j] + 1) {
-            if (row[k] <= c.hi[j]) {
-                bad = -2;
-                break;
-            }
-            c.hi[j] = row[k + 1];
-        } else {
-            c.key[c.n] = row;
-            c.lo[c.n] = row[k];
-            c.hi[c.n] = row[k + 1];
-            c.rank[c.n++] = ranked;
+    for (j = 0, rank = 0; j < c.n; j++) {
+        c.key[j] = rows + (from + j) * w;
+        c.lo[j] = c.key[j][k];
+        c.hi[j] = c.key[j][k + 1];
+        c.rank[j] = rank;
+        rank += c.hi[j] - c.lo[j] + 1;
+    }
+    for (r = 0, prev = 0; !bad && r < n_runs; prev = from, r++) {
+        from = r ? ends[r - 1] : 0;
+        sw = (Sweep){k, rows + prev * w, from - prev, 0, pieces, 0};
+        for (i = from, outer = 0; i < ends[r]; i++) {
+            sweep_cut(&sw, rows + i * w, rows[i * w + k], rows[i * w + k + 1]);
+            outer += rows[i * w + k + 1] - rows[i * w + k] + 1;
         }
-        i = base[(row - rows) / w];
-        for (len = row[k + 1] - row[k] + 1; len--; i++, ranked++) {
-            ranks[i] = (int)ranked;
-            id[ranked] = (int)i;
+        for (p = count = 0; p < sw.n_out; p++)
+            count += pieces[p * w + k + 1] - pieces[p * w + k] + 1;
+        if (count != outer - inner) { /* ball(r - 1) has a point outside ball(r) */
+            bad = -2;
+            break;
+        }
+        inner = outer;
+        /* each point's rank from the interval of ball(R) that holds it */
+        for (p = j = 0; !bad && p < sw.n_out; p++) {
+            piece = pieces + p * w;
+            for (x = piece[k]; !bad && x <= piece[k + 1];) {
+                while (j < c.n && ((cmp = row_cmp(c.key[j], piece, k)) < 0
+                                   || (cmp == 0 && c.hi[j] < x)))
+                    j++;
+                if (j == c.n || cmp > 0 || c.lo[j] > x) {
+                    bad = -2;
+                    break;
+                }
+                last = c.hi[j] < piece[k + 1] ? c.hi[j] : piece[k + 1];
+                for (rank = c.rank[j] + (x - c.lo[j]); x <= last; x++, v++, rank++) {
+                    ranks[v] = (int)rank;
+                    id[rank] = (int)v;
+                }
+            }
         }
     }
     for (j = 0; !bad && j < c.n; j++) {
@@ -1195,7 +1162,6 @@ int ball_table(int k, int n_steps, const long long *steps, const long long *form
                 inv[id[c.rank[j] + i]] = img[len - 1 - i];
         }
     }
-    free(at);
     free(base);
     free(c.key);
     free(id);

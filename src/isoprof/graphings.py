@@ -458,19 +458,32 @@ def quotient_action(group, m, weights, free_window=None):
     return MeasuredGraphing(group, weights, maps, free_window)
 
 
+# the most vertices a graphing can have: the kernels' vertex ids are C ints
+MAX_VERTICES = (1 << 31) - 1
+
+
+def _uniform_weights(m, d):
+    """m^d weights of 1/m^d, refused before any list is built when m^d passes
+    MAX_VERTICES."""
+    if m**d > MAX_VERTICES:
+        raise ParameterError(f"a quotient model of {m}^{d} vertices exceeds the "
+                             f"{MAX_VERTICES} vertex ids the kernels take")
+    return [Fraction(1, m**d)] * m**d
+
+
 def build_torus_action(d, m, generators=None):
     """Z^d on (Z/m)^d with uniform weights; a pmp quotient model."""
     integer_parameter("m", m, 3)
     group = ZdGroup(d, generators=generators)
     # the unit shifts are free up to (m - 1) // 2; other generating sets derive theirs
-    return quotient_action(group, m, [Fraction(1, m**d)] * m**d,
+    return quotient_action(group, m, _uniform_weights(m, d),
                            (m - 1) // 2 if generators is None else None)
 
 
 def build_heisenberg_quotient(m):
     """The Heisenberg group on its triples mod m with uniform weights."""
     integer_parameter("m", m, 3)
-    return quotient_action(HeisenbergGroup(), m, [Fraction(1, m**3)] * m**3)
+    return quotient_action(HeisenbergGroup(), m, _uniform_weights(m, 3))
 
 
 def build_weighted_cycle(m, weights):

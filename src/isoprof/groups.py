@@ -3,41 +3,42 @@
 A marked group is a group together with a finite symmetric generating tuple;
 a tuple that does not generate the group is refused when the group is built.
 Elements are plain tuples of ints, products are exact, and word norms come
-either from a closed form or from a cached breadth-first search over spheres.
+either from a closed form or from a cached breadth-first search.
 The canonical element order (word norm, then tuple order) makes every
 enumeration in the package deterministic.  Lattices of integer vectors are
 read through one integer echelon form (lattice_basis): it checks that a
 generating tuple generates, and it reduces points modulo a tile's center
 lattice.
 
-The search keeps sphere r as the neighbours of sphere r - 1 that lie in
-neither sphere r - 1 nor sphere r - 2.  On Z^d and the Heisenberg group it
-runs on columns: a column fixes every coordinate but the last, and a sphere
-maps each column key to sorted disjoint intervals of the last coordinate.  A
-left generator moves a whole column at once (on the Heisenberg group
-(p, q, r) sends column (a, b) to (a + p, b + q) and shifts it by r + p*b), so
-each generator is data, (head, dc, coef) = ((p, q), r, (0, p)), and the
-search is interval arithmetic per column.  The kernel step
-_kernels.next_sphere (compiled, or its pure twin) turns the flat rows of
-spheres r - 1 and r - 2 into those of sphere r.  The group keeps the rows of
-every sphere back to back in one store, with the row at which each sphere
-ends, and builds a sphere's dict from its rows only when the sphere is first
-read, with one shared object per column key and per interval.  A ball in
-column form comes from one _kernels.union_rows over the store, with no
-sphere dict.  The Heisenberg ball(36) (716,455 points) is 32,483 rows, 1 MB
-of store; as dicts it is 17,574 column entries over 2,665 distinct keys and
-32,483 intervals over 1,789 distinct ones.  Building a group and its sphere
-0 does not load the kernels.  Points are listed only when asked for, in
-(key, c) order, which is tuple order.  Free groups keep sorted point lists.
+The search grows balls: ball(r) is ball(r - 1) and its images under the
+generators.  On Z^d and the Heisenberg group it runs on columns: a column
+fixes every coordinate but the last, and a ball maps each column key to
+sorted disjoint intervals of the last coordinate.  A left generator moves a
+whole column at once (on the Heisenberg group (p, q, r) sends column (a, b)
+to (a + p, b + q) and shifts it by r + p*b), so each generator is data,
+(head, dc, coef) = ((p, q), r, (0, p)), and the search is interval
+arithmetic per column.  The kernel step _kernels.next_ball (compiled, or its
+pure twin) turns the flat rows of ball r - 1 into those of ball r.  The group
+keeps the rows of every ball back to back in one store, with the row at
+which each ball ends, so a ball in column form is one slice of the store.
+Sphere r is ball r minus ball r - 1; it is built as a dict, with one shared
+object per column key and per interval, only for word norms, the public
+sphere and ball, and naming bad points of a tile window.  The Heisenberg
+ball(36) (716,455 points) is 2,665 rows, and the store through it 33,781
+rows, 1.1 MB; as sphere dicts it is 17,574 column entries over 2,665
+distinct keys and 32,483 intervals over 1,789 distinct ones.  Building a
+group and its sphere 0 does not load the kernels.  Points are listed only
+when asked for, in (key, c) order, which is tuple order.  Free groups keep
+sorted point lists.
 
 A search reads ball(r) as a neighbour table that the group builds itself
 (MarkedGroup._table), with no {element: id} index and no product per entry.
 On Z^d and the Heisenberg group the law is one integer form M on column
 keys (c(gh) = c(g) + c(h) + key(g).M.key(h)), which gives both the column
 steps and the inverses, and _kernels.ball_table reads the table from the
-store's rows: each row's points get consecutive ids, and each image of a
-column interval is one column lookup.  On F_k every table column is a run of
-ranges per sphere, found by arithmetic on the sorted spheres' blocks.
+store's rows: the points of each sphere get the next ids, and each image
+of a row of the ball is one column lookup.  On F_k every table column is a
+run of ranges per sphere, found by arithmetic on the sorted spheres' blocks.
 """
 
 from array import array
@@ -351,9 +352,9 @@ class _TupleGroup(MarkedGroup):
     def __init__(self, length, generators, standard, max_radius, labels=None):
         self._length = length
         self._standard = generators is None
-        # every grown sphere's flat rows (column key, lo, hi) back to back, an
-        # array('q') until an entry does not fit and a list after; sphere r is
-        # rows _ends[r] up to _ends[r + 1], sphere 0 the identity's column.
+        # every grown ball's flat rows (column key, lo, hi) back to back, an
+        # array('q') until an entry does not fit and a list after; ball r is
+        # rows _ends[r] up to _ends[r + 1], ball 0 the identity's column.
         # And one object per column key and interval, shared by every sphere
         # dict that holds it
         self._store = array("q", bytes(8 * (length + 1)))
@@ -384,24 +385,31 @@ class _TupleGroup(MarkedGroup):
         return head, s[-1], tuple(sum(map(mul, head, col)) for col in zip(*self._form))
 
     def _sphere(self, r):
+        """Sphere r as ball(r) minus ball(r - 1), in column form, with one
+        object per column key and interval shared by every sphere."""
         self._grow(r)
-        return self._columns(self._sphere_rows(r), self._shared.setdefault)
+        rows = self._row_tuples(r)
+        if r:
+            from ._kernels._pure import cut_rows
 
-    def _sphere_rows(self, r):
-        """The flat rows of grown sphere r, copied out of the store."""
+            rows = cut_rows(rows, self._row_tuples(r - 1))
+        share, sphere = self._shared.setdefault, {}
+        for key, lo, hi in rows:
+            sphere.setdefault(share(key, key), []).append(share((lo, hi), (lo, hi)))
+        return sphere
+
+    def _rows(self, r):
+        """The flat rows of grown ball r, copied out of the store."""
         width = self._length + 1
         return self._store[self._ends[r] * width:self._ends[r + 1] * width]
 
     def _grow(self, radius):
-        """Grow the row store through sphere radius, building no sphere dict."""
+        """Grow the row store through ball radius, building no sphere dict."""
         ends = self._ends
         while len(ends) <= radius + 1:
             from . import _kernels  # loads, and may compile, the kernels on first use
 
-            r = len(ends) - 1
-            older = self._sphere_rows(r - 2) if r > 1 else ()
-            rows = _kernels.next_sphere(self._length - 1, self._steps,
-                                        self._sphere_rows(r - 1), older)
+            rows = _kernels.next_ball(self._length - 1, self._steps, self._rows(len(ends) - 2))
             store = self._store
             if isinstance(store, array) and not isinstance(rows, array):
                 try:
@@ -412,20 +420,17 @@ class _TupleGroup(MarkedGroup):
             ends.append(len(store) // (self._length + 1))
 
     def _ball_rows(self, radius):
-        """(rows, ends) of spheres 0..radius: the store's rows through sphere
-        radius and the row at which each sphere ends."""
+        """(rows, ends) of balls 0..radius: the store's rows through ball radius
+        and the row at which each ball ends."""
         self._grow(self._check_radius(radius))
         ends = self._ends[1:radius + 2]
-        size = ends[-1] * (self._length + 1)
-        store = self._store
-        return (memoryview(store)[:size] if isinstance(store, array) else store[:size]), ends
+        return self._store[:ends[-1] * (self._length + 1)], ends
 
     def _ball_columns(self, radius):
-        """ball(radius) in column form, {key: sorted disjoint intervals} with sorted
-        keys, from one union of the store's rows; no sphere dict is built."""
-        from . import _kernels
-
-        return self._columns(_kernels.union_rows(self._length - 1, *self._ball_rows(radius)))
+        """ball(radius) in column form, {key: sorted maximal intervals} with
+        sorted keys, read from the store's rows; no sphere dict is built."""
+        self._grow(self._check_radius(radius))
+        return self._columns(self._rows(radius))
 
     def _table(self, radius, inverse):
         from . import _kernels
@@ -433,30 +438,34 @@ class _TupleGroup(MarkedGroup):
         rows, ends = self._ball_rows(radius)
         flat, inv, ranks = _kernels.ball_table(self._length - 1, self._steps, self._form, rows,
                                                ends, inverse)
-        # the points row after row, the ids ball_table gives them
+        # the points of ball(radius) row after row, in tuple order, which
+        # ranks puts in id order
         width = self._length + 1
-        los, his = rows[width - 2::width], rows[width - 1::width]
+        ball = rows[self._ends[radius] * width:]
+        los, his = ball[width - 2::width], ball[width - 1::width]
         ups = list(map(add, his, repeat(1)))
         sizes = list(map(sub, ups, los))
-        keys = (chain.from_iterable(map(repeat, rows[t::width], sizes)) for t in range(width - 2))
-        return list(zip(*keys, chain.from_iterable(map(range, los, ups)))), flat, inv, ranks
+        keys = (chain.from_iterable(map(repeat, ball[t::width], sizes)) for t in range(width - 2))
+        points = list(zip(*keys, chain.from_iterable(map(range, los, ups))))
+        return list(map(points.__getitem__, ranks)), flat, inv, ranks
 
-    def _columns(self, rows, share=None):
-        """The column form of flat rows, with keys and intervals shared through
-        share (a setdefault) when it is given."""
-        width = self._length + 1
-        los, his = rows[width - 2::width], rows[width - 1::width]
-        intervals = list(zip(los, his))
+    def _row_tuples(self, r):
+        """The rows of grown ball r as (key, lo, hi) tuples."""
+        rows, width = self._rows(r), self._length + 1
+        los = rows[width - 2::width]
         keys = list(zip(*(rows[t::width] for t in range(width - 2)))) or [()] * len(los)
+        return list(zip(keys, los, rows[width - 1::width]))
+
+    def _columns(self, rows):
+        """The column form of flat rows."""
+        width = self._length + 1
+        intervals = list(zip(rows[width - 2::width], rows[width - 1::width]))
+        keys = list(zip(*(rows[t::width] for t in range(width - 2)))) or [()] * len(intervals)
         # a column's rows are consecutive: starts holds the first row of each
         starts = list(compress(range(len(keys)),
                                chain((True,), map(ne, keys, islice(keys, 1, None)))))
-        heads = list(map(keys.__getitem__, starts))
-        if share:
-            intervals = list(map(share, intervals, intervals))
-            heads = map(share, heads, heads)
         runs = map(slice, starts, [*starts[1:], len(keys)])
-        return dict(zip(heads, map(intervals.__getitem__, runs)))
+        return dict(zip(map(keys.__getitem__, starts), map(intervals.__getitem__, runs)))
 
     def _sphere_points(self, sphere):
         return [key + (c,) for key, ivs in sphere.items()
@@ -471,25 +480,26 @@ class _TupleGroup(MarkedGroup):
         return g[:-1], g[-1]
 
     def _max_norm(self, points):
-        """Read from the store: the last sphere whose rows hold a point not yet
-        found, with no sphere dict."""
+        """The least radius whose ball holds every point, read from the store's
+        rows with no dict."""
         wanted = {}
         for g in points:
             wanted.setdefault(g[:-1], []).append(g[-1])
         for cs in wanted.values():
             cs.sort()
-        left = sum(map(len, wanted.values()))
+        total = sum(map(len, wanted.values()))
         width = self._length + 1
         for r in range(self.max_radius + 1):
             self._grow(r)
-            rows = self._sphere_rows(r)
+            rows = self._rows(r)
             keys = list(zip(*(rows[t::width] for t in range(width - 2)))) or [()] * (
                 len(rows) // width)
+            found = 0
             for i in compress(range(len(keys)), map(wanted.__contains__, keys)):
                 cs = wanted[keys[i]]
-                left -= (bisect_right(cs, rows[i * width + width - 1])
-                         - bisect_left(cs, rows[i * width + width - 2]))
-            if not left:
+                found += (bisect_right(cs, rows[i * width + width - 1])
+                          - bisect_left(cs, rows[i * width + width - 2]))
+            if found == total:
                 return r
         return super()._max_norm(points)  # raises for the first point out of reach
 

@@ -7,8 +7,9 @@ a window: disjointness of translates is checked on all of ball(R), and
 coverage on ball(R - margin) where margin is the largest shape diameter,
 which removes edge effects near the window boundary.  On Z^d and Heisenberg
 the window and the region are read as balls in column form (groups.py), per
-column key the intervals of the last coordinate, each from one union of the
-group's sphere rows; no sphere is read as a dict unless a count is bad.
+column key the intervals of the last coordinate, each from the rows the
+group's store keeps for that ball; no sphere is read as a dict unless a count
+is bad.
 
 The scan never enumerates lattice center sets.  A window point w lies in
 T * c exactly when c = t^{-1} w for some t in T, and one residue index per
@@ -49,8 +50,9 @@ min(length, period)), counted from its intervals' arcs on the circle of
 residues, times the lookups per point, a bound on the evaluations.
 Explicit centers are scattered onto the window as sparse additions, column by
 column.  The first five uncovered and colliding points come from walking the
-spheres in (norm, tuple) order through the columns that can hold a bad count:
-those with explicit additions or a bad class pattern entry.  The radius-36
+spheres (each ball minus the one before) in (norm, tuple) order through the
+columns that can hold a bad count: those with explicit additions or a bad
+class pattern entry.  The radius-36
 Heisenberg window of the 425-point cuboid tile, 716,455 points in 2,665
 columns of 353 classes, needs 5,937 evaluations (45,177 at one pattern per
 column).

@@ -138,6 +138,9 @@ class TestProfileGroup:
                      '{"shapes": [[[0]]], "centers": 5}'):
             assert main(["verify-tile", "--group", '{"kind": "Zd", "d": 1}',
                          "--tile", tile, "--window", "4"]) == 2
+        # quotient models past the kernels' vertex ids, refused before any list
+        assert main(["build-graphing", "--kind", "torus", "--d", "2", "--m", "100000"]) == 2
+        assert main(["build-graphing", "--kind", "heisenberg", "--m", "2000"]) == 2
         # bytes that are not UTF-8, and nesting past the recursion limit, as a
         # file and inline
         not_utf8 = tmp_path / "not_utf8.json"

@@ -32,6 +32,7 @@ from isoprof.errors import (
     UnsupportedError,
 )
 from isoprof import graphings
+from isoprof._kernels import _pure
 from isoprof.bounds import cycle_with_marking
 from isoprof.graphings import _min_violation_depth, quotient_action
 from isoprof.tilings import folner_tiles
@@ -394,6 +395,25 @@ class TestBuilders:
             build_torus_action(1, 2)
         with pytest.raises(NormalizationError):
             build_weighted_cycle(3, [Fraction(1, 2), Fraction(1, 2)])
+
+    def test_oversized_quotients_are_refused_before_any_list(self, monkeypatch):
+        # m**d past the kernels' vertex ids is refused in one line, before the
+        # m**d weights are built, which would run out of memory first
+        for build, size in ((lambda: build_torus_action(2, 100_000), "100000^2"),
+                            (lambda: build_torus_action(1, 1 << 31), f"{1 << 31}^1"),
+                            (lambda: build_heisenberg_quotient(2000), "2000^3"),
+                            (lambda: build_heisenberg_quotient(1291), "1291^3")):
+            with pytest.raises(ParameterError) as err:
+                build()
+            assert str(err.value) == (f"a quotient model of {size} vertices exceeds the "
+                                      "2147483647 vertex ids the kernels take")
+        assert graphings.MAX_VERTICES == _pure.MAX_VERTICES == (1 << 31) - 1
+        # a model of exactly MAX_VERTICES vertices is built
+        monkeypatch.setattr(graphings, "MAX_VERTICES", 27)
+        assert build_torus_action(3, 3).n_vertices == build_heisenberg_quotient(3).n_vertices == 27
+        for build in (lambda: build_torus_action(1, 28), lambda: build_heisenberg_quotient(4)):
+            with pytest.raises(ParameterError, match="exceeds the 27 vertex ids"):
+                build()
 
     @pytest.mark.parametrize("m", [-3, 0, 2.0, True, "3", None])
     def test_quotient_modulus_is_a_positive_integer(self, m):

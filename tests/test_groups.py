@@ -362,6 +362,9 @@ class TestColumnSpheres:
         ball = union_columns(HeisenbergGroup()._cached_spheres(36))
         assert len(ball) == 2665
         assert column_size(ball) == 716455
+        g = HeisenbergGroup()
+        assert g._ball_columns(36) == ball  # one row per column, 33,781 rows in all
+        assert g._ends[37] - g._ends[36] == 2665 and g._ends[37] == 33781
 
     def test_heisenberg_ball_36_shares_keys_and_stays_small(self):
         spheres = HeisenbergGroup()._cached_spheres(36)

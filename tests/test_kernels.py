@@ -32,7 +32,7 @@ from isoprof._kernels import (
 )
 from isoprof.action_profile import packing_items, partition_tables
 from isoprof.isoperimetry import neighbor_table
-from oracles import neighbor_table_oracle, union_columns
+from oracles import neighbor_table_oracle, sphere_oracle, union_columns
 
 try:
     from isoprof._kernels import _core
@@ -463,35 +463,12 @@ COLUMN_GROUPS = {
 }
 
 
-def sphere_rows(kernels, group, radius):
-    """The rows of spheres 0..radius of a column group, grown by one backend."""
-    rows = [(), [0] * (group._length + 1)]
+def ball_rows(kernels, group, radius):
+    """The rows of balls 0..radius of a column group, grown by one backend."""
+    rows = [[0] * (group._length + 1)]
     for _ in range(radius):
-        rows.append(kernels.next_sphere(group._length - 1, group._steps, rows[-1], rows[-2]))
-    return [list(r) for r in rows[1:]]
-
-
-class TestSphereStep:
-    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
-    def test_input_validation(self, kernels):
-        step = ((1,), 0, (0,))
-        one = [0, 0, 0]
-        for key_len, steps, prev, older in (
-            (1, [step], [0, 0], []),  # ragged
-            (1, [step], one, [0, 1]),  # ragged older rows
-            (1, [], one, []),  # no steps
-            (1, [((1, 0), 0, (0,))], one, []),  # head of the wrong length
-            (1, [((1,), 0, ())], one, []),  # coef of the wrong length
-            (-1, [((), 0, ())], [0], []),
-            (1, [step], [0, 1, 0], []),  # lo > hi
-            (1, [step], [1, 0, 0, 0, 0, 0], []),  # keys out of order
-            (1, [step], [0, 2, 3, 0, 0, 1], []),  # intervals out of order
-            (1, [step], [0, 0, 2, 0, 2, 3], []),  # overlapping intervals
-            (1, [step], one, [0, 5, 5, 0, 1, 1]),  # older rows out of order
-        ):
-            with pytest.raises(ValueError):
-                kernels.next_sphere(key_len, steps, prev, older)
-        assert list(kernels.next_sphere(1, [step], one, [])) == [1, 0, 0]
+        rows.append(list(kernels.next_ball(group._length - 1, group._steps, rows[-1])))
+    return rows
 
 
 def random_runs(rng, key_len, n_runs):
@@ -514,92 +491,131 @@ def random_runs(rng, key_len, n_runs):
     return rows, ends
 
 
-def ball_runs(group, radius):
-    """(rows, ends) of spheres 0..radius of a column group, back to back."""
-    rows, ends = [], []
-    for sphere in sphere_rows(_pure, group, radius):
-        rows += sphere
-        ends.append(len(rows) // (group._length + 1))
-    return rows, ends
+def run_columns(rows, key_len):
+    """Flat rows in column form, {key: intervals}."""
+    cols = {}
+    for i in range(0, len(rows), key_len + 2):
+        key, interval = tuple(rows[i:i + key_len]), tuple(rows[i + key_len:i + key_len + 2])
+        cols.setdefault(key, []).append(interval)
+    return cols
 
 
-class TestRowUnion:
+def column_rows(cols):
+    """Column form as flat rows, sorted by (key, lo)."""
+    return [x for key in sorted(cols) for lo, hi in cols[key] for x in (*key, lo, hi)]
+
+
+def random_steps(rng, key_len):
+    return [(tuple(rng.randint(-1, 1) for _ in range(key_len)), rng.randint(-3, 3),
+             tuple(rng.randint(-1, 1) for _ in range(key_len)))
+            for _ in range(rng.randint(1, 4))]
+
+
+def point_columns(points):
+    """Points of a column group in column form, {key: sorted maximal
+    intervals} with sorted keys, by the union oracle."""
+    cols = {}
+    for p in points:
+        cols.setdefault(p[:-1], []).append((p[-1], p[-1]))
+    return union_columns([cols])
+
+
+class TestBallStep:
     @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
     def test_input_validation(self, kernels):
+        step = ((1,), 0, (0,))
         one = [0, 0, 0]
-        for key_len, rows, ends in (
-            (1, [0, 0], [1]),  # ragged
-            (-1, [0], [1]),
-            (1, one, []),  # a row past the last run
-            (1, one, [2]),  # a run past the rows
-            (1, one + one, [2, 1]),  # ends fall
-            (1, [0, 1, 0], [1]),  # lo > hi
-            (1, [1, 0, 0, 0, 0, 0], [2]),  # keys out of order
-            (1, [0, 2, 3, 0, 0, 1], [2]),  # intervals out of order
-            (1, [0, 0, 2, 0, 2, 3], [2]),  # overlapping intervals in one run
-            (1, [0, 0, 0, 0, 5, 5, 0, 1, 1], [1, 3]),  # the second run unsorted
+        for key_len, steps, prev in (
+            (1, [step], [0, 0]),  # ragged
+            (1, [step], [0, 0, 0, 0, 1]),
+            (1, [], one),  # no steps
+            (1, [((1, 0), 0, (0,))], one),  # head of the wrong length
+            (1, [((1,), 0, ())], one),  # coef of the wrong length
+            (-1, [((), 0, ())], [0]),
+            (1, [step], [0, 1, 0]),  # lo > hi
+            (1, [step], [1, 0, 0, 0, 0, 0]),  # keys out of order
+            (1, [step], [0, 2, 3, 0, 0, 1]),  # intervals out of order
+            (1, [step], [0, 0, 2, 0, 2, 3]),  # overlapping intervals
+            (1, [step], [0, 5, 5, 0, 1, 1]),
         ):
             with pytest.raises(ValueError):
-                kernels.union_rows(key_len, rows, ends)
-        # across runs, intervals may overlap, touch and come in any order
-        assert list(kernels.union_rows(1, [0, 3, 5, 0, 0, 2, 0, 1, 4], [1, 2, 3])) == [0, 0, 5]
-        assert list(kernels.union_rows(1, [], [])) == []
-        assert list(kernels.union_rows(0, [7, 9, 1, 2], [1, 1, 2])) == [1, 2, 7, 9]
+                kernels.next_ball(key_len, steps, prev)
+        assert list(kernels.next_ball(1, [step], one)) == [0, 0, 0, 1, 0, 0]
+        # images may overlap, touch or miss the ball and each other, in any order
+        assert list(kernels.next_ball(0, [((), 8, ()), ((), 3, ()), ((), 1, ())], [0, 2])) == \
+            [0, 5, 8, 10]
+        # a step shifts a column by dc + coef.key
+        assert list(kernels.next_ball(1, [((0,), 0, (1,))], [2, 0, 1, 3, 5, 5])) == \
+            [2, 0, 3, 3, 5, 5, 3, 8, 8]
+        assert list(kernels.next_ball(1, [step], [])) == []
 
     @needs_core
     @pytest.mark.parametrize("seed", range(8))
-    def test_backends_agree_on_random_runs(self, seed):
+    def test_backends_agree_on_random_rows(self, seed):
         rng = random.Random(seed)
         for _ in range(40):
             key_len = rng.randint(0, 3)
-            rows, ends = random_runs(rng, key_len, rng.randint(0, 6))
-            assert list(_core.union_rows(key_len, rows, ends)) == \
-                _pure.union_rows(key_len, rows, ends)
+            rows, _ = random_runs(rng, key_len, 1)
+            steps = random_steps(rng, key_len)
+            assert list(_core.next_ball(key_len, steps, rows)) == \
+                _pure.next_ball(key_len, steps, rows)
 
-    @needs_core
-    @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
-    def test_backends_agree_on_balls(self, name):
-        make, radius = COLUMN_GROUPS[name]
-        group = make()
-        rows, ends = ball_runs(group, radius)
-        assert list(_core.union_rows(group._length - 1, rows, ends)) == \
-            _pure.union_rows(group._length - 1, rows, ends)
 
+# column groups and the radius through which the store's balls are checked
+# against a point BFS
+STORE_GROUPS = {
+    "Z^1": (lambda: ZdGroup(1), 20),
+    "Z^2": (lambda: ZdGroup(2), 12),
+    "Z^3": (lambda: ZdGroup(3), 7),
+    "Z^4": (lambda: ZdGroup(4), 5),
+    "Z^2 (1,1)": (lambda: ZdGroup(2, generators=UNITS2 + [(1, 1), (-1, -1)]), 10),
+    "H3": (lambda: HeisenbergGroup(), 10),
+    "H3 shuffled": (lambda: HeisenbergGroup(generators=shuffled(H3_UNITS, 5)), 10),
+    "H3 sheared": (lambda: HeisenbergGroup(generators=[(1, 0, 0), (-1, 0, 0), (1, 1, 0),
+                                                       (-1, -1, 1)]), 10),
+    "H3 (0,0,2)": (lambda: HeisenbergGroup(generators=H3_UNITS + [(0, 0, 2), (0, 0, -2)]), 7),
+}
+
+
+class TestStoreBalls:
     @pytest.mark.parametrize("backend", ["compiled", "pure"])
-    @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
-    def test_ball_columns_are_the_union_of_the_spheres(self, name, backend, monkeypatch):
+    @pytest.mark.parametrize("name", list(STORE_GROUPS))
+    def test_store_balls_match_a_point_bfs(self, name, backend, monkeypatch):
         if backend == "pure":
             monkeypatch.setattr(_kernels, "_core", None)
         elif _core is None:
             pytest.skip("compiled kernel unavailable")
-        make, radius = COLUMN_GROUPS[name]
-        group, spheres = make(), make()._cached_spheres(radius)
-        # a radius below what is grown reads a prefix of the store
-        for r in (radius, 0, radius // 2):
+        make, radius = STORE_GROUPS[name]
+        spheres = sphere_oracle(make(), radius)
+        group = make()
+        # the store grows through ball(radius) first; every smaller ball is a slice
+        for r in (radius, *range(radius)):
             assert list(group._ball_columns(r).items()) == \
-                list(union_columns(spheres[:r + 1]).items())
+                list(point_columns(itertools.chain(*spheres[:r + 1])).items())
         assert len(group._spheres) == 1  # and no sphere dict past sphere 0
+        assert [group.sphere(r) for r in range(radius + 1)] == spheres
 
     @pytest.mark.parametrize("coordinate", [BIG, 1 << 61, 1 << 80])
-    def test_ball_columns_past_int64_run_pure(self, coordinate, monkeypatch):
+    def test_store_balls_past_int64_run_pure(self, coordinate, monkeypatch):
         # coordinates of 2**40 fit the compiled kernels throughout; those of
-        # 2**61 reach 2**62 within two steps, which the compiled union refuses,
+        # 2**61 reach 2**62 within two steps, which the compiled step refuses,
         # and leave int64 within four; those of 2**80 leave it at once.  Past
-        # int64 the store turns into a list and its unions run pure
+        # int64 the store turns into a list and its balls grow pure
         makes = [lambda: ZdGroup(2, generators=UNITS2 + [(coordinate, 1), (-coordinate, -1)]),
                  lambda: HeisenbergGroup(generators=H3_UNITS + [(coordinate, 1, 0),
                                                                 (-coordinate, -1, coordinate)])]
         for make, radius in itertools.product(makes, (3, 4)):
-            spheres = make()._cached_spheres(radius)
-            expected = list(union_columns(spheres).items())
-            top = max(abs(x) for sphere in spheres for key, ivs in sphere.items()
-                      for x in (*key, ivs[0][0], ivs[-1][1]))
+            spheres = sphere_oracle(make(), radius)
+            top = max(abs(x) for sphere in spheres for p in sphere for x in p)
             for backend in ("compiled", "pure"):
                 if backend == "pure":
                     monkeypatch.setattr(_kernels, "_core", None)
                 group = make()
-                assert list(group._ball_columns(radius).items()) == expected
+                for r in (radius, *range(radius)):
+                    assert list(group._ball_columns(r).items()) == \
+                        list(point_columns(itertools.chain(*spheres[:r + 1])).items())
                 assert isinstance(group._store, list) == (top >= 1 << 63)
+                assert [group.sphere(r) for r in range(radius + 1)] == spheres
             monkeypatch.undo()
 
 
@@ -622,32 +638,87 @@ class TestBallTable:
             (1, [((1, 0), 0, (0,))], form, one, [1]),  # head of the wrong length
             (1, [step], (), one, [1]),  # form of the wrong size
             (1, [step], ((0, 0),), one, [1]),
+            (1, [step], form, one, []),  # a row past the last run
             (1, [step], form, one, [2]),  # a run past the rows
             (1, [step], form, one + one, [2, 1]),  # ends fall
             (1, [step], form, [0, 1, 0], [1]),  # lo > hi
             (1, [step], form, [1, 0, 0, 0, 0, 0], [2]),  # keys out of order
+            (1, [step], form, [0, 2, 3, 0, 0, 1], [2]),  # intervals out of order
             (1, [step], form, [0, 0, 2, 0, 2, 3], [2]),  # overlapping intervals
-            (1, [step], form, [0, 0, 2, 0, 2, 3], [1, 2]),  # runs that overlap
-            (1, [step], form, [0, 5, 5, 0, 0, 0, 0, 5, 5], [1, 3]),  # the second run unsorted
+            (1, [step], form, [0, 5, 5, 0, 5, 5, 0, 0, 0], [1, 3]),  # the second run unsorted
+            # a ball that misses a point of the one before
+            (1, [step], form, [0, 0, 2, 0, 2, 3], [1, 2]),
+            (1, [step], form, [0, 0, 0, 0, 1, 1], [1, 2]),
+            (1, [step], form, [0, 0, 0, 0, 0, 1, 0, 1, 1], [1, 2, 3]),
+            (1, [step], form, [0, 0, 0, 1, 0, 0], [1, 1, 2]),
             (0, [((), 1, ())], (), [0, (1 << 31) - 1], [1]),  # 2**31 points
         ):
             with pytest.raises(ValueError):
                 kernels.ball_table(key_len, steps, form_, rows, ends, True)
-        # ids follow the rows; ranks follow (key, c); rows may touch across runs
-        flat, inverse, ranks = kernels.ball_table(0, [((), 1, ()), ((), -1, ())], (),
-                                                  [0, 0, -1, -1, 1, 1], [1, 3], True)
-        assert list(flat) == [2, 1, 0, -1, -1, 0] and list(inverse) == [0, 2, 1]
-        assert list(ranks) == [1, 0, 2]
+        # ids follow the spheres; ranks follow (key, c); a ball's rows may
+        # touch, and a ball may equal the one before
+        for rows, ends in (([0, 0, -1, 1], [1, 2]), ([0, 0, -1, -1, 0, 0, 1, 1], [1, 4]),
+                           ([0, 0, 0, 0, -1, 1], [1, 2, 3])):
+            flat, inverse, ranks = kernels.ball_table(0, [((), 1, ()), ((), -1, ())], (),
+                                                      rows, ends, True)
+            assert list(flat) == [2, 1, 0, -1, -1, 0] and list(inverse) == [0, 2, 1]
+            assert list(ranks) == [1, 0, 2]
         assert kernels.ball_table(1, [step], form, [], [], False) == \
             (array("i"), None, array("i"))
+        assert kernels.ball_table(1, [step], form, [], [0, 0], True) == \
+            (array("i"), array("i"), array("i"))
+
+    @needs_core
+    @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
+    def test_backends_agree_on_whole_balls(self, name):
+        make, radius = COLUMN_GROUPS[name]
+        args = table_args(make(), radius, True)
+        assert _core.ball_table(*args) == _pure.ball_table(*args)
+
+    @needs_core
+    @pytest.mark.parametrize("seed", range(8))
+    def test_backends_agree_on_random_balls(self, seed):
+        # each run the union of the runs before, its rows split at random
+        # where they may touch; a third of the cases keep the raw runs,
+        # which both backends refuse unless each run holds the one before
+        rng = random.Random(seed)
+        refused = 0
+        for _ in range(40):
+            key_len = rng.randint(0, 2)
+            rows, ends = random_runs(rng, key_len, rng.randint(1, 5))
+            if rng.random() < 2 / 3:
+                runs = [run_columns(rows[a * (key_len + 2):b * (key_len + 2)], key_len)
+                        for a, b in zip((0, *ends), ends)]
+                rows, ends = [], []
+                for r in range(len(runs)):
+                    cols = union_columns(runs[:r + 1])
+                    for ivs in cols.values():
+                        for i in reversed(range(len(ivs))):
+                            lo, hi = ivs[i]
+                            if lo < hi and rng.random() < 0.3:
+                                cut = rng.randint(lo, hi - 1)
+                                ivs[i:i + 1] = [(lo, cut), (cut + 1, hi)]
+                    rows += column_rows(cols)
+                    ends.append(len(rows) // (key_len + 2))
+            steps = random_steps(rng, key_len)
+            form = [[rng.randint(-1, 1) for _ in range(key_len)] for _ in range(key_len)]
+            outs = []
+            for kernels in (_pure, _core):
+                try:
+                    outs.append(kernels.ball_table(key_len, steps, form, rows, ends, True))
+                except ValueError:
+                    outs.append("refused")
+            assert outs[0] == outs[1]
+            refused += outs[0] == "refused"
+        assert 0 < refused < 40
 
 
 @needs_core
 class TestBackendParity:
     @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
-    def test_sphere_rows_identical(self, name):
+    def test_ball_rows_identical(self, name):
         make, radius = COLUMN_GROUPS[name]
-        assert sphere_rows(_core, make(), radius) == sphere_rows(_pure, make(), radius)
+        assert ball_rows(_core, make(), radius) == ball_rows(_pure, make(), radius)
 
     @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
     def test_ball_tables_identical(self, name):
@@ -781,13 +852,19 @@ DUAL_KERNELS = {
     "pack_max_weight": ([0b11, 0b110, 0b1000], [3, 2, 5], 2, BIG, False),
     "min_boundary_sets": (path_neighbors(6), 6, 2, 3, list(range(6)), BIG),
     "partition_dp": (path_neighbors(4), 4, 2, [1, 2, 3, 4], 2),
-    "next_sphere": (1, [((1,), 0, (0,))], [0, 0, 0], []),
-    "union_rows": (1, [0, 3, 5, 0, 0, 2, 0, 1, 4], [1, 2, 3]),
+    "next_ball": (1, [((1,), 0, (0,))], [0, 0, 0]),
     "ball_table": (1, [((1,), 0, (0,))], ((0,),), [0, 0, 0], [1], True),
 }
 
 
 class TestDispatch:
+    def test_the_list_holds_every_dual_kernel(self):
+        # each dispatcher wraps the pure twin of its own name
+        dual = {name for name, kernel in vars(_kernels).items()
+                if getattr(kernel, "__wrapped__", None) is not None
+                and kernel.__wrapped__ is getattr(_pure, name, None)}
+        assert dual == set(DUAL_KERNELS)
+
     @needs_core
     @pytest.mark.parametrize("name", DUAL_KERNELS)
     def test_twins_share_one_signature(self, name):
@@ -831,27 +908,27 @@ class TestDispatch:
                                                        (-BIG - 1, -3, 3 * BIG + 3)]),
         lambda: ZdGroup(2, generators=UNITS2 + [(1 << 61, 1), (-(1 << 61), -1)]),
     ])
-    def test_huge_spheres_fall_back_transparently(self, make, monkeypatch):
+    def test_huge_balls_fall_back_transparently(self, make, monkeypatch):
         spheres = make()._cached_spheres(4)
         if _core is not None:
             with pytest.raises(OverflowError):
-                sphere_rows(_core, make(), 4)
+                ball_rows(_core, make(), 4)
         monkeypatch.setattr(_kernels, "_core", None)
         pure = make()._cached_spheres(4)
         assert [list(s.items()) for s in pure] == [list(s.items()) for s in spheres]
 
     @needs_core
-    def test_compiled_sphere_refuses_coordinates_near_2_62(self):
+    def test_compiled_ball_refuses_coordinates_near_2_62(self):
         step = ((), 1, ())
-        assert list(_core.next_sphere(0, [step], [0, (1 << 62) - 2], [])) == [(1 << 62) - 1] * 2
+        assert list(_core.next_ball(0, [step], [0, (1 << 62) - 2])) == [0, (1 << 62) - 1]
         for prev, steps in (([0, (1 << 62) - 1], [step]), ([0, 1 << 62], [step]),
                             ([0, 1 << 63], [step]), ([0, 0], [((), 1 << 62, ())]),
                             ([2, 0, 0], [((1,), 0, (1 << 61,))])):
             with pytest.raises(OverflowError):
-                _core.next_sphere(len(steps[0][0]), steps, prev, [])
+                _core.next_ball(len(steps[0][0]), steps, prev)
             key_len = len(steps[0][0])
-            assert _kernels.next_sphere(key_len, steps, prev, []) == \
-                _pure.next_sphere(key_len, steps, prev, [])
+            assert _kernels.next_ball(key_len, steps, prev) == \
+                _pure.next_ball(key_len, steps, prev)
 
     @needs_core
     def test_compiled_table_refuses_coordinates_near_2_62(self):
@@ -892,6 +969,8 @@ class TestDispatch:
         # a ctypes array type made per call would be a cycle of about 16 objects
         calls = [(name, args) for name, args in DUAL_KERNELS.items()]
         calls.append(("ball_table", table_args(HeisenbergGroup(), 4, True)))
+        group = HeisenbergGroup()
+        calls.append(("next_ball", (2, group._steps, ball_rows(_core, group, 4)[-1])))
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()
@@ -912,13 +991,17 @@ class TestDispatch:
 
 def test_import_leaves_the_kernels_out():
     # the kernels load, and may compile, on the first search or on growing a
-    # column sphere past radius 0, not on import or on building a group
+    # column ball past radius 0, not on import, on building a group or on
+    # refusing an oversized quotient model
     code = ("import sys, isoprof\n"
             "loaded = lambda: print('isoprof._kernels' in sys.modules)\n"
             "loaded()\n"
             "h = isoprof.HeisenbergGroup(); z = isoprof.ZdGroup(3)\n"
-            "h.sphere(0), z.sphere(0), z.word_norm((1, 2, 3))\n"
-            "loaded()\n"
+            "h.sphere(0), z.sphere(0), z.word_norm((1, 2, 3)), h.word_norm((0, 0, 0))\n"
+            "try:\n"
+            "    isoprof.build_heisenberg_quotient(2000)\n"
+            "except isoprof.errors.ParameterError:\n"
+            "    loaded()\n"
             "h.sphere(1)\n"
             "loaded()\n")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),

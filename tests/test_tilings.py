@@ -620,7 +620,7 @@ class TestLazySpheres:
         v = verify_multitile_window(mt, 36)
         assert v.passed and v.window_size == 716455
         assert len(g._spheres) == 1  # the margin reads the store's rows too
-        assert len(g._ends) == 38  # the rows are grown through sphere 36
+        assert len(g._ends) == 38  # the rows are grown through ball 36
         assert v.margin == max(g.word_norm(t) for t in mt.shapes[0])
 
     @pytest.mark.parametrize("make, points", [
