@@ -21,15 +21,15 @@ arithmetic per column.  The kernel step _kernels.next_ball (compiled, or its
 pure twin) turns the flat rows of ball r - 1 into those of ball r.  The group
 keeps the rows of every ball back to back in one store, with the row at
 which each ball ends, so a ball in column form is one slice of the store.
-Sphere r is ball r minus ball r - 1; it is built as a dict, with one shared
-object per column key and per interval, only for word norms, the public
-sphere and ball, and naming bad points of a tile window.  The Heisenberg
-ball(36) (716,455 points) is 2,665 rows, and the store through it 33,781
-rows, 1.1 MB; as sphere dicts it is 17,574 column entries over 2,665
-distinct keys and 32,483 intervals over 1,789 distinct ones.  Building a
-group and its sphere 0 does not load the kernels.  Points are listed only
-when asked for, in (key, c) order, which is tuple order.  Free groups keep
-sorted point lists.
+The store is the only cache of a ball: sphere r is cut from it as the
+(key, lo, hi) rows of ball r minus those of ball r - 1, for sphere, ball and
+the bad points of a tile window.  Word norms read an index grown a sphere at
+a time from the same cut: per column key, the sphere pieces sorted by lo
+with their norms, one dict lookup and one bisection a norm.  The Heisenberg
+ball(36) (716,455 points) is 2,665 rows, the store through it 33,781 rows,
+1.1 MB, and its norm index 32,483 pieces, 1.9 MB.  Building a group does not
+load the kernels.  Points are listed only when asked for, in (key, c) order,
+which is tuple order.  Free groups keep sorted point lists.
 
 A search reads ball(r) as a neighbour table that the group builds itself
 (MarkedGroup._table), with no {element: id} index and no product per entry.
@@ -125,7 +125,6 @@ class MarkedGroup:
             if self._inv_label[self._inv_label[lab]] != lab:
                 raise ConfigError("inverse labeling is not an involution")
         self._left = {lab: self._left_action(g) for lab, g in self._gens.items()}
-        self._spheres = [self._sphere(0)]
 
     # -- subclass surface ------------------------------------------------
 
@@ -144,7 +143,7 @@ class MarkedGroup:
 
     def _left_action(self, s):
         """Closure for g -> s*g, no validation.  It must not hold the group: a cycle
-        through the group would keep its sphere cache alive until the cycle
+        through the group would keep its caches alive until the cycle
         collector runs, so subclasses define _mul_raw as a static method."""
         return partial(self._mul_raw, s)
 
@@ -164,8 +163,8 @@ class MarkedGroup:
         order, an array('i')."""
         raise NotImplementedError
 
-    def _sphere(self, r):
-        """Sphere r in the cache's form, once spheres 0..r-1 are cached."""
+    def _sphere_points(self, r):
+        """The elements of sphere r, sorted, for a checked radius r."""
         raise NotImplementedError
 
     def element_str(self, g):
@@ -213,33 +212,20 @@ class MarkedGroup:
         self.validate_element(g)
         return self._norm(g)
 
-    # -- the sphere cache: sorted point lists here, column form in _TupleGroup --
-
-    def _sphere_points(self, sphere):
-        """A cached sphere's elements, sorted."""
-        return sphere
-
     def _check_radius(self, radius):
         """radius, refused unless it is a count of at most max_radius."""
         if integer_parameter("radius", radius, 0) > self.max_radius:
             raise RadiusExceededError(f"radius {radius} exceeds max_radius={self.max_radius}")
         return radius
 
-    def _cached_spheres(self, radius):
-        """The cached spheres of radius 0..radius; shared, not copies."""
-        self._check_radius(radius)
-        while len(self._spheres) <= radius:
-            self._spheres.append(self._sphere(len(self._spheres)))
-        return self._spheres[:radius + 1]
-
     def sphere(self, radius):
         """Elements of word norm exactly radius, sorted."""
-        return list(self._sphere_points(self._cached_spheres(radius)[radius]))
+        return list(self._sphere_points(self._check_radius(radius)))
 
     def ball(self, radius):
         """GroupSubset of all elements with word norm <= radius, in (norm, tuple) order."""
-        ordered = [g for sphere in self._cached_spheres(radius)
-                   for g in self._sphere_points(sphere)]
+        self._check_radius(radius)
+        ordered = [g for r in range(radius + 1) for g in self._sphere_points(r)]
         return GroupSubset(self, ordered, ordered=ordered)
 
     def geodesic_word(self, g):
@@ -355,11 +341,10 @@ class _TupleGroup(MarkedGroup):
         # every grown ball's flat rows (column key, lo, hi) back to back, an
         # array('q') until an entry does not fit and a list after; ball r is
         # rows _ends[r] up to _ends[r + 1], ball 0 the identity's column.
-        # And one object per column key and interval, shared by every sphere
-        # dict that holds it
+        # And the norm index of spheres 0.._indexed - 1 (_index_sphere)
         self._store = array("q", bytes(8 * (length + 1)))
         self._ends = [0, 1]
-        self._shared = {}
+        self._norms, self._indexed = {}, 0
         if self._standard:
             gens = standard
         else:
@@ -384,19 +369,19 @@ class _TupleGroup(MarkedGroup):
         head = s[:-1]
         return head, s[-1], tuple(sum(map(mul, head, col)) for col in zip(*self._form))
 
-    def _sphere(self, r):
-        """Sphere r as ball(r) minus ball(r - 1), in column form, with one
-        object per column key and interval shared by every sphere."""
+    def _sphere_rows(self, r):
+        """Sphere r as (key, lo, hi) rows in tuple order: the rows of ball r
+        minus those of ball r - 1."""
         self._grow(r)
         rows = self._row_tuples(r)
-        if r:
-            from ._kernels._pure import cut_rows
+        if not r:
+            return rows
+        from ._kernels._pure import cut_rows
 
-            rows = cut_rows(rows, self._row_tuples(r - 1))
-        share, sphere = self._shared.setdefault, {}
-        for key, lo, hi in rows:
-            sphere.setdefault(share(key, key), []).append(share((lo, hi), (lo, hi)))
-        return sphere
+        return cut_rows(rows, self._row_tuples(r - 1))
+
+    def _sphere_points(self, r):
+        return [key + (c,) for key, lo, hi in self._sphere_rows(r) for c in range(lo, hi + 1)]
 
     def _rows(self, r):
         """The flat rows of grown ball r, copied out of the store."""
@@ -404,7 +389,7 @@ class _TupleGroup(MarkedGroup):
         return self._store[self._ends[r] * width:self._ends[r + 1] * width]
 
     def _grow(self, radius):
-        """Grow the row store through ball radius, building no sphere dict."""
+        """Grow the row store through ball radius."""
         ends = self._ends
         while len(ends) <= radius + 1:
             from . import _kernels  # loads, and may compile, the kernels on first use
@@ -416,6 +401,8 @@ class _TupleGroup(MarkedGroup):
                     rows = array("q", rows)
                 except OverflowError:  # an entry past int64: the store goes on as a list
                     self._store = store = store.tolist()
+                    self._norms = {key: (los.tolist(), his.tolist(), norms)
+                                   for key, (los, his, norms) in self._norms.items()}
             store.extend(rows)
             ends.append(len(store) // (self._length + 1))
 
@@ -427,8 +414,7 @@ class _TupleGroup(MarkedGroup):
         return self._store[:ends[-1] * (self._length + 1)], ends
 
     def _ball_columns(self, radius):
-        """ball(radius) in column form, {key: sorted maximal intervals} with
-        sorted keys, read from the store's rows; no sphere dict is built."""
+        """ball(radius) in column form, {key: sorted maximal intervals} with sorted keys."""
         self._grow(self._check_radius(radius))
         return self._columns(self._rows(radius))
 
@@ -449,27 +435,26 @@ class _TupleGroup(MarkedGroup):
         points = list(zip(*keys, chain.from_iterable(map(range, los, ups))))
         return list(map(points.__getitem__, ranks)), flat, inv, ranks
 
+    def _row_keys(self, rows):
+        """The column key of each of flat rows, as tuples."""
+        width = self._length + 1
+        return list(zip(*(rows[t::width] for t in range(width - 2)))) or [()] * (len(rows) // width)
+
     def _row_tuples(self, r):
         """The rows of grown ball r as (key, lo, hi) tuples."""
         rows, width = self._rows(r), self._length + 1
-        los = rows[width - 2::width]
-        keys = list(zip(*(rows[t::width] for t in range(width - 2)))) or [()] * len(los)
-        return list(zip(keys, los, rows[width - 1::width]))
+        return list(zip(self._row_keys(rows), rows[width - 2::width], rows[width - 1::width]))
 
     def _columns(self, rows):
         """The column form of flat rows."""
         width = self._length + 1
         intervals = list(zip(rows[width - 2::width], rows[width - 1::width]))
-        keys = list(zip(*(rows[t::width] for t in range(width - 2)))) or [()] * len(intervals)
+        keys = self._row_keys(rows)
         # a column's rows are consecutive: starts holds the first row of each
         starts = list(compress(range(len(keys)),
                                chain((True,), map(ne, keys, islice(keys, 1, None)))))
         runs = map(slice, starts, [*starts[1:], len(keys)])
         return dict(zip(map(keys.__getitem__, starts), map(intervals.__getitem__, runs)))
-
-    def _sphere_points(self, sphere):
-        return [key + (c,) for key, ivs in sphere.items()
-                for lo, hi in ivs for c in range(lo, hi + 1)]
 
     def _point(self, key, c):
         """The element in column key at last coordinate c."""
@@ -492,8 +477,7 @@ class _TupleGroup(MarkedGroup):
         for r in range(self.max_radius + 1):
             self._grow(r)
             rows = self._rows(r)
-            keys = list(zip(*(rows[t::width] for t in range(width - 2)))) or [()] * (
-                len(rows) // width)
+            keys = self._row_keys(rows)
             found = 0
             for i in compress(range(len(keys)), map(wanted.__contains__, keys)):
                 cs = wanted[keys[i]]
@@ -505,15 +489,31 @@ class _TupleGroup(MarkedGroup):
 
     def _norm(self, g):
         key, c = g[:-1], g[-1]
-        for r in range(self.max_radius + 1):
-            if r == len(self._spheres):
-                self._spheres.append(self._sphere(r))
-            for lo, hi in self._spheres[r].get(key, ()):
-                if lo <= c <= hi:
-                    return r
-        raise RadiusExceededError(
-            f"element {self.element_str(g)} not reached within radius {self.max_radius}"
-        )
+        while True:
+            los, his, norms = self._norms.get(key, ((), (), ()))
+            i = bisect_right(los, c) - 1
+            if i >= 0 and c <= his[i]:
+                return norms[i]
+            if self._indexed > self.max_radius:
+                raise RadiusExceededError(f"element {self.element_str(g)} not reached within "
+                                          f"radius {self.max_radius}")
+            self._index_sphere()
+
+    def _index_sphere(self):
+        """Add the next sphere to the norm index {key: (los, his, norms)}: each
+        of its rows goes among its column's pieces at its place by lo, with the
+        sphere's radius.  The bounds are arrays or lists, as the store is."""
+        r = self._indexed
+        rows = self._sphere_rows(r)  # grows the store, which may turn the index into lists
+        bounds = list if isinstance(self._store, list) else partial(array, "q")
+        for key, lo, hi in rows:
+            los, his, norms = self._norms.get(key) or self._norms.setdefault(
+                key, (bounds(), bounds(), array("I")))
+            i = bisect_left(los, lo)
+            los.insert(i, lo)
+            his.insert(i, hi)
+            norms.insert(i, r)
+        self._indexed = r + 1
 
     def validate_element(self, g):
         if not (isinstance(g, tuple) and len(g) == self._length
@@ -629,6 +629,7 @@ class FreeGroup(MarkedGroup):
         super().__init__(labels, gens, max_radius=max_radius)
         # the letter of digit d after a word ending in l: d skips l's inverse
         self._after = [[d + (d >= l ^ 1) for l in range(2 * rank)] for d in range(2 * rank - 1)]
+        self._spheres = [[()], [(x,) for x in range(2 * rank)]]  # cached by _sphere_points
 
     @property
     def identity(self):
@@ -661,19 +662,19 @@ class FreeGroup(MarkedGroup):
     def _norm(self, g):
         return len(g)
 
-    def _sphere(self, r):
-        """The reduced words of length r, sorted: each word of sphere r - 1
-        followed by each letter that does not cancel its last one.  The words
-        that end in the d-th such letter fill every (2k - 1)-th place from d."""
-        if r < 2:
-            return [(x,) for x in range(2 * self.rank)] if r else [()]
-        prev = self._spheres[r - 1]
-        lasts = [w[-1] for w in prev]
-        out = [None] * (len(self._after) * len(prev))
-        for d, after in enumerate(self._after):
-            out[d::len(self._after)] = map(add, prev, map([(x,) for x in after].__getitem__,
-                                                          lasts))
-        return out
+    def _sphere_points(self, r):
+        """The reduced words of length r, sorted and cached: each word of sphere
+        r - 1 followed by each letter that does not cancel its last one.  The
+        words that end in the d-th such letter fill every (2k - 1)-th place."""
+        spheres, q = self._spheres, len(self._after)
+        while len(spheres) <= r:
+            prev = spheres[-1]
+            lasts = [w[-1] for w in prev]
+            out = [None] * (q * len(prev))
+            for d, after in enumerate(self._after):
+                out[d::q] = map(add, prev, map([(x,) for x in after].__getitem__, lasts))
+            spheres.append(out)
+        return spheres[r]
 
     def _table(self, radius, inverse):
         """Closed-form arithmetic on the sorted spheres: sphere r is 2k blocks
@@ -684,7 +685,7 @@ class FreeGroup(MarkedGroup):
         preorder of the prefix tree, and a word's children are consecutive in
         its sphere, so the ranks follow from subtree sizes; (w z)^-1 is z^-1 w^-1,
         read from the table."""
-        spheres = self._cached_spheres(radius)
+        spheres = list(map(self._sphere_points, range(self._check_radius(radius) + 1)))
         order = list(chain.from_iterable(spheres))
         S, q = 2 * self.rank, 2 * self.rank - 1
         starts = list(accumulate(map(len, spheres), initial=0))

@@ -220,7 +220,16 @@ def heisenberg_cuboid(group, m):
 
 
 def profile_upper(group, n, family):
-    """Best boundary ratio over the named shape family (tilings.folner_tiles) of size <= n."""
+    """Best boundary ratio over the named shape family (tilings.folner_tiles) of size <= n.
+
+    On Z^d it is the ratio of the largest cube, the only one built.  Let M_i
+    be the largest |s_i| over the generators s.  A point g of the cube
+    {0..k-1}^d stays inside under every s exactly when M_i <= g_i <= k - 1 - M_i
+    for each i (the generating set is symmetric), so the cube's interior is a
+    box with sides (k - 2 M_i)^+ and its ratio is 1 - prod_i (1 - 2 M_i / k)^+.
+    Each factor is nonnegative and does not decrease with k, so the ratio does
+    not increase with k.  The Heisenberg cuboids, O(n^(1/4)) of them, are all
+    read."""
     from .tilings import folner_tiles
 
     integer_parameter("n", n, 1)
@@ -234,4 +243,6 @@ def profile_upper(group, n, family):
             raise ConfigError(f"unknown Heisenberg shape family {family!r}")
     else:
         raise ConfigError(f"no built-in shape family for {group!r}")
+    if isinstance(group, ZdGroup):
+        return boundary_ratio(max(folner_tiles(group, n)).shape())
     return min(boundary_ratio(tile.shape()) for tile in folner_tiles(group, n))

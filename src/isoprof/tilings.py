@@ -8,8 +8,8 @@ coverage on ball(R - margin) where margin is the largest shape diameter,
 which removes edge effects near the window boundary.  On Z^d and Heisenberg
 the window and the region are read as balls in column form (groups.py), per
 column key the intervals of the last coordinate, each from the rows the
-group's store keeps for that ball; no sphere is read as a dict unless a count
-is bad.
+group's store keeps for that ball; no sphere is cut from the store unless a
+count is bad.
 
 The scan never enumerates lattice center sets.  A window point w lies in
 T * c exactly when c = t^{-1} w for some t in T, and one residue index per
@@ -50,9 +50,9 @@ min(length, period)), counted from its intervals' arcs on the circle of
 residues, times the lookups per point, a bound on the evaluations.
 Explicit centers are scattered onto the window as sparse additions, column by
 column.  The first five uncovered and colliding points come from walking the
-spheres (each ball minus the one before) in (norm, tuple) order through the
-columns that can hold a bad count: those with explicit additions or a bad
-class pattern entry.  The radius-36
+spheres, cut from the store as (key, lo, hi) rows (ball r minus ball r - 1),
+in (norm, tuple) order through the columns that can hold a bad count: those
+with explicit additions or a bad class pattern entry.  The radius-36
 Heisenberg window of the 425-point cuboid tile, 716,455 points in 2,665
 columns of 353 classes, needs 5,937 evaluations (45,177 at one pattern per
 column).
@@ -69,7 +69,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, count, islice, repeat, takewhile
+from itertools import accumulate, chain, count, islice, repeat, takewhile
 from math import lcm
 
 from ._record import Record
@@ -466,7 +466,7 @@ def _first_bad(group, radius, columns, patterns, extra, bad):
     """The first five points of ball(radius), in (norm, tuple) order, whose count
     passes bad.  Each class pattern is judged once, and only columns with
     explicit additions or a bad pattern entry are walked, through the sphere
-    dicts, which are read only when there is such a column."""
+    rows, which are cut only when there is such a column."""
     bad_patterns = {p for p in patterns if any(map(bad, p.counts))}
     suspects = set(extra)
     if bad_patterns:
@@ -474,17 +474,15 @@ def _first_bad(group, radius, columns, patterns, extra, bad):
     if not suspects:
         return []
     found = []
-    for sphere in group._cached_spheres(radius):
-        for key, ivs in sphere.items():
-            if key not in suspects:
-                continue
-            pattern, col = columns[key], extra.get(key, {})
-            for lo, hi in ivs:
-                for c in range(lo, hi + 1):
-                    if bad(pattern.at(c) + col.get(c, 0)):
-                        found.append(group._point(key, c))
-                        if len(found) == 5:
-                            return found
+    for key, lo, hi in chain.from_iterable(map(group._sphere_rows, range(radius + 1))):
+        if key not in suspects:
+            continue
+        pattern, col = columns[key], extra.get(key, {})
+        for c in range(lo, hi + 1):
+            if bad(pattern.at(c) + col.get(c, 0)):
+                found.append(group._point(key, c))
+                if len(found) == 5:
+                    return found
     return found
 
 
@@ -557,7 +555,8 @@ def verify_multitile_window(mt, window_radius):
     if isinstance(group, (ZdGroup, HeisenbergGroup)):
         scan = _column_scan(group, mt, indexes, R, region_radius)
     else:
-        scan = _point_scan(group, mt, group._cached_spheres(R), region_radius)
+        spheres = list(map(group._sphere_points, range(group._check_radius(R) + 1)))
+        scan = _point_scan(group, mt, spheres, region_radius)
     window_size, region_size, total, covered_count, uncovered, collision_points = scan
     gathers = [_gatherer(group, shape, centers, index)
                for shape, centers, index in zip(mt.shapes, mt.centers, indexes)]

@@ -362,14 +362,13 @@ def canonical_ranks(order):
     return ranks
 
 
-def union_columns(spheres):
-    """The union of column-form sets, e.g. the spheres of a ball, in column form
-    with sorted keys: each key's intervals pooled, sorted and swept, adjacent
-    ones joined."""
+def union_columns(rows):
+    """The union of the intervals of (key, lo, hi) rows, e.g. the sphere rows of
+    a ball, in column form with sorted keys: each key's intervals pooled,
+    sorted and swept, adjacent ones joined."""
     cols = {}
-    for sphere in spheres:
-        for key, ivs in sphere.items():
-            cols.setdefault(key, []).extend(ivs)
+    for key, lo, hi in rows:
+        cols.setdefault(key, []).append((lo, hi))
     out = {}
     for key in sorted(cols):
         ordered = iter(sorted(cols[key]))

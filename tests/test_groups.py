@@ -307,6 +307,22 @@ COLUMN_GROUPS = {
                                                      (0, -1, 0), (0, 0, 2), (0, 0, -2)]),
 }
 
+# groups whose balls leave the compiled kernels' range: coordinates of 2**61
+# reach 2**62 within two steps and leave int64 within four, which turns the
+# row store into a list; those of 2**80 leave int64 at once.  Their balls
+# grow fast, so a small max_radius stops a runaway search early
+_UNITS2 = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+_H3_UNITS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+HUGE_GROUPS = {
+    f"{name} 2**{bits}": make
+    for bits in (61, 80)
+    for name, make in (
+        ("Z^2", lambda x=1 << bits: ZdGroup(2, generators=_UNITS2 + [(x, 1), (-x, -1)],
+                                            max_radius=8)),
+        ("H3", lambda x=1 << bits: HeisenbergGroup(
+            generators=_H3_UNITS + [(x, 1, 0), (-x, -1, x)], max_radius=8)))
+}
+
 
 @pytest.fixture(params=["compiled", "pure"])
 def sphere_backend(request, monkeypatch):
@@ -347,37 +363,63 @@ class TestColumnSpheres:
         for r, sphere in enumerate(expected):
             assert [fresh.word_norm(w) for w in sphere] == [r] * len(sphere)
 
-    def test_column_form_is_the_sphere(self):
+    def test_sphere_rows_are_the_sphere(self):
         g = COLUMN_GROUPS["Z^2 diagonal"]()
-        spheres = g._cached_spheres(6)
-        for r, columns in enumerate(spheres):
-            assert [key + (c,) for key, ivs in columns.items() for lo, hi in ivs
-                    for c in range(lo, hi + 1)] == g.sphere(r)
-            for ivs in columns.values():
-                assert all(hi + 1 < lo2 for (_, hi), (lo2, _) in zip(ivs, ivs[1:]))
+        for r, sphere in enumerate(sphere_oracle(g, 6)):
+            rows = g._sphere_rows(r)
+            assert [key + (c,) for key, lo, hi in rows for c in range(lo, hi + 1)] == sphere
+            # sorted by (key, lo), and the rows of one column apart by a gap
+            assert rows == sorted(rows)
+            assert all(hi + 1 < lo2 for (key, _, hi), (key2, lo2, _) in zip(rows, rows[1:])
+                       if key == key2)
         # column (6,) of sphere 6 is one long interval: every (6, c), |c| <= 6
-        assert spheres[6][(6,)] == [(-6, 6)]
+        assert [row for row in g._sphere_rows(6) if row[0] == (6,)] == [((6,), -6, 6)]
 
     def test_heisenberg_ball_36_totals(self):
-        ball = union_columns(HeisenbergGroup()._cached_spheres(36))
+        g = HeisenbergGroup()
+        ball = union_columns(row for r in range(37) for row in g._sphere_rows(r))
         assert len(ball) == 2665
         assert column_size(ball) == 716455
-        g = HeisenbergGroup()
-        assert g._ball_columns(36) == ball  # one row per column, 33,781 rows in all
+        assert HeisenbergGroup()._ball_columns(36) == ball  # one row per column
         assert g._ends[37] - g._ends[36] == 2665 and g._ends[37] == 33781
 
-    def test_heisenberg_ball_36_shares_keys_and_stays_small(self):
-        spheres = HeisenbergGroup()._cached_spheres(36)
-        keys = {}
-        assert all(keys.setdefault(key, key) is key for sphere in spheres for key in sphere)
-        assert len(keys) == 2665
-        assert deep_size(spheres) <= 5_000_000
+    def test_heisenberg_norm_index_36_stays_small(self):
+        g = HeisenbergGroup()
+        assert g.word_norm((36, 0, 0)) == 36 and g._indexed == 37
+        # one entry per column key of the ball, one piece per sphere row
+        assert len(g._norms) == 2665
+        assert sum(len(los) for los, _, _ in g._norms.values()) == 32483
+        assert all(isinstance(x, array) for pieces in g._norms.values() for x in pieces)
+        assert deep_size(g._norms) <= 2_500_000
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_GROUPS) + sorted(HUGE_GROUPS))
+    def test_word_norms_on_a_fresh_group_match_a_point_bfs(self, name):
+        make, radius = (COLUMN_GROUPS[name], 8) if name in COLUMN_GROUPS else \
+            (HUGE_GROUPS[name], 4)
+        spheres = sphere_oracle(make(), radius)
+        points = [(w, r) for r, sphere in enumerate(spheres) for w in sphere]
+        random.Random(5).shuffle(points)  # the index grows out of norm order
+        g = make()
+        assert [g.word_norm(w) for w, _ in points] == [r for _, r in points]
+        if isinstance(g, ZdGroup) and g._standard:
+            assert not g._norms  # the closed form needs no index
+            return
+        assert g._indexed == radius + 1
+        # the index holds every sphere's rows once, and follows the store's
+        # switch from array('q') to a list past int64
+        pieces = sorted((key, lo, hi, r) for key, (los, his, norms) in g._norms.items()
+                        for lo, hi, r in zip(los, his, norms))
+        assert pieces == sorted((*row, r) for r in range(radius + 1)
+                                for row in g._sphere_rows(r))
+        assert {type(x) for los, his, _ in g._norms.values() for x in (los, his)} == \
+            {type(g._store)}
+        assert all(list(los) == sorted(los) for los, _, _ in g._norms.values())
 
     def test_free_group_keeps_point_lists(self):
         for rank, radius in ((1, 6), (2, 5), (3, 3)):
             g = FreeGroup(rank)
             assert [g.sphere(r) for r in range(radius + 1)] == sphere_oracle(g, radius)
-            assert g._cached_spheres(1)[1] == g.sphere(1)
+            assert g._spheres[1] == g.sphere(1)
 
 
 # groups and the largest radius up to which their ball tables are checked
@@ -421,7 +463,7 @@ class TestBallTables:
         assert list(map(list, neighbor_table(g, 4, True)[1:])) == \
             list(map(list, neighbor_table(HeisenbergGroup(), 4, True)[1:]))
         assert list(map(list, neighbor_table(g, 7, True)[1:])) == list(map(list, grown[1:]))
-        assert len(g._spheres) == 1  # and no sphere dict past sphere 0
+        assert not g._norms  # and no sphere is cut for the norm index
 
     @pytest.mark.parametrize("make", [lambda: ZdGroup(1), lambda: ZdGroup(3), HeisenbergGroup,
                                       COLUMN_GROUPS["H3 sheared"]])

@@ -28,6 +28,7 @@ from isoprof.errors import (
     ParameterError,
     WindowTooSmallError,
 )
+from isoprof.tilings import folner_tiles
 from oracles import connected_profile_oracle, z2_profile_oracle, z_profile_oracle
 
 
@@ -226,6 +227,25 @@ class TestProfileUpper:
         exact = profile_exact(g, 9)
         for n in range(1, 10):
             assert profile_upper(g, n, "cubes") >= exact.value(n)
+
+    @pytest.mark.parametrize("gens", [
+        [(1,), (-1,)],
+        [(1,), (-1,), (3,), (-3,)],
+        [(1, 0), (-1, 0), (0, 1), (0, -1)],
+        [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)],
+        [(1, 0), (-1, 0), (0, 1), (0, -1), (3, 0), (-3, 0)],
+        [(1, 0), (-1, 0), (0, 1), (0, -1), (2, 5), (-2, -5)],
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 1), (-1, -1, -1), (0, 0, 2),
+         (0, 0, -2)],
+    ])
+    def test_zd_reads_the_largest_cube(self, gens):
+        # the largest cube's ratio is the least over every cube of at most n points
+        g = ZdGroup(len(gens[0]), generators=gens)
+        ratios = [boundary_ratio(tile.shape()) for tile in folner_tiles(g, 200)]
+        for n in range(1, 201):
+            cubes = len(list(folner_tiles(g, n)))
+            assert profile_upper(g, n, "cubes") == min(ratios[:cubes])
 
     def test_unknown_family_rejected(self):
         for group in (ZdGroup(2), HeisenbergGroup(), FreeGroup(2)):

@@ -491,13 +491,10 @@ def random_runs(rng, key_len, n_runs):
     return rows, ends
 
 
-def run_columns(rows, key_len):
-    """Flat rows in column form, {key: intervals}."""
-    cols = {}
-    for i in range(0, len(rows), key_len + 2):
-        key, interval = tuple(rows[i:i + key_len]), tuple(rows[i + key_len:i + key_len + 2])
-        cols.setdefault(key, []).append(interval)
-    return cols
+def run_rows(rows, key_len):
+    """Flat rows as (key, lo, hi) tuples."""
+    return [(tuple(rows[i:i + key_len]), *rows[i + key_len:i + key_len + 2])
+            for i in range(0, len(rows), key_len + 2)]
 
 
 def column_rows(cols):
@@ -514,10 +511,7 @@ def random_steps(rng, key_len):
 def point_columns(points):
     """Points of a column group in column form, {key: sorted maximal
     intervals} with sorted keys, by the union oracle."""
-    cols = {}
-    for p in points:
-        cols.setdefault(p[:-1], []).append((p[-1], p[-1]))
-    return union_columns([cols])
+    return union_columns((p[:-1], p[-1], p[-1]) for p in points)
 
 
 class TestBallStep:
@@ -592,7 +586,7 @@ class TestStoreBalls:
         for r in (radius, *range(radius)):
             assert list(group._ball_columns(r).items()) == \
                 list(point_columns(itertools.chain(*spheres[:r + 1])).items())
-        assert len(group._spheres) == 1  # and no sphere dict past sphere 0
+        assert not group._norms  # and the norm index cuts no sphere
         assert [group.sphere(r) for r in range(radius + 1)] == spheres
 
     @pytest.mark.parametrize("coordinate", [BIG, 1 << 61, 1 << 80])
@@ -687,11 +681,11 @@ class TestBallTable:
             key_len = rng.randint(0, 2)
             rows, ends = random_runs(rng, key_len, rng.randint(1, 5))
             if rng.random() < 2 / 3:
-                runs = [run_columns(rows[a * (key_len + 2):b * (key_len + 2)], key_len)
+                runs = [run_rows(rows[a * (key_len + 2):b * (key_len + 2)], key_len)
                         for a, b in zip((0, *ends), ends)]
                 rows, ends = [], []
                 for r in range(len(runs)):
-                    cols = union_columns(runs[:r + 1])
+                    cols = union_columns(itertools.chain(*runs[:r + 1]))
                     for ivs in cols.values():
                         for i in reversed(range(len(ivs))):
                             lo, hi = ivs[i]
@@ -909,13 +903,12 @@ class TestDispatch:
         lambda: ZdGroup(2, generators=UNITS2 + [(1 << 61, 1), (-(1 << 61), -1)]),
     ])
     def test_huge_balls_fall_back_transparently(self, make, monkeypatch):
-        spheres = make()._cached_spheres(4)
+        spheres = list(map(make()._sphere_rows, range(5)))
         if _core is not None:
             with pytest.raises(OverflowError):
                 ball_rows(_core, make(), 4)
         monkeypatch.setattr(_kernels, "_core", None)
-        pure = make()._cached_spheres(4)
-        assert [list(s.items()) for s in pure] == [list(s.items()) for s in spheres]
+        assert list(map(make()._sphere_rows, range(5))) == spheres
 
     @needs_core
     def test_compiled_ball_refuses_coordinates_near_2_62(self):

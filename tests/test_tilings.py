@@ -431,7 +431,8 @@ class TestColumnScan:
     @staticmethod
     def window_classes(mt, radius, overs):
         """The class tuple of every window column, by key."""
-        window = union_columns(mt.group._cached_spheres(radius))
+        g = mt.group
+        window = union_columns(row for r in range(radius + 1) for row in g._sphere_rows(r))
         return {key: tuple(over.column_class(key) for over in overs) for key in window}
 
     @pytest.mark.parametrize("kind", ["Z2", "H3"])
@@ -474,7 +475,7 @@ class TestColumnScan:
             centers, radius, period = LatticeCenters([(2, 0), (1, 6)]), 6, 12
         mt = MultiTile([_random_shape(rng, g, rng.randint(2, 8), spread=1)], [centers])
         self.check(mt, radius)
-        window = union_columns(g._cached_spheres(radius))
+        window = union_columns(row for r in range(radius + 1) for row in g._sphere_rows(r))
         lengths = {}
         for key, cls in self.window_classes(mt, radius, overs[-1:]).items():
             lengths.setdefault(cls, []).append(max(hi - lo + 1 for lo, hi in window[key]))
@@ -527,7 +528,7 @@ class TestColumnScan:
             g, radius = HeisenbergGroup(), 7
             mt = MultiTile([g.subset([(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, -1, 2)])],
                            [LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 10 ** 6)])])
-        g._cached_spheres(radius)
+        g._ball_columns(radius)
         tracemalloc.start()
         try:
             self.check(mt, radius)
@@ -537,8 +538,7 @@ class TestColumnScan:
         assert peak < 2 ** 20  # a list of 10^6 counts alone takes 8 MB
         evaluated = [(over.column_class(key), c % 10 ** 6) for over, key, c in calls]
         assert len(evaluated) == len(set(evaluated))
-        assert len(evaluated) < sum(hi - lo + 1 for sphere in g._cached_spheres(radius)
-                                    for ivs in sphere.values() for lo, hi in ivs)
+        assert len(evaluated) < len(g.ball(radius))
 
 
 class TestBatchCounts:
@@ -610,16 +610,24 @@ class TestBatchCounts:
                     assert columns[key].at(c) + extra.get(key, {}).get(c, 0) == expected, w
 
 
+def record_cuts(monkeypatch, g):
+    """The radii of the spheres cut from g's store from now on, in call order."""
+    cuts, sphere_rows = [], g._sphere_rows
+    monkeypatch.setattr(g, "_sphere_rows", lambda r: cuts.append(r) or sphere_rows(r))
+    return cuts
+
+
 class TestLazySpheres:
     """The scan reads the window and the region as balls from the group's row
-    store, and the sphere dicts only to list bad points."""
+    store, and cuts spheres from it only to list bad points."""
 
-    def test_a_passing_scan_builds_no_sphere_dict(self):
+    def test_a_passing_scan_cuts_no_sphere(self, monkeypatch):
         g = HeisenbergGroup()
+        cuts = record_cuts(monkeypatch, g)
         mt = folner_multitile_sequence(g, 425, verify=False)
         v = verify_multitile_window(mt, 36)
         assert v.passed and v.window_size == 716455
-        assert len(g._spheres) == 1  # the margin reads the store's rows too
+        assert not cuts and not g._norms  # the margin reads the store's rows too
         assert len(g._ends) == 38  # the rows are grown through ball 36
         assert v.margin == max(g.word_norm(t) for t in mt.shapes[0])
 
@@ -644,17 +652,25 @@ class TestLazySpheres:
             verify_multitile_window(mt, margin - 1)
 
     @pytest.mark.parametrize("moduli", [(2, 2, 3), (2, 3, 1), (3, 2, 2)])
-    def test_a_failing_scan_reports_its_first_points_in_norm_order(self, moduli):
+    def test_a_failing_scan_reports_its_first_points_in_norm_order(self, moduli,
+                                                                   monkeypatch):
         # gaps, collisions or both from the unit cuboid over wrong moduli
         g = HeisenbergGroup()
+        cuts = record_cuts(monkeypatch, g)
         centers = LatticeCenters([(moduli[0], 0, 0), (0, moduli[1], 0), (0, 0, moduli[2])])
         mt = MultiTile([heisenberg_cuboid(g, 1)], [centers])
         v = TestColumnScan.check(mt, 9)
         assert not v.passed and len(v.uncovered) + len(v.collisions) >= 5
-        for points in (v.uncovered, [w for w, _ in v.collisions]):
+        walked = cuts[:]
+        expected = []
+        for points, radius in ((v.uncovered, v.region_radius),
+                               ([w for w, _ in v.collisions], 9)):
             keys = [(g.word_norm(w), w) for w in points]
             assert keys == sorted(keys)
-        assert len(g._spheres) == (10 if v.collisions else v.region_radius + 1)
+            # each walk cuts the spheres outwards, as far as its fifth point
+            if points:
+                expected += range((keys[-1][0] if len(keys) == 5 else radius) + 1)
+        assert walked == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_residue_count_matches_a_point_set(self, seed):
