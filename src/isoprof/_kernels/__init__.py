@@ -1,15 +1,16 @@
 """Kernel dispatch: the compiled kernels when they build, pure Python otherwise.
 
-Six kernels have both versions: the searches (subset_min_ratio,
+Seven kernels have both versions: the searches (subset_min_ratio,
 pack_max_weight, min_boundary_sets, partition_dp), the step that grows the
-column balls of Z^d and the Heisenberg group (next_ball) and a ball's
-neighbour table (ball_table).  `_core` compiles kernels.c on first import.
+column balls of Z^d and the Heisenberg group (next_ball), a ball's
+neighbour table (ball_table) and a graphing's paired maps and transitive
+symmetries (graphing_certificate).  `_core` compiles kernels.c on first import.
 When that fails BACKEND is "pure" and BACKEND_REASON says why; otherwise
 BACKEND is "compiled" and the reason is None.  One rule picks the version of every
 call: the compiled twin when `_core` loaded, and the pure twin when it did
 not or when the compiled twin raises OverflowError, which it does for
 exactly the calls whose numbers could leave its int64 range.  Either way the
-results (including node counts, ball rows and tables) are identical.
+results (including node counts, ball rows, tables and sigmas) are identical.
 """
 
 from functools import update_wrapper
@@ -41,6 +42,6 @@ def _dispatch(name):
 
 
 (subset_min_ratio, pack_max_weight, min_boundary_sets, partition_dp, next_ball,
- ball_table) = map(_dispatch, (
+ ball_table, graphing_certificate) = map(_dispatch, (
      "subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp",
-     "next_ball", "ball_table"))
+     "next_ball", "ball_table", "graphing_certificate"))

@@ -21,6 +21,7 @@ from array import array
 
 from ._pure import (
     check_ball_inputs,
+    check_certificate_inputs,
     check_connected_inputs,
     check_pack_inputs,
     check_partition_inputs,
@@ -89,6 +90,8 @@ def _load():
     lib.ball_table.argtypes = [_int, _int, _i64_p, _i64_p, _i64_p, _int, _i64_p, _int_p, _int_p,
                                _int_p]
     lib.ball_table.restype = _int
+    lib.graphing_certificate.argtypes = [_int_p, _int, _int, _int_p, _int_p]
+    lib.graphing_certificate.restype = _int
     return lib
 
 
@@ -228,9 +231,11 @@ def next_ball(key_len, steps, prev_rows):
     check_ball_inputs(key_len, steps, prev_rows)
     width = key_len + 2
     n_prev = len(prev_rows) // width
+    # the inputs turn into int64 first, so rows that do not fit raise before
+    # the output is allocated
+    entries, prev = _i64s(_step_entries(steps)), _i64s(prev_rows)
     out = array("q", bytes(8 * width * (len(steps) + 1) * n_prev))
-    rows = _lib.next_ball(key_len, len(steps), _i64s(_step_entries(steps)), _i64s(prev_rows),
-                          n_prev, _i64s(out))
+    rows = _lib.next_ball(key_len, len(steps), entries, prev, n_prev, _i64s(out))
     _check_status(rows, "next_ball", "rows must be sorted by (key, lo), disjoint per key")
     del out[rows * width:]
     return out
@@ -250,3 +255,15 @@ def ball_table(key_len, steps, form, rows, ends, inverse):
     _check_status(status, "ball_table",
                   "rows must be sorted by (key, lo) in each run, each ball holding the one before")
     return flat, inv, ranks
+
+
+def graphing_certificate(table, n_vertices, inverse):
+    """Compiled twin of _pure.graphing_certificate."""
+    check_certificate_inputs(table, n_vertices, inverse)
+    sigmas = array("i", bytes(4 * len(table)))
+    status = _lib.graphing_certificate(_ints(table), n_vertices, len(inverse), _ints(inverse),
+                                       _ints(sigmas))
+    _check_status(status, "graphing_certificate", "table entries must be -1 or vertices")
+    if status != 1:
+        return status == 0, None
+    return True, tuple(tuple(sigmas[s:s + n_vertices]) for s in range(0, len(sigmas), n_vertices))

@@ -4,10 +4,12 @@ Same algorithms, same node counts, same results as kernels.c; only the data
 layout differs (Python ints as bitmasks instead of uint64 limbs).  Every
 search runs on an explicit stack in the same node order, so no input size
 hits the recursion limit.  The connected-set kernels, min_boundary_sets and
-partition_dp, share one enumerator, grow_sets.  Two kernels do not search:
-next_ball grows the column balls of Z^d and the Heisenberg group, and
-ball_table builds a ball's neighbour table from the rows of the balls
-inside it, each with one sweep along sorted rows.  The dispatcher in
+partition_dp, share one enumerator, grow_sets.  Three kernels do not
+search: next_ball grows the column balls of Z^d and the Heisenberg group,
+and ball_table builds a ball's neighbour table from the rows of the balls
+inside it, each with one sweep along sorted rows; graphing_certificate
+checks a graphing's paired maps and its transitive symmetries from its
+neighbour table.  The dispatcher in
 __init__ runs these twins when the compiled kernels do not build, and for
 each call whose compiled twin raises OverflowError: Python ints have no cap,
 so the calls whose numbers leave int64 run here.
@@ -15,7 +17,7 @@ so the calls whose numbers leave int64 run here.
 
 from array import array
 from itertools import accumulate, chain, islice, repeat
-from operator import add, gt, itemgetter, le, mul, sub
+from operator import add, eq, gt, itemgetter, le, mul, sub
 
 # partition_dp keeps a table of 2**universe values
 DP_MAX_VERTICES = 20
@@ -742,3 +744,94 @@ def ball_table(key_len, steps, form, rows, ends, inverse):
         run.reverse()
         image += run
     return flat, array("i", gather(image)[:-1]), ranks
+
+
+def check_certificate_inputs(table, n_vertices, inverse):
+    """Raise ValueError unless the arguments fit the graphing_certificate
+    contract; the range of the entries is checked by each backend."""
+    if not 1 <= n_vertices <= MAX_VERTICES:
+        raise ValueError(f"a graphing has 1 to {MAX_VERTICES} vertices")
+    if len(table) != n_vertices * len(inverse):
+        raise ValueError("the table needs one entry per vertex and label")
+    if inverse and (min(inverse) < 0 or max(inverse) >= len(inverse)
+                    or any(inverse[t] != s for s, t in enumerate(inverse))):
+        raise ValueError("inverse must be an involution of the label slots")
+
+
+def graphing_certificate(table, n_vertices, inverse):
+    """A graphing's paired maps and the label-preserving automorphisms of its
+    maps that carry vertex 0 to each of its images, from its neighbour table.
+
+    table[v * L + s] is the image of vertex v under map s of L, or -1 where
+    the map is undefined, and inverse[s] the slot of s's inverse label, an
+    involution.  Returns (paired, sigmas).  paired is False, and sigmas
+    None, unless each map's inverse map inverts it wherever it is defined:
+    the maps of a label and of its inverse are then inverse partial
+    bijections.  Otherwise sigmas holds, for each label s, sigma_s: it sends
+    0 to map s's image of 0 and follows a breadth-first tree of the maps
+    from vertex 0 by sigma(phi_t(v)) = phi_t(sigma(v)), and it is kept only
+    as a permutation of the vertices that commutes with every map, undefined
+    shifts included.  sigmas is None when a check fails: the maps are
+    disconnected, or a hole breaks the symmetry.
+
+    This twin reads one label t of each inverse pair (t, t') for each
+    check.  phi_t' after phi_t is the identity on the domain of phi_t, so
+    phi_t is injective and phi_t' holds its inverse; with as many holes as
+    phi_t, phi_t' is that inverse.  A permutation sigma with sigma phi_t =
+    phi_t sigma as partial maps has sigma phi_t' = phi_t' sigma too,
+    inverting both sides.  And when sigma_t is kept, its inverse
+    permutation commutes with every map and sends 0 to phi_t'(0), as
+    sigma_t(phi_t'(0)) = phi_t'(phi_t(0)) = 0, so it is sigma_t': the
+    automorphism of connected maps that sends 0 to a given vertex is the
+    one the tree fills, if any.
+    """
+    check_certificate_inputs(table, n_vertices, inverse)
+    V, L = n_vertices, len(inverse)
+    flat = table.tolist() if isinstance(table, array) else list(table)
+    values = sorted(set(flat))
+    if values and (values[0] < -1 or values[-1] >= V):
+        raise ValueError("table entries must be -1 or vertices")
+    # each map as a list with a trailing -1, so that it sends -1, an
+    # undefined shift, to -1
+    rows = [flat[s::L] + [-1] for s in range(L)]
+    halves = [t for t in range(L) if t <= inverse[t]]
+    ident = (*range(V), -1)
+    for t in halves:
+        row, back = rows[t], rows[inverse[t]]
+        # back after row is the identity where row is defined, and -1 elsewhere
+        after, holes = itemgetter(*row)(back), row.count(-1)
+        if holes != back.count(-1) or (
+                after != ident and sum(map(eq, after, ident)) != V + 2 - holes):
+            return False, None
+    # the breadth-first tree: u = row[v] is reached first from v
+    order, tree = [0], []
+    seen = [True] + [False] * (V - 1) + [True]
+    for v in order:
+        for row in rows:
+            u = row[v]
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                tree.append((u, v, row))
+    if len(order) < V:
+        return True, None
+    befores = [(rows[t], itemgetter(*rows[t])) for t in halves]
+    sigmas = [None] * L
+    for t in halves:
+        sigma = [-1] * (V + 1)
+        sigma[0] = rows[t][0]
+        for u, v, row in tree:
+            sigma[u] = row[sigma[v]]
+        if len(set(sigma)) <= V:  # not a permutation of 0..V - 1 with -1 after it
+            return True, None
+        # sigma commutes with a row when row o sigma and sigma o row agree
+        after = itemgetter(*sigma)
+        if any(after(row) != before(sigma) for row, before in befores):
+            return True, None
+        del sigma[V]
+        sigmas[t] = tuple(sigma)
+        back = [0] * V
+        for v, u in enumerate(sigma):
+            back[u] = v
+        sigmas[inverse[t]] = tuple(back)
+    return True, tuple(sigmas)

@@ -10,11 +10,13 @@
    connected sets (one enumerator behind min_boundary_sets and
    partition_dp).  Each entry point returns 1 when the search finished, 0
    when it stopped on the node budget and -1 when an allocation failed;
-   min_boundary_sets returns -2 when its table misses a translate.  Two
+   min_boundary_sets returns -2 when its table misses a translate.  Three
    kernels do not search: next_ball grows the column balls of Z^d and the
-   Heisenberg group, one interval sweep over sorted runs of rows, and
+   Heisenberg group, one interval sweep over sorted runs of rows;
    ball_table cuts each sphere out of its ball and reads the neighbour
-   table from the largest ball's rows. */
+   table from the largest ball's rows; and graphing_certificate checks a
+   graphing's paired maps and its transitive symmetries in one pass over
+   its neighbour table. */
 
 #include <limits.h>
 #include <stdlib.h>
@@ -1166,4 +1168,88 @@ int ball_table(int k, int n_steps, const long long *steps, const long long *form
     free(c.key);
     free(id);
     return bad;
+}
+
+/* ---- kernel 6: a graphing's paired maps and transitive symmetries ---- */
+
+/* The neighbour table of a graphing of V vertices and L labels, table[v * L
+   + s] the image of v under map s or -1 where it is undefined, read in one
+   pass.  First each map must be inverted by its inverse label's map,
+   inverse[s] (an involution), wherever it is defined.  Then sigma_s, for
+   each label s, sends 0 to table[s] and follows the breadth-first tree of
+   the maps from vertex 0, labels in table order, by sigma(phi_t(v)) =
+   phi_t(sigma(v)); it is kept only as a permutation that commutes with
+   every map, undefined shifts included.  A permutation that commutes with
+   phi_t commutes with its inverse map too, so only the labels t <=
+   inverse[t] are read.  sigmas receives sigma_s at s * V.  Returns 1 when
+   every sigma is kept, 0 when one is not (the maps are disconnected, or a
+   hole breaks the symmetry), 2 when a map's inverse map does not invert it,
+   -1 when an allocation failed and -2 when an entry is not -1 or a
+   vertex. */
+int graphing_certificate(const int *table, int V, int L, const int *inverse, int *sigmas)
+{
+    size_t n = (size_t)V * L, i;
+    int s, t, u, v, a, head, tail = 1, ok = 1, *order, *parent, *via, *sig;
+    unsigned char *mark;
+    for (i = 0; i < n; i++)
+        if (table[i] < -1 || table[i] >= V)
+            return -2;
+    for (v = 0; v < V; v++)
+        for (s = 0; s < L; s++) {
+            u = table[(size_t)v * L + s];
+            if (u >= 0 && table[(size_t)u * L + inverse[s]] != v)
+                return 2;
+        }
+    /* order lists the tree's vertices as they are reached; the tree edge
+       into u is label via[u] from parent[u] */
+    order = malloc(3 * (size_t)V * sizeof(int));
+    mark = calloc((size_t)V, 1);
+    if (!order || !mark) {
+        free(order);
+        free(mark);
+        return -1;
+    }
+    parent = order + V;
+    via = parent + V;
+    order[0] = 0;
+    mark[0] = 1;
+    for (head = 0; head < tail; head++)
+        for (v = order[head], s = 0; s < L; s++) {
+            u = table[(size_t)v * L + s];
+            if (u >= 0 && !mark[u]) {
+                mark[u] = 1;
+                parent[u] = v;
+                via[u] = s;
+                order[tail++] = u;
+            }
+        }
+    if (tail < V)
+        ok = 0;
+    for (s = 0; ok && s < L; s++) {
+        sig = sigmas + (size_t)s * V;
+        memset(mark, 0, (size_t)V);
+        /* a hole on the way, or an image met twice, is no permutation */
+        for (i = 0; ok && i < (size_t)V; i++) {
+            u = order[i];
+            a = i ? table[(size_t)sig[parent[u]] * L + via[u]] : table[s];
+            if (a < 0 || mark[a])
+                ok = 0;
+            else {
+                mark[a] = 1;
+                sig[u] = a;
+            }
+        }
+        /* sigma o phi_t and phi_t o sigma agree, -1 where undefined */
+        for (v = 0; ok && v < V; v++)
+            for (t = 0; ok && t < L; t++) {
+                if (inverse[t] < t)
+                    continue;
+                a = table[(size_t)v * L + t];
+                if ((a < 0 ? -1 : sig[a]) != table[(size_t)sig[v] * L + t])
+                    ok = 0;
+            }
+    }
+    free(order);
+    free(mark);
+    return ok;
 }

@@ -184,11 +184,10 @@ def _exhaustive_exact(graphing, n, node_budget):
 
 def partition_tables(graphing):
     """Partition-DP inputs as (flat neighbour table, vertex count, generator count,
-    scaled integer weights, scale); -1 marks an undefined shift."""
-    V = graphing.n_vertices
-    rows = list(graphing.maps.values())
-    flat = [-1 if row[v] is None else row[v] for v in range(V) for row in rows]
-    return flat, V, len(rows), list(graphing._units), graphing._scale
+    scaled integer weights, scale); the table is the graphing's own, with -1
+    for an undefined shift."""
+    return (graphing._table, graphing.n_vertices, len(graphing.maps), list(graphing._units),
+            graphing._scale)
 
 
 def packing_items(graphing, n):

@@ -17,21 +17,26 @@ digit.  Reduction mod m is a ring homomorphism, so these maps are the
 group's product reduced mod m and form an action.
 
 transitive_symmetries certifies, from the maps alone, automorphisms that
-move vertex 0 to every vertex; each commutes with every map, which it checks
-as two row compositions.  Such a graphing walks its window from vertex 0
-alone, as the automorphisms carry a word fixing any vertex to one fixing 0,
-and the packing search fixes its root pick.
+move vertex 0 to every vertex; each commutes with every map.  Such a
+graphing walks its window from vertex 0 alone, as the automorphisms carry a
+word fixing any vertex to one fixing 0, and the packing search fixes its
+root pick.
 
-The constructor builds two tables once, and every graphing pass reads them
+The constructor builds three tables once, and every graphing pass reads them
 whole: _rows holds each map as a tuple of ints with V for an undefined shift
 and a trailing V, so that index V maps to V; _units holds each weight as an
-integer over _scale, the lcm of the weights' denominators.
+integer over _scale, the lcm of the weights' denominators; and _table is the
+neighbour table in the kernels' layout, an array('i') of row-major vertex x
+label entries, labels in maps order and -1 for an undefined shift.  The dual
+kernel graphing_certificate reads _table in one pass: it checks that every
+map's inverse map inverts it and builds and checks the certificate.
 """
 
+from array import array
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import lcm
-from operator import add, eq, itemgetter, ne
+from operator import add, ne
 
 from ._record import Record
 from .errors import (
@@ -154,10 +159,12 @@ class MeasuredGraphing:
         """Validate the weights and maps, then the free window.
 
         The checks read whole rows: the distinct weights, and per map the set
-        of its entry types, its least and largest target, and its inverse row
-        after it, which must be the identity where the map is defined.  Only
-        a failed check reads the entries one by one, to name the first fault
-        with the message it always had.
+        of its entry types and its least and largest target.  Then the one
+        call of transitive_symmetries checks, in the same kernel pass as the
+        certificate, that each map's inverse map inverts it wherever it is
+        defined, which makes every map injective too.  Only a failed check
+        reads the entries one by one, to name the first fault with the
+        message it always had.
 
         A declared free_window is certified: a nonidentity word of length at
         most free_window that fixes a vertex is refused.  None derives it as
@@ -187,23 +194,21 @@ class MeasuredGraphing:
         if set(maps) != set(group.labels):
             raise ConfigError("graphing maps must cover exactly the generator labels")
         self.maps = {lab: tuple(row) for lab, row in maps.items()}
-        self._rows, defined, hole = {}, {}, {None: V}.get
-        for lab, row in self.maps.items():
+        L = len(self.maps)
+        self._rows, self._table = {}, array("i", bytes(4 * V * L))
+        hole, gap = {None: V}.get, {None: -1}.get
+        for s, (lab, row) in enumerate(self.maps.items()):
             types = set(map(type, row))
             if len(row) != V or not types <= {int, type(None)}:
                 raise _map_fault(group, self.maps, V)
-            full, defined[lab] = row, V
+            # full marks an undefined shift with V, entry marks it with -1
+            full = entry = row
             if type(None) in types:
-                full, defined[lab] = tuple(map(hole, row, row)), V - row.count(None)
-            if min(full) < 0 or max(full) > V:
+                full, entry = tuple(map(hole, row, row)), tuple(map(gap, row, row))
+            if min(full) < 0 or max(entry) >= V:
                 raise _map_fault(group, self.maps, V)
             self._rows[lab] = full + (V,)
-        for lab in group.labels:
-            # the inverse row after the row is the identity exactly where the
-            # row is defined, which makes the row injective too
-            back = self._rows[group.inverse_label(lab)]
-            if sum(map(eq, map(back.__getitem__, self._rows[lab]), range(V))) != defined[lab]:
-                raise _map_fault(group, self.maps, V)
+            self._table[s::L] = array("i", entry)
         if free_window is None:
             radius = min(V - 1, 6)
         else:
@@ -285,40 +290,23 @@ class MeasuredGraphing:
         phi_t1(0), and as sigma_t1 commutes with every map,
         sigma_t1(sigma_t2 .. sigma_tk(0)) = sigma_t1(phi_tk .. phi_t2(0))
         = phi_tk .. phi_t2(sigma_t1(0)) = u.
+
+        So the weights need no check of their own: transitive sigmas keep
+        them exactly when they are all equal.  The kernel
+        graphing_certificate builds the sigmas and checks the rest in one
+        pass over _table, after checking that each map's inverse map inverts
+        it; the constructor's call raises the first fault of maps that fail
+        that check.
         """
-        V = self.n_vertices
-        # V stands for an undefined shift, and every row and sigma fixes it
-        rows = list(self._rows.values())
-        # the breadth-first tree: u = row[v] is reached first from v
-        order, tree = [0], []
-        seen = [True] + [False] * (V - 1) + [True]
-        for v in order:
-            for row in rows:
-                u = row[v]
-                if not seen[u]:
-                    seen[u] = True
-                    order.append(u)
-                    tree.append((u, v, row))
-        if len(order) < V:
-            return None
-        uniform = self._units.count(self._units[0]) == V
-        befores = [itemgetter(*row) for row in rows]
-        sigmas = []
-        for start in rows:
-            sigma = [V] * (V + 1)
-            sigma[0] = start[0]
-            for u, v, row in tree:
-                sigma[u] = row[sigma[v]]
-            if len(set(sigma)) <= V:  # not a permutation of 0..V fixing V
-                return None
-            if not uniform and tuple(map(self._units.__getitem__, sigma[:V])) != self._units:
-                return None
-            # sigma commutes with a row when row o sigma and sigma o row agree
-            after = itemgetter(*sigma)
-            if any(after(row) != before(sigma) for row, before in zip(rows, befores)):
-                return None
-            sigmas.append(tuple(sigma[:V]))
-        return tuple(sigmas)
+        from ._kernels import graphing_certificate
+
+        V, labels = self.n_vertices, list(self.maps)
+        slot = {lab: s for s, lab in enumerate(labels)}
+        paired, sigmas = graphing_certificate(
+            self._table, V, [slot[self.group.inverse_label(lab)] for lab in labels])
+        if not paired:
+            raise _map_fault(self.group, self.maps, V)
+        return sigmas if self._units.count(self._units[0]) == V else None
 
     def rn_value(self, label, v):
         """ds_*mu/dmu at v: weight(phi_{s^-1}(v))/weight(v), 0 where the density vanishes."""

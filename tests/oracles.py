@@ -552,6 +552,32 @@ def relabelled(graphing, seed):
     return MeasuredGraphing(graphing.group, weights, maps, graphing.free_window)
 
 
+def regenerated(graphing, seed):
+    """The same graphing with its generators listed in a seeded order, and so
+    labelled by their coordinates, and its vertices renumbered, as the
+    benchmark workloads relabel a graphing's JSON."""
+    from isoprof import MeasuredGraphing
+    from isoprof.groups import group_from_json, group_to_json
+
+    rng = random.Random(seed)
+    group = graphing.group
+    gens = [group.generator(lab) for lab in group.labels]
+    old_label = dict(zip(gens, group.labels))
+    rng.shuffle(gens)
+    moved = group_from_json(dict(group_to_json(group), generators=[list(g) for g in gens]))
+    V = graphing.n_vertices
+    perm = list(range(V))
+    rng.shuffle(perm)
+    weights = [None] * V
+    maps = {lab: [None] * V for lab in moved.labels}
+    for lab, g in zip(moved.labels, gens):
+        row = graphing.maps[old_label[g]]
+        for v, t in enumerate(row):
+            weights[perm[v]] = graphing.weights[v]
+            maps[lab][perm[v]] = None if t is None else perm[t]
+    return MeasuredGraphing(moved, weights, maps, graphing.free_window)
+
+
 def two_cycles(m):
     """Z rotating two disjoint m-cycles with uniform weights: a disconnected graphing."""
     from isoprof import MeasuredGraphing, ZdGroup

@@ -31,7 +31,7 @@ from isoprof.errors import (
     StationarityError,
     UnsupportedError,
 )
-from isoprof import graphings
+from isoprof import _kernels, graphings
 from isoprof._kernels import _pure
 from isoprof.bounds import cycle_with_marking
 from isoprof.graphings import _min_violation_depth, quotient_action
@@ -46,6 +46,7 @@ from oracles import (
     random_graphing,
     random_partition,
     reduced_words,
+    regenerated,
     relabelled,
     swapped,
     symmetries_oracle,
@@ -534,6 +535,24 @@ class TestOneStart:
                 f"free_window={declared} is wrong: a word of length {depth} fixes a vertex")
 
 
+@pytest.fixture(params=["compiled", "pure"])
+def graphing_backend(request, monkeypatch):
+    """Build and certify graphings on one kernel backend."""
+    if request.param == "pure":
+        monkeypatch.setattr(_kernels, "_core", None)
+    elif _kernels._core is None:
+        pytest.skip("compiled kernel unavailable")
+
+
+def two_involutions():
+    """Three vertices and two involutions, one fixing vertex 0 and one moving
+    it: the maps are connected and paired, but the sigmas of the second
+    involution's labels, filled along the tree, send two vertices to one."""
+    a, b = [0, 2, 1], [1, 0, 2]
+    return MeasuredGraphing(ZdGroup(2), [Fraction(1, 3)] * 3,
+                            {"1,0": a, "-1,0": a, "0,1": b, "0,-1": b})
+
+
 class TestTransitiveSymmetries:
     @pytest.mark.parametrize("make", [
         lambda: build_torus_action(1, 8),
@@ -590,6 +609,94 @@ class TestTransitiveSymmetries:
         before = dict(vars(g))
         assert g.transitive_symmetries() is not None
         assert vars(g) == before
+
+
+@pytest.mark.usefixtures("graphing_backend")
+class TestCertificateBackends:
+    """The certificate and the pairing check on both kernel backends, against
+    the entry-by-entry oracle and the first-fault messages."""
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_torus_action(1, 9),
+        lambda: build_torus_action(2, 5),
+        lambda: build_torus_action(2, 8),
+        lambda: build_torus_action(3, 3),
+        lambda: build_torus_action(3, 4),
+        lambda: build_torus_action(2, 6, [(1, 0), (-1, 0), (1, 1), (-1, -1)]),
+        lambda: build_heisenberg_quotient(3),
+        lambda: build_heisenberg_quotient(4),
+        lambda: build_weighted_cycle(9, [Fraction(1, 9)] * 9),
+        lambda: build_weighted_cycle(9, [Fraction(1 + v % 3, 18) for v in range(9)]),
+        lambda: cycle_with_marking(10, [Fraction(1, 10)] * 10, [1, -1, 3, -3]),
+    ])
+    @pytest.mark.parametrize("relabel, seed", [
+        (None, None), *[(relabel, seed) for relabel in (relabelled, regenerated)
+                        for seed in (1, 2, 3)]])
+    def test_the_certificate_matches_the_oracle(self, make, relabel, seed):
+        g = make() if relabel is None else relabel(make(), seed)
+        sigmas = symmetries_oracle(g)
+        assert g.transitive_symmetries() == sigmas and g.symmetric == (sigmas is not None)
+
+    @pytest.mark.parametrize("make", [
+        lambda: two_cycles(6),  # disconnected maps
+        lambda: path_graphing(8),  # holes that break the symmetry
+        lambda: punctured(build_torus_action(2, 6), random.Random(5), Fraction(1, 10)),
+        lambda: build_weighted_cycle(12, [Fraction(1 + v % 4, 30) for v in range(12)]),
+        two_involutions,  # sigmas that are no permutation
+        lambda: swapped(build_torus_action(2, 5), 5, 20),  # sigmas that do not commute
+    ])
+    def test_each_failed_check_refuses_the_certificate(self, make):
+        g = make()
+        assert g.transitive_symmetries() is None and not g.symmetric
+        assert symmetries_oracle(g) is None
+
+    def test_a_sigma_that_is_no_permutation_is_refused(self):
+        g = two_involutions()
+        filled = tree_sigmas(g)
+        assert [sorted(sigma.values()) == [0, 1, 2] for sigma in filled] == \
+            [True, True, False, False]
+        assert g.transitive_symmetries() is None
+
+    def test_unequal_weights_refuse_sigmas_that_hold_for_the_maps(self):
+        # the rotations commute with the maps; the weights alone refuse them
+        g = build_weighted_cycle(12, [Fraction(1 + v % 4, 30) for v in range(12)])
+        paired, sigmas = _kernels.graphing_certificate(g._table, 12, [1, 0])
+        assert paired and sigmas == tuple(tuple((v + s) % 12 for v in range(12))
+                                          for s in (1, -1))
+        assert g.transitive_symmetries() is None
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: build_torus_action(2, 5), "map '-1,0' does not invert '1,0' at vertex 0"),
+        (lambda: build_heisenberg_quotient(3), "map 'X' does not invert 'x' at vertex 0"),
+        (lambda: build_weighted_cycle(5, [Fraction(1, 5)] * 5),
+         "map '-1' does not invert '1' at vertex 0"),
+    ])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_a_swapped_entry_names_the_first_fault(self, make, message, reverse):
+        # the targets of vertices 0 and 1 swapped in the first label's map, and
+        # those of 2 and 3 in the second's: the fault is named in label
+        # order, whatever the order of the maps
+        g = make()
+        first, second = g.group.labels[:2]
+        maps = {lab: list(row) for lab, row in g.maps.items()}
+        maps[first][0], maps[first][1] = maps[first][1], maps[first][0]
+        maps[second][2], maps[second][3] = maps[second][3], maps[second][2]
+        if reverse:
+            maps = dict(reversed(maps.items()))
+        with pytest.raises(ConfigError) as direct:
+            MeasuredGraphing(g.group, g.weights, maps)
+        obj = dict(g.to_json(), maps=maps)
+        with pytest.raises(ConfigError) as read:
+            MeasuredGraphing.from_json(obj)
+        assert str(direct.value) == str(read.value) == message
+
+    def test_the_table_is_the_maps(self):
+        g = punctured(build_heisenberg_quotient(4), random.Random(2), Fraction(1, 8))
+        L = len(g.maps)
+        assert g._table.typecode == "i"
+        assert [[-1 if t is None else t for t in row] for row in g.maps.values()] == \
+            [list(g._table[s::L]) for s in range(L)]
 
 
 class TestWordsAndMeasure:
@@ -834,7 +941,7 @@ def test_rows_agree_with_entries_on_random_graphings(seed, V, d, holes, weights)
     rows_agree_with_entries(g, rng)
 
 
-@pytest.mark.parametrize("make", [
+ROW_BUILDERS = [
     lambda: build_torus_action(1, 9),
     lambda: build_torus_action(2, 5),
     lambda: build_torus_action(3, 3),
@@ -846,8 +953,19 @@ def test_rows_agree_with_entries_on_random_graphings(seed, V, d, holes, weights)
     lambda: two_cycles(5),
     lambda: swapped(build_torus_action(2, 5), 5, 20),
     lambda: swapped(build_heisenberg_quotient(3), 13, 25),
-])
+]
+
+
+@pytest.mark.parametrize("make", ROW_BUILDERS)
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_rows_agree_with_entries_on_builders(make, seed):
     g = make()
     rows_agree_with_entries(g if seed is None else relabelled(g, seed), random.Random(seed))
+
+
+@pytest.mark.parametrize("make", ROW_BUILDERS)
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_rows_agree_with_entries_on_builders_pure(make, seed, monkeypatch):
+    # the same graphings, built and certified by the pure kernel twins
+    monkeypatch.setattr(_kernels, "_core", None)
+    test_rows_agree_with_entries_on_builders(make, seed)

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from array import array
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from isoprof import (
     HeisenbergGroup,
     ZdGroup,
     _kernels,
+    build_heisenberg_quotient,
     build_torus_action,
     build_weighted_cycle,
 )
@@ -32,7 +34,13 @@ from isoprof._kernels import (
 )
 from isoprof.action_profile import packing_items, partition_tables
 from isoprof.isoperimetry import neighbor_table
-from oracles import neighbor_table_oracle, sphere_oracle, union_columns
+from oracles import (
+    neighbor_table_oracle,
+    regenerated,
+    relabelled,
+    sphere_oracle,
+    union_columns,
+)
 
 try:
     from isoprof._kernels import _core
@@ -707,8 +715,110 @@ class TestBallTable:
         assert 0 < refused < 40
 
 
+def certificate_args(graphing):
+    """graphing_certificate's arguments for a graphing: its table, its vertex
+    count and the slot of each label's inverse."""
+    labels = list(graphing.maps)
+    inverse = [labels.index(graphing.group.inverse_label(lab)) for lab in labels]
+    return graphing._table, graphing.n_vertices, inverse
+
+
+def random_paired_table(rng, V, n_pairs, hole_prob):
+    """A random table of n_pairs maps and their inverses, slots 2i and 2i + 1,
+    each map a random permutation with holes, so the maps may fall apart."""
+    L = 2 * n_pairs
+    table = [-1] * (V * L)
+    for i in range(n_pairs):
+        perm = rng.sample(range(V), V)
+        for v, t in enumerate(perm):
+            if rng.random() >= hole_prob:
+                table[v * L + 2 * i] = t
+                table[t * L + 2 * i + 1] = v
+    return table, V, [s ^ 1 for s in range(L)]
+
+
+# graphings whose maps have transitive symmetries; the weighted cycle's
+# weights differ, which the graphing, not the kernel, reads
+CERTIFIED_GRAPHINGS = [
+    lambda: build_torus_action(1, 7),
+    lambda: build_torus_action(2, 6),
+    lambda: build_torus_action(3, 3),
+    lambda: build_heisenberg_quotient(4),
+    lambda: build_weighted_cycle(6, [Fraction(1 + v % 2, 9) for v in range(6)]),
+]
+
+
+class TestGraphingCertificate:
+    @pytest.mark.parametrize("kernels", BACKENDS)
+    def test_small_tables(self, kernels):
+        assert kernels.graphing_certificate([], 1, []) == (True, ())
+        assert kernels.graphing_certificate([], 2, []) == (True, None)
+        assert kernels.graphing_certificate([0, 0], 1, [1, 0]) == (True, ((0,), (0,)))
+        # the 3-cycle: the rotations by +1 and -1
+        assert kernels.graphing_certificate([1, 2, 2, 0, 0, 1], 3, [1, 0]) == \
+            (True, ((1, 2, 0), (2, 0, 1)))
+        # an undefined shift of the 3-cycle on one side only, and a map that
+        # sends two vertices to one
+        assert kernels.graphing_certificate([1, 2, 2, 0, 0, -1], 3, [1, 0]) == (False, None)
+        assert kernels.graphing_certificate([1, 2, 1, 0, 0, 1], 3, [1, 0]) == (False, None)
+        # one map inverted where it is defined by a map defined at one more vertex
+        assert kernels.graphing_certificate([1, -1, -1, 0, -1, 2], 3, [1, 0]) == (False, None)
+        # two self-inverse labels that swap two vertices, and one defined nowhere
+        assert kernels.graphing_certificate([1, 1, 0, 0], 2, [0, 1]) == \
+            (True, ((1, 0), (1, 0)))
+        assert kernels.graphing_certificate([-1, -1], 2, [0]) == (True, None)
+
+    @pytest.mark.parametrize("kernels", BACKENDS)
+    @pytest.mark.parametrize("args", [
+        ([1, 2, 2, 0, 0, 3], 3, [1, 0]),  # an entry past the vertices
+        ([1, 2, 2, 0, 0, -2], 3, [1, 0]),
+        ([1, 2, 2, 0, 0], 3, [1, 0]),  # one entry short
+        ([1, 2, 2, 0, 0, 1], 3, [1, 2]),  # an inverse slot past the labels
+        ([1, 2, 2, 0, 0, 1], 3, [-1, 0]),
+        ([0, 0, 0], 1, [1, 2, 0]),  # inverse slots that are no involution
+        ([], 0, []),
+    ])
+    def test_refuses_what_is_no_table(self, kernels, args):
+        with pytest.raises(ValueError):
+            kernels.graphing_certificate(*args)
+
+    @pytest.mark.parametrize("kernels", BACKENDS)
+    @pytest.mark.parametrize("make", CERTIFIED_GRAPHINGS)
+    def test_a_swap_in_one_map_is_unpaired(self, kernels, make):
+        table, V, inverse = certificate_args(make())
+        table = list(table)
+        L = len(inverse)
+        assert kernels.graphing_certificate(table, V, inverse)[0]
+        table[0], table[L] = table[L], table[0]
+        assert kernels.graphing_certificate(table, V, inverse) == (False, None)
+
+
 @needs_core
 class TestBackendParity:
+    @pytest.mark.parametrize("make", CERTIFIED_GRAPHINGS)
+    @pytest.mark.parametrize("relabel, seed", [
+        (None, None), *[(relabel, seed) for relabel in (relabelled, regenerated)
+                        for seed in (1, 2, 3)]])
+    def test_graphing_certificates_identical(self, make, relabel, seed):
+        g = make() if relabel is None else relabel(make(), seed)
+        args = certificate_args(g)
+        assert _core.graphing_certificate(*args) == _pure.graphing_certificate(*args)
+
+    def test_random_graphing_certificates_identical(self):
+        # random paired tables, some with holes and some with one entry moved
+        rng = random.Random(38)
+        seen = set()
+        for _ in range(300):
+            table, V, inverse = random_paired_table(rng, rng.randint(1, 12), rng.randint(1, 3),
+                                                    rng.choice([0, 0, 0.1]))
+            if rng.random() < 0.3:
+                i = rng.randrange(len(table))
+                table[i] = rng.randrange(-1, V)
+            got = _core.graphing_certificate(table, V, inverse)
+            assert got == _pure.graphing_certificate(table, V, inverse)
+            seen.add((got[0], got[1] is not None))
+        assert seen == {(False, False), (True, False), (True, True)}
+
     @pytest.mark.parametrize("name", list(COLUMN_GROUPS))
     def test_ball_rows_identical(self, name):
         make, radius = COLUMN_GROUPS[name]
@@ -848,6 +958,7 @@ DUAL_KERNELS = {
     "partition_dp": (path_neighbors(4), 4, 2, [1, 2, 3, 4], 2),
     "next_ball": (1, [((1,), 0, (0,))], [0, 0, 0]),
     "ball_table": (1, [((1,), 0, (0,))], ((0,),), [0, 0, 0], [1], True),
+    "graphing_certificate": ([1, 2, 2, 0, 0, 1], 3, [1, 0]),
 }
 
 
@@ -909,6 +1020,25 @@ class TestDispatch:
                 ball_rows(_core, make(), 4)
         monkeypatch.setattr(_kernels, "_core", None)
         assert list(map(make()._sphere_rows, range(5))) == spheres
+
+    def test_rows_past_int64_run_pure_before_any_large_buffer(self):
+        # a store that has turned into a list: 10**5 rows, the last reaching
+        # 2**70.  The compiled twin refuses them before it allocates its
+        # (steps + 1) x rows output, so it never holds more than the rows
+        # as int64 on the way
+        rows = [x for v in range(10**5 - 1) for x in (2 * v, 2 * v)] + [1 << 69, 1 << 70]
+        steps = [((), 1, ()), ((), -1, ())]
+        if _core is not None:
+            tracemalloc.start()
+            try:
+                with pytest.raises(OverflowError):
+                    _core.next_ball(0, steps, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * len(rows) * (len(steps) + 1) / 2
+        assert _kernels.next_ball(0, steps, rows) == _pure.next_ball(0, steps, rows) == \
+            [-1, 2 * 10**5 - 3, (1 << 69) - 1, (1 << 70) + 1]
 
     @needs_core
     def test_compiled_ball_refuses_coordinates_near_2_62(self):
@@ -983,9 +1113,9 @@ class TestDispatch:
 
 
 def test_import_leaves_the_kernels_out():
-    # the kernels load, and may compile, on the first search or on growing a
-    # column ball past radius 0, not on import, on building a group or on
-    # refusing an oversized quotient model
+    # the kernels load, and may compile, on the first search, on growing a
+    # column ball past radius 0 or on building a graphing, not on import, on
+    # building a group or on refusing an oversized quotient model
     code = ("import sys, isoprof\n"
             "loaded = lambda: print('isoprof._kernels' in sys.modules)\n"
             "loaded()\n"
@@ -1018,6 +1148,19 @@ class TestBuild:
         backend, reason = import_backend(tmp_path / "home", no_tools)
         assert backend == "pure"
         assert "kernels.c" in reason
+
+    @needs_compiler
+    def test_the_kernels_compile_without_warnings(self, tmp_path):
+        # the build's compiler and flags, with warnings as errors; the struct
+        # initializers that name only their first fields (the rest zero) are
+        # meant, so that one warning is off
+        command = [*(sysconfig.get_config_var("CC") or "cc").split(),
+                   *(sysconfig.get_config_var("CCSHARED") or "").split(), "-O2", "-shared",
+                   "-Wall", "-Wextra", "-Wno-missing-field-initializers", "-Werror"]
+        source = os.path.join(os.path.dirname(_pure.__file__), "kernels.c")
+        proc = subprocess.run([*command, "-o", str(tmp_path / "kernels.so"), source],
+                              capture_output=True, text=True, stdin=subprocess.DEVNULL)
+        assert proc.returncode == 0, proc.stderr
 
     @needs_core
     @needs_compiler

@@ -40,7 +40,7 @@ from isoprof.isoperimetry import ProfilePoint, ProfileResult, SubsetSearchProfil
 from isoprof.rokhlin import TowerFamily, verify_tower_family
 
 KERNELS = ("subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp",
-           "ball_table")
+           "ball_table", "graphing_certificate")
 
 
 @pytest.fixture(params=["compiled", "pure"])
@@ -67,6 +67,10 @@ class Models:
         self.partition = BoundedPartition.singletons(self.g)
         self.tile = cube_tile(self.z1, 3)
         self.coarse = cycle_with_marking(12, self.g.weights, [1, -1, 2, -2])
+        # a non-pmp weighted cycle and the same weights under a coarser marking
+        raw = [Fraction(2 + (i % 3)) for i in range(8)]
+        self.w1 = build_weighted_cycle(8, [w / sum(raw) for w in raw])
+        self.w2 = cycle_with_marking(8, self.w1.weights, [1, -1, 2, -2])
         self.profile = ProfileResult([ProfilePoint(n=n, value=Fraction(1, n), witness=None)
                                       for n in (1, 2, 3)], complete=True, nodes=0)
 
@@ -143,14 +147,13 @@ def test_bad_node_budget_variable_exits_2_before_any_search(raw, monkeypatch, no
     (1, ParameterError), (Fraction(1, 2), ParameterError), (-2, ParameterError),
     (Fraction(4, 3), UnsupportedError), (Fraction(5, 3), UnsupportedError),
 ])
-def test_bad_holder_exponent_raises_before_any_search(p, error, no_search):
-    raw = [Fraction(2 + (i % 3)) for i in range(8)]
-    w1 = build_weighted_cycle(8, [w / sum(raw) for w in raw])
-    w2 = cycle_with_marking(8, w1.weights, [1, -1, 2, -2])
+def test_bad_holder_exponent_raises_before_any_search(p, error, models, no_search):
+    # the graphings are built before the kernels refuse, as building one runs
+    # the certificate kernel
     with pytest.raises(error):
-        check_generating_set_comparison(w1, w2, 2, p=p)
+        check_generating_set_comparison(models.w1, models.w2, 2, p=p)
     with pytest.raises(error):
-        holder_pushforward_bound(w1, "1", [0], p)
+        holder_pushforward_bound(models.w1, "1", [0], p)
 
 
 # call with a graphing g (Z on 5 points) and one bad vertex x
