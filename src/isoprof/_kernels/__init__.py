@@ -1,16 +1,19 @@
 """Kernel dispatch: the compiled kernels when they build, pure Python otherwise.
 
-Seven kernels have both versions: the searches (subset_min_ratio,
+Eight kernels have both versions: the searches (subset_min_ratio,
 pack_max_weight, min_boundary_sets, partition_dp), the step that grows the
 column balls of Z^d and the Heisenberg group (next_ball), a ball's
-neighbour table (ball_table) and a graphing's paired maps and transitive
-symmetries (graphing_certificate).  `_core` compiles kernels.c on first import.
+neighbour table (ball_table), a graphing's paired maps and transitive
+symmetries (graphing_certificate) and the residue histogram of a tile
+window's column classes (residue_histogram).  `_core` compiles kernels.c on
+first import.
 When that fails BACKEND is "pure" and BACKEND_REASON says why; otherwise
 BACKEND is "compiled" and the reason is None.  One rule picks the version of every
 call: the compiled twin when `_core` loaded, and the pure twin when it did
 not or when the compiled twin raises OverflowError, which it does for
 exactly the calls whose numbers could leave its int64 range.  Either way the
-results (including node counts, ball rows, tables and sigmas) are identical.
+results (including node counts, ball rows, tables, sigmas and histograms) are
+identical.
 """
 
 from functools import update_wrapper
@@ -42,6 +45,6 @@ def _dispatch(name):
 
 
 (subset_min_ratio, pack_max_weight, min_boundary_sets, partition_dp, next_ball,
- ball_table, graphing_certificate) = map(_dispatch, (
+ ball_table, graphing_certificate, residue_histogram) = map(_dispatch, (
      "subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp",
-     "next_ball", "ball_table", "graphing_certificate"))
+     "next_ball", "ball_table", "graphing_certificate", "residue_histogram"))

@@ -7,10 +7,12 @@ ImportError with the reason, and the dispatcher in __init__ then runs the pure
 kernels.  The wrappers check every input the C code would otherwise trust:
 ValueError for what the pure twin refuses too, and OverflowError for a call
 whose numbers could leave int64 (a weight outside [0, 2**62) or a weight sum
-past it, a ball row or table image entry that could reach 2**62), which
-the dispatcher then runs on the pure twin.  _check_status decodes the C
-return codes.  Buffers reach C as pointers into array('i'), array('q') or
-array('Q') objects, so no call makes a ctypes array type.
+past it, a ball row or table image entry that could reach 2**62, a tile
+window's entries, period or point count at 2**62), which the dispatcher then
+runs on the pure twin.  _check_status decodes the C return codes.  Buffers
+reach C as pointers into array('i'), array('q') or array('Q') objects, so no
+call makes a ctypes array type; the one buffer C allocates, the residue
+histogram's, is copied out and released at once.
 """
 
 import ctypes
@@ -23,6 +25,7 @@ from ._pure import (
     check_ball_inputs,
     check_certificate_inputs,
     check_connected_inputs,
+    check_histogram_inputs,
     check_pack_inputs,
     check_partition_inputs,
     check_subset_inputs,
@@ -92,6 +95,11 @@ def _load():
     lib.ball_table.restype = _int
     lib.graphing_certificate.argtypes = [_int_p, _int, _int, _int_p, _int_p]
     lib.graphing_certificate.restype = _int
+    lib.residue_histogram.argtypes = [_int, _i64_p, _i64, _i64_p, _i64, _int_p, _int, _i64, _i64,
+                                      _i64_p, ctypes.POINTER(_i64_p)]
+    lib.residue_histogram.restype = _i64
+    lib.release.argtypes = [_i64_p]
+    lib.release.restype = None
     return lib
 
 
@@ -267,3 +275,30 @@ def graphing_certificate(table, n_vertices, inverse):
     if status != 1:
         return status == 0, None
     return True, tuple(tuple(sigmas[s:s + n_vertices]) for s in range(0, len(sigmas), n_vertices))
+
+
+def residue_histogram(key_len, window, region, classes, period, limit):
+    """Compiled twin of _pure.residue_histogram; OverflowError when an entry,
+    the period or the number of window points could reach 2**62."""
+    n_classes = check_histogram_inputs(key_len, window, region, classes, period)
+    if period >= 1 << 62:  # ctypes would wrap it
+        raise OverflowError("the period must lie below 2**62")
+    width = key_len + 2
+    ends = array("q", bytes(8 * (n_classes + 1)))
+    block = _i64_p()
+    evaluations = _lib.residue_histogram(key_len, _i64s(window), len(window) // width,
+                                         _i64s(region), len(region) // width, _ints(classes),
+                                         n_classes, period, _budget(limit), _i64s(ends),
+                                         ctypes.byref(block))
+    _check_status(evaluations, "residue_histogram",
+                  "rows must be sorted by (key, lo), one class a column, the region in the window")
+    if not block:
+        return evaluations, None
+    try:
+        size = ends[-1]
+        out = array("q", bytes(8 * 3 * size))
+        ctypes.memmove(out.buffer_info()[0], block, 8 * 3 * size)
+    finally:
+        _lib.release(block)
+    return evaluations, (ends.tolist(), out[:size].tolist(), out[size:2 * size].tolist(),
+                         out[2 * size:].tolist())

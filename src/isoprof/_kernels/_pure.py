@@ -4,20 +4,23 @@ Same algorithms, same node counts, same results as kernels.c; only the data
 layout differs (Python ints as bitmasks instead of uint64 limbs).  Every
 search runs on an explicit stack in the same node order, so no input size
 hits the recursion limit.  The connected-set kernels, min_boundary_sets and
-partition_dp, share one enumerator, grow_sets.  Three kernels do not
+partition_dp, share one enumerator, grow_sets.  Four kernels do not
 search: next_ball grows the column balls of Z^d and the Heisenberg group,
 and ball_table builds a ball's neighbour table from the rows of the balls
 inside it, each with one sweep along sorted rows; graphing_certificate
 checks a graphing's paired maps and its transitive symmetries from its
-neighbour table.  The dispatcher in
-__init__ runs these twins when the compiled kernels do not build, and for
-each call whose compiled twin raises OverflowError: Python ints have no cap,
-so the calls whose numbers leave int64 run here.
+neighbour table; and residue_histogram lists, for each column class of a
+tile window, the residues its rows take and how many window and region
+points take each.  The dispatcher in __init__ runs these twins when the
+compiled kernels do not build, and for each call whose compiled twin raises
+OverflowError: Python ints have no cap, so the calls whose numbers leave
+int64 run here.
 """
 
 from array import array
-from itertools import accumulate, chain, islice, repeat
-from operator import add, eq, gt, itemgetter, le, mul, sub
+from bisect import bisect_left
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, and_, eq, ge, gt, itemgetter, le, mod, mul, ne, not_, sub
 
 # partition_dp keeps a table of 2**universe values
 DP_MAX_VERTICES = 20
@@ -835,3 +838,133 @@ def graphing_certificate(table, n_vertices, inverse):
             back[u] = v
         sigmas[inverse[t]] = tuple(back)
     return True, tuple(sigmas)
+
+
+def check_histogram_inputs(key_len, window, region, classes, period):
+    """Raise ValueError unless the arguments fit the residue_histogram contract,
+    and return the number of classes; the order of the rows, the classes of a
+    column and the region's place in the window are checked by each backend."""
+    width = key_len + 2
+    if key_len < 0 or len(window) % width or len(region) % width:
+        raise ValueError("key_len must be nonnegative and rows need key_len + 2 entries each")
+    if len(classes) != len(window) // width:
+        raise ValueError("need one class per window row")
+    if period < 1:
+        raise ValueError("the period must be positive")
+    if classes and (min(classes) < 0 or max(classes) >= len(classes)):
+        raise ValueError("class ids must lie in [0, rows)")
+    return max(classes, default=-1) + 1
+
+
+def _row_arcs(lo, length, period):
+    """The residues mod period of the length points from lo on, 0 < length <
+    period, as one or two arcs (start, end) of the circle of residues cut at 0."""
+    start = lo % period
+    end = start + length - 1
+    return [(start, end)] if end < period else [(start, period - 1), (0, end - period)]
+
+
+def _merged(arcs):
+    """Arcs sorted by start, the overlapping ones merged."""
+    merged = []
+    for start, end in sorted(arcs):
+        if merged and start <= merged[-1][1]:
+            if end > merged[-1][1]:
+                merged[-1][1] = end
+        else:
+            merged.append([start, end])
+    return merged
+
+
+def residue_histogram(key_len, window, region, classes, period, limit):
+    """The cover-count histogram of a tile window by column class.
+
+    window and region are flat rows as in next_ball, sorted by (key, lo)
+    with disjoint intervals per key, each region row inside a window row of
+    its key; classes[i] is the class of window row i, one class per column.
+    Returns (evaluations, histogram).  evaluations is the sum over the
+    window's columns of the residues mod period their points take: period
+    once a row is a period long, else the size of the union of the rows'
+    arcs on the circle of residues.  histogram is None when evaluations is
+    past limit, and nothing in proportion to it is built; otherwise it is
+    (ends, residues, window_points, region_points): class c's support is
+    residues[ends[c]:ends[c + 1]], sorted (every residue once a row of the
+    class is a period long, else the union of its rows' arcs), and
+    window_points and region_points hold how many points of the class's
+    window and region rows take each of them.  A row adds its whole periods
+    to every residue of its class, and one to each residue of the arc of
+    the rest, which starts at lo mod period and may wrap past period - 1
+    to the class's least residues: differences at four positions, summed
+    once.  Python ints have no cap, so this twin also runs the calls whose
+    numbers could reach 2**62.
+    """
+    n_classes = check_histogram_inputs(key_len, window, region, classes, period)
+    _, keys, los, his = _split_rows(window, key_len)
+    _, region_keys, region_los, region_his = _split_rows(region, key_len)
+    n = len(keys)
+    same = list(map(eq, keys, islice(keys, 1, None)))  # row i + 1 in row i's column
+    if any(map(ne, compress(classes, same), compress(islice(classes, 1, None), same))):
+        raise ValueError("the rows of a column need one class")
+    lengths = list(map(sub, map(add, his, repeat(1)), los))
+    full = set(compress(classes, map(ge, lengths, repeat(period))))
+    # each column's residues: min(length, period) for a column of one row;
+    # the period once a row is a period long, else the union of its rows'
+    # arcs, for a column of more
+    firsts = [True, *map(not_, same)]
+    lone = map(and_, firsts, [*firsts[1:], True])
+    evaluations = sum(map(min, compress(lengths, lone), repeat(period)))
+    starts = list(compress(range(n), firsts))
+    for a, b in zip(starts, [*starts[1:], n]):
+        if b - a == 1:
+            continue
+        if max(lengths[a:b]) >= period:
+            evaluations += period
+        else:
+            evaluations += sum(end - start + 1 for start, end in _merged(
+                arc for i in range(a, b) for arc in _row_arcs(los[i], lengths[i], period)))
+    if evaluations > limit:
+        return evaluations, None
+    arcs = [[] for _ in range(n_classes)]
+    for c, lo, length in zip(classes, los, lengths):
+        if c not in full:
+            arcs[c] += _row_arcs(lo, length, period)
+    ends, residues = [0], []
+    for c in range(n_classes):
+        if c in full:
+            residues += range(period)
+        else:
+            for start, end in _merged(arcs[c]):
+                residues += range(start, end + 1)
+        ends.append(len(residues))
+
+    def points(row_classes, row_los, row_lengths):
+        begins = list(map(ends.__getitem__, row_classes))
+        stops = list(map(ends.__getitem__, map(add, row_classes, repeat(1))))
+        starts = list(map(mod, row_los, repeat(period)))
+        # each arc's first position: its start's place in the class's support
+        places = map(bisect_left, repeat(residues), starts, begins, stops)
+        diff = [0] * (len(residues) + 1)
+        for begin, stop, place, start, length in zip(begins, stops, places, starts,
+                                                     row_lengths):
+            whole, rest = divmod(length, period)
+            if start + rest > period:  # the rest wraps to the class's least residues
+                whole += 1
+                diff[place + rest - (stop - begin)] -= 1
+            else:
+                diff[place + rest] -= 1
+            diff[place] += 1
+            diff[begin] += whole
+            diff[stop] -= whole
+        return list(accumulate(diff[:-1]))
+
+    # each region row in the window row of its key that holds it
+    region_classes, j = [], 0
+    for key, lo, hi in zip(region_keys, region_los, region_his):
+        while j < n and (keys[j], his[j]) < (key, lo):
+            j += 1
+        if j == n or keys[j] != key or los[j] > lo or his[j] < hi:
+            raise ValueError("region rows must lie in window rows")
+        region_classes.append(classes[j])
+    region_lengths = list(map(sub, map(add, region_his, repeat(1)), region_los))
+    return evaluations, (ends, residues, points(classes, los, lengths),
+                         points(region_classes, region_los, region_lengths))

@@ -10,13 +10,16 @@
    connected sets (one enumerator behind min_boundary_sets and
    partition_dp).  Each entry point returns 1 when the search finished, 0
    when it stopped on the node budget and -1 when an allocation failed;
-   min_boundary_sets returns -2 when its table misses a translate.  Three
+   min_boundary_sets returns -2 when its table misses a translate.  Four
    kernels do not search: next_ball grows the column balls of Z^d and the
    Heisenberg group, one interval sweep over sorted runs of rows;
    ball_table cuts each sphere out of its ball and reads the neighbour
-   table from the largest ball's rows; and graphing_certificate checks a
+   table from the largest ball's rows; graphing_certificate checks a
    graphing's paired maps and its transitive symmetries in one pass over
-   its neighbour table. */
+   its neighbour table; and residue_histogram lists, for each column class
+   of a tile window, the residues its rows take and how many window and
+   region points take each, from the arcs of the rows on the circle of
+   residues. */
 
 #include <limits.h>
 #include <stdlib.h>
@@ -1252,4 +1255,266 @@ int graphing_certificate(const int *table, int V, int L, const int *inverse, int
     free(order);
     free(mark);
     return ok;
+}
+
+/* ---- kernel 8: the residue histogram of a tile window's column classes ---- */
+
+/* an arc start..end of the circle of residues cut at 0, start <= end */
+typedef struct {
+    long long start, end;
+} Arc;
+
+static int arc_cmp(const void *a, const void *b)
+{
+    long long x = ((const Arc *)a)->start, y = ((const Arc *)b)->start;
+    return x < y ? -1 : x > y;
+}
+
+/* The residues mod period of the len points from lo on, 0 < len < period,
+   as one arc or, when they pass period - 1, two; returns how many.  period
+   lies below COORD_CAP, so no sum overflows. */
+static int row_arcs(long long lo, long long len, long long period, Arc *arc)
+{
+    long long s = lo % period;
+    if (s < 0)
+        s += period;
+    arc[0].start = s;
+    if (s + len <= period) {
+        arc[0].end = s + len - 1;
+        return 1;
+    }
+    arc[0].end = period - 1;
+    arc[1].start = 0;
+    arc[1].end = s + len - 1 - period;
+    return 2;
+}
+
+/* Sort n arcs by start and merge the overlapping ones in place; returns the
+   merged count, and adds the residues they hold to *size. */
+static long long arcs_merge(Arc *arcs, long long n, long long *size)
+{
+    long long i, m = 0;
+    if (n > 1)
+        qsort(arcs, (size_t)n, sizeof(Arc), arc_cmp);
+    for (i = 0; i < n; i++) {
+        if (m && arcs[i].start <= arcs[m - 1].end) {
+            if (arcs[i].end > arcs[m - 1].end)
+                arcs[m - 1].end = arcs[i].end;
+        } else
+            arcs[m++] = arcs[i];
+    }
+    for (i = 0; i < m; i++)
+        *size += arcs[i].end - arcs[i].start + 1;
+    return m;
+}
+
+/* The support of every class: class c's residues are at positions ends[c]
+   up to ends[c + 1]; a full class holds every residue in order, any other
+   the merged arcs first[c] up to first[c + 1], arc j from position
+   place[j]. */
+typedef struct {
+    long long period;
+    const long long *ends, *first, *place;
+    const unsigned char *full;
+    const Arc *arcs;
+} Support;
+
+/* Count the len > 0 points from lo on, residue by residue, into the
+   difference array diff over the positions of class c's support, which
+   holds all their residues: q whole periods add q at every residue, and
+   the rest adds one along its arcs. */
+static void support_add(const Support *s, int c, long long lo, long long len, long long *diff)
+{
+    long long q = len / s->period, pos, lo_j, hi_j, mid;
+    Arc arc[2];
+    int a, n;
+    if (q) {
+        diff[s->ends[c]] += q;
+        diff[s->ends[c + 1]] -= q;
+    }
+    if (!(len %= s->period))
+        return;
+    n = row_arcs(lo, len, s->period, arc);
+    for (a = 0; a < n; a++) {
+        if (s->full[c])
+            pos = s->ends[c] + arc[a].start;
+        else {
+            lo_j = s->first[c];
+            hi_j = s->first[c + 1];
+            while (hi_j - lo_j > 1) { /* the last arc that starts at or before it */
+                mid = lo_j + (hi_j - lo_j) / 2;
+                if (s->arcs[mid].start <= arc[a].start)
+                    lo_j = mid;
+                else
+                    hi_j = mid;
+            }
+            pos = s->place[lo_j] + arc[a].start - s->arcs[lo_j].start;
+        }
+        diff[pos]++;
+        diff[pos + arc[a].end - arc[a].start + 1]--;
+    }
+}
+
+/* The cover-count histogram of a tile window by column class.  window holds
+   n_window rows (k key entries, lo, hi) sorted by (key, lo), disjoint per
+   key, and cls[i] in [0, n_classes) is the class of window row i, one class
+   per column; region holds n_region rows likewise, each inside a window
+   row of its key.  Returns evaluations, the sum over the window's columns
+   of the residues mod period their points take.  When that is at most
+   limit, ends[c] receives the position of class c's first support residue
+   (ends[n_classes] their number S), and *out a malloc'd block of 3S
+   entries, for release to free: the support residues of each class in
+   order (every residue once a row of the class is a period long, else the
+   union of its rows' arcs), then the window's and the region's points at
+   each.  Otherwise *out is NULL, and nothing in proportion to evaluations
+   was allocated.  Returns -1 when an allocation failed, -2 when rows are
+   not sorted, a column's rows have two classes or a region row lies
+   outside the window, and -3 when an entry, the period or the number of
+   window points reaches 2**62. */
+long long residue_histogram(int k, const long long *window, long long n_window,
+                            const long long *region, long long n_region, const int *cls,
+                            int n_classes, long long period, long long limit, long long *ends,
+                            long long **out)
+{
+    int w = k + 2, c, bad;
+    long long top[2] = {0, 0}, i, j, a, b, m, x, len, points = 0, evaluations = 0, S = 0;
+    long long *first, *fill, *place, *block = NULL, *diff = NULL;
+    const long long *r, *v;
+    unsigned char *full;
+    Arc *arcs, pair[2];
+    Support sup;
+    *out = NULL;
+    if ((bad = rows_check(window, n_window, k, top))
+        || (bad = rows_check(region, n_region, k, top)))
+        return bad;
+    if (period >= COORD_CAP)
+        return -3;
+    for (i = 0; i < n_window; i++) {
+        r = window + i * w;
+        len = r[k + 1] - r[k] + 1;
+        if (len >= COORD_CAP - points)
+            return -3;
+        points += len;
+        if (i && row_cmp(r - w, r, k) == 0 && cls[i] != cls[i - 1])
+            return -2;
+    }
+    arcs = malloc((2 * (size_t)n_window + 1) * sizeof(Arc));
+    full = calloc((size_t)n_classes + 1, 1);
+    first = calloc(2 * (size_t)n_classes + 2 * (size_t)n_window + 2, sizeof(long long));
+    if (!arcs || !full || !first) {
+        bad = -1;
+        goto done;
+    }
+    fill = first + n_classes + 1;
+    place = fill + n_classes;
+    /* each column's residues: the period once a row is a period long, else
+       the union of its rows' arcs */
+    for (a = 0; a < n_window; a = b) {
+        for (b = a + 1; b < n_window && row_cmp(window + a * w, window + b * w, k) == 0; b++)
+            ;
+        for (m = 0, i = a; i < b; i++) {
+            r = window + i * w;
+            if ((len = r[k + 1] - r[k] + 1) >= period)
+                break;
+            m += row_arcs(r[k], len, period, arcs + m);
+        }
+        if (i < b) {
+            full[cls[a]] = 1;
+            evaluations += period;
+        } else
+            arcs_merge(arcs, m, &evaluations);
+    }
+    if (evaluations > limit)
+        goto done;
+    /* the arcs of the classes no row makes full, bucketed by class, then
+       sorted, merged and packed class after class */
+    for (i = 0; i < n_window; i++) {
+        r = window + i * w;
+        if (!full[cls[i]])
+            first[cls[i] + 1] += row_arcs(r[k], r[k + 1] - r[k] + 1, period, pair);
+    }
+    for (c = 0; c < n_classes; c++)
+        first[c + 1] += first[c];
+    for (i = 0; i < n_window; i++) {
+        r = window + i * w;
+        c = cls[i];
+        if (!full[c])
+            fill[c] += row_arcs(r[k], r[k + 1] - r[k] + 1, period, arcs + first[c] + fill[c]);
+    }
+    for (m = 0, c = 0; c < n_classes; c++) {
+        a = first[c];
+        first[c] = m;
+        ends[c] = S;
+        if (full[c]) {
+            S += period;
+            continue;
+        }
+        memmove(arcs + m, arcs + a, (size_t)fill[c] * sizeof(Arc));
+        x = 0;
+        for (b = m + arcs_merge(arcs + m, fill[c], &x); m < b; m++) {
+            place[m] = S;
+            S += arcs[m].end - arcs[m].start + 1;
+        }
+    }
+    first[n_classes] = m;
+    ends[n_classes] = S;
+    block = malloc((3 * (size_t)S + 1) * sizeof(long long));
+    diff = calloc(2 * (size_t)S + 2, sizeof(long long));
+    if (!block || !diff) {
+        bad = -1;
+        goto done;
+    }
+    for (c = 0; c < n_classes; c++) {
+        if (full[c])
+            for (x = 0; x < period; x++)
+                block[ends[c] + x] = x;
+        else
+            for (j = first[c]; j < first[c + 1]; j++)
+                for (x = arcs[j].start; x <= arcs[j].end; x++)
+                    block[place[j] + x - arcs[j].start] = x;
+    }
+    sup.period = period;
+    sup.ends = ends;
+    sup.first = first;
+    sup.place = place;
+    sup.full = full;
+    sup.arcs = arcs;
+    for (i = 0; i < n_window; i++) {
+        r = window + i * w;
+        support_add(&sup, cls[i], r[k], r[k + 1] - r[k] + 1, diff);
+    }
+    /* each region row in the window row of its key that holds it */
+    for (i = 0, j = 0; i < n_region; i++) {
+        v = region + i * w;
+        for (; j < n_window; j++) {
+            r = window + j * w;
+            c = row_cmp(r, v, k);
+            if (c > 0 || (c == 0 && r[k + 1] >= v[k]))
+                break;
+        }
+        r = window + j * w;
+        if (j == n_window || row_cmp(r, v, k) != 0 || r[k] > v[k] || r[k + 1] < v[k + 1]) {
+            bad = -2;
+            goto done;
+        }
+        support_add(&sup, cls[j], v[k], v[k + 1] - v[k] + 1, diff + S + 1);
+    }
+    for (a = 0, b = 0, x = 0; x < S; x++) {
+        block[S + x] = a += diff[x];
+        block[2 * S + x] = b += diff[S + 1 + x];
+    }
+    *out = block;
+    block = NULL;
+done:
+    free(arcs);
+    free(full);
+    free(first);
+    free(block);
+    free(diff);
+    return bad ? bad : evaluations;
+}
+
+void release(void *block)
+{
+    free(block);
 }

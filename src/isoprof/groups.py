@@ -21,6 +21,9 @@ arithmetic per column.  The kernel step _kernels.next_ball (compiled, or its
 pure twin) turns the flat rows of ball r - 1 into those of ball r.  The group
 keeps the rows of every ball back to back in one store, with the row at
 which each ball ends, so a ball in column form is one slice of the store.
+A step that could take the store past STORE_BUDGET rows, counting each row
+of the last ball and its image under every generator, is refused with
+BudgetError before it runs.
 The store is the only cache of a ball: sphere r is cut from it as the
 (key, lo, hi) rows of ball r minus those of ball r - 1, for sphere, ball and
 the bad points of a tile window.  Word norms read an index grown a sphere at
@@ -44,10 +47,11 @@ run of ranges per sphere, found by arithmetic on the sorted spheres' blocks.
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, mul, ne, sub, xor
+from itertools import accumulate, chain, repeat
+from operator import add, mul, sub, xor
 
 from .errors import (
+    BudgetError,
     ConfigError,
     MixedGroupError,
     ParameterError,
@@ -55,6 +59,10 @@ from .errors import (
     UnsupportedError,
     integer_parameter,
 )
+
+# rows the store of a Z^d or Heisenberg group may hold, counting the largest
+# output of the next ball step; the tile scan's budget is tilings.SCAN_BUDGET
+STORE_BUDGET = 1 << 20
 
 
 class GroupSubset:
@@ -267,11 +275,6 @@ def _vector_labels(vectors):
     return [",".join(str(c) for c in v) for v in vectors]
 
 
-def column_size(columns):
-    """Number of points of a column-form set."""
-    return sum(hi - lo + 1 for ivs in columns.values() for lo, hi in ivs)
-
-
 def lattice_basis(vectors, n):
     """The echelon basis of the lattice that integer vectors of length n span, or
     None below rank n.  Integer row operations keep the span; Euclid on each
@@ -389,9 +392,15 @@ class _TupleGroup(MarkedGroup):
         return self._store[self._ends[r] * width:self._ends[r + 1] * width]
 
     def _grow(self, radius):
-        """Grow the row store through ball radius."""
+        """Grow the row store through ball radius.  BudgetError, before a step
+        allocates, when the store and the step's largest output, each row of
+        the last ball and its image under every step, could pass STORE_BUDGET
+        rows."""
         ends = self._ends
         while len(ends) <= radius + 1:
+            if ends[-1] + (len(self._steps) + 1) * (ends[-1] - ends[-2]) > STORE_BUDGET:
+                raise BudgetError(f"growing ball {len(ends) - 1} could take the row store past "
+                                  f"{STORE_BUDGET} rows")
             from . import _kernels  # loads, and may compile, the kernels on first use
 
             rows = _kernels.next_ball(self._length - 1, self._steps, self._rows(len(ends) - 2))
@@ -412,11 +421,6 @@ class _TupleGroup(MarkedGroup):
         self._grow(self._check_radius(radius))
         ends = self._ends[1:radius + 2]
         return self._store[:ends[-1] * (self._length + 1)], ends
-
-    def _ball_columns(self, radius):
-        """ball(radius) in column form, {key: sorted maximal intervals} with sorted keys."""
-        self._grow(self._check_radius(radius))
-        return self._columns(self._rows(radius))
 
     def _table(self, radius, inverse):
         from . import _kernels
@@ -445,17 +449,6 @@ class _TupleGroup(MarkedGroup):
         rows, width = self._rows(r), self._length + 1
         return list(zip(self._row_keys(rows), rows[width - 2::width], rows[width - 1::width]))
 
-    def _columns(self, rows):
-        """The column form of flat rows."""
-        width = self._length + 1
-        intervals = list(zip(rows[width - 2::width], rows[width - 1::width]))
-        keys = self._row_keys(rows)
-        # a column's rows are consecutive: starts holds the first row of each
-        starts = list(compress(range(len(keys)),
-                               chain((True,), map(ne, keys, islice(keys, 1, None)))))
-        runs = map(slice, starts, [*starts[1:], len(keys)])
-        return dict(zip(map(keys.__getitem__, starts), map(intervals.__getitem__, runs)))
-
     def _point(self, key, c):
         """The element in column key at last coordinate c."""
         return key + (c,)
@@ -466,26 +459,35 @@ class _TupleGroup(MarkedGroup):
 
     def _max_norm(self, points):
         """The least radius whose ball holds every point, read from the store's
-        rows with no dict."""
+        rows.  A ball is searched only for the points' own column keys, each
+        found by bisecting the rows' key coordinates; the key whose points the
+        ball misses waits, first in line, for the next ball."""
         wanted = {}
         for g in points:
             wanted.setdefault(g[:-1], []).append(g[-1])
-        for cs in wanted.values():
-            cs.sort()
-        total = sum(map(len, wanted.values()))
+        waiting = [(key, sorted(cs)) for key, cs in wanted.items()]
         width = self._length + 1
         for r in range(self.max_radius + 1):
             self._grow(r)
             rows = self._rows(r)
-            keys = self._row_keys(rows)
-            found = 0
-            for i in compress(range(len(keys)), map(wanted.__contains__, keys)):
-                cs = wanted[keys[i]]
-                found += (bisect_right(cs, rows[i * width + width - 1])
-                          - bisect_left(cs, rows[i * width + width - 2]))
-            if found == total:
+            cols = [rows[t::width] for t in range(width - 2)]
+            while waiting and self._holds(rows, cols, *waiting[-1]):
+                waiting.pop()
+            if not waiting:
                 return r
         return super()._max_norm(points)  # raises for the first point out of reach
+
+    def _holds(self, rows, cols, key, cs):
+        """Whether flat rows, with cols their key coordinates, hold the sorted
+        last coordinates cs of column key."""
+        width = self._length + 1
+        a, b = 0, len(rows) // width
+        for col, x in zip(cols, key):  # the rows of keys that agree so far
+            a = bisect_left(col, x, a, b)
+            b = bisect_right(col, x, a, b)
+        held = sum(bisect_right(cs, rows[i * width + width - 1])
+                   - bisect_left(cs, rows[i * width + width - 2]) for i in range(a, b))
+        return held == len(cs)
 
     def _norm(self, g):
         key, c = g[:-1], g[-1]

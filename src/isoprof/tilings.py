@@ -6,10 +6,10 @@ the group.  The full claim is not finitely checkable, so verification runs on
 a window: disjointness of translates is checked on all of ball(R), and
 coverage on ball(R - margin) where margin is the largest shape diameter,
 which removes edge effects near the window boundary.  On Z^d and Heisenberg
-the window and the region are read as balls in column form (groups.py), per
-column key the intervals of the last coordinate, each from the rows the
-group's store keeps for that ball; no sphere is cut from the store unless a
-count is bad.
+the window and the region are read as balls in column form (groups.py): the
+flat (key, lo, hi) rows the group's store keeps for each ball, per column key
+the intervals of the last coordinate; no sphere is cut from the store unless
+a count is bad.
 
 The scan never enumerates lattice center sets.  A window point w lies in
 T * c exactly when c = t^{-1} w for some t in T, and one residue index per
@@ -34,28 +34,32 @@ under multiplying by it, so w and w z are covered equally often.  The counts
 depend on the column key only through its class: on Z^d the residue of
 (key, 0), as keys of one residue differ by a lattice vector; on Heisenberg
 (a mod m1, b mod m2, b mod m3); for a multi-tile the tuple of its lattice
-shapes' classes, over the lcm of their periods.  Each class is evaluated in
-one batch at a representative column, by each residue index's batch reader
-over.counts, which builds no point and calls no over: on Z^d it reduces
-(key, 0) once, and key + (c,) then reduces to the same head with c added to
-the last coordinate mod p; on Heisenberg it is one lookup of (c - u b) mod m3
-per ta class u.  A class is evaluated at every residue mod period once one of
-its window intervals is a period long, else only at the residues its window
-intervals take, kept sorted.  The window's and the region's intervals are
-tallied class by class from the cumulative sums of the counts along the
-evaluated residues: whole periods times their total, plus the sums up to
-each end, so an interval costs two lookups whatever its length.
-SCAN_BUDGET charges each column its own residues mod period (at most
-min(length, period)), counted from its intervals' arcs on the circle of
-residues, times the lookups per point, a bound on the evaluations.
-Explicit centers are scattered onto the window as sparse additions, column by
-column.  The first five uncovered and colliding points come from walking the
-spheres, cut from the store as (key, lo, hi) rows (ball r minus ball r - 1),
-in (norm, tuple) order through the columns that can hold a bad count: those
-with explicit additions or a bad class pattern entry.  The radius-36
-Heisenberg window of the 425-point cuboid tile, 716,455 points in 2,665
-columns of 353 classes, needs 5,937 evaluations (45,177 at one pattern per
-column).
+shapes' classes, over the lcm of their periods.  So the scan needs, per
+class, only the residues mod period that its window points take, its count
+at each, and how many window and region points take each.  The residues and
+the point counts come from one pass of the kernel
+_kernels.residue_histogram over the window's and the region's rows, with
+the class of each window row: a class takes every residue once one of its
+rows is a period long, else the union of its rows' arcs on the circle of
+residues, kept sorted.  Each class is then evaluated in one batch at a
+representative column, by each residue index's batch reader over.counts,
+which builds no point and calls no over: on Z^d it reduces (key, 0) once,
+and key + (c,) then reduces to the same head with c added to the last
+coordinate mod p; on Heisenberg it is one lookup of (c - u b) mod m3 per ta
+class u.  The window's sum of counts is the dot product of the counts with
+the window's points per residue, and the covered count sums the region's
+points at the residues of nonzero count.  SCAN_BUDGET charges each column
+its own residues mod period (at most min(length, period)), which the kernel
+counts first, times the lookups per point, a bound on the evaluations; the
+kernel builds no support past it.  Explicit centers are scattered onto the
+window as sparse additions, column by column.  The first five uncovered and
+colliding points come from walking the spheres, cut from the store as
+(key, lo, hi) rows (ball r minus ball r - 1), in (norm, tuple) order
+through the columns that can hold a bad count: those with explicit
+additions, or of a class with a bad count at a residue the walked ball's
+points take.  The radius-36 Heisenberg window of the 425-point cuboid tile,
+716,455 points in 2,665 columns of 353 classes, needs 5,937 evaluations
+(45,177 at one batch per column).
 
 Free groups have no columns and no lattice center sets, so their scan keeps
 one count per window point, in (norm, tuple) order.
@@ -65,11 +69,11 @@ defined once here, by folner_tiles.
 """
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, count, islice, repeat, takewhile
+from itertools import chain, compress, count, islice, repeat, takewhile
 from math import lcm
 
 from ._record import Record
@@ -83,12 +87,13 @@ from .errors import (
     WindowTooSmallError,
     integer_parameter,
 )
-from .groups import (GroupSubset, HeisenbergGroup, ZdGroup, column_size, integer_vector,
-                     lattice_basis, lattice_residue)
+from .groups import (GroupSubset, HeisenbergGroup, ZdGroup, integer_vector, lattice_basis,
+                     lattice_residue)
 from .isoperimetry import heisenberg_cuboid, zd_cube
 
 # lattice evaluations times index lookups per point, and explicit center
-# counts times shape size, beyond this refuse
+# counts times shape size, beyond this refuse; the balls a scan reads are
+# bounded by the rows their group's store may hold, groups.STORE_BUDGET
 SCAN_BUDGET = 5_000_000
 
 
@@ -336,150 +341,110 @@ def _scatter(group, shape, centers):
     return (mul(t, c) for c in centers.elements for t in shape)
 
 
-class _Pattern:
-    """The lattice cover counts of one column class, read in one batch at a
-    representative column key: at every residue mod period once one of the
-    class's window intervals is a period long, else at the residues its window
-    intervals take.  The residues are kept sorted, the counts in their order,
-    and place(r) is the number of evaluated residues below r: r itself when
-    every residue is evaluated, else a bisection."""
+def _row_finder(group, rows):
+    """The test whether flat rows hold the point of column key at c: one
+    bisection over the rows' (key, lo)."""
+    width = group._length + 1
+    starts = list(zip(group._row_keys(rows), rows[width - 2::width]))
+    his = rows[width - 1::width]
 
-    def __init__(self, key, period):
-        self.key, self.period, self.window, self.sums = key, period, [], {}
+    def holds(key, c):
+        i = bisect_right(starts, (key, c)) - 1
+        return i >= 0 and starts[i][0] == key and c <= his[i]
 
-    def fill(self, overs):
-        """Evaluate the counts, each residue index in one call of its batch reader."""
-        arcs = _arcs(self.window, self.period)
-        if arcs is None:
-            self.residues, self.place = range(self.period), operator.index
-        else:
-            self.residues = [r for start, end in arcs for r in range(start, end + 1)]
-            self.place = partial(bisect_left, self.residues)
-        self.counts = [0] * len(self.residues)
-        for over in overs:
-            self.counts = list(map(operator.add, self.counts,
-                                   over.counts(self.key, self.residues)))
-
-    def at(self, c):
-        """The count at last coordinate c of a column of the class."""
-        return self.counts[self.place(c % self.period)]
-
-    def tally(self, ivs, f):
-        """The sum of f(count) over the points of intervals of the class's columns.
-        Let S(n) be the sum over the points c < n whose residue was evaluated: n //
-        period whole periods, then the cumulative sum of f over the evaluated
-        residues below n mod period.  Every residue of an interval [lo, hi] was
-        evaluated, so it sums to S(hi + 1) - S(lo), whatever its length: two
-        lookups per interval."""
-        if f not in self.sums:
-            self.sums[f] = list(accumulate(map(f, self.counts), initial=0))
-        sums, period, place = self.sums[f], self.period, self.place
-        whole, total = sums[-1], 0
-        for lo, hi in ivs:
-            hi += 1
-            total += ((hi // period - lo // period) * whole
-                      + sums[place(hi % period)] - sums[place(lo % period)])
-        return total
+    return holds
 
 
-def _arcs(ivs, period):
-    """The residues mod period that the points of intervals take, as sorted
-    disjoint arcs (start, end) of the circle of residues cut at 0, or None when
-    an interval is a whole period long."""
-    arcs = []
-    for lo, hi in ivs:
-        if hi - lo + 1 >= period:
-            return None
-        start, end = lo % period, hi % period
-        arcs += [(start, end)] if start <= end else [(start, period - 1), (0, end)]
-    merged = []
-    for start, end in sorted(arcs):
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    return merged
+class _WindowCounts:
+    """The cover counts of a window in column form, class by class.
+
+    keys and ids are the column key and the class of each window row, the
+    classes numbered as they first come.  Class k's support residues are
+    residues[ends[k]:ends[k + 1]], and counts, window and region hold its
+    lattice count, and the window's and the region's points, at each; the
+    counts are read at the class's first key.  extra maps a window column
+    key to its explicit additions {c: count}.  Budgets are checked shape by
+    shape, before each shape's work; each column is charged its residues mod
+    period, a bound on its share of the lattice evaluations, and a refused
+    scan evaluates nothing."""
+
+    def __init__(self, group, mt, indexes, window, region):
+        from . import _kernels  # loaded, and maybe compiled, when the balls grew
+
+        overs = [index[0] for index in indexes if index]
+        self.period = period = lcm(*(index[1] for index in indexes if index))
+        self.keys = keys = group._row_keys(window)
+        # a class is the tuple of the lattice shapes' classes, or the one class
+        # of the one lattice shape; ids count the classes as they first come
+        classes = (map(overs[0].column_class, keys) if len(overs) == 1 else
+                   zip(*(map(over.column_class, keys) for over in overs)) if overs else
+                   repeat((), len(keys)))
+        ids = {}
+        self.ids = [ids.setdefault(cls, len(ids)) for cls in classes]
+        first = dict(zip(reversed(self.ids), reversed(keys)))
+        lookups = max((index[2] for index in indexes if index), default=0)
+        evaluations, histogram = _kernels.residue_histogram(
+            group._length - 1, window, region, self.ids, period,
+            SCAN_BUDGET // lookups if lookups else len(keys))
+
+        self.extra, holds = {}, None
+        for shape, centers, index in zip(mt.shapes, mt.centers, indexes):
+            if index is None:
+                holds = holds or _row_finder(group, window)
+                for p in _scatter(group, shape, centers):
+                    key, x = group._column_of(p)
+                    if holds(key, x):
+                        col = self.extra.setdefault(key, {})
+                        col[x] = col.get(x, 0) + 1
+            elif evaluations * index[2] > SCAN_BUDGET:
+                raise BudgetError("lattice window scan too large")
+
+        self.ends, self.residues, self.window, self.region = histogram
+        self.counts = []
+        for rep, lo, hi in zip(map(first.__getitem__, range(len(ids))), self.ends,
+                               self.ends[1:]):
+            # each residue index in one call of its batch reader
+            support = self.residues[lo:hi]
+            found = overs[0].counts(rep, support) if overs else [0] * (hi - lo)
+            for over in overs[1:]:
+                found = list(map(operator.add, found, over.counts(rep, support)))
+            self.counts += found
+
+    def at(self, k, c):
+        """The lattice count at last coordinate c of a column of class k: at
+        residue r when the class holds every residue, else a bisection."""
+        lo, hi, r = self.ends[k], self.ends[k + 1], c % self.period
+        return self.counts[lo + r if hi - lo == self.period
+                           else bisect_left(self.residues, r, lo, hi)]
+
+    def column_classes(self):
+        """{window column key: its class}."""
+        return dict(zip(self.keys, self.ids))
 
 
-def _residue_count(ivs, period):
-    """How many residues mod period the points of disjoint intervals take: the
-    size of the union of their arcs on the circle of residues."""
-    arcs = _arcs(ivs, period)
-    return period if arcs is None else sum(end - start + 1 for start, end in arcs)
-
-
-def _window_columns(group, mt, indexes, window):
-    """({window column key: class pattern}, the class patterns, {key: explicit
-    additions {c: count}}), each pattern filled from its window intervals.
-    Explicit centers are scattered onto the window.  Budgets are checked shape
-    by shape, before each shape's work; each column is charged its residues mod
-    period, a bound on its share of the lattice evaluations."""
-    period = lcm(*(index[1] for index in indexes if index))
-    evaluations = sum(map(_residue_count, window.values(), repeat(period)))
-
-    overs, extra = [], {}
-    for shape, centers, index in zip(mt.shapes, mt.centers, indexes):
-        if index is None:
-            for p in _scatter(group, shape, centers):
-                key, x = group._column_of(p)
-                if any(lo <= x <= hi for lo, hi in window.get(key, ())):
-                    col = extra.setdefault(key, {})
-                    col[x] = col.get(x, 0) + 1
-            continue
-        over, _, lookups = index
-        if evaluations * lookups > SCAN_BUDGET:
-            raise BudgetError("lattice window scan too large")
-        overs.append(over)
-
-    classes, columns = {}, {}
-    keys = list(window)
-    for key, cls, ivs in zip(keys, zip(*(map(over.column_class, keys) for over in overs))
-                             if overs else repeat(()), window.values()):
-        pattern = classes.get(cls)
-        if pattern is None:
-            pattern = classes[cls] = _Pattern(key, period)
-        pattern.window += ivs
-        columns[key] = pattern
-    patterns = list(classes.values())
-    for pattern in patterns:
-        pattern.fill(overs)
-    return columns, patterns, extra
-
-
-def _tally(columns, extra, ball, f):
-    """The sum of f(count) over the points of a ball in column form: each class's
-    intervals in one pass, then the change each explicit addition makes."""
-    by_class = {}
-    for key, ivs in ball.items():
-        by_class.setdefault(columns[key], []).extend(ivs)
-    total = sum(pattern.tally(ivs, f) for pattern, ivs in by_class.items())
-    for key, col in extra.items():
-        pattern, ivs = columns[key], ball.get(key, ())
-        for c, e in col.items():
-            if any(lo <= c <= hi for lo, hi in ivs):
-                h = pattern.at(c)
-                total += f(h + e) - f(h)
-    return total
-
-
-def _first_bad(group, radius, columns, patterns, extra, bad):
+def _first_bad(group, radius, scan, points, bad):
     """The first five points of ball(radius), in (norm, tuple) order, whose count
-    passes bad.  Each class pattern is judged once, and only columns with
-    explicit additions or a bad pattern entry are walked, through the sphere
-    rows, which are cut only when there is such a column."""
-    bad_patterns = {p for p in patterns if any(map(bad, p.counts))}
-    suspects = set(extra)
-    if bad_patterns:
-        suspects.update(key for key, p in columns.items() if p in bad_patterns)
+    passes bad; points holds the ball's points at each support residue.  Only
+    columns with explicit additions, or of a class with a bad count where the
+    ball has points, are walked, through the sphere rows, which are cut only
+    when there is such a column."""
+    if not (scan.extra or any(map(bad, scan.counts))):
+        return []
+    ends = scan.ends  # the class of each support residue, then of each bad one
+    owners = chain.from_iterable(map(repeat, range(len(ends) - 1),
+                                     map(operator.sub, ends[1:], ends)))
+    bad_classes = set(compress(compress(owners, points), map(bad, compress(scan.counts, points))))
+    class_of = scan.column_classes()
+    suspects = {key for key, k in class_of.items() if k in bad_classes}.union(scan.extra)
     if not suspects:
         return []
     found = []
     for key, lo, hi in chain.from_iterable(map(group._sphere_rows, range(radius + 1))):
         if key not in suspects:
             continue
-        pattern, col = columns[key], extra.get(key, {})
+        k, col = class_of[key], scan.extra.get(key, {})
         for c in range(lo, hi + 1):
-            if bad(pattern.at(c) + col.get(c, 0)):
+            if bad(scan.at(k, c) + col.get(c, 0)):
                 found.append(group._point(key, c))
                 if len(found) == 5:
                     return found
@@ -488,17 +453,26 @@ def _first_bad(group, radius, columns, patterns, extra, bad):
 
 def _column_scan(group, mt, indexes, window_radius, region_radius):
     """(window size, region size, sum of counts, covered count, first uncovered,
-    first collisions) on Z^d and Heisenberg, class by class."""
-    window = group._ball_columns(window_radius)
-    region = group._ball_columns(region_radius)
-    columns, patterns, extra = _window_columns(group, mt, indexes, window)
-    total = _tally(columns, extra, window, int)
-    covered_count = _tally(columns, extra, region, bool)
-    uncovered = _first_bad(group, region_radius, columns, patterns, extra, lambda h: h == 0)
-    collision_points = _first_bad(group, window_radius, columns, patterns, extra,
-                                  lambda h: h > 1)
-    return (column_size(window), column_size(region), total, covered_count,
-            uncovered, collision_points)
+    first collisions) on Z^d and Heisenberg, class by class: the sums are dot
+    products of each class's counts with its points per residue, and an
+    explicit addition e at a point of lattice count h adds e to the sum, and
+    one to the covered count when h = 0 and the point is in the region."""
+    group._grow(group._check_radius(window_radius))
+    region = group._rows(region_radius)
+    scan = _WindowCounts(group, mt, indexes, group._rows(window_radius), region)
+    total = sum(map(operator.mul, scan.counts, scan.window))
+    covered_count = sum(compress(scan.region, scan.counts))
+    if scan.extra:
+        holds, class_of = _row_finder(group, region), scan.column_classes()
+        for key, col in scan.extra.items():
+            total += sum(col.values())
+            covered_count += sum(1 for c in col
+                                 if holds(key, c) and not scan.at(class_of[key], c))
+    uncovered = _first_bad(group, region_radius, scan, scan.region, operator.not_)
+    collision_points = _first_bad(group, window_radius, scan, scan.window,
+                                  partial(operator.lt, 1))
+    return (sum(scan.window), sum(scan.region), total, covered_count, uncovered,
+            collision_points)
 
 
 def _point_scan(group, mt, spheres, region_radius):

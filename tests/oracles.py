@@ -385,6 +385,63 @@ def union_columns(rows):
     return out
 
 
+def ball_columns(group, radius):
+    """ball(radius) of a Z^d or Heisenberg group in column form, {key: sorted
+    maximal intervals} with sorted keys, read row by row from the group's
+    store."""
+    group._grow(group._check_radius(radius))
+    rows, width = group._rows(radius), group._length + 1
+    columns = {}
+    for i in range(0, len(rows), width):
+        columns.setdefault(tuple(rows[i:i + width - 2]), []).append(
+            (rows[i + width - 2], rows[i + width - 1]))
+    return columns
+
+
+def column_size(columns):
+    """Number of points of a column-form set."""
+    return sum(hi - lo + 1 for ivs in columns.values() for lo, hi in ivs)
+
+
+def residue_histogram_oracle(key_len, window, region, classes, period, limit):
+    """What _kernels.residue_histogram returns, point by point: each column's
+    residues as a set, each class's support from a dict of the residues its
+    window points take (every residue once a row is a period long), and the
+    window's and the region's points counted one at a time."""
+    width = key_len + 2
+    rows = [tuple(window[i:i + width]) for i in range(0, len(window), width)]
+    columns, class_of = {}, {}
+    for row, c in zip(rows, classes):
+        key, lo, hi = row[:key_len], row[-2], row[-1]
+        columns.setdefault(key, set()).update(x % period for x in range(lo, hi + 1))
+        class_of[key] = c
+    evaluations = sum(map(len, columns.values()))
+    if evaluations > limit:
+        return evaluations, None
+    n_classes = max(classes, default=-1) + 1
+    window_points = [{} for _ in range(n_classes)]
+    region_points = [{} for _ in range(n_classes)]
+    full = set()
+    for row, c in zip(rows, classes):
+        if row[-1] - row[-2] + 1 >= period:
+            full.add(c)
+        for x in range(row[-2], row[-1] + 1):
+            window_points[c][x % period] = window_points[c].get(x % period, 0) + 1
+    for i in range(0, len(region), width):
+        row = tuple(region[i:i + width])
+        points = region_points[class_of[row[:key_len]]]
+        for x in range(row[-2], row[-1] + 1):
+            points[x % period] = points.get(x % period, 0) + 1
+    ends, residues, window_out, region_out = [0], [], [], []
+    for c in range(n_classes):
+        for r in range(period) if c in full else sorted(window_points[c]):
+            residues.append(r)
+            window_out.append(window_points[c].get(r, 0))
+            region_out.append(region_points[c].get(r, 0))
+        ends.append(len(residues))
+    return evaluations, (ends, residues, window_out, region_out)
+
+
 def determinant(rows):
     """Leibniz determinant of a small integer matrix."""
     total = 0

@@ -311,6 +311,14 @@ class TestVerifyTile:
         assert row["passed"] == "True"
         assert row["density"] == "1"
 
+    def test_a_row_store_past_its_budget_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr("isoprof.groups.STORE_BUDGET", 5000)
+        tile = json.dumps(multitile_to_json(folner_multitile_sequence(HeisenbergGroup(), 45,
+                                                                      verify=False)))
+        assert main(["verify-tile", "--group", '{"kind": "Heisenberg"}', "--tile", tile,
+                     "--window", "40"]) == 3
+        assert capsys.readouterr().err.startswith("budget exhausted: growing ball ")
+
     def test_gappy_tile_fails(self, tmp_path):
         out = tmp_path / "gap.csv"
         gappy = '{"shapes": [[[0], [1]]], "centers": {"kind": "lattice", "generators": [[3]]}}'

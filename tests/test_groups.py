@@ -19,10 +19,13 @@ from isoprof import (
     group_from_json,
     group_to_json,
 )
-from isoprof.groups import column_size, lattice_basis, lattice_residue
+from isoprof import groups
+from isoprof.groups import lattice_basis, lattice_residue
 from isoprof.isoperimetry import neighbor_table
-from oracles import neighbor_table_oracle, sphere_oracle, union_columns
+from oracles import (ball_columns, column_size, neighbor_table_oracle, sphere_oracle,
+                     union_columns)
 from isoprof.errors import (
+    BudgetError,
     ConfigError,
     MixedGroupError,
     ParameterError,
@@ -380,7 +383,7 @@ class TestColumnSpheres:
         ball = union_columns(row for r in range(37) for row in g._sphere_rows(r))
         assert len(ball) == 2665
         assert column_size(ball) == 716455
-        assert HeisenbergGroup()._ball_columns(36) == ball  # one row per column
+        assert ball_columns(HeisenbergGroup(), 36) == ball  # one row per column
         assert g._ends[37] - g._ends[36] == 2665 and g._ends[37] == 33781
 
     def test_heisenberg_norm_index_36_stays_small(self):
@@ -485,6 +488,39 @@ class TestBallTables:
             key = tuple(rng.randint(-9, 9) for _ in range(g._length - 1))
             assert g._mul_raw(s, (*key, 0)) == (*map(add, head, key),
                                                 dc + sum(map(mul, coef, key)))
+
+
+class TestStoreBudget:
+    """The row store of a column group stops before a step could take it past
+    STORE_BUDGET rows, counting the step's largest output."""
+
+    @pytest.mark.parametrize("make", [HeisenbergGroup, lambda: ZdGroup(3),
+                                      COLUMN_GROUPS["H3 sheared"]])
+    def test_a_step_past_the_budget_is_refused_before_it_runs(self, make, monkeypatch):
+        monkeypatch.setattr(groups, "STORE_BUDGET", 2000)
+        g = make()
+        steps = []
+        grow = _kernels.next_ball
+        monkeypatch.setattr(_kernels, "next_ball",
+                            lambda *args: steps.append(args) or grow(*args))
+        with pytest.raises(BudgetError, match="^growing ball [0-9]+ could take the row store "
+                                              "past 2000 rows$"):
+            g.ball(40)
+        # every ball grown fits, and the refused step was never called
+        ends = g._ends
+        assert len(steps) == len(ends) - 2 and ends[-1] <= 2000
+        assert ends[-1] + (len(g.generators) + 1) * (ends[-1] - ends[-2]) > 2000
+        assert g.ball(len(ends) - 2) == make().ball(len(ends) - 2)
+
+    def test_wide_generators_stop_early(self, monkeypatch):
+        # +-(2**61, 1, 0) makes every ball of H3 about twice as many rows as the
+        # last; the budget stops the store long before max_radius
+        monkeypatch.setattr(groups, "STORE_BUDGET", 10_000)
+        g = HeisenbergGroup(generators=[(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                        (1 << 61, 1, 0), (-(1 << 61), -1, 1 << 61)])
+        with pytest.raises(BudgetError):
+            g.ball(22)
+        assert g._ends[-1] <= 10_000
 
 
 class TestSerialization:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import isoprof
 from isoprof import (
@@ -35,9 +36,11 @@ from isoprof._kernels import (
 from isoprof.action_profile import packing_items, partition_tables
 from isoprof.isoperimetry import neighbor_table
 from oracles import (
+    ball_columns,
     neighbor_table_oracle,
     regenerated,
     relabelled,
+    residue_histogram_oracle,
     sphere_oracle,
     union_columns,
 )
@@ -592,7 +595,7 @@ class TestStoreBalls:
         group = make()
         # the store grows through ball(radius) first; every smaller ball is a slice
         for r in (radius, *range(radius)):
-            assert list(group._ball_columns(r).items()) == \
+            assert list(ball_columns(group, r).items()) == \
                 list(point_columns(itertools.chain(*spheres[:r + 1])).items())
         assert not group._norms  # and the norm index cuts no sphere
         assert [group.sphere(r) for r in range(radius + 1)] == spheres
@@ -614,7 +617,7 @@ class TestStoreBalls:
                     monkeypatch.setattr(_kernels, "_core", None)
                 group = make()
                 for r in (radius, *range(radius)):
-                    assert list(group._ball_columns(r).items()) == \
+                    assert list(ball_columns(group, r).items()) == \
                         list(point_columns(itertools.chain(*spheres[:r + 1])).items())
                 assert isinstance(group._store, list) == (top >= 1 << 63)
                 assert [group.sphere(r) for r in range(radius + 1)] == spheres
@@ -793,8 +796,142 @@ class TestGraphingCertificate:
         assert kernels.graphing_certificate(table, V, inverse) == (False, None)
 
 
+@st.composite
+def histogram_inputs(draw):
+    """residue_histogram arguments: up to five columns of one to three rows with
+    gaps between them, negative coordinates, rows longer than the small
+    periods, and region rows that are sub-intervals of window rows."""
+    key_len = draw(st.integers(0, 2))
+    period = draw(st.sampled_from([1, 2, 17, 10 ** 6]))
+    keys = sorted(draw(st.sets(st.tuples(*[st.integers(-3, 3)] * key_len), max_size=5)))
+    window, region, classes = [], [], []
+    for key in keys:
+        c = draw(st.integers(0, 2))
+        lo = draw(st.integers(-60, 60))
+        for _ in range(draw(st.integers(1, 3))):
+            hi = lo + draw(st.integers(0, 40))
+            window += [*key, lo, hi]
+            classes.append(c)
+            if draw(st.booleans()):
+                a = draw(st.integers(lo, hi))
+                region += [*key, a, draw(st.integers(a, hi))]
+            lo = hi + draw(st.integers(2, 30))
+    ids = {}
+    classes = [ids.setdefault(c, len(ids)) for c in classes]  # below the number of rows
+    limit = draw(st.one_of(st.just(BIG), st.integers(0, 80)))
+    return key_len, window, region, classes, period, limit
+
+
+def window_histogram_args(group, radius, margin, period, moduli):
+    """residue_histogram arguments for ball(radius) of a column group over
+    ball(radius - margin), with the class of a key its residues mod moduli."""
+    group._grow(radius)
+    window = group._rows(radius)
+    ids = {}
+    classes = [ids.setdefault(tuple(x % m for x, m in zip(key, moduli)), len(ids))
+               for key in group._row_keys(window)]
+    return group._length - 1, window, group._rows(radius - margin), classes, period, BIG
+
+
+class TestResidueHistogram:
+    @settings(max_examples=300, deadline=None)
+    @given(histogram_inputs())
+    def test_both_twins_match_a_point_histogram(self, args):
+        expected = residue_histogram_oracle(*args)
+        for kernels in BACKENDS:
+            assert kernels.residue_histogram(*args) == expected
+
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residue_count_matches_a_point_set(self, kernels, seed):
+        # one column of short, disjoint rows around multiples of the period, so
+        # that arcs wrap past residue 0; the support lists the residues in
+        # order, and a row of a whole period or more takes every residue
+        rng = random.Random(seed)
+        for _ in range(300):
+            period = rng.choice([1, 2, 3, 5, 12, 97, 10 ** 6])
+            lo = rng.randint(-3, 3) * period - rng.randint(0, 30)
+            rows = []
+            for _ in range(rng.randint(1, 5)):
+                hi = lo + rng.randint(0, min(period + 1, 40))
+                rows += [lo, hi]
+                lo = hi + rng.randint(2, 2 * period + 2)
+            residues = {c % period for lo, hi in zip(rows[::2], rows[1::2])
+                        for c in range(lo, hi + 1)}
+            classes = [0] * (len(rows) // 2)
+            evaluations, (ends, support, _, _) = kernels.residue_histogram(0, rows, [], classes,
+                                                                           period, BIG)
+            assert evaluations == len(residues)
+            if any(hi - lo + 1 >= period for lo, hi in zip(rows[::2], rows[1::2])):
+                assert support == list(range(period))
+            else:
+                assert support == sorted(residues)
+            assert ends == [0, len(support)]
+        # past the limit only the count comes back
+        assert kernels.residue_histogram(0, [5, 10 ** 6 + 4], [], [0], 10 ** 6, 0) == \
+            (10 ** 6, None)
+        assert kernels.residue_histogram(0, [-3, 2, 10 ** 6 - 1, 10 ** 6 + 3], [], [0, 0],
+                                         10 ** 6, 6) == (7, None)
+
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    def test_a_refused_histogram_builds_nothing_of_its_size(self, kernels):
+        # one row of 10^7 residues, one past the limit: three lists of 10^7
+        # entries would take 240 MB, and only the count comes back
+        tracemalloc.start()
+        try:
+            assert kernels.residue_histogram(0, [0, 10 ** 7 - 1], [0, 5], [0], 10 ** 7,
+                                             10 ** 7 - 1) == (10 ** 7, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    def test_small_windows(self, kernels):
+        # two columns of one class over period 3: column (0,) takes residues
+        # 2, 0 (arcs that wrap) and column (1,) takes 1; the region is point 4
+        args = (1, [0, 2, 3, 1, 1, 1], [0, 3, 3], [0, 0], 3, BIG)
+        assert kernels.residue_histogram(*args) == (3, ([0, 3], [0, 1, 2], [1, 1, 1],
+                                                        [1, 0, 0]))
+        assert kernels.residue_histogram(*args[:-1], 2) == (3, None)
+        # a column of a period and more: every residue, the whole periods at each
+        assert kernels.residue_histogram(0, [-4, 3], [-1, 0], [0], 3, BIG) == \
+            (3, ([0, 3], [0, 1, 2], [3, 2, 3], [1, 0, 1]))
+        assert kernels.residue_histogram(0, [], [], [], 5, BIG) == (0, ([0], [], [], []))
+
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    @pytest.mark.parametrize("args", [
+        (0, [0, 1, 2], [], [0], 3, BIG),  # ragged
+        (-1, [], [], [], 3, BIG),
+        (0, [0, 1], [], [], 3, BIG),  # no class for the row
+        (0, [0, 1], [], [1], 3, BIG),  # a class id past the rows
+        (0, [0, 1], [], [-1], 3, BIG),
+        (0, [0, 1], [], [0], 0, BIG),  # no period
+        (0, [3, 4, 0, 1], [], [0, 0], 3, BIG),  # rows out of order
+        (0, [0, 4, 3, 5], [], [0, 0], 3, BIG),  # overlapping rows
+        (0, [2, 1], [], [0], 3, BIG),  # lo past hi
+        (1, [0, 0, 1, 0, 3, 4], [], [0, 1], 3, BIG),  # one column, two classes
+        (0, [0, 4], [3, 5], [0], 3, BIG),  # a region row past the window
+        (1, [0, 0, 4], [1, 0, 0], [0], 3, BIG),  # a region column not in the window
+        (0, [0, 4, 8, 9], [4, 8], [0, 0], 3, BIG),  # a region row across a gap
+    ])
+    def test_refuses_what_is_no_window(self, kernels, args):
+        with pytest.raises(ValueError):
+            kernels.residue_histogram(*args)
+
+
 @needs_core
 class TestBackendParity:
+    @pytest.mark.parametrize("name, radius, margin, period, moduli", [
+        ("Z^1", 20, 3, 5, ()), ("Z^2", 12, 4, 6, (3,)), ("Z^3", 7, 2, 3, (3, 3)),
+        ("H3", 10, 4, 17, (5, 5)), ("H3 sheared", 10, 3, 4, (2, 3)),
+        ("Z^2 (1,1)", 10, 5, 10 ** 6, (2,))])
+    def test_window_histograms_identical(self, name, radius, margin, period, moduli):
+        # the window and region balls of a store, classes of keys mod moduli
+        args = window_histogram_args(STORE_GROUPS[name][0](), radius, margin, period, moduli)
+        assert _core.residue_histogram(*args) == _pure.residue_histogram(*args)
+
+
     @pytest.mark.parametrize("make", CERTIFIED_GRAPHINGS)
     @pytest.mark.parametrize("relabel, seed", [
         (None, None), *[(relabel, seed) for relabel in (relabelled, regenerated)
@@ -959,6 +1096,7 @@ DUAL_KERNELS = {
     "next_ball": (1, [((1,), 0, (0,))], [0, 0, 0]),
     "ball_table": (1, [((1,), 0, (0,))], ((0,),), [0, 0, 0], [1], True),
     "graphing_certificate": ([1, 2, 2, 0, 0, 1], 3, [1, 0]),
+    "residue_histogram": (0, [0, 4], [1, 2], [0], 3, BIG),
 }
 
 
@@ -1086,6 +1224,19 @@ class TestDispatch:
             assert _kernels.ball_table(*args) == _pure.ball_table(*args)
             got = neighbor_table(make(), radius, True)
             assert (got[0], *map(list, got[1:])) == expected
+
+    @pytest.mark.parametrize("args", [
+        (0, [0, 1 << 62], [], [0], 5, 0),  # an entry at 2**62
+        (0, [0, 1 << 70], [], [0], 5, BIG),  # past int64
+        (0, [0, 3], [1, 2], [0], 1 << 62, BIG),  # a period at 2**62
+        (0, [-(1 << 61), (1 << 61) - 1], [0, 0], [0], 5, BIG),  # 2**62 window points
+        (1, [0, 0, 1 << 61, 1, 0, 1 << 61], [1, 5, 9], [0, 0], 5, BIG),  # in two columns
+    ])
+    def test_huge_windows_fall_back_transparently(self, args):
+        if _core is not None:
+            with pytest.raises(OverflowError):
+                _core.residue_histogram(*args)
+        assert _kernels.residue_histogram(*args) == _pure.residue_histogram(*args)
 
     @needs_core
     def test_compiled_calls_leave_no_cyclic_garbage(self):

@@ -40,7 +40,7 @@ from isoprof.isoperimetry import ProfilePoint, ProfileResult, SubsetSearchProfil
 from isoprof.rokhlin import TowerFamily, verify_tower_family
 
 KERNELS = ("subset_min_ratio", "pack_max_weight", "min_boundary_sets", "partition_dp",
-           "ball_table", "graphing_certificate")
+           "ball_table", "graphing_certificate", "residue_histogram")
 
 
 @pytest.fixture(params=["compiled", "pure"])

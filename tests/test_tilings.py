@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 from isoprof import tilings
-from oracles import (determinant, inline_law, lattice_member_oracle, tile_window_oracle,
-                     union_columns)
+from oracles import (ball_columns, determinant, inline_law, lattice_member_oracle,
+                     tile_window_oracle, union_columns)
 
 from isoprof import (
     ExplicitCenters,
@@ -36,6 +36,7 @@ from isoprof.errors import (
     ConfigError,
     MixedGroupError,
     ParameterError,
+    RadiusExceededError,
     UnsupportedError,
     WindowTooSmallError,
 )
@@ -528,7 +529,7 @@ class TestColumnScan:
             g, radius = HeisenbergGroup(), 7
             mt = MultiTile([g.subset([(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, -1, 2)])],
                            [LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 10 ** 6)])])
-        g._ball_columns(radius)
+        g._grow(radius)
         tracemalloc.start()
         try:
             self.check(mt, radius)
@@ -578,9 +579,9 @@ class TestBatchCounts:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_class_patterns_match_the_indexes_point_by_point(self, seed):
-        # two lattice shapes of different last-axis periods (the patterns run over
-        # their lcm) and an explicit one; the window has columns shorter than the
-        # lcm and columns at least as long
+        # two lattice shapes of different last-axis periods (the class counts run
+        # over their lcm) and an explicit one; the window has columns shorter
+        # than the lcm and columns at least as long
         rng = random.Random(seed)
         g = HeisenbergGroup() if seed % 2 else ZdGroup(2)
         n = len(g.identity)
@@ -595,8 +596,10 @@ class TestBatchCounts:
         mt = MultiTile(shapes, lattices + [explicit])
         radius = 7 if seed % 2 else 6
         indexes = [tilings._residue_index(g, s, c) for s, c in zip(shapes, lattices)] + [None]
-        window = g._ball_columns(radius)
-        columns, _, extra = tilings._window_columns(g, mt, indexes, window)
+        window = ball_columns(g, radius)
+        rows = g._rows(radius)
+        scan = tilings._WindowCounts(g, mt, indexes, rows, rows)
+        class_of = scan.column_classes()
         period = lcm(*last)
         lengths = [hi - lo + 1 for ivs in window.values() for lo, hi in ivs]
         assert min(lengths) < period <= max(lengths)
@@ -607,7 +610,8 @@ class TestBatchCounts:
                 for c in range(lo, hi + 1):
                     w = g._point(key, c)
                     expected = sum(len(index[0](w)) for index in indexes[:2]) + scattered[w]
-                    assert columns[key].at(c) + extra.get(key, {}).get(c, 0) == expected, w
+                    assert scan.at(class_of[key], c) + scan.extra.get(key, {}).get(c, 0) \
+                        == expected, w
 
 
 def record_cuts(monkeypatch, g):
@@ -651,6 +655,19 @@ class TestLazySpheres:
         with pytest.raises(WindowTooSmallError):
             verify_multitile_window(mt, margin - 1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ZdGroup(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)], max_radius=4),
+        lambda: HeisenbergGroup(max_radius=4)])
+    def test_a_shape_out_of_reach_exceeds_the_radius(self, make):
+        # (0, .., 0, 50) lies far outside ball(4): the margin grows the balls to
+        # max_radius, never past it, and raises
+        g = make()
+        far = (0,) * (len(g.identity) - 1) + (50,)
+        mt = MultiTile([g.subset([g.identity, far])], [ExplicitCenters([g.identity])])
+        with pytest.raises(RadiusExceededError):
+            verify_multitile_window(mt, 4)
+        assert len(g._ends) == 6
+
     @pytest.mark.parametrize("moduli", [(2, 2, 3), (2, 3, 1), (3, 2, 2)])
     def test_a_failing_scan_reports_its_first_points_in_norm_order(self, moduli,
                                                                    monkeypatch):
@@ -671,30 +688,6 @@ class TestLazySpheres:
             if points:
                 expected += range((keys[-1][0] if len(keys) == 5 else radius) + 1)
         assert walked == expected
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_residue_count_matches_a_point_set(self, seed):
-        # columns of short, disjoint intervals around multiples of the period,
-        # so that arcs wrap past residue 0; the arcs list the residues in
-        # order, and an interval of a whole period or more takes every residue
-        rng = random.Random(seed)
-        for _ in range(300):
-            period = rng.choice([1, 2, 3, 5, 12, 97, 10 ** 6])
-            lo = rng.randint(-3, 3) * period - rng.randint(0, 30)
-            ivs = []
-            for _ in range(rng.randint(1, 5)):
-                hi = lo + rng.randint(0, min(period + 1, 40))
-                ivs.append((lo, hi))
-                lo = hi + rng.randint(2, 2 * period + 2)
-            residues = {c % period for lo, hi in ivs for c in range(lo, hi + 1)}
-            assert tilings._residue_count(ivs, period) == len(residues)
-            arcs = tilings._arcs(ivs, period)
-            if any(hi - lo + 1 >= period for lo, hi in ivs):
-                assert arcs is None
-            else:
-                assert [r for start, end in arcs for r in range(start, end + 1)] == sorted(residues)
-        assert tilings._residue_count([(5, 10 ** 6 + 4)], 10 ** 6) == 10 ** 6
-        assert tilings._residue_count([(-3, 2), (10 ** 6 - 1, 10 ** 6 + 3)], 10 ** 6) == 7
 
 
 class TestHeisenbergVerification:
