@@ -4,16 +4,17 @@ Eight kernels have both versions: the searches (subset_min_ratio,
 pack_max_weight, min_boundary_sets, partition_dp), the step that grows the
 column balls of Z^d and the Heisenberg group (next_ball), a ball's
 neighbour table (ball_table), a graphing's paired maps and transitive
-symmetries (graphing_certificate) and the residue histogram of a tile
-window's column classes (residue_histogram).  `_core` compiles kernels.c on
-first import.
+symmetries (graphing_certificate) and the cover counts of a tile window,
+class by class, with the classes numbered from the row keys by one integer
+rule (residue_histogram).  `_core` compiles kernels.c on first import.
 When that fails BACKEND is "pure" and BACKEND_REASON says why; otherwise
 BACKEND is "compiled" and the reason is None.  One rule picks the version of every
 call: the compiled twin when `_core` loaded, and the pure twin when it did
 not or when the compiled twin raises OverflowError, which it does for
 exactly the calls whose numbers could leave its int64 range.  Either way the
 results (including node counts, ball rows, tables, sigmas and histograms) are
-identical.
+identical, though compiled next_ball and residue_histogram hand back
+array('q')s where their pure twins give lists.
 """
 
 from functools import update_wrapper

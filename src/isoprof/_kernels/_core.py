@@ -8,11 +8,12 @@ kernels.  The wrappers check every input the C code would otherwise trust:
 ValueError for what the pure twin refuses too, and OverflowError for a call
 whose numbers could leave int64 (a weight outside [0, 2**62) or a weight sum
 past it, a ball row or table image entry that could reach 2**62, a tile
-window's entries, period or point count at 2**62), which the dispatcher then
-runs on the pure twin.  _check_status decodes the C return codes.  Buffers
-reach C as pointers into array('i'), array('q') or array('Q') objects, so no
-call makes a ctypes array type; the one buffer C allocates, the residue
-histogram's, is copied out and released at once.
+window's period at 2**62), which the dispatcher then runs on the pure twin;
+the residue histogram's C checks its rows, its lattices' numbers and its
+sums itself, in the same pass that reads them.  _check_status decodes the C
+return codes.  Buffers reach C as pointers into array('i'), array('q') or
+array('Q') objects, so no call makes a ctypes array type; the one buffer C
+allocates, the residue histogram's, is copied out and released at once.
 """
 
 import ctypes
@@ -20,8 +21,11 @@ import hashlib
 import os
 import sysconfig
 from array import array
+from itertools import chain
+from operator import itemgetter
 
 from ._pure import (
+    Histogram,
     check_ball_inputs,
     check_certificate_inputs,
     check_connected_inputs,
@@ -95,8 +99,9 @@ def _load():
     lib.ball_table.restype = _int
     lib.graphing_certificate.argtypes = [_int_p, _int, _int, _int_p, _int_p]
     lib.graphing_certificate.restype = _int
-    lib.residue_histogram.argtypes = [_int, _i64_p, _i64, _i64_p, _i64, _int_p, _int, _i64, _i64,
-                                      _i64_p, ctypes.POINTER(_i64_p)]
+    lib.residue_histogram.argtypes = [_int, _i64_p, _i64, _i64_p, _i64, _int, _i64_p, _i64_p,
+                                      _i64_p, _i64_p, _i64, _i64, _i64_p, _i64_p, _i64_p,
+                                      ctypes.POINTER(_i64_p)]
     lib.residue_histogram.restype = _i64
     lib.release.argtypes = [_i64_p]
     lib.release.restype = None
@@ -277,28 +282,40 @@ def graphing_certificate(table, n_vertices, inverse):
     return True, tuple(tuple(sigmas[s:s + n_vertices]) for s in range(0, len(sigmas), n_vertices))
 
 
-def residue_histogram(key_len, window, region, classes, period, limit):
-    """Compiled twin of _pure.residue_histogram; OverflowError when an entry,
-    the period or the number of window points could reach 2**62."""
-    n_classes = check_histogram_inputs(key_len, window, region, classes, period)
+def residue_histogram(key_len, window, region, lattices, limit):
+    """Compiled twin of _pure.residue_histogram; its lists come back as
+    array('q')s.  OverflowError when an entry, a lattice's number, the
+    period, the number of window points or the sum of counts could reach
+    2**62."""
+    period = check_histogram_inputs(key_len, window, region, lattices)
     if period >= 1 << 62:  # ctypes would wrap it
         raise OverflowError("the period must lie below 2**62")
     width = key_len + 2
-    ends = array("q", bytes(8 * (n_classes + 1)))
+    n_window = len(window) // width
+    entry_ends = array("q", [0])
+    for _, _, entries in lattices:
+        entry_ends.append(entry_ends[-1] + len(entries) // (key_len + 3))
+    ids, ends, sums = (array("q", [0]) * size for size in (n_window, n_window + 1, 3))
     block = _i64_p()
-    evaluations = _lib.residue_histogram(key_len, _i64s(window), len(window) // width,
-                                         _i64s(region), len(region) // width, _ints(classes),
-                                         n_classes, period, _budget(limit), _i64s(ends),
-                                         ctypes.byref(block))
+    evaluations = _lib.residue_histogram(
+        key_len, _i64s(window), n_window, _i64s(region), len(region) // width, len(lattices),
+        *(_i64s(list(chain.from_iterable(map(itemgetter(part), lattices))))
+          for part in range(3)),
+        _i64s(entry_ends), period, _budget(limit), _i64s(ids), _i64s(ends), _i64s(sums),
+        ctypes.byref(block))
     _check_status(evaluations, "residue_histogram",
-                  "rows must be sorted by (key, lo), one class a column, the region in the window")
+                  "rows must be sorted by (key, lo), disjoint per key, the region in the window")
     if not block:
         return evaluations, None
+    n_classes, total, covered = sums
+    del ends[n_classes + 1:]
+    size = ends[-1]
     try:
-        size = ends[-1]
-        out = array("q", bytes(8 * 3 * size))
-        ctypes.memmove(out.buffer_info()[0], block, 8 * 3 * size)
+        # residues, counts, window and region points
+        parts = [array("q", [0]) * size for _ in range(4)]
+        first = block.contents
+        for i, part in enumerate(parts):
+            ctypes.memmove(part.buffer_info()[0], ctypes.byref(first, 8 * size * i), 8 * size)
     finally:
         _lib.release(block)
-    return evaluations, (ends.tolist(), out[:size].tolist(), out[size:2 * size].tolist(),
-                         out[2 * size:].tolist())
+    return evaluations, Histogram(ids, ends, *parts, total, covered)

@@ -9,9 +9,11 @@ search: next_ball grows the column balls of Z^d and the Heisenberg group,
 and ball_table builds a ball's neighbour table from the rows of the balls
 inside it, each with one sweep along sorted rows; graphing_certificate
 checks a graphing's paired maps and its transitive symmetries from its
-neighbour table; and residue_histogram lists, for each column class of a
-tile window, the residues its rows take and how many window and region
-points take each.  The dispatcher in __init__ runs these twins when the
+neighbour table; and residue_histogram numbers the column classes of a tile
+window by one integer rule, a form and an echelon basis per lattice, and
+lists for each class the residues its rows take, its cover count at each
+from the lattices' entries, and how many window and region points take
+each.  The dispatcher in __init__ runs these twins when the
 compiled kernels do not build, and for each call whose compiled twin raises
 OverflowError: Python ints have no cap, so the calls whose numbers leave
 int64 run here.
@@ -19,8 +21,10 @@ int64 run here.
 
 from array import array
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, and_, eq, ge, gt, itemgetter, le, mod, mul, ne, not_, sub
+from math import lcm
+from operator import add, and_, eq, floordiv, ge, gt, itemgetter, le, mod, mul, not_, sub
 
 # partition_dp keeps a table of 2**universe values
 DP_MAX_VERTICES = 20
@@ -840,20 +844,26 @@ def graphing_certificate(table, n_vertices, inverse):
     return True, tuple(sigmas)
 
 
-def check_histogram_inputs(key_len, window, region, classes, period):
+Histogram = namedtuple("Histogram", "ids ends residues counts window region total covered")
+
+
+def check_histogram_inputs(key_len, window, region, lattices):
     """Raise ValueError unless the arguments fit the residue_histogram contract,
-    and return the number of classes; the order of the rows, the classes of a
-    column and the region's place in the window are checked by each backend."""
-    width = key_len + 2
+    and return the period, the lcm of the lattices' last pivots; the order of
+    the rows and the region's place in the window are checked by each
+    backend."""
+    width, n = key_len + 2, key_len + 1
     if key_len < 0 or len(window) % width or len(region) % width:
         raise ValueError("key_len must be nonnegative and rows need key_len + 2 entries each")
-    if len(classes) != len(window) // width:
-        raise ValueError("need one class per window row")
-    if period < 1:
-        raise ValueError("the period must be positive")
-    if classes and (min(classes) < 0 or max(classes) >= len(classes)):
-        raise ValueError("class ids must lie in [0, rows)")
-    return max(classes, default=-1) + 1
+    for form, basis, entries in lattices:
+        if len(form) != n * key_len or len(basis) != n * n or len(entries) % (n + 2):
+            raise ValueError("a lattice needs a form of key_len + 1 rows of key_len entries, "
+                             "a basis of key_len + 1 rows of key_len + 1 and entries of "
+                             "key_len + 3 numbers each")
+        if any(basis[i * n + j] for i in range(n) for j in range(i)) \
+                or min(basis[::n + 1]) < 1:
+            raise ValueError("a lattice basis must be echelon with positive pivots")
+    return lcm(*(basis[-1] for _, basis, _ in lattices))
 
 
 def _row_arcs(lo, length, period):
@@ -876,37 +886,68 @@ def _merged(arcs):
     return merged
 
 
-def residue_histogram(key_len, window, region, classes, period, limit):
-    """The cover-count histogram of a tile window by column class.
+def _class_vectors(cols, size, form, basis):
+    """The class vector of each of size keys whose coordinates cols lists, under
+    one lattice: form . key, coordinate i then reduced by basis row i into
+    [0, pivot i), in order, one coordinate across all keys at a time."""
+    key_len, n = len(cols), len(cols) + 1
+    v = []
+    for row in range(n):
+        x = [0] * size
+        for f, col in zip(form[row * key_len:(row + 1) * key_len], cols):
+            if f:
+                x = list(map(add, x, map(mul, col, repeat(f))))
+        v.append(x)
+    for i in range(n):
+        q = list(map(floordiv, v[i], repeat(basis[i * n + i])))
+        for j in range(i, n):
+            if basis[i * n + j]:
+                v[j] = list(map(sub, v[j], map(mul, q, repeat(basis[i * n + j]))))
+    return list(zip(*v))
+
+
+def residue_histogram(key_len, window, region, lattices, limit):
+    """The cover counts of a tile window by column class.
 
     window and region are flat rows as in next_ball, sorted by (key, lo)
     with disjoint intervals per key, each region row inside a window row of
-    its key; classes[i] is the class of window row i, one class per column.
+    its key.  Each lattice is (form, basis, entries), all flat and row
+    major: form has key_len + 1 rows of key_len entries; basis is echelon
+    with positive pivots, key_len + 1 rows of key_len + 1, and its last
+    pivot P is the lattice's period; entries holds key_len + 3 numbers per
+    entry, a bucket (key_len), a residue r, a twist k and a count n.  A
+    column's key has under each lattice the class vector v, form . key
+    reduced by the basis (coordinate i by row i into [0, pivot i), in
+    order), and its class is the tuple of its vectors.  At last coordinate
+    c a class has the count: the sum over the lattices, and over the
+    entries whose bucket is v without its last entry u, of n [(c + k u) mod
+    P = r].  The period is the lcm of the lattices' periods, 1 with none.
+
     Returns (evaluations, histogram).  evaluations is the sum over the
     window's columns of the residues mod period their points take: period
     once a row is a period long, else the size of the union of the rows'
     arcs on the circle of residues.  histogram is None when evaluations is
     past limit, and nothing in proportion to it is built; otherwise it is
-    (ends, residues, window_points, region_points): class c's support is
-    residues[ends[c]:ends[c + 1]], sorted (every residue once a row of the
-    class is a period long, else the union of its rows' arcs), and
-    window_points and region_points hold how many points of the class's
-    window and region rows take each of them.  A row adds its whole periods
-    to every residue of its class, and one to each residue of the arc of
-    the rest, which starts at lo mod period and may wrap past period - 1
-    to the class's least residues: differences at four positions, summed
-    once.  Python ints have no cap, so this twin also runs the calls whose
-    numbers could reach 2**62.
+    Histogram(ids, ends, residues, counts, window, region, total, covered):
+    ids[i] is the class of window row i, the classes numbered as they first
+    come; class c's support is residues[ends[c]:ends[c + 1]], sorted (every
+    residue once a row of the class is a period long, else the union of its
+    rows' arcs), and counts, window and region hold its count and how many
+    points of its window and region rows take each of them; total is the
+    sum of counts times window points, and covered the region's points at
+    residues of nonzero count.  A row adds its whole periods to every
+    residue of its class, and one to each residue of the arc of the rest,
+    which starts at lo mod period and may wrap past period - 1 to the
+    class's least residues: differences at four positions, summed once.
+    Python ints have no cap, so this twin also runs the calls whose numbers
+    could reach 2**62.
     """
-    n_classes = check_histogram_inputs(key_len, window, region, classes, period)
-    _, keys, los, his = _split_rows(window, key_len)
+    period = check_histogram_inputs(key_len, window, region, lattices)
+    cols, keys, los, his = _split_rows(window, key_len)
     _, region_keys, region_los, region_his = _split_rows(region, key_len)
     n = len(keys)
     same = list(map(eq, keys, islice(keys, 1, None)))  # row i + 1 in row i's column
-    if any(map(ne, compress(classes, same), compress(islice(classes, 1, None), same))):
-        raise ValueError("the rows of a column need one class")
     lengths = list(map(sub, map(add, his, repeat(1)), los))
-    full = set(compress(classes, map(ge, lengths, repeat(period))))
     # each column's residues: min(length, period) for a column of one row;
     # the period once a row is a period long, else the union of its rows'
     # arcs, for a column of more
@@ -924,6 +965,11 @@ def residue_histogram(key_len, window, region, classes, period, limit):
                 arc for i in range(a, b) for arc in _row_arcs(los[i], lengths[i], period)))
     if evaluations > limit:
         return evaluations, None
+    vectors = zip(*(_class_vectors(cols, n, form, basis) for form, basis, _ in lattices))
+    numbers = {}
+    classes = [numbers.setdefault(v, len(numbers)) for v in vectors] if lattices else [0] * n
+    n_classes = len(numbers) if lattices else min(n, 1)
+    full = set(compress(classes, map(ge, lengths, repeat(period))))
     arcs = [[] for _ in range(n_classes)]
     for c, lo, length in zip(classes, los, lengths):
         if c not in full:
@@ -966,5 +1012,26 @@ def residue_histogram(key_len, window, region, classes, period, limit):
             raise ValueError("region rows must lie in window rows")
         region_classes.append(classes[j])
     region_lengths = list(map(sub, map(add, region_his, repeat(1)), region_los))
-    return evaluations, (ends, residues, points(classes, los, lengths),
-                         points(region_classes, region_los, region_lengths))
+    counts = [0] * len(residues)
+    # each lattice's entries by bucket, then by twist mod its period: {r: n}
+    tables = []
+    for form, basis, entries in lattices:
+        p, table = basis[-1], {}
+        for i in range(0, len(entries), key_len + 3):
+            *bucket, r, k, m = entries[i:i + key_len + 3]
+            if 0 <= r < p:
+                found = table.setdefault(tuple(bucket), {}).setdefault(k % p, {})
+                found[r] = found.get(r, 0) + m
+        tables.append((p, table))
+    for c, vector in enumerate(numbers):
+        lo, hi = ends[c], ends[c + 1]
+        for (p, table), (*bucket, u) in zip(tables, vector):
+            for k, found in table.get(tuple(bucket), {}).items():
+                shift = k * u
+                counts[lo:hi] = map(add, counts[lo:hi], (found.get((x + shift) % p, 0)
+                                                          for x in residues[lo:hi]))
+    window_points = points(classes, los, lengths)
+    region_points = points(region_classes, region_los, region_lengths)
+    return evaluations, Histogram(classes, ends, residues, counts, window_points,
+                                  region_points, sum(map(mul, counts, window_points)),
+                                  sum(compress(region_points, counts)))

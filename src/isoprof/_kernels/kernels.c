@@ -16,10 +16,11 @@
    ball_table cuts each sphere out of its ball and reads the neighbour
    table from the largest ball's rows; graphing_certificate checks a
    graphing's paired maps and its transitive symmetries in one pass over
-   its neighbour table; and residue_histogram lists, for each column class
-   of a tile window, the residues its rows take and how many window and
-   region points take each, from the arcs of the rows on the circle of
-   residues. */
+   its neighbour table; and residue_histogram numbers the column classes of
+   a tile window, each key's form reduced by an echelon basis per lattice,
+   and lists for each class the residues its rows take (from the arcs of
+   the rows on the circle of residues), its cover count at each (from the
+   lattices' entries) and how many window and region points take each. */
 
 #include <limits.h>
 #include <stdlib.h>
@@ -1257,7 +1258,7 @@ int graphing_certificate(const int *table, int V, int L, const int *inverse, int
     return ok;
 }
 
-/* ---- kernel 8: the residue histogram of a tile window's column classes ---- */
+/* ---- kernel 8: the cover counts of a tile window, class by class ---- */
 
 /* an arc start..end of the circle of residues cut at 0, start <= end */
 typedef struct {
@@ -1309,11 +1310,11 @@ static long long arcs_merge(Arc *arcs, long long n, long long *size)
 }
 
 /* The support of every class: class c's residues are at positions ends[c]
-   up to ends[c + 1]; a full class holds every residue in order, any other
-   the merged arcs first[c] up to first[c + 1], arc j from position
-   place[j]. */
+   up to ends[c + 1], of size in all; a full class holds every residue in
+   order, any other the merged arcs first[c] up to first[c + 1], arc j from
+   position place[j]. */
 typedef struct {
-    long long period;
+    long long period, size;
     const long long *ends, *first, *place;
     const unsigned char *full;
     const Arc *arcs;
@@ -1322,15 +1323,18 @@ typedef struct {
 /* Count the len > 0 points from lo on, residue by residue, into the
    difference array diff over the positions of class c's support, which
    holds all their residues: q whole periods add q at every residue, and
-   the rest adds one along its arcs. */
-static void support_add(const Support *s, int c, long long lo, long long len, long long *diff)
+   the rest adds one along its arcs.  A difference at position size would
+   change no sum below it, and is left out. */
+static void support_add(const Support *s, long long c, long long lo, long long len,
+                        long long *diff)
 {
-    long long q = len / s->period, pos, lo_j, hi_j, mid;
+    long long q = len / s->period, pos, end, lo_j, hi_j, mid;
     Arc arc[2];
     int a, n;
     if (q) {
         diff[s->ends[c]] += q;
-        diff[s->ends[c + 1]] -= q;
+        if (s->ends[c + 1] < s->size)
+            diff[s->ends[c + 1]] -= q;
     }
     if (!(len %= s->period))
         return;
@@ -1351,41 +1355,336 @@ static void support_add(const Support *s, int c, long long lo, long long len, lo
             pos = s->place[lo_j] + arc[a].start - s->arcs[lo_j].start;
         }
         diff[pos]++;
-        diff[pos + arc[a].end - arc[a].start + 1]--;
+        if ((end = pos + arc[a].end - arc[a].start + 1) < s->size)
+            diff[end]--;
     }
 }
 
-/* The cover-count histogram of a tile window by column class.  window holds
-   n_window rows (k key entries, lo, hi) sorted by (key, lo), disjoint per
-   key, and cls[i] in [0, n_classes) is the class of window row i, one class
-   per column; region holds n_region rows likewise, each inside a window
-   row of its key.  Returns evaluations, the sum over the window's columns
-   of the residues mod period their points take.  When that is at most
-   limit, ends[c] receives the position of class c's first support residue
-   (ends[n_classes] their number S), and *out a malloc'd block of 3S
-   entries, for release to free: the support residues of each class in
-   order (every residue once a row of the class is a period long, else the
-   union of its rows' arcs), then the window's and the region's points at
-   each.  Otherwise *out is NULL, and nothing in proportion to evaluations
-   was allocated.  Returns -1 when an allocation failed, -2 when rows are
-   not sorted, a column's rows have two classes or a region row lies
-   outside the window, and -3 when an entry, the period or the number of
-   window points reaches 2**62. */
-long long residue_histogram(int k, const long long *window, long long n_window,
-                            const long long *region, long long n_region, const int *cls,
-                            int n_classes, long long period, long long limit, long long *ends,
-                            long long **out)
+/* *acc + a * b into *acc, where |*acc| < COORD_CAP: 0 when the product
+   lies below 2**61 and the sum below COORD_CAP in absolute value, -3
+   otherwise.  The product is bounded in double, whose rounding is far
+   below the margin, and not by a division. */
+static int madd_checked(long long *acc, long long a, long long b)
 {
-    int w = k + 2, c, bad;
-    long long top[2] = {0, 0}, i, j, a, b, m, x, len, points = 0, evaluations = 0, S = 0;
-    long long *first, *fill, *place, *block = NULL, *diff = NULL;
+    double p = (double)a * (double)b;
+    if (p >= 0x1p61 || p <= -0x1p61)
+        return -3;
+    *acc += a * b;
+    return abs_capped(*acc) == COORD_CAP ? -3 : 0;
+}
+
+/* a * b mod m for 0 <= a, b < m < COORD_CAP, by doubling when the product
+   could leave int64 */
+static long long mulmod(long long a, long long b, long long m)
+{
+    long long r = 0;
+    if (m <= 1LL << 31)
+        return a * b % m;
+    for (; b; b >>= 1) {
+        if ((b & 1) && (r += a) >= m)
+            r -= m;
+        if ((a += a) >= m)
+            a -= m;
+    }
+    return r;
+}
+
+static u64 mix64(u64 x)
+{
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
+/* Vectors of width entries numbered in the order they first come: each
+   vector's copy in store at id * width, and an open-addressing table of
+   ids, grown to keep it at most half full. */
+typedef struct {
+    int width;
+    long long n, mask, *slot, *store; /* slot: -1 when empty, else an id */
+} Intern;
+
+/* the vector of width entries at v, hashed */
+static u64 vector_hash(const long long *v, int width)
+{
+    u64 h = 0x9E3779B97F4A7C15ULL;
+    int j;
+    for (j = 0; j < width; j++)
+        h = mix64(h ^ (u64)v[j]);
+    return h;
+}
+
+/* The id of vector v; when v is new, the next id if insert is set, else
+   -1; -2 when an allocation failed. */
+static long long intern(Intern *t, const long long *v, int insert)
+{
+    long long i, j, size = t->mask + 1, *slot, *store;
+    for (i = (long long)(vector_hash(v, t->width) & (u64)t->mask); t->slot && t->slot[i] >= 0;
+         i = (i + 1) & t->mask)
+        if (row_cmp(t->store + t->slot[i] * t->width, v, t->width) == 0)
+            return t->slot[i];
+    if (!insert)
+        return -1;
+    if (2 * (t->n + 1) > size) { /* double the table, and the store with it */
+        size = size < 8 ? 8 : 2 * size;
+        slot = malloc((size_t)size * sizeof(long long));
+        store = realloc(t->store, ((size_t)size / 2 * t->width + 1) * sizeof(long long));
+        if (store)
+            t->store = store;
+        if (!slot || !store) {
+            free(slot);
+            return -2;
+        }
+        for (i = 0; i < size; i++)
+            slot[i] = -1;
+        for (j = 0; j < t->n; j++) {
+            for (i = (long long)(vector_hash(t->store + j * t->width, t->width) & (u64)(size - 1));
+                 slot[i] >= 0; i = (i + 1) & (size - 1))
+                ;
+            slot[i] = j;
+        }
+        free(t->slot);
+        t->slot = slot;
+        t->mask = size - 1;
+        return intern(t, v, insert);
+    }
+    memcpy(t->store + t->n * t->width, v, (size_t)t->width * sizeof(long long));
+    t->slot[i] = t->n;
+    return t->n++;
+}
+
+static void intern_free(Intern *t)
+{
+    free(t->slot);
+    free(t->store);
+}
+
+/* -3 when a number of the lattices, or the sum of their entries' |count|,
+   reaches COORD_CAP in absolute value; 0 otherwise */
+static int lattices_check(int k, int n_lattices, const long long *forms, const long long *bases,
+                          const long long *entries, const long long *entry_ends)
+{
+    long long i, mass = 0, n_entries = entry_ends[n_lattices];
+    for (i = 0; i < (long long)n_lattices * (k + 1) * k; i++)
+        if (abs_capped(forms[i]) == COORD_CAP)
+            return -3;
+    for (i = 0; i < (long long)n_lattices * (k + 1) * (k + 1); i++)
+        if (abs_capped(bases[i]) == COORD_CAP)
+            return -3;
+    for (i = 0; i < n_entries * (k + 3); i++)
+        if (abs_capped(entries[i]) == COORD_CAP)
+            return -3;
+    for (i = 0; i < n_entries; i++)
+        if ((mass += abs_capped(entries[i * (k + 3) + k + 2])) >= COORD_CAP)
+            return -3;
+    return 0;
+}
+
+/* The class vector of column key under one lattice, into v (k + 1
+   entries): form . key, coordinate i then reduced by basis row i into [0,
+   pivot i), in order; -3 when an entry could reach COORD_CAP */
+static int class_vector(int k, const long long *form, const long long *basis,
+                        const long long *key, long long *v)
+{
+    int n = k + 1, i, j;
+    long long q;
+    for (i = 0; i < n; i++) {
+        v[i] = 0;
+        for (j = 0; j < k; j++)
+            if (form[i * k + j] && madd_checked(v + i, form[i * k + j], key[j]))
+                return -3;
+    }
+    for (i = 0; i < n; i++) {
+        q = v[i] / basis[i * n + i];
+        q -= v[i] % basis[i * n + i] < 0; /* the floor */
+        for (j = i; q && j < n; j++)
+            if (basis[i * n + j] && madd_checked(v + j, -q, basis[i * n + j]))
+                return -3;
+    }
+    return 0;
+}
+
+/* The class of each window row into ids, the classes numbered as they
+   first come: the vectors of its column's key under every lattice, one
+   after another, interned in classes.  Returns 0, -1 when an allocation
+   failed and -3 when an entry could reach COORD_CAP. */
+static int window_classes(int k, const long long *window, long long n_window, int n_lattices,
+                          const long long *forms, const long long *bases, long long *ids,
+                          Intern *classes)
+{
+    int n = k + 1, s, bad = 0;
+    long long i, c = 0, *v = malloc(((size_t)n_lattices * n + 1) * sizeof(long long));
+    const long long *key;
+    if (!v)
+        return -1;
+    for (i = 0; !bad && i < n_window; i++) {
+        key = window + i * (k + 2);
+        if (!i || row_cmp(key - (k + 2), key, k)) { /* a new column */
+            for (s = 0; !bad && s < n_lattices; s++)
+                bad = class_vector(k, forms + (size_t)s * n * k, bases + (size_t)s * n * n, key,
+                                   v + s * n);
+            if (!bad && (c = intern(classes, v, 1)) < 0)
+                bad = -1;
+        }
+        ids[i] = c;
+    }
+    free(v);
+    return bad;
+}
+
+/* a lattice entry: n points at residue r, with twist k (mod the lattice's
+   period), in the bucket of this id */
+typedef struct {
+    long long bucket, k, r, n;
+} Entry;
+
+static int entry_cmp(const void *a, const void *b)
+{
+    const Entry *x = a, *y = b;
+    if (x->bucket != y->bucket)
+        return x->bucket < y->bucket ? -1 : 1;
+    if (x->k != y->k)
+        return x->k < y->k ? -1 : 1;
+    return x->r < y->r ? -1 : x->r > y->r;
+}
+
+/* Add each class's counts at its support residues into count.  The
+   entries are bucketed by (lattice, bucket) and sorted by (bucket, twist,
+   residue); class c then reads, per lattice, each twist k of the bucket of
+   its vector v, at support residue x the entry of residue (x + k v_last)
+   mod P, found by halving.  -1 when an allocation failed. */
+static int class_counts(int k, int n_lattices, const long long *bases, const long long *entries,
+                        const long long *entry_ends, const Intern *classes, const long long *ends,
+                        const long long *residues, long long *count)
+{
+    int n = k + 1, s, bad = 0;
+    long long n_entries = entry_ends[n_lattices], i, m = 0, b, c, e, g, lo, len, half, x, t, P;
+    long long shift, *start = NULL, *key = malloc(((size_t)n + 1) * sizeof(long long));
+    const long long *entry, *v;
+    Entry *sorted = malloc(((size_t)n_entries + 1) * sizeof(Entry));
+    Intern buckets = {0};
+    buckets.width = n;
+    if (!key || !sorted) {
+        bad = -1;
+        goto done;
+    }
+    for (s = 0; s < n_lattices; s++) {
+        P = bases[(size_t)(s + 1) * n * n - 1];
+        key[0] = s;
+        for (i = entry_ends[s]; i < entry_ends[s + 1]; i++) {
+            entry = entries + i * (k + 3);
+            if (entry[k] < 0 || entry[k] >= P) /* a residue no point takes */
+                continue;
+            memcpy(key + 1, entry, (size_t)k * sizeof(long long));
+            if ((sorted[m].bucket = intern(&buckets, key, 1)) < 0) {
+                bad = -1;
+                goto done;
+            }
+            sorted[m].r = entry[k];
+            sorted[m].k = entry[k + 1] % P + (entry[k + 1] % P < 0 ? P : 0);
+            sorted[m++].n = entry[k + 2];
+        }
+    }
+    if (m > 1)
+        qsort(sorted, (size_t)m, sizeof(Entry), entry_cmp);
+    for (e = 0, i = 0; i < m; i++) /* one entry per (bucket, twist, residue) */
+        if (e && !entry_cmp(sorted + e - 1, sorted + i))
+            sorted[e - 1].n += sorted[i].n;
+        else
+            sorted[e++] = sorted[i];
+    if (!(start = malloc(((size_t)buckets.n + 1) * sizeof(long long)))) {
+        bad = -1;
+        goto done;
+    }
+    for (b = 0, i = 0; b <= buckets.n; b++) {
+        while (i < e && sorted[i].bucket < b)
+            i++;
+        start[b] = i;
+    }
+    for (c = 0; c < classes->n; c++)
+        for (s = 0; s < n_lattices; s++) {
+            v = classes->store + (c * n_lattices + s) * n;
+            P = bases[(size_t)(s + 1) * n * n - 1];
+            key[0] = s;
+            memcpy(key + 1, v, (size_t)k * sizeof(long long));
+            if ((b = intern(&buckets, key, 0)) < 0)
+                continue;
+            for (i = start[b]; i < start[b + 1]; i = g) {
+                for (g = i + 1; g < start[b + 1] && sorted[g].k == sorted[i].k; g++)
+                    ;
+                shift = mulmod(sorted[i].k, v[k], P);
+                for (x = ends[c]; x < ends[c + 1]; x++) {
+                    t = (residues[x] < P ? residues[x] : residues[x] % P) + shift;
+                    t -= t >= P ? P : 0;
+                    /* the last entry of the run whose residue is at most t:
+                       halving without a branch on the data */
+                    for (lo = i, len = g - i; len > 1; len -= half) {
+                        half = len / 2;
+                        lo = sorted[lo + half].r <= t ? lo + half : lo;
+                    }
+                    if (sorted[lo].r == t)
+                        count[x] += sorted[lo].n;
+                }
+            }
+        }
+done:
+    free(key);
+    free(start);
+    free(sorted);
+    intern_free(&buckets);
+    return bad;
+}
+
+/* The cover counts of a tile window by column class.  window holds n_window
+   rows (k key entries, lo, hi) sorted by (key, lo), disjoint per key;
+   region holds n_region rows likewise, each inside a window row of its
+   key.  Lattice s of n_lattices has a form, k + 1 rows of k entries at
+   forms + s(k + 1)k; an echelon basis with positive pivots, k + 1 rows of
+   k + 1 at bases + s(k + 1)^2, whose last pivot P_s is its period; and the
+   entries entry_ends[s] up to entry_ends[s + 1] of entries, k + 3 numbers
+   each: a bucket (k), a residue, a twist and a count.  A column's key has
+   under lattice s the class vector v_s, form . key reduced by the basis
+   (class_vector); its class is the tuple of its v_s.  At last coordinate
+   c, class (v_s) has the count: the sum over s, and over the entries of
+   lattice s whose bucket is v_s without its last entry u, of count [(c +
+   twist u) mod P_s = residue].  period is the lcm of the P_s.
+
+   Returns evaluations, the sum over the window's columns of the residues
+   mod period their points take.  When that is at most limit, ids[i]
+   receives the class of window row i, the classes numbered as they first
+   come; ends[c] the position of class c's first support residue
+   (ends[n_classes] their number S); sums the number of classes, the sum of
+   counts (count times window points, summed) and the covered count (the
+   region's points at residues of nonzero count); and *out a malloc'd block
+   of 4S entries, for release to free: the support residues of each class
+   in order (every residue once a row of the class is a period long, else
+   the union of its rows' arcs), then the count, the window's points and
+   the region's points at each.  Otherwise *out is NULL, and nothing in
+   proportion to evaluations was allocated.  Returns -1 when an allocation
+   failed, -2 when rows are not sorted or a region row lies outside the
+   window, and -3 when an entry, the period, the number of window points, a
+   class vector's entry, the sum of counts or the entries' counts summed
+   in absolute value reach 2**62. */
+long long residue_histogram(int k, const long long *window, long long n_window,
+                            const long long *region, long long n_region, int n_lattices,
+                            const long long *forms, const long long *bases,
+                            const long long *entries, const long long *entry_ends,
+                            long long period, long long limit, long long *ids, long long *ends,
+                            long long *sums, long long **out)
+{
+    int w = k + 2, bad;
+    long long top[2] = {0, 0}, i, j, a, b, c, m, x, len, points = 0, evaluations = 0, S = 0;
+    long long n_classes, total = 0, covered = 0, *first = NULL, *fill, *place, *block = NULL;
     const long long *r, *v;
-    unsigned char *full;
+    unsigned char *full = NULL;
     Arc *arcs, pair[2];
+    Intern classes = {0};
     Support sup;
     *out = NULL;
+    classes.width = n_lattices * (k + 1);
     if ((bad = rows_check(window, n_window, k, top))
-        || (bad = rows_check(region, n_region, k, top)))
+        || (bad = rows_check(region, n_region, k, top))
+        || (bad = lattices_check(k, n_lattices, forms, bases, entries, entry_ends)))
         return bad;
     if (period >= COORD_CAP)
         return -3;
@@ -1395,18 +1694,10 @@ long long residue_histogram(int k, const long long *window, long long n_window,
         if (len >= COORD_CAP - points)
             return -3;
         points += len;
-        if (i && row_cmp(r - w, r, k) == 0 && cls[i] != cls[i - 1])
-            return -2;
     }
     arcs = malloc((2 * (size_t)n_window + 1) * sizeof(Arc));
-    full = calloc((size_t)n_classes + 1, 1);
-    first = calloc(2 * (size_t)n_classes + 2 * (size_t)n_window + 2, sizeof(long long));
-    if (!arcs || !full || !first) {
-        bad = -1;
-        goto done;
-    }
-    fill = first + n_classes + 1;
-    place = fill + n_classes;
+    if (!arcs)
+        return -1;
     /* each column's residues: the period once a row is a period long, else
        the union of its rows' arcs */
     for (a = 0; a < n_window; a = b) {
@@ -1418,26 +1709,39 @@ long long residue_histogram(int k, const long long *window, long long n_window,
                 break;
             m += row_arcs(r[k], len, period, arcs + m);
         }
-        if (i < b) {
-            full[cls[a]] = 1;
+        if (i < b)
             evaluations += period;
-        } else
+        else
             arcs_merge(arcs, m, &evaluations);
     }
     if (evaluations > limit)
         goto done;
+    if ((bad = window_classes(k, window, n_window, n_lattices, forms, bases, ids, &classes)))
+        goto done;
+    n_classes = classes.n;
+    full = calloc((size_t)n_classes + 1, 1);
+    first = calloc(2 * (size_t)n_classes + 2 * (size_t)n_window + 2, sizeof(long long));
+    if (!full || !first) {
+        bad = -1;
+        goto done;
+    }
+    for (i = 0; i < n_window; i++)
+        if (window[i * w + k + 1] - window[i * w + k] + 1 >= period)
+            full[ids[i]] = 1;
+    fill = first + n_classes + 1;
+    place = fill + n_classes;
     /* the arcs of the classes no row makes full, bucketed by class, then
        sorted, merged and packed class after class */
     for (i = 0; i < n_window; i++) {
         r = window + i * w;
-        if (!full[cls[i]])
-            first[cls[i] + 1] += row_arcs(r[k], r[k + 1] - r[k] + 1, period, pair);
+        if (!full[ids[i]])
+            first[ids[i] + 1] += row_arcs(r[k], r[k + 1] - r[k] + 1, period, pair);
     }
     for (c = 0; c < n_classes; c++)
         first[c + 1] += first[c];
     for (i = 0; i < n_window; i++) {
         r = window + i * w;
-        c = cls[i];
+        c = ids[i];
         if (!full[c])
             fill[c] += row_arcs(r[k], r[k + 1] - r[k] + 1, period, arcs + first[c] + fill[c]);
     }
@@ -1458,9 +1762,9 @@ long long residue_histogram(int k, const long long *window, long long n_window,
     }
     first[n_classes] = m;
     ends[n_classes] = S;
-    block = malloc((3 * (size_t)S + 1) * sizeof(long long));
-    diff = calloc(2 * (size_t)S + 2, sizeof(long long));
-    if (!block || !diff) {
+    /* the counts, then the window's and the region's points, summed from
+       their differences in place */
+    if (!(block = calloc(4 * (size_t)S + 1, sizeof(long long)))) {
         bad = -1;
         goto done;
     }
@@ -1474,6 +1778,7 @@ long long residue_histogram(int k, const long long *window, long long n_window,
                     block[place[j] + x - arcs[j].start] = x;
     }
     sup.period = period;
+    sup.size = S;
     sup.ends = ends;
     sup.first = first;
     sup.place = place;
@@ -1481,7 +1786,7 @@ long long residue_histogram(int k, const long long *window, long long n_window,
     sup.arcs = arcs;
     for (i = 0; i < n_window; i++) {
         r = window + i * w;
-        support_add(&sup, cls[i], r[k], r[k + 1] - r[k] + 1, diff);
+        support_add(&sup, ids[i], r[k], r[k + 1] - r[k] + 1, block + 2 * S);
     }
     /* each region row in the window row of its key that holds it */
     for (i = 0, j = 0; i < n_region; i++) {
@@ -1497,20 +1802,32 @@ long long residue_histogram(int k, const long long *window, long long n_window,
             bad = -2;
             goto done;
         }
-        support_add(&sup, cls[j], v[k], v[k + 1] - v[k] + 1, diff + S + 1);
+        support_add(&sup, ids[j], v[k], v[k + 1] - v[k] + 1, block + 3 * S);
     }
-    for (a = 0, b = 0, x = 0; x < S; x++) {
-        block[S + x] = a += diff[x];
-        block[2 * S + x] = b += diff[S + 1 + x];
+    for (x = 1; x < S; x++) {
+        block[2 * S + x] += block[2 * S + x - 1];
+        block[3 * S + x] += block[3 * S + x - 1];
     }
+    if ((bad = class_counts(k, n_lattices, bases, entries, entry_ends, &classes, ends, block,
+                            block + S)))
+        goto done;
+    for (x = 0; x < S; x++)
+        if (block[S + x]) {
+            covered += block[3 * S + x];
+            if ((bad = madd_checked(&total, block[S + x], block[2 * S + x])))
+                goto done;
+        }
+    sums[0] = n_classes;
+    sums[1] = total;
+    sums[2] = covered;
     *out = block;
     block = NULL;
 done:
     free(arcs);
+    intern_free(&classes);
     free(full);
     free(first);
     free(block);
-    free(diff);
     return bad ? bad : evaluations;
 }
 

@@ -12,54 +12,54 @@ the intervals of the last coordinate; no sphere is cut from the store unless
 a count is bad.
 
 The scan never enumerates lattice center sets.  A window point w lies in
-T * c exactly when c = t^{-1} w for some t in T, and one residue index per
-shape lists those t for any w.  On Z^d the lattice has an echelon basis
-(groups.lattice_basis): row i is zero before its positive pivot p_i at i.
-Each coset of the lattice has exactly one point with 0 <= v_i < p_i, reached
-by reducing coordinate i by row i in order, so w - t is a center exactly when
-w and t reduce to the same point; the shape is bucketed by its reduced points
-and a point costs one lookup.  On Heisenberg with axis moduli (m1, m2, m3),
-t^{-1} w is a center exactly when a = ta (m1), b = tb (m2) and
-c - ta b = tc - ta tb (m3), so the shape is bucketed by (ta mod m1, tb mod m2),
-then by ta mod m3, then by (tc - ta tb) mod m3, and a point costs one lookup
-per ta class in its bucket.  The index counts the lattice centers over a
-point, and the collision report lists them as t^{-1} w in shape order; the
-explicit centers over w are the c with w c^{-1} in T.
+T * c exactly when c = t^{-1} w for some t in T, and one integer rule per
+lattice shape says which t those are (_lattice_rule).  An echelon basis
+(groups.lattice_basis) has row i zero before its positive pivot p_i at i,
+and each coset of its lattice has exactly one point with 0 <= v_i < p_i,
+reached by reducing coordinate i by row i in order.  On Z^d, w - t is a
+center exactly when w and t reduce to the same point under the lattice's
+own basis.  On Heisenberg with axis moduli (m1, m2, m3), t^{-1} w is a
+center exactly when a = ta (m1), b = tb (m2) and c - ta b = tc - ta tb
+(m3), coordinatewise reductions under diag(m1, m2, m3).  So a column key
+has a class vector, reduced by the basis: (key, 0) on Z^d, (a, b, b) on
+Heisenberg; a shape point t has a reduced point (bucket, r), t itself on Z^d
+and (ta, tb, tc - ta tb) on Heisenberg, and a twist k, 1 on Z^d and -(ta
+mod m3) on Heisenberg.  The point (key, c) of class vector (bucket, u) is
+covered by the t of its bucket with (c + k u) mod p = r, where p is the
+last pivot.  The shape's reduced points, counted per (bucket, r, k), are
+the entries the kernel reads, and a point costs one lookup per twist in its
+bucket.  The collision report lists the lattice centers over a point as
+t^{-1} w in shape order; the explicit centers over w are the c with w
+c^{-1} in T.
 
 Along a column the lattice counts are periodic in the last coordinate: if
 z = (0, .., 0, p) is a center (on Z^d p is the last pivot, since a lattice
 vector that is zero but for its last coordinate is a multiple of the last
 basis row; on Heisenberg p = m3), z is central and the centers are closed
 under multiplying by it, so w and w z are covered equally often.  The counts
-depend on the column key only through its class: on Z^d the residue of
-(key, 0), as keys of one residue differ by a lattice vector; on Heisenberg
-(a mod m1, b mod m2, b mod m3); for a multi-tile the tuple of its lattice
-shapes' classes, over the lcm of their periods.  So the scan needs, per
-class, only the residues mod period that its window points take, its count
-at each, and how many window and region points take each.  The residues and
-the point counts come from one pass of the kernel
-_kernels.residue_histogram over the window's and the region's rows, with
-the class of each window row: a class takes every residue once one of its
-rows is a period long, else the union of its rows' arcs on the circle of
-residues, kept sorted.  Each class is then evaluated in one batch at a
-representative column, by each residue index's batch reader over.counts,
-which builds no point and calls no over: on Z^d it reduces (key, 0) once,
-and key + (c,) then reduces to the same head with c added to the last
-coordinate mod p; on Heisenberg it is one lookup of (c - u b) mod m3 per ta
-class u.  The window's sum of counts is the dot product of the counts with
-the window's points per residue, and the covered count sums the region's
-points at the residues of nonzero count.  SCAN_BUDGET charges each column
-its own residues mod period (at most min(length, period)), which the kernel
-counts first, times the lookups per point, a bound on the evaluations; the
-kernel builds no support past it.  Explicit centers are scattered onto the
-window as sparse additions, column by column.  The first five uncovered and
-colliding points come from walking the spheres, cut from the store as
-(key, lo, hi) rows (ball r minus ball r - 1), in (norm, tuple) order
-through the columns that can hold a bad count: those with explicit
-additions, or of a class with a bad count at a residue the walked ball's
-points take.  The radius-36 Heisenberg window of the 425-point cuboid tile,
-716,455 points in 2,665 columns of 353 classes, needs 5,937 evaluations
-(45,177 at one batch per column).
+depend on the column key only through its class vector, for a multi-tile
+the tuple of its lattice shapes' vectors, over the lcm of their periods.
+So the scan needs, per class, only the residues mod period that its window
+points take, its count at each, and how many window and region points take
+each.  All of it comes from one pass of the kernel _kernels.residue_histogram
+over the window's and the region's rows, with each lattice shape's form,
+basis and entries: it numbers each row's class as classes first come, takes
+for a class every residue once one of its rows is a period long, else the
+union of its rows' arcs on the circle of residues, kept sorted, reads each
+class's counts at those residues from the entries, and sums the window's
+count (count times points) and the region's covered points (at residues of
+nonzero count).  SCAN_BUDGET charges each column its own residues mod
+period (at most min(length, period)), which the kernel counts first, times
+the lookups per point, a bound on the evaluations; the kernel builds no
+support past it.  Explicit centers are scattered onto the window as sparse
+additions, column by column.  The first five uncovered and colliding points
+come from walking the spheres, cut from the store as (key, lo, hi) rows
+(ball r minus ball r - 1), in (norm, tuple) order through the columns that
+can hold a bad count: those with explicit additions, or of a class with a
+bad count at a residue the walked ball's points take.  The radius-36
+Heisenberg window of the 425-point cuboid tile, 716,455 points in 2,665
+columns of 353 classes, needs 5,937 evaluations (45,177 at one batch per
+column).
 
 Free groups have no columns and no lattice center sets, so their scan keeps
 one count per window point, in (norm, tuple) order.
@@ -70,7 +70,7 @@ defined once here, by folner_tiles.
 
 import operator
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, count, islice, repeat, takewhile
@@ -253,71 +253,61 @@ def _heis_axis_moduli(gens):
     return tuple(mods)
 
 
-def _residue_index(group, shape, centers):
-    """(over, period, lookups) of a lattice center set over a shape: over(w)
-    lists, in shape order, the t in the shape with t^-1 * w a center; period is
-    the least p with (0, .., 0, p) a center; lookups bounds the table lookups
-    one call of over makes; over.column_class(key) is the class of a window
-    column, which fixes the length of over's list at each c mod period; and
-    over.counts(key, residues) lists that length at each c in residues of the
-    column key, by lattice arithmetic alone."""
+def _lattice_rule(group, centers):
+    """(basis, form, places) of a lattice center set, the lattice validated
+    first: the echelon basis that reduces class vectors, the form (flat, row
+    major) that maps a column key to its class vector, and places(shape),
+    which lists (bucket..., residue, twist) for each shape point, its reduced
+    point and its twist (module docstring)."""
     if isinstance(group, ZdGroup):
         basis = _zd_lattice(group, centers.generators)
-        residue = partial(lattice_residue, basis)
-        period = basis[-1][-1]
-        buckets, sizes = {}, {}
-        for t in shape:
-            buckets.setdefault(residue(t), []).append(t)
-        for (*head, s), ts in buckets.items():
-            sizes.setdefault(tuple(head), {})[s] = len(ts)
-
-        def over(w):
-            return buckets.get(residue(w), ())
-
-        def counts(key, residues):
-            # the rows before the last reduce the key alone, and shift the last
-            # coordinate by the same amount whatever c is: key + (c,) reduces to
-            # head + ((s + c) % period,)
-            *head, s = residue(key + (0,))
-            table = sizes.get(tuple(head), {})
-            return [table.get((s + c) % period, 0) for c in residues]
-
-        over.column_class = lambda key: residue(key + (0,))
-        over.counts = counts
-        return over, period, 1
+        d = group.d
+        form = tuple(int(i == j) for i in range(d) for j in range(d - 1))
+        return basis, form, lambda shape: map(operator.add, map(partial(lattice_residue, basis),
+                                                                shape), repeat((1,)))
     if not isinstance(group, HeisenbergGroup):
         raise UnsupportedError("lattice center sets are supported on Z^d and Heisenberg only")
     m1, m2, m3 = _heis_axis_moduli(centers.generators)
-    position = {t: i for i, t in enumerate(shape)}
-    buckets = {}
-    for t in shape:
-        ta, tb, tc = t
-        classes = buckets.setdefault((ta % m1, tb % m2), {})
-        classes.setdefault(ta % m3, {}).setdefault((tc - ta * tb) % m3, []).append(t)
+
+    def places(shape):
+        # a diagonal basis reduces coordinate by coordinate
+        a, b, c = zip(*shape)
+        return zip(map(operator.mod, a, repeat(m1)), map(operator.mod, b, repeat(m2)),
+                   map(operator.mod, map(operator.sub, c, map(operator.mul, a, b)), repeat(m3)),
+                   map(operator.neg, map(operator.mod, a, repeat(m3))))
+
+    return ((m1, 0, 0), (0, m2, 0), (0, 0, m3)), (1, 0, 0, 1, 0, 1), places
+
+
+def _residue_index(group, shape, centers):
+    """(over, period, lookups, lattice) of a lattice center set over a shape.
+
+    over(w) lists, in shape order, the t in the shape with t^-1 * w a center;
+    period is the least p with (0, .., 0, p) a center, the last pivot of the
+    basis of _lattice_rule; lookups is the most twists a bucket holds, the
+    table lookups one point costs; and lattice is (form, basis, entries) as
+    _kernels.residue_histogram reads them, flat: an entry (bucket, residue,
+    twist, count) for each place (_lattice_rule) the shape's points take.
+    A point (key, c) whose column has the class vector (bucket, u) is
+    covered by the shape points of its bucket whose residue is (c + twist
+    u) mod period."""
+    basis, form, places = _lattice_rule(group, centers)
+    period = basis[-1][-1]
+    placed = list(places(shape))
+    width = len(basis) - 1  # the key's
 
     def over(w):
-        a, b, c = w
-        classes = buckets.get((a % m1, b % m2), {})
-        if len(classes) == 1:
-            ((u, table),) = classes.items()
-            return table.get((c - u * b) % m3, ())
-        return sorted((t for u, table in classes.items() for t in table.get((c - u * b) % m3, ())),
-                      key=position.__getitem__)
+        key, c = group._column_of(w)
+        *bucket, u = lattice_residue(basis, [sum(map(operator.mul, form[i * width:], key))
+                                             for i in range(len(basis))])
+        return [t for t, (*b, r, k) in zip(shape, placed)
+                if b == bucket and (c + k * u) % period == r]
 
-    sizes = {cls: {u: {r: len(ts) for r, ts in table.items()} for u, table in classes.items()}
-             for cls, classes in buckets.items()}
-
-    def counts(key, residues):
-        a, b = key
-        found = [0] * len(residues)
-        for u, table in sizes.get((a % m1, b % m2), {}).items():
-            shift = u * b
-            found = [h + table.get((c - shift) % m3, 0) for h, c in zip(found, residues)]
-        return found
-
-    over.column_class = lambda key: (key[0] % m1, key[1] % m2, key[1] % m3)
-    over.counts = counts
-    return over, m3, max(map(len, buckets.values()))
+    tally = Counter(placed)
+    entries = list(chain.from_iterable(map(operator.add, tally, zip(tally.values()))))
+    buckets = set(map(operator.itemgetter(slice(-2), -1), tally))  # (bucket, twist)
+    twists = Counter(map(operator.itemgetter(0), buckets))
+    return over, period, max(twists.values()), (form, [x for row in basis for x in row], entries)
 
 
 def _gatherer(group, shape, centers, index):
@@ -358,34 +348,25 @@ def _row_finder(group, rows):
 class _WindowCounts:
     """The cover counts of a window in column form, class by class.
 
-    keys and ids are the column key and the class of each window row, the
-    classes numbered as they first come.  Class k's support residues are
-    residues[ends[k]:ends[k + 1]], and counts, window and region hold its
-    lattice count, and the window's and the region's points, at each; the
-    counts are read at the class's first key.  extra maps a window column
-    key to its explicit additions {c: count}.  Budgets are checked shape by
-    shape, before each shape's work; each column is charged its residues mod
-    period, a bound on its share of the lattice evaluations, and a refused
-    scan evaluates nothing."""
+    The fields of the window's _kernels.Histogram: ids, the class of each
+    window row, the classes numbered as they first come; class k's support
+    residues residues[ends[k]:ends[k + 1]], and counts, window and region,
+    its lattice count and the window's and the region's points at each; and
+    total and covered, the window's sum of counts and the region's covered
+    count.  extra maps a window column key to its explicit additions {c:
+    count}.  Budgets are checked shape by shape, before each shape's work;
+    each column is charged its residues mod period, a bound on its share of
+    the lattice evaluations, and a refused scan evaluates nothing."""
 
     def __init__(self, group, mt, indexes, window, region):
         from . import _kernels  # loaded, and maybe compiled, when the balls grew
 
-        overs = [index[0] for index in indexes if index]
-        self.period = period = lcm(*(index[1] for index in indexes if index))
-        self.keys = keys = group._row_keys(window)
-        # a class is the tuple of the lattice shapes' classes, or the one class
-        # of the one lattice shape; ids count the classes as they first come
-        classes = (map(overs[0].column_class, keys) if len(overs) == 1 else
-                   zip(*(map(over.column_class, keys) for over in overs)) if overs else
-                   repeat((), len(keys)))
-        ids = {}
-        self.ids = [ids.setdefault(cls, len(ids)) for cls in classes]
-        first = dict(zip(reversed(self.ids), reversed(keys)))
+        self.group, self.rows = group, window
+        self.period = lcm(*(index[1] for index in indexes if index))
         lookups = max((index[2] for index in indexes if index), default=0)
         evaluations, histogram = _kernels.residue_histogram(
-            group._length - 1, window, region, self.ids, period,
-            SCAN_BUDGET // lookups if lookups else len(keys))
+            group._length - 1, window, region, [index[3] for index in indexes if index],
+            SCAN_BUDGET // lookups if lookups else len(window) // (group._length + 1))
 
         self.extra, holds = {}, None
         for shape, centers, index in zip(mt.shapes, mt.centers, indexes):
@@ -398,17 +379,8 @@ class _WindowCounts:
                         col[x] = col.get(x, 0) + 1
             elif evaluations * index[2] > SCAN_BUDGET:
                 raise BudgetError("lattice window scan too large")
-
-        self.ends, self.residues, self.window, self.region = histogram
-        self.counts = []
-        for rep, lo, hi in zip(map(first.__getitem__, range(len(ids))), self.ends,
-                               self.ends[1:]):
-            # each residue index in one call of its batch reader
-            support = self.residues[lo:hi]
-            found = overs[0].counts(rep, support) if overs else [0] * (hi - lo)
-            for over in overs[1:]:
-                found = list(map(operator.add, found, over.counts(rep, support)))
-            self.counts += found
+        (self.ids, self.ends, self.residues, self.counts, self.window, self.region, self.total,
+         self.covered) = histogram
 
     def at(self, k, c):
         """The lattice count at last coordinate c of a column of class k: at
@@ -419,7 +391,7 @@ class _WindowCounts:
 
     def column_classes(self):
         """{window column key: its class}."""
-        return dict(zip(self.keys, self.ids))
+        return dict(zip(self.group._row_keys(self.rows), self.ids))
 
 
 def _first_bad(group, radius, scan, points, bad):
@@ -460,8 +432,7 @@ def _column_scan(group, mt, indexes, window_radius, region_radius):
     group._grow(group._check_radius(window_radius))
     region = group._rows(region_radius)
     scan = _WindowCounts(group, mt, indexes, group._rows(window_radius), region)
-    total = sum(map(operator.mul, scan.counts, scan.window))
-    covered_count = sum(compress(scan.region, scan.counts))
+    total, covered_count = scan.total, scan.covered
     if scan.extra:
         holds, class_of = _row_finder(group, region), scan.column_classes()
         for key, col in scan.extra.items():

@@ -9,6 +9,7 @@ map tables; the evaluation logic is local).
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 
 def z_profile_oracle(n_max):
@@ -403,43 +404,119 @@ def column_size(columns):
     return sum(hi - lo + 1 for ivs in columns.values() for lo, hi in ivs)
 
 
-def residue_histogram_oracle(key_len, window, region, classes, period, limit):
-    """What _kernels.residue_histogram returns, point by point: each column's
-    residues as a set, each class's support from a dict of the residues its
-    window points take (every residue once a row is a period long), and the
-    window's and the region's points counted one at a time."""
-    width = key_len + 2
+def _reduced(basis, v):
+    """v reduced by a flat echelon basis of len(v) rows: coordinate i by row i
+    into [0, pivot i), in order."""
+    n, v = len(v), list(v)
+    for i in range(n):
+        q = v[i] // basis[i * n + i]
+        v = [x - q * basis[i * n + j] if j >= i else x for j, x in enumerate(v)]
+    return tuple(v)
+
+
+def residue_histogram_oracle(key_len, window, region, lattices, limit):
+    """What _kernels.residue_histogram returns, as lists, point by point: each
+    column's residues as a set; each key's class vectors reduced one at a
+    time and numbered in a dict; each class's support from a dict of the
+    residues its window points take (every residue once a row is a period
+    long); its count at each support residue summed over every entry of
+    every lattice; and the sum of counts and the covered count summed point
+    by point."""
+    width, n = key_len + 2, key_len + 1
+    periods = [basis[-1] for _, basis, _ in lattices]
+    period = lcm(*periods)
     rows = [tuple(window[i:i + width]) for i in range(0, len(window), width)]
-    columns, class_of = {}, {}
-    for row, c in zip(rows, classes):
+    columns, vectors, numbers = {}, {}, {}
+    for row in rows:
         key, lo, hi = row[:key_len], row[-2], row[-1]
         columns.setdefault(key, set()).update(x % period for x in range(lo, hi + 1))
-        class_of[key] = c
+        vectors[key] = tuple(
+            _reduced(basis, [sum(form[i * key_len + j] * key[j] for j in range(key_len))
+                             for i in range(n)]) for form, basis, _ in lattices)
+        numbers.setdefault(vectors[key], len(numbers))
     evaluations = sum(map(len, columns.values()))
     if evaluations > limit:
         return evaluations, None
-    n_classes = max(classes, default=-1) + 1
-    window_points = [{} for _ in range(n_classes)]
-    region_points = [{} for _ in range(n_classes)]
+
+    def count(vector, c):
+        total = 0
+        for (_, basis, entries), p, v in zip(lattices, periods, vector):
+            for i in range(0, len(entries), n + 2):
+                *bucket, r, k, m = entries[i:i + n + 2]
+                if tuple(bucket) == v[:-1] and (c + k * v[-1]) % p == r:
+                    total += m
+        return total
+
+    ids = [numbers[vectors[row[:key_len]]] for row in rows]
+    window_points = [{} for _ in numbers]
+    region_points = [{} for _ in numbers]
     full = set()
-    for row, c in zip(rows, classes):
+    total = covered = 0
+    for row, c in zip(rows, ids):
         if row[-1] - row[-2] + 1 >= period:
             full.add(c)
         for x in range(row[-2], row[-1] + 1):
             window_points[c][x % period] = window_points[c].get(x % period, 0) + 1
+            total += count(vectors[row[:key_len]], x)
     for i in range(0, len(region), width):
         row = tuple(region[i:i + width])
-        points = region_points[class_of[row[:key_len]]]
+        vector = vectors[row[:key_len]]
+        points = region_points[numbers[vector]]
         for x in range(row[-2], row[-1] + 1):
             points[x % period] = points.get(x % period, 0) + 1
-    ends, residues, window_out, region_out = [0], [], [], []
-    for c in range(n_classes):
+            covered += count(vector, x) != 0
+    ends, residues, counts, window_out, region_out = [0], [], [], [], []
+    for vector, c in numbers.items():
         for r in range(period) if c in full else sorted(window_points[c]):
             residues.append(r)
+            counts.append(count(vector, r))
             window_out.append(window_points[c].get(r, 0))
             region_out.append(region_points[c].get(r, 0))
         ends.append(len(residues))
-    return evaluations, (ends, residues, window_out, region_out)
+    return evaluations, (ids, ends, residues, counts, window_out, region_out, total, covered)
+
+
+def residue_counts_oracle(group, shape, gens):
+    """(column_class, counts, period) of a lattice center set over a shape, per
+    column and residue dicts: column_class(key) is the class of a window
+    column, on which the number of t in the shape with t^-1 (key, c) a
+    center depends, for each c mod period; counts(key, residues) lists that
+    number at each c in residues.  On Z^d the class is the residue of (key,
+    0) under the lattice's echelon basis, and key + (c,) reduces to head +
+    ((s + c) mod period,); on Heisenberg with axis moduli (m1, m2, m3) it is
+    (a mod m1, b mod m2, b mod m3), and the shape is bucketed by (ta mod m1,
+    tb mod m2), then by ta mod m3, then by (tc - ta tb) mod m3."""
+    from isoprof.groups import lattice_basis, lattice_residue
+
+    if group.kind == "Zd":
+        basis = lattice_basis(gens, group.d)
+        period = basis[-1][-1]
+        sizes = {}
+        for t in shape:
+            *head, s = lattice_residue(basis, t)
+            table = sizes.setdefault(tuple(head), {})
+            table[s] = table.get(s, 0) + 1
+
+        def counts(key, residues):
+            *head, s = lattice_residue(basis, key + (0,))
+            table = sizes.get(tuple(head), {})
+            return [table.get((s + c) % period, 0) for c in residues]
+
+        return lambda key: lattice_residue(basis, key + (0,)), counts, period
+    m1, m2, m3 = (sum(abs(g[i]) for g in gens) for i in range(3))
+    sizes = {}
+    for ta, tb, tc in shape:
+        table = sizes.setdefault((ta % m1, tb % m2), {}).setdefault(ta % m3, {})
+        table[(tc - ta * tb) % m3] = table.get((tc - ta * tb) % m3, 0) + 1
+
+    def counts(key, residues):
+        a, b = key
+        found = [0] * len(residues)
+        for u, table in sizes.get((a % m1, b % m2), {}).items():
+            found = [h + table.get((c - u * b) % m3, 0) for h, c in zip(found, residues)]
+        return found
+
+    return lambda key: (key[0] % m1, key[1] % m2, key[1] % m3), counts, m3
 
 
 def determinant(rows):

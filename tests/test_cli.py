@@ -338,6 +338,30 @@ class TestVerifyTile:
         assert row["passed"] == "True"
         assert row["window_size"] == "7179905"
 
+    @pytest.mark.parametrize("backend", ["compiled", "pure"])
+    @pytest.mark.parametrize("group, tile, window, row", [
+        # a lattice generator past int64 on Z^2, and a period of 2**63 on H3:
+        # their scans run on the pure kernel, with these rows on either backend
+        ('{"kind": "Zd", "d": 2}', '{"shapes": [[[0, 0], [1, 0]]], "centers": {"kind": '
+         '"lattice", "generators": [[1180591620717411303424, 0], [0, 1]]}}', "6",
+         'False,True,False,6,1,5,85,61,20,24/85,[],"[""(-1,0)"", ""(-2,0)"", ""(-1,-1)"", '
+         '""(-1,1)"", ""(2,0)""]"'),
+        ('{"kind": "Heisenberg"}', '{"shapes": [[[0, 0, 0], [1, 0, 0], [0, 0, 1]]], "centers": '
+         '{"kind": "lattice", "generators": [[2, 0, 0], [0, 1, 0], [0, 0, 9223372036854775808]]}}',
+         "6", 'False,True,False,6,4,2,593,17,11,104/593,[],"[""(-1,-1,0)"", ""(-1,-1,1)"", '
+         '""(-1,1,-1)"", ""(-1,1,0)"", ""(1,-1,0)""]"'),
+    ])
+    def test_lattices_past_int64_keep_their_rows(self, group, tile, window, row, backend,
+                                                 monkeypatch, capsys):
+        from isoprof import _kernels
+
+        if backend == "pure":
+            monkeypatch.setattr(_kernels, "_core", None)
+        elif _kernels._core is None:
+            pytest.skip("compiled kernel unavailable")
+        assert main(["verify-tile", "--group", group, "--tile", tile, "--window", window]) == 1
+        assert capsys.readouterr().out.splitlines()[2] == row
+
     @pytest.mark.parametrize("point", ["[1.7, 0]", '["3", true]', "[true, 0]"])
     def test_non_integer_coordinates_exit_2(self, point, capsys):
         tile = ('{"shapes": [[[0, 0], %s]], "centers": {"kind": "lattice", '

@@ -33,6 +33,7 @@ from isoprof._kernels import (
     partition_dp,
     subset_min_ratio,
 )
+from isoprof import LatticeCenters, tilings
 from isoprof.action_profile import packing_items, partition_tables
 from isoprof.isoperimetry import neighbor_table
 from oracles import (
@@ -796,41 +797,66 @@ class TestGraphingCertificate:
         assert kernels.graphing_certificate(table, V, inverse) == (False, None)
 
 
+def line(period, *entries):
+    """A residue_histogram lattice of key_len 0: the period and (residue, twist,
+    count) entries."""
+    return (), (period,), list(entries)
+
+
+def listed(result):
+    """A residue_histogram result with its arrays as lists, as the pure twin
+    and the oracle give them."""
+    evaluations, histogram = result
+    return evaluations, None if histogram is None else tuple(
+        x.tolist() if isinstance(x, array) else x for x in histogram)
+
+
 @st.composite
 def histogram_inputs(draw):
     """residue_histogram arguments: up to five columns of one to three rows with
     gaps between them, negative coordinates, rows longer than the small
-    periods, and region rows that are sub-intervals of window rows."""
+    periods, and region rows that are sub-intervals of window rows; and up to
+    two lattices of random forms, echelon bases of last pivot 1, 2, 17 or
+    10^6, and entries of residues in and out of range and counts of either
+    sign."""
     key_len = draw(st.integers(0, 2))
-    period = draw(st.sampled_from([1, 2, 17, 10 ** 6]))
+    n = key_len + 1
+    lattices = []
+    for _ in range(draw(st.integers(0, 2))):
+        form = draw(st.lists(st.integers(-2, 2), min_size=n * key_len, max_size=n * key_len))
+        pivots = [draw(st.integers(1, 3)) for _ in range(key_len)]
+        pivots.append(draw(st.sampled_from([1, 2, 17, 10 ** 6])))
+        basis = [pivots[i] if j == i else draw(st.integers(-3, 3)) if j > i else 0
+                 for i in range(n) for j in range(n)]
+        entries = []
+        for _ in range(draw(st.integers(0, 8))):
+            entries += [*(draw(st.integers(0, p - 1)) for p in pivots[:-1]),
+                        draw(st.integers(-1, min(pivots[-1], 40))), draw(st.integers(-20, 20)),
+                        draw(st.integers(-1, 3))]
+        lattices.append((form, basis, entries))
     keys = sorted(draw(st.sets(st.tuples(*[st.integers(-3, 3)] * key_len), max_size=5)))
-    window, region, classes = [], [], []
+    window, region = [], []
     for key in keys:
-        c = draw(st.integers(0, 2))
         lo = draw(st.integers(-60, 60))
         for _ in range(draw(st.integers(1, 3))):
             hi = lo + draw(st.integers(0, 40))
             window += [*key, lo, hi]
-            classes.append(c)
             if draw(st.booleans()):
                 a = draw(st.integers(lo, hi))
                 region += [*key, a, draw(st.integers(a, hi))]
             lo = hi + draw(st.integers(2, 30))
-    ids = {}
-    classes = [ids.setdefault(c, len(ids)) for c in classes]  # below the number of rows
     limit = draw(st.one_of(st.just(BIG), st.integers(0, 80)))
-    return key_len, window, region, classes, period, limit
+    return key_len, window, region, lattices, limit
 
 
-def window_histogram_args(group, radius, margin, period, moduli):
+def window_histogram_args(group, radius, margin, shape, gens):
     """residue_histogram arguments for ball(radius) of a column group over
-    ball(radius - margin), with the class of a key its residues mod moduli."""
+    ball(radius - margin), with the lattice that _residue_index makes of the
+    generators over the shape."""
     group._grow(radius)
-    window = group._rows(radius)
-    ids = {}
-    classes = [ids.setdefault(tuple(x % m for x, m in zip(key, moduli)), len(ids))
-               for key in group._row_keys(window)]
-    return group._length - 1, window, group._rows(radius - margin), classes, period, BIG
+    lattice = tilings._residue_index(group, group.subset(shape), LatticeCenters(gens))[3]
+    return (group._length - 1, group._rows(radius), group._rows(radius - margin), [lattice],
+            BIG)
 
 
 class TestResidueHistogram:
@@ -839,7 +865,7 @@ class TestResidueHistogram:
     def test_both_twins_match_a_point_histogram(self, args):
         expected = residue_histogram_oracle(*args)
         for kernels in BACKENDS:
-            assert kernels.residue_histogram(*args) == expected
+            assert listed(kernels.residue_histogram(*args)) == expected
 
     @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
     @pytest.mark.parametrize("seed", range(4))
@@ -858,28 +884,26 @@ class TestResidueHistogram:
                 lo = hi + rng.randint(2, 2 * period + 2)
             residues = {c % period for lo, hi in zip(rows[::2], rows[1::2])
                         for c in range(lo, hi + 1)}
-            classes = [0] * (len(rows) // 2)
-            evaluations, (ends, support, _, _) = kernels.residue_histogram(0, rows, [], classes,
-                                                                           period, BIG)
+            evaluations, histogram = kernels.residue_histogram(0, rows, [], [line(period)], BIG)
             assert evaluations == len(residues)
             if any(hi - lo + 1 >= period for lo, hi in zip(rows[::2], rows[1::2])):
-                assert support == list(range(period))
+                assert list(histogram.residues) == list(range(period))
             else:
-                assert support == sorted(residues)
-            assert ends == [0, len(support)]
+                assert list(histogram.residues) == sorted(residues)
+            assert list(histogram.ends) == [0, len(histogram.residues)]
         # past the limit only the count comes back
-        assert kernels.residue_histogram(0, [5, 10 ** 6 + 4], [], [0], 10 ** 6, 0) == \
+        assert kernels.residue_histogram(0, [5, 10 ** 6 + 4], [], [line(10 ** 6)], 0) == \
             (10 ** 6, None)
-        assert kernels.residue_histogram(0, [-3, 2, 10 ** 6 - 1, 10 ** 6 + 3], [], [0, 0],
-                                         10 ** 6, 6) == (7, None)
+        assert kernels.residue_histogram(0, [-3, 2, 10 ** 6 - 1, 10 ** 6 + 3], [],
+                                         [line(10 ** 6)], 6) == (7, None)
 
     @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
     def test_a_refused_histogram_builds_nothing_of_its_size(self, kernels):
-        # one row of 10^7 residues, one past the limit: three lists of 10^7
-        # entries would take 240 MB, and only the count comes back
+        # one row of 10^7 residues, one past the limit: four lists of 10^7
+        # entries would take 320 MB, and only the count comes back
         tracemalloc.start()
         try:
-            assert kernels.residue_histogram(0, [0, 10 ** 7 - 1], [0, 5], [0], 10 ** 7,
+            assert kernels.residue_histogram(0, [0, 10 ** 7 - 1], [0, 5], [line(10 ** 7, 0, 1, 1)],
                                              10 ** 7 - 1) == (10 ** 7, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -888,32 +912,62 @@ class TestResidueHistogram:
 
     @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
     def test_small_windows(self, kernels):
-        # two columns of one class over period 3: column (0,) takes residues
-        # 2, 0 (arcs that wrap) and column (1,) takes 1; the region is point 4
-        args = (1, [0, 2, 3, 1, 1, 1], [0, 3, 3], [0, 0], 3, BIG)
-        assert kernels.residue_histogram(*args) == (3, ([0, 3], [0, 1, 2], [1, 1, 1],
-                                                        [1, 0, 0]))
+        # two columns of one class (the form sends every key to 0) over period
+        # 3: column (0,) takes residues 2, 0 (arcs that wrap) and column (1,)
+        # takes 1; the region is point 3, and one point covers residue 0
+        lattice = ((0, 0), (1, 0, 0, 3), [0, 0, 1, 1])
+        args = (1, [0, 2, 3, 1, 1, 1], [0, 3, 3], [lattice], BIG)
+        assert listed(kernels.residue_histogram(*args)) == \
+            (3, ([0, 0], [0, 3], [0, 1, 2], [1, 0, 0], [1, 1, 1], [1, 0, 0], 1, 1))
         assert kernels.residue_histogram(*args[:-1], 2) == (3, None)
-        # a column of a period and more: every residue, the whole periods at each
-        assert kernels.residue_histogram(0, [-4, 3], [-1, 0], [0], 3, BIG) == \
-            (3, ([0, 3], [0, 1, 2], [3, 2, 3], [1, 0, 1]))
-        assert kernels.residue_histogram(0, [], [], [], 5, BIG) == (0, ([0], [], [], []))
+        # with the form (key, 0) and pivot 2 the two keys fall in two classes
+        lattice = ((1, 0), (2, 0, 0, 3), [0, 0, 1, 1])
+        assert listed(kernels.residue_histogram(1, *args[1:3], [lattice], BIG)) == \
+            (3, ([0, 1], [0, 2, 3], [0, 2, 1], [1, 0, 0], [1, 1, 1], [1, 0, 0], 1, 1))
+        # a column of a period and more: every residue, the whole periods at
+        # each; the twist k shifts the residue an entry counts by k times the
+        # class vector's last entry, here 0
+        assert listed(kernels.residue_histogram(0, [-4, 3], [-1, 0], [line(3, 2, 5, 2)], BIG)) \
+            == (3, ([0], [0, 3], [0, 1, 2], [0, 0, 2], [3, 2, 3], [1, 0, 1], 6, 1))
+        # two lattices count over the lcm of their periods, and no lattice is
+        # one class over period 1
+        assert listed(kernels.residue_histogram(0, [0, 5], [1, 1], [line(2, 0, 0, 1),
+                                                                    line(3, 1, 0, 1)], BIG)) \
+            == (6, ([0], [0, 6], list(range(6)), [1, 1, 1, 0, 2, 0], [1] * 6,
+                    [0, 1, 0, 0, 0, 0], 5, 1))
+        assert listed(kernels.residue_histogram(0, [0, 5], [1, 1], [], BIG)) == \
+            (1, ([0], [0, 1], [0], [0], [6], [1], 0, 0))
+        assert listed(kernels.residue_histogram(0, [], [], [line(5)], BIG)) == \
+            (0, ([], [0], [], [], [], [], 0, 0))
+
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    def test_the_twist_reads_the_class_vector(self, kernels):
+        # H3's class map: (a, b, b) reduced by diag(1, 1, 5); an entry of twist
+        # -2 at residue 0 counts at c where (c - 2 b) mod 5 = 0
+        lattice = ((1, 0, 0, 1, 0, 1), (1, 0, 0, 0, 1, 0, 0, 0, 5), [0, 0, 0, -2, 1])
+        rows = [0, 0, 0, 4, 0, 1, 0, 4, 0, 3, 0, 4]
+        _, histogram = kernels.residue_histogram(2, rows, [], [lattice], BIG)
+        assert list(histogram.ids) == [0, 1, 2]
+        assert [list(histogram.counts[lo:hi])
+                for lo, hi in zip(histogram.ends, histogram.ends[1:])] == \
+            [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0]]
 
     @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
     @pytest.mark.parametrize("args", [
-        (0, [0, 1, 2], [], [0], 3, BIG),  # ragged
-        (-1, [], [], [], 3, BIG),
-        (0, [0, 1], [], [], 3, BIG),  # no class for the row
-        (0, [0, 1], [], [1], 3, BIG),  # a class id past the rows
-        (0, [0, 1], [], [-1], 3, BIG),
-        (0, [0, 1], [], [0], 0, BIG),  # no period
-        (0, [3, 4, 0, 1], [], [0, 0], 3, BIG),  # rows out of order
-        (0, [0, 4, 3, 5], [], [0, 0], 3, BIG),  # overlapping rows
-        (0, [2, 1], [], [0], 3, BIG),  # lo past hi
-        (1, [0, 0, 1, 0, 3, 4], [], [0, 1], 3, BIG),  # one column, two classes
-        (0, [0, 4], [3, 5], [0], 3, BIG),  # a region row past the window
-        (1, [0, 0, 4], [1, 0, 0], [0], 3, BIG),  # a region column not in the window
-        (0, [0, 4, 8, 9], [4, 8], [0, 0], 3, BIG),  # a region row across a gap
+        (0, [0, 1, 2], [], [], BIG),  # ragged
+        (-1, [], [], [], BIG),
+        (1, [0, 0, 1], [], [((1,), (1, 0, 0, 3), [])], BIG),  # a form row short
+        (1, [0, 0, 1], [], [((1, 0), (1, 0, 3), [])], BIG),  # a basis row short
+        (0, [0, 1], [], [((), (3,), [0, 1])], BIG),  # a ragged entry
+        (1, [0, 0, 1], [], [((1, 0), (1, 0, 1, 3), [])], BIG),  # no echelon basis
+        (0, [0, 1], [], [line(0)], BIG),  # no period
+        (0, [0, 1], [], [line(-3)], BIG),
+        (0, [3, 4, 0, 1], [], [], BIG),  # rows out of order
+        (0, [0, 4, 3, 5], [], [], BIG),  # overlapping rows
+        (0, [2, 1], [], [], BIG),  # lo past hi
+        (0, [0, 4], [3, 5], [], BIG),  # a region row past the window
+        (1, [0, 0, 4], [1, 0, 0], [], BIG),  # a region column not in the window
+        (0, [0, 4, 8, 9], [4, 8], [], BIG),  # a region row across a gap
     ])
     def test_refuses_what_is_no_window(self, kernels, args):
         with pytest.raises(ValueError):
@@ -922,15 +976,19 @@ class TestResidueHistogram:
 
 @needs_core
 class TestBackendParity:
-    @pytest.mark.parametrize("name, radius, margin, period, moduli", [
-        ("Z^1", 20, 3, 5, ()), ("Z^2", 12, 4, 6, (3,)), ("Z^3", 7, 2, 3, (3, 3)),
-        ("H3", 10, 4, 17, (5, 5)), ("H3 sheared", 10, 3, 4, (2, 3)),
-        ("Z^2 (1,1)", 10, 5, 10 ** 6, (2,))])
-    def test_window_histograms_identical(self, name, radius, margin, period, moduli):
-        # the window and region balls of a store, classes of keys mod moduli
-        args = window_histogram_args(STORE_GROUPS[name][0](), radius, margin, period, moduli)
-        assert _core.residue_histogram(*args) == _pure.residue_histogram(*args)
-
+    @pytest.mark.parametrize("name, radius, margin, shape, gens", [
+        ("Z^1", 20, 3, [(0,), (1,), (3,)], [(-5,)]),
+        ("Z^2", 12, 4, [(0, 0), (1, 0), (0, 1), (2, 3)], [(3, 1), (0, -6)]),
+        ("Z^3", 7, 2, [(0, 0, 0), (1, 0, 0), (1, 1, 1)], [(3, 0, 1), (0, 3, -1), (1, 1, 4)]),
+        ("H3", 10, 4, [(0, 0, 0), (1, 0, 0), (6, 1, 2), (1, 1, -1)],
+         [(5, 0, 0), (0, -5, 0), (0, 0, 17)]),
+        ("H3 sheared", 10, 3, [(0, 0, 0), (2, 0, 1), (1, 1, 0)], [(2, 0, 0), (0, 3, 0), (0, 0, 4)]),
+        ("Z^2 (1,1)", 10, 5, [(0, 0), (1, 1), (0, 2)], [(2, 0), (0, 10 ** 6)])])
+    def test_window_histograms_identical(self, name, radius, margin, shape, gens):
+        # the window and region balls of a store, with the class map and the
+        # entries of a lattice over a shape
+        args = window_histogram_args(STORE_GROUPS[name][0](), radius, margin, shape, gens)
+        assert listed(_core.residue_histogram(*args)) == _pure.residue_histogram(*args)
 
     @pytest.mark.parametrize("make", CERTIFIED_GRAPHINGS)
     @pytest.mark.parametrize("relabel, seed", [
@@ -1096,7 +1154,7 @@ DUAL_KERNELS = {
     "next_ball": (1, [((1,), 0, (0,))], [0, 0, 0]),
     "ball_table": (1, [((1,), 0, (0,))], ((0,),), [0, 0, 0], [1], True),
     "graphing_certificate": ([1, 2, 2, 0, 0, 1], 3, [1, 0]),
-    "residue_histogram": (0, [0, 4], [1, 2], [0], 3, BIG),
+    "residue_histogram": (0, [0, 4], [1, 2], [line(3, 0, 1, 1)], BIG),
 }
 
 
@@ -1226,17 +1284,36 @@ class TestDispatch:
             assert (got[0], *map(list, got[1:])) == expected
 
     @pytest.mark.parametrize("args", [
-        (0, [0, 1 << 62], [], [0], 5, 0),  # an entry at 2**62
-        (0, [0, 1 << 70], [], [0], 5, BIG),  # past int64
-        (0, [0, 3], [1, 2], [0], 1 << 62, BIG),  # a period at 2**62
-        (0, [-(1 << 61), (1 << 61) - 1], [0, 0], [0], 5, BIG),  # 2**62 window points
-        (1, [0, 0, 1 << 61, 1, 0, 1 << 61], [1, 5, 9], [0, 0], 5, BIG),  # in two columns
+        (0, [0, 1 << 62], [], [line(5)], 0),  # an entry at 2**62
+        (0, [0, 1 << 70], [], [line(5)], BIG),  # past int64
+        (0, [0, 3], [1, 2], [line(1 << 62)], BIG),  # a period at 2**62
+        (0, [0, 3], [1, 2], [line(1 << 61), line((1 << 61) - 1)], BIG),  # an lcm past it
+        (0, [-(1 << 61), (1 << 61) - 1], [0, 0], [], BIG),  # 2**62 window points
+        (1, [0, 0, 1 << 61, 1, 0, 1 << 61], [1, 5, 9], [], BIG),  # in two columns
+        (0, [0, 4], [1, 2], [line(3, 0, 1, 1 << 62)], BIG),  # a lattice entry at 2**62
+        (0, [0, 4], [1, 2], [line(3, 0, 1 << 70, 1)], BIG),  # past int64
+        (0, [0, 4], [1, 2], [line(3, 0, 1, 1 << 61, 1, 1, 1 << 61)], BIG),  # counts summed
+        (1, [5, 0, 1], [], [((1 << 62, 0), (1, 0, 0, 3), [])], BIG),  # a form entry
+        (1, [1 << 61, 0, 1], [], [((2, 0), (1, 0, 0, 3), [])], BIG),  # a class vector
+        (1, [0, 0, 1], [], [((1, 0), (1, 1 << 62, 0, 3), [])], BIG),  # a basis entry
+        (0, [0, (1 << 61) - 1], [], [line(1, 0, 0, 4)], BIG),  # the sum of counts
     ])
     def test_huge_windows_fall_back_transparently(self, args):
         if _core is not None:
             with pytest.raises(OverflowError):
                 _core.residue_histogram(*args)
         assert _kernels.residue_histogram(*args) == _pure.residue_histogram(*args)
+
+    @needs_core
+    def test_compiled_histogram_takes_numbers_below_2_61(self):
+        # keys of 2**60 under a form of 1, a twist and a count far past int32,
+        # and a period of 2**61 - 1, whose twisted residues need the doubling
+        # product
+        p = (1 << 61) - 1
+        for args in ((1, [1 << 60, 0, 2], [], [((1, 0), (1, 0, 0, 3), [0, 2, 1, 5])], BIG),
+                     (0, [0, 3], [1, 2], [line(p, 2, 1 << 40, 1 << 50)], BIG),
+                     (1, [3, 0, 2], [], [((0, 1), (1, 0, 0, p), [0, 3, p - 5, 7])], BIG)):
+            assert listed(_core.residue_histogram(*args)) == _pure.residue_histogram(*args)
 
     @needs_core
     def test_compiled_calls_leave_no_cyclic_garbage(self):

@@ -1,6 +1,7 @@
 """Multi-tile windowed verification, center-set handling, invariance."""
 
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import count, product, takewhile
@@ -10,8 +11,9 @@ from types import SimpleNamespace
 import pytest
 
 from isoprof import tilings
+from hypothesis import given, settings, strategies as st
 from oracles import (ball_columns, determinant, inline_law, lattice_member_oracle,
-                     tile_window_oracle, union_columns)
+                     residue_counts_oracle, tile_window_oracle, union_columns)
 
 from isoprof import (
     ExplicitCenters,
@@ -220,7 +222,7 @@ class TestScanPaths:
                     for ks in product(range(m), repeat=d)}
         g = ZdGroup(d)
         shape = _random_shape(rng, g, rng.randint(1, 8))
-        over, _, lookups = tilings._residue_index(g, shape, LatticeCenters(gens))
+        over, _, lookups, _ = tilings._residue_index(g, shape, LatticeCenters(gens))
         assert lookups == 1
         for w in product(range(-7, 8), repeat=d):
             expected = [t for t in shape
@@ -243,7 +245,7 @@ class TestScanPaths:
         mul, inv = inline_law(g)
         member = lattice_member_oracle(g, gens)
         points = {tuple(rng.randint(-12, 12) for _ in range(3)) for _ in range(300)}
-        over, period, lookups = tilings._residue_index(g, shape, LatticeCenters(gens))
+        over, period, lookups, _ = tilings._residue_index(g, shape, LatticeCenters(gens))
         assert period == gens[2][2]
         assert lookups == max(len({t[0] % gens[2][2] for t in shape
                                    if (t[0] - s[0]) % gens[0][0] == (t[1] - s[1]) % gens[1][1] == 0})
@@ -371,16 +373,16 @@ class TestColumnScan:
 
     def test_a_refused_scan_gathers_nothing_first(self, monkeypatch):
         # the interval {0..N-1} over NZ at window N - 1 needs N evaluations, one
-        # past the budget; the period N is read off the lattice, so the refusal
-        # comes before any residue is evaluated
-        calls, _ = self.counted(monkeypatch)
+        # past the budget; the period N is read off the lattice, so the kernel
+        # refuses before it builds any support
+        histograms = self.recorded(monkeypatch)
         N = 10 ** 4
         monkeypatch.setattr(tilings, "SCAN_BUDGET", N - 1)
         g = ZdGroup(1, max_radius=N)
         mt = MultiTile([g.subset([(t,) for t in range(N)])], [LatticeCenters([(N,)])])
         with pytest.raises(BudgetError, match="^lattice window scan too large$"):
             verify_multitile_window(mt, N - 1)
-        assert calls == []
+        assert histograms == [None]
 
     def test_budget_refusals_come_in_shape_order(self, monkeypatch):
         monkeypatch.setattr(tilings, "SCAN_BUDGET", 2999)
@@ -402,45 +404,51 @@ class TestColumnScan:
         d = 1 + seed % 3
         gens = _random_lattice(rng, d, negative=seed < 6)
         g = ZdGroup(d)
-        over, p, _ = tilings._residue_index(g, g.subset([g.identity]), LatticeCenters(gens))
+        over, p, _, _ = tilings._residue_index(g, g.subset([g.identity]), LatticeCenters(gens))
         on_axis = [bool(over((0,) * (d - 1) + (q,))) for q in range(1, p + 1)]
         assert on_axis == [False] * (p - 1) + [True], gens
 
     @staticmethod
-    def counted(monkeypatch):
-        """Record (over, key, c) for every residue c that a residue index's batch
-        reader evaluates at a column key, and the overs built.  The collision
-        report asks over itself, which is not recorded."""
-        calls, overs = [], []
-        build = tilings._residue_index
+    def recorded(monkeypatch):
+        """The histograms that the scan's residue_histogram calls return, None
+        for a call past its limit."""
+        from isoprof import _kernels
 
-        def counting(group, shape, centers):
-            over, period, lookups = build(group, shape, centers)
-            counts = over.counts
+        histograms, kernel = [], _kernels.residue_histogram
 
-            def recorded(key, residues):
-                calls.extend((over, key, c) for c in residues)
-                return counts(key, residues)
+        def recording(*args):
+            evaluations, histogram = kernel(*args)
+            histograms.append(histogram)
+            return evaluations, histogram
 
-            over.counts = recorded
-            overs.append(over)
-            return over, period, lookups
-
-        monkeypatch.setattr(tilings, "_residue_index", counting)
-        return calls, overs
+        monkeypatch.setattr(_kernels, "residue_histogram", recording)
+        return histograms
 
     @staticmethod
-    def window_classes(mt, radius, overs):
-        """The class tuple of every window column, by key."""
+    def evaluated(histogram):
+        """(class, residue) for every support residue of a histogram, each class's
+        residues checked to be strictly increasing."""
+        ends, residues = histogram.ends, histogram.residues
+        for lo, hi in zip(ends, ends[1:]):
+            assert all(x < y for x, y in zip(residues[lo:hi], residues[lo + 1:hi]))
+        return [(k, residues[i]) for k in range(len(ends) - 1) for i in range(ends[k], ends[k + 1])]
+
+    @staticmethod
+    def window_classes(mt, radius):
+        """The class tuple of every window column under the oracle's class rule,
+        by key."""
         g = mt.group
+        rules = [residue_counts_oracle(g, shape, centers.generators)[0]
+                 for shape, centers in zip(mt.shapes, mt.centers)
+                 if isinstance(centers, LatticeCenters)]
         window = union_columns(row for r in range(radius + 1) for row in g._sphere_rows(r))
-        return {key: tuple(over.column_class(key) for over in overs) for key in window}
+        return {key: tuple(rule(key) for rule in rules) for key in window}
 
     @pytest.mark.parametrize("kind", ["Z2", "H3"])
     def test_lattice_shapes_with_different_periods(self, kind, monkeypatch):
         # periods 3 and 4 (Z^2) or 2 and 3 (H3): a column's class is the pair of
-        # its classes under the two lattices, and its pattern runs over the lcm
-        calls, overs = self.counted(monkeypatch)
+        # its classes under the two lattices, and its support runs over the lcm
+        histograms = self.recorded(monkeypatch)
         if kind == "Z2":
             g, radius, period = ZdGroup(2), 8, 12
             shapes = [g.subset([(0, 0), (1, 0), (0, 1)]), g.subset([(0, 0), (0, 1), (-1, 2)])]
@@ -453,11 +461,12 @@ class TestColumnScan:
         mt = MultiTile(shapes, [LatticeCenters(gens) for gens in lattices])
         assert [tilings._residue_index(g, s, c)[1] for s, c in zip(mt.shapes, mt.centers)] \
             == ([3, 4] if kind == "Z2" else [2, 3])
-        calls.clear()
         self.check(mt, radius)
-        classes = set(self.window_classes(mt, radius, overs[-2:]).values())
+        (histogram,) = histograms
+        classes = set(self.window_classes(mt, radius).values())
         assert len({cls[0] for cls in classes}) < len(classes)  # the pair is finer
-        assert len(calls) <= 2 * len(classes) * period
+        assert len(histogram.ends) - 1 == len(classes)
+        assert len(self.evaluated(histogram)) <= len(classes) * period
 
     @pytest.mark.parametrize("seed", range(6))
     def test_short_columns_share_a_class_with_long_ones(self, seed, monkeypatch):
@@ -466,7 +475,7 @@ class TestColumnScan:
         # (period 12) the columns of one parity of a share a class, and the
         # columns a = +-5, +-6 are shorter than 12; on H3 marked by x, (1,1,0) the
         # columns of one class have lengths on both sides of the period 5
-        calls, overs = self.counted(monkeypatch)
+        histograms = self.recorded(monkeypatch)
         rng = random.Random(seed)
         if seed % 2:
             g = HeisenbergGroup(generators=[(1, 0, 0), (-1, 0, 0), (1, 1, 0), (-1, -1, 1)])
@@ -478,49 +487,45 @@ class TestColumnScan:
         self.check(mt, radius)
         window = union_columns(row for r in range(radius + 1) for row in g._sphere_rows(r))
         lengths = {}
-        for key, cls in self.window_classes(mt, radius, overs[-1:]).items():
+        for key, cls in self.window_classes(mt, radius).items():
             lengths.setdefault(cls, []).append(max(hi - lo + 1 for lo, hi in window[key]))
         assert any(min(ls) < period <= max(ls) for ls in lengths.values())
         if not seed % 2:
             assert any(len(ivs) > 1 for ivs in window.values())
-        evaluated = [(over.column_class(key), c % period) for over, key, c in calls]
-        assert len(evaluated) == len(set(evaluated)) <= len(lengths) * period
+        assert len(self.evaluated(histograms[0])) <= len(lengths) * period
 
     def test_evaluations_are_one_per_class_and_residue(self, monkeypatch):
-        calls, overs = self.counted(monkeypatch)
+        histograms = self.recorded(monkeypatch)
         mt = folner_multitile_sequence(ZdGroup(3), 27, verify=False)
         assert verify_multitile_window(mt, 12).passed
-        assert len(calls) == 27  # 9 classes (a, b mod 3) times the period 3
-        calls.clear()
+        assert len(self.evaluated(histograms[-1])) == 27  # 9 classes (a, b mod 3) times 3
         mt = folner_multitile_sequence(HeisenbergGroup(), 425, verify=False)
         assert verify_multitile_window(mt, 36).passed
-        classes = set(self.window_classes(mt, 36, overs[-1:]).values())
-        assert len(calls) <= len(classes) * 17
-        assert len(calls) == 5937  # 45,177 at one pattern per column
-        evaluated = [(over.column_class(key), c % 17) for over, key, c in calls]
-        assert len(set(evaluated)) == len(evaluated)
+        classes = set(self.window_classes(mt, 36).values())
+        assert len(histograms[-1].ends) - 1 == len(classes)
+        assert len(self.evaluated(histograms[-1])) == 5937  # 45,177 at one pattern per column
+        assert 5937 <= len(classes) * 17
 
     def test_a_long_period_window_keeps_its_evaluations(self, monkeypatch):
         # 1,092,681 points in columns far shorter than the period 10^6: a class
         # is evaluated at the union of its columns' residues, each residue once
-        calls, overs = self.counted(monkeypatch)
+        histograms = self.recorded(monkeypatch)
         g = HeisenbergGroup()
         mt = MultiTile([g.subset([(0, 0, 0), (1, 0, 0)])],
                        [LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 10 ** 6)])])
         v = verify_multitile_window(mt, 40)
         assert (v.window_size, v.covered_count, v.density) == (1092681, 3045,
                                                                Fraction(3203, 1092681))
-        assert len(calls) == 89172
-        assert len({(over.column_class(key), c % 10 ** 6) for over, key, c in calls}) == 89172
+        assert len(self.evaluated(histograms[0])) == 89172
 
     @pytest.mark.parametrize("kind", ["Z2", "H3"])
     def test_a_long_period_fills_only_the_residues_used(self, kind, monkeypatch):
         # the last-axis period 10^6 is far longer than any column, so every
         # column is short and columns of one parity of a (and one b on H3) share
-        # a class; the patterns hold only the residues the window uses
+        # a class; the supports hold only the residues the window uses
         import tracemalloc
 
-        calls, _ = self.counted(monkeypatch)
+        histograms = self.recorded(monkeypatch)
         if kind == "Z2":
             g, radius = ZdGroup(2), 8
             mt = MultiTile([g.subset([(0, 0), (1, 0), (0, 1), (1, 2)])],
@@ -537,14 +542,12 @@ class TestColumnScan:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20  # a list of 10^6 counts alone takes 8 MB
-        evaluated = [(over.column_class(key), c % 10 ** 6) for over, key, c in calls]
-        assert len(evaluated) == len(set(evaluated))
-        assert len(evaluated) < len(g.ball(radius))
+        assert len(self.evaluated(histograms[0])) < len(g.ball(radius))
 
 
 class TestBatchCounts:
-    """The batch reader over.counts and the class patterns built from it, against
-    the length of over's list at each point, one point at a time."""
+    """The oracle's batch reader counts and the class counts of _WindowCounts,
+    against the length of over's list at each point, one point at a time."""
 
     @staticmethod
     def lattice(rng, g):
@@ -560,22 +563,26 @@ class TestBatchCounts:
         rng = random.Random(seed)
         g = HeisenbergGroup() if seed % 4 == 3 else ZdGroup(1 + seed % 4)
         shape = _random_shape(rng, g, rng.randint(1, 12))
-        over, period, _ = tilings._residue_index(g, shape, self.lattice(rng, g))
+        centers = self.lattice(rng, g)
+        over, period, _, _ = tilings._residue_index(g, shape, centers)
+        _, counts, oracle_period = residue_counts_oracle(g, shape, centers.generators)
+        assert oracle_period == period
         for _ in range(20):
             key = tuple(rng.randint(-9, 9) for _ in g.identity[:-1])
             for residues in (range(period), [rng.randint(-3 * period, 3 * period)
                                              for _ in range(2 * period)]):
-                assert over.counts(key, residues) == [len(over(g._point(key, c)))
-                                                      for c in residues], (key, residues)
+                assert counts(key, residues) == [len(over(g._point(key, c)))
+                                                 for c in residues], (key, residues)
 
     def test_heisenberg_counts_sum_several_ta_classes(self):
         # (0,0,0) and (2,0,1) share the bucket (0, 0) mod (2, 1) but not ta mod 4
         g = HeisenbergGroup()
-        over, period, lookups = tilings._residue_index(
-            g, g.subset([(0, 0, 0), (2, 0, 1)]), LatticeCenters([(2, 0, 0), (0, 1, 0), (0, 0, 4)]))
+        shape, gens = g.subset([(0, 0, 0), (2, 0, 1)]), [(2, 0, 0), (0, 1, 0), (0, 0, 4)]
+        over, period, lookups, _ = tilings._residue_index(g, shape, LatticeCenters(gens))
         assert lookups == 2
+        counts = residue_counts_oracle(g, shape, gens)[1]
         for key in product(range(-3, 4), repeat=2):
-            assert over.counts(key, range(-8, 9)) == [len(over(key + (c,))) for c in range(-8, 9)]
+            assert counts(key, range(-8, 9)) == [len(over(key + (c,))) for c in range(-8, 9)]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_class_patterns_match_the_indexes_point_by_point(self, seed):
@@ -612,6 +619,99 @@ class TestBatchCounts:
                     expected = sum(len(index[0](w)) for index in indexes[:2]) + scattered[w]
                     assert scan.at(class_of[key], c) + scan.extra.get(key, {}).get(c, 0) \
                         == expected, w
+
+
+
+def _echelon_lattice(rng, d, last):
+    """Generators, some negative, of a random lattice of Z^d whose least center
+    on the last axis is last: an echelon basis with that last pivot, mixed by
+    random unimodular row steps."""
+    pivots = [rng.randint(1, 3) for _ in range(d - 1)] + [last]
+    rows = [[pivots[i] if j == i else rng.randint(-3, 3) if j > i else 0 for j in range(d)]
+            for i in range(d)]
+    for _ in range(3 * d):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        if i != j:
+            q = rng.randint(-2, 2)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        if rng.random() < 0.5:
+            rows[i] = [-x for x in rows[i]]
+    return [tuple(row) for row in rows]
+
+
+@st.composite
+def window_tiles(draw):
+    """A group, a window radius and a multi-tile of one or two lattice shapes and
+    maybe an explicit one: Z^1-Z^3 lattices with negative generators, H3 axis
+    lattices whose buckets hold several ta classes, last-axis periods among 1,
+    2, 17 and 10^6."""
+    kind = draw(st.sampled_from(["Z1", "Z2", "Z3", "H3"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    periods = st.sampled_from([1, 2, 17, 10 ** 6])
+    if kind == "H3":
+        g, radius = HeisenbergGroup(), 4
+        lattices = [[(rng.choice([1, 2, -2]), 0, 0), (0, rng.choice([1, 3, -1]), 0),
+                     (0, 0, draw(periods) * rng.choice([1, -1]))]
+                    for _ in range(draw(st.integers(1, 2)))]
+    else:
+        d = int(kind[1])
+        g, radius = ZdGroup(d), {1: 12, 2: 5, 3: 3}[d]
+        lattices = [_echelon_lattice(rng, d, draw(periods)) for _ in range(draw(st.integers(1, 2)))]
+    n = len(g.identity)
+    shapes = [_random_shape(rng, g, rng.randint(1, 6), spread=2) for _ in lattices]
+    centers = [LatticeCenters(gens) for gens in lattices]
+    if draw(st.booleans()):
+        shapes.append(_random_shape(rng, g, rng.randint(1, 3), spread=1))
+        centers.append(ExplicitCenters({tuple(rng.randint(-3, 3) for _ in range(n))
+                                        for _ in range(rng.randint(1, 8))}))
+    return MultiTile(shapes, centers), radius
+
+
+class TestWindowCounts:
+    """The class counts both kernel twins give a window, against the per-column
+    oracle residue_counts_oracle and the length of over's list, point by point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(window_tiles())
+    def test_both_twins_count_every_point_as_the_oracle(self, case):
+        from isoprof import _kernels
+
+        mt, radius = case
+        g = mt.group
+        indexes = [tilings._residue_index(g, s, c) if isinstance(c, LatticeCenters) else None
+                   for s, c in zip(mt.shapes, mt.centers)]
+        oracles = [residue_counts_oracle(g, s, c.generators)[1]
+                   for s, c in zip(mt.shapes, mt.centers) if isinstance(c, LatticeCenters)]
+        g._grow(radius)
+        window, region = g._rows(radius), g._rows(radius - 1)
+        scans = [tilings._WindowCounts(g, mt, indexes, window, region)]
+        core = _kernels._core
+        try:
+            _kernels._core = None
+            scans.append(tilings._WindowCounts(g, mt, indexes, window, region))
+        finally:
+            _kernels._core = core
+        fields = ("ids", "ends", "residues", "counts", "window", "region", "total", "covered")
+        compiled, pure = ([list(x) if isinstance(x, array) else x
+                           for x in (getattr(scan, f) for f in fields)] for scan in scans)
+        assert compiled == pure
+        mul = g._mul_raw
+        scattered = Counter(mul(t, c) for s, cs in zip(mt.shapes, mt.centers)
+                            if isinstance(cs, ExplicitCenters) for c in cs.elements for t in s)
+        in_region = {w for r in range(radius) for w in g._sphere_points(r)}
+        for scan in scans:
+            class_of, total, covered = scan.column_classes(), 0, 0
+            for key, ivs in ball_columns(g, radius).items():
+                for lo, hi in ivs:
+                    for c in range(lo, hi + 1):
+                        w = g._point(key, c)
+                        lattice = sum(len(index[0](w)) for index in indexes if index)
+                        assert lattice == sum(counts(key, [c])[0] for counts in oracles)
+                        assert scan.at(class_of[key], c) == lattice, w
+                        assert scan.extra.get(key, {}).get(c, 0) == scattered[w]
+                        total += lattice
+                        covered += w in in_region and lattice > 0
+            assert (scan.total, scan.covered) == (total, covered)
 
 
 def record_cuts(monkeypatch, g):
