@@ -9,11 +9,13 @@ ValueError for what the pure twin refuses too, and OverflowError for a call
 whose numbers could leave int64 (a weight outside [0, 2**62) or a weight sum
 past it, a ball row or table image entry that could reach 2**62, a tile
 window's period at 2**62), which the dispatcher then runs on the pure twin;
-the residue histogram's C checks its rows, its lattices' numbers and its
-sums itself, in the same pass that reads them.  _check_status decodes the C
-return codes.  Buffers reach C as pointers into array('i'), array('q') or
-array('Q') objects, so no call makes a ctypes array type; the one buffer C
-allocates, the residue histogram's, is copied out and released at once.
+grow_balls raises it with nothing grown, so the pure twin grows the same balls
+from the same store; the residue histogram's C checks its rows, its lattices'
+numbers and its sums itself, in the same pass that reads them.  _check_status
+decodes the C return codes.  Buffers reach C as pointers into array('i'),
+array('q') or array('Q') objects, so no call makes a ctypes array type; the
+buffers C allocates, the residue histogram's and each grown ball's, are copied
+out and released at once, a ball's rows onto the end of the store.
 """
 
 import ctypes
@@ -21,12 +23,12 @@ import hashlib
 import os
 import sysconfig
 from array import array
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 from ._pure import (
     Histogram,
-    check_ball_inputs,
+    check_grow_inputs,
     check_certificate_inputs,
     check_connected_inputs,
     check_histogram_inputs,
@@ -92,8 +94,9 @@ def _load():
     for fn in (lib.subset_min_ratio, lib.pack_max_weight, lib.min_boundary_sets,
                lib.partition_dp):
         fn.restype = _int
-    lib.next_ball.argtypes = [_int, _int, _i64_p, _i64_p, _i64, _i64_p]
-    lib.next_ball.restype = _i64
+    lib.grow_balls.argtypes = [_int, _int, _i64_p, _i64_p, _i64, _i64, _i64, _i64, _i64_p,
+                               _u64_p]
+    lib.grow_balls.restype = _i64
     lib.ball_table.argtypes = [_int, _int, _i64_p, _i64_p, _i64_p, _int, _i64_p, _int_p, _int_p,
                                _int_p]
     lib.ball_table.restype = _int
@@ -103,12 +106,16 @@ def _load():
                                       _i64_p, _i64_p, _i64, _i64, _i64_p, _i64_p, _i64_p,
                                       ctypes.POINTER(_i64_p)]
     lib.residue_histogram.restype = _i64
-    lib.release.argtypes = [_i64_p]
+    lib.release.argtypes = [ctypes.c_void_p]
     lib.release.restype = None
     return lib
 
 
 _lib = _load()
+# a read-only memoryview of C memory at an address, which needs no ctypes array type
+_view = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_ssize_t, _int)(
+    ("PyMemoryView_FromMemory", ctypes.pythonapi))
+_PYBUF_READ = 0x100
 
 
 def _budget(node_budget):
@@ -238,20 +245,41 @@ def _step_entries(steps):
     return [x for head, dc, coef in steps for x in (*head, dc, *coef)]
 
 
-def next_ball(key_len, steps, prev_rows):
-    """Compiled twin of _pure.next_ball; the rows come back as an array('q').
-    OverflowError when a coordinate could reach 2**62."""
-    check_ball_inputs(key_len, steps, prev_rows)
-    width = key_len + 2
-    n_prev = len(prev_rows) // width
-    # the inputs turn into int64 first, so rows that do not fit raise before
-    # the output is allocated
-    entries, prev = _i64s(_step_entries(steps)), _i64s(prev_rows)
-    out = array("q", bytes(8 * width * (len(steps) + 1) * n_prev))
-    rows = _lib.next_ball(key_len, len(steps), entries, prev, n_prev, _i64s(out))
-    _check_status(rows, "next_ball", "rows must be sorted by (key, lo), disjoint per key")
-    del out[rows * width:]
-    return out
+def grow_balls(key_len, steps, store, ends, radius, budget):
+    """Compiled twin of _pure.grow_balls.  C hands back each new ball in a
+    block of its own, which is copied onto the end of the store and freed
+    before the next, so only the ball being copied is held twice.
+    OverflowError, with nothing grown, when a coordinate could reach 2**62."""
+    n_grow = check_grow_inputs(key_len, steps, store, ends, radius)
+    n_last = ends[-1] - ends[-2]
+    if n_last:  # each ball grown adds a row, so the budget bounds their number
+        n_grow = min(n_grow, max(0, budget - ends[-1]))
+    if not n_grow:
+        return store, ends
+    width, int64s = key_len + 2, isinstance(store, array) and store.typecode == "q"
+    last = (ctypes.byref(_i64.from_buffer(store, 8 * width * ends[-2])) if int64s and n_last
+            else _i64s(array("q", islice(store, ends[-2] * width, None))))
+    grown, balls = array("q", [0]) * n_grow, array("Q", [0]) * n_grow
+    count = _lib.grow_balls(key_len, len(steps), _i64s(_step_entries(steps)), last, n_last,
+                            ends[-1], n_grow, max(-1, min(budget, _INT64_MAX)), _i64s(grown),
+                            _at(balls, _u64))
+    del last  # the store's buffer is no longer lent out, so the store can grow
+    _check_status(count, "grow_balls", "rows must be sorted by (key, lo), disjoint per key")
+    try:
+        for g in range(count):
+            rows = _view(balls[g], 8 * width * (grown[g] - ends[-1]), _PYBUF_READ)
+            if int64s:
+                store.frombytes(rows)
+            else:
+                store.extend(rows.cast("q"))
+            rows.release()
+            _lib.release(balls[g])
+            balls[g] = 0
+            ends.append(grown[g])
+    finally:
+        for block in balls[:count]:
+            _lib.release(block)
+    return store, ends
 
 
 def ball_table(key_len, steps, form, rows, ends, inverse):
@@ -295,7 +323,7 @@ def residue_histogram(key_len, window, region, lattices, limit):
     entry_ends = array("q", [0])
     for _, _, entries in lattices:
         entry_ends.append(entry_ends[-1] + len(entries) // (key_len + 3))
-    ids, ends, sums = (array("q", [0]) * size for size in (n_window, n_window + 1, 3))
+    ids, ends, sums = (array("q", [0]) * size for size in (n_window, n_window + 1, 4))
     block = _i64_p()
     evaluations = _lib.residue_histogram(
         key_len, _i64s(window), n_window, _i64s(region), len(region) // width, len(lattices),
@@ -307,7 +335,7 @@ def residue_histogram(key_len, window, region, lattices, limit):
                   "rows must be sorted by (key, lo), disjoint per key, the region in the window")
     if not block:
         return evaluations, None
-    n_classes, total, covered = sums
+    n_classes, total, covered, largest = sums
     del ends[n_classes + 1:]
     size = ends[-1]
     try:
@@ -318,4 +346,4 @@ def residue_histogram(key_len, window, region, lattices, limit):
             ctypes.memmove(part.buffer_info()[0], ctypes.byref(first, 8 * size * i), 8 * size)
     finally:
         _lib.release(block)
-    return evaluations, Histogram(ids, ends, *parts, total, covered)
+    return evaluations, Histogram(ids, ends, *parts, total, covered, largest)

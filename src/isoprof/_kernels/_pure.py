@@ -4,19 +4,19 @@ Same algorithms, same node counts, same results as kernels.c; only the data
 layout differs (Python ints as bitmasks instead of uint64 limbs).  Every
 search runs on an explicit stack in the same node order, so no input size
 hits the recursion limit.  The connected-set kernels, min_boundary_sets and
-partition_dp, share one enumerator, grow_sets.  Four kernels do not
-search: next_ball grows the column balls of Z^d and the Heisenberg group,
-and ball_table builds a ball's neighbour table from the rows of the balls
-inside it, each with one sweep along sorted rows; graphing_certificate
-checks a graphing's paired maps and its transitive symmetries from its
-neighbour table; and residue_histogram numbers the column classes of a tile
-window by one integer rule, a form and an echelon basis per lattice, and
-lists for each class the residues its rows take, its cover count at each
-from the lattices' entries, and how many window and region points take
-each.  The dispatcher in __init__ runs these twins when the
-compiled kernels do not build, and for each call whose compiled twin raises
-OverflowError: Python ints have no cap, so the calls whose numbers leave
-int64 run here.
+partition_dp, share one enumerator, grow_sets.  Four kernels do not search:
+grow_balls grows every missing column ball of a Z^d or Heisenberg row store,
+one step a ball, and ball_table builds a ball's neighbour table from the
+rows of the balls inside it, each with one sweep along sorted rows;
+graphing_certificate checks a graphing's paired maps and its transitive
+symmetries from its neighbour table; and residue_histogram numbers the
+column classes of a tile window by one integer rule, a form and an echelon
+basis per lattice, and lists for each class the residues its rows take, its
+cover count at each from the lattices' entries, and how many window and
+region points take each.  The dispatcher in __init__ runs these twins when
+the compiled kernels do not build, and for each call whose compiled twin
+raises OverflowError: Python ints have no cap, so the calls whose numbers
+leave int64 run here.
 """
 
 from array import array
@@ -541,12 +541,14 @@ def _check_steps(key_len, steps):
             raise ValueError("each step needs a head and a coef of key_len entries")
 
 
-def check_ball_inputs(key_len, steps, prev_rows):
-    """Raise ValueError unless the arguments fit the next_ball contract; the
-    order of the rows is checked by each backend's own sweep."""
+def check_grow_inputs(key_len, steps, store, ends, radius):
+    """Raise ValueError unless the arguments fit the grow_balls contract, and
+    return the number of balls to grow; the order of the last ball's rows is
+    checked by each backend's own sweep."""
     _check_steps(key_len, steps)
-    if len(prev_rows) % (key_len + 2):
-        raise ValueError("rows must have key_len + 2 entries each")
+    if len(ends) < 2 or not 0 <= ends[-2] <= ends[-1] or ends[-1] * (key_len + 2) != len(store):
+        raise ValueError("ends must end with the rows of the last ball, the store's last rows")
+    return max(0, radius + 2 - len(ends))
 
 
 def _split_rows(rows, key_len):
@@ -562,22 +564,50 @@ def _split_rows(rows, key_len):
     return cols, keys, los, his
 
 
-def next_ball(key_len, steps, prev_rows):
-    """Rows of ball(r) of a column group, from the rows of ball(r - 1).
+def grow_balls(key_len, steps, store, ends, radius, budget):
+    """The row store of a column group grown through ball(radius), and its ends.
 
     A row is one interval of a column: key_len key coordinates, then lo and
-    hi, the least and largest last coordinate.  Rows are flat and sorted by
-    (key, lo), with disjoint intervals per key.  A step (head, dc, coef) is a
-    left generator acting on columns: it sends column key to key + head and
-    shifts the last coordinate by dc + coef.key.  ball(r) is ball(r - 1) and
-    its images under the steps.  A step translates keys and shifts each
-    column as a whole, so its image of prev_rows is sorted again: ball(r - 1)
-    and its images are merged as sorted runs, and overlapping or adjacent
-    intervals joined, so each column comes out as the maximal intervals of
-    its points.  Python ints have no cap, so this twin also runs the calls
-    whose coordinates could reach 2**62.
+    hi, the least and largest last coordinate.  A ball's rows are flat and
+    sorted by (key, lo), with disjoint intervals per key; the store holds
+    the rows of balls 0, 1, ... back to back, ball r from row ends[r] up to
+    ends[r + 1], so the store's rows end with the last ball's.  A step
+    (head, dc, coef) is a left generator acting on columns: it sends column
+    key to key + head and shifts the last coordinate by dc + coef.key.
+    ball(r) is ball(r - 1) and its images under the steps.  A step
+    translates keys and shifts each column as a whole, so its image of a
+    ball is sorted again: ball(r - 1) and its images are merged as sorted
+    runs, and overlapping or adjacent intervals joined, so each column comes
+    out as the maximal intervals of its points.  Before each step the growth
+    stops, short of radius, when the store and the step's largest output,
+    each row of the last ball and its image under every step, could pass
+    budget rows.  Each new ball's rows go onto the end of the store and its
+    row end onto ends, both in place, so the two agree after every ball.
+    Returns (store, ends): the store passed in, or a new list once an entry
+    does not fit int64 in an array store.  Python ints have no cap, so this
+    twin also runs the calls whose coordinates could reach 2**62.
     """
-    check_ball_inputs(key_len, steps, prev_rows)
+    n_grow, width = check_grow_inputs(key_len, steps, store, ends, radius), key_len + 2
+    rows = store[ends[-2] * width:]
+    for _ in range(n_grow):
+        if ends[-1] + (len(steps) + 1) * (ends[-1] - ends[-2]) > budget:
+            break
+        rows = _ball_step(key_len, steps, rows)
+        if isinstance(store, array):
+            try:
+                store.fromlist(rows)  # all of rows or, past int64, none
+            except OverflowError:
+                store = store.tolist()
+        if isinstance(store, list):
+            store += rows
+        ends.append(ends[-1] + len(rows) // width)
+    return store, ends
+
+
+def _ball_step(key_len, steps, prev_rows):
+    """The rows of ball(r), a list, from those of ball(r - 1): ball(r - 1) and
+    its images under the steps, merged as sorted runs (timsort) and the
+    overlapping or adjacent intervals of each column joined."""
     cols, keys, los, his = _split_rows(prev_rows, key_len)
     moved = list(zip(keys, los, his))
     for head, dc, coef in steps:
@@ -675,12 +705,12 @@ def ball_table(key_len, steps, form, rows, ends, inverse):
     balls inside it.
 
     Run r of rows is rows ends[r - 1] up to ends[r] (from row 0 for r = 0),
-    the rows of ball(r), a row as in next_ball, sorted by (key, lo) with
+    the rows of ball(r), a row as in grow_balls, sorted by (key, lo) with
     disjoint intervals per key; each ball must hold the one before.  Sphere r
     is ball(r) minus ball(r - 1), cut out in one sweep, and its points take
     the next vertex ids, row after row, so sphere 0, the identity, is vertex
     0.  Returns (flat, inverse, ranks) as arrays('i'): flat[v * len(steps) +
-    s] is the id of step s (as in next_ball) applied to vertex v, inverse
+    s] is the id of step s (as in grow_balls) applied to vertex v, inverse
     (None unless asked for) the id of v's inverse, and ranks[v] v's place in
     (key, c) order, which is tuple order.  Ids outside the ball are -1.  form
     is the key_len x key_len matrix M of the law's twist, c(gh) = c(g) + c(h)
@@ -729,7 +759,7 @@ def ball_table(key_len, steps, form, rows, ends, inverse):
     flat = array("i", bytes(4 * size * count))
     key_cols = list(zip(*span_keys))
     for s, (head, dc, coef) in enumerate(steps):
-        shifts = repeat(dc, len(span_los))  # as in next_ball, per interval
+        shifts = repeat(dc, len(span_los))  # as in _ball_step, per interval
         for c, col in zip(coef, key_cols):
             if c:
                 shifts = map(add, shifts, map(mul, col, repeat(c)))
@@ -844,7 +874,8 @@ def graphing_certificate(table, n_vertices, inverse):
     return True, tuple(sigmas)
 
 
-Histogram = namedtuple("Histogram", "ids ends residues counts window region total covered")
+Histogram = namedtuple("Histogram",
+                       "ids ends residues counts window region total covered largest")
 
 
 def check_histogram_inputs(key_len, window, region, lattices):
@@ -909,7 +940,7 @@ def _class_vectors(cols, size, form, basis):
 def residue_histogram(key_len, window, region, lattices, limit):
     """The cover counts of a tile window by column class.
 
-    window and region are flat rows as in next_ball, sorted by (key, lo)
+    window and region are flat rows as in grow_balls, sorted by (key, lo)
     with disjoint intervals per key, each region row inside a window row of
     its key.  Each lattice is (form, basis, entries), all flat and row
     major: form has key_len + 1 rows of key_len entries; basis is echelon
@@ -928,14 +959,16 @@ def residue_histogram(key_len, window, region, lattices, limit):
     once a row is a period long, else the size of the union of the rows'
     arcs on the circle of residues.  histogram is None when evaluations is
     past limit, and nothing in proportion to it is built; otherwise it is
-    Histogram(ids, ends, residues, counts, window, region, total, covered):
+    Histogram(ids, ends, residues, counts, window, region, total, covered,
+    largest):
     ids[i] is the class of window row i, the classes numbered as they first
     come; class c's support is residues[ends[c]:ends[c + 1]], sorted (every
     residue once a row of the class is a period long, else the union of its
     rows' arcs), and counts, window and region hold its count and how many
     points of its window and region rows take each of them; total is the
-    sum of counts times window points, and covered the region's points at
-    residues of nonzero count.  A row adds its whole periods to every
+    sum of counts times window points, covered the region's points at
+    residues of nonzero count, and largest the largest count, 0 with no
+    support residue.  A row adds its whole periods to every
     residue of its class, and one to each residue of the arc of the rest,
     which starts at lo mod period and may wrap past period - 1 to the
     class's least residues: differences at four positions, summed once.
@@ -1034,4 +1067,4 @@ def residue_histogram(key_len, window, region, lattices, limit):
     region_points = points(region_classes, region_los, region_lengths)
     return evaluations, Histogram(classes, ends, residues, counts, window_points,
                                   region_points, sum(map(mul, counts, window_points)),
-                                  sum(compress(region_points, counts)))
+                                  sum(compress(region_points, counts)), max(counts, default=0))

@@ -11,9 +11,10 @@
    partition_dp).  Each entry point returns 1 when the search finished, 0
    when it stopped on the node budget and -1 when an allocation failed;
    min_boundary_sets returns -2 when its table misses a translate.  Four
-   kernels do not search: next_ball grows the column balls of Z^d and the
-   Heisenberg group, one interval sweep over sorted runs of rows;
-   ball_table cuts each sphere out of its ball and reads the neighbour
+   kernels do not search: grow_balls grows every missing column ball of
+   Z^d or the Heisenberg group in one call, each ball one interval sweep
+   over sorted runs of rows, read in place for the next and handed back in
+   a block of its own; ball_table cuts each sphere out of its ball and reads the neighbour
    table from the largest ball's rows; graphing_certificate checks a
    graphing's paired maps and its transitive symmetries in one pass over
    its neighbour table; and residue_histogram numbers the column classes of
@@ -23,6 +24,7 @@
    lattices' entries) and how many window and region points take each. */
 
 #include <limits.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -743,7 +745,7 @@ int partition_dp(const int *nbr, int universe, int s_count, const long long *wei
     return 1;
 }
 
-/* ---- kernel 4: the next column ball of Z^d or the Heisenberg group ---- */
+/* ---- kernel 4: the column balls of Z^d or the Heisenberg group ---- */
 
 /* lexicographic comparison of the first n entries of two rows */
 static int row_cmp(const long long *a, const long long *b, int n)
@@ -947,56 +949,111 @@ static const long long **runs_alloc(int n)
     return malloc((size_t)(n > 0 ? n : 1) * (2 * sizeof(long long *) + sizeof(int)));
 }
 
-/* Rows of ball(r) from the rows of ball(r - 1) (prev).  A row is k key
-   entries, then lo and hi; rows are sorted by (key, lo) with disjoint
-   intervals per key.  Step s is 2k + 1 entries: head, dc, coef; it sends
-   column key to key + head and shifts lo and hi by dc + coef.key, so its
-   image of prev is sorted again.  ball(r) is ball(r - 1) and its images: the
-   n_steps images and prev itself are merged as sorted runs, and overlapping
-   or adjacent intervals joined, so each column comes out as the maximal
-   intervals of its points.  out needs room for (n_steps + 1) * n_prev rows.
-   Returns the number of rows written, -1 when an allocation failed, -2 when
-   prev is not sorted and -3 when a number could reach 2**62 (steps_check),
-   so no sum below overflows. */
-long long next_ball(int k, int n_steps, const long long *steps, const long long *prev,
-                    long long n_prev, long long *out)
+/* Room in *buf for need items of unit bytes: the room, which *room counts
+   in items, at least doubles whenever it grows, and what *buf holds stays.
+   0, or -1 when it cannot grow. */
+static int reserve(long long **buf, long long *room, long long need, size_t unit)
 {
-    int w = k + 2, s, t, bad;
-    long long i, shift, top[2] = {0, 0}, *moved, *dst;
-    const long long *step, *src, **at, **end;
-    Sweep sw = {k, NULL, 0, 0, out, 0};
-    if ((bad = rows_check(prev, n_prev, k, top)) || (bad = steps_check(k, n_steps, steps, top)))
-        return bad;
-    moved = malloc(((size_t)n_steps * n_prev * w + 1) * sizeof(long long));
-    at = runs_alloc(n_steps + 1);
-    if (!moved || !at) {
-        free(moved);
-        free(at);
+    long long want = *room <= LLONG_MAX / 2 && 2 * *room > need ? 2 * *room : need;
+    long long *grown;
+    if (need <= *room)
+        return 0;
+    if ((unsigned long long)want > (size_t)-1 / unit
+        || !(grown = realloc(*buf, (size_t)want * unit)))
         return -1;
-    }
+    *buf = grown;
+    *room = want;
+    return 0;
+}
+
+/* Grow the column balls of a group: ball(r) from ball(r - 1), n_grow balls
+   on.  A row is k key entries, then lo and hi; a ball's rows are sorted by
+   (key, lo) with disjoint intervals per key.  Step s is 2k + 1 entries:
+   head, dc, coef; it sends column key to key + head and shifts lo and hi by
+   dc + coef.key, so its image of a ball is sorted again.  ball(r) is
+   ball(r - 1) and its images: the n_steps images and ball(r - 1) itself are
+   merged as sorted runs, and overlapping or adjacent intervals joined, so
+   each column comes out as the maximal intervals of its points.  last holds
+   the n_last rows of the last ball grown, read in place in the store, whose
+   rows number n_store.  Each step merges into one scratch buffer, with room
+   for its largest output, and new ball g is copied from there into a
+   malloc'd block of its own size, whose address balls[g] receives, for
+   release to free once the rows are copied out; the next step reads it in
+   place.  So the blocks a growth leaves are the sizes of its balls, and
+   only the scratch buffer and the images grow with room.  ends[g] receives
+   the rows of the store and of new balls 0..g.  Before each step
+   the growth stops when the store and the step's largest output, each row
+   of the last ball and its image under every step, could pass budget rows.
+   Returns the number of balls grown; or -1 when an allocation failed, -2
+   when last is not sorted and -3 when a number could reach 2**62
+   (steps_check, so no sum below overflows), and then no block is left. */
+long long grow_balls(int k, int n_steps, const long long *steps, const long long *last,
+                     long long n_last, long long n_store, long long n_grow, long long budget,
+                     long long *ends, u64 *balls)
+{
+    int w = k + 2, s, t, bad = 0;
+    long long g, i, shift, left, n_prev = n_last, used = 0, room = 0, moved_room = 0;
+    long long top[2], *ball, *scratch = NULL, *moved = NULL, *dst;
+    const long long *prev = last, *step, *src, **at = runs_alloc(n_steps + 1), **end;
+    Sweep sw = {k, NULL, 0, 0, NULL, 0};
+    if (!at)
+        return -1;
     end = at + n_steps + 1;
-    for (s = 0; s < n_steps; s++) {
-        step = steps + (size_t)s * (2 * k + 1);
-        at[s] = moved + (size_t)s * n_prev * w;
-        end[s] = at[s] + (size_t)n_prev * w;
-        for (i = 0; i < n_prev; i++) {
-            src = prev + i * w;
-            dst = moved + ((size_t)s * n_prev + i) * w;
-            shift = step[k];
-            for (t = 0; t < k; t++) {
-                shift += step[k + 1 + t] * src[t];
-                dst[t] = src[t] + step[t];
-            }
-            dst[k] = src[k] + shift;
-            dst[k + 1] = src[k + 1] + shift;
+    for (g = 0; g < n_grow; g++) {
+        left = budget - n_store - used;
+        if (left < 0 || n_prev > left / (n_steps + 1))
+            break;
+        top[0] = top[1] = 0;
+        if ((bad = rows_check(prev, n_prev, k, top))
+            || (bad = steps_check(k, n_steps, steps, top)))
+            break;
+        if (reserve(&scratch, &room, (n_steps + 1) * n_prev + 1, w * sizeof(long long))
+            || reserve(&moved, &moved_room, n_steps * n_prev + 1, w * sizeof(long long))) {
+            bad = -1;
+            break;
         }
+        for (s = 0; s < n_steps; s++) {
+            step = steps + (size_t)s * (2 * k + 1);
+            at[s] = moved + (size_t)s * n_prev * w;
+            end[s] = at[s] + (size_t)n_prev * w;
+            for (i = 0; i < n_prev; i++) {
+                src = prev + i * w;
+                dst = moved + ((size_t)s * n_prev + i) * w;
+                shift = step[k];
+                for (t = 0; t < k; t++) {
+                    shift += step[k + 1 + t] * src[t];
+                    dst[t] = src[t] + step[t];
+                }
+                dst[k] = src[k] + shift;
+                dst[k + 1] = src[k + 1] + shift;
+            }
+        }
+        at[n_steps] = prev;
+        end[n_steps] = prev + (size_t)n_prev * w;
+        sw.out = scratch;
+        sw.n_out = 0;
+        sweep_runs(&sw, at, end, n_steps + 1, (int *)(end + n_steps + 1));
+        if (!(ball = malloc(((size_t)sw.n_out * w + 1) * sizeof(long long)))) {
+            bad = -1;
+            break;
+        }
+        memcpy(ball, scratch, (size_t)sw.n_out * w * sizeof(long long));
+        balls[g] = (u64)(uintptr_t)ball;
+        prev = ball;
+        n_prev = sw.n_out;
+        used += n_prev;
+        ends[g] = n_store + used;
     }
-    at[n_steps] = prev;
-    end[n_steps] = prev + (size_t)n_prev * w;
-    sweep_runs(&sw, at, end, n_steps + 1, (int *)(end + n_steps + 1));
+    free(scratch);
     free(moved);
     free(at);
-    return sw.n_out;
+    if (!bad)
+        return g;
+    while (g--) {
+        free((void *)(uintptr_t)balls[g]);
+        balls[g] = 0;
+    }
+    return bad;
 }
 
 /* ---- kernel 5: the neighbour table of a column ball ---- */
@@ -1046,7 +1103,7 @@ static void column_ids(const Columns *c, const long long *key, long long a, long
    sweep_cut, and its points take the next vertex ids, row after row, so
    sphere 0, the identity, is vertex 0.  ranks[v] receives v's place in
    (key, c) order, which is tuple order; flat[v * n_steps + s] the id of
-   step s (as in next_ball) applied to v; and inv, unless NULL, the id of v's
+   step s (as in grow_balls) applied to v; and inv, unless NULL, the id of v's
    inverse.  The k x k form M gives the law's twist, c(gh) = c(g) + c(h) +
    key(g).M.key(h), so (key, c) has the inverse (-key, -c + key.M.key).  Ids
    outside the ball are -1.  The rows of ball(R) are the table's columns,
@@ -1654,8 +1711,9 @@ done:
    receives the class of window row i, the classes numbered as they first
    come; ends[c] the position of class c's first support residue
    (ends[n_classes] their number S); sums the number of classes, the sum of
-   counts (count times window points, summed) and the covered count (the
-   region's points at residues of nonzero count); and *out a malloc'd block
+   counts (count times window points, summed), the covered count (the
+   region's points at residues of nonzero count) and the largest count (0
+   with no support residue); and *out a malloc'd block
    of 4S entries, for release to free: the support residues of each class
    in order (every residue once a row of the class is a period long, else
    the union of its rows' arcs), then the count, the window's points and
@@ -1674,7 +1732,8 @@ long long residue_histogram(int k, const long long *window, long long n_window,
 {
     int w = k + 2, bad;
     long long top[2] = {0, 0}, i, j, a, b, c, m, x, len, points = 0, evaluations = 0, S = 0;
-    long long n_classes, total = 0, covered = 0, *first = NULL, *fill, *place, *block = NULL;
+    long long n_classes, total = 0, covered = 0, largest, *first = NULL, *fill, *place;
+    long long *block = NULL;
     const long long *r, *v;
     unsigned char *full = NULL;
     Arc *arcs, pair[2];
@@ -1811,15 +1870,19 @@ long long residue_histogram(int k, const long long *window, long long n_window,
     if ((bad = class_counts(k, n_lattices, bases, entries, entry_ends, &classes, ends, block,
                             block + S)))
         goto done;
-    for (x = 0; x < S; x++)
+    for (largest = S ? LLONG_MIN : 0, x = 0; x < S; x++) {
+        if (block[S + x] > largest)
+            largest = block[S + x];
         if (block[S + x]) {
             covered += block[3 * S + x];
             if ((bad = madd_checked(&total, block[S + x], block[2 * S + x])))
                 goto done;
         }
+    }
     sums[0] = n_classes;
     sums[1] = total;
     sums[2] = covered;
+    sums[3] = largest;
     *out = block;
     block = NULL;
 done:

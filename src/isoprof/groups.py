@@ -17,13 +17,14 @@ sorted disjoint intervals of the last coordinate.  A left generator moves a
 whole column at once (on the Heisenberg group (p, q, r) sends column (a, b)
 to (a + p, b + q) and shifts it by r + p*b), so each generator is data,
 (head, dc, coef) = ((p, q), r, (0, p)), and the search is interval
-arithmetic per column.  The kernel step _kernels.next_ball (compiled, or its
-pure twin) turns the flat rows of ball r - 1 into those of ball r.  The group
-keeps the rows of every ball back to back in one store, with the row at
-which each ball ends, so a ball in column form is one slice of the store.
+arithmetic per column.  The group keeps the rows of every ball back to back
+in one store, with the row at which each ball ends, so a ball in column
+form is one slice of the store.  One call of the kernel _kernels.grow_balls
+(compiled, or its pure twin) grows every missing ball, each from the flat
+rows of the one before, onto the end of the store and its ends in place.
 A step that could take the store past STORE_BUDGET rows, counting each row
 of the last ball and its image under every generator, is refused with
-BudgetError before it runs.
+BudgetError before it runs, and the store keeps the balls before it.
 The store is the only cache of a ball: sphere r is cut from it as the
 (key, lo, hi) rows of ball r minus those of ball r - 1, for sphere, ball and
 the bad points of a tile window.  Word norms read an index grown a sphere at
@@ -61,7 +62,7 @@ from .errors import (
 )
 
 # rows the store of a Z^d or Heisenberg group may hold, counting the largest
-# output of the next ball step; the tile scan's budget is tilings.SCAN_BUDGET
+# output of the next ball's step; the tile scan's budget is tilings.SCAN_BUDGET
 STORE_BUDGET = 1 << 20
 
 
@@ -392,28 +393,25 @@ class _TupleGroup(MarkedGroup):
         return self._store[self._ends[r] * width:self._ends[r + 1] * width]
 
     def _grow(self, radius):
-        """Grow the row store through ball radius.  BudgetError, before a step
-        allocates, when the store and the step's largest output, each row of
-        the last ball and its image under every step, could pass STORE_BUDGET
+        """Grow the row store through ball radius, every missing ball in one
+        kernel call.  BudgetError, with the store grown through the ball
+        before, when a step's largest output, each row of the last ball and
+        its image under every step, could take the store past STORE_BUDGET
         rows."""
-        ends = self._ends
-        while len(ends) <= radius + 1:
-            if ends[-1] + (len(self._steps) + 1) * (ends[-1] - ends[-2]) > STORE_BUDGET:
-                raise BudgetError(f"growing ball {len(ends) - 1} could take the row store past "
-                                  f"{STORE_BUDGET} rows")
-            from . import _kernels  # loads, and may compile, the kernels on first use
+        if len(self._ends) > radius + 1:
+            return
+        from . import _kernels  # loads, and may compile, the kernels on first use
 
-            rows = _kernels.next_ball(self._length - 1, self._steps, self._rows(len(ends) - 2))
-            store = self._store
-            if isinstance(store, array) and not isinstance(rows, array):
-                try:
-                    rows = array("q", rows)
-                except OverflowError:  # an entry past int64: the store goes on as a list
-                    self._store = store = store.tolist()
-                    self._norms = {key: (los.tolist(), his.tolist(), norms)
-                                   for key, (los, his, norms) in self._norms.items()}
-            store.extend(rows)
-            ends.append(len(store) // (self._length + 1))
+        store = _kernels.grow_balls(self._length - 1, self._steps, self._store, self._ends,
+                                    radius, STORE_BUDGET)[0]
+        if isinstance(store, list) and isinstance(self._store, array):
+            # an entry past int64: the store, and the index with it, go on as lists
+            self._norms = {key: (los.tolist(), his.tolist(), norms)
+                           for key, (los, his, norms) in self._norms.items()}
+        self._store = store
+        if len(self._ends) <= radius + 1:
+            raise BudgetError(f"growing ball {len(self._ends) - 1} could take the row store "
+                              f"past {STORE_BUDGET} rows")
 
     def _ball_rows(self, radius):
         """(rows, ends) of balls 0..radius: the store's rows through ball radius

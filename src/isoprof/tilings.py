@@ -351,12 +351,13 @@ class _WindowCounts:
     The fields of the window's _kernels.Histogram: ids, the class of each
     window row, the classes numbered as they first come; class k's support
     residues residues[ends[k]:ends[k + 1]], and counts, window and region,
-    its lattice count and the window's and the region's points at each; and
+    its lattice count and the window's and the region's points at each;
     total and covered, the window's sum of counts and the region's covered
-    count.  extra maps a window column key to its explicit additions {c:
-    count}.  Budgets are checked shape by shape, before each shape's work;
-    each column is charged its residues mod period, a bound on its share of
-    the lattice evaluations, and a refused scan evaluates nothing."""
+    count; and largest, the largest count.  extra maps a window column key
+    to its explicit additions {c: count}.  Budgets are checked shape by
+    shape, before each shape's work; each column is charged its residues
+    mod period, a bound on its share of the lattice evaluations, and a
+    refused scan evaluates nothing."""
 
     def __init__(self, group, mt, indexes, window, region):
         from . import _kernels  # loaded, and maybe compiled, when the balls grew
@@ -380,7 +381,7 @@ class _WindowCounts:
             elif evaluations * index[2] > SCAN_BUDGET:
                 raise BudgetError("lattice window scan too large")
         (self.ids, self.ends, self.residues, self.counts, self.window, self.region, self.total,
-         self.covered) = histogram
+         self.covered, self.largest) = histogram
 
     def at(self, k, c):
         """The lattice count at last coordinate c of a column of class k: at
@@ -394,13 +395,14 @@ class _WindowCounts:
         return dict(zip(self.group._row_keys(self.rows), self.ids))
 
 
-def _first_bad(group, radius, scan, points, bad):
+def _first_bad(group, radius, scan, points, bad, clean):
     """The first five points of ball(radius), in (norm, tuple) order, whose count
-    passes bad; points holds the ball's points at each support residue.  Only
-    columns with explicit additions, or of a class with a bad count where the
-    ball has points, are walked, through the sphere rows, which are cut only
-    when there is such a column."""
-    if not (scan.extra or any(map(bad, scan.counts))):
+    passes bad; points holds the ball's points at each support residue, and
+    clean tells that no lattice count there passes bad.  Only columns with
+    explicit additions, or of a class with a bad count where the ball has
+    points, are walked, through the sphere rows, which are cut only when
+    there is such a column."""
+    if clean and not scan.extra:
         return []
     ends = scan.ends  # the class of each support residue, then of each bad one
     owners = chain.from_iterable(map(repeat, range(len(ends) - 1),
@@ -439,11 +441,14 @@ def _column_scan(group, mt, indexes, window_radius, region_radius):
             total += sum(col.values())
             covered_count += sum(1 for c in col
                                  if holds(key, c) and not scan.at(class_of[key], c))
-    uncovered = _first_bad(group, region_radius, scan, scan.region, operator.not_)
+    # the lattice counts leave no region point uncovered when they cover as
+    # many points as the region has, and make no collision when none passes 1
+    region_size = sum(scan.region)
+    uncovered = _first_bad(group, region_radius, scan, scan.region, operator.not_,
+                           scan.covered == region_size)
     collision_points = _first_bad(group, window_radius, scan, scan.window,
-                                  partial(operator.lt, 1))
-    return (sum(scan.window), sum(scan.region), total, covered_count, uncovered,
-            collision_points)
+                                  partial(operator.lt, 1), scan.largest <= 1)
+    return (sum(scan.window), region_size, total, covered_count, uncovered, collision_points)
 
 
 def _point_scan(group, mt, spheres, region_radius):

@@ -420,8 +420,8 @@ def residue_histogram_oracle(key_len, window, region, lattices, limit):
     time and numbered in a dict; each class's support from a dict of the
     residues its window points take (every residue once a row is a period
     long); its count at each support residue summed over every entry of
-    every lattice; and the sum of counts and the covered count summed point
-    by point."""
+    every lattice; the sum of counts and the covered count summed point by
+    point; and the largest count."""
     width, n = key_len + 2, key_len + 1
     periods = [basis[-1] for _, basis, _ in lattices]
     period = lcm(*periods)
@@ -473,7 +473,8 @@ def residue_histogram_oracle(key_len, window, region, lattices, limit):
             window_out.append(window_points[c].get(r, 0))
             region_out.append(region_points[c].get(r, 0))
         ends.append(len(residues))
-    return evaluations, (ids, ends, residues, counts, window_out, region_out, total, covered)
+    return evaluations, (ids, ends, residues, counts, window_out, region_out, total, covered,
+                         max(counts, default=0))
 
 
 def residue_counts_oracle(group, shape, gens):

@@ -18,8 +18,11 @@ from isoprof import (
     _kernels,
     group_from_json,
     group_to_json,
+    folner_multitile_sequence,
+    verify_multitile_window,
 )
 from isoprof import groups
+from isoprof._kernels import _pure
 from isoprof.groups import lattice_basis, lattice_residue
 from isoprof.isoperimetry import neighbor_table
 from oracles import (ball_columns, column_size, neighbor_table_oracle, sphere_oracle,
@@ -490,27 +493,95 @@ class TestBallTables:
                                                 dc + sum(map(mul, coef, key)))
 
 
-class TestStoreBudget:
-    """The row store of a column group stops before a step could take it past
-    STORE_BUDGET rows, counting the step's largest output."""
+# standard, shuffled, sheared and negative generating tuples of Z^1-Z^3 and H3,
+# whose stores grow in mixed increments
+GROW_GROUPS = {
+    **{name: COLUMN_GROUPS[name] for name in ("Z", "Z^2", "Z^3", "H3", "Z^2 shuffled",
+                                              "Z^3 shuffled", "H3 shuffled", "H3 sheared",
+                                              "Z {2, 3}")},
+    "Z^2 negative": lambda: ZdGroup(2, generators=[(-1, 0), (1, 0), (-2, 1), (2, -1)]),
+    "H3 negative": lambda: HeisenbergGroup(generators=[(-1, 0, 0), (1, 0, 0), (-1, 1, -3),
+                                                       (1, -1, 2)]),
+}
+
+
+def grow_ball_by_ball(g, radius):
+    """Grow g's store one ball a call through ball radius, as far as the budget
+    lets it; the BudgetError of the refused ball, or None."""
+    for r in range(radius + 1):
+        try:
+            g._grow(r)
+        except BudgetError as exc:
+            return exc
+    return None
+
+
+@pytest.mark.usefixtures("sphere_backend")
+class TestGrowth:
+    """_grow grows every missing ball of the row store in one kernel call, to
+    the store, ends, norm index and store type that growing a ball a call
+    gives; STORE_BUDGET stops it before a step whose largest output could
+    take the store past that many rows."""
+
+    @pytest.mark.parametrize("name", sorted(GROW_GROUPS))
+    def test_mixed_increments_match_ball_by_ball_growth(self, name):
+        make = GROW_GROUPS[name]
+        mixed, single = make(), make()
+        for radius in (3, 17, 36):
+            mixed._grow(radius)
+            assert grow_ball_by_ball(single, radius) is None
+            for g in (mixed, single):  # the index reaches into the store between growths
+                while g._indexed <= radius // 2:
+                    g._index_sphere()
+            assert mixed._ends == single._ends and len(mixed._ends) == radius + 2
+            assert type(mixed._store) is type(single._store) is array
+            assert mixed._store == single._store and mixed._norms == single._norms
+        spheres = sphere_oracle(make(), 5)
+        for r in range(6):
+            assert ball_columns(mixed, r) == union_columns(
+                (p[:-1], p[-1], p[-1]) for sphere in spheres[:r + 1] for p in sphere)
 
     @pytest.mark.parametrize("make", [HeisenbergGroup, lambda: ZdGroup(3),
                                       COLUMN_GROUPS["H3 sheared"]])
-    def test_a_step_past_the_budget_is_refused_before_it_runs(self, make, monkeypatch):
+    def test_a_budget_refusal_matches_ball_by_ball_growth(self, make, monkeypatch):
         monkeypatch.setattr(groups, "STORE_BUDGET", 2000)
-        g = make()
-        steps = []
-        grow = _kernels.next_ball
-        monkeypatch.setattr(_kernels, "next_ball",
-                            lambda *args: steps.append(args) or grow(*args))
+        at_once, single = make(), make()
+        steps, step = [], _pure._ball_step
+        monkeypatch.setattr(_pure, "_ball_step", lambda *args: steps.append(args) or step(*args))
         with pytest.raises(BudgetError, match="^growing ball [0-9]+ could take the row store "
-                                              "past 2000 rows$"):
-            g.ball(40)
-        # every ball grown fits, and the refused step was never called
-        ends = g._ends
-        assert len(steps) == len(ends) - 2 and ends[-1] <= 2000
-        assert ends[-1] + (len(g.generators) + 1) * (ends[-1] - ends[-2]) > 2000
-        assert g.ball(len(ends) - 2) == make().ball(len(ends) - 2)
+                                              "past 2000 rows$") as refused:
+            at_once._grow(40)
+        # the refused step never ran: the pure twin stepped once a ball grown,
+        # and the compiled call, which refuses it in C before it allocates
+        # (TestGrowBalls.test_a_refused_step_allocates_nothing), never fell back
+        ends = at_once._ends
+        assert len(steps) == (len(ends) - 2 if _kernels._core is None else 0)
+        assert str(grow_ball_by_ball(single, 40)) == str(refused.value)
+        # the store holds every ball before the refused one, and its next step
+        # could pass the budget
+        assert str(refused.value).startswith(f"growing ball {len(ends) - 1} ")
+        assert ends[-1] <= 2000 < ends[-1] + (len(at_once.generators) + 1) * (ends[-1] - ends[-2])
+        assert ends == single._ends and at_once._store == single._store
+        assert at_once.ball(len(ends) - 2) == make().ball(len(ends) - 2)
+        with pytest.raises(BudgetError):
+            at_once.ball(40)
+
+    @pytest.mark.parametrize("name", ["Z^2 2**61", "H3 2**61"])
+    def test_an_entry_past_2_62_partway_matches_ball_by_ball_growth(self, name):
+        # the compiled call refuses the whole growth, which then runs pure; the
+        # store turns into a list, and the norm index with it, where an entry
+        # leaves int64
+        make = HUGE_GROUPS[name]
+        at_once, single = make(), make()
+        for g in (at_once, single):
+            g.word_norm(g.identity)
+            assert isinstance(g._store, array) and g._indexed == 1
+        at_once._grow(5)
+        assert grow_ball_by_ball(single, 5) is None
+        assert type(at_once._store) is type(single._store) is list
+        assert at_once._store == single._store and at_once._ends == single._ends
+        assert at_once._norms == single._norms
+        assert {type(x) for los, his, _ in at_once._norms.values() for x in (los, his)} == {list}
 
     def test_wide_generators_stop_early(self, monkeypatch):
         # +-(2**61, 1, 0) makes every ball of H3 about twice as many rows as the
@@ -521,6 +592,41 @@ class TestStoreBudget:
         with pytest.raises(BudgetError):
             g.ball(22)
         assert g._ends[-1] <= 10_000
+
+    def test_a_radius_far_past_the_budget_stops_at_the_budget(self, monkeypatch):
+        # ball r of Z^1 is one row, so the budget, not the radius, bounds the
+        # balls one call grows and the ends it makes room for
+        monkeypatch.setattr(groups, "STORE_BUDGET", 2000)
+        g = ZdGroup(1, max_radius=1 << 62)
+        with pytest.raises(BudgetError, match="^growing ball 1998 could take"):
+            g._grow(1 << 62)
+        assert g._ends == list(range(1999))
+
+    def test_a_scan_grows_from_its_margin_to_its_window_in_one_call(self, monkeypatch):
+        calls, grow = [], _kernels.grow_balls
+        monkeypatch.setattr(_kernels, "grow_balls", lambda *args: calls.append(
+            (len(args[3]) - 2, args[4])) or grow(*args))
+        g = HeisenbergGroup()
+        report = verify_multitile_window(folner_multitile_sequence(g, 45, verify=False), 20)
+        # the margin grows a ball a call, the window's balls come in one more,
+        # and a radius already in the store makes no call
+        margin = report.margin
+        assert report.passed and 0 < margin < 20
+        assert calls == [(r - 1, r) for r in range(1, margin + 1)] + [(margin, 20)]
+        for r in (0, margin, 20):
+            g._grow(r)
+        g.ball(20), g.word_norm((20, 0, 0))
+        assert len(calls) == margin + 1
+
+    def test_growth_keeps_the_store_and_its_ends_in_place(self):
+        # each new ball goes onto the end of the store the group holds, so no
+        # growth copies the balls before it
+        g = HeisenbergGroup()
+        g._grow(63)
+        store, ends = g._store, g._ends
+        g._grow(64)
+        assert g._store is store and g._ends is ends
+        assert ends[-1] == 183105 and len(store) == 4 * 183105
 
 
 class TestSerialization:

@@ -476,11 +476,21 @@ COLUMN_GROUPS = {
 
 
 def ball_rows(kernels, group, radius):
-    """The rows of balls 0..radius of a column group, grown by one backend."""
-    rows = [[0] * (group._length + 1)]
-    for _ in range(radius):
-        rows.append(list(kernels.next_ball(group._length - 1, group._steps, rows[-1])))
-    return rows
+    """The rows of balls 0..radius of a column group, grown by one backend in
+    one call."""
+    width = group._length + 1
+    store, ends = kernels.grow_balls(group._length - 1, group._steps, [0] * width, [0, 1],
+                                     radius, BIG)
+    return [list(store[a * width:b * width]) for a, b in zip(ends, ends[1:])]
+
+
+def next_ball(kernels, key_len, steps, prev):
+    """The rows of the ball after prev, grown by one backend on a store that
+    holds only prev."""
+    store, ends = kernels.grow_balls(key_len, steps, list(prev),
+                                     [0, len(prev) // (key_len + 2)], 1, BIG)
+    assert len(ends) == 3
+    return list(store[len(prev):])
 
 
 def random_runs(rng, key_len, n_runs):
@@ -526,7 +536,7 @@ def point_columns(points):
     return union_columns((p[:-1], p[-1], p[-1]) for p in points)
 
 
-class TestBallStep:
+class TestGrowBalls:
     @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
     def test_input_validation(self, kernels):
         step = ((1,), 0, (0,))
@@ -545,26 +555,88 @@ class TestBallStep:
             (1, [step], [0, 5, 5, 0, 1, 1]),
         ):
             with pytest.raises(ValueError):
-                kernels.next_ball(key_len, steps, prev)
-        assert list(kernels.next_ball(1, [step], one)) == [0, 0, 0, 1, 0, 0]
+                next_ball(kernels, key_len, steps, prev)
+        for ends in ([1], [0, 2], [1, 0], [-1, 1], [0, 1, 0]):  # not the ends of the store
+            with pytest.raises(ValueError):
+                kernels.grow_balls(1, [step], one, ends, 3, BIG)
+        assert next_ball(kernels, 1, [step], one) == [0, 0, 0, 1, 0, 0]
         # images may overlap, touch or miss the ball and each other, in any order
-        assert list(kernels.next_ball(0, [((), 8, ()), ((), 3, ()), ((), 1, ())], [0, 2])) == \
+        assert next_ball(kernels, 0, [((), 8, ()), ((), 3, ()), ((), 1, ())], [0, 2]) == \
             [0, 5, 8, 10]
         # a step shifts a column by dc + coef.key
-        assert list(kernels.next_ball(1, [((0,), 0, (1,))], [2, 0, 1, 3, 5, 5])) == \
+        assert next_ball(kernels, 1, [((0,), 0, (1,))], [2, 0, 1, 3, 5, 5]) == \
             [2, 0, 3, 3, 5, 5, 3, 8, 8]
-        assert list(kernels.next_ball(1, [step], [])) == []
+        assert next_ball(kernels, 1, [step], []) == []
+        # a radius already grown, or a budget too small for the first step,
+        # grows nothing and hands the store back
+        store = array("q", one)
+        for radius, budget in ((0, BIG), (-3, BIG), (4, 2), (4, -BIG)):
+            got = kernels.grow_balls(1, [step], store, [0, 1], radius, budget)
+            assert got[0] is store and got[1] == [0, 1]
+        # only the last ball is read, and only its rows need the order
+        assert list(kernels.grow_balls(1, [step], [5, 0, 0, *one], [0, 1, 2], 2, BIG)[0]) == \
+            [5, 0, 0, *one, 0, 0, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
+    def test_the_budget_stops_before_a_step_that_could_pass_it(self, kernels):
+        # Z^1: ball r is one row, so the store holds r rows before ball r, and
+        # the step could write 3 rows; growing ball r needs r + 3 <= budget
+        steps = [((), 1, ()), ((), -1, ())]
+        for budget in range(3, 12):
+            store, ends = kernels.grow_balls(0, steps, [0, 0], [0, 1], 20, budget)
+            assert ends == list(range(budget - 1))
+            assert list(store) == [x for r in range(budget - 2) for x in (-r, r)]
+
+    @needs_core
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB on Linux")
+    def test_a_refused_step_allocates_nothing(self):
+        # the C checks the budget before a step allocates: a step refused by
+        # one row leaves the peak RSS where it was, and the same step allowed
+        # writes about 11 MB (its images and its ball).  The calls run in a
+        # forked child, whose peak starts at its RSS at the fork, not at what
+        # the import took, once the calls' code is paged back in.
+        code = ("import os, resource\n"
+                "from array import array\n"
+                "from isoprof._kernels import _core\n"
+                "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "n = 100_000\n"
+                "steps = [((1,), 0, (0,)), ((-1,), 0, (0,)), ((0,), 1, (0,)), ((0,), -1, (0,))]\n"
+                "store = array('q', bytes(24 * n))\n"
+                "store[0::3] = array('q', range(n))\n"
+                "ends = [0, n]\n"
+                "if os.fork():\n"
+                "    os._exit(os.wait()[1])\n"
+                "for _ in range(2):  # the child faults its code pages back in\n"
+                "    _core.grow_balls(1, steps, store, ends, 1, 6 * n - 1)\n"
+                "    _core.grow_balls(1, steps, [0, 0, 0], [0, 1], 1, 6)\n"
+                "before = peak()\n"
+                "_core.grow_balls(1, steps, store, ends, 1, 6 * n - 1)\n"
+                "refused, grown = peak() - before, len(ends) - 2\n"
+                "_core.grow_balls(1, steps, store, ends, 1, 6 * n)\n"
+                "print(refused, grown, peak() - before, len(ends) - 2, flush=True)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                             capture_output=True, text=True, check=True)
+        refused, none, allowed, one = map(int, out.stdout.split())
+        assert (none, one) == (0, 1)
+        assert refused < 256 and allowed > 8 * 1024
 
     @needs_core
     @pytest.mark.parametrize("seed", range(8))
     def test_backends_agree_on_random_rows(self, seed):
+        # the last ball random rows after a random store, grown a random number
+        # of balls under a random budget
         rng = random.Random(seed)
         for _ in range(40):
             key_len = rng.randint(0, 3)
             rows, _ = random_runs(rng, key_len, 1)
+            head, _ = random_runs(rng, key_len, 1)
             steps = random_steps(rng, key_len)
-            assert list(_core.next_ball(key_len, steps, rows)) == \
-                _pure.next_ball(key_len, steps, rows)
+            n_head, n_rows = (len(x) // (key_len + 2) for x in (head, rows))
+            args = (key_len, steps, head + rows, [0, n_head, n_head + n_rows],
+                    rng.randint(1, 5), rng.randint(0, 200))
+            # each twin grows its own copy of the store and ends in place
+            store, ends = _core.grow_balls(*args[:2], list(args[2]), list(args[3]), *args[4:])
+            assert (list(store), ends) == _pure.grow_balls(*args)
 
 
 # column groups and the radius through which the store's balls are checked
@@ -918,27 +990,30 @@ class TestResidueHistogram:
         lattice = ((0, 0), (1, 0, 0, 3), [0, 0, 1, 1])
         args = (1, [0, 2, 3, 1, 1, 1], [0, 3, 3], [lattice], BIG)
         assert listed(kernels.residue_histogram(*args)) == \
-            (3, ([0, 0], [0, 3], [0, 1, 2], [1, 0, 0], [1, 1, 1], [1, 0, 0], 1, 1))
+            (3, ([0, 0], [0, 3], [0, 1, 2], [1, 0, 0], [1, 1, 1], [1, 0, 0], 1, 1, 1))
         assert kernels.residue_histogram(*args[:-1], 2) == (3, None)
         # with the form (key, 0) and pivot 2 the two keys fall in two classes
         lattice = ((1, 0), (2, 0, 0, 3), [0, 0, 1, 1])
         assert listed(kernels.residue_histogram(1, *args[1:3], [lattice], BIG)) == \
-            (3, ([0, 1], [0, 2, 3], [0, 2, 1], [1, 0, 0], [1, 1, 1], [1, 0, 0], 1, 1))
+            (3, ([0, 1], [0, 2, 3], [0, 2, 1], [1, 0, 0], [1, 1, 1], [1, 0, 0], 1, 1, 1))
         # a column of a period and more: every residue, the whole periods at
         # each; the twist k shifts the residue an entry counts by k times the
         # class vector's last entry, here 0
         assert listed(kernels.residue_histogram(0, [-4, 3], [-1, 0], [line(3, 2, 5, 2)], BIG)) \
-            == (3, ([0], [0, 3], [0, 1, 2], [0, 0, 2], [3, 2, 3], [1, 0, 1], 6, 1))
+            == (3, ([0], [0, 3], [0, 1, 2], [0, 0, 2], [3, 2, 3], [1, 0, 1], 6, 1, 2))
         # two lattices count over the lcm of their periods, and no lattice is
         # one class over period 1
         assert listed(kernels.residue_histogram(0, [0, 5], [1, 1], [line(2, 0, 0, 1),
                                                                     line(3, 1, 0, 1)], BIG)) \
             == (6, ([0], [0, 6], list(range(6)), [1, 1, 1, 0, 2, 0], [1] * 6,
-                    [0, 1, 0, 0, 0, 0], 5, 1))
+                    [0, 1, 0, 0, 0, 0], 5, 1, 2))
         assert listed(kernels.residue_histogram(0, [0, 5], [1, 1], [], BIG)) == \
-            (1, ([0], [0, 1], [0], [0], [6], [1], 0, 0))
+            (1, ([0], [0, 1], [0], [0], [6], [1], 0, 0, 0))
+        # the largest count is 0 with no support residue, and may be negative
         assert listed(kernels.residue_histogram(0, [], [], [line(5)], BIG)) == \
-            (0, ([], [0], [], [], [], [], 0, 0))
+            (0, ([], [0], [], [], [], [], 0, 0, 0))
+        assert listed(kernels.residue_histogram(0, [0, 5], [1, 1], [line(1, 0, 0, -1)], BIG)) \
+            == (1, ([0], [0, 1], [0], [-1], [6], [1], -6, 1, -1))
 
     @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.__name__.split(".")[-1])
     def test_the_twist_reads_the_class_vector(self, kernels):
@@ -1151,7 +1226,7 @@ DUAL_KERNELS = {
     "pack_max_weight": ([0b11, 0b110, 0b1000], [3, 2, 5], 2, BIG, False),
     "min_boundary_sets": (path_neighbors(6), 6, 2, 3, list(range(6)), BIG),
     "partition_dp": (path_neighbors(4), 4, 2, [1, 2, 3, 4], 2),
-    "next_ball": (1, [((1,), 0, (0,))], [0, 0, 0]),
+    "grow_balls": (1, [((1,), 0, (0,))], [0, 0, 0], [0, 1], 2, BIG),
     "ball_table": (1, [((1,), 0, (0,))], ((0,),), [0, 0, 0], [1], True),
     "graphing_certificate": ([1, 2, 2, 0, 0, 1], 3, [1, 0]),
     "residue_histogram": (0, [0, 4], [1, 2], [line(3, 0, 1, 1)], BIG),
@@ -1224,30 +1299,46 @@ class TestDispatch:
         # as int64 on the way
         rows = [x for v in range(10**5 - 1) for x in (2 * v, 2 * v)] + [1 << 69, 1 << 70]
         steps = [((), 1, ()), ((), -1, ())]
+
+        def args():  # each call grows its own store and ends
+            return 0, steps, list(rows), [0, len(rows) // 2], 1, BIG
+
         if _core is not None:
+            refused = args()
             tracemalloc.start()
             try:
                 with pytest.raises(OverflowError):
-                    _core.next_ball(0, steps, rows)
+                    _core.grow_balls(*refused)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 8 * len(rows) * (len(steps) + 1) / 2
-        assert _kernels.next_ball(0, steps, rows) == _pure.next_ball(0, steps, rows) == \
-            [-1, 2 * 10**5 - 3, (1 << 69) - 1, (1 << 70) + 1]
+            assert refused[2:4] == (rows, [0, len(rows) // 2])  # nothing grown
+        store, ends = _kernels.grow_balls(*args())
+        assert (store, ends) == _pure.grow_balls(*args())
+        assert store[len(rows):] == [-1, 2 * 10**5 - 3, (1 << 69) - 1, (1 << 70) + 1]
+        assert ends == [0, 10**5, 10**5 + 2]
 
     @needs_core
     def test_compiled_ball_refuses_coordinates_near_2_62(self):
         step = ((), 1, ())
-        assert list(_core.next_ball(0, [step], [0, (1 << 62) - 2])) == [0, (1 << 62) - 1]
+        assert next_ball(_core, 0, [step], [0, (1 << 62) - 2]) == [0, (1 << 62) - 1]
         for prev, steps in (([0, (1 << 62) - 1], [step]), ([0, 1 << 62], [step]),
                             ([0, 1 << 63], [step]), ([0, 0], [((), 1 << 62, ())]),
                             ([2, 0, 0], [((1,), 0, (1 << 61,))])):
             with pytest.raises(OverflowError):
-                _core.next_ball(len(steps[0][0]), steps, prev)
+                next_ball(_core, len(steps[0][0]), steps, prev)
             key_len = len(steps[0][0])
-            assert _kernels.next_ball(key_len, steps, prev) == \
-                _pure.next_ball(key_len, steps, prev)
+            assert next_ball(_kernels, key_len, steps, prev) == \
+                next_ball(_pure, key_len, steps, prev)
+        # an entry that reaches 2**62 on the third step of a call: the call
+        # refuses with nothing grown, so the store it was given stays as it was
+        store, ends = array("q", [0, (1 << 62) - 4]), [0, 1]
+        with pytest.raises(OverflowError):
+            _core.grow_balls(0, [step], store, ends, 4, BIG)
+        assert list(store) == [0, (1 << 62) - 4] and ends == [0, 1]
+        assert _kernels.grow_balls(0, [step], store, ends, 4, BIG) == \
+            _pure.grow_balls(0, [step], array("q", [0, (1 << 62) - 4]), [0, 1], 4, BIG)
 
     @needs_core
     def test_compiled_table_refuses_coordinates_near_2_62(self):
@@ -1321,7 +1412,7 @@ class TestDispatch:
         calls = [(name, args) for name, args in DUAL_KERNELS.items()]
         calls.append(("ball_table", table_args(HeisenbergGroup(), 4, True)))
         group = HeisenbergGroup()
-        calls.append(("next_ball", (2, group._steps, ball_rows(_core, group, 4)[-1])))
+        calls.append(("grow_balls", (2, group._steps, [0] * 4, [0, 1], 4, BIG)))
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()

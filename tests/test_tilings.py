@@ -691,7 +691,8 @@ class TestWindowCounts:
             scans.append(tilings._WindowCounts(g, mt, indexes, window, region))
         finally:
             _kernels._core = core
-        fields = ("ids", "ends", "residues", "counts", "window", "region", "total", "covered")
+        fields = ("ids", "ends", "residues", "counts", "window", "region", "total", "covered",
+                  "largest")
         compiled, pure = ([list(x) if isinstance(x, array) else x
                            for x in (getattr(scan, f) for f in fields)] for scan in scans)
         assert compiled == pure
@@ -728,9 +729,14 @@ class TestLazySpheres:
     def test_a_passing_scan_cuts_no_sphere(self, monkeypatch):
         g = HeisenbergGroup()
         cuts = record_cuts(monkeypatch, g)
+        # the kernel's covered and largest counts clear the scan, so it reads
+        # no column class
+        classes, read = [], tilings._WindowCounts.column_classes
+        monkeypatch.setattr(tilings._WindowCounts, "column_classes",
+                            lambda scan: classes.append(scan) or read(scan))
         mt = folner_multitile_sequence(g, 425, verify=False)
         v = verify_multitile_window(mt, 36)
-        assert v.passed and v.window_size == 716455
+        assert v.passed and v.window_size == 716455 and not classes
         assert not cuts and not g._norms  # the margin reads the store's rows too
         assert len(g._ends) == 38  # the rows are grown through ball 36
         assert v.margin == max(g.word_norm(t) for t in mt.shapes[0])
